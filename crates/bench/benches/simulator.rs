@@ -95,7 +95,10 @@ fn bench_engine_comparison(c: &mut Criterion) {
             b.iter(|| sim.run(std::hint::black_box(p)).unwrap());
         });
         group.bench_with_input(BenchmarkId::new("polling", ranks), &program, |b, p| {
-            b.iter(|| sim.run_polling(std::hint::black_box(p)).unwrap());
+            b.iter(|| {
+                sim.run_polling_configured(std::hint::black_box(p), None, None, None)
+                    .unwrap()
+            });
         });
     }
     group.finish();

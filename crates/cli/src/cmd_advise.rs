@@ -69,7 +69,7 @@ pub fn run(argv: &[String]) -> Result<crate::CmdOutcome, String> {
             // Close the loop on a recorded trace: rebuild a proxy
             // scenario from its measured computation marginals.
             let bytes = std::fs::read(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-            let source = format!("trace-content=0x{:016x}", limba_guard::fnv1a(&bytes));
+            let source = format!("trace-content=0x{:016x}", limba_par::fnv1a(&bytes));
             let trace = load_trace_auto(path)?;
             let salvaged = limba_trace::reduce_checked(&trace).map_err(|e| e.to_string())?;
             let scenario = Scenario::from_measurements(&salvaged.reduced.measurements)
@@ -198,12 +198,7 @@ pub fn run(argv: &[String]) -> Result<crate::CmdOutcome, String> {
     // engines produce bit-identical traces, so the report — like the
     // advice — does not depend on the engine choice.
     let sim = Simulator::new(scenario.config.clone());
-    let output = match engine {
-        Engine::Event => sim.run(&scenario.program),
-        Engine::EventPar => sim.run_event_parallel(&scenario.program, jobs),
-        Engine::Polling => sim.run_polling(&scenario.program),
-    }
-    .map_err(|e| e.to_string())?;
+    let output = engine.run(&sim, &scenario.program, None, None, jobs)?;
     let salvaged = output.reduce_checked().map_err(|e| e.to_string())?;
     let report = Analyzer::new()
         .with_cluster_k(clusters)

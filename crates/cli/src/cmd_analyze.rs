@@ -372,6 +372,19 @@ mod tests {
     }
 
     #[test]
+    fn undeclared_region_fails_at_decode() {
+        use limba_trace::{Event, TraceBuilder};
+        let mut b = TraceBuilder::new(1);
+        b.add_region("r");
+        b.push(Event::enter(0.0, 0, limba_model::RegionId::new(4)));
+        let path = std::env::temp_dir().join("limba-undeclared-region.bin");
+        fs::write(&path, limba_trace::binary::to_bytes(&b.build())).unwrap();
+        let err = run(&[path.to_str().unwrap().to_string()]).unwrap_err();
+        assert!(err.contains("unknown region index 4"), "{err}");
+        fs::remove_file(path).ok();
+    }
+
+    #[test]
     fn missing_file_is_reported() {
         assert!(load_trace("/nonexistent/limba.trace", "auto")
             .unwrap_err()

@@ -148,32 +148,19 @@ pub fn push(argv: &[String]) -> Result<crate::CmdOutcome, String> {
             // missing suffix.
             session
                 .push_sink(|sink| {
-                    let res = match engine {
-                        Engine::Event => sim.run_streaming_configured(
+                    engine
+                        .run_streaming(
+                            "push --workload",
+                            &sim,
                             &program,
-                            None,
-                            None,
-                            None,
-                            sink,
-                            frame_events,
-                        ),
-                        Engine::EventPar => sim.run_streaming_parallel_configured(
-                            &program,
-                            None,
                             None,
                             None,
                             jobs,
                             sink,
                             frame_events,
-                        ),
-                        Engine::Polling => {
-                            return Err(limba_serve::ServeError::State(
-                                "push --workload needs --engine event or event-par".into(),
-                            ));
-                        }
-                    };
-                    res.map(|_| ())
-                        .map_err(|e| limba_serve::ServeError::State(e.to_string()))
+                        )
+                        .map(|_| ())
+                        .map_err(limba_serve::ServeError::State)
                 })
                 .map_err(|e| e.to_string())?
         }

@@ -3,8 +3,10 @@
 use std::fs::File;
 use std::io::BufWriter;
 
-use limba_mpisim::{BalancePlan, FaultPlan, MachineConfig, Program, Simulator};
-use limba_trace::Trace;
+use limba_mpisim::{
+    BalancePlan, FaultPlan, MachineConfig, Program, SimOutput, Simulator, StreamOutput,
+};
+use limba_trace::{Trace, TraceSink};
 use limba_workloads::{
     amr::AmrConfig, cfd::CfdConfig, fft::FftConfig, irregular::IrregularConfig,
     master_worker::MasterWorkerConfig, pipeline::PipelineConfig, stencil::StencilConfig,
@@ -102,9 +104,67 @@ impl Engine {
             )),
         }
     }
+
+    /// The worker count this engine runs the event scheduler with —
+    /// the event engine is the parallel one at a single job — or `None`
+    /// for the polling engine, which retires the whole run before
+    /// recording and so has nothing to stream.
+    pub(crate) fn event_jobs(self, jobs: usize) -> Option<usize> {
+        match self {
+            Engine::Event => Some(1),
+            Engine::EventPar => Some(jobs),
+            Engine::Polling => None,
+        }
+    }
+
+    /// Runs `program` on this engine, materializing the trace.
+    pub(crate) fn run(
+        self,
+        sim: &Simulator,
+        program: &Program,
+        faults: Option<&FaultPlan>,
+        balance: Option<&BalancePlan>,
+        jobs: usize,
+    ) -> Result<SimOutput, String> {
+        match self.event_jobs(jobs) {
+            Some(jobs) => sim.run_parallel_configured(program, faults, balance, None, jobs),
+            None => sim.run_polling_configured(program, faults, balance, None),
+        }
+        .map_err(|e| e.to_string())
+    }
+
+    /// Runs `program` on this engine, streaming the trace into `sink`
+    /// in frames of `frame_events` events. `what` names the caller in
+    /// the error a non-streaming engine gets.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn run_streaming(
+        self,
+        what: &str,
+        sim: &Simulator,
+        program: &Program,
+        faults: Option<&FaultPlan>,
+        balance: Option<&BalancePlan>,
+        jobs: usize,
+        sink: &mut dyn TraceSink,
+        frame_events: usize,
+    ) -> Result<StreamOutput, String> {
+        let jobs = self
+            .event_jobs(jobs)
+            .ok_or_else(|| format!("{what} needs --engine event or event-par"))?;
+        sim.run_streaming_parallel_configured(
+            program,
+            faults,
+            balance,
+            None,
+            jobs,
+            sink,
+            frame_events,
+        )
+        .map_err(|e| e.to_string())
+    }
 }
 
-fn simulate(program: &Program, ranks: usize) -> Result<limba_mpisim::SimOutput, String> {
+fn simulate(program: &Program, ranks: usize) -> Result<SimOutput, String> {
     simulate_with(program, ranks, Engine::Event, None, None, 1)
 }
 
@@ -115,14 +175,9 @@ fn simulate_with(
     faults: Option<&FaultPlan>,
     balance: Option<&BalancePlan>,
     jobs: usize,
-) -> Result<limba_mpisim::SimOutput, String> {
+) -> Result<SimOutput, String> {
     let sim = Simulator::new(MachineConfig::new(ranks));
-    match engine {
-        Engine::Event => sim.run_configured(program, faults, balance, None),
-        Engine::EventPar => sim.run_parallel_configured(program, faults, balance, None, jobs),
-        Engine::Polling => sim.run_polling_configured(program, faults, balance, None),
-    }
-    .map_err(|e| e.to_string())
+    engine.run(&sim, program, faults, balance, jobs)
 }
 
 /// Resolves `--faults`: either a TOML plan file or `preset:<name>` from
@@ -232,6 +287,33 @@ fn describe_faults(report: &limba_mpisim::FaultReport) -> String {
         report.dropped_attempts,
         report.retried_messages
     )
+}
+
+/// The status lines every single-run `simulate` prints: the run's
+/// headline numbers, then — when a plan was given — what the faults did
+/// and the rebalancing summary with the full per-rank migration ledger
+/// (the same viz section the balanced report snapshots lock).
+fn run_summary(
+    workload: &str,
+    ranks: usize,
+    stats: &limba_mpisim::SimStats,
+    faults: Option<&limba_mpisim::FaultReport>,
+    balance: Option<&limba_mpisim::BalanceReport>,
+) -> String {
+    let mut out = format!(
+        "simulated {workload} on {ranks} ranks: makespan {:.4} s, {} messages, {} bytes\n",
+        stats.makespan, stats.messages, stats.bytes
+    );
+    if let Some(report) = faults {
+        out += &describe_faults(report);
+        out.push('\n');
+    }
+    if let Some(report) = balance {
+        out += &describe_balance(report);
+        out.push('\n');
+        out += &limba_viz::report::render_balance(report);
+    }
+    out
 }
 
 fn write_trace(trace: &Trace, path: &str, format: &str) -> Result<(), String> {
@@ -364,9 +446,8 @@ fn render_sweep(
                 balanced: spec.balance.is_some(),
             },
             |index, _| {
-                // Mirrors `Simulator::run_replications[_with_faults]`:
-                // the same seed derivation, the same per-replication
-                // fault-plan reseeding.
+                // Mirrors `Simulator::run_replications`: the same seed
+                // derivation, the same per-replication plan reseeding.
                 let seed = limba_par::derive_seed(spec.root_seed, index as u64);
                 let program = build_program(
                     spec.workload,
@@ -531,16 +612,9 @@ fn run_stream_reduce(
     if parsed.get("out").is_some() || parsed.get("format").is_some() {
         return Err("--stream-reduce writes no tracefile; drop --out/--format".into());
     }
-    // The polling engine retires the whole run before recording, so it
-    // has nothing to stream; the event engines emit frames as rounds
-    // retire.
-    let stream_jobs = match engine {
-        Engine::Event => 1,
-        Engine::EventPar => jobs,
-        Engine::Polling => {
-            return Err("--stream-reduce needs --engine event or event-par".into());
-        }
-    };
+    let stream_jobs = engine
+        .event_jobs(jobs)
+        .ok_or("--stream-reduce needs --engine event or event-par")?;
     let windows: usize = parsed.get_or("windows", 0)?;
     let frame_events: usize = parsed.get_or("stream-frame-events", 4096)?;
     if frame_events == 0 {
@@ -599,20 +673,17 @@ fn run_stream_reduce(
     .map_err(|e| e.to_string())?;
     drop(tee_sink);
 
-    println!(
-        "simulated {workload} on {ranks} ranks: makespan {:.4} s, {} messages, {} bytes",
-        streamed.output.stats.makespan, streamed.output.stats.messages, streamed.output.stats.bytes
+    let output = &streamed.output;
+    print!(
+        "{}",
+        run_summary(
+            workload,
+            ranks,
+            &output.stats,
+            faults.and(Some(&output.faults)),
+            balance.and(Some(&output.balance)),
+        )
     );
-    if faults.is_some() {
-        println!("{}", describe_faults(&streamed.output.faults));
-    }
-    if balance.is_some() {
-        println!("{}", describe_balance(&streamed.output.balance));
-        print!(
-            "{}",
-            limba_viz::report::render_balance(&streamed.output.balance)
-        );
-    }
     match &stream_out {
         Some(path) => println!(
             "streamed reduce: {} events in frames of {frame_events}, trace teed to {path}",
@@ -665,7 +736,7 @@ fn run_stream_out(
     if parsed.get("out").is_some() || parsed.get("format").is_some() {
         return Err("--stream-out names the tracefile itself; drop --out/--format".into());
     }
-    if matches!(engine, Engine::Polling) {
+    if engine.event_jobs(jobs).is_none() {
         return Err("--stream-out needs --engine event or event-par".into());
     }
     let frame_events: usize = parsed.get_or("stream-frame-events", 4096)?;
@@ -675,22 +746,17 @@ fn run_stream_out(
     let path = parsed.get("stream-out").unwrap_or("-");
     let sim = Simulator::new(MachineConfig::new(ranks));
 
-    let run_into = |sink: &mut dyn limba_trace::TraceSink| match engine {
-        Engine::Event => sim
-            .run_streaming_configured(program, faults, balance, None, sink, frame_events)
-            .map_err(|e| e.to_string()),
-        Engine::EventPar => sim
-            .run_streaming_parallel_configured(
-                program,
-                faults,
-                balance,
-                None,
-                jobs,
-                sink,
-                frame_events,
-            )
-            .map_err(|e| e.to_string()),
-        Engine::Polling => unreachable!("rejected above"),
+    let run_into = |sink: &mut dyn TraceSink| {
+        engine.run_streaming(
+            "--stream-out",
+            &sim,
+            program,
+            faults,
+            balance,
+            jobs,
+            sink,
+            frame_events,
+        )
     };
 
     let (output, to_stdout) = if path == "-" {
@@ -710,32 +776,17 @@ fn run_stream_out(
 
     // When the trace owns stdout, the human-readable summary moves to
     // stderr so the pipe stays clean binary.
-    let mut status = String::new();
-    use std::fmt::Write as _;
-    writeln!(
-        status,
-        "simulated {workload} on {ranks} ranks: makespan {:.4} s, {} messages, {} bytes",
-        output.stats.makespan, output.stats.messages, output.stats.bytes
-    )
-    .unwrap();
-    if faults.is_some() {
-        writeln!(status, "{}", describe_faults(&output.faults)).unwrap();
-    }
-    if balance.is_some() {
-        writeln!(status, "{}", describe_balance(&output.balance)).unwrap();
-        write!(
-            status,
-            "{}",
-            limba_viz::report::render_balance(&output.balance)
-        )
-        .unwrap();
-    }
-    writeln!(
-        status,
-        "trace streamed to {} (chunked v3, frames of {frame_events} events)",
+    let mut status = run_summary(
+        workload,
+        ranks,
+        &output.stats,
+        faults.and(Some(&output.faults)),
+        balance.and(Some(&output.balance)),
+    );
+    status += &format!(
+        "trace streamed to {} (chunked v3, frames of {frame_events} events)\n",
         if to_stdout { "stdout" } else { path }
-    )
-    .unwrap();
+    );
     if to_stdout {
         eprint!("{status}");
     } else {
@@ -846,19 +897,16 @@ pub fn run(argv: &[String]) -> Result<crate::CmdOutcome, String> {
         jobs,
     )?;
     write_trace(&output.trace, &out, &format)?;
-    println!(
-        "simulated {workload} on {ranks} ranks: makespan {:.4} s, {} messages, {} bytes",
-        output.stats.makespan, output.stats.messages, output.stats.bytes
+    print!(
+        "{}",
+        run_summary(
+            &workload,
+            ranks,
+            &output.stats,
+            faults.and(Some(&output.faults)),
+            balance.and(Some(&output.balance)),
+        )
     );
-    if faults.is_some() {
-        println!("{}", describe_faults(&output.faults));
-    }
-    if balance.is_some() {
-        println!("{}", describe_balance(&output.balance));
-        // The full per-rank migration ledger, rendered by the same viz
-        // section the balanced report snapshots lock.
-        print!("{}", limba_viz::report::render_balance(&output.balance));
-    }
     println!(
         "trace written to {out} ({format}, {} events)",
         output.trace.events().len()
@@ -956,16 +1004,23 @@ mod tests {
         // same derived seeds, same outputs.
         let spec = jitter_spec(1);
         let sim = Simulator::new(MachineConfig::new(spec.ranks));
-        let reference = sim.run_replications(spec.replications, spec.root_seed, 1, |_, seed| {
-            build_program(
-                spec.workload,
-                spec.ranks,
-                spec.iterations,
-                spec.imbalance,
-                seed,
-            )
-            .map_err(|detail| limba_mpisim::SimError::BuildFailed { detail })
-        });
+        let reference = sim.run_replications(
+            spec.replications,
+            spec.root_seed,
+            1,
+            None,
+            None,
+            |_, seed| {
+                build_program(
+                    spec.workload,
+                    spec.ranks,
+                    spec.iterations,
+                    spec.imbalance,
+                    seed,
+                )
+                .map_err(|detail| limba_mpisim::SimError::BuildFailed { detail })
+            },
+        );
         let (table, _) = render_sweep(&spec, &Supervision::none()).unwrap();
         for rep in reference.iter().map(|r| r.as_ref().unwrap()) {
             let row = format!(

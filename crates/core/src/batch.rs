@@ -22,8 +22,8 @@ use std::sync::{Arc, Mutex};
 
 use limba_model::Measurements;
 
-use crate::snapshot::fnv1a;
 use crate::{AnalysisError, Analyzer, Report};
+use limba_par::fnv1a;
 
 /// A content digest of a measurement matrix: region names, activity
 /// set, processor count, and every cell's exact bit pattern.

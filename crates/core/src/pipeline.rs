@@ -141,7 +141,7 @@ impl Analyzer {
     /// changes the report, so cached results remain valid across
     /// `--jobs` settings.
     pub fn config_fingerprint(&self) -> u64 {
-        crate::snapshot::fnv1a(
+        limba_par::fnv1a(
             format!(
                 "{:?}|{:?}|{}|{:?}|{}",
                 self.dispersion, self.criterion, self.cluster_k, self.scaling, self.seed

@@ -12,6 +12,8 @@
 //! deterministic function of the value, and Rust's float formatting is
 //! shortest-round-trip, so distinct bit patterns render distinctly.
 
+use limba_par::fnv1a;
+
 use crate::Report;
 
 /// Version tag embedded in [`canonical`] output; bump when the report
@@ -21,18 +23,6 @@ pub const CANONICAL_VERSION: u32 = 1;
 /// The canonical byte-comparable serialization of a report.
 pub fn canonical(report: &Report) -> String {
     format!("limba-report v{CANONICAL_VERSION}\n{report:#?}\n")
-}
-
-/// FNV-1a over arbitrary bytes: small, dependency-free, and stable
-/// across platforms. Used for cache keys and snapshot digests — not for
-/// anything adversarial.
-pub fn fnv1a(data: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &byte in data {
-        hash ^= byte as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 /// Digest of a report's canonical form.
@@ -66,14 +56,6 @@ mod tests {
         assert!(a.starts_with("limba-report v1\n"));
         assert_eq!(a, b);
         assert_eq!(report_digest(&report()), report_digest(&report()));
-    }
-
-    #[test]
-    fn fnv1a_matches_known_vectors() {
-        // Published FNV-1a 64-bit test vectors.
-        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a(b"foobar"), 0x85944171f73967e8);
     }
 
     #[test]

@@ -35,10 +35,11 @@
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
+use limba_par::fnv1a;
 use limba_vfs::{StdVfs, Vfs};
 
 use crate::codec::{ByteReader, ByteWriter};
-use crate::{fnv1a, GuardError};
+use crate::GuardError;
 
 const MAGIC: &[u8; 8] = b"LIMBACKP";
 const VERSION: u16 = 1;
@@ -294,7 +295,8 @@ impl Checkpoint {
         };
         {
             let mut file = vfs.create(&tmp).map_err(|e| io_error(&tmp, e))?;
-            file.append(&self.to_bytes()).map_err(|e| io_error(&tmp, e))?;
+            file.append(&self.to_bytes())
+                .map_err(|e| io_error(&tmp, e))?;
             // Sync the tmp file *before* the rename: a rename can
             // reach disk ahead of the data it points at, leaving a
             // zero-length or torn checkpoint after power loss.

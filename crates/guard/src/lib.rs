@@ -136,24 +136,12 @@ impl std::error::Error for GuardError {
     }
 }
 
-/// FNV-1a over arbitrary bytes: the same stable digest the analysis
-/// layer uses for fingerprints, duplicated here to keep this crate's
-/// dependency footprint to `limba-par` + `limba-advisor`.
-pub fn fnv1a(data: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &byte in data {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
 /// Fingerprint of a run configuration: FNV-1a over a canonical string
 /// the caller assembles from every option that affects the output
 /// (workload, ranks, seed, faults, …). Two runs with equal fingerprints
 /// must produce identical unit payloads.
 pub fn config_fingerprint(canonical: &str) -> u64 {
-    fnv1a(canonical.as_bytes())
+    limba_par::fnv1a(canonical.as_bytes())
 }
 
 #[cfg(test)]
@@ -161,13 +149,6 @@ mod tests {
     #![allow(clippy::unwrap_used, clippy::panic)]
 
     use super::*;
-
-    #[test]
-    fn fnv1a_matches_published_vectors() {
-        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
-    }
 
     #[test]
     fn errors_display_their_details() {

@@ -20,11 +20,11 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 
 use limba_advisor::{Verification, VerifyCache};
-use limba_par::CancelToken;
+use limba_par::{fnv1a, CancelToken};
 
 use crate::checkpoint::Checkpoint;
 use crate::codec::{ByteReader, ByteWriter};
-use crate::{fnv1a, GuardError};
+use crate::GuardError;
 
 /// The checkpoint kind this cache writes.
 pub const VERIFY_KIND: &str = "advise-verify";

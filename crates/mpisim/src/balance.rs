@@ -236,9 +236,9 @@ enum PolicyKind {
 /// A deterministic rebalancing plan: one [`BalancePolicy`] plus the
 /// migration cost model, serializable to the same TOML subset as
 /// [`crate::FaultPlan`]. Built via the policy constructors and `with_*`
-/// modifiers; attach it to a run with
-/// [`Simulator::run_with_balance`](crate::Simulator::run_with_balance)
-/// or the `run_configured` family.
+/// modifiers; attach it to a run through the `balance` argument of
+/// [`Simulator::run_configured`](crate::Simulator::run_configured) and
+/// its parallel, streaming, and polling counterparts.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BalancePlan {
     seed: u64,
@@ -1046,7 +1046,9 @@ mod tests {
         let base = sim.run(&program).unwrap();
         assert!(base.balance.is_inactive());
         for plan in plans() {
-            let out = sim.run_with_balance(&program, &plan).unwrap();
+            let out = sim
+                .run_configured(&program, None, Some(&plan), None)
+                .unwrap();
             assert!(
                 out.stats.makespan < base.stats.makespan,
                 "{} did not improve: {} vs {}",
@@ -1066,7 +1068,9 @@ mod tests {
         let program = skewed_program(ranks, 10);
         let sim = Simulator::new(MachineConfig::new(ranks));
         for plan in plans() {
-            let out = sim.run_with_balance(&program, &plan).unwrap();
+            let out = sim
+                .run_configured(&program, None, Some(&plan), None)
+                .unwrap();
             let b = &out.balance;
             let donated: f64 = b.donated_seconds.iter().sum();
             let received: f64 = b.received_seconds.iter().sum();
@@ -1098,7 +1102,9 @@ mod tests {
         let base = sim.run(&program).unwrap();
         // A threshold no skew of this program can reach.
         let inert = BalancePlan::stealing(3, 100.0);
-        let out = sim.run_with_balance(&program, &inert).unwrap();
+        let out = sim
+            .run_configured(&program, None, Some(&inert), None)
+            .unwrap();
         assert_eq!(base.trace, out.trace);
         assert_eq!(base.stats, out.stats);
         assert_eq!(out.balance.migrations, 0);
@@ -1112,11 +1118,17 @@ mod tests {
         let program = skewed_program(5, 8);
         let sim = Simulator::new(MachineConfig::new(5));
         for plan in plans() {
-            let a = sim.run_with_balance(&program, &plan).unwrap();
-            let b = sim.run_with_balance(&program, &plan).unwrap();
+            let a = sim
+                .run_configured(&program, None, Some(&plan), None)
+                .unwrap();
+            let b = sim
+                .run_configured(&program, None, Some(&plan), None)
+                .unwrap();
             assert_eq!(a.trace, b.trace);
             assert_eq!(a.balance, b.balance);
-            let polled = sim.run_polling_with_balance(&program, &plan).unwrap();
+            let polled = sim
+                .run_polling_configured(&program, None, Some(&plan), None)
+                .unwrap();
             assert_eq!(a.trace, polled.trace);
             assert_eq!(a.stats, polled.stats);
             assert_eq!(a.balance, polled.balance);

@@ -8,7 +8,7 @@
 //!   what a rank is blocked on (a `(src, dst)` channel, the open
 //!   collective instance, or a rendezvous match), so completing an op
 //!   re-enqueues only the specific ranks it can unblock;
-//! * **polling** ([`Simulator::run_polling`]) — the original
+//! * **polling** ([`Simulator::run_polling_configured`]) — the original
 //!   O(rounds × n) engine this one replaced, preserved verbatim in the
 //!   [`crate::polling`] module (HashMap-keyed channels and all) as the
 //!   reference implementation for the equivalence harness and the perf
@@ -1840,7 +1840,8 @@ impl Simulator {
     }
 
     /// Runs `program` to completion with the event-driven scheduler,
-    /// producing the trace and statistics.
+    /// producing the trace and statistics — [`Simulator::run_configured`]
+    /// with no plans and no budget.
     ///
     /// # Errors
     ///
@@ -1848,68 +1849,57 @@ impl Simulator {
     /// references more ranks than the machine has, or the ranks deadlock
     /// (e.g. a receive whose matching send never happens).
     pub fn run(&self, program: &Program) -> Result<SimOutput, SimError> {
-        let mut exec = Exec::new(&self.config, program, None, None, None)?;
-        exec.run_event()?;
-        Ok(exec.finish())
+        self.run_configured(program, None, None, None)
     }
 
-    /// Runs `program` under a deterministic fault plan (see
-    /// [`FaultPlan`]): slowdown windows, link degradation, message loss
-    /// with retries, and rank crashes. Crashed and interrupted ranks
-    /// end the run with truncated traces and are listed in
-    /// [`SimOutput::faults`]; reduce such outputs with
-    /// [`SimOutput::reduce_checked`], which salvages partial streams.
+    /// The shared setup of every event-engine entry point: the
+    /// executor with its plans and recorder attached, and the budget
+    /// only when it can fire — an unlimited budget takes the exact
+    /// unbudgeted code path (no per-op bookkeeping).
+    fn exec<'a>(
+        &'a self,
+        program: &'a Program,
+        faults: Option<&FaultPlan>,
+        balance: Option<&BalancePlan>,
+        budget: Option<&'a RunBudget>,
+        stream: Option<(&'a mut dyn TraceSink, usize)>,
+    ) -> Result<Exec<'a>, SimError> {
+        let mut exec = Exec::new(&self.config, program, faults, balance, stream)?;
+        exec.budget = budget.filter(|b| !b.is_unlimited());
+        Ok(exec)
+    }
+
+    /// Runs `program` with the event-driven scheduler under any
+    /// combination of fault plan, balance plan, and interruption budget;
+    /// `None` everywhere is [`Simulator::run`].
     ///
-    /// An empty plan is bit-identical to [`Simulator::run`].
+    /// * **Faults** (see [`FaultPlan`]): slowdown windows, link
+    ///   degradation, message loss with retries, and rank crashes.
+    ///   Crashed and interrupted ranks end the run with truncated traces
+    ///   and are listed in [`SimOutput::faults`]; reduce such outputs
+    ///   with [`SimOutput::reduce_checked`], which salvages partial
+    ///   streams. An empty plan is bit-identical to no plan.
+    /// * **Balance** (see [`BalancePlan`]): at every compute-op boundary
+    ///   the attached policy may migrate work to less loaded ranks, with
+    ///   deterministic migration costs and a profitability guard;
+    ///   [`SimOutput::balance`] accounts every migration. A plan whose
+    ///   policy never triggers is bit-identical to no plan.
+    /// * **Budget** (see [`RunBudget`]): polled inside the scheduling
+    ///   loop; when an op-count or wall-clock limit fires, or the
+    ///   cancellation token trips, the run aborts with
+    ///   [`SimError::Interrupted`] and produces nothing. A run that
+    ///   completes under a budget is bit-identical to the same run
+    ///   without one — the budget decides *whether* the run finishes,
+    ///   never what a finished run contains.
     ///
     /// # Errors
     ///
     /// Same conditions as [`Simulator::run`], plus
-    /// [`SimError::InvalidFaultPlan`] for plans that fail
-    /// [`FaultPlan::validate`]. A quiescent state with at least one
-    /// crashed rank is an interrupted run, not a deadlock error.
-    pub fn run_with_faults(
-        &self,
-        program: &Program,
-        plan: &FaultPlan,
-    ) -> Result<SimOutput, SimError> {
-        let mut exec = Exec::new(&self.config, program, Some(plan), None, None)?;
-        exec.run_event()?;
-        Ok(exec.finish())
-    }
-
-    /// Runs `program` under a dynamic load-balancing plan (see
-    /// [`BalancePlan`]): at every compute-op boundary the attached
-    /// policy may migrate work to less loaded ranks, with deterministic
-    /// migration costs and a profitability guard. The
-    /// [`SimOutput::balance`] report accounts every migration.
-    ///
-    /// A plan whose policy never triggers is bit-identical to
-    /// [`Simulator::run`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Simulator::run`], plus
-    /// [`SimError::InvalidBalancePlan`] for plans that fail
-    /// [`BalancePlan::validate`].
-    pub fn run_with_balance(
-        &self,
-        program: &Program,
-        plan: &BalancePlan,
-    ) -> Result<SimOutput, SimError> {
-        let mut exec = Exec::new(&self.config, program, None, Some(plan), None)?;
-        exec.run_event()?;
-        Ok(exec.finish())
-    }
-
-    /// Runs `program` with any combination of fault plan, balance plan,
-    /// and interruption budget — the fully general entry point the CLI
-    /// drives. `None` everywhere is bit-identical to [`Simulator::run`].
-    ///
-    /// # Errors
-    ///
-    /// The union of the conditions of [`Simulator::run_with_faults`],
-    /// [`Simulator::run_with_balance`], and [`Simulator::run_budgeted`].
+    /// [`SimError::InvalidFaultPlan`] / [`SimError::InvalidBalancePlan`]
+    /// for plans that fail [`FaultPlan::validate`] /
+    /// [`BalancePlan::validate`], and [`SimError::Interrupted`] when the
+    /// budget fires. A quiescent state with at least one crashed rank is
+    /// an interrupted run, not a deadlock error.
     pub fn run_configured(
         &self,
         program: &Program,
@@ -1917,74 +1907,24 @@ impl Simulator {
         balance: Option<&BalancePlan>,
         budget: Option<&RunBudget>,
     ) -> Result<SimOutput, SimError> {
-        let mut exec = Exec::new(&self.config, program, faults, balance, None)?;
-        if let Some(budget) = budget {
-            if !budget.is_unlimited() {
-                exec.budget = Some(budget);
-            }
-        }
+        let mut exec = self.exec(program, faults, balance, budget, None)?;
         exec.run_event()?;
         Ok(exec.finish())
     }
 
-    /// Runs `program` under an interruption budget (and optionally a
-    /// fault plan) with the event-driven scheduler. The budget is
-    /// polled inside the scheduling loop: when an op-count or
-    /// wall-clock limit fires, or the cancellation token trips, the run
-    /// aborts with [`SimError::Interrupted`] and produces nothing.
+    /// [`Simulator::run_configured`] on the deterministic parallel
+    /// event engine: the sequential event scheduler's round structure
+    /// with per-round speculation of purely-local op runs fanned out
+    /// over `jobs` worker threads (0 = all CPUs, 1 = the sequential
+    /// scheduler; see `limba-par`).
     ///
-    /// A run that completes under a budget is bit-identical to the same
-    /// run without one — the budget decides *whether* the run finishes,
-    /// never what a finished run contains. An unlimited budget takes
-    /// the exact unbudgeted code path (no per-op bookkeeping).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Simulator::run_with_faults`], plus
-    /// [`SimError::Interrupted`] when the budget fires.
-    pub fn run_budgeted(
-        &self,
-        program: &Program,
-        plan: Option<&FaultPlan>,
-        budget: &RunBudget,
-    ) -> Result<SimOutput, SimError> {
-        let mut exec = Exec::new(&self.config, program, plan, None, None)?;
-        if !budget.is_unlimited() {
-            exec.budget = Some(budget);
-        }
-        exec.run_event()?;
-        Ok(exec.finish())
-    }
-
-    /// Runs `program` with the deterministic parallel event engine:
-    /// the sequential event scheduler's round structure with per-round
-    /// speculation of purely-local op runs fanned out over `jobs`
-    /// worker threads (0 = all CPUs; see `limba-par`).
-    ///
-    /// The output is **byte-identical** to [`Simulator::run`] for every
-    /// program, machine, and thread count — parallelism here is a
-    /// latency optimization, never a semantics knob. The engine-triple
-    /// differential harness (polling × event × event-par) locks this.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Simulator::run`].
-    pub fn run_event_parallel(
-        &self,
-        program: &Program,
-        jobs: usize,
-    ) -> Result<SimOutput, SimError> {
-        let mut exec = Exec::new(&self.config, program, None, None, None)?;
-        exec.run_event_parallel(jobs)?;
-        Ok(exec.finish())
-    }
-
-    /// The parallel-engine counterpart of [`Simulator::run_configured`]:
-    /// any combination of fault plan, balance plan, and budget, executed
-    /// with [`Simulator::run_event_parallel`]'s scheduler. Byte-identical
-    /// to the sequential engine under every combination. Budgeted runs
-    /// fall back to the sequential scheduler (op budgets are defined in
-    /// executed-op order), preserving exact budget semantics.
+    /// The output is **byte-identical** to the sequential engine for
+    /// every program, machine, plan, and thread count — parallelism here
+    /// is a latency optimization, never a semantics knob. The
+    /// engine-triple differential harness (polling × event × event-par)
+    /// locks this. Budgeted runs fall back to the sequential scheduler
+    /// (op budgets are defined in executed-op order), preserving exact
+    /// budget semantics.
     ///
     /// # Errors
     ///
@@ -1997,12 +1937,7 @@ impl Simulator {
         budget: Option<&RunBudget>,
         jobs: usize,
     ) -> Result<SimOutput, SimError> {
-        let mut exec = Exec::new(&self.config, program, faults, balance, None)?;
-        if let Some(budget) = budget {
-            if !budget.is_unlimited() {
-                exec.budget = Some(budget);
-            }
-        }
+        let mut exec = self.exec(program, faults, balance, budget, None)?;
         exec.run_event_parallel(jobs)?;
         Ok(exec.finish())
     }
@@ -2034,18 +1969,7 @@ impl Simulator {
         sink: &mut dyn TraceSink,
         frame_events: usize,
     ) -> Result<StreamOutput, SimError> {
-        let mut exec = Exec::new(
-            &self.config,
-            program,
-            faults,
-            balance,
-            Some((sink, frame_events)),
-        )?;
-        if let Some(budget) = budget {
-            if !budget.is_unlimited() {
-                exec.budget = Some(budget);
-            }
-        }
+        let mut exec = self.exec(program, faults, balance, budget, Some((sink, frame_events)))?;
         exec.run_event()?;
         exec.finish_stream()
     }
@@ -2071,70 +1995,19 @@ impl Simulator {
         sink: &mut dyn TraceSink,
         frame_events: usize,
     ) -> Result<StreamOutput, SimError> {
-        let mut exec = Exec::new(
-            &self.config,
-            program,
-            faults,
-            balance,
-            Some((sink, frame_events)),
-        )?;
-        if let Some(budget) = budget {
-            if !budget.is_unlimited() {
-                exec.budget = Some(budget);
-            }
-        }
+        let mut exec = self.exec(program, faults, balance, budget, Some((sink, frame_events)))?;
         exec.run_event_parallel(jobs)?;
         exec.finish_stream()
     }
 
-    /// Runs `program` with the polling reference engine — the original
-    /// O(rounds × n) scan over `HashMap`-keyed channels that this
-    /// engine replaced, preserved verbatim in [`crate::polling`]. Its
-    /// output is bit-identical to [`Simulator::run`] in trace,
-    /// statistics, and diagnostics; the equivalence harness holds the
-    /// two implementations against each other, and the simulator
-    /// benchmarks measure the event-driven engine against this one.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Simulator::run`].
-    pub fn run_polling(&self, program: &Program) -> Result<SimOutput, SimError> {
-        crate::polling::run(&self.config, program, None, None, None)
-    }
-
-    /// Runs `program` under a fault plan with the polling reference
-    /// engine. Bit-identical to [`Simulator::run_with_faults`] in
-    /// trace, statistics, diagnostics, and fault report — fault
-    /// injection is a first-class axis of the differential harness.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Simulator::run_with_faults`].
-    pub fn run_polling_with_faults(
-        &self,
-        program: &Program,
-        plan: &FaultPlan,
-    ) -> Result<SimOutput, SimError> {
-        crate::polling::run(&self.config, program, Some(plan), None, None)
-    }
-
-    /// The polling-engine counterpart of [`Simulator::run_with_balance`].
-    /// Bit-identical in trace, statistics, fault report, and balance
-    /// report — dynamic balancing is a first-class axis of the
-    /// differential harness.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Simulator::run_with_balance`].
-    pub fn run_polling_with_balance(
-        &self,
-        program: &Program,
-        plan: &BalancePlan,
-    ) -> Result<SimOutput, SimError> {
-        crate::polling::run(&self.config, program, None, Some(plan), None)
-    }
-
-    /// The polling-engine counterpart of [`Simulator::run_configured`].
+    /// [`Simulator::run_configured`] on the polling reference engine —
+    /// the original O(rounds × n) scan over `HashMap`-keyed channels
+    /// that the event engine replaced, preserved verbatim in
+    /// `crate::polling`. Bit-identical to the event engines in trace,
+    /// statistics, diagnostics, fault report, and balance report; the
+    /// equivalence harness holds the implementations against each
+    /// other. Op-count budgets fire on exactly the same programs on
+    /// both engines (both execute the same ops).
     ///
     /// # Errors
     ///
@@ -2148,29 +2021,6 @@ impl Simulator {
     ) -> Result<SimOutput, SimError> {
         let budget = budget.filter(|b| !b.is_unlimited());
         crate::polling::run(&self.config, program, faults, balance, budget)
-    }
-
-    /// The polling-engine counterpart of [`Simulator::run_budgeted`]:
-    /// same budget semantics, same guarantee that a completed budgeted
-    /// run is bit-identical to an unbudgeted one. Op-count budgets fire
-    /// on exactly the same programs on both engines (both execute the
-    /// same ops), which the equivalence suite locks.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Simulator::run_budgeted`].
-    pub fn run_polling_budgeted(
-        &self,
-        program: &Program,
-        plan: Option<&FaultPlan>,
-        budget: &RunBudget,
-    ) -> Result<SimOutput, SimError> {
-        let budget = if budget.is_unlimited() {
-            None
-        } else {
-            Some(budget)
-        };
-        crate::polling::run(&self.config, program, plan, None, budget)
     }
 }
 
@@ -2212,10 +2062,14 @@ mod tests {
             max_ops: Some(1_000_000),
             ..RunBudget::default()
         };
-        let budgeted = sim.run_budgeted(&program, None, &budget).unwrap();
+        let budgeted = sim
+            .run_configured(&program, None, None, Some(&budget))
+            .unwrap();
         assert_eq!(plain.trace, budgeted.trace);
         assert_eq!(plain.stats, budgeted.stats);
-        let polled = sim.run_polling_budgeted(&program, None, &budget).unwrap();
+        let polled = sim
+            .run_polling_configured(&program, None, None, Some(&budget))
+            .unwrap();
         assert_eq!(plain.trace, polled.trace);
         assert_eq!(plain.stats, polled.stats);
     }
@@ -2246,8 +2100,9 @@ mod tests {
             }
             panic!("no budget up to {ceiling} completed");
         };
-        let event_threshold = threshold(&|b| sim.run_budgeted(&program, None, b));
-        let polling_threshold = threshold(&|b| sim.run_polling_budgeted(&program, None, b));
+        let event_threshold = threshold(&|b| sim.run_configured(&program, None, None, Some(b)));
+        let polling_threshold =
+            threshold(&|b| sim.run_polling_configured(&program, None, None, Some(b)));
         assert_eq!(event_threshold, polling_threshold);
         assert!(event_threshold > 0);
         // At the threshold both engines still agree bit-for-bit.
@@ -2255,8 +2110,12 @@ mod tests {
             max_ops: Some(event_threshold),
             ..RunBudget::default()
         };
-        let event = sim.run_budgeted(&program, None, &budget).unwrap();
-        let polling = sim.run_polling_budgeted(&program, None, &budget).unwrap();
+        let event = sim
+            .run_configured(&program, None, None, Some(&budget))
+            .unwrap();
+        let polling = sim
+            .run_polling_configured(&program, None, None, Some(&budget))
+            .unwrap();
         assert_eq!(event.trace, polling.trace);
         assert_eq!(event.stats, polling.stats);
     }
@@ -2272,7 +2131,7 @@ mod tests {
             ..RunBudget::default()
         };
         assert!(matches!(
-            sim.run_budgeted(&program, None, &budget),
+            sim.run_configured(&program, None, None, Some(&budget)),
             Err(SimError::Interrupted { .. })
         ));
         let budget = RunBudget {
@@ -2280,7 +2139,7 @@ mod tests {
             ..RunBudget::default()
         };
         assert!(matches!(
-            sim.run_polling_budgeted(&program, None, &budget),
+            sim.run_polling_configured(&program, None, None, Some(&budget)),
             Err(SimError::Interrupted { .. })
         ));
         // An untripped token and a far-away deadline change nothing.
@@ -2290,7 +2149,9 @@ mod tests {
             ..RunBudget::default()
         };
         let plain = sim.run(&program).unwrap();
-        let budgeted = sim.run_budgeted(&program, None, &budget).unwrap();
+        let budgeted = sim
+            .run_configured(&program, None, None, Some(&budget))
+            .unwrap();
         assert_eq!(plain.trace, budgeted.trace);
     }
 
@@ -2299,16 +2160,20 @@ mod tests {
         let program = budget_test_program(4);
         let sim = Simulator::new(machine(4));
         let plan = FaultPlan::new(11).with_slowdown(1, 0.0, 0.2, 2.0);
-        let plain = sim.run_with_faults(&program, &plan).unwrap();
+        let plain = sim
+            .run_configured(&program, Some(&plan), None, None)
+            .unwrap();
         let budget = RunBudget {
             max_ops: Some(1_000_000),
             ..RunBudget::default()
         };
-        let budgeted = sim.run_budgeted(&program, Some(&plan), &budget).unwrap();
+        let budgeted = sim
+            .run_configured(&program, Some(&plan), None, Some(&budget))
+            .unwrap();
         assert_eq!(plain.trace, budgeted.trace);
         assert_eq!(plain.faults, budgeted.faults);
         let polled = sim
-            .run_polling_budgeted(&program, Some(&plan), &budget)
+            .run_polling_configured(&program, Some(&plan), None, Some(&budget))
             .unwrap();
         assert_eq!(plain.trace, polled.trace);
     }
@@ -2728,7 +2593,9 @@ mod tests {
         let program = pb.build().unwrap();
         let sim = Simulator::new(cfg);
         let event = sim.run(&program).unwrap();
-        let polling = sim.run_polling(&program).unwrap();
+        let polling = sim
+            .run_polling_configured(&program, None, None, None)
+            .unwrap();
         assert_eq!(event.trace, polling.trace);
         assert_eq!(event.stats, polling.stats);
     }
@@ -2744,7 +2611,10 @@ mod tests {
         let program = pb.build().unwrap();
         let sim = Simulator::new(cfg);
         let event = sim.run(&program).unwrap_err().to_string();
-        let polling = sim.run_polling(&program).unwrap_err().to_string();
+        let polling = sim
+            .run_polling_configured(&program, None, None, None)
+            .unwrap_err()
+            .to_string();
         assert_eq!(event, polling);
     }
 }

@@ -45,89 +45,24 @@ impl Simulator {
     /// replications get statistically independent randomness while the
     /// whole sweep stays reproducible from the single root.
     ///
+    /// Every replication is optionally perturbed by a fault plan and
+    /// rebalanced by a balance plan (see
+    /// [`Simulator::run_configured`]). Replication `i` runs under
+    /// `plan.with_seed(derive_seed(plan.seed, i))` — the deterministic
+    /// faults (slowdowns, link windows, crashes) are identical across
+    /// the sweep while the message-loss pattern varies independently
+    /// per replication, and likewise for the balance plan's seed — so
+    /// the sweep reproduces from its root seeds at any `jobs` level,
+    /// faulted, balanced, or neither.
+    ///
     /// # Errors
     ///
     /// Failures are isolated per replication: a builder or simulation
     /// error lands as `Err` at that replication's position while every
-    /// other replication still completes.
-    pub fn run_replications<F>(
-        &self,
-        replications: usize,
-        root_seed: u64,
-        jobs: usize,
-        build: F,
-    ) -> Vec<Result<Replication, SimError>>
-    where
-        F: Fn(usize, u64) -> Result<Program, SimError> + Sync,
-    {
-        let indices: Vec<usize> = (0..replications).collect();
-        limba_par::par_map(jobs, &indices, |_, &index| {
-            let seed = limba_par::derive_seed(root_seed, index as u64);
-            let program = build(index, seed)?;
-            let output = self.run(&program)?;
-            Ok(Replication {
-                index,
-                seed,
-                output,
-            })
-        })
-    }
-
-    /// Like [`Simulator::run_replications`], with every replication
-    /// perturbed by `plan`. Replication `i` runs under
-    /// `plan.with_seed(derive_seed(plan.seed, i))` — the deterministic
-    /// faults (slowdowns, link windows, crashes) are identical across
-    /// the sweep while the message-loss pattern varies independently
-    /// per replication, and the whole sweep reproduces from the plan's
-    /// single root seed at any thread count.
-    ///
-    /// # Errors
-    ///
-    /// Same isolation as [`Simulator::run_replications`]; an invalid
-    /// plan fails every replication with
-    /// [`SimError::InvalidFaultPlan`].
-    pub fn run_replications_with_faults<F>(
-        &self,
-        replications: usize,
-        root_seed: u64,
-        jobs: usize,
-        plan: &FaultPlan,
-        build: F,
-    ) -> Vec<Result<Replication, SimError>>
-    where
-        F: Fn(usize, u64) -> Result<Program, SimError> + Sync,
-    {
-        let indices: Vec<usize> = (0..replications).collect();
-        limba_par::par_map(jobs, &indices, |_, &index| {
-            let seed = limba_par::derive_seed(root_seed, index as u64);
-            let program = build(index, seed)?;
-            let rep_plan = plan
-                .clone()
-                .with_seed(limba_par::derive_seed(plan.seed, index as u64));
-            let output = self.run_with_faults(&program, &rep_plan)?;
-            Ok(Replication {
-                index,
-                seed,
-                output,
-            })
-        })
-    }
-
-    /// The fully general sweep: every replication optionally perturbed
-    /// by a fault plan *and* rebalanced by a balance plan. Both plans'
-    /// seeds are re-derived per replication exactly as in
-    /// [`Simulator::run_replications_with_faults`], so sweeps reproduce
-    /// from their root seeds at any `--jobs` level, balanced or not.
-    ///
-    /// `(None, None)` is identical to [`Simulator::run_replications`].
-    ///
-    /// # Errors
-    ///
-    /// Same isolation as [`Simulator::run_replications`]; an invalid
-    /// plan fails every replication with
-    /// [`SimError::InvalidFaultPlan`] or
+    /// other replication still completes. An invalid plan fails every
+    /// replication with [`SimError::InvalidFaultPlan`] or
     /// [`SimError::InvalidBalancePlan`].
-    pub fn run_replications_configured<F>(
+    pub fn run_replications<F>(
         &self,
         replications: usize,
         root_seed: u64,
@@ -193,10 +128,12 @@ mod tests {
     #[test]
     fn sweep_is_identical_across_thread_counts() {
         let sim = Simulator::new(MachineConfig::new(4));
-        let reference = sim.run_replications(12, 42, 1, |_, seed| seeded_program(4, seed));
+        let reference =
+            sim.run_replications(12, 42, 1, None, None, |_, seed| seeded_program(4, seed));
         assert_eq!(reference.len(), 12);
         for jobs in [2, 4, 8] {
-            let sweep = sim.run_replications(12, 42, jobs, |_, seed| seeded_program(4, seed));
+            let sweep =
+                sim.run_replications(12, 42, jobs, None, None, |_, seed| seeded_program(4, seed));
             assert_eq!(makespans(&sweep), makespans(&reference), "jobs={jobs}");
         }
     }
@@ -204,7 +141,7 @@ mod tests {
     #[test]
     fn replications_get_distinct_derived_seeds_in_order() {
         let sim = Simulator::new(MachineConfig::new(2));
-        let sweep = sim.run_replications(8, 7, 3, |_, seed| seeded_program(2, seed));
+        let sweep = sim.run_replications(8, 7, 3, None, None, |_, seed| seeded_program(2, seed));
         let mut seen = std::collections::BTreeSet::new();
         for (i, r) in sweep.iter().enumerate() {
             let r = r.as_ref().unwrap();
@@ -217,7 +154,7 @@ mod tests {
     #[test]
     fn one_failing_replication_does_not_abort_the_sweep() {
         let sim = Simulator::new(MachineConfig::new(2));
-        let sweep = sim.run_replications(5, 0, 4, |index, seed| {
+        let sweep = sim.run_replications(5, 0, 4, None, None, |index, seed| {
             if index == 2 {
                 Err(SimError::BuildFailed {
                     detail: "synthetic failure".into(),
@@ -260,7 +197,7 @@ mod tests {
             .with_slowdown(1, 0.0, 0.4, 3.0)
             .with_message_loss(0.4, 3, 1e-3, 2.0);
         let reference =
-            sim.run_replications_with_faults(8, 42, 1, &plan, |_, seed| ring_program(4, seed));
+            sim.run_replications(8, 42, 1, Some(&plan), None, |_, seed| ring_program(4, seed));
         let reports: Vec<_> = reference
             .iter()
             .map(|r| r.as_ref().unwrap().output.faults.clone())
@@ -268,8 +205,9 @@ mod tests {
         // Loss fired somewhere in the sweep and varies by replication seed.
         assert!(reports.iter().any(|f| f.retried_messages > 0));
         for jobs in [2, 8] {
-            let sweep = sim
-                .run_replications_with_faults(8, 42, jobs, &plan, |_, seed| ring_program(4, seed));
+            let sweep = sim.run_replications(8, 42, jobs, Some(&plan), None, |_, seed| {
+                ring_program(4, seed)
+            });
             assert_eq!(makespans(&sweep), makespans(&reference), "jobs={jobs}");
             for (r, want) in sweep.iter().zip(&reports) {
                 assert_eq!(&r.as_ref().unwrap().output.faults, want, "jobs={jobs}");
@@ -280,8 +218,8 @@ mod tests {
     #[test]
     fn different_roots_give_different_sweeps() {
         let sim = Simulator::new(MachineConfig::new(4));
-        let a = sim.run_replications(4, 1, 2, |_, seed| seeded_program(4, seed));
-        let b = sim.run_replications(4, 2, 2, |_, seed| seeded_program(4, seed));
+        let a = sim.run_replications(4, 1, 2, None, None, |_, seed| seeded_program(4, seed));
+        let b = sim.run_replications(4, 2, 2, None, None, |_, seed| seeded_program(4, seed));
         assert_ne!(makespans(&a), makespans(&b));
     }
 }

@@ -89,6 +89,49 @@ pub fn derive_seed(root: u64, index: u64) -> u64 {
     splitmix64(&mut state)
 }
 
+/// Incremental FNV-1a (64-bit) state: feed bytes in any chunking, the
+/// digest is a pure function of the concatenated stream. The one
+/// FNV-1a in the suite — trace checksums, checkpoint checksums,
+/// configuration fingerprints, and report digests all fold through it,
+/// so a checksum computed over a materialized buffer and one computed
+/// frame by frame agree by construction. Stable across platforms; not
+/// for anything adversarial.
+#[derive(Debug, Clone, Copy)]
+pub struct Fnv(u64);
+
+impl Fnv {
+    /// The FNV-1a offset basis: the digest of no bytes.
+    pub fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    /// Folds `data` into the running digest.
+    pub fn update(&mut self, data: &[u8]) {
+        for &byte in data {
+            self.0 ^= u64::from(byte);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    /// The digest of every byte fed so far.
+    pub fn digest(self) -> u64 {
+        self.0
+    }
+}
+
+impl Default for Fnv {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+/// FNV-1a over one byte slice: [`Fnv`] fed once.
+pub fn fnv1a(data: &[u8]) -> u64 {
+    let mut fnv = Fnv::new();
+    fnv.update(data);
+    fnv.digest()
+}
+
 /// Applies `f` to every item, using up to `jobs` worker threads, and
 /// returns the results **in input order**.
 ///
@@ -259,6 +302,19 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fnv1a_matches_published_vectors() {
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
+        // Chunking is invisible to the incremental state.
+        let mut fnv = Fnv::new();
+        fnv.update(b"foo");
+        fnv.update(b"");
+        fnv.update(b"bar");
+        assert_eq!(fnv.digest(), fnv1a(b"foobar"));
+    }
 
     #[test]
     fn par_map_preserves_input_order() {

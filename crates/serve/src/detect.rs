@@ -812,7 +812,10 @@ mod tests {
             window: 3,
             value: f64::NAN,
         };
-        assert_eq!(alert.to_json(), "{\"kind\":\"onset\",\"window\":3,\"cv\":null}");
+        assert_eq!(
+            alert.to_json(),
+            "{\"kind\":\"onset\",\"window\":3,\"cv\":null}"
+        );
         let stat = WindowStat {
             window: 0,
             compute: f64::INFINITY,
@@ -821,7 +824,11 @@ mod tests {
             busiest: 2,
             peak: 4.0,
         };
-        assert!(stat.to_json().contains("\"compute\":null"), "{}", stat.to_json());
+        assert!(
+            stat.to_json().contains("\"compute\":null"),
+            "{}",
+            stat.to_json()
+        );
     }
 
     /// The memory bound: a straggling rank cannot hold unbounded

@@ -291,7 +291,8 @@ mod tests {
         let reg = Registry::new();
         let k0 = RunKey::new("t0", "r");
         let k1 = RunKey::new("t1", "r");
-        reg.admit(&k0, 0, PathBuf::from("s0"), 1).expect("t0 admitted");
+        reg.admit(&k0, 0, PathBuf::from("s0"), 1)
+            .expect("t0 admitted");
         // Cap of 1: a second tenant is rejected while t0 is live...
         assert!(reg.admit(&k1, 0, PathBuf::from("s1"), 1).is_err());
         // ...but once t0's run reaches a terminal state, the slot

@@ -38,8 +38,8 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use limba_guard::codec::{ByteReader, ByteWriter};
-use limba_guard::{config_fingerprint, fnv1a, Checkpoint};
-use limba_par::CancelToken;
+use limba_guard::{config_fingerprint, Checkpoint};
+use limba_par::{fnv1a, CancelToken};
 use limba_stream::{bounded, StageRx, StageTx};
 use limba_trace::{SealScanner, StreamDecoder};
 use limba_vfs::{StdVfs, Vfs, VfsFile};
@@ -173,9 +173,13 @@ impl Server {
                 let spool_dir = dir.join("spool");
                 cfg.vfs.create_dir_all(&spool_dir)?;
                 let path = dir.join("serve-meta.ckpt");
-                let ckpt =
-                    Checkpoint::load_or_new_vfs(cfg.vfs.as_ref(), &path, META_KIND, meta_fingerprint())
-                        .map_err(|e| ServeError::State(format!("checkpoint: {e}")))?;
+                let ckpt = Checkpoint::load_or_new_vfs(
+                    cfg.vfs.as_ref(),
+                    &path,
+                    META_KIND,
+                    meta_fingerprint(),
+                )
+                .map_err(|e| ServeError::State(format!("checkpoint: {e}")))?;
                 (spool_dir, Some((path, Mutex::new(ckpt))))
             }
             None => {

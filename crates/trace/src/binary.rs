@@ -23,184 +23,23 @@
 //! error — or worse, a plausible-but-wrong trace. Version 1 files,
 //! which carry no checksum, remain readable.
 //!
-//! The decoder is hardened against hostile input: every count field
-//! (region count, name length, event count) is bounded against the
-//! bytes actually remaining before anything is allocated, so a
-//! corrupted header claiming four billion events is rejected in O(1)
-//! with a named error rather than attempted.
+//! There is one decoder: [`from_bytes`] verifies a version-2 file's
+//! checksum over the whole buffer, then replays every version (1, 2,
+//! and the streamed 3) through [`StreamDecoder`](crate::StreamDecoder)
+//! into a [`MaterializeSink`]. The hostile-input bounds — count fields
+//! checked before anything is allocated, so a corrupted header claiming
+//! four billion events is rejected rather than attempted — are the
+//! decoder's, documented once in [`crate::stream`].
 
 use std::io::{Read, Write};
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
+use limba_par::fnv1a;
 
-use limba_model::ActivityKind;
+use crate::stream::{decode_all, put_event, MaterializeSink, MAGIC};
+use crate::{Trace, TraceError};
 
-use crate::{Event, EventPayload, Trace, TraceBuilder, TraceError};
-
-const MAGIC: &[u8; 8] = b"LIMBATRC";
 const VERSION: u16 = 2;
-/// Oldest version [`from_bytes`] still decodes.
-const MIN_VERSION: u16 = 1;
-/// Smallest possible encoding of one region table entry (empty name).
-const MIN_REGION_BYTES: usize = 4;
-/// Smallest possible encoding of one event (begin/end activity).
-const MIN_EVENT_BYTES: usize = 8 + 4 + 1 + 1;
-/// Largest processor count a decoded header may declare (4Mi — 40×
-/// headroom over the 100k-rank simulation target). The count is a bare
-/// scalar with no per-entry bytes behind it, so the
-/// remaining-bytes bound that caps the region and event counts cannot
-/// touch it — yet downstream consumers size per-processor tables from
-/// it ([`Trace::events_partitioned`], salvage), which a hostile 4-byte
-/// header could otherwise turn into a multi-GB allocation.
-pub(crate) const MAX_PROCESSORS: usize = 1 << 22;
-
-fn malformed(detail: impl Into<String>) -> TraceError {
-    TraceError::Malformed {
-        detail: detail.into(),
-    }
-}
-
-/// Incremental FNV-1a state: feed bytes in any chunking, the digest is
-/// a pure function of the concatenated stream. The one-shot [`fnv1a`]
-/// and the streaming codec ([`crate::stream`]) both fold through this,
-/// so a checksum computed over a materialized buffer and one computed
-/// frame-by-frame agree by construction.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Fnv(u64);
-
-impl Fnv {
-    pub(crate) fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    pub(crate) fn update(&mut self, data: &[u8]) {
-        for &byte in data {
-            self.0 ^= u64::from(byte);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    pub(crate) fn digest(self) -> u64 {
-        self.0
-    }
-}
-
-/// FNV-1a over arbitrary bytes — same function as
-/// `limba_core::snapshot::fnv1a`, duplicated here because this crate
-/// sits below `limba-core` in the dependency graph.
-fn fnv1a(data: &[u8]) -> u64 {
-    let mut fnv = Fnv::new();
-    fnv.update(data);
-    fnv.digest()
-}
-
-/// Appends the wire encoding of one event to `buf` — the record layout
-/// shared by the materialized format (versions 1–2) and the streamed
-/// chunk format (version 3, [`crate::stream`]).
-pub(crate) fn put_event(buf: &mut BytesMut, e: &Event) {
-    buf.put_f64_le(e.time);
-    buf.put_u32_le(e.proc);
-    match e.payload {
-        EventPayload::EnterRegion { region } => {
-            buf.put_u8(0);
-            buf.put_u32_le(region as u32);
-        }
-        EventPayload::LeaveRegion { region } => {
-            buf.put_u8(1);
-            buf.put_u32_le(region as u32);
-        }
-        EventPayload::BeginActivity { kind } => {
-            buf.put_u8(2);
-            buf.put_u8(kind.index() as u8);
-        }
-        EventPayload::EndActivity { kind } => {
-            buf.put_u8(3);
-            buf.put_u8(kind.index() as u8);
-        }
-        EventPayload::MessageSend { peer, bytes } => {
-            buf.put_u8(4);
-            buf.put_u32_le(peer);
-            buf.put_u64_le(bytes);
-        }
-        EventPayload::MessageRecv { peer, bytes } => {
-            buf.put_u8(5);
-            buf.put_u32_le(peer);
-            buf.put_u64_le(bytes);
-        }
-    }
-}
-
-/// Decodes one event record from the front of `buf` if a complete one
-/// is present: `Ok(Some((event, consumed)))` on success, `Ok(None)`
-/// when more bytes are needed (an incomplete record is not an error for
-/// a stream — the rest may still arrive), and a named error for
-/// structurally impossible bytes (unknown op code, bad activity index),
-/// which no amount of further input can repair.
-pub(crate) fn try_event(buf: &[u8]) -> Result<Option<(Event, usize)>, TraceError> {
-    if buf.len() < 13 {
-        return Ok(None);
-    }
-    let time = f64::from_le_bytes(buf[0..8].try_into().expect("8-byte time slice"));
-    if !time.is_finite() {
-        // No writer emits non-finite timestamps; downstream folds (the
-        // online detector's window binning in particular) rely on this.
-        return Err(malformed(format!("non-finite event timestamp {time}")));
-    }
-    let proc = u32::from_le_bytes(buf[8..12].try_into().expect("4-byte proc slice"));
-    let op = buf[12];
-    let rest = &buf[13..];
-    let (payload, operand_len) = match op {
-        0 | 1 => {
-            if rest.len() < 4 {
-                return Ok(None);
-            }
-            let region =
-                u32::from_le_bytes(rest[..4].try_into().expect("4-byte region slice")) as usize;
-            let payload = if op == 0 {
-                EventPayload::EnterRegion { region }
-            } else {
-                EventPayload::LeaveRegion { region }
-            };
-            (payload, 4)
-        }
-        2 | 3 => {
-            if rest.is_empty() {
-                return Ok(None);
-            }
-            let idx = rest[0] as usize;
-            let kind = ActivityKind::from_index(idx)
-                .ok_or_else(|| malformed(format!("bad activity index {idx}")))?;
-            let payload = if op == 2 {
-                EventPayload::BeginActivity { kind }
-            } else {
-                EventPayload::EndActivity { kind }
-            };
-            (payload, 1)
-        }
-        4 | 5 => {
-            if rest.len() < 12 {
-                return Ok(None);
-            }
-            let peer = u32::from_le_bytes(rest[..4].try_into().expect("4-byte peer slice"));
-            let bytes = u64::from_le_bytes(rest[4..12].try_into().expect("8-byte bytes slice"));
-            let payload = if op == 4 {
-                EventPayload::MessageSend { peer, bytes }
-            } else {
-                EventPayload::MessageRecv { peer, bytes }
-            };
-            (payload, 12)
-        }
-        other => return Err(malformed(format!("unknown op code {other}"))),
-    };
-    Ok(Some((
-        Event {
-            time,
-            proc,
-            payload,
-        },
-        13 + operand_len,
-    )))
-}
 
 /// Encodes `trace` into a byte buffer.
 pub fn to_bytes(trace: &Trace) -> Bytes {
@@ -232,151 +71,36 @@ pub fn write<W: Write>(trace: &Trace, mut writer: W) -> Result<(), TraceError> {
     Ok(())
 }
 
-macro_rules! need {
-    ($buf:expr, $n:expr, $what:expr) => {
-        if $buf.remaining() < $n {
-            return Err(malformed(concat!("truncated while reading ", $what)));
-        }
-    };
-}
-
 /// Decodes a trace from a byte slice.
 ///
-/// Reads the current version (2, with trailing content checksum) and
-/// legacy version-1 files (no checksum).
+/// Reads the current version (2, with trailing content checksum),
+/// legacy version-1 files (no checksum), and streamed version-3 files.
 ///
 /// # Errors
 ///
-/// Returns [`TraceError::Malformed`] for bad magic, version, truncation,
-/// count fields exceeding the remaining input, or invalid activity
-/// indices, and [`TraceError::ChecksumMismatch`] when a version-2
-/// payload does not hash to its recorded checksum. The decoded trace is
-/// not validated.
+/// Returns [`TraceError::ChecksumMismatch`] when a version-2 payload
+/// does not hash to its recorded checksum — checked before any of its
+/// structure is trusted — and otherwise the decoder's named errors:
+/// [`TraceError::Malformed`] for bad magic, version, truncation, count
+/// fields over their caps, or invalid activity indices, and
+/// [`TraceError::UnknownProcessor`] / [`TraceError::UnknownRegion`] for
+/// records naming a processor or region the header never declared. The
+/// decoded trace is not otherwise validated.
 pub fn from_bytes(buf: &[u8]) -> Result<Trace, TraceError> {
-    let full = buf;
-    let mut buf = buf;
-    need!(buf, 8 + 2 + 4 + 4, "header");
-    let mut magic = [0u8; 8];
-    buf.copy_to_slice(&mut magic);
-    if &magic != MAGIC {
-        return Err(malformed("bad magic"));
-    }
-    let version = buf.get_u16_le();
-    if version == crate::stream::STREAM_VERSION {
-        // A streamed (version-3) file: the chunked container the
-        // streaming encoder writes. Decode it through the incremental
-        // decoder into a materializing sink — readers of the
-        // materialized path see streamed files transparently.
-        return crate::stream::trace_from_stream_bytes(full);
-    }
-    if !(MIN_VERSION..=VERSION).contains(&version) {
-        return Err(malformed(format!(
-            "unsupported version {version} (this build reads {MIN_VERSION}..={VERSION} \
-             and streamed version {})",
-            crate::stream::STREAM_VERSION
-        )));
-    }
-    let body_len = if version >= 2 {
+    if buf.len() >= 18 && buf.starts_with(MAGIC) && buf[8..10] == VERSION.to_le_bytes() {
         // Verify the whole payload before trusting any of its structure.
-        need!(buf, 8, "content checksum");
-        let body_len = full.len() - 8;
-        let expected =
-            u64::from_le_bytes(full[body_len..].try_into().expect("8-byte checksum slice"));
-        let actual = fnv1a(&full[..body_len]);
+        let (body, tail) = buf.split_at(buf.len() - 8);
+        let expected = u64::from_le_bytes(tail.try_into().expect("8-byte checksum slice"));
+        let actual = fnv1a(body);
         if expected != actual {
             return Err(TraceError::ChecksumMismatch { expected, actual });
         }
-        body_len
-    } else {
-        full.len()
-    };
-    let mut buf = full
-        .get(10..body_len)
-        .ok_or_else(|| malformed("truncated while reading header"))?;
-    need!(buf, 4 + 4, "header counts");
-    let processors = buf.get_u32_le() as usize;
-    if processors > MAX_PROCESSORS {
-        return Err(malformed(format!(
-            "processor count {processors} exceeds the supported maximum {MAX_PROCESSORS}"
-        )));
     }
-    let nregions = buf.get_u32_le() as usize;
-    if nregions.saturating_mul(MIN_REGION_BYTES) > buf.remaining() {
-        return Err(malformed(format!(
-            "region count {nregions} exceeds what {} remaining bytes can hold",
-            buf.remaining()
-        )));
-    }
-    let mut builder = TraceBuilder::new(processors);
-    for _ in 0..nregions {
-        need!(buf, 4, "region name length");
-        let len = buf.get_u32_le() as usize;
-        need!(buf, len, "region name");
-        let mut name = vec![0u8; len];
-        buf.copy_to_slice(&mut name);
-        let name = String::from_utf8(name)
-            .map_err(|e| malformed(format!("region name not utf-8: {e}")))?;
-        builder.add_region(name);
-    }
-    need!(buf, 8, "event count");
-    let nevents = buf.get_u64_le();
-    if nevents.saturating_mul(MIN_EVENT_BYTES as u64) > buf.remaining() as u64 {
-        return Err(malformed(format!(
-            "event count {nevents} exceeds what {} remaining bytes can hold",
-            buf.remaining()
-        )));
-    }
-    // Bounded above by remaining bytes, so this reserve is safe — and it
-    // turns the event loop's growth into one up-front allocation.
-    builder.reserve_events(nevents as usize);
-    for _ in 0..nevents {
-        need!(buf, 8 + 4 + 1, "event header");
-        let time = buf.get_f64_le();
-        let proc = buf.get_u32_le();
-        let op = buf.get_u8();
-        let payload = match op {
-            0 | 1 => {
-                need!(buf, 4, "region operand");
-                let region = buf.get_u32_le() as usize;
-                if op == 0 {
-                    EventPayload::EnterRegion { region }
-                } else {
-                    EventPayload::LeaveRegion { region }
-                }
-            }
-            2 | 3 => {
-                need!(buf, 1, "activity operand");
-                let idx = buf.get_u8() as usize;
-                let kind = ActivityKind::from_index(idx)
-                    .ok_or_else(|| malformed(format!("bad activity index {idx}")))?;
-                if op == 2 {
-                    EventPayload::BeginActivity { kind }
-                } else {
-                    EventPayload::EndActivity { kind }
-                }
-            }
-            4 | 5 => {
-                need!(buf, 12, "message operand");
-                let peer = buf.get_u32_le();
-                let bytes = buf.get_u64_le();
-                if op == 4 {
-                    EventPayload::MessageSend { peer, bytes }
-                } else {
-                    EventPayload::MessageRecv { peer, bytes }
-                }
-            }
-            other => return Err(malformed(format!("unknown op code {other}"))),
-        };
-        builder.push(Event {
-            time,
-            proc,
-            payload,
-        });
-    }
-    if buf.has_remaining() {
-        return Err(malformed(format!("{} trailing bytes", buf.remaining())));
-    }
-    Ok(builder.build())
+    let mut sink = MaterializeSink::new();
+    decode_all(buf, &mut sink)?;
+    sink.into_trace().ok_or_else(|| TraceError::Malformed {
+        detail: "stream ended before finish".into(),
+    })
 }
 
 /// Reads a binary trace from `reader` (consumes to end of stream).
@@ -393,6 +117,9 @@ pub fn read<R: Read>(mut reader: R) -> Result<Trace, TraceError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stream::{try_event, MAX_PROCESSORS};
+    use crate::{Event, EventPayload, TraceBuilder};
+    use limba_model::ActivityKind;
 
     fn sample() -> Trace {
         let mut b = TraceBuilder::new(3);
@@ -574,6 +301,33 @@ mod tests {
             Err(TraceError::Malformed { detail }) => {
                 assert!(detail.contains("region name"), "{detail}")
             }
+            other => panic!("{other:?}"),
+        }
+    }
+
+    /// The decoder checks every record against the header, so a
+    /// checksum-valid file naming an undeclared processor or region
+    /// fails at decode with the error `Trace::validate` would give.
+    #[test]
+    fn records_outside_the_header_fail_at_decode() {
+        let mut b = TraceBuilder::new(2);
+        let r = b.add_region("r");
+        b.push(Event::enter(0.0, 5, r));
+        match from_bytes(&to_bytes(&b.build())) {
+            Err(TraceError::UnknownProcessor { proc: 5 }) => {}
+            other => panic!("{other:?}"),
+        }
+
+        let mut b = TraceBuilder::new(2);
+        b.add_region("r");
+        b.push(Event::enter(0.0, 1, limba_model::RegionId::new(3)));
+        let t = b.build();
+        assert!(matches!(
+            t.validate(),
+            Err(TraceError::UnknownRegion { region: 3 })
+        ));
+        match from_bytes(&to_bytes(&t)) {
+            Err(TraceError::UnknownRegion { region: 3 }) => {}
             other => panic!("{other:?}"),
         }
     }

@@ -102,7 +102,9 @@ impl SealScanner {
         SealScan {
             sealed: self.decoder.sealed(),
             total: self.total,
-            complete: self.decoder.is_done() && !self.damaged && self.decoder.consumed() == self.total,
+            complete: self.decoder.is_done()
+                && !self.damaged
+                && self.decoder.consumed() == self.total,
             damaged: self.damaged,
         }
     }

@@ -205,81 +205,133 @@ impl Trace {
                 _ => {}
             }
         }
+        let regions = self.region_names.len();
         for (proc, events) in (0u32..).zip(self.events_partitioned()) {
-            let mut region_stack: Vec<usize> = Vec::new();
-            let mut activity: Option<ActivityKind> = None;
-            let mut last_time = f64::NEG_INFINITY;
-            for e in events {
-                if e.time < last_time {
-                    return Err(TraceError::NonMonotoneTime {
+            let mut checker = RankChecker::new();
+            for e in &events {
+                checker.step(proc, e, regions)?;
+            }
+            checker.finish(proc)?;
+        }
+        Ok(())
+    }
+}
+
+/// Per-rank structural validation, one event at a time: monotone
+/// clock, balanced region nesting, matched activity begin/end pairs.
+/// The one validator — [`Trace::validate`] steps a checker over each
+/// processor's time-sorted events, and the strict streaming folds
+/// ([`ReduceSink`](crate::ReduceSink), [`WindowSink`](crate::WindowSink))
+/// step one per rank as events arrive, so both reject exactly the same
+/// malformed traces with the same errors — a crash-truncated trace
+/// fails windowing identically on both paths.
+///
+/// Ordering caveat (the same one [`SalvageSink`](crate::SalvageSink)
+/// documents): `validate` scans rank 0's whole stream before rank 1's,
+/// so when *several* ranks are malformed it reports the lowest-ranked
+/// violation; a streaming fold reports the first in recording order.
+/// Truncation — the violation that actually occurs — only manifests at
+/// end of stream, where the folds call [`RankChecker::finish`] in rank
+/// order and report the identical error.
+pub(crate) struct RankChecker {
+    stack: Vec<usize>,
+    activity: Option<ActivityKind>,
+    last_time: f64,
+}
+
+impl RankChecker {
+    pub(crate) fn new() -> Self {
+        RankChecker {
+            stack: Vec::new(),
+            activity: None,
+            last_time: f64::NEG_INFINITY,
+        }
+    }
+
+    /// Checks the next event `e` of processor `proc` against a region
+    /// table of `regions` entries.
+    pub(crate) fn step(&mut self, proc: u32, e: &Event, regions: usize) -> Result<(), TraceError> {
+        match e.payload {
+            EventPayload::EnterRegion { region } | EventPayload::LeaveRegion { region }
+                if region >= regions =>
+            {
+                return Err(TraceError::UnknownRegion { region });
+            }
+            _ => {}
+        }
+        if e.time < self.last_time {
+            return Err(TraceError::NonMonotoneTime {
+                proc,
+                before: self.last_time,
+                after: e.time,
+            });
+        }
+        self.last_time = e.time;
+        match e.payload {
+            EventPayload::EnterRegion { region } => self.stack.push(region),
+            EventPayload::LeaveRegion { region } => match self.stack.pop() {
+                Some(top) if top == region => {}
+                Some(top) => {
+                    return Err(TraceError::UnbalancedNesting {
                         proc,
-                        before: last_time,
-                        after: e.time,
+                        detail: format!("left region {region} while inside {top}"),
+                    })
+                }
+                None => {
+                    return Err(TraceError::UnbalancedNesting {
+                        proc,
+                        detail: format!("left region {region} that was never entered"),
+                    })
+                }
+            },
+            EventPayload::BeginActivity { kind } => {
+                if let Some(current) = self.activity {
+                    return Err(TraceError::UnbalancedNesting {
+                        proc,
+                        detail: format!("began {kind} while {current} still active"),
                     });
                 }
-                last_time = e.time;
-                match e.payload {
-                    EventPayload::EnterRegion { region } => region_stack.push(region),
-                    EventPayload::LeaveRegion { region } => match region_stack.pop() {
-                        Some(top) if top == region => {}
-                        Some(top) => {
-                            return Err(TraceError::UnbalancedNesting {
-                                proc,
-                                detail: format!("left region {region} while inside {top}"),
-                            })
-                        }
-                        None => {
-                            return Err(TraceError::UnbalancedNesting {
-                                proc,
-                                detail: format!("left region {region} that was never entered"),
-                            })
-                        }
-                    },
-                    EventPayload::BeginActivity { kind } => {
-                        if let Some(current) = activity {
-                            return Err(TraceError::UnbalancedNesting {
-                                proc,
-                                detail: format!("began {kind} while {current} still active"),
-                            });
-                        }
-                        if region_stack.is_empty() {
-                            return Err(TraceError::UnbalancedNesting {
-                                proc,
-                                detail: format!("began {kind} outside any region"),
-                            });
-                        }
-                        activity = Some(kind);
-                    }
-                    EventPayload::EndActivity { kind } => match activity.take() {
-                        Some(current) if current == kind => {}
-                        Some(current) => {
-                            return Err(TraceError::UnbalancedNesting {
-                                proc,
-                                detail: format!("ended {kind} while {current} active"),
-                            })
-                        }
-                        None => {
-                            return Err(TraceError::UnbalancedNesting {
-                                proc,
-                                detail: format!("ended {kind} that never began"),
-                            })
-                        }
-                    },
-                    EventPayload::MessageSend { .. } | EventPayload::MessageRecv { .. } => {}
+                if self.stack.is_empty() {
+                    return Err(TraceError::UnbalancedNesting {
+                        proc,
+                        detail: format!("began {kind} outside any region"),
+                    });
                 }
+                self.activity = Some(kind);
             }
-            if let Some(kind) = activity {
-                return Err(TraceError::UnbalancedNesting {
-                    proc,
-                    detail: format!("activity {kind} still open at end of trace"),
-                });
-            }
-            if let Some(region) = region_stack.pop() {
-                return Err(TraceError::UnbalancedNesting {
-                    proc,
-                    detail: format!("region {region} still open at end of trace"),
-                });
-            }
+            EventPayload::EndActivity { kind } => match self.activity.take() {
+                Some(current) if current == kind => {}
+                Some(current) => {
+                    return Err(TraceError::UnbalancedNesting {
+                        proc,
+                        detail: format!("ended {kind} while {current} active"),
+                    })
+                }
+                None => {
+                    return Err(TraceError::UnbalancedNesting {
+                        proc,
+                        detail: format!("ended {kind} that never began"),
+                    })
+                }
+            },
+            EventPayload::MessageSend { .. } | EventPayload::MessageRecv { .. } => {}
+        }
+        Ok(())
+    }
+
+    /// The end-of-trace checks: no activity or region left open.
+    pub(crate) fn finish(&mut self, proc: u32) -> Result<(), TraceError> {
+        if let Some(kind) = self.activity {
+            return Err(TraceError::UnbalancedNesting {
+                proc,
+                detail: format!("activity {kind} still open at end of trace"),
+            });
+        }
+        if let Some(region) = self.stack.pop() {
+            return Err(TraceError::UnbalancedNesting {
+                proc,
+                detail: format!("region {region} still open at end of trace"),
+            });
         }
         Ok(())
     }

@@ -56,11 +56,11 @@ mod hierarchy;
 mod reduce;
 mod salvage;
 
+pub use durable::{DurableSink, SealScan, SealScanner};
 pub use event::{Event, EventPayload, Trace, TraceBuilder};
 pub use hierarchy::region_parents;
 pub use reduce::{reduce, reduce_well_formed, reduce_windows, Attribution, ReducedTrace};
 pub use salvage::{reduce_checked, RankCoverage, SalvageWalker, SalvagedTrace};
-pub use durable::{DurableSink, SealScan, SealScanner};
 pub use stream::{
     MaterializeSink, ReduceSink, SalvageSink, ScanSink, StreamDecoder, StreamEncoder, StreamScan,
     TeeSink, TraceSink, WindowSink, WriteSink,

@@ -156,6 +156,64 @@ impl ProcWalker {
     }
 }
 
+/// Records one rank's attributions into the full-run matrices, keeping
+/// the first model error and ignoring everything after it. The one
+/// place attribution meets the builders — the batch reductions and the
+/// streaming folds all record through it, so their per-cell
+/// accumulation sequences are identical by construction.
+pub(crate) struct Tally<'a> {
+    mb: &'a mut MeasurementsBuilder,
+    cb: &'a mut CountMatrixBuilder,
+    proc: usize,
+    failure: Option<limba_model::ModelError>,
+}
+
+impl<'a> Tally<'a> {
+    pub(crate) fn new(
+        mb: &'a mut MeasurementsBuilder,
+        cb: &'a mut CountMatrixBuilder,
+        proc: u32,
+    ) -> Self {
+        Tally {
+            mb,
+            cb,
+            proc: proc as usize,
+            failure: None,
+        }
+    }
+
+    pub(crate) fn record(&mut self, attribution: Attribution) {
+        if self.failure.is_some() {
+            return;
+        }
+        let result = match attribution {
+            Attribution::Interval {
+                region,
+                kind,
+                start,
+                end,
+            } => self
+                .mb
+                .record(RegionId::new(region), kind, self.proc, end - start),
+            Attribution::Count {
+                region,
+                kind,
+                amount,
+                ..
+            } => self
+                .cb
+                .record(RegionId::new(region), kind, self.proc, amount)
+                .and(Ok(())),
+        };
+        self.failure = result.err();
+    }
+
+    /// The first model error recorded, if any.
+    pub(crate) fn finish(self) -> Result<(), TraceError> {
+        self.failure.map_or(Ok(()), |e| Err(e.into()))
+    }
+}
+
 /// Walks one processor's (validated, time-sorted) events and emits
 /// attributions. Time between explicit activity intervals counts as
 /// computation; nested regions attribute to the innermost region.
@@ -232,35 +290,10 @@ fn reduce_unchecked(trace: &Trace) -> Result<ReducedTrace, TraceError> {
         mb.add_region(name.clone());
     }
     let mut cb = CountMatrixBuilder::new(trace.processors());
-    let mut failure: Option<TraceError> = None;
     for (proc, events) in (0u32..).zip(trace.events_partitioned()) {
-        walk_processor(&events, |attribution| {
-            if failure.is_some() {
-                return;
-            }
-            let result = match attribution {
-                Attribution::Interval {
-                    region,
-                    kind,
-                    start,
-                    end,
-                } => mb.record(RegionId::new(region), kind, proc as usize, end - start),
-                Attribution::Count {
-                    region,
-                    kind,
-                    amount,
-                    ..
-                } => cb
-                    .record(RegionId::new(region), kind, proc as usize, amount)
-                    .and(Ok(())),
-            };
-            if let Err(e) = result {
-                failure = Some(e.into());
-            }
-        });
-    }
-    if let Some(e) = failure {
-        return Err(e);
+        let mut tally = Tally::new(&mut mb, &mut cb, proc);
+        walk_processor(&events, |attribution| tally.record(attribution));
+        tally.finish()?;
     }
     Ok(ReducedTrace {
         measurements: mb.build()?,

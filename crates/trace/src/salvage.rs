@@ -15,9 +15,9 @@
 //! flag the ranks whose measurements are incomplete instead of silently
 //! comparing full columns against truncated ones.
 
-use limba_model::{ActivityKind, CountMatrixBuilder, MeasurementsBuilder, RegionId};
+use limba_model::{ActivityKind, CountMatrixBuilder, MeasurementsBuilder};
 
-use crate::reduce::{trace_activities, Attribution, ReducedTrace};
+use crate::reduce::{trace_activities, Attribution, ReducedTrace, Tally};
 use crate::{Event, EventPayload, Trace, TraceError};
 
 /// How much of one processor's stream survived into the reduction.
@@ -91,15 +91,7 @@ pub fn reduce_checked(trace: &Trace) -> Result<SalvagedTrace, TraceError> {
     // declared count with no per-entry bytes behind it, so never let an
     // unbounded value through even if a new ingestion path forgets the
     // check.
-    if trace.processors() > crate::binary::MAX_PROCESSORS {
-        return Err(TraceError::Malformed {
-            detail: format!(
-                "processor count {} exceeds the supported maximum {}",
-                trace.processors(),
-                crate::binary::MAX_PROCESSORS
-            ),
-        });
-    }
+    crate::stream::check_processors(trace.processors())?;
     // Partition per processor, carrying recording-order indices so
     // errors can name the offending event. Mirrors
     // `Trace::events_partitioned` (stable time sort) but reports
@@ -132,34 +124,11 @@ pub fn reduce_checked(trace: &Trace) -> Result<SalvagedTrace, TraceError> {
     let mut cb = CountMatrixBuilder::new(trace.processors());
     let mut coverage = Vec::with_capacity(trace.processors());
     for (proc, events) in (0u32..).zip(&parts) {
-        let mut failure: Option<TraceError> = None;
+        let mut tally = Tally::new(&mut mb, &mut cb, proc);
         let cov = walk_salvage(proc, events, trace.region_names().len(), |attribution| {
-            if failure.is_some() {
-                return;
-            }
-            let result = match attribution {
-                Attribution::Interval {
-                    region,
-                    kind,
-                    start,
-                    end,
-                } => mb.record(RegionId::new(region), kind, proc as usize, end - start),
-                Attribution::Count {
-                    region,
-                    kind,
-                    amount,
-                    ..
-                } => cb
-                    .record(RegionId::new(region), kind, proc as usize, amount)
-                    .and(Ok(())),
-            };
-            if let Err(e) = result {
-                failure = Some(e.into());
-            }
+            tally.record(attribution)
         })?;
-        if let Some(e) = failure {
-            return Err(e);
-        }
+        tally.finish()?;
         coverage.push(cov);
     }
     Ok(SalvagedTrace {

@@ -15,10 +15,10 @@
 //!   container (format version 3): the same per-event wire records as
 //!   the materialized format, framed into self-delimiting chunks so a
 //!   writer can emit as rounds retire and a reader can fold from
-//!   arbitrarily split byte frames. The decoder also accepts
-//!   materialized version 1–2 files, and [`binary::from_bytes`] accepts
-//!   version 3 by delegating here — the two formats are mutually
-//!   readable.
+//!   arbitrarily split byte frames. It is the crate's one decoder: it
+//!   also reads materialized version 1–2 files, and
+//!   [`binary::from_bytes`] is this decoder feeding a
+//!   [`MaterializeSink`] — the two formats are mutually readable.
 //! * the folds — [`ScanSink`], [`ReduceSink`], [`WindowSink`],
 //!   [`SalvageSink`], [`MaterializeSink`], [`TeeSink`] — sinks that
 //!   consume an event stream into a makespan/activity scan, a full or
@@ -55,25 +55,51 @@
 //! [`WindowSink`]) and O(1) walker state per rank. Nothing grows with
 //! the event count.
 //!
+//! # Hostile input
+//!
+//! Every byte the decoder reads may be garbage, and it answers garbage
+//! with a named [`TraceError`] — never a panic, a hang, or an
+//! allocation the input has not paid for:
+//!
+//! * a header's processor count is capped at 2²², its region count at
+//!   2²⁰, and each region name at 1 MiB — fixed caps, because a stream
+//!   has no "bytes remaining" to bound them against;
+//! * a materialized (v1–2) header's event count only ever reaches the
+//!   sink as a [`TraceSink::reserve`] hint capped at what the bytes in
+//!   hand can hold (one event record is at least 14 bytes); a body
+//!   shorter than its declared count fails at
+//!   [`finish`](StreamDecoder::finish) with an error naming the count;
+//! * records naming a processor or region the header never declared
+//!   fail as [`TraceError::UnknownProcessor`] /
+//!   [`TraceError::UnknownRegion`], non-finite timestamps and unknown op
+//!   codes or activity indices as [`TraceError::Malformed`];
+//! * the content checksum (v2 trailer, v3 end chunk) is verified as the
+//!   stream ends; [`binary::from_bytes`], holding the whole buffer,
+//!   verifies a v2 checksum before decoding at all.
+//!
 //! [`binary`]: crate::binary
 //! [`binary::from_bytes`]: crate::binary::from_bytes
 
 use bytes::{BufMut, Bytes, BytesMut};
 
 use limba_model::{
-    ActivityKind, ActivitySet, CountMatrixBuilder, MeasurementsBuilder, RegionId,
-    STANDARD_ACTIVITIES,
+    ActivityKind, ActivitySet, CountMatrixBuilder, MeasurementsBuilder, STANDARD_ACTIVITIES,
 };
 
-use crate::binary::{put_event, try_event, Fnv, MAX_PROCESSORS};
-use crate::reduce::{note_activity, scatter_windowed, Attribution, ProcWalker, ReducedTrace};
+use limba_par::Fnv;
+
+use crate::event::RankChecker;
+use crate::reduce::{
+    note_activity, scatter_windowed, Attribution, ProcWalker, ReducedTrace, Tally,
+};
 use crate::salvage::{SalvageWalker, SalvagedTrace};
 use crate::{Event, EventPayload, Trace, TraceBuilder, TraceError};
 
 /// Format version of the chunked streaming container.
 pub const STREAM_VERSION: u16 = 3;
 
-const MAGIC: &[u8; 8] = b"LIMBATRC";
+/// File magic shared by every container version.
+pub(crate) const MAGIC: &[u8; 8] = b"LIMBATRC";
 /// Chunk tag: a batch of events (`u32` count, then that many records).
 const CHUNK_EVENTS: u8 = 0;
 /// Chunk tag: end of stream (`u64` total events, `u64` FNV-1a checksum
@@ -89,11 +115,140 @@ const MAX_REGION_NAME: usize = 1 << 20;
 /// Decoded events are handed to the sink in batches of at most this
 /// many, bounding the decoder's pending-event buffer.
 const DECODE_BATCH: usize = 4096;
+/// Largest processor count a header may declare (4Mi — 40× headroom
+/// over the 100k-rank simulation target). The count is a bare scalar
+/// with no per-entry bytes behind it, yet downstream consumers size
+/// per-processor tables from it ([`Trace::events_partitioned`],
+/// salvage, the folds), which a hostile 4-byte header could otherwise
+/// turn into a multi-GB allocation.
+pub(crate) const MAX_PROCESSORS: usize = 1 << 22;
+/// Smallest possible encoding of one event record (begin/end
+/// activity): what bounds a materialized header's event-count hint.
+pub(crate) const MIN_EVENT_BYTES: usize = 8 + 4 + 1 + 1;
 
 fn malformed(detail: impl Into<String>) -> TraceError {
     TraceError::Malformed {
         detail: detail.into(),
     }
+}
+
+/// Rejects processor counts over [`MAX_PROCESSORS`] — the one check
+/// every consumer that sizes per-processor state from a header runs.
+pub(crate) fn check_processors(processors: usize) -> Result<(), TraceError> {
+    if processors > MAX_PROCESSORS {
+        return Err(malformed(format!(
+            "processor count {processors} exceeds the supported maximum {MAX_PROCESSORS}"
+        )));
+    }
+    Ok(())
+}
+
+/// Appends the wire encoding of one event to `buf` — the record layout
+/// shared by the materialized format (versions 1–2,
+/// [`binary`](crate::binary)) and the streamed chunk format (version 3).
+pub(crate) fn put_event(buf: &mut BytesMut, e: &Event) {
+    buf.put_f64_le(e.time);
+    buf.put_u32_le(e.proc);
+    match e.payload {
+        EventPayload::EnterRegion { region } => {
+            buf.put_u8(0);
+            buf.put_u32_le(region as u32);
+        }
+        EventPayload::LeaveRegion { region } => {
+            buf.put_u8(1);
+            buf.put_u32_le(region as u32);
+        }
+        EventPayload::BeginActivity { kind } => {
+            buf.put_u8(2);
+            buf.put_u8(kind.index() as u8);
+        }
+        EventPayload::EndActivity { kind } => {
+            buf.put_u8(3);
+            buf.put_u8(kind.index() as u8);
+        }
+        EventPayload::MessageSend { peer, bytes } => {
+            buf.put_u8(4);
+            buf.put_u32_le(peer);
+            buf.put_u64_le(bytes);
+        }
+        EventPayload::MessageRecv { peer, bytes } => {
+            buf.put_u8(5);
+            buf.put_u32_le(peer);
+            buf.put_u64_le(bytes);
+        }
+    }
+}
+
+/// Decodes one event record from the front of `buf` if a complete one
+/// is present: `Ok(Some((event, consumed)))` on success, `Ok(None)`
+/// when more bytes are needed (an incomplete record is not an error for
+/// a stream — the rest may still arrive), and a named error for
+/// structurally impossible bytes (unknown op code, bad activity index),
+/// which no amount of further input can repair.
+pub(crate) fn try_event(buf: &[u8]) -> Result<Option<(Event, usize)>, TraceError> {
+    if buf.len() < 13 {
+        return Ok(None);
+    }
+    let time = f64::from_le_bytes(buf[0..8].try_into().expect("8-byte time slice"));
+    if !time.is_finite() {
+        // No writer emits non-finite timestamps; downstream folds (the
+        // online detector's window binning in particular) rely on this.
+        return Err(malformed(format!("non-finite event timestamp {time}")));
+    }
+    let proc = u32::from_le_bytes(buf[8..12].try_into().expect("4-byte proc slice"));
+    let op = buf[12];
+    let rest = &buf[13..];
+    let (payload, operand_len) = match op {
+        0 | 1 => {
+            if rest.len() < 4 {
+                return Ok(None);
+            }
+            let region =
+                u32::from_le_bytes(rest[..4].try_into().expect("4-byte region slice")) as usize;
+            let payload = if op == 0 {
+                EventPayload::EnterRegion { region }
+            } else {
+                EventPayload::LeaveRegion { region }
+            };
+            (payload, 4)
+        }
+        2 | 3 => {
+            if rest.is_empty() {
+                return Ok(None);
+            }
+            let idx = rest[0] as usize;
+            let kind = ActivityKind::from_index(idx)
+                .ok_or_else(|| malformed(format!("bad activity index {idx}")))?;
+            let payload = if op == 2 {
+                EventPayload::BeginActivity { kind }
+            } else {
+                EventPayload::EndActivity { kind }
+            };
+            (payload, 1)
+        }
+        4 | 5 => {
+            if rest.len() < 12 {
+                return Ok(None);
+            }
+            let peer = u32::from_le_bytes(rest[..4].try_into().expect("4-byte peer slice"));
+            let bytes = u64::from_le_bytes(rest[4..12].try_into().expect("8-byte bytes slice"));
+            let payload = if op == 4 {
+                EventPayload::MessageSend { peer, bytes }
+            } else {
+                EventPayload::MessageRecv { peer, bytes }
+            };
+            (payload, 12)
+        }
+        other => return Err(malformed(format!("unknown op code {other}"))),
+    };
+    Ok(Some((
+        Event {
+            time,
+            proc,
+            payload,
+        },
+        13 + operand_len,
+    )))
 }
 
 /// The producer/consumer contract of the streaming pipeline: a trace
@@ -123,6 +278,15 @@ pub trait TraceSink {
     /// Implementations fail on malformed events or when their consumer
     /// is gone; the producer must stop feeding after an error.
     fn events(&mut self, events: &[Event]) -> Result<(), TraceError>;
+
+    /// A size hint between [`begin`](TraceSink::begin) and the first
+    /// [`events`](TraceSink::events): about `events` more events are
+    /// coming. Advisory only — the decoder passes a materialized
+    /// header's event count, capped at what the bytes in hand can hold,
+    /// so a sink may pre-allocate from it. The default ignores it.
+    fn reserve(&mut self, events: usize) {
+        let _ = events;
+    }
 
     /// Ends the trace: no more events will arrive.
     ///
@@ -172,6 +336,12 @@ impl TraceSink for MaterializeSink {
             .ok_or_else(|| malformed("events before begin"))?;
         builder.extend_events(events);
         Ok(())
+    }
+
+    fn reserve(&mut self, events: usize) {
+        if let Some(builder) = self.builder.as_mut() {
+            builder.reserve_events(events);
+        }
     }
 
     fn finish(&mut self) -> Result<(), TraceError> {
@@ -331,11 +501,7 @@ impl StreamEncoder {
         processors: usize,
         region_names: &[String],
     ) -> Result<Bytes, TraceError> {
-        if processors > MAX_PROCESSORS {
-            return Err(malformed(format!(
-                "processor count {processors} exceeds the supported maximum {MAX_PROCESSORS}"
-            )));
-        }
+        check_processors(processors)?;
         if region_names.len() > MAX_REGIONS {
             return Err(malformed(format!(
                 "region count {} exceeds the streamed maximum {MAX_REGIONS}",
@@ -476,8 +642,9 @@ pub struct StreamDecoder {
     /// Events decoded so far.
     seen_events: u64,
     hash: Fnv,
-    /// Staged input: `buf[pos..]` is unconsumed.
+    /// The unconsumed bytes of one incomplete item, kept between calls.
     buf: Vec<u8>,
+    /// Cursor into the input being parsed by the current `feed`.
     pos: usize,
     /// Decoded events awaiting delivery to the sink.
     pending: Vec<Event>,
@@ -549,10 +716,7 @@ impl StreamDecoder {
             EventPayload::EnterRegion { region } | EventPayload::LeaveRegion { region }
                 if region >= self.nregions =>
             {
-                Err(malformed(format!(
-                    "record references region {region}, header declares {}",
-                    self.nregions
-                )))
+                Err(TraceError::UnknownRegion { region })
             }
             _ => Ok(()),
         }
@@ -592,10 +756,14 @@ impl StreamDecoder {
         }
         if self.state != DecodeState::Done {
             self.failed = true;
-            return Err(malformed(format!(
-                "stream truncated while reading {}",
-                self.state.expecting()
-            )));
+            let mut detail = format!("stream truncated while reading {}", self.state.expecting());
+            if self.state == DecodeState::Events {
+                detail += &format!(
+                    ": header declares event count {}, {} read",
+                    self.expect_events, self.seen_events
+                );
+            }
+            return Err(malformed(detail));
         }
         sink.finish()
     }
@@ -610,9 +778,19 @@ impl StreamDecoder {
                 chunk.len()
             )));
         }
-        self.buf.extend_from_slice(chunk);
+        // Parse straight from the caller's chunk when nothing is staged
+        // (a whole buffer decodes without a copy); otherwise complete the
+        // staged item first. Either way only the bytes of one incomplete
+        // item are kept between calls.
+        let mut staged = std::mem::take(&mut self.buf);
+        let from_staged = !staged.is_empty();
+        if from_staged {
+            staged.extend_from_slice(chunk);
+        }
+        let input = if from_staged { &staged[..] } else { chunk };
+        self.pos = 0;
         loop {
-            let made_progress = self.step(sink)?;
+            let made_progress = self.step(input, sink)?;
             if self.pending.len() >= DECODE_BATCH {
                 self.flush_pending(sink)?;
             }
@@ -621,16 +799,19 @@ impl StreamDecoder {
             }
         }
         self.flush_pending(sink)?;
-        if self.state == DecodeState::Done && self.pos < self.buf.len() {
+        let pos = std::mem::take(&mut self.pos);
+        if self.state == DecodeState::Done && pos < input.len() {
             return Err(malformed(format!(
                 "{} bytes after end of stream",
-                self.buf.len() - self.pos
+                input.len() - pos
             )));
         }
-        // Compact: drop the consumed prefix so the staging buffer holds
-        // only the incomplete tail between calls.
-        self.buf.drain(..self.pos);
-        self.pos = 0;
+        if from_staged {
+            staged.drain(..pos);
+        } else {
+            staged.extend_from_slice(&chunk[pos..]);
+        }
+        self.buf = staged;
         Ok(())
     }
 
@@ -642,27 +823,25 @@ impl StreamDecoder {
         Ok(())
     }
 
-    fn avail(&self) -> &[u8] {
-        &self.buf[self.pos..]
-    }
-
-    /// Consumes `n` bytes (caller has checked availability), folding
-    /// them into the running checksum unless `hashed` is false (the
-    /// checksum field itself is excluded from its own hash).
-    fn consume(&mut self, n: usize, hashed: bool) {
+    /// Consumes `n` bytes of `input` at the cursor (caller has checked
+    /// availability), folding them into the running checksum unless
+    /// `hashed` is false (the checksum field itself is excluded from its
+    /// own hash).
+    fn consume(&mut self, input: &[u8], n: usize, hashed: bool) {
         if hashed {
-            self.hash.update(&self.buf[self.pos..self.pos + n]);
+            self.hash.update(&input[self.pos..self.pos + n]);
         }
         self.pos += n;
         self.consumed += n as u64;
     }
 
-    /// Attempts one parsing step; `Ok(false)` means more input is
-    /// needed before anything further can be consumed.
-    fn step(&mut self, sink: &mut dyn TraceSink) -> Result<bool, TraceError> {
+    /// Attempts one parsing step on `input` at the cursor; `Ok(false)`
+    /// means more input is needed before anything further can be
+    /// consumed.
+    fn step(&mut self, input: &[u8], sink: &mut dyn TraceSink) -> Result<bool, TraceError> {
         match self.state {
             DecodeState::Prelude => {
-                let a = self.avail();
+                let a = &input[self.pos..];
                 if a.len() < 18 {
                     return Ok(false);
                 }
@@ -677,12 +856,7 @@ impl StreamDecoder {
                 }
                 let processors =
                     u32::from_le_bytes(a[10..14].try_into().expect("4-byte procs")) as usize;
-                if processors > MAX_PROCESSORS {
-                    return Err(malformed(format!(
-                        "processor count {processors} exceeds the supported maximum \
-                         {MAX_PROCESSORS}"
-                    )));
-                }
+                check_processors(processors)?;
                 let nregions =
                     u32::from_le_bytes(a[14..18].try_into().expect("4-byte nregions")) as usize;
                 if nregions > MAX_REGIONS {
@@ -693,12 +867,12 @@ impl StreamDecoder {
                 self.version = version;
                 self.processors = processors;
                 self.region_names.reserve(nregions.min(1024));
-                self.consume(18, true);
+                self.consume(input, 18, true);
                 self.advance_regions(nregions, sink)?;
                 Ok(true)
             }
             DecodeState::Regions { left } => {
-                let a = self.avail();
+                let a = &input[self.pos..];
                 if a.len() < 4 {
                     return Ok(false);
                 }
@@ -716,17 +890,25 @@ impl StreamDecoder {
                 let name = String::from_utf8(a[4..4 + len].to_vec())
                     .map_err(|e| malformed(format!("region name not utf-8: {e}")))?;
                 self.region_names.push(name);
-                self.consume(4 + len, true);
+                self.consume(input, 4 + len, true);
                 self.advance_regions(left - 1, sink)?;
                 Ok(true)
             }
             DecodeState::EventCount => {
-                let a = self.avail();
+                let a = &input[self.pos..];
                 if a.len() < 8 {
                     return Ok(false);
                 }
                 self.expect_events = u64::from_le_bytes(a[..8].try_into().expect("8-byte count"));
-                self.consume(8, true);
+                self.consume(input, 8, true);
+                // Pre-size the sink, but never past what the bytes in
+                // hand can hold: a hostile count allocates nothing.
+                let hint = self
+                    .expect_events
+                    .min(((input.len() - self.pos) / MIN_EVENT_BYTES) as u64);
+                if hint > 0 {
+                    sink.reserve(hint as usize);
+                }
                 self.state = if self.expect_events == 0 {
                     self.after_events()
                 } else {
@@ -736,13 +918,13 @@ impl StreamDecoder {
                 Ok(true)
             }
             DecodeState::Events => {
-                let Some((event, len)) = try_event(self.avail())? else {
+                let Some((event, len)) = try_event(&input[self.pos..])? else {
                     return Ok(false);
                 };
                 self.check_event(&event)?;
                 self.pending.push(event);
                 self.seen_events += 1;
-                self.consume(len, true);
+                self.consume(input, len, true);
                 if self.seen_events == self.expect_events {
                     self.state = self.after_events();
                 }
@@ -752,7 +934,7 @@ impl StreamDecoder {
                 Ok(true)
             }
             DecodeState::Checksum => {
-                let a = self.avail();
+                let a = &input[self.pos..];
                 if a.len() < 8 {
                     return Ok(false);
                 }
@@ -761,23 +943,23 @@ impl StreamDecoder {
                 if expected != actual {
                     return Err(TraceError::ChecksumMismatch { expected, actual });
                 }
-                self.consume(8, false);
+                self.consume(input, 8, false);
                 self.state = DecodeState::Done;
                 self.seal();
                 Ok(true)
             }
             DecodeState::ChunkTag => {
-                let a = self.avail();
+                let a = &input[self.pos..];
                 let Some(&tag) = a.first() else {
                     return Ok(false);
                 };
                 match tag {
                     CHUNK_EVENTS => {
-                        self.consume(1, true);
+                        self.consume(input, 1, true);
                         self.state = DecodeState::BatchCount;
                     }
                     CHUNK_END => {
-                        self.consume(1, true);
+                        self.consume(input, 1, true);
                         self.state = DecodeState::Trailer;
                     }
                     other => return Err(malformed(format!("unknown chunk tag {other}"))),
@@ -785,12 +967,12 @@ impl StreamDecoder {
                 Ok(true)
             }
             DecodeState::BatchCount => {
-                let a = self.avail();
+                let a = &input[self.pos..];
                 if a.len() < 4 {
                     return Ok(false);
                 }
                 let count = u32::from_le_bytes(a[..4].try_into().expect("4-byte batch count"));
-                self.consume(4, true);
+                self.consume(input, 4, true);
                 self.state = if count == 0 {
                     DecodeState::ChunkTag
                 } else {
@@ -802,13 +984,13 @@ impl StreamDecoder {
                 Ok(true)
             }
             DecodeState::Batch { left } => {
-                let Some((event, len)) = try_event(self.avail())? else {
+                let Some((event, len)) = try_event(&input[self.pos..])? else {
                     return Ok(false);
                 };
                 self.check_event(&event)?;
                 self.pending.push(event);
                 self.seen_events += 1;
-                self.consume(len, true);
+                self.consume(input, len, true);
                 self.state = if left == 1 {
                     DecodeState::ChunkTag
                 } else {
@@ -821,7 +1003,7 @@ impl StreamDecoder {
                 Ok(true)
             }
             DecodeState::Trailer => {
-                let a = self.avail();
+                let a = &input[self.pos..];
                 if a.len() < 16 {
                     return Ok(false);
                 }
@@ -833,12 +1015,12 @@ impl StreamDecoder {
                     )));
                 }
                 let expected = u64::from_le_bytes(a[8..16].try_into().expect("8-byte checksum"));
-                self.consume(8, true); // the total precedes the checksum, so it is hashed
+                self.consume(input, 8, true); // the total precedes the checksum, so it is hashed
                 let actual = self.hash.digest();
                 if expected != actual {
                     return Err(TraceError::ChecksumMismatch { expected, actual });
                 }
-                self.consume(8, false);
+                self.consume(input, 8, false);
                 self.state = DecodeState::Done;
                 self.seal();
                 Ok(true)
@@ -895,17 +1077,6 @@ pub fn decode_all(data: &[u8], sink: &mut dyn TraceSink) -> Result<(), TraceErro
     let mut decoder = StreamDecoder::new();
     decoder.feed(data, sink)?;
     decoder.finish(sink)
-}
-
-/// Materializes a streamed (version-3) byte buffer into a [`Trace`] —
-/// the delegation target of [`binary::from_bytes`].
-///
-/// [`binary::from_bytes`]: crate::binary::from_bytes
-pub(crate) fn trace_from_stream_bytes(data: &[u8]) -> Result<Trace, TraceError> {
-    let mut sink = MaterializeSink::new();
-    decode_all(data, &mut sink)?;
-    sink.into_trace()
-        .ok_or_else(|| malformed("stream ended before finish"))
 }
 
 /// Encodes a materialized trace into the streamed container (one event
@@ -1017,124 +1188,6 @@ impl TraceSink for ScanSink {
     }
 }
 
-/// Inline per-rank structural validation for the strict folds: the
-/// streaming counterpart of [`Trace::validate`]'s per-processor pass.
-/// The batch `reduce` and `reduce_windows` validate the whole trace
-/// before walking it; a stream cannot be pre-validated, so
-/// [`ReduceSink`] and [`WindowSink`] run these checks event by event
-/// and reject exactly the malformed streams the batch paths reject —
-/// a crash-truncated trace fails windowing identically on both paths.
-///
-/// Ordering caveat (the same one [`SalvageSink`] documents): the batch
-/// validator scans rank 0's whole stream before rank 1's, so when
-/// *several* ranks are malformed it reports the lowest-ranked
-/// violation; the streaming checker reports the first in recording
-/// order. Truncation — the violation that actually occurs — only
-/// manifests at end-of-stream, where `finish` checks in rank order and
-/// reports the identical error.
-struct RankChecker {
-    stack: Vec<usize>,
-    activity: Option<ActivityKind>,
-    last_time: f64,
-}
-
-impl RankChecker {
-    fn new() -> Self {
-        RankChecker {
-            stack: Vec::new(),
-            activity: None,
-            last_time: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Mirrors one iteration of [`Trace::validate`]'s per-event loop.
-    fn step(&mut self, proc: u32, e: &Event, regions: usize) -> Result<(), TraceError> {
-        match e.payload {
-            EventPayload::EnterRegion { region } | EventPayload::LeaveRegion { region }
-                if region >= regions =>
-            {
-                return Err(TraceError::UnknownRegion { region });
-            }
-            _ => {}
-        }
-        if e.time < self.last_time {
-            return Err(TraceError::NonMonotoneTime {
-                proc,
-                before: self.last_time,
-                after: e.time,
-            });
-        }
-        self.last_time = e.time;
-        match e.payload {
-            EventPayload::EnterRegion { region } => self.stack.push(region),
-            EventPayload::LeaveRegion { region } => match self.stack.pop() {
-                Some(top) if top == region => {}
-                Some(top) => {
-                    return Err(TraceError::UnbalancedNesting {
-                        proc,
-                        detail: format!("left region {region} while inside {top}"),
-                    })
-                }
-                None => {
-                    return Err(TraceError::UnbalancedNesting {
-                        proc,
-                        detail: format!("left region {region} that was never entered"),
-                    })
-                }
-            },
-            EventPayload::BeginActivity { kind } => {
-                if let Some(current) = self.activity {
-                    return Err(TraceError::UnbalancedNesting {
-                        proc,
-                        detail: format!("began {kind} while {current} still active"),
-                    });
-                }
-                if self.stack.is_empty() {
-                    return Err(TraceError::UnbalancedNesting {
-                        proc,
-                        detail: format!("began {kind} outside any region"),
-                    });
-                }
-                self.activity = Some(kind);
-            }
-            EventPayload::EndActivity { kind } => match self.activity.take() {
-                Some(current) if current == kind => {}
-                Some(current) => {
-                    return Err(TraceError::UnbalancedNesting {
-                        proc,
-                        detail: format!("ended {kind} while {current} active"),
-                    })
-                }
-                None => {
-                    return Err(TraceError::UnbalancedNesting {
-                        proc,
-                        detail: format!("ended {kind} that never began"),
-                    })
-                }
-            },
-            EventPayload::MessageSend { .. } | EventPayload::MessageRecv { .. } => {}
-        }
-        Ok(())
-    }
-
-    /// Mirrors [`Trace::validate`]'s end-of-trace checks.
-    fn finish(&mut self, proc: u32) -> Result<(), TraceError> {
-        if let Some(kind) = self.activity {
-            return Err(TraceError::UnbalancedNesting {
-                proc,
-                detail: format!("activity {kind} still open at end of trace"),
-            });
-        }
-        if let Some(region) = self.stack.pop() {
-            return Err(TraceError::UnbalancedNesting {
-                proc,
-                detail: format!("region {region} still open at end of trace"),
-            });
-        }
-        Ok(())
-    }
-}
-
 /// Shared plumbing of the reducing folds: the measurement and count
 /// builders plus the per-rank walkers' monotonicity bookkeeping.
 struct FoldCore {
@@ -1157,11 +1210,7 @@ impl FoldCore {
     }
 
     fn begin(&mut self, processors: usize, region_names: &[String]) -> Result<(), TraceError> {
-        if processors > MAX_PROCESSORS {
-            return Err(malformed(format!(
-                "processor count {processors} exceeds the supported maximum {MAX_PROCESSORS}"
-            )));
-        }
+        check_processors(processors)?;
         let mut mb = MeasurementsBuilder::with_activities(processors, self.activities.clone());
         for name in region_names {
             mb.add_region(name.clone());
@@ -1173,12 +1222,59 @@ impl FoldCore {
     }
 }
 
+/// The strict folds' per-rank state: a `RankChecker` validating and a
+/// [`ProcWalker`] attributing each rank's events as they arrive.
+struct StrictRanks {
+    checkers: Vec<RankChecker>,
+    walkers: Vec<ProcWalker>,
+    regions: usize,
+}
+
+impl StrictRanks {
+    fn new(processors: usize, regions: usize) -> Self {
+        StrictRanks {
+            checkers: std::iter::repeat_with(RankChecker::new)
+                .take(processors)
+                .collect(),
+            walkers: std::iter::repeat_with(ProcWalker::new)
+                .take(processors)
+                .collect(),
+            regions,
+        }
+    }
+
+    /// Validates `e` against its rank's history, then walks it, handing
+    /// every attribution to `attribute`.
+    fn step<F: FnMut(Attribution)>(
+        &mut self,
+        e: &Event,
+        attribute: &mut F,
+    ) -> Result<(), TraceError> {
+        let Some(checker) = self.checkers.get_mut(e.proc as usize) else {
+            return Err(TraceError::UnknownProcessor { proc: e.proc });
+        };
+        checker.step(e.proc, e, self.regions)?;
+        self.walkers[e.proc as usize].step(e, attribute);
+        Ok(())
+    }
+
+    /// The end-of-stream checks, in rank order — matching the batch
+    /// validator's reporting when several ranks were truncated.
+    fn finish(&mut self) -> Result<(), TraceError> {
+        for (proc, checker) in (0u32..).zip(&mut self.checkers) {
+            checker.finish(proc)?;
+        }
+        Ok(())
+    }
+}
+
 /// Streaming full reduction — the fold counterpart of
 /// [`reduce`](crate::reduce()), bit-identical on every stream the
-/// simulator produces. Structural validation runs inline (see
-/// [`RankChecker`]): malformed streams — truncation included — fail
-/// with the same [`TraceError`] the batch path's up-front validation
-/// reports, never a panic. For lenient salvage of truncated streams use
+/// simulator produces. Structural validation runs inline, one event
+/// at a time through the per-rank checker [`Trace::validate`] steps:
+/// malformed streams — truncation included — fail with the same
+/// [`TraceError`] the batch path's up-front validation reports, never
+/// a panic. For lenient salvage of truncated streams use
 /// [`SalvageSink`].
 ///
 /// Construct it with the stream's [`ActivitySet`] (from a first-pass
@@ -1186,9 +1282,7 @@ impl FoldCore {
 /// trace, which a stream cannot.
 pub struct ReduceSink {
     core: FoldCore,
-    walkers: Vec<ProcWalker>,
-    checkers: Vec<RankChecker>,
-    regions: usize,
+    ranks: StrictRanks,
     result: Option<ReducedTrace>,
 }
 
@@ -1198,9 +1292,7 @@ impl ReduceSink {
     pub fn new(activities: ActivitySet) -> Self {
         ReduceSink {
             core: FoldCore::new(activities),
-            walkers: Vec::new(),
-            checkers: Vec::new(),
-            regions: 0,
+            ranks: StrictRanks::new(0, 0),
             result: None,
         }
     }
@@ -1214,13 +1306,7 @@ impl ReduceSink {
 impl TraceSink for ReduceSink {
     fn begin(&mut self, processors: usize, region_names: &[String]) -> Result<(), TraceError> {
         self.core.begin(processors, region_names)?;
-        self.walkers = std::iter::repeat_with(ProcWalker::new)
-            .take(processors)
-            .collect();
-        self.checkers = std::iter::repeat_with(RankChecker::new)
-            .take(processors)
-            .collect();
-        self.regions = region_names.len();
+        self.ranks = StrictRanks::new(processors, region_names.len());
         Ok(())
     }
 
@@ -1232,39 +1318,9 @@ impl TraceSink for ReduceSink {
             .ok_or_else(|| malformed("events before begin"))?;
         let cb = self.core.cb.as_mut().expect("begin created both builders");
         for e in events {
-            let Some(checker) = self.checkers.get_mut(e.proc as usize) else {
-                return Err(TraceError::UnknownProcessor { proc: e.proc });
-            };
-            checker.step(e.proc, e, self.regions)?;
-            let walker = &mut self.walkers[e.proc as usize];
-            let mut failure = None;
-            walker.step(e, &mut |attribution| {
-                if failure.is_some() {
-                    return;
-                }
-                let result = match attribution {
-                    Attribution::Interval {
-                        region,
-                        kind,
-                        start,
-                        end,
-                    } => mb.record(RegionId::new(region), kind, e.proc as usize, end - start),
-                    Attribution::Count {
-                        region,
-                        kind,
-                        amount,
-                        ..
-                    } => cb
-                        .record(RegionId::new(region), kind, e.proc as usize, amount)
-                        .and(Ok(())),
-                };
-                if let Err(err) = result {
-                    failure = Some(err.into());
-                }
-            });
-            if let Some(err) = failure {
-                return Err(err);
-            }
+            let mut tally = Tally::new(mb, cb, e.proc);
+            self.ranks.step(e, &mut |a| tally.record(a))?;
+            tally.finish()?;
         }
         Ok(())
     }
@@ -1276,11 +1332,7 @@ impl TraceSink for ReduceSink {
             .take()
             .ok_or_else(|| malformed("finish before begin"))?;
         let cb = self.core.cb.take().expect("begin created both builders");
-        // Rank order, matching the batch validator's reporting when
-        // several ranks were truncated.
-        for (proc, checker) in self.checkers.iter_mut().enumerate() {
-            checker.finish(proc as u32)?;
-        }
+        self.ranks.finish()?;
         self.result = Some(ReducedTrace {
             measurements: mb.build()?,
             counts: cb.build(),
@@ -1292,9 +1344,10 @@ impl TraceSink for ReduceSink {
 /// Streaming windowed reduction — the fold counterpart of
 /// [`reduce_windows`](crate::reduce_windows), driving the identical
 /// window-scatter arithmetic, bit-identical on well-formed streams.
-/// Structural validation runs inline (see [`RankChecker`]), so a
-/// malformed or crash-truncated stream fails windowing with the same
-/// [`TraceError`] the batch path reports from its up-front validation.
+/// Structural validation runs inline through the per-rank checker
+/// [`Trace::validate`] steps, so a malformed or crash-truncated stream
+/// fails windowing with the same [`TraceError`] the batch path reports
+/// from its up-front validation.
 ///
 /// Needs the run's horizon (makespan) up front to fix the window width
 /// — which is exactly what the first-pass [`ScanSink`] provides; the
@@ -1306,9 +1359,7 @@ pub struct WindowSink {
     width: f64,
     activities: ActivitySet,
     builders: Vec<(MeasurementsBuilder, CountMatrixBuilder)>,
-    walkers: Vec<ProcWalker>,
-    checkers: Vec<RankChecker>,
-    regions: usize,
+    ranks: StrictRanks,
     began: bool,
     result: Option<Vec<ReducedTrace>>,
 }
@@ -1334,9 +1385,7 @@ impl WindowSink {
             width: makespan / windows as f64,
             activities,
             builders: Vec::new(),
-            walkers: Vec::new(),
-            checkers: Vec::new(),
-            regions: 0,
+            ranks: StrictRanks::new(0, 0),
             began: false,
             result: None,
         })
@@ -1350,11 +1399,7 @@ impl WindowSink {
 
 impl TraceSink for WindowSink {
     fn begin(&mut self, processors: usize, region_names: &[String]) -> Result<(), TraceError> {
-        if processors > MAX_PROCESSORS {
-            return Err(malformed(format!(
-                "processor count {processors} exceeds the supported maximum {MAX_PROCESSORS}"
-            )));
-        }
+        check_processors(processors)?;
         self.builders = (0..self.windows)
             .map(|_| {
                 let mut mb =
@@ -1365,13 +1410,7 @@ impl TraceSink for WindowSink {
                 (mb, CountMatrixBuilder::new(processors))
             })
             .collect();
-        self.walkers = std::iter::repeat_with(ProcWalker::new)
-            .take(processors)
-            .collect();
-        self.checkers = std::iter::repeat_with(RankChecker::new)
-            .take(processors)
-            .collect();
-        self.regions = region_names.len();
+        self.ranks = StrictRanks::new(processors, region_names.len());
         self.began = true;
         Ok(())
     }
@@ -1381,22 +1420,17 @@ impl TraceSink for WindowSink {
             return Err(malformed("events before begin"));
         }
         for e in events {
-            let Some(checker) = self.checkers.get_mut(e.proc as usize) else {
-                return Err(TraceError::UnknownProcessor { proc: e.proc });
-            };
-            checker.step(e.proc, e, self.regions)?;
-            let walker = &mut self.walkers[e.proc as usize];
             let builders = &mut self.builders;
             let width = self.width;
             let mut failure = None;
-            walker.step(e, &mut |attribution| {
+            self.ranks.step(e, &mut |attribution| {
                 if failure.is_some() {
                     return;
                 }
                 if let Err(err) = scatter_windowed(builders, width, e.proc, attribution) {
                     failure = Some(err.into());
                 }
-            });
+            })?;
             if let Some(err) = failure {
                 return Err(err);
             }
@@ -1408,11 +1442,7 @@ impl TraceSink for WindowSink {
         if !self.began {
             return Err(malformed("finish before begin"));
         }
-        // Rank order, matching the batch validator's reporting when
-        // several ranks were truncated.
-        for (proc, checker) in self.checkers.iter_mut().enumerate() {
-            checker.finish(proc as u32)?;
-        }
+        self.ranks.finish()?;
         let builders = std::mem::take(&mut self.builders);
         let windows = builders
             .into_iter()
@@ -1507,34 +1537,9 @@ impl TraceSink for SalvageSink {
                 });
             }
             *last = e.time;
-            let mut failure = None;
-            walker.step(index, e, &mut |attribution| {
-                if failure.is_some() {
-                    return;
-                }
-                let result = match attribution {
-                    Attribution::Interval {
-                        region,
-                        kind,
-                        start,
-                        end,
-                    } => mb.record(RegionId::new(region), kind, e.proc as usize, end - start),
-                    Attribution::Count {
-                        region,
-                        kind,
-                        amount,
-                        ..
-                    } => cb
-                        .record(RegionId::new(region), kind, e.proc as usize, amount)
-                        .and(Ok(())),
-                };
-                if let Err(err) = result {
-                    failure = Some(err.into());
-                }
-            })?;
-            if let Some(err) = failure {
-                return Err(err);
-            }
+            let mut tally = Tally::new(mb, cb, e.proc);
+            walker.step(index, e, &mut |a| tally.record(a))?;
+            tally.finish()?;
         }
         Ok(())
     }
@@ -1549,35 +1554,9 @@ impl TraceSink for SalvageSink {
         let walkers = std::mem::take(&mut self.walkers);
         let mut coverage = Vec::with_capacity(walkers.len());
         for walker in walkers {
-            let proc = walker.proc();
-            let mut failure: Option<TraceError> = None;
-            let cov = walker.finish(&mut |attribution| {
-                if failure.is_some() {
-                    return;
-                }
-                let result = match attribution {
-                    Attribution::Interval {
-                        region,
-                        kind,
-                        start,
-                        end,
-                    } => mb.record(RegionId::new(region), kind, proc as usize, end - start),
-                    Attribution::Count {
-                        region,
-                        kind,
-                        amount,
-                        ..
-                    } => cb
-                        .record(RegionId::new(region), kind, proc as usize, amount)
-                        .and(Ok(())),
-                };
-                if let Err(err) = result {
-                    failure = Some(err.into());
-                }
-            });
-            if let Some(err) = failure {
-                return Err(err);
-            }
+            let mut tally = Tally::new(&mut mb, &mut cb, walker.proc());
+            let cov = walker.finish(&mut |a| tally.record(a));
+            tally.finish()?;
             coverage.push(cov);
         }
         self.result = Some(SalvagedTrace {
@@ -1759,6 +1738,96 @@ mod tests {
         let mut dec = StreamDecoder::new();
         let err = dec.feed(&raw, &mut sink).unwrap_err().to_string();
         assert!(err.contains("region name"), "{err}");
+    }
+
+    /// Records every `reserve` hint, with how many input bytes the
+    /// decoder had been fed by then.
+    #[derive(Default)]
+    struct HintSink {
+        fed: usize,
+        hints: Vec<(usize, usize)>,
+    }
+
+    impl TraceSink for HintSink {
+        fn begin(&mut self, _: usize, _: &[String]) -> Result<(), TraceError> {
+            Ok(())
+        }
+        fn events(&mut self, _: &[Event]) -> Result<(), TraceError> {
+            Ok(())
+        }
+        fn reserve(&mut self, events: usize) {
+            self.hints.push((events, self.fed));
+        }
+        fn finish(&mut self) -> Result<(), TraceError> {
+            Ok(())
+        }
+    }
+
+    /// Feeds `bytes` in `step`-byte pieces and returns the hints, each
+    /// checked against the bytes in hand past the header when it came.
+    fn reserve_hints(bytes: &[u8], step: usize, header: usize) -> Vec<usize> {
+        let mut sink = HintSink::default();
+        let mut dec = StreamDecoder::new();
+        for piece in bytes.chunks(step) {
+            sink.fed += piece.len();
+            if dec.feed(piece, &mut sink).is_err() {
+                break;
+            }
+        }
+        let _ = dec.finish(&mut sink);
+        for &(hint, fed) in &sink.hints {
+            let in_hand = fed.saturating_sub(header);
+            assert!(
+                hint <= in_hand / MIN_EVENT_BYTES,
+                "hint {hint} exceeds {in_hand} bytes in hand"
+            );
+        }
+        sink.hints.into_iter().map(|(hint, _)| hint).collect()
+    }
+
+    #[test]
+    fn reserve_hint_never_exceeds_the_bytes_in_hand() {
+        let t = sample();
+        let v2 = to_bytes(&t);
+        // magic + version + counts + region table + the event count.
+        let header = 18 + t.region_names().iter().map(|n| 4 + n.len()).sum::<usize>() + 8;
+
+        // A v1 header declaring u64::MAX events over an empty body.
+        let mut hostile = to_bytes(&TraceBuilder::new(1).build())[..26].to_vec();
+        hostile[8..10].copy_from_slice(&1u16.to_le_bytes());
+        hostile[18..26].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert!(reserve_hints(&hostile, hostile.len(), 26).is_empty());
+        let mut with_body = hostile.clone();
+        with_body.extend_from_slice(&[0; 3 * MIN_EVENT_BYTES + 1]);
+        assert_eq!(reserve_hints(&with_body, with_body.len(), 26), vec![3]);
+
+        // The whole v2 file: the declared count, which the bytes cover.
+        let events = t.events().len();
+        assert_eq!(reserve_hints(&v2, v2.len(), header), vec![events]);
+        // Truncated mid-body: capped by what is left.
+        let cut = &v2[..header + 2 * MIN_EVENT_BYTES + 5];
+        assert_eq!(reserve_hints(cut, cut.len(), header), vec![2]);
+        // One byte at a time: nothing in hand past the count, no hint.
+        assert!(reserve_hints(&v2, 1, header).is_empty());
+
+        // Streamed files declare no count up front: never a hint.
+        let v3 = to_stream_bytes(&t, 3).unwrap();
+        assert!(reserve_hints(&v3, v3.len(), 0).is_empty());
+        assert!(reserve_hints(&v3, 1, 0).is_empty());
+    }
+
+    #[test]
+    fn truncated_body_names_the_declared_event_count() {
+        let t = sample();
+        let v2 = to_bytes(&t);
+        let mut sink = MaterializeSink::new();
+        let mut dec = StreamDecoder::new();
+        dec.feed(&v2[..v2.len() - 20], &mut sink).unwrap();
+        let err = dec.finish(&mut sink).unwrap_err().to_string();
+        assert!(
+            err.contains("reading events: header declares event count 8, 7 read"),
+            "{err}"
+        );
     }
 
     #[test]

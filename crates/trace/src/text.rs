@@ -93,12 +93,7 @@ pub fn read<R: Read>(reader: R) -> Result<Trace, TraceError> {
         .trim()
         .parse()
         .map_err(|e| malformed(format!("bad processor count: {e}")))?;
-    if processors > crate::binary::MAX_PROCESSORS {
-        return Err(malformed(format!(
-            "processor count {processors} exceeds the supported maximum {}",
-            crate::binary::MAX_PROCESSORS
-        )));
-    }
+    crate::stream::check_processors(processors)?;
 
     let mut builder = TraceBuilder::new(processors);
     for line in lines {

@@ -846,7 +846,9 @@ impl FaultVfs {
 
 impl std::fmt::Debug for FaultVfs {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FaultVfs").field("plan", &self.plan).finish()
+        f.debug_struct("FaultVfs")
+            .field("plan", &self.plan)
+            .finish()
     }
 }
 
@@ -1078,7 +1080,10 @@ mod tests {
         let err = f.append(b"torn-write").unwrap_err();
         assert_eq!(err.raw_os_error(), Some(5), "{err}");
         let after = mem.len(&p("/d/a")).unwrap();
-        assert!(after >= before && after < before + 10, "torn tail persisted");
+        assert!(
+            after >= before && after < before + 10,
+            "torn tail persisted"
+        );
         // Deterministic: the same plan tears at the same byte.
         let mem2 = MemVfs::new();
         let vfs2 = FaultVfs::new(

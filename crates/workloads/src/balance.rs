@@ -88,7 +88,9 @@ mod tests {
         let base = sim.run(&program).unwrap();
         for &name in PRESETS {
             let plan = preset(name).unwrap();
-            let balanced = sim.run_with_balance(&program, &plan).unwrap();
+            let balanced = sim
+                .run_configured(&program, None, Some(&plan), None)
+                .unwrap();
             assert!(
                 balanced.stats.makespan <= base.stats.makespan,
                 "{name}: {} > {}",

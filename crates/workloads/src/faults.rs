@@ -132,11 +132,14 @@ mod tests {
         let clean = sim.run(&program).unwrap();
         let horizon = clean.stats.makespan;
         let plan = preset("straggler", 8, horizon).unwrap();
-        let faulted = sim.run_with_faults(&program, &plan).unwrap();
+        let faulted = sim
+            .run_configured(&program, Some(&plan), None, None)
+            .unwrap();
         assert!(faulted.stats.makespan > clean.stats.makespan);
         assert!(faulted.faults.crashes.is_empty());
+        let crash = preset("crash", 8, horizon).unwrap();
         let crashed = sim
-            .run_with_faults(&program, &preset("crash", 8, horizon).unwrap())
+            .run_configured(&program, Some(&crash), None, None)
             .unwrap();
         assert_eq!(crashed.faults.crashes.len(), 1);
         assert_eq!(crashed.faults.crashes[0].0, 7);

@@ -40,7 +40,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     ];
     let mut best: Option<(BalancePlan, f64)> = None;
     for plan in plans {
-        let out = sim.run_with_balance(&program, &plan)?;
+        let out = sim.run_configured(&program, None, Some(&plan), None)?;
         println!(
             "{:<32} makespan {:.4} s  ({} migrations, {:.3} nominal s moved, {} declined)",
             plan.summary(),
@@ -64,7 +64,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         winner.summary(),
         (base.stats.makespan - makespan) / base.stats.makespan * 100.0
     );
-    let out = sim.run_with_balance(&program, &winner)?;
+    let out = sim.run_configured(&program, None, Some(&winner), None)?;
     let salvaged = out.reduce_checked()?;
     let report = Analyzer::new()
         .analyze_with_counts(&salvaged.reduced.measurements, &salvaged.reduced.counts)?;

@@ -70,7 +70,7 @@ fn replicate(index: usize) -> Result<Row, JobError> {
     // with exponential backoff, reseeded per replication.
     let plan = FaultPlan::new(derive_seed(7, index as u64)).with_message_loss(0.03, 4, 1e-4, 2.0);
     let out = Simulator::new(MachineConfig::new(8))
-        .run_with_faults(&program, &plan)
+        .run_configured(&program, Some(&plan), None, None)
         .map_err(|e| JobError::Fatal(e.to_string()))?;
     Ok(Row {
         seed,

@@ -35,9 +35,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .with_crash(15, horizon * 0.85);
 
     // Same program, same machine, faulted run. Both engines honor the
-    // plan bit-identically — `run_polling_with_faults` would produce
+    // plan bit-identically — `run_polling_configured` would produce
     // the same trace byte for byte.
-    let faulted = sim.run_with_faults(&program, &plan)?;
+    let faulted = sim.run_configured(&program, Some(&plan), None, None)?;
     println!("faulted makespan: {:.4} s", faulted.stats.makespan);
     let report = &faulted.faults;
     for &(rank, time) in &report.crashes {

@@ -99,7 +99,7 @@ proptest! {
                 (
                     "polling",
                     cand_sim
-                        .run_polling(&candidate.program)
+                        .run_polling_configured(&candidate.program, None, None, None)
                         .unwrap()
                         .stats
                         .makespan,

@@ -149,7 +149,7 @@ proptest! {
     fn balance_differential_engines_agree((program, config, plan) in balanced_strategy()) {
         plan.validate().expect("generated plans are valid");
         let sim = Simulator::new(config);
-        let event = sim.run_with_balance(&program, &plan).unwrap();
+        let event = sim.run_configured(&program, None, Some(&plan), None).unwrap();
         let polling = sim.run_polling_configured(&program, None, Some(&plan), None).unwrap();
         prop_assert_eq!(
             limba::trace::binary::to_bytes(&event.trace),
@@ -167,7 +167,7 @@ proptest! {
         // and program.
         let sim = Simulator::new(config);
         let base = sim.run(&program).unwrap();
-        let balanced = sim.run_with_balance(&program, &plan).unwrap();
+        let balanced = sim.run_configured(&program, None, Some(&plan), None).unwrap();
         prop_assert!(
             balanced.stats.makespan <= base.stats.makespan + 1e-9,
             "balanced {} > unbalanced {} under {}",
@@ -180,7 +180,7 @@ proptest! {
     #[test]
     fn migration_accounting_conserves_work((program, config, plan) in balanced_strategy()) {
         let sim = Simulator::new(config);
-        let out = sim.run_with_balance(&program, &plan).unwrap();
+        let out = sim.run_configured(&program, None, Some(&plan), None).unwrap();
         let report = &out.balance;
         let donated: f64 = report.donated_seconds.iter().sum();
         let received: f64 = report.received_seconds.iter().sum();
@@ -224,7 +224,7 @@ proptest! {
         // count.
         let sim = Simulator::new(config);
         let reference: Vec<_> = sim
-            .run_replications_configured(4, root_seed, 1, None, Some(&plan), |_, _| {
+            .run_replications(4, root_seed, 1, None, Some(&plan), |_, _| {
                 Ok(program.clone())
             })
             .into_iter()
@@ -233,7 +233,7 @@ proptest! {
         prop_assert_eq!(reference.len(), 4);
         for jobs in [2, 4] {
             let runs: Vec<_> = sim
-                .run_replications_configured(4, root_seed, jobs, None, Some(&plan), |_, _| {
+                .run_replications(4, root_seed, jobs, None, Some(&plan), |_, _| {
                     Ok(program.clone())
                 })
                 .into_iter()
@@ -264,7 +264,7 @@ proptest! {
         let sim = Simulator::new(MachineConfig::new(ranks));
         let inert = BalancePlan::stealing(seed, 1e12);
         let base = sim.run(&program).unwrap();
-        let balanced = sim.run_with_balance(&program, &inert).unwrap();
+        let balanced = sim.run_configured(&program, None, Some(&inert), None).unwrap();
         prop_assert_eq!(&base.trace, &balanced.trace);
         prop_assert_eq!(&base.stats, &balanced.stats);
         prop_assert_eq!(balanced.balance.migrations, 0);
@@ -309,7 +309,9 @@ fn presets_never_worsen_imbalanced_workloads() {
         let base = sim.run(program).unwrap();
         for &policy in PRESETS {
             let plan = preset(policy).unwrap();
-            let balanced = sim.run_with_balance(program, &plan).unwrap();
+            let balanced = sim
+                .run_configured(program, None, Some(&plan), None)
+                .unwrap();
             assert!(
                 balanced.stats.makespan <= base.stats.makespan + 1e-9,
                 "{policy} worsened {name}: {} > {}",

@@ -246,7 +246,10 @@ fn disk_faults_degrade_one_tenant_and_spare_the_rest() {
                 .after_bytes(256)
                 .matching("unlucky"),
         ),
-        ("eio", FaultPlan::new(FaultKind::Eio).at_op(1).matching("unlucky")),
+        (
+            "eio",
+            FaultPlan::new(FaultKind::Eio).at_op(1).matching("unlucky"),
+        ),
         (
             "short-write",
             FaultPlan::new(FaultKind::ShortWrite)
@@ -322,7 +325,10 @@ fn disk_faults_degrade_one_tenant_and_spare_the_rest() {
 /// a cleanly decodable, reportable prefix.
 #[test]
 fn every_truncation_of_the_final_chunk_stays_resumable() {
-    let bytes = chunked(&trace_bytes(0, 3, Imbalance::LinearSkew { spread: 0.5 }), 32);
+    let bytes = chunked(
+        &trace_bytes(0, 3, Imbalance::LinearSkew { spread: 0.5 }),
+        32,
+    );
     let total = bytes.len();
     // The stream's sealed boundaries: cuts that decode to themselves.
     let boundaries: Vec<u64> = (1..=total)
@@ -347,7 +353,10 @@ fn every_truncation_of_the_final_chunk_stays_resumable() {
         // would be told to resume.
         let scan = SealScanner::scan(&bytes[..cut]);
         assert!(!scan.damaged, "clean prefix misread as damaged at {cut}");
-        assert!(!scan.complete, "strict prefix cannot scan complete at {cut}");
+        assert!(
+            !scan.complete,
+            "strict prefix cannot scan complete at {cut}"
+        );
         assert_eq!(scan.total, cut as u64);
         assert!(scan.sealed <= cut as u64);
         assert!(
@@ -472,10 +481,7 @@ fn failed_rename_keeps_the_previous_checkpoint_loadable() {
 
     let mut new = Checkpoint::new("ratchet", 42);
     new.insert(1, b"doomed".to_vec());
-    let fault = FaultVfs::new(
-        Arc::new(mem.clone()),
-        FaultPlan::new(FaultKind::RenameFail),
-    );
+    let fault = FaultVfs::new(Arc::new(mem.clone()), FaultPlan::new(FaultKind::RenameFail));
     new.save_atomic_vfs(&fault, path)
         .expect_err("the rename fault must surface");
 

@@ -1,7 +1,7 @@
 //! Equivalence harness for the simulator's two execution cores: the
 //! event-driven wakeup-list scheduler (`Simulator::run`) must be
 //! bit-identical to the reference polling scheduler
-//! (`Simulator::run_polling`) — same trace bytes, same stats, same
+//! (`Simulator::run_polling_configured`) — same trace bytes, same stats, same
 //! deadlock diagnostics — on the paper case, every synthetic workload,
 //! and randomized programs.
 //!
@@ -53,10 +53,14 @@ fn check_golden(name: &str, actual: &str) {
 fn run_both(ranks: usize, program: &Program, label: &str) -> SimOutput {
     let sim = Simulator::new(MachineConfig::new(ranks));
     let event = sim.run(program).unwrap();
-    let polling = sim.run_polling(program).unwrap();
+    let polling = sim
+        .run_polling_configured(program, None, None, None)
+        .unwrap();
     assert_eq!(event.trace, polling.trace, "{label}: traces diverge");
     assert_eq!(event.stats, polling.stats, "{label}: stats diverge");
-    let par = sim.run_event_parallel(program, 4).unwrap();
+    let par = sim
+        .run_parallel_configured(program, None, None, None, 4)
+        .unwrap();
     assert_eq!(event.trace, par.trace, "{label}: event-par trace diverges");
     assert_eq!(event.stats, par.stats, "{label}: event-par stats diverge");
     event
@@ -170,7 +174,9 @@ fn engines_report_identical_deadlock_diagnostics() {
     let program = pb.build().unwrap();
     let sim = Simulator::new(MachineConfig::new(ranks));
     let event = sim.run(&program).unwrap_err();
-    let polling = sim.run_polling(&program).unwrap_err();
+    let polling = sim
+        .run_polling_configured(&program, None, None, None)
+        .unwrap_err();
     assert!(matches!(event, SimError::Deadlock { .. }));
     assert_eq!(event.to_string(), polling.to_string());
 }
@@ -262,10 +268,10 @@ proptest! {
     fn randomized_programs_are_engine_invariant((program, ranks) in program_strategy()) {
         let sim = Simulator::new(MachineConfig::new(ranks));
         let event = sim.run(&program).unwrap();
-        let polling = sim.run_polling(&program).unwrap();
+        let polling = sim.run_polling_configured(&program, None, None, None).unwrap();
         prop_assert_eq!(&event.trace, &polling.trace);
         prop_assert_eq!(&event.stats, &polling.stats);
-        let par = sim.run_event_parallel(&program, 4).unwrap();
+        let par = sim.run_parallel_configured(&program, None, None, None, 4).unwrap();
         prop_assert_eq!(&event.trace, &par.trace);
         prop_assert_eq!(&event.stats, &par.stats);
     }
@@ -283,10 +289,10 @@ proptest! {
             .with_eager_threshold(eager);
         let sim = Simulator::new(cfg);
         let event = sim.run(&program).unwrap();
-        let polling = sim.run_polling(&program).unwrap();
+        let polling = sim.run_polling_configured(&program, None, None, None).unwrap();
         prop_assert_eq!(&event.trace, &polling.trace);
         prop_assert_eq!(&event.stats, &polling.stats);
-        let par = sim.run_event_parallel(&program, 4).unwrap();
+        let par = sim.run_parallel_configured(&program, None, None, None, 4).unwrap();
         prop_assert_eq!(&event.trace, &par.trace);
         prop_assert_eq!(&event.stats, &par.stats);
     }

@@ -93,8 +93,12 @@ fn faulted_cfd_report_matches_golden() {
         .with_slowdown(ranks / 2, 0.0, horizon * 0.25, 2.0)
         .with_crash(ranks - 1, horizon * 0.85);
 
-    let out = sim.run_with_faults(&program, &plan).unwrap();
-    let polling = sim.run_polling_with_faults(&program, &plan).unwrap();
+    let out = sim
+        .run_configured(&program, Some(&plan), None, None)
+        .unwrap();
+    let polling = sim
+        .run_polling_configured(&program, Some(&plan), None, None)
+        .unwrap();
     assert_eq!(
         out.trace, polling.trace,
         "engines diverge on the golden plan"
@@ -158,7 +162,9 @@ fn balanced_reports_match_golden() {
         let base = sim.run(program).unwrap().stats.makespan;
         for &policy in PRESETS {
             let plan = preset(policy).unwrap();
-            let out = sim.run_with_balance(program, &plan).unwrap();
+            let out = sim
+                .run_configured(program, None, Some(&plan), None)
+                .unwrap();
             let polling = sim
                 .run_polling_configured(program, None, Some(&plan), None)
                 .unwrap();

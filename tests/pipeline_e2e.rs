@@ -98,7 +98,7 @@ fn event_par_engine_runs_the_whole_pipeline_end_to_end() {
         let seq = sim.run(&program).unwrap();
         for jobs in [2usize, 4] {
             let par = sim
-                .run_event_parallel(&program, jobs)
+                .run_parallel_configured(&program, None, None, None, jobs)
                 .unwrap_or_else(|e| panic!("{name}: event-par({jobs}) failed: {e}"));
             par.trace
                 .validate()

@@ -45,11 +45,11 @@ proptest! {
     ) {
         let sim = Simulator::new(MachineConfig::new(4));
         let reference = fingerprint(
-            &sim.run_replications(replications, root_seed, 1, |_, seed| cfd_program(4, seed)),
+            &sim.run_replications(replications, root_seed, 1, None, None, |_, seed| cfd_program(4, seed)),
         );
         for jobs in [2, 8] {
             let sweep = fingerprint(
-                &sim.run_replications(replications, root_seed, jobs, |_, seed| cfd_program(4, seed)),
+                &sim.run_replications(replications, root_seed, jobs, None, None, |_, seed| cfd_program(4, seed)),
             );
             prop_assert_eq!(&sweep, &reference, "jobs={}", jobs);
         }
@@ -62,9 +62,10 @@ fn sweep_results_are_independent_of_completion_order() {
     // replication has been built, forcing a completion order that is the
     // reverse of the index order.
     let sim = Simulator::new(MachineConfig::new(4));
-    let reference = fingerprint(&sim.run_replications(6, 99, 1, |_, seed| cfd_program(4, seed)));
+    let reference =
+        fingerprint(&sim.run_replications(6, 99, 1, None, None, |_, seed| cfd_program(4, seed)));
     let built = AtomicUsize::new(0);
-    let skewed = sim.run_replications(6, 99, 6, |index, seed| {
+    let skewed = sim.run_replications(6, 99, 6, None, None, |index, seed| {
         if index == 0 {
             while built.load(Ordering::SeqCst) < 5 {
                 std::thread::yield_now();
@@ -80,7 +81,7 @@ fn sweep_results_are_independent_of_completion_order() {
 #[test]
 fn replication_seeds_match_derive_seed_exactly() {
     let sim = Simulator::new(MachineConfig::new(4));
-    let sweep = sim.run_replications(5, 2003, 3, |_, seed| cfd_program(4, seed));
+    let sweep = sim.run_replications(5, 2003, 3, None, None, |_, seed| cfd_program(4, seed));
     for (i, r) in sweep.iter().enumerate() {
         assert_eq!(r.as_ref().unwrap().seed, par::derive_seed(2003, i as u64));
     }
@@ -97,7 +98,7 @@ fn sweep_analysis_is_jobs_invariant_end_to_end() {
     let sim = Simulator::new(MachineConfig::new(4));
     let render = |jobs: usize| -> Vec<String> {
         let matrices: Vec<Measurements> = sim
-            .run_replications(4, 7, jobs, |_, seed| cfd_program(4, seed))
+            .run_replications(4, 7, jobs, None, None, |_, seed| cfd_program(4, seed))
             .iter()
             .map(|r| r.as_ref().unwrap().output.reduce().unwrap().measurements)
             .collect();

@@ -102,11 +102,13 @@ fn thousands_of_ranks_stay_sub_quadratic_and_engine_identical() {
         .build_program()
         .expect("cfd builds");
     let sim = Simulator::new(MachineConfig::new(ranks));
-    let polling = sim.run_polling(&program).expect("polling run");
+    let polling = sim
+        .run_polling_configured(&program, None, None, None)
+        .expect("polling run");
     assert_eq!(out_4k.trace, polling.trace, "4k: polling trace diverges");
     assert_eq!(out_4k.stats, polling.stats, "4k: polling stats diverge");
     let par = sim
-        .run_event_parallel(&program, 4)
+        .run_parallel_configured(&program, None, None, None, 4)
         .expect("parallel event run");
     assert_eq!(out_4k.trace, par.trace, "4k: event-par trace diverges");
     assert_eq!(out_4k.stats, par.stats, "4k: event-par stats diverge");

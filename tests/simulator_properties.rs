@@ -285,8 +285,8 @@ proptest! {
         plan.validate(ranks).expect("generated plans are valid");
         let sim = Simulator::new(MachineConfig::new(ranks));
         match (
-            sim.run_with_faults(&program, &plan),
-            sim.run_polling_with_faults(&program, &plan),
+            sim.run_configured(&program, Some(&plan), None, None),
+            sim.run_polling_configured(&program, Some(&plan), None, None),
         ) {
             (Ok(event), Ok(polling)) => {
                 // Bit-identical traces (compared as serialized bytes),
@@ -323,8 +323,8 @@ proptest! {
     #[test]
     fn faulted_runs_are_deterministic((program, ranks, plan) in faulted_program_strategy()) {
         let sim = Simulator::new(MachineConfig::new(ranks));
-        let a = sim.run_with_faults(&program, &plan).unwrap();
-        let b = sim.run_with_faults(&program, &plan).unwrap();
+        let a = sim.run_configured(&program, Some(&plan), None, None).unwrap();
+        let b = sim.run_configured(&program, Some(&plan), None, None).unwrap();
         prop_assert_eq!(&a.trace, &b.trace);
         prop_assert_eq!(&a.stats, &b.stats);
         prop_assert_eq!(&a.faults, &b.faults);
@@ -336,7 +336,7 @@ proptest! {
         // the trace: `reduce_checked` salvages it, and every rank it
         // flags as incomplete is one the fault report can explain.
         let out = Simulator::new(MachineConfig::new(ranks))
-            .run_with_faults(&program, &plan)
+            .run_configured(&program, Some(&plan), None, None)
             .unwrap();
         let salvaged = limba::trace::reduce_checked(&out.trace)
             .expect("simulator traces always salvage");
@@ -363,11 +363,11 @@ proptest! {
         let sim = Simulator::new(MachineConfig::new(ranks));
         let empty = FaultPlan::new(seed);
         let base = sim.run(&program).unwrap();
-        let faulted = sim.run_with_faults(&program, &empty).unwrap();
+        let faulted = sim.run_configured(&program, Some(&empty), None, None).unwrap();
         prop_assert_eq!(&base.trace, &faulted.trace);
         prop_assert_eq!(&base.stats, &faulted.stats);
         prop_assert!(faulted.faults.is_clean());
-        let polling = sim.run_polling_with_faults(&program, &empty).unwrap();
+        let polling = sim.run_polling_configured(&program, Some(&empty), None, None).unwrap();
         prop_assert_eq!(&base.trace, &polling.trace);
     }
 
