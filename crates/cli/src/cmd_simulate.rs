@@ -629,11 +629,10 @@ fn run_stream_reduce(
         frame_events,
         jobs: stream_jobs,
         windows: (windows > 0).then_some(windows),
-        ..limba_stream::StreamConfig::default()
     };
     let sim = Simulator::new(MachineConfig::new(ranks));
     // `--stream-out` composes: the reduction still streams, but the
-    // frames are teed to a chunked-v3 file on the way past.
+    // events are teed to a chunked-v3 file on the way past.
     let stream_out = match parsed.get("stream-out") {
         Some("-") => {
             // The analysis report owns stdout in this mode.
@@ -668,7 +667,7 @@ fn run_stream_reduce(
         &cfg,
         tee_sink
             .as_mut()
-            .map(|s| s as &mut (dyn limba_trace::TraceSink + Send)),
+            .map(|s| s as &mut dyn limba_trace::TraceSink),
     )
     .map_err(|e| e.to_string())?;
     drop(tee_sink);

@@ -613,8 +613,9 @@ fn speculate_local(
 /// Sink errors don't unwind through the hot path: they latch into
 /// `failed`, recording stops, and the scheduler loops surface the
 /// latched error as [`SimError::Trace`] at the next round boundary.
-/// This is how consumer cancellation (a dropped pipeline stage) stops
-/// a running simulation.
+/// This is how a failing fold or tee (a full disk under a
+/// `--stream-out` file, a window fold rejecting the stream) stops a
+/// running simulation.
 enum Recorder<'a> {
     Materialize(TraceBuilder),
     Stream {

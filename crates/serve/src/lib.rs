@@ -11,8 +11,8 @@
 //!   runtime). Each accepted connection is either a *push session*
 //!   streaming one chunked-v3 trace (binary handshake naming tenant
 //!   and run) or a one-shot *query* (line protocol). Sessions forward
-//!   raw bytes to per-tenant **shard workers** over the same bounded
-//!   channels as the streaming pipeline, so a slow shard backpressures
+//!   raw bytes to per-tenant **shard workers** over bounded
+//!   `std::sync::mpsc` channels, so a slow shard backpressures
 //!   the socket instead of buffering the trace — ingestion memory is
 //!   bounded regardless of client count or trace size.
 //! * [`detect::OnlineDetector`] — each shard feeds arriving frames

@@ -5,11 +5,11 @@
 //! * an **accept thread** takes connections and spawns one *session
 //!   thread* each;
 //! * a push session reads raw socket bytes and forwards them to its
-//!   tenant's **shard worker** over a bounded
-//!   [`limba_stream`] channel — when the shard falls behind, `send`
-//!   blocks, the session stops reading, and TCP flow control throttles
-//!   the client: ingestion memory is bounded end to end (channel depth
-//!   × chunk per shard, plus fold state);
+//!   tenant's **shard worker** over a bounded [`sync_channel`] — when
+//!   the shard falls behind, `send` blocks, the session stops reading,
+//!   and TCP flow control throttles the client: ingestion memory is
+//!   bounded end to end (channel depth × chunk per shard, plus fold
+//!   state);
 //! * each shard worker owns the decode/detect state for the runs
 //!   hashed onto it, spools every byte to disk before folding it, and
 //!   isolates fold panics with `catch_unwind` so one poisoned run
@@ -33,6 +33,7 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -40,7 +41,6 @@ use std::time::Duration;
 use limba_guard::codec::{ByteReader, ByteWriter};
 use limba_guard::{config_fingerprint, Checkpoint};
 use limba_par::{fnv1a, CancelToken};
-use limba_stream::{bounded, StageRx, StageTx};
 use limba_trace::{SealScanner, StreamDecoder};
 use limba_vfs::{StdVfs, Vfs, VfsFile};
 
@@ -156,7 +156,7 @@ pub struct Server {
     shard_handles: Vec<JoinHandle<()>>,
     /// Held so shards outlive sessions; dropped during shutdown to
     /// end-of-stream the shard channels.
-    shard_txs: Vec<StageTx<ShardMsg>>,
+    shard_txs: Vec<SyncSender<ShardMsg>>,
     sessions: Arc<Mutex<Vec<JoinHandle<()>>>>,
 }
 
@@ -205,7 +205,7 @@ impl Server {
         let mut shard_txs = Vec::with_capacity(shards);
         let mut shard_handles = Vec::with_capacity(shards);
         for i in 0..shards {
-            let (tx, rx) = bounded::<ShardMsg>(shared.cfg.depth.max(1));
+            let (tx, rx) = sync_channel::<ShardMsg>(shared.cfg.depth.max(1));
             let sh = Arc::clone(&shared);
             shard_handles.push(
                 std::thread::Builder::new()
@@ -481,7 +481,7 @@ fn recover(shared: &Arc<Shared>, shards: usize) -> Result<(), ServeError> {
 fn accept_loop(
     shared: Arc<Shared>,
     listener: TcpListener,
-    txs: Vec<StageTx<ShardMsg>>,
+    txs: Vec<SyncSender<ShardMsg>>,
     sessions: Arc<Mutex<Vec<JoinHandle<()>>>>,
 ) {
     for stream in listener.incoming() {
@@ -518,7 +518,7 @@ fn accept_loop(
 
 /// One connection: dispatch on the first byte — the handshake magic
 /// starts a push session, anything else is a query line.
-fn session(shared: Arc<Shared>, mut stream: TcpStream, txs: Vec<StageTx<ShardMsg>>) {
+fn session(shared: Arc<Shared>, mut stream: TcpStream, txs: Vec<SyncSender<ShardMsg>>) {
     let mut first = [0u8; 1];
     if stream.read_exact(&mut first).is_err() {
         return;
@@ -530,7 +530,7 @@ fn session(shared: Arc<Shared>, mut stream: TcpStream, txs: Vec<StageTx<ShardMsg
     }
 }
 
-fn push_session(shared: &Shared, mut stream: TcpStream, txs: &[StageTx<ShardMsg>]) {
+fn push_session(shared: &Shared, mut stream: TcpStream, txs: &[SyncSender<ShardMsg>]) {
     let (tenant, run) = match protocol::read_handshake_rest(&mut stream) {
         Ok(names) => names,
         Err(e) => {
@@ -695,8 +695,8 @@ fn push_session(shared: &Shared, mut stream: TcpStream, txs: &[StageTx<ShardMsg>
 }
 
 /// Sends `End` for the run and waits for the shard's verdict.
-fn finish_run(shared: &Shared, key: &RunKey, tx: &StageTx<ShardMsg>) -> Option<Final> {
-    let (reply_tx, reply_rx) = std::sync::mpsc::sync_channel(1);
+fn finish_run(shared: &Shared, key: &RunKey, tx: &SyncSender<ShardMsg>) -> Option<Final> {
+    let (reply_tx, reply_rx) = sync_channel(1);
     tx.send(ShardMsg::End {
         key: key.clone(),
         reply: reply_tx,
@@ -740,7 +740,7 @@ struct Ingest {
     published_windows: usize,
 }
 
-fn shard_worker(shared: Arc<Shared>, rx: StageRx<ShardMsg>) {
+fn shard_worker(shared: Arc<Shared>, rx: Receiver<ShardMsg>) {
     let mut runs: HashMap<RunKey, Ingest> = HashMap::new();
     for msg in rx {
         match msg {

@@ -1,34 +1,23 @@
-//! Composable producer/consumer pipeline stages over zero-copy byte
-//! frames.
+//! Streamed simulate → reduce: the paper's post-mortem reduction of
+//! each rank's events into the `t_ijp` matrix, computed while the
+//! simulation runs instead of from a materialized trace.
 //!
 //! The materialized pipeline builds each stage's full output before the
-//! next starts: simulate → [`Trace`] → tracefile → reduce. This crate
-//! re-plumbs that as concurrent stages connected by *bounded* channels
-//! of [`Bytes`] frames, so a 64k-rank run flows through windowed
-//! reduction while holding only O(channel depth × frame) bytes of trace
-//! in flight:
+//! next starts: simulate → [`Trace`] → tracefile → reduce. Here the
+//! simulator hands each retired batch of events straight to the
+//! reducing [`TraceSink`] folds, so a 64k-rank run is reduced (and,
+//! optionally, windowed) while holding only one batch of events plus
+//! the folds' per-rank state:
 //!
-//! * [`Stage`] — the contract: a stage consumes items from a
-//!   [`StageRx`], produces items into a [`StageTx`], and composes with
-//!   [`Stage::then`] into a [`Chain`] whose halves run concurrently.
-//!   Channels are bounded ([`bounded`]), so a slow consumer
-//!   *backpressures* the producer — the simulator blocks instead of
-//!   buffering the trace — and a dropped consumer *cancels* it: sends
-//!   fail, the failure latches into the producer's sink, and the
-//!   simulation aborts at the next round boundary.
-//! * [`FrameSink`] — the simulator-side producer: a
-//!   [`TraceSink`] that encodes events into binary-format frames
-//!   ([`StreamEncoder`], format version 3) as rounds retire and sends
-//!   them downstream.
-//! * [`drain_frames`] / [`FoldStage`] — the consumer side: decode
-//!   frames ([`StreamDecoder`]) into any [`TraceSink`] fold — salvage
-//!   reduction, windowed reduction — without ever holding the trace.
-//! * [`stream_reduce`] — the turnkey two-pass driver the CLI and
-//!   examples use: a first O(1)-memory pass scans the run's makespan
-//!   and activity set (the two facts the reducing folds need up
-//!   front), then the pipelined second pass folds frames into the
-//!   salvaged and optional windowed reductions. The simulator is
-//!   deterministic, so both passes see the identical event stream.
+//! * [`stream_reduce`] — the driver the CLI and examples use: a first
+//!   O(1)-memory pass scans the run's makespan and activity set (the
+//!   two facts the reducing folds need up front), then a second pass
+//!   folds the events into the salvaged and optional windowed
+//!   reductions. The simulator is deterministic, so both passes see the
+//!   identical event stream.
+//! * [`stream_reduce_tee`] — the same, with an extra sink (e.g. a
+//!   [`WriteSink`] persisting the chunked tracefile) fed the second
+//!   pass's events alongside the folds.
 //!
 //! Results are **bit-identical** to the materialized path — the folds
 //! drive the same per-rank attribution state machines over the same
@@ -37,45 +26,36 @@
 //! counts.
 //!
 //! [`Trace`]: limba_trace::Trace
-//! [`StreamEncoder`]: limba_trace::StreamEncoder
+//! [`WriteSink`]: limba_trace::WriteSink
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(clippy::panic)]
+#![warn(clippy::unwrap_used)]
+#![warn(clippy::expect_used)]
 
 use std::fmt;
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
-
-use bytes::Bytes;
 
 use limba_mpisim::{BalancePlan, FaultPlan, Program, RunBudget, SimError, Simulator, StreamOutput};
 use limba_trace::stream::StreamScan;
 use limba_trace::{
-    ReducedTrace, SalvageSink, SalvagedTrace, ScanSink, StreamDecoder, StreamEncoder, TeeSink,
-    TraceError, TraceSink, WindowSink,
+    ReducedTrace, SalvageSink, SalvagedTrace, ScanSink, TeeSink, TraceError, TraceSink, WindowSink,
 };
 
-/// Error of a streaming pipeline run.
+/// Error of a streamed run.
 #[derive(Debug)]
 pub enum StreamError {
-    /// The peer end of a stage's channel hung up. On its own this is a
-    /// symptom, not a cause: [`Chain`] reports the peer's error
-    /// instead whenever one exists.
-    Disconnected,
     /// The simulation failed.
     Sim(SimError),
-    /// Encoding, decoding, or folding the trace stream failed.
+    /// Folding the event stream failed, or the tee rejected it.
     Trace(TraceError),
-    /// A stage failed for a reason of its own (e.g. a panic).
-    Stage(String),
 }
 
 impl fmt::Display for StreamError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            StreamError::Disconnected => write!(f, "pipeline stage disconnected"),
             StreamError::Sim(e) => write!(f, "simulation failed: {e}"),
             StreamError::Trace(e) => write!(f, "trace stream failed: {e}"),
-            StreamError::Stage(detail) => write!(f, "pipeline stage failed: {detail}"),
         }
     }
 }
@@ -85,7 +65,6 @@ impl std::error::Error for StreamError {
         match self {
             StreamError::Sim(e) => Some(e),
             StreamError::Trace(e) => Some(e),
-            _ => None,
         }
     }
 }
@@ -102,246 +81,12 @@ impl From<TraceError> for StreamError {
     }
 }
 
-/// Sending half of a bounded stage channel.
-pub struct StageTx<T>(SyncSender<T>);
-
-impl<T> Clone for StageTx<T> {
-    /// Clones the sender: many producers may feed one consumer through
-    /// the same bounded channel (e.g. one server socket per client,
-    /// all draining into a shard worker). End-of-stream reaches the
-    /// receiver when *every* clone has been dropped.
-    fn clone(&self) -> Self {
-        StageTx(self.0.clone())
-    }
-}
-
-impl<T> StageTx<T> {
-    /// Sends one item downstream, blocking while the channel is full —
-    /// this block is the backpressure that bounds pipeline memory.
-    ///
-    /// # Errors
-    ///
-    /// [`StreamError::Disconnected`] when the receiving stage is gone;
-    /// the producer must stop and unwind.
-    pub fn send(&self, item: T) -> Result<(), StreamError> {
-        self.0.send(item).map_err(|_| StreamError::Disconnected)
-    }
-}
-
-/// Receiving half of a bounded stage channel.
-pub struct StageRx<T>(Receiver<T>);
-
-impl<T> StageRx<T> {
-    /// Receives the next item, blocking until one arrives; `None` once
-    /// the producing stage has finished (or failed) and the channel
-    /// drained.
-    pub fn recv(&self) -> Option<T> {
-        self.0.recv().ok()
-    }
-}
-
-impl<T> Iterator for StageRx<T> {
-    type Item = T;
-
-    fn next(&mut self) -> Option<T> {
-        self.recv()
-    }
-}
-
-/// Creates a bounded stage channel holding at most `depth` in-flight
-/// items. `depth = 0` is a rendezvous channel (every send waits for
-/// its recv).
-pub fn bounded<T>(depth: usize) -> (StageTx<T>, StageRx<T>) {
-    let (tx, rx) = sync_channel(depth);
-    (StageTx(tx), StageRx(rx))
-}
-
-/// One stage of a streaming pipeline: consumes `In` items, produces
-/// `Out` items, runs to completion on its own thread when chained.
-///
-/// The contract:
-///
-/// * a stage returns `Ok(())` after consuming its input to exhaustion
-///   (or, for sources, producing all its output) and dropping/letting
-///   go of its `tx` — which is what signals end-of-stream downstream;
-/// * a stage that fails returns its error *without* draining its
-///   input; the abandoned channel ends the upstream stage's next send
-///   with [`StreamError::Disconnected`], propagating cancellation
-///   backwards;
-/// * a stage whose send fails with `Disconnected` stops immediately
-///   and returns that error — [`Chain`] reports the downstream cause
-///   in its place.
-pub trait Stage: Send + Sized {
-    /// Items consumed.
-    type In: Send;
-    /// Items produced.
-    type Out: Send;
-
-    /// Runs the stage to completion.
-    ///
-    /// # Errors
-    ///
-    /// Whatever the stage's work surfaces, per the contract above.
-    fn run(self, rx: StageRx<Self::In>, tx: StageTx<Self::Out>) -> Result<(), StreamError>;
-
-    /// Composes this stage with `next` over a bounded channel of
-    /// `depth` items: `self` runs on a spawned thread, `next` on the
-    /// calling thread, concurrently.
-    fn then<S>(self, depth: usize, next: S) -> Chain<Self, S>
-    where
-        S: Stage<In = Self::Out>,
-    {
-        Chain {
-            first: self,
-            depth,
-            second: next,
-        }
-    }
-}
-
-/// Two stages composed over a bounded channel — itself a [`Stage`],
-/// so chains compose into longer chains.
-pub struct Chain<A, B> {
-    first: A,
-    depth: usize,
-    second: B,
-}
-
-impl<A, B> Stage for Chain<A, B>
-where
-    A: Stage,
-    B: Stage<In = A::Out>,
-{
-    type In = A::In;
-    type Out = B::Out;
-
-    fn run(self, rx: StageRx<Self::In>, tx: StageTx<Self::Out>) -> Result<(), StreamError> {
-        let Chain {
-            first,
-            depth,
-            second,
-        } = self;
-        let (mid_tx, mid_rx) = bounded(depth);
-        std::thread::scope(|s| {
-            let producer = s.spawn(move || first.run(rx, mid_tx));
-            let second_result = second.run(mid_rx, tx);
-            let first_result = producer
-                .join()
-                .unwrap_or_else(|_| Err(StreamError::Stage("pipeline stage panicked".into())));
-            // A `Disconnected` is the echo of the *other* stage's
-            // failure — report the cause, not the symptom.
-            match (first_result, second_result) {
-                (Ok(()), Ok(())) => Ok(()),
-                (Err(StreamError::Disconnected), Err(e)) => Err(e),
-                (Err(e), _) => Err(e),
-                (Ok(()), Err(e)) => Err(e),
-            }
-        })
-    }
-}
-
-/// Drives a whole pipeline: a closed (immediately end-of-stream) input
-/// and a drained output. The `stage` is typically a [`Chain`] whose
-/// source ignores its input and whose sink produces nothing.
-///
-/// # Errors
-///
-/// Whatever the pipeline's stages surface.
-pub fn run_pipeline<S: Stage>(stage: S) -> Result<(), StreamError> {
-    let (src_tx, src_rx) = bounded::<S::In>(0);
-    drop(src_tx);
-    let (out_tx, out_rx) = bounded::<S::Out>(0);
-    std::thread::scope(|s| {
-        let drain = s.spawn(move || while out_rx.recv().is_some() {});
-        let result = stage.run(src_rx, out_tx);
-        let _ = drain.join();
-        result
-    })
-}
-
-/// The simulator-side frame producer: a [`TraceSink`] that encodes
-/// the run into binary-format frames (format version 3) as the engine
-/// retires rounds, and sends each frame downstream through a bounded
-/// channel. One `events` call from the engine — one frame on the wire;
-/// the engine's `frame_events` flush threshold is the frame size.
-///
-/// When the consumer hangs up, sends fail: the sink flags itself
-/// [`disconnected`](FrameSink::disconnected) and returns an error the
-/// engine latches, aborting the simulation at the next round boundary
-/// — consumer cancellation reaching a running producer.
-pub struct FrameSink {
-    enc: StreamEncoder,
-    tx: StageTx<Bytes>,
-    disconnected: bool,
-}
-
-impl FrameSink {
-    /// Creates a frame producer sending into `tx`.
-    pub fn new(tx: StageTx<Bytes>) -> Self {
-        FrameSink {
-            enc: StreamEncoder::new(),
-            tx,
-            disconnected: false,
-        }
-    }
-
-    /// Whether a send failed because the consumer hung up — in which
-    /// case the simulation's error is an echo, not a cause.
-    pub fn disconnected(&self) -> bool {
-        self.disconnected
-    }
-
-    fn send(&mut self, frame: Bytes) -> Result<(), TraceError> {
-        if frame.is_empty() {
-            return Ok(());
-        }
-        self.tx.send(frame).map_err(|_| {
-            self.disconnected = true;
-            TraceError::Io(std::io::Error::other("stream consumer disconnected"))
-        })
-    }
-}
-
-impl TraceSink for FrameSink {
-    fn begin(&mut self, processors: usize, region_names: &[String]) -> Result<(), TraceError> {
-        let header = self.enc.header(processors, region_names)?;
-        self.send(header)
-    }
-
-    fn events(&mut self, events: &[limba_trace::Event]) -> Result<(), TraceError> {
-        let frame = self.enc.frame(events);
-        self.send(frame)
-    }
-
-    fn finish(&mut self) -> Result<(), TraceError> {
-        let trailer = self.enc.finish();
-        self.send(trailer)
-    }
-}
-
-/// Decodes a channel of byte frames into `sink`, verifying the stream
-/// end-to-end — the consumer-side counterpart of [`FrameSink`].
-///
-/// # Errors
-///
-/// Decoder errors (truncation, corruption, trailing bytes) and
-/// whatever `sink` returns.
-pub fn drain_frames(rx: StageRx<Bytes>, sink: &mut dyn TraceSink) -> Result<(), TraceError> {
-    let mut decoder = StreamDecoder::new();
-    while let Some(frame) = rx.recv() {
-        decoder.feed(&frame, sink)?;
-    }
-    decoder.finish(sink)
-}
-
 /// Tuning knobs of a streaming run.
 #[derive(Debug, Clone)]
 pub struct StreamConfig {
-    /// Events per emitted frame (the engine's flush threshold).
+    /// Events per batch handed to the folds (the engine's flush
+    /// threshold); also the frame size of a teed tracefile.
     pub frame_events: usize,
-    /// Bounded channel depth, in frames. In-flight trace bytes are
-    /// bounded by roughly `(depth + 2) × frame_events × event size`.
-    pub depth: usize,
     /// Worker threads for the simulation engine (1 = sequential event
     /// engine, 0 = all CPUs; same meaning as everywhere else).
     pub jobs: usize,
@@ -354,7 +99,6 @@ impl Default for StreamConfig {
     fn default() -> Self {
         StreamConfig {
             frame_events: 4096,
-            depth: 8,
             jobs: 1,
             windows: None,
         }
@@ -379,115 +123,16 @@ pub struct StreamedReduction {
     pub scan: StreamScan,
 }
 
-/// The source stage: runs the simulation, producing binary frames.
-/// `'t` is the tee's trait-object lifetime, kept separate from the
-/// borrows of the run's inputs and outputs (trait-object lifetimes are
-/// invariant, so sharing one lifetime would force the caller's tee to
-/// live exactly as long as this call's locals).
-struct SimulateStage<'a, 't> {
-    sim: &'a Simulator,
-    program: &'a Program,
-    faults: Option<&'a FaultPlan>,
-    balance: Option<&'a BalancePlan>,
-    budget: Option<&'a RunBudget>,
-    frame_events: usize,
-    jobs: usize,
-    out: &'a mut Option<StreamOutput>,
-    /// Extra sink the producer tees the identical event stream into
-    /// (e.g. a [`WriteSink`](limba_trace::WriteSink) persisting the
-    /// tracefile alongside the pipelined reduction).
-    tee: Option<&'a mut (dyn TraceSink + Send + 't)>,
-}
-
-impl Stage for SimulateStage<'_, '_> {
-    type In = ();
-    type Out = Bytes;
-
-    fn run(self, _rx: StageRx<()>, tx: StageTx<Bytes>) -> Result<(), StreamError> {
-        let mut sink = FrameSink::new(tx);
-        let result = match self.tee {
-            Some(tee) => {
-                let mut teed = TeeSink::new(tee, &mut sink);
-                self.sim.run_streaming_parallel_configured(
-                    self.program,
-                    self.faults,
-                    self.balance,
-                    self.budget,
-                    self.jobs,
-                    &mut teed,
-                    self.frame_events,
-                )
-            }
-            None => self.sim.run_streaming_parallel_configured(
-                self.program,
-                self.faults,
-                self.balance,
-                self.budget,
-                self.jobs,
-                &mut sink,
-                self.frame_events,
-            ),
-        };
-        match result {
-            Ok(output) => {
-                *self.out = Some(output);
-                Ok(())
-            }
-            // The sink's send failed: the real error is downstream.
-            Err(_) if sink.disconnected() => Err(StreamError::Disconnected),
-            Err(e) => Err(StreamError::Sim(e)),
-        }
-    }
-}
-
-/// The sink stage: decodes frames and folds them into the salvaged
-/// (and optionally windowed) reductions.
-struct FoldStage<'a> {
-    scan: &'a StreamScan,
-    windows: Option<usize>,
-    salvaged: &'a mut Option<SalvagedTrace>,
-    windowed: &'a mut Option<Vec<ReducedTrace>>,
-}
-
-impl Stage for FoldStage<'_> {
-    type In = Bytes;
-    type Out = ();
-
-    fn run(self, rx: StageRx<Bytes>, _tx: StageTx<()>) -> Result<(), StreamError> {
-        let mut salvage = SalvageSink::new(self.scan.activities.clone());
-        let mut windowed = match self.windows {
-            Some(w) => Some(WindowSink::new(
-                w,
-                self.scan.makespan,
-                self.scan.activities.clone(),
-            )?),
-            None => None,
-        };
-        match &mut windowed {
-            Some(ws) => {
-                let mut tee = TeeSink::new(&mut salvage, ws);
-                drain_frames(rx, &mut tee)?;
-            }
-            None => drain_frames(rx, &mut salvage)?,
-        }
-        *self.salvaged = salvage.into_salvaged();
-        *self.windowed = windowed.and_then(WindowSink::into_windows);
-        Ok(())
-    }
-}
-
-/// The turnkey streaming driver: simulate → frames → salvaged (and
-/// optionally windowed) reduction, never materializing the trace.
+/// The streaming driver: simulate → salvaged (and optionally windowed)
+/// reduction, never materializing the trace.
 ///
 /// Two passes, exploiting the simulator's determinism (both see the
 /// identical event stream):
 ///
-/// 1. a direct, channel-free O(1)-memory pass through a
-///    [`ScanSink`], learning the makespan and activity set the
-///    reducing folds need at construction;
-/// 2. the pipelined pass — [`FrameSink`] producer chained over a
-///    bounded channel to the decoding fold — where backpressure keeps
-///    at most `depth + 2` frames of trace alive at once.
+/// 1. an O(1)-memory pass through a [`ScanSink`], learning the makespan
+///    and activity set the reducing folds need at construction;
+/// 2. a pass feeding the events straight into the [`SalvageSink`] (and
+///    [`WindowSink`]) folds, one batch of `frame_events` at a time.
 ///
 /// The results are bit-identical to materializing the trace and
 /// reducing it, per the differential harness.
@@ -495,8 +140,10 @@ impl Stage for FoldStage<'_> {
 /// # Errors
 ///
 /// Simulation errors (including budget interruption and cancellation
-/// via [`RunBudget`]), stream codec errors, and the same degenerate
-/// window requests as [`reduce_windows`](limba_trace::reduce_windows).
+/// via [`RunBudget`]) as [`StreamError::Sim`]; fold rejections and the
+/// same degenerate window requests as
+/// [`reduce_windows`](limba_trace::reduce_windows) as
+/// [`StreamError::Trace`].
 pub fn stream_reduce(
     sim: &Simulator,
     program: &Program,
@@ -508,17 +155,18 @@ pub fn stream_reduce(
     stream_reduce_tee(sim, program, faults, balance, budget, cfg, None)
 }
 
-/// [`stream_reduce`] with an optional producer-side tee: the second
-/// (pipelined) pass feeds the identical event stream into `tee` as well
-/// — e.g. a [`WriteSink`](limba_trace::WriteSink) persisting the
-/// chunked tracefile while the reduction folds it, still without ever
+/// [`stream_reduce`] with an optional tee: the second pass feeds the
+/// identical event stream into `tee` as well — e.g. a
+/// [`WriteSink`](limba_trace::WriteSink) persisting the chunked
+/// tracefile while the reduction folds it, still without ever
 /// materializing the trace. The first (scan) pass does not touch the
 /// tee, so the tee sees the stream exactly once.
 ///
 /// # Errors
 ///
-/// As [`stream_reduce`], plus whatever the tee surfaces (an error from
-/// the tee aborts the simulation like a fold error would).
+/// As [`stream_reduce`]. An error from the tee aborts the simulation at
+/// the next round boundary, like a fold error, and is returned as
+/// [`StreamError::Trace`]; the tee is handed no events after it.
 pub fn stream_reduce_tee(
     sim: &Simulator,
     program: &Program,
@@ -526,63 +174,76 @@ pub fn stream_reduce_tee(
     balance: Option<&BalancePlan>,
     budget: Option<&RunBudget>,
     cfg: &StreamConfig,
-    tee: Option<&mut (dyn TraceSink + Send)>,
+    tee: Option<&mut dyn TraceSink>,
 ) -> Result<StreamedReduction, StreamError> {
+    let run = |sink: &mut dyn TraceSink| {
+        sim.run_streaming_parallel_configured(
+            program,
+            faults,
+            balance,
+            budget,
+            cfg.jobs,
+            sink,
+            cfg.frame_events,
+        )
+    };
+
     // Pass 1: scan.
     let mut scan_sink = ScanSink::new();
-    sim.run_streaming_parallel_configured(
-        program,
-        faults,
-        balance,
-        budget,
-        cfg.jobs,
-        &mut scan_sink,
-        cfg.frame_events,
-    )?;
-    let scan = scan_sink
-        .into_scan()
-        .ok_or_else(|| StreamError::Stage("scan pass ended before finish".into()))?;
+    run(&mut scan_sink)?;
+    let scan = scan_sink.into_scan().ok_or_else(|| unfinished("scan"))?;
 
-    // Pass 2: pipelined fold.
-    let mut output = None;
-    let mut salvaged = None;
-    let mut windowed = None;
-    let source = SimulateStage {
-        sim,
-        program,
-        faults,
-        balance,
-        budget,
-        frame_events: cfg.frame_events,
-        jobs: cfg.jobs,
-        out: &mut output,
-        tee,
+    // Pass 2: fold. Sink errors latch in the engine and surface as
+    // `SimError::Trace`; they are the stream's failure, not the run's.
+    let mut salvage = SalvageSink::new(scan.activities.clone());
+    let mut windowed = match cfg.windows {
+        Some(w) => Some(WindowSink::new(w, scan.makespan, scan.activities.clone())?),
+        None => None,
     };
-    let fold = FoldStage {
-        scan: &scan,
-        windows: cfg.windows,
-        salvaged: &mut salvaged,
-        windowed: &mut windowed,
+    let mut both;
+    let folds: &mut dyn TraceSink = match &mut windowed {
+        Some(ws) => {
+            both = TeeSink::new(&mut salvage, ws);
+            &mut both
+        }
+        None => &mut salvage,
     };
-    run_pipeline(source.then(cfg.depth, fold))?;
+    let result = match tee {
+        Some(tee) => run(&mut TeeSink::new(tee, folds)),
+        None => run(folds),
+    };
+    let output = result.map_err(|e| match e {
+        SimError::Trace(te) => StreamError::Trace(te),
+        e => StreamError::Sim(e),
+    })?;
 
-    let output =
-        output.ok_or_else(|| StreamError::Stage("simulation produced no output".into()))?;
-    let salvaged =
-        salvaged.ok_or_else(|| StreamError::Stage("fold stage produced no reduction".into()))?;
-    if cfg.windows.is_some() && windowed.is_none() {
-        return Err(StreamError::Stage("fold stage produced no windows".into()));
-    }
+    let salvaged = salvage
+        .into_salvaged()
+        .ok_or_else(|| unfinished("salvage fold"))?;
+    let windows = match windowed {
+        Some(ws) => Some(ws.into_windows().ok_or_else(|| unfinished("window fold"))?),
+        None => None,
+    };
     Ok(StreamedReduction {
         output,
         salvaged,
-        windows: windowed,
+        windows,
         scan,
+    })
+}
+
+/// A sink left without its result after a successful run — which the
+/// engine rules out by finishing every sink it completes a run on.
+fn unfinished(sink: &str) -> StreamError {
+    StreamError::Trace(TraceError::Malformed {
+        detail: format!("{sink} pass ended before finish"),
     })
 }
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
     use super::*;
     use limba_mpisim::MachineConfig;
 
@@ -642,41 +303,40 @@ mod tests {
     }
 
     #[test]
-    fn consumer_failure_cancels_the_producer() {
-        /// A consumer that dies after one frame.
-        struct QuitStage;
-        impl Stage for QuitStage {
-            type In = Bytes;
-            type Out = ();
-            fn run(self, rx: StageRx<Bytes>, _tx: StageTx<()>) -> Result<(), StreamError> {
-                let _ = rx.recv();
-                Err(StreamError::Stage("consumer gave up".into()))
+    fn a_failing_tee_aborts_the_run() {
+        /// A tee that rejects the first batch of events and counts every
+        /// batch it is handed.
+        struct FailingTee {
+            batches: usize,
+        }
+        impl TraceSink for FailingTee {
+            fn begin(&mut self, _: usize, _: &[String]) -> Result<(), TraceError> {
+                Ok(())
+            }
+            fn events(&mut self, _: &[limba_trace::Event]) -> Result<(), TraceError> {
+                self.batches += 1;
+                Err(TraceError::Io(std::io::Error::other("tee gave up")))
+            }
+            fn finish(&mut self) -> Result<(), TraceError> {
+                Ok(())
             }
         }
 
         let ranks = 4;
         let sim = machine(ranks);
         let program = sample_program(ranks);
-        let mut out = None;
-        let source = SimulateStage {
-            sim: &sim,
-            program: &program,
-            faults: None,
-            balance: None,
-            budget: None,
+        let cfg = StreamConfig {
             frame_events: 1,
-            jobs: 1,
-            out: &mut out,
-            tee: None,
+            ..StreamConfig::default()
         };
-        let err = run_pipeline(source.then(0, QuitStage)).expect_err("pipeline must fail");
-        // The consumer's own error survives; the producer's
-        // disconnection echo does not mask it.
+        let mut tee = FailingTee { batches: 0 };
+        let err = stream_reduce_tee(&sim, &program, None, None, None, &cfg, Some(&mut tee))
+            .expect_err("the tee's failure must abort the run");
         assert!(
-            matches!(err, StreamError::Stage(ref d) if d == "consumer gave up"),
+            matches!(err, StreamError::Trace(ref e) if e.to_string().contains("tee gave up")),
             "{err}"
         );
-        assert!(out.is_none(), "cancelled run must not produce output");
+        assert_eq!(tee.batches, 1, "the tee was fed after it failed");
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! The streaming pipeline end to end: simulate → frame stream →
+//! The streaming pipeline end to end: simulate → event batches →
 //! windowed reduce → analyze, with no tracefile and no materialized
 //! trace anywhere in between — then the same run through the classic
 //! materializing path, to show the results are identical.
@@ -22,9 +22,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .build_program()?;
     let sim = Simulator::new(MachineConfig::new(ranks));
 
-    // Streamed: events flow through bounded channels of binary frames
-    // and fold straight into the reductions as rounds retire. Memory
-    // stays O(channel depth × frame + windows × ranks) no matter how
+    // Streamed: the simulator hands its events, one batch of
+    // `frame_events` at a time, straight to the reducing folds as rounds
+    // retire. Memory stays O(frame + windows × ranks) no matter how
     // long the run is.
     let cfg = StreamConfig {
         frame_events: 1024,

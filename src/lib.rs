@@ -33,10 +33,10 @@
 //!   through, an in-memory POSIX crash model, and a deterministic
 //!   I/O fault injector (ENOSPC, EIO, short writes, failed renames,
 //!   power cuts);
-//! * [`stream`] — the streaming dataflow pipeline: composable
-//!   producer/consumer stages over bounded channels of binary frames,
-//!   so simulate → reduce → analyze runs without materializing the
-//!   trace (bit-identical to the batch path);
+//! * [`stream`] — streamed simulate → reduce: the simulator's events
+//!   fold straight into the salvaged and windowed reductions, so
+//!   simulate → reduce → analyze runs without materializing the trace
+//!   (bit-identical to the batch path);
 //! * [`viz`] — text tables, pattern diagrams, and SVG output.
 //!
 //! # Quickstart

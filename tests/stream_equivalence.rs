@@ -13,8 +13,14 @@ use limba::mpisim::{
     BalancePlan, FaultPlan, MachineConfig, Program, ProgramBuilder, RunBudget, Simulator,
 };
 use limba::par::CancelToken;
-use limba::stream::{stream_reduce, StreamConfig, StreamError};
-use limba::trace::{reduce_checked, reduce_windows};
+use limba::stream::{
+    stream_reduce, stream_reduce_tee, StreamConfig, StreamError, StreamedReduction,
+};
+use limba::trace::stream::decode_all;
+use limba::trace::{
+    reduce_checked, reduce_windows, ReducedTrace, SalvageSink, SalvagedTrace, ScanSink, TeeSink,
+    TraceError, WindowSink, WriteSink,
+};
 use limba::workloads::{cfd::CfdConfig, Imbalance};
 use proptest::prelude::*;
 
@@ -178,6 +184,57 @@ fn chaos_balanced_strategy() -> impl Strategy<Value = (Program, usize, FaultPlan
     })
 }
 
+/// The salvaged and (when asked for) windowed reductions of decoded
+/// bytes.
+type Decoded = (SalvagedTrace, Option<Vec<ReducedTrace>>);
+
+/// The codec leg: the case rerun through [`stream_reduce_tee`] with a
+/// [`WriteSink`] tee, and the teed v3 bytes decoded with [`decode_all`]
+/// — a scan, then fresh folds — the way `analyze --from-stream` reads
+/// a tracefile. `stream_reduce` hands the simulator's events to its
+/// folds directly, so this leg is what keeps simulator → v3 encoder →
+/// decoder → folds locked to the materialized path.
+fn teed_and_decoded(
+    sim: &Simulator,
+    program: &Program,
+    faults: Option<&FaultPlan>,
+    balance: Option<&BalancePlan>,
+    cfg: &StreamConfig,
+) -> (
+    Result<StreamedReduction, StreamError>,
+    Result<Decoded, TraceError>,
+) {
+    let mut writer = WriteSink::new(Vec::new());
+    let teed = stream_reduce_tee(sim, program, faults, balance, None, cfg, Some(&mut writer));
+    let bytes = writer.into_inner();
+    (teed, decode_folds(&bytes, cfg.windows))
+}
+
+/// Decodes `bytes` twice with [`decode_all`]: into a [`ScanSink`], then
+/// into a fresh [`SalvageSink`] (teed with a [`WindowSink`] when
+/// `windows` asks for one).
+fn decode_folds(bytes: &[u8], windows: Option<usize>) -> Result<Decoded, TraceError> {
+    let mut scan = ScanSink::new();
+    decode_all(bytes, &mut scan)?;
+    let scan = scan.into_scan().expect("decode_all finishes the scan");
+    let mut salvage = SalvageSink::new(scan.activities.clone());
+    let windows = match windows {
+        Some(w) => {
+            let mut ws = WindowSink::new(w, scan.makespan, scan.activities)?;
+            decode_all(bytes, &mut TeeSink::new(&mut salvage, &mut ws))?;
+            Some(ws.into_windows().expect("decode_all finishes the windows"))
+        }
+        None => {
+            decode_all(bytes, &mut salvage)?;
+            None
+        }
+    };
+    let salvaged = salvage
+        .into_salvaged()
+        .expect("decode_all finishes the salvage");
+    Ok((salvaged, windows))
+}
+
 /// Runs one scenario down both paths and asserts every observable is
 /// identical: simulation stats, fault/balance reports, the salvaged
 /// reduction (measurements, counts, per-rank coverage), the rendered
@@ -205,7 +262,6 @@ fn check_case(
         frame_events,
         jobs,
         windows: (windows > 0).then_some(windows),
-        ..StreamConfig::default()
     };
     let streamed = stream_reduce(&sim, program, faults, balance, None, &cfg);
     let (output, streamed) = match (reference, streamed) {
@@ -225,6 +281,18 @@ fn check_case(
             let be = reduce_windows(&o.trace, windows)
                 .expect_err("streamed windowing failed but batch accepted the trace");
             assert_eq!(te.to_string(), be.to_string(), "rejections diverge");
+            // The tee finishes before the folds, so its bytes are a
+            // whole stream: decoding them must reject identically.
+            let (teed, decoded) = teed_and_decoded(&sim, program, faults, balance, &cfg);
+            match teed {
+                Err(StreamError::Trace(e)) => assert_eq!(e.to_string(), be.to_string()),
+                other => panic!(
+                    "teed run must reject like the plain one, got ok={}",
+                    other.is_ok()
+                ),
+            }
+            let de = decoded.expect_err("decoded windowing accepted a rejected stream");
+            assert_eq!(de.to_string(), be.to_string(), "decoded rejection diverges");
             return;
         }
         (r, s) => panic!(
@@ -277,6 +345,26 @@ fn check_case(
         _ => panic!("analysis outcomes diverge between the paths"),
     }
 
+    // The codec leg.
+    let (teed, decoded) = teed_and_decoded(&sim, program, faults, balance, &cfg);
+    let teed = teed.expect("the teed run succeeds like the plain one");
+    assert_eq!(
+        teed.salvaged.reduced.measurements, batch.reduced.measurements,
+        "teed measurements diverge"
+    );
+    let (decoded, decoded_windows) = decoded.expect("the teed bytes decode");
+    assert_eq!(
+        decoded.reduced.measurements, batch.reduced.measurements,
+        "decoded measurements diverge"
+    );
+    assert_eq!(
+        decoded.reduced.counts, batch.reduced.counts,
+        "decoded count matrices diverge"
+    );
+    assert_eq!(
+        decoded.coverage, batch.coverage,
+        "decoded salvage coverage diverges"
+    );
     if windows > 0 {
         let batch_windows =
             reduce_windows(&output.trace, windows).expect("windowing a positive-span run");
@@ -285,6 +373,15 @@ fn check_case(
         for (i, (b, s)) in batch_windows.iter().zip(&stream_windows).enumerate() {
             assert_eq!(b.measurements, s.measurements, "window {i} measurements");
             assert_eq!(b.counts, s.counts, "window {i} counts");
+        }
+        let decoded_windows = decoded_windows.expect("decoded windows were requested");
+        assert_eq!(batch_windows.len(), decoded_windows.len());
+        for (i, (b, d)) in batch_windows.iter().zip(&decoded_windows).enumerate() {
+            assert_eq!(
+                b.measurements, d.measurements,
+                "decoded window {i} measurements"
+            );
+            assert_eq!(b.counts, d.counts, "decoded window {i} counts");
         }
     }
 }
