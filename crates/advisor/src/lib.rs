@@ -20,9 +20,8 @@
 //!    a prediction budget, evaluating candidates in parallel through
 //!    [`limba_par::par_map`] with input-order slots, so advice is
 //!    byte-identical at every `--jobs` setting;
-//! 4. **verify** — the top-k candidates are re-simulated on *both*
-//!    engines ([`verify`]), reporting predicted-vs-measured gain and
-//!    flagging mispredictions.
+//! 4. **verify** — the top-k candidates are re-simulated ([`verify`]),
+//!    reporting predicted-vs-measured gain and flagging mispredictions.
 //!
 //! # Example
 //!
@@ -74,11 +73,6 @@ pub enum AdviseError {
     Analysis(limba_analysis::AnalysisError),
     /// Trace reduction of a verification run failed.
     Trace(limba_trace::TraceError),
-    /// An internal invariant broke (e.g. the two engines disagreed).
-    Internal {
-        /// What went wrong.
-        detail: String,
-    },
     /// A cancellation token tripped mid-advise (see
     /// [`Advisor::with_cancel`]). No advice is returned, but any
     /// verifications already completed were offered to the attached
@@ -96,7 +90,6 @@ impl fmt::Display for AdviseError {
             AdviseError::Sim(e) => write!(f, "simulation failed: {e}"),
             AdviseError::Analysis(e) => write!(f, "analysis failed: {e}"),
             AdviseError::Trace(e) => write!(f, "trace reduction failed: {e}"),
-            AdviseError::Internal { detail } => write!(f, "internal error: {detail}"),
             AdviseError::Interrupted { detail } => write!(f, "advise interrupted: {detail}"),
         }
     }

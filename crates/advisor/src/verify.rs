@@ -1,10 +1,9 @@
-//! The verification stage: re-simulate top candidates on both engines.
+//! The verification stage: re-simulate top candidates.
 //!
 //! Prediction is a model; verification is the ground truth. Each
-//! surviving candidate is re-run on the event-driven *and* the polling
-//! engine (with the advise run's fault plan, when one is set, and the
-//! candidate's own balancing plan, when it carries one), the two
-//! outputs are required to be identical, and the measured makespan is
+//! surviving candidate is re-run on the event-driven engine (with the
+//! advise run's fault plan, when one is set, and the candidate's own
+//! balancing plan, when it carries one), and the measured makespan is
 //! compared against the prediction: `mispredicted` flags estimates off
 //! by more than [`MISPREDICT_TOLERANCE`] of the measured value, and
 //! `within_bounds` checks the majorization bracket (guaranteed for
@@ -26,8 +25,6 @@ pub const MISPREDICT_TOLERANCE: f64 = 0.05;
 pub struct Verification {
     /// Makespan measured on the event-driven engine (seconds).
     pub event_makespan: f64,
-    /// Makespan measured on the polling engine (seconds).
-    pub polling_makespan: f64,
     /// Measured gain over the baseline (positive = faster).
     pub measured_gain: f64,
     /// Whether the measured makespan lies inside the predicted
@@ -64,15 +61,13 @@ pub trait VerifyCache: Send + Sync {
     fn put(&self, signature: &str, verification: &Verification);
 }
 
-/// Re-simulates `candidate` on both engines and scores it against its
-/// prediction. `batch` supplies the analyzer (and its shared memo
-/// cache) for the post-intervention report.
+/// Re-simulates `candidate` and scores it against its prediction.
+/// `batch` supplies the analyzer (and its shared memo cache) for the
+/// post-intervention report.
 ///
 /// # Errors
 ///
-/// Returns [`AdviseError::Sim`] when a run fails outright and
-/// [`AdviseError::Internal`] when the two engines disagree — a
-/// simulator bug, never a property of the candidate.
+/// Returns [`AdviseError::Sim`] when the run fails.
 pub fn verify(
     candidate: &Scenario,
     faults: Option<&FaultPlan>,
@@ -80,16 +75,12 @@ pub fn verify(
     prediction: &Prediction,
     batch: &BatchAnalyzer,
 ) -> Result<Verification, AdviseError> {
-    let sim = Simulator::new(candidate.config.clone());
-    let (event, polling) = (
-        sim.run_configured(&candidate.program, faults, candidate.balance.as_ref(), None)?,
-        sim.run_polling_configured(&candidate.program, faults, candidate.balance.as_ref(), None)?,
-    );
-    if event.trace != polling.trace || event.stats != polling.stats {
-        return Err(AdviseError::Internal {
-            detail: "event and polling engines disagree on a verification run".into(),
-        });
-    }
+    let event = Simulator::new(candidate.config.clone()).run_configured(
+        &candidate.program,
+        faults,
+        candidate.balance.as_ref(),
+        None,
+    )?;
     let measured = event.stats.makespan;
     let eps = 1e-9 * measured.abs().max(1.0);
     let within_bounds =
@@ -119,7 +110,6 @@ pub fn verify(
 
     Ok(Verification {
         event_makespan: measured,
-        polling_makespan: polling.stats.makespan,
         measured_gain: baseline_makespan - measured,
         within_bounds,
         mispredicted,
@@ -145,13 +135,18 @@ mod tests {
         });
         let scenario = Scenario::new(pb.build().unwrap(), MachineConfig::new(4)).unwrap();
         let sim = Simulator::new(scenario.config.clone());
-        let baseline = sim.run(&scenario.program).unwrap().stats.makespan;
+        let event = sim.run(&scenario.program).unwrap();
+        let polling = sim
+            .run_polling_configured(&scenario.program, None, None, None)
+            .unwrap();
+        assert!(polling.trace == event.trace);
+        assert_eq!(polling.stats, event.stats);
+        let baseline = event.stats.makespan;
         let model = crate::BaselineModel::new(&scenario, baseline);
         let prediction = model.predict(&scenario);
         let batch = BatchAnalyzer::new(Analyzer::new().with_cluster_k(2));
         let v = verify(&scenario, None, baseline, &prediction, &batch).unwrap();
-        assert_eq!(v.event_makespan, baseline);
-        assert_eq!(v.polling_makespan, baseline);
+        assert_eq!(v.event_makespan, polling.stats.makespan);
         assert_eq!(v.measured_gain, 0.0);
         assert!(v.within_bounds);
         assert!(!v.mispredicted);

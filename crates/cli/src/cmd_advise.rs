@@ -2,7 +2,7 @@
 //!
 //! The closed-loop end of the tool: analyze a scenario, propose typed
 //! interventions, predict their gains analytically, and verify the top
-//! candidates by re-simulation on both engines. The output is the
+//! candidates by re-simulation. The output is the
 //! baseline analysis report with a ranked "recommended interventions"
 //! section appended — or, with `--json`, a machine-readable digest.
 
@@ -289,9 +289,8 @@ fn advice_json(advice: &Advice) -> String {
                     None => "null".into(),
                 };
                 out.push_str(&format!(
-                    ",\"measured\":{{\"event_makespan\":{},\"polling_makespan\":{},\"gain\":{},\"within_bounds\":{},\"mispredicted\":{},\"heaviest_region\":{}}}}}",
+                    ",\"measured\":{{\"event_makespan\":{},\"gain\":{},\"within_bounds\":{},\"mispredicted\":{},\"heaviest_region\":{}}}}}",
                     v.event_makespan,
-                    v.polling_makespan,
                     v.measured_gain,
                     v.within_bounds,
                     v.mispredicted,
@@ -339,6 +338,8 @@ mod tests {
         );
         assert!(json.contains("\"baseline_makespan\":"));
         assert!(json.contains("\"within_bounds\":true"), "{json}");
+        assert!(json.contains("\"event_makespan\":"), "{json}");
+        assert!(!json.contains("polling"), "{json}");
         // Balanced braces and brackets (no string content interferes:
         // labels are plain prose).
         let depth = json.chars().fold(0i64, |d, c| match c {

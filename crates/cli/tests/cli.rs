@@ -400,7 +400,7 @@ fn advise_surfaces_a_dynamic_balancing_recommendation() {
     // On an imbalanced CFD workload the catalog proposes the balance
     // policies alongside the static refactors, and at least one
     // surfaced candidate enables dynamic balancing — with a verified
-    // (simulated on both engines) gain.
+    // (re-simulated) gain.
     let out = limba(&[
         "advise",
         "--workload",

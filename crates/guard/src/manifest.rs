@@ -35,7 +35,7 @@ impl StopReason {
 /// file next to the checkpoint.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunManifest {
-    /// The run kind (e.g. `"sweep"`, `"suite"`, `"advise-verify"`).
+    /// The run kind (e.g. `"sweep"`, `"suite"`, `"advise-verify/2"`).
     pub kind: String,
     /// The configuration fingerprint the run executed under.
     pub fingerprint: u64,

@@ -2,7 +2,7 @@
 //! candidate-verification granularity.
 //!
 //! Verification is the expensive part of an advise run — each surviving
-//! candidate costs two full simulations plus an analysis pass. This
+//! candidate costs a full simulation plus an analysis pass. This
 //! cache persists every completed [`Verification`] to a guard
 //! [`Checkpoint`] as it lands, so an interrupted run resumes by
 //! replaying the stored verifications and simulating only the
@@ -26,8 +26,10 @@ use crate::checkpoint::Checkpoint;
 use crate::codec::{ByteReader, ByteWriter};
 use crate::GuardError;
 
-/// The checkpoint kind this cache writes.
-pub const VERIFY_KIND: &str = "advise-verify";
+/// The checkpoint kind this cache writes. The suffix names the entry
+/// layout, so a checkpoint written under an older layout is refused
+/// with [`GuardError::KindMismatch`] instead of being misread.
+pub const VERIFY_KIND: &str = "advise-verify/2";
 
 /// A [`VerifyCache`] that persists verifications to a checkpoint file.
 ///
@@ -123,7 +125,6 @@ fn encode_entry(signature: &str, v: &Verification) -> Vec<u8> {
     let mut w = ByteWriter::new();
     w.put_str(signature);
     w.put_f64(v.event_makespan);
-    w.put_f64(v.polling_makespan);
     w.put_f64(v.measured_gain);
     w.put_u8(u8::from(v.within_bounds));
     w.put_u8(u8::from(v.mispredicted));
@@ -143,7 +144,6 @@ fn decode_entry(bytes: &[u8]) -> Result<(String, Verification), GuardError> {
     let mut r = ByteReader::new(bytes);
     let signature = r.get_str("verification signature")?;
     let event_makespan = r.get_f64("event makespan")?;
-    let polling_makespan = r.get_f64("polling makespan")?;
     let measured_gain = r.get_f64("measured gain")?;
     let within_bounds = r.get_u8("within-bounds flag")? != 0;
     let mispredicted = r.get_u8("mispredicted flag")? != 0;
@@ -161,7 +161,6 @@ fn decode_entry(bytes: &[u8]) -> Result<(String, Verification), GuardError> {
         signature,
         Verification {
             event_makespan,
-            polling_makespan,
             measured_gain,
             within_bounds,
             mispredicted,
@@ -215,7 +214,6 @@ mod tests {
     fn sample(gain: f64) -> Verification {
         Verification {
             event_makespan: 1.25,
-            polling_makespan: 1.25,
             measured_gain: gain,
             within_bounds: true,
             mispredicted: false,
@@ -268,6 +266,32 @@ mod tests {
         let err = CheckpointVerifyCache::open(&path, 8, true).unwrap_err();
         assert!(
             matches!(err, GuardError::FingerprintMismatch { .. }),
+            "{err}"
+        );
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn resume_refuses_the_previous_entry_layout() {
+        // The first layout stored a second makespan after the first;
+        // its checkpoints carry the unversioned kind.
+        let path = temp_path("old-layout");
+        std::fs::remove_file(&path).ok();
+        let mut old = Checkpoint::new("advise-verify", 7);
+        let mut w = ByteWriter::new();
+        w.put_str("combo-a");
+        for x in [1.25, 1.25, 0.5] {
+            w.put_f64(x);
+        }
+        w.put_u8(1);
+        w.put_u8(0);
+        w.put_u8(0);
+        old.insert(fnv1a(b"combo-a"), w.into_bytes());
+        old.save_atomic(&path).unwrap();
+        let err = CheckpointVerifyCache::open(&path, 7, true).unwrap_err();
+        assert!(
+            matches!(&err, GuardError::KindMismatch { expected, found }
+                if expected == VERIFY_KIND && found == "advise-verify"),
             "{err}"
         );
         std::fs::remove_file(&path).ok();

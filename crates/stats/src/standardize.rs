@@ -65,18 +65,6 @@ pub fn unit_sum_in_place(data: &mut [f64]) -> Result<(), StatsError> {
     Ok(())
 }
 
-/// The perfectly balanced standardized vector of length `n`: every element
-/// equals `1/n`. This is the reference point the paper's indices measure
-/// distance from.
-///
-/// # Panics
-///
-/// Panics if `n` is zero.
-pub fn balanced_reference(n: usize) -> Vec<f64> {
-    assert!(n > 0, "balanced reference needs at least one element");
-    vec![1.0 / n as f64; n]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -114,17 +102,5 @@ mod tests {
         let mut bad = [1.0, f64::NAN];
         assert!(unit_sum_in_place(&mut bad).is_err());
         assert_eq!(bad[0], 1.0); // unchanged on error
-    }
-
-    #[test]
-    fn balanced_reference_is_uniform() {
-        let r = balanced_reference(4);
-        assert_eq!(r, vec![0.25; 4]);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one element")]
-    fn balanced_reference_zero_panics() {
-        balanced_reference(0);
     }
 }

@@ -11,8 +11,8 @@ use limba_advisor::Advice;
 /// Renders the ranked "recommended interventions" section.
 ///
 /// The output is a pure function of the advice: the advisor guarantees
-/// the advice itself is identical across `--jobs` settings and both
-/// engines, so the rendered bytes are too.
+/// the advice itself is identical across `--jobs` settings, so the
+/// rendered bytes are too.
 pub fn render_advice(advice: &Advice) -> String {
     let mut out = String::from("== recommended interventions ==\n");
     out.push_str(&format!(
@@ -53,7 +53,7 @@ pub fn render_advice(advice: &Advice) -> String {
         ));
         if let Some(v) = &c.verification {
             out.push_str(&format!(
-                "    measured  {} (makespan {:.6} s, both engines)\n",
+                "    measured  {} (makespan {:.6} s)\n",
                 pct(v.measured_gain),
                 v.event_makespan
             ));
