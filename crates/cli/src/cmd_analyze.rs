@@ -1,14 +1,15 @@
 //! `limba analyze`.
 
 use std::fs;
-use std::io::Read as _;
+use std::io::Read;
 
 use limba_analysis::Analyzer;
+use limba_model::ActivitySet;
 use limba_stats::dispersion::DispersionKind;
 use limba_stats::rank::RankingCriterion;
-use limba_trace::stream::StreamScan;
 use limba_trace::{
-    ReducedTrace, SalvageSink, SalvagedTrace, ScanSink, StreamDecoder, Trace, TraceSink, WindowSink,
+    ReducedTrace, SalvageSink, SalvagedTrace, ScanSink, StreamDecoder, TeeSink, Trace, TraceSink,
+    WindowSink,
 };
 
 use crate::args::{parse_with_switches, Parsed};
@@ -140,18 +141,24 @@ pub(crate) fn print_evolution(
     Ok(())
 }
 
-/// Feeds a binary tracefile through a [`TraceSink`] in bounded chunks.
+/// Feeds a binary tracefile — stdin for `-` — through a [`TraceSink`]
+/// in bounded chunks.
 ///
 /// Memory held at once is one `STREAM_CHUNK` read buffer plus whatever
 /// fold state the sink keeps — the tracefile itself is never resident.
-fn feed_stream_file(path: &str, sink: &mut dyn TraceSink) -> Result<(), String> {
-    let mut file = fs::File::open(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+fn feed_stream(path: &str, sink: &mut dyn TraceSink) -> Result<(), String> {
+    let (mut input, name): (Box<dyn Read>, &str) = if path == "-" {
+        (Box::new(std::io::stdin().lock()), "stdin")
+    } else {
+        let file = fs::File::open(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+        (Box::new(file), path)
+    };
     let mut decoder = StreamDecoder::new();
     let mut buf = vec![0u8; STREAM_CHUNK];
     loop {
-        let n = file
+        let n = input
             .read(&mut buf)
-            .map_err(|e| format!("cannot read {path}: {e}"))?;
+            .map_err(|e| format!("cannot read {name}: {e}"))?;
         if n == 0 {
             break;
         }
@@ -160,30 +167,17 @@ fn feed_stream_file(path: &str, sink: &mut dyn TraceSink) -> Result<(), String> 
     decoder.finish(sink).map_err(|e| e.to_string())
 }
 
-/// Pass 1 of the streamed analysis: scan the tracefile for the trace
-/// preamble the folds need up front (makespan for window boundaries,
-/// the activity universe for matrix shape).
-fn scan_stream_file(path: &str) -> Result<StreamScan, String> {
-    let mut scan = ScanSink::new();
-    feed_stream_file(path, &mut scan)?;
-    scan.into_scan()
-        .ok_or_else(|| "stream scan did not complete".to_string())
-}
-
-/// Pass 2 of the streamed analysis: fold the tracefile into a salvaged
-/// reduction without ever materializing the event list.
-fn fold_stream_file(path: &str, scan: &StreamScan) -> Result<SalvagedTrace, String> {
-    let mut salvage = SalvageSink::new(scan.activities.clone());
-    feed_stream_file(path, &mut salvage)?;
-    salvage
-        .into_salvaged()
-        .ok_or_else(|| "stream fold did not complete".to_string())
-}
-
-/// `--from-stream`: bounded-memory passes over the tracefile (scan,
-/// salvage fold, and — when requested — window fold), then the same
-/// report path as the materialized analysis, in the same order, so the
-/// two modes print byte-identical output and fail at the same points.
+/// `--from-stream`: one bounded-memory read of the tracefile into the
+/// salvage fold, whose activity columns grow as extras appear, then
+/// the same report path as the materialized analysis, in the same
+/// order, so the two modes print byte-identical output and fail at the
+/// same points — with one exception: the fold stops at the first error
+/// in stream order, while the materialized mode decodes the whole file
+/// first, so a file with a fold error (a backwards rank clock) followed
+/// by a decode error (a corrupt tail) fails here with the fold error and
+/// there with the decode error. `--windows` needs the makespan before
+/// its fold starts, so a scan rides along with the salvage read and the
+/// window fold reads the file a second time.
 fn run_from_stream(
     parsed: &Parsed,
     path: &str,
@@ -199,8 +193,16 @@ fn run_from_stream(
         "auto" | "binary" => {}
         other => return Err(format!("--from-stream reads binary traces, not {other:?}")),
     }
-    let scan = scan_stream_file(path)?;
-    let salvaged = fold_stream_file(path, &scan)?;
+    let mut scan = ScanSink::new();
+    let mut salvage = SalvageSink::new(ActivitySet::standard());
+    if windows > 0 {
+        feed_stream(path, &mut TeeSink::new(&mut scan, &mut salvage))?;
+    } else {
+        feed_stream(path, &mut salvage)?;
+    }
+    let salvaged = salvage
+        .into_salvaged()
+        .ok_or_else(|| "stream fold did not complete".to_string())?;
     guard_salvage(&salvaged)?;
     let report = build_report(&salvaged.reduced, dispersion, criterion, clusters)?;
     print!(
@@ -209,13 +211,16 @@ fn run_from_stream(
     );
     write_csv(parsed, &report)?;
     if windows > 0 {
-        // Separate pass, placed after the report like the materialized
+        // Separate read, placed after the report like the materialized
         // windows section — a stream that cannot be windowed (e.g. a
         // crash-truncated run) fails here with the batch path's error,
         // after the salvageable part of the analysis has printed.
+        let scan = scan
+            .into_scan()
+            .ok_or_else(|| "stream scan did not complete".to_string())?;
         let mut windowed = WindowSink::new(windows, scan.makespan, scan.activities.clone())
             .map_err(|e| e.to_string())?;
-        feed_stream_file(path, &mut windowed)?;
+        feed_stream(path, &mut windowed)?;
         let sliced = windowed
             .into_windows()
             .ok_or_else(|| "stream fold did not complete".to_string())?;
@@ -238,14 +243,14 @@ pub fn run(argv: &[String]) -> Result<crate::CmdOutcome, String> {
 
     let windows: usize = parsed.get_or("windows", 0)?;
 
-    if path == "-" {
-        // The streamed analysis makes several bounded-memory passes
-        // (scan, fold, optional windows), and stdin only plays once —
-        // spool it to a temp file, analyze that, clean up. Memory
-        // stays bounded; disk holds the trace exactly once.
-        if !parsed.has("from-stream") {
-            return Err("analyze - reads a trace stream from stdin; add --from-stream".into());
-        }
+    if path == "-" && !parsed.has("from-stream") {
+        return Err("analyze - reads a trace stream from stdin; add --from-stream".into());
+    }
+    if path == "-" && windows > 0 {
+        // `--windows` reads the stream a second time, and stdin only
+        // plays once — spool it to a temp file, analyze that, clean
+        // up. Memory stays bounded; disk holds the trace exactly once.
+        // Without windows the analysis decodes stdin directly.
         let spool = std::env::temp_dir().join(format!("limba-stdin-{}.trc", std::process::id()));
         let copy = (|| -> Result<(), String> {
             let mut file = fs::File::create(&spool)
@@ -381,6 +386,34 @@ mod tests {
         fs::write(&path, limba_trace::binary::to_bytes(&b.build())).unwrap();
         let err = run(&[path.to_str().unwrap().to_string()]).unwrap_err();
         assert!(err.contains("unknown region index 4"), "{err}");
+        fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn fold_error_before_a_corrupt_tail_fails_each_mode_at_its_first_error() {
+        // The one input on which the modes' errors differ (see
+        // `run_from_stream`): a backwards clock, then a cut-off end chunk.
+        use limba_trace::{Event, TraceBuilder};
+        let mut b = TraceBuilder::new(1);
+        let r = b.add_region("r");
+        b.push(Event::enter(2.0, 0, r));
+        b.push(Event::leave(1.0, 0, r));
+        b.push(Event::enter(3.0, 0, r));
+        b.push(Event::leave(4.0, 0, r));
+        let bytes = limba_trace::stream::to_stream_bytes(&b.build(), 1).unwrap();
+        let path = std::env::temp_dir().join("limba-backwards-then-corrupt.trc");
+        fs::write(&path, &bytes[..bytes.len() - 3]).unwrap();
+        let path = path.to_str().unwrap().to_string();
+        let materialized = run(std::slice::from_ref(&path)).unwrap_err();
+        let streamed = run(&[path.clone(), "--from-stream".into()]).unwrap_err();
+        assert!(
+            materialized.contains("stream truncated while reading end chunk"),
+            "{materialized}"
+        );
+        assert!(
+            streamed.contains("clock of processor 0 went backwards from 2 to 1"),
+            "{streamed}"
+        );
         fs::remove_file(path).ok();
     }
 

@@ -267,6 +267,30 @@ impl MeasurementsBuilder {
         id
     }
 
+    /// Returns the column of `kind`, first appending it as the last
+    /// column when the builder's set does not have it yet.
+    ///
+    /// Appending re-lays out the recorded cells: each region's block
+    /// gains `P` zeros for the new column, and every recorded value
+    /// keeps its bits. A streaming fold calls this when an activity
+    /// first appears, so its columns come out in first-appearance order
+    /// without a scan of the whole trace up front.
+    pub fn add_activity(&mut self, kind: ActivityKind) -> usize {
+        if let Some(col) = self.activities.column(kind) {
+            return col;
+        }
+        let block = self.activities.len() * self.processors;
+        let mut data = Vec::with_capacity(self.data.len() + self.regions.len() * self.processors);
+        for region in 0..self.regions.len() {
+            data.extend_from_slice(&self.data[region * block..(region + 1) * block]);
+            data.extend(std::iter::repeat_n(0.0, self.processors));
+        }
+        self.data = data;
+        let col = self.activities.len();
+        self.activities = ActivitySet::new(self.activities.iter().chain([kind]));
+        col
+    }
+
     /// Number of regions registered so far.
     pub fn regions(&self) -> usize {
         self.regions.len()
@@ -351,6 +375,7 @@ impl MeasurementsBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::STANDARD_ACTIVITIES;
 
     fn sample() -> Measurements {
         let mut b = MeasurementsBuilder::new(2);
@@ -423,6 +448,88 @@ mod tests {
         assert_eq!(
             m.time(r, ActivityKind::Synchronization, ProcessorId::new(0)),
             4.0
+        );
+    }
+
+    #[test]
+    fn add_activity_keeps_cells_bit_for_bit() {
+        let mut grown = MeasurementsBuilder::new(3);
+        let mut fixed = MeasurementsBuilder::with_activities(
+            3,
+            ActivitySet::new(
+                STANDARD_ACTIVITIES
+                    .into_iter()
+                    .chain([ActivityKind::MemoryAccess, ActivityKind::Io]),
+            ),
+        );
+        for b in [&mut grown, &mut fixed] {
+            b.add_region("a");
+            b.add_region("b");
+        }
+        let (a, r1) = (RegionId::new(0), RegionId::new(1));
+        // Values whose bits a stray add or copy would disturb.
+        let cells = [
+            (a, ActivityKind::Computation, 0, 0.1 + 0.2),
+            (a, ActivityKind::Synchronization, 2, f64::MIN_POSITIVE),
+            (r1, ActivityKind::Collective, 1, 1e300),
+            (r1, ActivityKind::Synchronization, 2, 1.0 / 3.0),
+        ];
+        for (r, k, p, v) in cells {
+            grown.record(r, k, p, v).unwrap();
+            fixed.record(r, k, p, v).unwrap();
+        }
+        assert_eq!(grown.add_activity(ActivityKind::MemoryAccess), 4);
+        grown.record(a, ActivityKind::MemoryAccess, 1, 2.5).unwrap();
+        fixed.record(a, ActivityKind::MemoryAccess, 1, 2.5).unwrap();
+        assert_eq!(grown.add_activity(ActivityKind::Io), 5);
+        grown.record(r1, ActivityKind::Io, 0, 0.75).unwrap();
+        fixed.record(r1, ActivityKind::Io, 0, 0.75).unwrap();
+
+        let (grown, fixed) = (grown.build().unwrap(), fixed.build().unwrap());
+        assert_eq!(grown, fixed);
+        for (r, k, p, v) in cells {
+            let got = grown.time(r, k, ProcessorId::new(p));
+            assert_eq!(got.to_bits(), v.to_bits(), "{k} on p{p}");
+        }
+    }
+
+    #[test]
+    fn add_activity_of_a_present_kind_is_a_no_op() {
+        let mut b = MeasurementsBuilder::new(2);
+        let r = b.add_region("r");
+        b.record(r, ActivityKind::Collective, 1, 4.0).unwrap();
+        assert_eq!(b.add_activity(ActivityKind::Collective), 2);
+        assert_eq!(b.add_activity(ActivityKind::Io), 4);
+        assert_eq!(b.add_activity(ActivityKind::Io), 4);
+        let m = b.build().unwrap();
+        assert_eq!(m.activities().len(), 5);
+        assert_eq!(
+            m.time(r, ActivityKind::Collective, ProcessorId::new(1)),
+            4.0
+        );
+    }
+
+    #[test]
+    fn add_activity_handles_degenerate_shapes() {
+        // No regions yet: growth only changes the set, and regions
+        // added afterwards get the wider block.
+        let mut b = MeasurementsBuilder::new(2);
+        assert_eq!(b.add_activity(ActivityKind::Io), 4);
+        let r = b.add_region("late");
+        b.record(r, ActivityKind::Io, 1, 3.0).unwrap();
+        let m = b.build().unwrap();
+        assert_eq!(m.time(r, ActivityKind::Io, ProcessorId::new(1)), 3.0);
+
+        // One processor.
+        let mut b = MeasurementsBuilder::new(1);
+        let r = b.add_region("r");
+        b.record(r, ActivityKind::Synchronization, 0, 1.5).unwrap();
+        b.add_activity(ActivityKind::MemoryAccess);
+        b.record(r, ActivityKind::MemoryAccess, 0, 0.5).unwrap();
+        let m = b.build().unwrap();
+        assert_eq!(
+            m.activity_vector(r, ProcessorId::new(0)),
+            vec![0.0, 0.0, 0.0, 1.5, 0.5]
         );
     }
 

@@ -2,14 +2,17 @@
 //!
 //! The serving layer never grows a second analysis path. A run's
 //! **final** report is produced by replaying its spool through the
-//! exact sequence `limba analyze --from-stream` runs — scan pass,
-//! salvage fold, the default analyzer, the coverage renderer — so the
+//! exact sequence `limba analyze --from-stream` runs — one salvage
+//! fold (its activity columns grow as extras appear, so no scan pass
+//! comes first), the default analyzer, the coverage renderer — so the
 //! served bytes are byte-for-byte what the offline CLI prints for the
 //! same tracefile. A **partial** report (mid-stream disconnect, live
-//! query) runs the same two passes but closes the folds directly
+//! query) runs the same single pass but closes the fold directly
 //! instead of requiring the stream's end chunk, which is precisely the
 //! salvage repair: truncated ranks are closed at their last event and
-//! flagged in the coverage section.
+//! flagged in the coverage section. Only the **evolution** report
+//! reads its spool twice: a scan for the makespan that fixes the window
+//! width, then the window fold.
 //!
 //! Replay reads the spool in bounded chunks; memory is one chunk
 //! buffer plus fold state, never the trace.
@@ -17,6 +20,7 @@
 use std::path::Path;
 
 use limba_analysis::Analyzer;
+use limba_model::ActivitySet;
 use limba_stats::dispersion::DispersionKind;
 use limba_stats::rank::RankingCriterion;
 use limba_trace::{
@@ -75,30 +79,25 @@ fn feed_spool(
     if strict {
         decoder.finish(sink)?;
     } else {
-        // Close the folds over whatever arrived. ScanSink just seals
-        // its totals; SalvageSink closes every rank's walker at its
-        // last event — the truncation repair.
+        // Close the fold over whatever arrived: SalvageSink closes
+        // every rank's walker at its last event — the truncation
+        // repair.
         sink.finish()?;
     }
     Ok(())
 }
 
-/// Scan pass over the spool.
-fn scan_spool(vfs: &dyn Vfs, path: &Path, strict: bool) -> Result<StreamScan, ServeError> {
+/// Scan pass over a complete spool.
+fn scan_spool(vfs: &dyn Vfs, path: &Path) -> Result<StreamScan, ServeError> {
     let mut scan = ScanSink::new();
-    feed_spool(vfs, path, &mut scan, strict)?;
+    feed_spool(vfs, path, &mut scan, true)?;
     scan.into_scan()
         .ok_or_else(|| ServeError::State("stream scan did not complete".into()))
 }
 
-/// Salvage-fold pass over the spool.
-fn fold_spool(
-    vfs: &dyn Vfs,
-    path: &Path,
-    scan: &StreamScan,
-    strict: bool,
-) -> Result<SalvagedTrace, ServeError> {
-    let mut salvage = SalvageSink::new(scan.activities.clone());
+/// The one salvage-fold pass over the spool.
+fn fold_spool(vfs: &dyn Vfs, path: &Path, strict: bool) -> Result<SalvagedTrace, ServeError> {
+    let mut salvage = SalvageSink::new(ActivitySet::standard());
     feed_spool(vfs, path, &mut salvage, strict)?;
     salvage
         .into_salvaged()
@@ -134,18 +133,16 @@ fn render(salvaged: &SalvagedTrace) -> Result<String, ServeError> {
 /// The final report for a **complete** spool: byte-for-byte what
 /// `limba analyze <spool> --from-stream` prints.
 pub fn complete_report(vfs: &dyn Vfs, spool: &Path) -> Result<String, ServeError> {
-    let scan = scan_spool(vfs, spool, true)?;
-    let salvaged = fold_spool(vfs, spool, &scan, true)?;
+    let salvaged = fold_spool(vfs, spool, true)?;
     guard_salvage(&salvaged)?;
     render(&salvaged)
 }
 
 /// A salvage-grade report over a **partial** spool (disconnected or
-/// still-live run): both passes close their folds at the last decoded
-/// event instead of requiring the end chunk.
+/// still-live run): the pass closes its fold at the last decoded event
+/// instead of requiring the end chunk.
 pub fn partial_report(vfs: &dyn Vfs, spool: &Path) -> Result<String, ServeError> {
-    let scan = scan_spool(vfs, spool, false)?;
-    let salvaged = fold_spool(vfs, spool, &scan, false)?;
+    let salvaged = fold_spool(vfs, spool, false)?;
     guard_salvage(&salvaged)?;
     render(&salvaged)
 }
@@ -154,7 +151,7 @@ pub fn partial_report(vfs: &dyn Vfs, spool: &Path) -> Result<String, ServeError>
 /// complete spool — same pass order and rendering as
 /// `limba analyze --from-stream --windows N`.
 pub fn evolution_report(vfs: &dyn Vfs, spool: &Path, windows: usize) -> Result<String, ServeError> {
-    let scan = scan_spool(vfs, spool, true)?;
+    let scan = scan_spool(vfs, spool)?;
     let mut sink = WindowSink::new(windows, scan.makespan, scan.activities.clone())?;
     feed_spool(vfs, spool, &mut sink, true)?;
     let sliced = sink
@@ -207,6 +204,72 @@ mod tests {
         // A complete spool's partial report matches the final one:
         // nothing needed salvaging.
         assert_eq!(partial_report(&StdVfs, &spool).unwrap(), report);
+        fs::remove_file(&spool).unwrap();
+    }
+
+    /// Four ranks over six iterations of a memory-bound solve and an
+    /// I/O phase: `MemoryAccess` first appears before `Io`, the reverse
+    /// of their canonical order.
+    fn extras_bytes() -> Vec<u8> {
+        use limba_model::{ActivityKind, RegionId};
+        use limba_trace::Event;
+        let (solve, io) = (RegionId::new(0), RegionId::new(1));
+        let mut events = Vec::new();
+        for it in 0..6 {
+            let t = it as f64 * 10.0;
+            for p in 0..4u32 {
+                let skew = f64::from(p) * 0.5;
+                events.extend([
+                    Event::enter(t, p, solve),
+                    Event::begin_activity(t + 1.0, p, ActivityKind::MemoryAccess),
+                    Event::end_activity(t + 2.0 + skew, p, ActivityKind::MemoryAccess),
+                    Event::leave(t + 4.0, p, solve),
+                    Event::enter(t + 4.0, p, io),
+                    Event::begin_activity(t + 5.0, p, ActivityKind::Io),
+                    Event::end_activity(t + 6.0 + skew, p, ActivityKind::Io),
+                    Event::leave(t + 8.0, p, io),
+                ]);
+            }
+        }
+        let mut sink = WriteSink::new(Vec::new());
+        sink.begin(4, &["solve".into(), "io".into()]).unwrap();
+        for frame in events.chunks(3) {
+            sink.events(frame).unwrap();
+        }
+        sink.finish().unwrap();
+        sink.into_inner()
+    }
+
+    /// The materialized render of whatever prefix of `bytes` decodes:
+    /// `reduce_checked` → default analyzer → coverage renderer.
+    fn materialized_report(bytes: &[u8]) -> String {
+        let mut sink = limba_trace::MaterializeSink::new();
+        StreamDecoder::new().feed(bytes, &mut sink).unwrap();
+        sink.finish().unwrap();
+        let trace = sink.into_trace().unwrap();
+        let salvaged = limba_trace::reduce_checked(&trace).unwrap();
+        assert_eq!(salvaged.reduced.measurements.activities().len(), 6);
+        render(&salvaged).unwrap()
+    }
+
+    #[test]
+    fn single_pass_replay_with_extras_equals_the_materialized_render() {
+        let bytes = extras_bytes();
+        let dir = std::env::temp_dir().join(format!("limba-replay-{}", std::process::id()));
+        fs::create_dir_all(&dir).unwrap();
+        let spool = dir.join("extras.trc");
+
+        fs::write(&spool, &bytes).unwrap();
+        let want = materialized_report(&bytes);
+        assert_eq!(complete_report(&StdVfs, &spool).unwrap(), want);
+        assert_eq!(partial_report(&StdVfs, &spool).unwrap(), want);
+
+        let cut = &bytes[..bytes.len() / 2];
+        fs::write(&spool, cut).unwrap();
+        let want = materialized_report(cut);
+        assert!(want.contains("coverage"), "{want}");
+        assert!(complete_report(&StdVfs, &spool).is_err());
+        assert_eq!(partial_report(&StdVfs, &spool).unwrap(), want);
         fs::remove_file(&spool).unwrap();
     }
 

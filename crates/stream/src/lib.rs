@@ -9,15 +9,17 @@
 //! optionally, windowed) while holding only one batch of events plus
 //! the folds' per-rank state:
 //!
-//! * [`stream_reduce`] — the driver the CLI and examples use: a first
-//!   O(1)-memory pass scans the run's makespan and activity set (the
-//!   two facts the reducing folds need up front), then a second pass
-//!   folds the events into the salvaged and optional windowed
-//!   reductions. The simulator is deterministic, so both passes see the
-//!   identical event stream.
+//! * [`stream_reduce`] — the driver the CLI and examples use. It
+//!   simulates once, folding the events into the salvaged reduction
+//!   (whose activity columns grow as extras first appear) while a scan
+//!   records the makespan, activity set and totals alongside. Only a
+//!   windowed request simulates twice: the window width needs the
+//!   makespan before the first event is folded, so a scan-only run
+//!   comes first, and the deterministic simulator replays the
+//!   identical event stream for the folds.
 //! * [`stream_reduce_tee`] — the same, with an extra sink (e.g. a
-//!   [`WriteSink`] persisting the chunked tracefile) fed the second
-//!   pass's events alongside the folds.
+//!   [`WriteSink`] persisting the chunked tracefile) fed the folding
+//!   run's events alongside the folds.
 //!
 //! Results are **bit-identical** to the materialized path — the folds
 //! drive the same per-rank attribution state machines over the same
@@ -36,6 +38,7 @@
 
 use std::fmt;
 
+use limba_model::ActivitySet;
 use limba_mpisim::{BalancePlan, FaultPlan, Program, RunBudget, SimError, Simulator, StreamOutput};
 use limba_trace::stream::StreamScan;
 use limba_trace::{
@@ -119,20 +122,22 @@ pub struct StreamedReduction {
     /// for them — identical to the materialized
     /// [`reduce_windows`](limba_trace::reduce_windows).
     pub windows: Option<Vec<ReducedTrace>>,
-    /// The first pass's scan: makespan, activity set, event count.
+    /// The run's scan: makespan, activity set, event count — the same
+    /// whether it rode along with the folds or ran first for windows.
     pub scan: StreamScan,
 }
 
 /// The streaming driver: simulate → salvaged (and optionally windowed)
 /// reduction, never materializing the trace.
 ///
-/// Two passes, exploiting the simulator's determinism (both see the
-/// identical event stream):
-///
-/// 1. an O(1)-memory pass through a [`ScanSink`], learning the makespan
-///    and activity set the reducing folds need at construction;
-/// 2. a pass feeding the events straight into the [`SalvageSink`] (and
-///    [`WindowSink`]) folds, one batch of `frame_events` at a time.
+/// Without [`StreamConfig::windows`] the program is simulated once:
+/// each batch of `frame_events` events goes straight into a
+/// [`ScanSink`] and a standard-seeded [`SalvageSink`], which appends
+/// the extra activities' columns as they first appear. With windows,
+/// the [`WindowSink`] needs the makespan at construction, so an
+/// O(1)-memory scan-only run comes first and the folds run on a
+/// second; the simulator's determinism makes both see the identical
+/// event stream.
 ///
 /// The results are bit-identical to materializing the trace and
 /// reducing it, per the differential harness.
@@ -155,12 +160,12 @@ pub fn stream_reduce(
     stream_reduce_tee(sim, program, faults, balance, budget, cfg, None)
 }
 
-/// [`stream_reduce`] with an optional tee: the second pass feeds the
+/// [`stream_reduce`] with an optional tee: the folding run feeds the
 /// identical event stream into `tee` as well — e.g. a
 /// [`WriteSink`](limba_trace::WriteSink) persisting the chunked
 /// tracefile while the reduction folds it, still without ever
-/// materializing the trace. The first (scan) pass does not touch the
-/// tee, so the tee sees the stream exactly once.
+/// materializing the trace. A windowed request's scan-only run does
+/// not touch the tee, so the tee sees the stream exactly once.
 ///
 /// # Errors
 ///
@@ -188,42 +193,45 @@ pub fn stream_reduce_tee(
         )
     };
 
-    // Pass 1: scan.
+    // Sink errors latch in the engine and surface as `SimError::Trace`;
+    // they are the stream's failure, not the run's.
+    let fold = |folds: &mut dyn TraceSink| {
+        let result = match tee {
+            Some(tee) => run(&mut TeeSink::new(tee, folds)),
+            None => run(folds),
+        };
+        result.map_err(|e| match e {
+            SimError::Trace(te) => StreamError::Trace(te),
+            e => StreamError::Sim(e),
+        })
+    };
+
+    let mut salvage = SalvageSink::new(ActivitySet::standard());
     let mut scan_sink = ScanSink::new();
-    run(&mut scan_sink)?;
-    let scan = scan_sink.into_scan().ok_or_else(|| unfinished("scan"))?;
-
-    // Pass 2: fold. Sink errors latch in the engine and surface as
-    // `SimError::Trace`; they are the stream's failure, not the run's.
-    let mut salvage = SalvageSink::new(scan.activities.clone());
-    let mut windowed = match cfg.windows {
-        Some(w) => Some(WindowSink::new(w, scan.makespan, scan.activities.clone())?),
-        None => None,
-    };
-    let mut both;
-    let folds: &mut dyn TraceSink = match &mut windowed {
-        Some(ws) => {
-            both = TeeSink::new(&mut salvage, ws);
-            &mut both
+    let (output, scan, windows) = match cfg.windows {
+        // One run: the scan rides along with the salvage fold, which
+        // grows its activity columns as extras appear.
+        None => {
+            let output = fold(&mut TeeSink::new(&mut scan_sink, &mut salvage))?;
+            let scan = scan_sink.into_scan().ok_or_else(|| unfinished("scan"))?;
+            (output, scan, None)
         }
-        None => &mut salvage,
+        // The window width comes from the makespan: scan on a first
+        // run, fold on a second.
+        Some(w) => {
+            run(&mut scan_sink)?;
+            let scan = scan_sink.into_scan().ok_or_else(|| unfinished("scan"))?;
+            let mut windowed = WindowSink::new(w, scan.makespan, scan.activities.clone())?;
+            let output = fold(&mut TeeSink::new(&mut salvage, &mut windowed))?;
+            let windows = windowed
+                .into_windows()
+                .ok_or_else(|| unfinished("window fold"))?;
+            (output, scan, Some(windows))
+        }
     };
-    let result = match tee {
-        Some(tee) => run(&mut TeeSink::new(tee, folds)),
-        None => run(folds),
-    };
-    let output = result.map_err(|e| match e {
-        SimError::Trace(te) => StreamError::Trace(te),
-        e => StreamError::Sim(e),
-    })?;
-
     let salvaged = salvage
         .into_salvaged()
         .ok_or_else(|| unfinished("salvage fold"))?;
-    let windows = match windowed {
-        Some(ws) => Some(ws.into_windows().ok_or_else(|| unfinished("window fold"))?),
-        None => None,
-    };
     Ok(StreamedReduction {
         output,
         salvaged,
@@ -299,6 +307,32 @@ mod tests {
                 assert_eq!(s.measurements, b.measurements);
                 assert_eq!(s.counts, b.counts);
             }
+        }
+    }
+
+    #[test]
+    fn the_teed_scan_equals_a_standalone_scan_pass() {
+        let ranks = 6;
+        let sim = machine(ranks);
+        let program = sample_program(ranks);
+        let mut alone = ScanSink::new();
+        sim.run_streaming_parallel_configured(&program, None, None, None, 1, &mut alone, 5)
+            .expect("scan run");
+        let alone = alone.into_scan().expect("finished scan");
+        for windows in [None, Some(3)] {
+            let cfg = StreamConfig {
+                frame_events: 5,
+                windows,
+                ..StreamConfig::default()
+            };
+            let scan = stream_reduce(&sim, &program, None, None, None, &cfg)
+                .expect("streamed")
+                .scan;
+            assert_eq!(scan.makespan.to_bits(), alone.makespan.to_bits());
+            assert_eq!(scan.activities, alone.activities);
+            assert_eq!(scan.events, alone.events);
+            assert_eq!(scan.processors, alone.processors);
+            assert_eq!(scan.region_names, alone.region_names);
         }
     }
 

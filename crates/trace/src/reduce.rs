@@ -228,8 +228,9 @@ fn walk_processor<F: FnMut(Attribution)>(events: &[Event], mut sink: F) {
 /// standard four are seeded by the caller, extras append in
 /// first-appearance order. [`trace_activities`] folds a materialized
 /// trace through this; the streaming scan ([`crate::stream`]) folds the
-/// live event stream through the same function, so both discover the
-/// identical [`ActivitySet`].
+/// live event stream through the same function, and the full-run folds
+/// grow a column at the same `BeginActivity` events, so all three
+/// discover the identical [`ActivitySet`].
 pub(crate) fn note_activity(kinds: &mut Vec<ActivityKind>, e: &Event) {
     if let EventPayload::BeginActivity { kind } = e.payload {
         if !kinds.contains(&kind) {

@@ -1101,21 +1101,24 @@ pub fn to_stream_bytes(trace: &Trace, frame_events: usize) -> Result<Bytes, Trac
 // Folds
 // ---------------------------------------------------------------------
 
-/// What one O(1)-memory pass over a stream learns: everything the
-/// reducing folds need to be constructed — the run's makespan (window
-/// width) and its activity set (matrix columns), both of which the
-/// materialized path reads off the whole trace up front.
+/// What one O(1)-memory pass over a stream learns: its makespan, its
+/// activity set, and its event, processor and region totals.
 ///
-/// Produced by [`ScanSink`]; the streaming pipeline's first pass. The
-/// simulator being deterministic (and a stored stream being static),
-/// the second pass sees the identical events.
+/// Produced by [`ScanSink`]. Of the folds, only [`WindowSink`] needs a
+/// scan before it can be built, because its window width comes from
+/// the makespan; a windowed run therefore scans first, and the
+/// deterministic simulator (or a stored stream) replays the identical
+/// events for the second pass. The full-run folds grow their activity
+/// columns as they go, so elsewhere the scan simply rides along in a
+/// [`TeeSink`] with them.
 #[derive(Debug, Clone)]
 pub struct StreamScan {
     /// Largest event timestamp — identical to the materialized
     /// makespan fold in [`reduce_windows`](crate::reduce_windows).
     pub makespan: f64,
     /// The paper's standard four activities plus extras in
-    /// first-appearance order — identical to the materialized scan.
+    /// first-appearance order — identical to the materialized scan and
+    /// to the columns a standard-seeded [`SalvageSink`] grows.
     pub activities: ActivitySet,
     /// Total events seen.
     pub events: u64,
@@ -1125,8 +1128,9 @@ pub struct StreamScan {
     pub region_names: Vec<String>,
 }
 
-/// First-pass scan: folds a stream into a [`StreamScan`] in O(1) memory
-/// (plus the region name table).
+/// Scan fold: folds a stream into a [`StreamScan`] in O(1) memory
+/// (plus the region name table) — a windowed run's first pass, or a
+/// tee alongside the full-run folds.
 #[derive(Debug, Default)]
 pub struct ScanSink {
     makespan: f64,
@@ -1188,15 +1192,13 @@ impl TraceSink for ScanSink {
     }
 }
 
-/// Shared plumbing of the reducing folds: the measurement and count
-/// builders plus the per-rank walkers' monotonicity bookkeeping.
+/// Shared plumbing of the full-run folds: the measurement and count
+/// builders, whose activity columns start from a seed set and grow as
+/// extras appear (see [`grow_columns`]).
 struct FoldCore {
     activities: ActivitySet,
     mb: Option<MeasurementsBuilder>,
     cb: Option<CountMatrixBuilder>,
-    /// Last timestamp per rank — streaming cannot sort, so each rank's
-    /// stream must arrive time-ordered (every in-repo writer's order).
-    last_time: Vec<f64>,
 }
 
 impl FoldCore {
@@ -1205,7 +1207,6 @@ impl FoldCore {
             activities,
             mb: None,
             cb: None,
-            last_time: Vec::new(),
         }
     }
 
@@ -1217,8 +1218,28 @@ impl FoldCore {
         }
         self.mb = Some(mb);
         self.cb = Some(CountMatrixBuilder::new(processors));
-        self.last_time = vec![f64::NEG_INFINITY; processors];
         Ok(())
+    }
+
+    /// Both builders, once [`begin`](Self::begin) has run.
+    fn builders(
+        &mut self,
+    ) -> Result<(&mut MeasurementsBuilder, &mut CountMatrixBuilder), TraceError> {
+        match (self.mb.as_mut(), self.cb.as_mut()) {
+            (Some(mb), Some(cb)) => Ok((mb, cb)),
+            _ => Err(malformed("events before begin")),
+        }
+    }
+}
+
+/// Gives the activity `e` begins a matrix column if it has none yet.
+/// The folds call this before their walker steps `e`, so the columns
+/// end up in the order the batch path's activity scan lists them: the
+/// seed set, then each extra at its first `BeginActivity` in recording
+/// order.
+fn grow_columns(mb: &mut MeasurementsBuilder, e: &Event) {
+    if let EventPayload::BeginActivity { kind } = e.payload {
+        mb.add_activity(kind);
     }
 }
 
@@ -1277,9 +1298,9 @@ impl StrictRanks {
 /// a panic. For lenient salvage of truncated streams use
 /// [`SalvageSink`].
 ///
-/// Construct it with the stream's [`ActivitySet`] (from a first-pass
-/// [`ScanSink`]); the materialized path reads the set off the whole
-/// trace, which a stream cannot.
+/// Like [`SalvageSink`], it needs no scan pass: its activity columns
+/// start from a seed set and grow as extras appear, in the batch path's
+/// order.
 pub struct ReduceSink {
     core: FoldCore,
     ranks: StrictRanks,
@@ -1287,8 +1308,8 @@ pub struct ReduceSink {
 }
 
 impl ReduceSink {
-    /// Creates the fold for a stream using `activities` (the scan
-    /// pass's [`StreamScan::activities`]).
+    /// Creates the fold with `activities` as its seed columns; see
+    /// [`SalvageSink::new`].
     pub fn new(activities: ActivitySet) -> Self {
         ReduceSink {
             core: FoldCore::new(activities),
@@ -1311,13 +1332,9 @@ impl TraceSink for ReduceSink {
     }
 
     fn events(&mut self, events: &[Event]) -> Result<(), TraceError> {
-        let mb = self
-            .core
-            .mb
-            .as_mut()
-            .ok_or_else(|| malformed("events before begin"))?;
-        let cb = self.core.cb.as_mut().expect("begin created both builders");
+        let (mb, cb) = self.core.builders()?;
         for e in events {
+            grow_columns(mb, e);
             let mut tally = Tally::new(mb, cb, e.proc);
             self.ranks.step(e, &mut |a| tally.record(a))?;
             tally.finish()?;
@@ -1474,18 +1491,25 @@ impl TraceSink for WindowSink {
 pub struct SalvageSink {
     core: FoldCore,
     walkers: Vec<SalvageWalker>,
+    /// Last timestamp per rank — streaming cannot sort, so each rank's
+    /// stream must arrive time-ordered (every in-repo writer's order).
+    last_time: Vec<f64>,
     /// Recording-order index of the next event (spans batches).
     index: usize,
     result: Option<SalvagedTrace>,
 }
 
 impl SalvageSink {
-    /// Creates the fold for a stream using `activities` (the scan
-    /// pass's [`StreamScan::activities`]).
+    /// Creates the fold with `activities` as its seed columns. Extras
+    /// the stream begins are appended on first appearance, so
+    /// [`ActivitySet::standard`] gives exactly the batch path's set in
+    /// one pass; a scan pass's full [`StreamScan::activities`] gives
+    /// the same result.
     pub fn new(activities: ActivitySet) -> Self {
         SalvageSink {
             core: FoldCore::new(activities),
             walkers: Vec::new(),
+            last_time: Vec::new(),
             index: 0,
             result: None,
         }
@@ -1503,16 +1527,12 @@ impl TraceSink for SalvageSink {
         self.walkers = (0..processors)
             .map(|proc| SalvageWalker::new(proc as u32, region_names.len()))
             .collect();
+        self.last_time = vec![f64::NEG_INFINITY; processors];
         Ok(())
     }
 
     fn events(&mut self, events: &[Event]) -> Result<(), TraceError> {
-        let mb = self
-            .core
-            .mb
-            .as_mut()
-            .ok_or_else(|| malformed("events before begin"))?;
-        let cb = self.core.cb.as_mut().expect("begin created both builders");
+        let (mb, cb) = self.core.builders()?;
         for e in events {
             let index = self.index;
             self.index += 1;
@@ -1528,7 +1548,7 @@ impl TraceSink for SalvageSink {
                     ),
                 });
             };
-            let last = &mut self.core.last_time[e.proc as usize];
+            let last = &mut self.last_time[e.proc as usize];
             if e.time < *last {
                 return Err(TraceError::NonMonotoneTime {
                     proc: e.proc,
@@ -1537,6 +1557,7 @@ impl TraceSink for SalvageSink {
                 });
             }
             *last = e.time;
+            grow_columns(mb, e);
             let mut tally = Tally::new(mb, cb, e.proc);
             walker.step(index, e, &mut |a| tally.record(a))?;
             tally.finish()?;
@@ -1903,6 +1924,71 @@ mod tests {
             assert_eq!(streamed.coverage, batch.coverage);
             assert_eq!(streamed.reduced.measurements, batch.reduced.measurements);
             assert_eq!(streamed.reduced.counts, batch.reduced.counts);
+        }
+    }
+
+    /// Three ranks using both extra activities, `MemoryAccess` first —
+    /// the reverse of their canonical order. With `truncate`, rank 2
+    /// stops inside its open `Io` activity.
+    fn extras_trace(truncate: bool) -> Trace {
+        let mut b = TraceBuilder::new(3);
+        let solver = b.add_region("solver");
+        let exchange = b.add_region("exchange");
+        b.push(Event::enter(0.0, 0, solver));
+        b.push(Event::enter(0.0, 1, solver));
+        b.push(Event::begin_activity(0.5, 0, ActivityKind::MemoryAccess));
+        b.push(Event::begin_activity(0.25, 1, ActivityKind::Collective));
+        b.push(Event::end_activity(1.0, 0, ActivityKind::MemoryAccess));
+        b.push(Event::enter(0.0, 2, exchange));
+        b.push(Event::begin_activity(0.5, 2, ActivityKind::Io));
+        b.push(Event::end_activity(1.0, 1, ActivityKind::Collective));
+        b.push(Event::message_send(1.1, 1, 2, 512));
+        b.push(Event::begin_activity(1.25, 0, ActivityKind::Io));
+        b.push(Event::end_activity(1.5, 0, ActivityKind::Io));
+        if !truncate {
+            b.push(Event::end_activity(2.0, 2, ActivityKind::Io));
+        }
+        b.push(Event::leave(2.0, 0, solver));
+        b.push(Event::leave(2.5, 1, solver));
+        if !truncate {
+            b.push(Event::leave(3.0, 2, exchange));
+        }
+        b.build()
+    }
+
+    #[test]
+    fn standard_seeded_folds_grow_extras_like_the_batch_path() {
+        let grown = [
+            STANDARD_ACTIVITIES.as_slice(),
+            &[ActivityKind::MemoryAccess, ActivityKind::Io],
+        ]
+        .concat();
+        let complete = extras_trace(false);
+        let truncated = extras_trace(true);
+        let strict = reduce_well_formed(&complete).unwrap();
+        assert_eq!(strict.measurements.activities().as_slice(), grown);
+        for t in [&complete, &truncated] {
+            let batch = reduce_checked(t).unwrap();
+            assert_eq!(batch.reduced.measurements.activities().as_slice(), grown);
+            for frame in [1, 2, 3, 100] {
+                let mut fold = SalvageSink::new(ActivitySet::standard());
+                stream_trace(t, frame, &mut fold);
+                let streamed = fold.into_salvaged().unwrap();
+                assert_eq!(streamed.coverage, batch.coverage, "frame {frame}");
+                assert_eq!(
+                    streamed.reduced.measurements, batch.reduced.measurements,
+                    "frame {frame}"
+                );
+                assert_eq!(streamed.reduced.counts, batch.reduced.counts);
+            }
+        }
+        assert!(!reduce_checked(&truncated).unwrap().is_complete());
+        for frame in [1, 2, 3, 100] {
+            let mut fold = ReduceSink::new(ActivitySet::standard());
+            stream_trace(&complete, frame, &mut fold);
+            let streamed = fold.into_reduced().unwrap();
+            assert_eq!(streamed.measurements, strict.measurements, "frame {frame}");
+            assert_eq!(streamed.counts, strict.counts);
         }
     }
 

@@ -3,11 +3,11 @@
 //! identically however its bytes are split, and reduction conserves
 //! time exactly.
 
-use limba::model::ActivityKind;
+use limba::model::{ActivityKind, ActivitySet};
 use limba::trace::stream;
 use limba::trace::{
-    binary, reduce, reduce_windows, text, Event, MaterializeSink, ReducedTrace, ScanSink,
-    StreamDecoder, Trace, TraceBuilder, TraceError, TraceSink, WindowSink,
+    binary, reduce, reduce_checked, reduce_windows, text, Event, MaterializeSink, ReducedTrace,
+    SalvageSink, ScanSink, StreamDecoder, Trace, TraceBuilder, TraceError, TraceSink, WindowSink,
 };
 use proptest::prelude::*;
 
@@ -19,11 +19,11 @@ fn trace_strategy() -> impl Strategy<Value = Trace> {
     let regions = 1usize..4;
     let visits = proptest::collection::vec(
         (
-            0usize..4,                       // region index (mod regions)
-            0.0f64..10.0,                    // start offset
-            0.01f64..5.0,                    // duration
-            proptest::option::of(0usize..4), // activity kind index
-            proptest::bool::ANY,             // emit a message?
+            0usize..4,                                        // region index (mod regions)
+            0.0f64..10.0,                                     // start offset
+            0.01f64..5.0,                                     // duration
+            proptest::option::of(0..ActivityKind::ALL.len()), // activity kind index
+            proptest::bool::ANY,                              // emit a message?
         ),
         0..12,
     );
@@ -182,6 +182,36 @@ proptest! {
         }
     }
 
+    // One pass, no scan: a salvage fold seeded with the standard four
+    // activities grows the extras' columns as they first appear, so it
+    // equals the batch salvage on any prefix of any recording — extras
+    // in any order, ranks cut inside an open activity included. The
+    // recording is streamed in its own order twice: as the generator
+    // wrote it (rank by rank) and re-recorded in time order (ranks
+    // interleaved within every frame).
+    #[test]
+    fn standard_seeded_salvage_pass_matches_reduce_checked(
+        (trace, cut, frame) in trace_strategy().prop_flat_map(|t| {
+            let n = t.events().len();
+            (Just(t), 0usize..n + 1, 1usize..9)
+        })
+    ) {
+        for recording in [rank_sorted(&trace), time_ordered(&trace)] {
+            let prefix = rebuild(&recording, cut, None);
+            let batch = reduce_checked(&prefix).expect("truncation damage is salvageable");
+            let mut fold = SalvageSink::new(ActivitySet::standard());
+            fold.begin(prefix.processors(), prefix.region_names()).unwrap();
+            for events in prefix.events().chunks(frame) {
+                fold.events(events).unwrap();
+            }
+            fold.finish().unwrap();
+            let streamed = fold.into_salvaged().expect("finished fold");
+            prop_assert_eq!(&streamed.coverage, &batch.coverage);
+            prop_assert_eq!(&streamed.reduced.measurements, &batch.reduced.measurements);
+            prop_assert_eq!(&streamed.reduced.counts, &batch.reduced.counts);
+        }
+    }
+
     // -----------------------------------------------------------------
     // Frame-boundary fuzz: the chunked stream container must decode
     // identically however its bytes are split across feeds — frame and
@@ -241,6 +271,7 @@ proptest! {
     fn windowed_reduction_matches_on_both_paths(
         (trace, windows) in trace_strategy().prop_flat_map(|t| (Just(t), 1usize..6))
     ) {
+        let trace = time_ordered(&trace);
         match (reduce_windows(&trace, windows), stream_windows(&trace, windows)) {
             (Ok(batch), Ok(streamed)) => assert_windows_match(&batch, &streamed),
             (Err(b), Err(s)) => prop_assert_eq!(b.to_string(), s.to_string()),
@@ -305,6 +336,40 @@ fn replay(trace: &Trace, sink: &mut dyn TraceSink) -> Result<(), TraceError> {
         sink.events(batch)?;
     }
     sink.finish()
+}
+
+/// `trace` re-recorded in global time order (stable): the order
+/// [`replay`] delivers events in, with ranks interleaved. The generator
+/// records rank by rank, so extras first appear in a different order in
+/// its recording than in the replayed stream; re-recording makes the two
+/// orders equal, so the batch path's activity scan (recording order) and
+/// a streamed fold see the extras in the same order.
+fn time_ordered(trace: &Trace) -> Trace {
+    rerecord(trace, |a, b| a.time.total_cmp(&b.time))
+}
+
+/// `trace` re-recorded rank by rank, each rank's events in time order:
+/// the generator's own layout, minus its one liberty (it records a
+/// message after the activity interval it falls inside, a backwards
+/// clock the streaming folds reject).
+fn rank_sorted(trace: &Trace) -> Trace {
+    rerecord(trace, |a, b| {
+        a.proc.cmp(&b.proc).then(a.time.total_cmp(&b.time))
+    })
+}
+
+/// `trace` with its events stably sorted by `order`.
+fn rerecord(trace: &Trace, order: impl Fn(&Event, &Event) -> std::cmp::Ordering) -> Trace {
+    let mut events = trace.events().to_vec();
+    events.sort_by(order);
+    let mut b = TraceBuilder::new(trace.processors());
+    for name in trace.region_names() {
+        b.add_region(name.clone());
+    }
+    for event in events {
+        b.push(event);
+    }
+    b.build()
 }
 
 /// The streamed counterpart of [`reduce_windows`]: scan pass for the
