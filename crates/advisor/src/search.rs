@@ -6,8 +6,9 @@
 //! path), keeps the `beam_width` best per depth, extends them with
 //! compatible interventions up to `max_depth`, and stops when the
 //! prediction `budget` is exhausted. The top `top_k` combos by
-//! predicted makespan are then handed to the verification stage, and
-//! the advice is ranked by *measured* makespan.
+//! predicted makespan — plus the best balancing combo when none of them
+//! balances — are then handed to the verification stage, and the advice
+//! is ranked by *measured* makespan.
 //!
 //! Determinism: combos are evaluated through [`limba_par::par_map`]
 //! (input-order result slots), every ranking tie-breaks on the combo's
@@ -115,8 +116,11 @@ impl Advisor {
 
     /// Sets the prediction budget: the maximum number of combos the
     /// search evaluates analytically. The budget caps *predictions*,
-    /// not simulations — verification always runs exactly
-    /// `2 × min(top_k, evaluated)` simulations.
+    /// not simulations — verification runs one event-engine simulation
+    /// per verified candidate: the top `min(top_k, evaluated)` combos,
+    /// plus the reserved balancing slot when none of them carries a
+    /// balancing intervention but a lower-ranked combo does (a
+    /// [`VerifyCache`] hit replaces its simulation).
     pub fn with_budget(mut self, budget: usize) -> Self {
         self.budget = budget.max(1);
         self
@@ -218,16 +222,24 @@ impl Advisor {
             .makespan;
         let model = BaselineModel::new(scenario, baseline_makespan);
         let catalog = propose(scenario);
+        // A signature prints every per-rank factor of a split, so each
+        // is built once; the search carries combos as signature-sorted
+        // index lists into the catalog.
+        let signatures: Vec<String> = catalog.iter().map(Intervention::signature).collect();
+        let combo_signature = |combo: &[usize]| {
+            let mut sigs: Vec<&str> = combo.iter().map(|&i| signatures[i].as_str()).collect();
+            sigs.sort_unstable();
+            sigs.join(" + ")
+        };
 
         // Beam search under the prediction budget.
         let mut evaluated = 0usize;
         let mut seen: BTreeSet<String> = BTreeSet::new();
-        let mut scored: Vec<(String, Vec<Intervention>, Prediction)> = Vec::new();
-        let mut frontier: Vec<Vec<Intervention>> =
-            catalog.iter().map(|i| vec![i.clone()]).collect();
+        let mut scored: Vec<(String, Vec<usize>, Prediction)> = Vec::new();
+        let mut frontier: Vec<Vec<usize>> = (0..catalog.len()).map(|i| vec![i]).collect();
         for _depth in 0..self.max_depth {
             self.check_cancelled("beam search")?;
-            let mut batch: Vec<(String, Vec<Intervention>)> = Vec::new();
+            let mut batch: Vec<(String, Vec<usize>)> = Vec::new();
             for combo in frontier.drain(..) {
                 if evaluated + batch.len() >= self.budget {
                     break;
@@ -241,7 +253,7 @@ impl Advisor {
                 break;
             }
             let predictions = par_map(self.jobs, &batch, |_, (_, combo)| {
-                apply_combo(scenario, combo)
+                apply_combo(scenario, combo.iter().map(|&i| &catalog[i]))
                     .ok()
                     .map(|cand| model.predict(&cand))
             });
@@ -255,19 +267,22 @@ impl Advisor {
                 break;
             }
             // Extend the beam with every slot-compatible intervention.
-            let mut beam: Vec<&(String, Vec<Intervention>, Prediction)> = scored.iter().collect();
+            let mut beam: Vec<&(String, Vec<usize>, Prediction)> = scored.iter().collect();
             beam.sort_by(|a, b| rank_predicted(a, b));
             beam.truncate(self.beam_width);
             frontier = beam
                 .iter()
                 .flat_map(|(_, combo, _)| {
-                    catalog
-                        .iter()
-                        .filter(|i| combo.iter().all(|c| c.slot() != i.slot()))
+                    (0..catalog.len())
+                        .filter(|&i| {
+                            combo
+                                .iter()
+                                .all(|&c| catalog[c].slot() != catalog[i].slot())
+                        })
                         .map(|i| {
                             let mut extended = combo.clone();
-                            extended.push(i.clone());
-                            extended.sort_by_key(|i| i.signature());
+                            extended.push(i);
+                            extended.sort_by(|&a, &b| signatures[a].cmp(&signatures[b]));
                             extended
                         })
                         .collect::<Vec<_>>()
@@ -283,10 +298,10 @@ impl Advisor {
         // static refactors it competes with.
         self.check_cancelled("candidate ranking")?;
         scored.sort_by(rank_predicted);
-        let has_balance = |combo: &[Intervention]| {
+        let has_balance = |combo: &[usize]| {
             combo
                 .iter()
-                .any(|i| matches!(i, Intervention::EnableBalancing { .. }))
+                .any(|&i| matches!(catalog[i], Intervention::EnableBalancing { .. }))
         };
         let reserved = if scored
             .iter()
@@ -303,6 +318,13 @@ impl Advisor {
         };
         scored.truncate(self.top_k);
         scored.extend(reserved);
+        let scored: Vec<(String, Vec<Intervention>, Prediction)> = scored
+            .into_iter()
+            .map(|(signature, combo, prediction)| {
+                let combo = combo.iter().map(|&i| catalog[i].clone()).collect();
+                (signature, combo, prediction)
+            })
+            .collect();
         let batch_analyzer = BatchAnalyzer::new(self.analyzer.clone())
             .with_jobs(self.jobs)
             .with_cache(ReportCache::new());
@@ -395,8 +417,8 @@ impl Advisor {
 /// (simpler combos win exact ties — a combo whose extra intervention
 /// predicts no change must not outrank its base), then signature.
 fn rank_predicted(
-    a: &(String, Vec<Intervention>, Prediction),
-    b: &(String, Vec<Intervention>, Prediction),
+    a: &(String, Vec<usize>, Prediction),
+    b: &(String, Vec<usize>, Prediction),
 ) -> std::cmp::Ordering {
     a.2.makespan
         .total_cmp(&b.2.makespan)
@@ -404,15 +426,11 @@ fn rank_predicted(
         .then(a.0.cmp(&b.0))
 }
 
-/// Canonical identity of a combo: its sorted intervention signatures.
-fn combo_signature(combo: &[Intervention]) -> String {
-    let mut sigs: Vec<String> = combo.iter().map(Intervention::signature).collect();
-    sigs.sort();
-    sigs.join(" + ")
-}
-
 /// Applies a combo in its canonical order.
-fn apply_combo(scenario: &Scenario, combo: &[Intervention]) -> Result<Scenario, AdviseError> {
+fn apply_combo<'a>(
+    scenario: &Scenario,
+    combo: impl IntoIterator<Item = &'a Intervention>,
+) -> Result<Scenario, AdviseError> {
     let mut current = scenario.clone();
     for intervention in combo {
         current = intervention.apply(&current)?;

@@ -8,15 +8,15 @@
 //! finishes when both its local remainder and the offloaded chunks
 //! (including deterministic migration transfer costs) are done.
 //!
-//! Three concrete [`BalancePolicy`] implementations are provided:
+//! Three policies are provided:
 //!
-//! * [`WorkStealing`] — threshold-triggered: a rank whose projected
+//! * work stealing — threshold-triggered: a rank whose projected
 //!   cumulative load exceeds `threshold ×` the mean sheds its excess to
 //!   the least-loaded alive rank;
-//! * [`Diffusion`] — nearest-neighbor flow over the machine's network
+//! * diffusion — nearest-neighbor flow over the machine's network
 //!   topology (the link-override graph when one is configured, a ring
 //!   otherwise), after Demirel & Sbalzarini's diffusion scheme;
-//! * [`Anticipatory`] — driven by the windowed least-squares trend
+//! * anticipatory — driven by the windowed least-squares trend
 //!   detector ([`limba_stats::describe::least_squares_slope`], the same
 //!   engine behind the imbalance-evolution analysis): a rank whose load
 //!   is *trending* away from the pack sheds work before the imbalance
@@ -45,6 +45,21 @@
 //! as a migration target, and work a rank donated before crashing was
 //! executed exactly once on the target — accounted in the
 //! [`BalanceReport`], never resurrected.
+//!
+//! # Cost
+//!
+//! The load accounts keep their aggregates current as loads change
+//! rather than rescanning every rank per compute op: the alive set is
+//! rebuilt only when a rank crashes, the warmup gate tracks the minimum
+//! sample count and how many alive ranks sit at it, and the
+//! least-loaded target is a query on a min tournament tree. Two sums
+//! stay O(P) — the alive-mean load (once per stealing decision, and per
+//! anticipatory trend sample) and the anticipatory mean op cost —
+//! because they must round exactly like a left-to-right sum in rank
+//! order, which no running total reproduces. Diffusion costs
+//! O(degree + log P) per compute op, stealing O(log P) plus one sum.
+
+use std::cmp::Ordering;
 
 use crate::config::MachineConfig;
 use crate::error::SimError;
@@ -62,11 +77,11 @@ pub const DEFAULT_PAYLOAD_BYTES_PER_SECOND: f64 = 1e6;
 
 /// One proposed migration: `seconds` of nominal work to `target`.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Move {
+pub(crate) struct Move {
     /// Receiving rank.
-    pub target: usize,
+    target: usize,
     /// Nominal (pre-speed) seconds of work to move.
-    pub seconds: f64,
+    seconds: f64,
 }
 
 /// A rebalancing policy: decides, at each compute-op boundary, which
@@ -77,7 +92,7 @@ pub struct Move {
 /// Implementations must be pure functions of the [`LoadView`] — no
 /// interior mutability, no ambient randomness — or the two engines
 /// diverge and every differential test fails.
-pub trait BalancePolicy {
+pub(crate) trait BalancePolicy {
     /// Short policy name used in reports, signatures, and TOML.
     fn name(&self) -> &'static str;
 
@@ -85,7 +100,7 @@ pub trait BalancePolicy {
     /// `donor` is about to execute. Targets must be alive and distinct
     /// from the donor; proposals exceeding the op's work are clamped by
     /// the executor.
-    fn decide(&self, donor: usize, nominal: f64, view: &LoadView<'_>) -> Vec<Move>;
+    fn decide(&self, donor: usize, nominal: f64, view: &dyn LoadView) -> Vec<Move>;
 }
 
 /// Threshold-triggered work stealing: when the donor's projected
@@ -93,12 +108,12 @@ pub trait BalancePolicy {
 /// (capped at `max_fraction` of the op) moves to the least-loaded alive
 /// rank, ties broken by a SplitMix64 hash of the decision coordinates.
 #[derive(Debug, Clone, PartialEq)]
-pub struct WorkStealing {
+pub(crate) struct WorkStealing {
     /// Relative trigger: a projected load above `threshold × mean`
     /// sheds work. Must be ≥ 1.
-    pub threshold: f64,
+    threshold: f64,
     /// Cap on the migrated fraction of one compute op, in `(0, 1]`.
-    pub max_fraction: f64,
+    max_fraction: f64,
 }
 
 impl BalancePolicy for WorkStealing {
@@ -106,7 +121,7 @@ impl BalancePolicy for WorkStealing {
         "stealing"
     }
 
-    fn decide(&self, donor: usize, nominal: f64, view: &LoadView<'_>) -> Vec<Move> {
+    fn decide(&self, donor: usize, nominal: f64, view: &dyn LoadView) -> Vec<Move> {
         if view.min_alive_samples() == 0 {
             return Vec::new(); // warmup: every rank establishes a baseline first
         }
@@ -135,12 +150,12 @@ impl BalancePolicy for WorkStealing {
 /// proportional to the load difference — Demirel & Sbalzarini's scheme
 /// restricted to one exchange per compute op.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Diffusion {
+pub(crate) struct Diffusion {
     /// Diffusion coefficient in `(0, 1]`: the fraction of each pairwise
     /// load difference that flows per decision.
-    pub rate: f64,
+    rate: f64,
     /// Cap on the migrated fraction of one compute op, in `(0, 1]`.
-    pub max_fraction: f64,
+    max_fraction: f64,
 }
 
 impl BalancePolicy for Diffusion {
@@ -148,7 +163,7 @@ impl BalancePolicy for Diffusion {
         "diffusion"
     }
 
-    fn decide(&self, donor: usize, nominal: f64, view: &LoadView<'_>) -> Vec<Move> {
+    fn decide(&self, donor: usize, nominal: f64, view: &dyn LoadView) -> Vec<Move> {
         if view.min_alive_samples() == 0 {
             return Vec::new();
         }
@@ -189,14 +204,14 @@ impl BalancePolicy for Diffusion {
 /// excess of a rank pulling away from the pack before the imbalance
 /// materializes — Boulmier et al.'s informed/anticipatory criterion.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Anticipatory {
+pub(crate) struct Anticipatory {
     /// Trend window length in compute-op samples, ≥ 2 (capped at 16).
-    pub window: usize,
+    window: usize,
     /// Minimum predicted drift, relative to the mean per-op cost, that
     /// triggers a migration. ≥ 0; larger is more conservative.
-    pub sensitivity: f64,
+    sensitivity: f64,
     /// Cap on the migrated fraction of one compute op, in `(0, 1]`.
-    pub max_fraction: f64,
+    max_fraction: f64,
 }
 
 impl BalancePolicy for Anticipatory {
@@ -204,11 +219,12 @@ impl BalancePolicy for Anticipatory {
         "anticipatory"
     }
 
-    fn decide(&self, donor: usize, nominal: f64, view: &LoadView<'_>) -> Vec<Move> {
-        if view.window_len(donor) < self.window.min(WINDOW_CAP) {
+    fn decide(&self, donor: usize, nominal: f64, view: &dyn LoadView) -> Vec<Move> {
+        let window = view.window(donor);
+        if window.len() < self.window.min(WINDOW_CAP) {
             return Vec::new();
         }
-        let slope = view.trend(donor, self.window);
+        let slope = trend(window, self.window);
         let predicted_drift = slope * self.window as f64;
         let mean_op = view.mean_op_cost();
         if predicted_drift <= self.sensitivity * mean_op {
@@ -225,6 +241,20 @@ impl BalancePolicy for Anticipatory {
     }
 }
 
+/// Least-squares slope of a rank's relative load (load minus the
+/// alive-mean at sample time) over the last `take` samples of its trend
+/// `window` — the windowed trend detector. Positive: the rank is
+/// pulling away from the pack.
+fn trend(window: &[f64], take: usize) -> f64 {
+    let take = take.min(window.len());
+    let points: Vec<(f64, f64)> = window[window.len() - take..]
+        .iter()
+        .enumerate()
+        .map(|(i, &v)| (i as f64, v))
+        .collect();
+    limba_stats::describe::least_squares_slope(&points)
+}
+
 /// The policy attached to a plan.
 #[derive(Debug, Clone, PartialEq)]
 enum PolicyKind {
@@ -233,7 +263,7 @@ enum PolicyKind {
     Anticipatory(Anticipatory),
 }
 
-/// A deterministic rebalancing plan: one [`BalancePolicy`] plus the
+/// A deterministic rebalancing plan: one rebalancing policy plus the
 /// migration cost model, serializable to the same TOML subset as
 /// [`crate::FaultPlan`]. Built via the policy constructors and `with_*`
 /// modifiers; attach it to a run through the `balance` argument of
@@ -640,124 +670,147 @@ impl BalanceReport {
 }
 
 /// The policy's read-only view of the shared load accounts at one
-/// decision point.
-pub struct LoadView<'a> {
-    donor: usize,
-    seed: u64,
-    load: &'a [f64],
-    samples: &'a [u64],
-    windows: &'a [Vec<f64>],
-    neighbors: &'a [Vec<usize>],
-    alive: &'a [bool],
-    total_ops: u64,
-}
-
-impl LoadView<'_> {
-    /// Number of ranks.
-    pub fn n(&self) -> usize {
-        self.load.len()
-    }
-
+/// decision point. [`BalanceState`] answers every query from aggregates
+/// it keeps current; the scanning implementation it replaced survives
+/// in the tests as the oracle it must match bit for bit.
+pub(crate) trait LoadView {
     /// Cumulative nominal seconds `rank` has executed so far (its own
     /// work plus received migrations).
-    pub fn load(&self, rank: usize) -> f64 {
-        self.load[rank]
-    }
-
-    /// Compute ops `rank` has executed so far.
-    pub fn samples(&self, rank: usize) -> u64 {
-        self.samples[rank]
-    }
+    fn load(&self, rank: usize) -> f64;
 
     /// Whether `rank` has not crashed (always true without faults).
-    pub fn alive(&self, rank: usize) -> bool {
-        self.alive[rank]
-    }
+    fn alive(&self, rank: usize) -> bool;
 
     /// Alive ranks.
-    pub fn alive_count(&self) -> usize {
-        self.alive.iter().filter(|&&a| a).count()
-    }
+    fn alive_count(&self) -> usize;
 
     /// Smallest sample count over alive ranks (0 while any alive rank
     /// has yet to execute a compute op — the policies' warmup gate).
-    pub fn min_alive_samples(&self) -> u64 {
-        (0..self.n())
-            .filter(|&r| self.alive[r])
-            .map(|r| self.samples[r])
-            .min()
-            .unwrap_or(0)
-    }
+    fn min_alive_samples(&self) -> u64;
 
     /// Mean cumulative load over alive ranks.
-    pub fn mean_alive_load(&self) -> f64 {
-        let alive = self.alive_count();
-        if alive == 0 {
-            return 0.0;
-        }
-        (0..self.n())
-            .filter(|&r| self.alive[r])
-            .map(|r| self.load[r])
-            .sum::<f64>()
-            / alive as f64
-    }
+    fn mean_alive_load(&self) -> f64;
 
     /// Mean nominal cost per compute op over the whole run so far.
-    pub fn mean_op_cost(&self) -> f64 {
-        if self.total_ops == 0 {
-            return 0.0;
-        }
-        self.load.iter().sum::<f64>() / self.total_ops as f64
-    }
+    fn mean_op_cost(&self) -> f64;
 
     /// Topology neighbors of `rank` (see the diffusion policy docs).
-    pub fn neighbors(&self, rank: usize) -> &[usize] {
-        &self.neighbors[rank]
+    fn neighbors(&self, rank: usize) -> &[usize];
+
+    /// `rank`'s trend window: its relative load (load − alive mean)
+    /// after each of its recent compute ops, oldest first. Kept only
+    /// under the anticipatory policy, the one that reads it.
+    fn window(&self, rank: usize) -> &[f64];
+
+    /// The least-loaded alive rank other than `donor`, ties broken by
+    /// [`tie_break`] — a pure decision, not an RNG stream.
+    fn least_loaded_alive(&self, donor: usize) -> Option<usize>;
+}
+
+/// The uniform `[0, 1)` value that picks among tied least-loaded
+/// targets: a pure SplitMix64 hash of `(seed, donor, samples, 0)`,
+/// where `samples` is the donor's compute-op count.
+fn tie_break(seed: u64, donor: usize, samples: u64) -> f64 {
+    let mut h = mix(seed ^ 0x517c_c1b7_2722_0a95);
+    h = mix(h ^ (donor as u64).wrapping_mul(0xff51_afd7_ed55_8ccd));
+    h = mix(h ^ samples);
+    h = mix(h);
+    (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+}
+
+/// A tournament-tree node: the smallest load among its leaves and how
+/// many leaves hold exactly that load.
+type MinTies = (f64, usize);
+
+/// The leaf of a dead rank, and of every padding leaf: never a tie.
+const NO_TARGET: MinTies = (f64::INFINITY, 0);
+
+fn merge(a: MinTies, b: MinTies) -> MinTies {
+    match a.0.total_cmp(&b.0) {
+        Ordering::Less => a,
+        Ordering::Greater => b,
+        Ordering::Equal => (a.0, a.1 + b.1),
+    }
+}
+
+/// A min tournament tree over the alive ranks' loads, answering the
+/// least-loaded-target query in O(log P).
+///
+/// Node 1 is the root, node `i`'s children are `2i` and `2i + 1`, and
+/// rank `r`'s leaf is `leaves + r`. Ties compare bit-equal under
+/// `total_cmp`, which agrees with `==` here: loads are sums of finite,
+/// validated, non-negative seconds starting at `+0.0` (a `-0.0` op
+/// leaves a `+0.0` load at `+0.0`), so no load is NaN or `-0.0`, the
+/// only values on which the two comparisons differ.
+#[derive(Debug)]
+struct LoadTree {
+    nodes: Vec<MinTies>,
+    leaves: usize,
+}
+
+impl LoadTree {
+    /// `n` alive ranks at load `+0.0`.
+    fn new(n: usize) -> LoadTree {
+        let leaves = n.next_power_of_two();
+        let mut nodes = vec![NO_TARGET; 2 * leaves];
+        nodes[leaves..leaves + n].fill((0.0, 1));
+        for i in (1..leaves).rev() {
+            nodes[i] = merge(nodes[2 * i], nodes[2 * i + 1]);
+        }
+        LoadTree { nodes, leaves }
     }
 
-    /// Samples currently in `rank`'s trend window.
-    pub fn window_len(&self, rank: usize) -> usize {
-        self.windows[rank].len()
+    /// Replaces `rank`'s leaf and re-merges its root path.
+    fn set(&mut self, rank: usize, leaf: MinTies) {
+        let mut i = self.leaves + rank;
+        self.nodes[i] = leaf;
+        while i > 1 {
+            i /= 2;
+            self.nodes[i] = merge(self.nodes[2 * i], self.nodes[2 * i + 1]);
+        }
     }
 
-    /// Least-squares slope of `rank`'s relative load (load minus the
-    /// alive-mean at sample time) over its last `window` samples — the
-    /// windowed trend detector. Positive: the rank is pulling away from
-    /// the pack.
-    pub fn trend(&self, rank: usize, window: usize) -> f64 {
-        let w = &self.windows[rank];
-        let take = window.min(w.len());
-        let points: Vec<(f64, f64)> = w[w.len() - take..]
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| (i as f64, v))
-            .collect();
-        limba_stats::describe::least_squares_slope(&points)
-    }
-
-    /// The least-loaded alive rank other than `donor`, ties broken by a
-    /// SplitMix64 hash of `(seed, donor, samples(donor))` — a pure
-    /// decision, not an RNG stream.
-    pub fn least_loaded_alive(&self, donor: usize) -> Option<usize> {
-        let min = (0..self.n())
-            .filter(|&r| r != donor && self.alive[r])
-            .map(|r| self.load[r])
-            .min_by(f64::total_cmp)?;
-        let ties: Vec<usize> = (0..self.n())
-            .filter(|&r| r != donor && self.alive[r] && self.load[r] == min)
-            .collect();
-        let pick = self.unit(0) * ties.len() as f64;
-        Some(ties[(pick as usize).min(ties.len() - 1)])
-    }
-
-    /// Uniform `[0, 1)` tie-break value `k` for this decision point: a
-    /// pure SplitMix64 hash of `(seed, donor, samples(donor), k)`.
-    pub fn unit(&self, k: u64) -> f64 {
-        let mut h = mix(self.seed ^ 0x517c_c1b7_2722_0a95);
-        h = mix(h ^ (self.donor as u64).wrapping_mul(0xff51_afd7_ed55_8ccd));
-        h = mix(h ^ self.samples[self.donor]);
-        h = mix(h ^ k);
-        (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+    /// Among the `ties` leaves holding the smallest load once
+    /// `excluded`'s leaf is set aside, the `pick(ties)`-th in rank
+    /// order; `None` when no leaf remains.
+    fn kth_least_excluding(
+        &self,
+        excluded: usize,
+        pick: impl FnOnce(usize) -> usize,
+    ) -> Option<usize> {
+        // Re-merge `excluded`'s root path without its leaf: `path[d]`
+        // stands in for its ancestor at depth `d` (root 0, leaf `depth`).
+        let depth = self.leaves.trailing_zeros() as usize;
+        let leaf = self.leaves + excluded;
+        let mut path = [NO_TARGET; usize::BITS as usize];
+        for d in (0..depth).rev() {
+            let sibling = (leaf >> (depth - d - 1)) ^ 1;
+            path[d] = merge(path[d + 1], self.nodes[sibling]);
+        }
+        let (min, ties) = path[0];
+        if ties == 0 {
+            return None;
+        }
+        // Walk down to the k-th tied leaf, skipping left subtrees whole.
+        let mut k = pick(ties);
+        let mut node = 1;
+        for (d, &on_path) in path[..=depth].iter().enumerate().skip(1) {
+            let left = 2 * node;
+            let (left_min, left_ties) = if leaf >> (depth - d) == left {
+                on_path
+            } else {
+                self.nodes[left]
+            };
+            node = left + 1;
+            if left_min.total_cmp(&min).is_eq() {
+                if k < left_ties {
+                    node = left;
+                } else {
+                    k -= left_ties;
+                }
+            }
+        }
+        Some(node - self.leaves)
     }
 }
 
@@ -784,10 +837,6 @@ impl HostView<'_> {
             Some(fs) => fs.compute_end(rank, begin, duration),
         }
     }
-
-    fn alive(&self, rank: usize) -> bool {
-        !self.faults.is_some_and(|fs| fs.has_crashed(rank))
-    }
 }
 
 /// Per-run mutable balancing state shared (in structure, not instance)
@@ -795,6 +844,10 @@ impl HostView<'_> {
 /// [`FaultState`](crate::faults::FaultState). Created once per run from
 /// a validated plan; all decisions are pure functions of this state,
 /// which both engines mutate in the same global compute-op order.
+///
+/// The aggregates the policies query are kept current as loads change
+/// (see the module's "Cost" section), so a compute op costs O(log P)
+/// plus the sums a policy reads, not a scan of every rank per query.
 #[derive(Debug)]
 pub(crate) struct BalanceState {
     plan: BalancePlan,
@@ -802,14 +855,24 @@ pub(crate) struct BalanceState {
     load: Vec<f64>,
     /// Compute ops executed per rank.
     samples: Vec<u64>,
-    /// Per-rank trend window: relative load (load − alive mean) after
-    /// each of the rank's recent compute ops, oldest first.
+    /// Per-rank trend windows (see [`LoadView::window`]).
     windows: Vec<Vec<f64>>,
     /// When each rank's auxiliary server (spare cycles executing
     /// migrated chunks) is next free.
     aux_free: Vec<f64>,
-    /// Scratch liveness mask rebuilt per decision.
+    /// Liveness as of the last compute op; rebuilt only when the fault
+    /// state's crash count moves past `crashes_seen`.
     alive: Vec<bool>,
+    alive_count: usize,
+    crashes_seen: usize,
+    /// The warmup gate: the smallest sample count over alive ranks, and
+    /// how many alive ranks sit at it. Samples only grow and the alive
+    /// set only shrinks, so the minimum never falls; it is rescanned
+    /// only when no alive rank is left at it or the alive set changes.
+    min_samples: u64,
+    at_min: usize,
+    /// Alive ranks' loads, for the least-loaded-target query.
+    targets: LoadTree,
     neighbors: Vec<Vec<usize>>,
     total_ops: u64,
     report: BalanceReport,
@@ -824,6 +887,11 @@ impl BalanceState {
             windows: vec![Vec::new(); n],
             aux_free: vec![0.0; n],
             alive: vec![true; n],
+            alive_count: n,
+            crashes_seen: 0,
+            min_samples: 0,
+            at_min: n,
+            targets: LoadTree::new(n),
             neighbors: topology_neighbors(config, n),
             total_ops: 0,
             report: BalanceReport {
@@ -851,21 +919,9 @@ impl BalanceState {
         host: &HostView<'_>,
     ) -> f64 {
         let n = self.load.len();
-        for (r, slot) in self.alive.iter_mut().enumerate() {
-            *slot = host.alive(r);
-        }
+        self.sync_alive(host.faults);
         let proposals = if nominal > 0.0 && n > 1 {
-            let view = LoadView {
-                donor: rank,
-                seed: self.plan.seed,
-                load: &self.load,
-                samples: &self.samples,
-                windows: &self.windows,
-                neighbors: &self.neighbors,
-                alive: &self.alive,
-                total_ops: self.total_ops,
-            };
-            self.plan.policy().decide(rank, nominal, &view)
+            self.plan.policy().decide(rank, nominal, self)
         } else {
             Vec::new()
         };
@@ -902,7 +958,7 @@ impl BalanceState {
                 local -= seconds;
                 self.aux_free[target] = chunk_end;
                 results_due = results_due.max(returned);
-                self.load[target] += seconds;
+                self.add_load(target, seconds);
                 self.report.migrations += 1;
                 self.report.moved_seconds += seconds;
                 self.report.donated_seconds[rank] += seconds;
@@ -916,26 +972,19 @@ impl BalanceState {
             .compute_end(rank, begin, local / host.speed(rank))
             .max(results_due);
 
-        self.load[rank] += local;
+        self.add_load(rank, local);
         self.report.local_seconds[rank] += local;
-        self.samples[rank] += 1;
+        self.add_sample(rank);
         self.total_ops += 1;
         // Record the rank's relative position for the trend detector.
-        let alive_count = self.alive.iter().filter(|&&a| a).count();
-        let mean = if alive_count == 0 {
-            0.0
-        } else {
-            (0..n)
-                .filter(|&r| self.alive[r])
-                .map(|r| self.load[r])
-                .sum::<f64>()
-                / alive_count as f64
-        };
-        let window = &mut self.windows[rank];
-        if window.len() == WINDOW_CAP {
-            window.remove(0);
+        if matches!(self.plan.kind, PolicyKind::Anticipatory(_)) {
+            let relative = self.load[rank] - self.mean_alive_load();
+            let window = &mut self.windows[rank];
+            if window.len() == WINDOW_CAP {
+                window.remove(0);
+            }
+            window.push(relative);
         }
-        window.push(self.load[rank] - mean);
 
         end
     }
@@ -944,12 +993,344 @@ impl BalanceState {
     pub(crate) fn report(&self) -> BalanceReport {
         self.report.clone()
     }
+
+    /// Drops ranks that crashed since the last compute op from the
+    /// alive set, the target tree, and the warmup gate. O(1) unless a
+    /// crash was recorded, and never rebuilt without a fault plan.
+    fn sync_alive(&mut self, faults: Option<&FaultState>) {
+        let Some(fs) = faults else { return };
+        if fs.crash_count() == self.crashes_seen {
+            return;
+        }
+        self.crashes_seen = fs.crash_count();
+        for rank in 0..self.alive.len() {
+            if self.alive[rank] && fs.has_crashed(rank) {
+                self.alive[rank] = false;
+                self.alive_count -= 1;
+                self.targets.set(rank, NO_TARGET);
+            }
+        }
+        self.rescan_min_samples();
+    }
+
+    fn rescan_min_samples(&mut self) {
+        let alive = || (0..self.samples.len()).filter(|&r| self.alive[r]);
+        let min = alive().map(|r| self.samples[r]).min().unwrap_or(0);
+        let at_min = alive().filter(|&r| self.samples[r] == min).count();
+        (self.min_samples, self.at_min) = (min, at_min);
+    }
+
+    fn add_load(&mut self, rank: usize, seconds: f64) {
+        self.load[rank] += seconds;
+        if self.alive[rank] {
+            self.targets.set(rank, (self.load[rank], 1));
+        }
+    }
+
+    fn add_sample(&mut self, rank: usize) {
+        let was_at_min = self.alive[rank] && self.samples[rank] == self.min_samples;
+        self.samples[rank] += 1;
+        if was_at_min {
+            self.at_min -= 1;
+            if self.at_min == 0 {
+                // Every alive rank has executed an op since the last
+                // scan, which pays for this one.
+                self.rescan_min_samples();
+            }
+        }
+    }
+}
+
+impl LoadView for BalanceState {
+    fn load(&self, rank: usize) -> f64 {
+        self.load[rank]
+    }
+
+    fn alive(&self, rank: usize) -> bool {
+        self.alive[rank]
+    }
+
+    fn alive_count(&self) -> usize {
+        self.alive_count
+    }
+
+    fn min_alive_samples(&self) -> u64 {
+        self.min_samples
+    }
+
+    // This sum and `mean_op_cost`'s stay scans: their bits are those of
+    // a left-to-right sum in rank order, which no running total
+    // reproduces.
+    fn mean_alive_load(&self) -> f64 {
+        if self.alive_count == 0 {
+            return 0.0;
+        }
+        (0..self.load.len())
+            .filter(|&r| self.alive[r])
+            .map(|r| self.load[r])
+            .sum::<f64>()
+            / self.alive_count as f64
+    }
+
+    fn mean_op_cost(&self) -> f64 {
+        if self.total_ops == 0 {
+            return 0.0;
+        }
+        self.load.iter().sum::<f64>() / self.total_ops as f64
+    }
+
+    fn neighbors(&self, rank: usize) -> &[usize] {
+        &self.neighbors[rank]
+    }
+
+    fn window(&self, rank: usize) -> &[f64] {
+        &self.windows[rank]
+    }
+
+    fn least_loaded_alive(&self, donor: usize) -> Option<usize> {
+        let draw = tie_break(self.plan.seed, donor, self.samples[donor]);
+        self.targets
+            .kth_least_excluding(donor, |ties| ((draw * ties as f64) as usize).min(ties - 1))
+    }
+}
+
+/// The scanning load accounts the incremental [`BalanceState`]
+/// replaced, kept as the oracle its tests compare against bit for bit:
+/// every aggregate rescans every rank, at every compute op.
+#[cfg(test)]
+mod reference {
+    use super::*;
+
+    /// The policy's view of the scanning accounts at one decision point.
+    pub(super) struct ScanView<'a> {
+        donor: usize,
+        seed: u64,
+        load: &'a [f64],
+        samples: &'a [u64],
+        windows: &'a [Vec<f64>],
+        neighbors: &'a [Vec<usize>],
+        alive: &'a [bool],
+        total_ops: u64,
+    }
+
+    impl ScanView<'_> {
+        fn n(&self) -> usize {
+            self.load.len()
+        }
+
+        fn unit(&self, k: u64) -> f64 {
+            let mut h = mix(self.seed ^ 0x517c_c1b7_2722_0a95);
+            h = mix(h ^ (self.donor as u64).wrapping_mul(0xff51_afd7_ed55_8ccd));
+            h = mix(h ^ self.samples[self.donor]);
+            h = mix(h ^ k);
+            (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+        }
+    }
+
+    impl LoadView for ScanView<'_> {
+        fn load(&self, rank: usize) -> f64 {
+            self.load[rank]
+        }
+
+        fn alive(&self, rank: usize) -> bool {
+            self.alive[rank]
+        }
+
+        fn alive_count(&self) -> usize {
+            self.alive.iter().filter(|&&a| a).count()
+        }
+
+        fn min_alive_samples(&self) -> u64 {
+            (0..self.n())
+                .filter(|&r| self.alive[r])
+                .map(|r| self.samples[r])
+                .min()
+                .unwrap_or(0)
+        }
+
+        fn mean_alive_load(&self) -> f64 {
+            let alive = self.alive_count();
+            if alive == 0 {
+                return 0.0;
+            }
+            (0..self.n())
+                .filter(|&r| self.alive[r])
+                .map(|r| self.load[r])
+                .sum::<f64>()
+                / alive as f64
+        }
+
+        fn mean_op_cost(&self) -> f64 {
+            if self.total_ops == 0 {
+                return 0.0;
+            }
+            self.load.iter().sum::<f64>() / self.total_ops as f64
+        }
+
+        fn neighbors(&self, rank: usize) -> &[usize] {
+            &self.neighbors[rank]
+        }
+
+        fn window(&self, rank: usize) -> &[f64] {
+            &self.windows[rank]
+        }
+
+        fn least_loaded_alive(&self, donor: usize) -> Option<usize> {
+            let min = (0..self.n())
+                .filter(|&r| r != donor && self.alive[r])
+                .map(|r| self.load[r])
+                .min_by(f64::total_cmp)?;
+            let ties: Vec<usize> = (0..self.n())
+                .filter(|&r| r != donor && self.alive[r] && self.load[r] == min)
+                .collect();
+            let pick = self.unit(0) * ties.len() as f64;
+            Some(ties[(pick as usize).min(ties.len() - 1)])
+        }
+    }
+
+    /// The scanning balancing state: liveness rebuilt, and the trend
+    /// window updated, at every compute op.
+    #[derive(Debug)]
+    pub(super) struct ScanState {
+        plan: BalancePlan,
+        pub(super) load: Vec<f64>,
+        pub(super) samples: Vec<u64>,
+        pub(super) windows: Vec<Vec<f64>>,
+        aux_free: Vec<f64>,
+        alive: Vec<bool>,
+        neighbors: Vec<Vec<usize>>,
+        total_ops: u64,
+        pub(super) report: BalanceReport,
+    }
+
+    impl ScanState {
+        pub(super) fn new(plan: &BalancePlan, n: usize, config: &MachineConfig) -> ScanState {
+            ScanState {
+                plan: plan.clone(),
+                load: vec![0.0; n],
+                samples: vec![0; n],
+                windows: vec![Vec::new(); n],
+                aux_free: vec![0.0; n],
+                alive: vec![true; n],
+                neighbors: topology_neighbors(config, n),
+                total_ops: 0,
+                report: BalanceReport {
+                    policy: Some(plan.policy_name().to_string()),
+                    local_seconds: vec![0.0; n],
+                    donated_seconds: vec![0.0; n],
+                    received_seconds: vec![0.0; n],
+                    ..BalanceReport::default()
+                },
+            }
+        }
+
+        /// The view a decision by `donor` sees.
+        pub(super) fn view(&self, donor: usize) -> ScanView<'_> {
+            ScanView {
+                donor,
+                seed: self.plan.seed,
+                load: &self.load,
+                samples: &self.samples,
+                windows: &self.windows,
+                neighbors: &self.neighbors,
+                alive: &self.alive,
+                total_ops: self.total_ops,
+            }
+        }
+
+        pub(super) fn compute(
+            &mut self,
+            rank: usize,
+            begin: f64,
+            nominal: f64,
+            host: &HostView<'_>,
+        ) -> f64 {
+            let n = self.load.len();
+            for (r, slot) in self.alive.iter_mut().enumerate() {
+                *slot = !host.faults.is_some_and(|fs| fs.has_crashed(r));
+            }
+            let proposals = if nominal > 0.0 && n > 1 {
+                let view = self.view(rank);
+                self.plan.policy().decide(rank, nominal, &view)
+            } else {
+                Vec::new()
+            };
+
+            let o = host.config.overhead();
+            let mut local = nominal;
+            let mut results_due = f64::NEG_INFINITY;
+            for m in proposals {
+                let target = m.target;
+                if target >= n || target == rank || !self.alive[target] {
+                    continue;
+                }
+                let seconds = m.seconds.min(local);
+                if !seconds.is_finite() || seconds <= 0.0 {
+                    continue;
+                }
+                let current_end = host
+                    .compute_end(rank, begin, local / host.speed(rank))
+                    .max(results_due);
+                let transfer = self.plan.payload_bytes_per_second * seconds
+                    / host.config.link_bandwidth(rank, target);
+                let arrive = begin + o + host.config.link_latency(rank, target) + transfer;
+                let start = arrive.max(self.aux_free[target]);
+                let chunk_end = host.compute_end(target, start, seconds / host.speed(target));
+                let returned = chunk_end + host.config.link_latency(target, rank);
+                let candidate_end = host
+                    .compute_end(rank, begin, (local - seconds) / host.speed(rank))
+                    .max(results_due)
+                    .max(returned);
+                if candidate_end < current_end {
+                    local -= seconds;
+                    self.aux_free[target] = chunk_end;
+                    results_due = results_due.max(returned);
+                    self.load[target] += seconds;
+                    self.report.migrations += 1;
+                    self.report.moved_seconds += seconds;
+                    self.report.donated_seconds[rank] += seconds;
+                    self.report.received_seconds[target] += seconds;
+                } else {
+                    self.report.declined += 1;
+                }
+            }
+
+            let end = host
+                .compute_end(rank, begin, local / host.speed(rank))
+                .max(results_due);
+
+            self.load[rank] += local;
+            self.report.local_seconds[rank] += local;
+            self.samples[rank] += 1;
+            self.total_ops += 1;
+            let alive_count = self.alive.iter().filter(|&&a| a).count();
+            let mean = if alive_count == 0 {
+                0.0
+            } else {
+                (0..n)
+                    .filter(|&r| self.alive[r])
+                    .map(|r| self.load[r])
+                    .sum::<f64>()
+                    / alive_count as f64
+            };
+            let window = &mut self.windows[rank];
+            if window.len() == WINDOW_CAP {
+                window.remove(0);
+            }
+            window.push(self.load[rank] - mean);
+
+            end
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::reference::ScanState;
     use super::*;
-    use crate::{MachineConfig, ProgramBuilder, Simulator};
+    use crate::{FaultPlan, MachineConfig, ProgramBuilder, Simulator};
+    use proptest::prelude::*;
+    use proptest::test_runner::TestCaseError;
 
     fn skewed_program(ranks: usize, steps: usize) -> crate::Program {
         let mut pb = ProgramBuilder::new(ranks);
@@ -1216,5 +1597,218 @@ mod tests {
             assert!(plan.signature().starts_with(plan.policy_name()));
         }
         assert_eq!(plans()[0].clone().with_seed(9).seed(), 9);
+    }
+
+    /// One step of an oracle run.
+    #[derive(Debug, Clone, Copy)]
+    enum Step {
+        /// `rank` executes a compute op of `nominal` seconds — skipped
+        /// once the rank has crashed, since the engines halt it.
+        Compute(usize, f64),
+        /// `rank` fail-stops at its current clock.
+        Crash(usize),
+    }
+
+    /// Drives the incremental [`BalanceState`] and the scanning
+    /// [`ScanState`] through `steps` and checks after every step:
+    /// bit-equal op end times, loads, and samples; bit-equal trend
+    /// windows under the anticipatory policy (the only one that keeps
+    /// them); equal reports; and equal answers to every query for every
+    /// donor.
+    fn check_against_reference(
+        plan: &BalancePlan,
+        config: &MachineConfig,
+        steps: &[Step],
+    ) -> Result<(), TestCaseError> {
+        let n = config.processors();
+        let mut fast = BalanceState::new(plan, n, config);
+        let mut scan = ScanState::new(plan, n, config);
+        let crashes = steps.iter().any(|s| matches!(s, Step::Crash(_)));
+        let mut faults = crashes.then(|| FaultState::new(&FaultPlan::new(0), n));
+        let mut clock = vec![0.0f64; n];
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        for (i, &step) in steps.iter().enumerate() {
+            match step {
+                Step::Crash(rank) => {
+                    if let Some(fs) = faults.as_mut() {
+                        fs.record_crash(rank, clock[rank]);
+                    }
+                }
+                Step::Compute(rank, nominal) => {
+                    if faults.as_ref().is_some_and(|fs| fs.has_crashed(rank)) {
+                        continue;
+                    }
+                    let host = HostView {
+                        config,
+                        faults: faults.as_ref(),
+                    };
+                    let end = fast.compute(rank, clock[rank], nominal, &host);
+                    let want = scan.compute(rank, clock[rank], nominal, &host);
+                    prop_assert_eq!(end.to_bits(), want.to_bits(), "step {} {:?}", i, step);
+                    clock[rank] = end;
+                }
+            }
+            prop_assert_eq!(bits(&fast.load), bits(&scan.load), "loads, step {}", i);
+            prop_assert_eq!(&fast.samples, &scan.samples, "samples, step {}", i);
+            if matches!(plan.kind, PolicyKind::Anticipatory(_)) {
+                for (a, b) in fast.windows.iter().zip(&scan.windows) {
+                    prop_assert_eq!(bits(a), bits(b), "windows, step {}", i);
+                }
+            }
+            // Debug prints floats round-trip exactly, so equal text is
+            // equal bits.
+            prop_assert_eq!(
+                format!("{:?}", fast.report),
+                format!("{:?}", scan.report),
+                "report, step {}",
+                i
+            );
+            for donor in 0..n {
+                let view = scan.view(donor);
+                prop_assert_eq!(fast.alive(donor), view.alive(donor));
+                prop_assert_eq!(
+                    fast.least_loaded_alive(donor),
+                    view.least_loaded_alive(donor),
+                    "target for donor {} after step {}",
+                    donor,
+                    i
+                );
+            }
+            let view = scan.view(0);
+            prop_assert_eq!(fast.alive_count(), view.alive_count(), "step {}", i);
+            prop_assert_eq!(fast.min_alive_samples(), view.min_alive_samples());
+            prop_assert_eq!(
+                fast.mean_alive_load().to_bits(),
+                view.mean_alive_load().to_bits()
+            );
+            prop_assert_eq!(fast.mean_op_cost().to_bits(), view.mean_op_cost().to_bits());
+        }
+        Ok(())
+    }
+
+    /// Op sizes drawn from a short list, so equal loads (the tie-break
+    /// cases) are common; both zeros included.
+    const NOMINALS: [f64; 8] = [0.0, -0.0, 1e-3, 0.25, 0.25, 0.5, 1.0, 3.0];
+
+    fn oracle_plan() -> impl Strategy<Value = BalancePlan> {
+        (0u8..3, 0u64..4, 0usize..3, 0usize..2).prop_map(|(kind, seed, p, f)| {
+            let plan = match kind {
+                0 => BalancePlan::stealing(seed, [1.0, 1.1, 1.5][p]),
+                1 => BalancePlan::diffusion(seed, [0.25, 0.5, 1.0][p]),
+                _ => BalancePlan::anticipatory(seed, [2, 3, 8][p], [0.0, 0.25][f]),
+            };
+            plan.with_max_fraction([0.5, 1.0][f])
+        })
+    }
+
+    fn oracle_steps(n: usize) -> impl Strategy<Value = Vec<Step>> {
+        proptest::collection::vec((0u8..20, 0..n, 0..NOMINALS.len()), 1..160).prop_map(|raw| {
+            raw.into_iter()
+                .map(|(kind, rank, size)| match kind {
+                    0 => Step::Crash(rank),
+                    _ => Step::Compute(rank, NOMINALS[size]),
+                })
+                .collect()
+        })
+    }
+
+    /// A uniform machine, one with a slow rank, or a star topology
+    /// (diffusion's neighbor graph follows the link overrides).
+    fn oracle_config(n: usize, variant: u8) -> MachineConfig {
+        match variant {
+            0 => MachineConfig::new(n),
+            1 => MachineConfig::new(n).with_cpu_speed(0, 0.5),
+            _ => (1..n).fold(MachineConfig::new(n), |c, r| c.with_link(0, r, 1e-4, 1e8)),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn balance_state_matches_the_scanning_reference(
+            (n, variant, plan, steps) in (1usize..20).prop_flat_map(|n| {
+                (Just(n), 0u8..3, oracle_plan(), oracle_steps(n))
+            })
+        ) {
+            check_against_reference(&plan, &oracle_config(n, variant), &steps)?;
+        }
+    }
+
+    #[test]
+    fn balance_state_matches_the_reference_on_edge_cases() {
+        use Step::{Compute, Crash};
+        let warmup = |n: usize, nominal: f64| (0..n).map(move |r| Compute(r, nominal));
+        let rising = |rank: usize| (1..6).map(move |k| Compute(rank, k as f64));
+        let cases: Vec<(&str, usize, Vec<Step>)> = vec![
+            // Every rank ties right after warmup, so each donor's target
+            // walk runs over the whole tree.
+            (
+                "all ranks tie after warmup",
+                7,
+                warmup(7, 0.5).chain(warmup(7, 2.0)).collect(),
+            ),
+            (
+                "crash mid-run",
+                6,
+                warmup(6, 0.25)
+                    .chain([Crash(0), Compute(5, 3.0), Crash(3)])
+                    .chain(rising(5))
+                    .chain(warmup(6, 0.5))
+                    .collect(),
+            ),
+            (
+                "every rank but the donor crashed",
+                4,
+                warmup(4, 0.5)
+                    .chain([Crash(1), Crash(2), Crash(3)])
+                    .chain(rising(0))
+                    .collect(),
+            ),
+            ("one rank", 1, rising(0).collect()),
+            (
+                "two ranks",
+                2,
+                warmup(2, 0.25).chain(rising(0)).chain(rising(1)).collect(),
+            ),
+            (
+                "zero-second and negative-zero ops",
+                3,
+                [0.0, -0.0, 0.0]
+                    .into_iter()
+                    .enumerate()
+                    .map(|(r, s)| Compute(r, s))
+                    .chain([Compute(1, -0.0), Compute(0, 1.0), Compute(2, -0.0)])
+                    .chain(rising(1))
+                    .collect(),
+            ),
+        ];
+        let plans = (0..8).flat_map(|seed| {
+            [
+                BalancePlan::stealing(seed, 1.0).with_max_fraction(1.0),
+                BalancePlan::diffusion(seed, 1.0),
+                BalancePlan::anticipatory(seed, 2, 0.0),
+            ]
+        });
+        for plan in plans {
+            for (name, n, steps) in &cases {
+                check_against_reference(&plan, &MachineConfig::new(*n), steps)
+                    .unwrap_or_else(|e| panic!("{name}, {}: {e:?}", plan.signature()));
+            }
+        }
+        // The sole survivor has nowhere to send work.
+        let plan = BalancePlan::anticipatory(0, 2, 0.0);
+        let config = MachineConfig::new(3);
+        let mut faults = FaultState::new(&FaultPlan::new(0), 3);
+        faults.record_crash(1, 0.0);
+        faults.record_crash(2, 0.0);
+        let host = HostView {
+            config: &config,
+            faults: Some(&faults),
+        };
+        let mut state = BalanceState::new(&plan, 3, &config);
+        state.compute(0, 0.0, 1.0, &host);
+        assert_eq!(state.alive_count(), 1);
+        assert_eq!(state.least_loaded_alive(0), None);
     }
 }

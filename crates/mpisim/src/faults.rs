@@ -604,6 +604,9 @@ pub(crate) struct FaultState {
     crash_at: Vec<f64>,
     /// Actual crash time per rank, recorded at the halting op boundary.
     crashed: Vec<Option<f64>>,
+    /// Ranks in `crashed` so far: the balancing layer rebuilds its
+    /// alive set only when this moves.
+    crash_count: usize,
     /// Next message sequence number per live channel, keyed
     /// `src * n + dst`. Sparse: a channel occupies a slot only once it
     /// carries a message, so this is O(live channels) where the dense
@@ -635,6 +638,7 @@ impl FaultState {
             losses: plan.losses.clone(),
             crash_at,
             crashed: vec![None; n],
+            crash_count: 0,
             seq: crate::arena::SparseMap::new(),
             n,
             dropped_attempts: 0,
@@ -656,7 +660,15 @@ impl FaultState {
 
     /// Records the halting time of a crashed rank (idempotent).
     pub(crate) fn record_crash(&mut self, rank: usize, now: f64) {
-        self.crashed[rank].get_or_insert(now);
+        if self.crashed[rank].is_none() {
+            self.crashed[rank] = Some(now);
+            self.crash_count += 1;
+        }
+    }
+
+    /// Ranks that have halted so far.
+    pub(crate) fn crash_count(&self) -> usize {
+        self.crash_count
     }
 
     /// `true` when `rank` has already halted.
@@ -667,7 +679,7 @@ impl FaultState {
     /// `true` when any rank has halted — the condition under which
     /// quiescence means "interrupted run" instead of deadlock.
     pub(crate) fn any_crashed(&self) -> bool {
-        self.crashed.iter().any(|c| c.is_some())
+        self.crash_count > 0
     }
 
     /// `true` when the plan schedules at least one crash. Constant for

@@ -59,7 +59,7 @@ mod ops;
 pub(crate) mod polling;
 mod replicate;
 
-pub use balance::{BalancePlan, BalancePolicy, BalanceReport};
+pub use balance::{BalancePlan, BalanceReport};
 pub use collectives::{collective_cost, CollectiveAlgorithm, CollectiveKind};
 pub use config::MachineConfig;
 pub use engine::{RunBudget, SimOutput, SimStats, Simulator, StreamOutput};
