@@ -76,7 +76,7 @@ pub enum AdviseError {
     /// A cancellation token tripped mid-advise (see
     /// [`Advisor::with_cancel`]). No advice is returned, but any
     /// verifications already completed were offered to the attached
-    /// [`VerifyCache`](crate::verify::VerifyCache), so a resumed advise
+    /// [`VerifyCache`], so a resumed advise
     /// run skips them.
     Interrupted {
         /// Which phase the cancellation landed in.

@@ -103,7 +103,7 @@ pub fn run(argv: &[String]) -> Result<crate::CmdOutcome, String> {
         .with_max_depth(depth)
         .with_jobs(jobs)
         .with_analyzer(Analyzer::new().with_cluster_k(clusters));
-    if let Some(plan) = faults {
+    if let Some(plan) = faults.clone() {
         advisor = advisor.with_faults(plan);
     }
 
@@ -194,17 +194,29 @@ pub fn run(argv: &[String]) -> Result<crate::CmdOutcome, String> {
         return Ok(crate::CmdOutcome::Complete);
     }
 
-    // The baseline analysis report the recommendations refer to. Both
-    // engines produce bit-identical traces, so the report — like the
-    // advice — does not depend on the engine choice.
+    // The baseline analysis report the recommendations refer to,
+    // simulated under the same fault and balance plans the advice was
+    // measured under (a fault plan may truncate ranks, hence the
+    // coverage section). Both engines produce bit-identical traces, so
+    // the report — like the advice — does not depend on the engine
+    // choice.
     let sim = Simulator::new(scenario.config.clone());
-    let output = engine.run(&sim, &scenario.program, None, None, jobs)?;
+    let output = engine.run(
+        &sim,
+        &scenario.program,
+        faults.as_ref(),
+        scenario.balance.as_ref(),
+        jobs,
+    )?;
     let salvaged = output.reduce_checked().map_err(|e| e.to_string())?;
     let report = Analyzer::new()
         .with_cluster_k(clusters)
         .analyze(&salvaged.reduced.measurements)
         .map_err(|e| e.to_string())?;
-    print!("{}", limba_viz::report::render(&report));
+    print!(
+        "{}",
+        limba_viz::report::render_with_coverage(&report, &salvaged.coverage)
+    );
     println!();
     print!("{}", limba_viz::advice::render_advice(&advice));
     Ok(crate::CmdOutcome::Complete)

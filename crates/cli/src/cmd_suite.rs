@@ -5,9 +5,10 @@
 //!
 //! With `--jobs N` the sweep fans out over a thread pool: simulations
 //! run through [`limba_par::par_map`] and the analyses through
-//! [`BatchAnalyzer`], both of which slot results by input index — so the
-//! rendered table is byte-identical for every job count (locked by the
-//! workspace test-suite).
+//! [`BatchAnalyzer`](limba_analysis::batch::BatchAnalyzer), both of
+//! which slot results by input index — so the rendered table is
+//! byte-identical for every job count (locked by the workspace
+//! test-suite).
 
 use std::fmt::Write as _;
 

@@ -293,6 +293,31 @@ fn advise_recommends_a_verified_improvement_on_cfd() {
 }
 
 #[test]
+fn advise_renders_its_baseline_report_under_the_fault_plan() {
+    // The report section (everything before the advice) must describe
+    // the run the advice was measured on: a straggler changes it.
+    let report = |faults: &[&str]| {
+        let mut args = vec!["advise", "--workload", "cfd", "--ranks", "16", "--top", "1"];
+        args.extend_from_slice(faults);
+        let out = limba(&args);
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let stdout = String::from_utf8(out.stdout).unwrap();
+        let at = stdout
+            .find("== recommended interventions ==")
+            .expect("advice section");
+        stdout[..at].to_string()
+    };
+    let plain = report(&[]);
+    let straggler = report(&["--faults", "preset:straggler"]);
+    assert!(plain.contains("== findings =="));
+    assert_ne!(plain, straggler);
+}
+
+#[test]
 fn advise_is_byte_identical_across_jobs_and_engines() {
     let reference = limba(&["advise", "--workload", "cfd", "--ranks", "8", "--top", "2"]);
     assert!(reference.status.success());

@@ -58,7 +58,7 @@ pub fn measurements_digest(measurements: &Measurements) -> u64 {
 /// A cache key: `(measurements digest, analyzer fingerprint)`.
 type CacheKey = (u64, u64);
 
-/// The shared memoization cache: [`CacheKey`] → report. Cheap to clone
+/// The shared memoization cache: `CacheKey` → report. Cheap to clone
 /// (it is an [`Arc`]).
 #[derive(Debug, Clone, Default)]
 pub struct ReportCache {

@@ -24,13 +24,14 @@
 //!
 //! # Determinism rules
 //!
-//! The hook contract mirrors [`crate::faults::FaultState`] exactly:
+//! The hook contract mirrors the fault layer's shared `FaultState`
+//! exactly:
 //!
 //! * decisions are pure functions of the plan and the shared per-run
 //!   load accounts — no RNG stream; tie-breaks hash logical coordinates
 //!   (seed, donor, donor's op count) through SplitMix64;
 //! * both engines execute the same compute ops in the same global
-//!   order, so the shared [`BalanceState`] observes identical decision
+//!   order, so the shared `BalanceState` observes identical decision
 //!   sequences and the two engines stay bit-identical;
 //! * each simulation is single-threaded, so replicated sweeps are
 //!   `--jobs`-invariant by construction;

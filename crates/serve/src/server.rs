@@ -67,8 +67,8 @@ pub struct ServeConfig {
     pub max_sessions: usize,
     /// Shard worker threads (tenants hash onto shards).
     pub shards: usize,
-    /// Bounded channel depth per shard — with [`CHUNK`], the per-shard
-    /// in-flight byte bound.
+    /// Bounded channel depth per shard — with the 64 KiB read chunk, the
+    /// per-shard in-flight byte bound.
     pub depth: usize,
     /// How long a freshly accepted connection may sit idle before its
     /// handshake byte (or query line) arrives; a client that connects

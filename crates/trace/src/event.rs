@@ -118,8 +118,8 @@ impl Event {
 /// A complete tracefile: the processor count, the region name table, and
 /// the event stream.
 ///
-/// Events may be appended in any order; [`Trace::events_by_processor`]
-/// provides the per-processor, time-ordered view reduction needs, and
+/// Events may be appended in any order; [`Trace::rank_order`] provides
+/// the per-processor, time-ordered view reduction needs, and
 /// [`Trace::validate`] checks structural well-formedness.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Trace {
@@ -157,31 +157,13 @@ impl Trace {
         evs
     }
 
-    /// All processors' time-sorted event lists in a single pass over the
-    /// stream: element `p` equals [`Trace::events_by_processor`]`(p)`.
-    /// Events naming an out-of-range processor are dropped (validation
-    /// reports them separately). This is what reduction iterates over;
-    /// the one-pass bucketing avoids the O(P · E) filter of calling
-    /// `events_by_processor` once per processor.
-    pub fn events_partitioned(&self) -> Vec<Vec<Event>> {
-        let mut sizes = vec![0usize; self.processors];
-        for e in &self.events {
-            if let Some(s) = sizes.get_mut(e.proc as usize) {
-                *s += 1;
-            }
-        }
-        let mut parts: Vec<Vec<Event>> = sizes.into_iter().map(Vec::with_capacity).collect();
-        for e in &self.events {
-            if let Some(bucket) = parts.get_mut(e.proc as usize) {
-                bucket.push(*e);
-            }
-        }
-        for bucket in &mut parts {
-            // Stable, like events_by_processor: simultaneous events keep
-            // recording order, which reduction's attribution relies on.
-            bucket.sort_by(|a, b| a.time.total_cmp(&b.time));
-        }
-        parts
+    /// The per-processor, time-ordered view of the whole trace, built in
+    /// O(E + P) without copying an event: see [`RankOrder`]. This is
+    /// what validation, reduction and the per-rank renderers iterate
+    /// over, instead of calling [`Trace::events_by_processor`] (an O(E)
+    /// filter) once per processor.
+    pub fn rank_order(&self) -> RankOrder<'_> {
+        RankOrder::new(self)
     }
 
     /// Checks structural well-formedness: processor and region indices in
@@ -192,6 +174,12 @@ impl Trace {
     ///
     /// Returns the first violation found.
     pub fn validate(&self) -> Result<(), TraceError> {
+        self.validated_rank_order().map(drop)
+    }
+
+    /// [`Trace::validate`], handing back the rank-order index the
+    /// per-rank checks walked so a reduction can walk the same one.
+    pub(crate) fn validated_rank_order(&self) -> Result<RankOrder<'_>, TraceError> {
         for e in &self.events {
             if e.proc as usize >= self.processors {
                 return Err(TraceError::UnknownProcessor { proc: e.proc });
@@ -206,14 +194,110 @@ impl Trace {
             }
         }
         let regions = self.region_names.len();
-        for (proc, events) in (0u32..).zip(self.events_partitioned()) {
+        let order = self.rank_order();
+        for (proc, events) in order.ranks() {
             let mut checker = RankChecker::new();
-            for e in &events {
+            for (_, e) in events {
                 checker.step(proc, e, regions)?;
             }
             checker.finish(proc)?;
         }
-        Ok(())
+        Ok(order)
+    }
+}
+
+/// A borrowed rank-order index over a [`Trace`]'s events: every
+/// processor's events in time order, as positions into
+/// [`Trace::events`] rather than copies.
+///
+/// `order` holds one recording-order position per indexed event,
+/// grouped by processor; processor `p`'s run is
+/// `order[offsets[p]..offsets[p + 1]]`. A two-pass counting sort
+/// fills each run ascending in recording order, and a run whose times
+/// are not already non-decreasing is then stably sorted by time — so
+/// simultaneous events keep recording order, exactly as
+/// [`Trace::events_by_processor`] orders them. Events naming an
+/// out-of-range processor are left out of the index (validation and
+/// salvage report them before walking it).
+#[derive(Debug)]
+pub struct RankOrder<'a> {
+    events: &'a [Event],
+    offsets: Vec<usize>,
+    order: Vec<usize>,
+}
+
+impl<'a> RankOrder<'a> {
+    fn new(trace: &'a Trace) -> Self {
+        let events = trace.events.as_slice();
+        let processors = trace.processors;
+        // Pass 1: offsets[p] counts processor p's events, then becomes
+        // the end of its run by an inclusive prefix sum.
+        let mut offsets = vec![0usize; processors + 1];
+        for e in events {
+            if let Some(count) = offsets[..processors].get_mut(e.proc as usize) {
+                *count += 1;
+            }
+        }
+        let mut total = 0;
+        for slot in &mut offsets {
+            total += *slot;
+            *slot = total;
+        }
+        // Pass 2: scatter back to front, so each run fills from its end
+        // and comes out ascending in recording order; offsets[p] ends at
+        // the start of p's run. Comparing each event with the rank's
+        // next one in recording order finds the runs that need sorting.
+        let mut order = vec![0usize; total];
+        let mut next_time = vec![f64::INFINITY; processors];
+        let mut unsorted = vec![false; processors];
+        for (index, e) in events.iter().enumerate().rev() {
+            let p = e.proc as usize;
+            if let Some(slot) = offsets[..processors].get_mut(p) {
+                *slot -= 1;
+                order[*slot] = index;
+                unsorted[p] |= e.time.total_cmp(&next_time[p]).is_gt();
+                next_time[p] = e.time;
+            }
+        }
+        // Stable, so simultaneous events keep recording order.
+        for (run, unsorted) in offsets.windows(2).zip(unsorted) {
+            if unsorted {
+                order[run[0]..run[1]].sort_by(|&a, &b| events[a].time.total_cmp(&events[b].time));
+            }
+        }
+        RankOrder {
+            events,
+            offsets,
+            order,
+        }
+    }
+
+    /// Number of processors indexed (the trace's declared count).
+    pub fn processors(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// Processor `proc`'s events in time order, each with its
+    /// recording-order position in [`Trace::events`].
+    ///
+    /// # Panics
+    ///
+    /// When `proc` is not below [`RankOrder::processors`].
+    pub fn rank(&self, proc: u32) -> impl ExactSizeIterator<Item = (usize, &'a Event)> + '_ {
+        let events = self.events;
+        let p = proc as usize;
+        self.order[self.offsets[p]..self.offsets[p + 1]]
+            .iter()
+            .map(move |&index| (index, &events[index]))
+    }
+
+    /// Every processor's [`RankOrder::rank`] iterator, ascending by
+    /// processor.
+    pub fn ranks(
+        &self,
+    ) -> impl Iterator<Item = (u32, impl ExactSizeIterator<Item = (usize, &'a Event)> + '_)> + '_
+    {
+        (0..self.processors() as u32).map(move |proc| (proc, self.rank(proc)))
     }
 }
 
@@ -569,19 +653,37 @@ mod tests {
     }
 
     #[test]
-    fn events_partitioned_matches_per_processor_view() {
-        let t = well_formed();
-        let parts = t.events_partitioned();
-        assert_eq!(parts.len(), t.processors());
-        for (p, part) in parts.iter().enumerate() {
-            assert_eq!(part, &t.events_by_processor(p as u32));
-        }
-
-        // Out-of-range processors are dropped, not panicked on.
-        let mut b = TraceBuilder::new(1);
+    fn rank_order_matches_per_processor_view() {
+        // Recording order interleaves the ranks and runs backwards in
+        // time, with a tie, so the runs need the stable sort.
+        let mut b = TraceBuilder::new(3);
         let m = b.add_region("m");
-        b.push(Event::enter(0.0, 7, m));
-        assert!(b.build().events_partitioned()[0].is_empty());
+        b.push(Event::leave(2.0, 1, m));
+        b.push(Event::leave(2.0, 0, m));
+        b.push(Event::message_send(1.0, 1, 0, 8));
+        b.push(Event::enter(1.0, 1, m));
+        b.push(Event::enter(0.0, 0, m));
+        b.push(Event::enter(1.0, 7, m));
+        let t = b.build();
+        let order = t.rank_order();
+        assert_eq!(order.processors(), 3);
+        for p in 0..3 {
+            let indexed: Vec<Event> = order
+                .rank(p)
+                .map(|(i, e)| {
+                    assert_eq!(&t.events()[i], e);
+                    *e
+                })
+                .collect();
+            assert_eq!(indexed, t.events_by_processor(p));
+        }
+        let ranks: Vec<Vec<usize>> = order
+            .ranks()
+            .map(|(_, run)| run.map(|(i, _)| i).collect())
+            .collect();
+        // Out-of-range processor 7 is left out; the tie at 1.0 on rank 1
+        // keeps recording order (send before enter).
+        assert_eq!(ranks, vec![vec![4, 1], vec![2, 3, 0], vec![]]);
     }
 
     #[test]

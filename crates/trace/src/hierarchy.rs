@@ -6,7 +6,7 @@
 //! the dynamic nesting, so the analysis can drill down from coarse
 //! regions to the specific statement block that misbehaves.
 
-use crate::{EventPayload, Trace, TraceError};
+use crate::{Event, EventPayload, Trace, TraceError};
 
 /// The observed parent of each region: `parents[r]` is `Some(q)` when
 /// region `r` was always entered while `q` was the innermost open
@@ -19,45 +19,100 @@ use crate::{EventPayload, Trace, TraceError};
 /// observed under two different parents — the region structure is then
 /// not a tree and hierarchical analysis does not apply.
 pub fn region_parents(trace: &Trace) -> Result<Vec<Option<usize>>, TraceError> {
-    trace.validate()?;
-    let n = trace.region_names().len();
+    let order = trace.validated_rank_order()?;
     // `Some(None)` = seen at top level; `Some(Some(q))` = seen under q.
-    let mut parents: Vec<Option<Option<usize>>> = vec![None; n];
-    for proc in 0..trace.processors() as u32 {
-        let mut stack: Vec<usize> = Vec::new();
-        for e in trace.events_by_processor(proc) {
-            match e.payload {
-                EventPayload::EnterRegion { region } => {
-                    let parent = stack.last().copied();
-                    match parents[region] {
-                        None => parents[region] = Some(parent),
-                        Some(seen) if seen == parent => {}
-                        Some(seen) => {
-                            return Err(TraceError::Malformed {
-                                detail: format!(
-                                "region {region} observed under parents {seen:?} and {parent:?}; \
-                                     the region structure is not a tree"
-                            ),
-                            })
-                        }
-                    }
-                    stack.push(region);
-                }
-                EventPayload::LeaveRegion { .. } => {
-                    stack.pop();
-                }
-                _ => {}
-            }
-        }
+    let mut parents: Vec<Option<Option<usize>>> = vec![None; trace.region_names().len()];
+    for (_, events) in order.ranks() {
+        observe_parents(&mut parents, events.map(|(_, e)| e))?;
     }
     // Regions never entered default to top level.
     Ok(parents.into_iter().map(|p| p.flatten()).collect())
 }
 
+/// Folds one processor's time-ordered events into the observed parents.
+fn observe_parents<'e>(
+    parents: &mut [Option<Option<usize>>],
+    events: impl IntoIterator<Item = &'e Event>,
+) -> Result<(), TraceError> {
+    let mut stack: Vec<usize> = Vec::new();
+    for e in events {
+        match e.payload {
+            EventPayload::EnterRegion { region } => {
+                let parent = stack.last().copied();
+                match parents[region] {
+                    None => parents[region] = Some(parent),
+                    Some(seen) if seen == parent => {}
+                    Some(seen) => {
+                        return Err(TraceError::Malformed {
+                            detail: format!(
+                                "region {region} observed under parents {seen:?} and {parent:?}; \
+                                 the region structure is not a tree"
+                            ),
+                        })
+                    }
+                }
+                stack.push(region);
+            }
+            EventPayload::LeaveRegion { .. } => {
+                stack.pop();
+            }
+            _ => {}
+        }
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Event, TraceBuilder};
+    use crate::TraceBuilder;
+
+    /// `region_parents` by the per-processor filter it replaced.
+    fn parents_by_processor(trace: &Trace) -> Result<Vec<Option<usize>>, TraceError> {
+        trace.validate()?;
+        let mut parents = vec![None; trace.region_names().len()];
+        for proc in 0..trace.processors() as u32 {
+            observe_parents(&mut parents, &trace.events_by_processor(proc))?;
+        }
+        Ok(parents.into_iter().map(|p| p.flatten()).collect())
+    }
+
+    #[test]
+    fn rank_order_walk_matches_per_processor_walk() {
+        // Four ranks recorded round-robin and against time (ties keep
+        // their order), so every rank's run is interleaved with the
+        // others and needs sorting; rank 3 may nest `shared` under `b`.
+        for misfit in [false, true] {
+            let mut b = TraceBuilder::new(4);
+            let a = b.add_region("a");
+            let c = b.add_region("b");
+            let shared = b.add_region("shared");
+            let mut per_rank = Vec::new();
+            for p in 0..4u32 {
+                let outer = if misfit && p == 3 { c } else { a };
+                per_rank.push(vec![
+                    Event::enter(0.0, p, outer),
+                    Event::enter(1.0, p, shared),
+                    Event::leave(1.0, p, shared),
+                    Event::leave(2.0, p, outer),
+                    Event::enter(2.0, p, c),
+                    Event::leave(3.0, p, c),
+                ]);
+            }
+            for step in [3, 4, 5, 1, 2, 0] {
+                for events in &per_rank {
+                    b.push(events[step]);
+                }
+            }
+            let trace = b.build();
+            let indexed = region_parents(&trace);
+            assert_eq!(
+                format!("{indexed:?}"),
+                format!("{:?}", parents_by_processor(&trace))
+            );
+            assert_eq!(indexed.is_err(), misfit);
+        }
+    }
 
     #[test]
     fn recovers_two_level_nesting() {

@@ -54,10 +54,12 @@ pub mod text;
 mod event;
 mod hierarchy;
 mod reduce;
+#[cfg(test)]
+mod reference;
 mod salvage;
 
 pub use durable::{DurableSink, SealScan, SealScanner};
-pub use event::{Event, EventPayload, Trace, TraceBuilder};
+pub use event::{Event, EventPayload, RankOrder, Trace, TraceBuilder};
 pub use hierarchy::region_parents;
 pub use reduce::{reduce, reduce_well_formed, reduce_windows, Attribution, ReducedTrace};
 pub use salvage::{reduce_checked, RankCoverage, SalvageWalker, SalvagedTrace};

@@ -5,7 +5,7 @@ use limba_model::{
     MeasurementsBuilder, RegionId, STANDARD_ACTIVITIES,
 };
 
-use crate::{Event, EventPayload, Trace, TraceError};
+use crate::{Event, EventPayload, RankOrder, Trace, TraceError};
 
 /// Result of reducing a trace: the timing matrix `t_ijp` and the message
 /// counting parameters.
@@ -217,7 +217,10 @@ impl<'a> Tally<'a> {
 /// Walks one processor's (validated, time-sorted) events and emits
 /// attributions. Time between explicit activity intervals counts as
 /// computation; nested regions attribute to the innermost region.
-fn walk_processor<F: FnMut(Attribution)>(events: &[Event], mut sink: F) {
+pub(crate) fn walk_processor<'e, F: FnMut(Attribution)>(
+    events: impl IntoIterator<Item = &'e Event>,
+    mut sink: F,
+) {
     let mut walker = ProcWalker::new();
     for e in events {
         walker.step(e, &mut sink);
@@ -265,8 +268,8 @@ pub(crate) fn trace_activities(trace: &Trace) -> ActivitySet {
 /// Returns validation errors (this function validates first) and model
 /// errors should the trace encode invalid values.
 pub fn reduce(trace: &Trace) -> Result<ReducedTrace, TraceError> {
-    trace.validate()?;
-    reduce_unchecked(trace)
+    let order = trace.validated_rank_order()?;
+    reduce_ranks(trace, &order)
 }
 
 /// Reduces a trace that is well-formed *by construction* — e.g. one the
@@ -282,18 +285,20 @@ pub fn reduce(trace: &Trace) -> Result<ReducedTrace, TraceError> {
 ///
 /// Returns model errors should the trace encode invalid values.
 pub fn reduce_well_formed(trace: &Trace) -> Result<ReducedTrace, TraceError> {
-    reduce_unchecked(trace)
+    reduce_ranks(trace, &trace.rank_order())
 }
 
-fn reduce_unchecked(trace: &Trace) -> Result<ReducedTrace, TraceError> {
+fn reduce_ranks(trace: &Trace, order: &RankOrder<'_>) -> Result<ReducedTrace, TraceError> {
     let mut mb = MeasurementsBuilder::with_activities(trace.processors(), trace_activities(trace));
     for name in trace.region_names() {
         mb.add_region(name.clone());
     }
     let mut cb = CountMatrixBuilder::new(trace.processors());
-    for (proc, events) in (0u32..).zip(trace.events_partitioned()) {
+    for (proc, events) in order.ranks() {
         let mut tally = Tally::new(&mut mb, &mut cb, proc);
-        walk_processor(&events, |attribution| tally.record(attribution));
+        walk_processor(events.map(|(_, e)| e), |attribution| {
+            tally.record(attribution)
+        });
         tally.finish()?;
     }
     Ok(ReducedTrace {
@@ -313,7 +318,7 @@ fn reduce_unchecked(trace: &Trace) -> Result<ReducedTrace, TraceError> {
 /// Returns a malformed-trace error when `windows` is zero or the trace
 /// spans no time, plus the conditions of [`reduce`].
 pub fn reduce_windows(trace: &Trace, windows: usize) -> Result<Vec<ReducedTrace>, TraceError> {
-    trace.validate()?;
+    let order = trace.validated_rank_order()?;
     if windows == 0 {
         return Err(TraceError::Malformed {
             detail: "window count must be positive".into(),
@@ -338,8 +343,8 @@ pub fn reduce_windows(trace: &Trace, windows: usize) -> Result<Vec<ReducedTrace>
         })
         .collect();
     let mut failure: Option<TraceError> = None;
-    for (proc, events) in (0u32..).zip(trace.events_partitioned()) {
-        walk_processor(&events, |attribution| {
+    for (proc, events) in order.ranks() {
+        walk_processor(events.map(|(_, e)| e), |attribution| {
             if failure.is_some() {
                 return;
             }

@@ -92,29 +92,16 @@ pub fn reduce_checked(trace: &Trace) -> Result<SalvagedTrace, TraceError> {
     // unbounded value through even if a new ingestion path forgets the
     // check.
     crate::stream::check_processors(trace.processors())?;
-    // Partition per processor, carrying recording-order indices so
-    // errors can name the offending event. Mirrors
-    // `Trace::events_partitioned` (stable time sort) but reports
-    // out-of-range processors instead of dropping them.
-    let mut parts: Vec<Vec<(usize, Event)>> = vec![Vec::new(); trace.processors()];
-    for (index, e) in trace.events().iter().enumerate() {
-        match parts.get_mut(e.proc as usize) {
-            Some(bucket) => bucket.push((index, *e)),
-            None => {
-                return Err(TraceError::MalformedEvent {
-                    proc: e.proc,
-                    index,
-                    detail: format!(
-                        "references processor {}, trace has {}",
-                        e.proc,
-                        trace.processors()
-                    ),
-                })
-            }
-        }
-    }
-    for bucket in &mut parts {
-        bucket.sort_by(|a, b| a.1.time.total_cmp(&b.1.time));
+    // The rank-order index leaves out-of-range processors out; report
+    // the first one in recording order before walking any rank.
+    let processors = trace.processors();
+    let mut indexed = trace.events().iter().enumerate();
+    if let Some((index, e)) = indexed.find(|(_, e)| e.proc as usize >= processors) {
+        return Err(TraceError::MalformedEvent {
+            proc: e.proc,
+            index,
+            detail: format!("references processor {}, trace has {processors}", e.proc),
+        });
     }
 
     let mut mb = MeasurementsBuilder::with_activities(trace.processors(), trace_activities(trace));
@@ -123,7 +110,7 @@ pub fn reduce_checked(trace: &Trace) -> Result<SalvagedTrace, TraceError> {
     }
     let mut cb = CountMatrixBuilder::new(trace.processors());
     let mut coverage = Vec::with_capacity(trace.processors());
-    for (proc, events) in (0u32..).zip(&parts) {
+    for (proc, events) in trace.rank_order().ranks() {
         let mut tally = Tally::new(&mut mb, &mut cb, proc);
         let cov = walk_salvage(proc, events, trace.region_names().len(), |attribution| {
             tally.record(attribution)
@@ -145,15 +132,15 @@ pub fn reduce_checked(trace: &Trace) -> Result<SalvagedTrace, TraceError> {
 /// strict walk would have been shielded by validation, and synthesized
 /// closings (at the last recorded timestamp) where the stream is merely
 /// truncated.
-fn walk_salvage<F: FnMut(Attribution)>(
+pub(crate) fn walk_salvage<'e, F: FnMut(Attribution)>(
     proc: u32,
-    events: &[(usize, Event)],
+    events: impl IntoIterator<Item = (usize, &'e Event)>,
     regions: usize,
     mut sink: F,
 ) -> Result<RankCoverage, TraceError> {
     let mut walker = SalvageWalker::new(proc, regions);
-    for &(index, e) in events {
-        walker.step(index, &e, &mut sink)?;
+    for (index, e) in events {
+        walker.step(index, e, &mut sink)?;
     }
     Ok(walker.finish(&mut sink))
 }
@@ -161,10 +148,10 @@ fn walk_salvage<F: FnMut(Attribution)>(
 /// The incremental state machine behind [`reduce_checked`]'s per-rank
 /// walk: one event at a time via [`SalvageWalker::step`], truncation
 /// repair and the coverage record on [`SalvageWalker::finish`]. The
-/// batch salvage path drives it over a materialized, per-rank-sorted
-/// slice; the streaming salvage fold ([`crate::stream`]) drives one
-/// walker per rank as frames arrive — the same code attributes in both,
-/// so their outputs are identical by construction, not merely by test.
+/// batch salvage path drives it over the trace's rank-order index; the
+/// streaming salvage fold ([`crate::stream`]) drives one walker per
+/// rank as frames arrive — the same code attributes in both, so their
+/// outputs are identical by construction, not merely by test.
 ///
 /// Public so external incremental consumers — e.g. `limba-serve`'s
 /// online window detector — fold the *same* [`Attribution`]s the

@@ -118,7 +118,7 @@ const DECODE_BATCH: usize = 4096;
 /// Largest processor count a header may declare (4Mi — 40× headroom
 /// over the 100k-rank simulation target). The count is a bare scalar
 /// with no per-entry bytes behind it, yet downstream consumers size
-/// per-processor tables from it ([`Trace::events_partitioned`],
+/// per-processor tables from it ([`Trace::rank_order`],
 /// salvage, the folds), which a hostile 4-byte header could otherwise
 /// turn into a multi-GB allocation.
 pub(crate) const MAX_PROCESSORS: usize = 1 << 22;

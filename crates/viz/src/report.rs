@@ -11,7 +11,7 @@ use crate::table::{cell, TextTable};
 /// Canonical order of every section a rendered report can contain.
 /// Optional sections (clustering, counting parameters, rebalancing
 /// actions, data coverage) are simply absent when they don't apply;
-/// present sections always appear in this order. [`assemble`] enforces
+/// present sections always appear in this order. `assemble` enforces
 /// it, so a new section cannot silently shuffle existing report bytes —
 /// extend this list (and the rendering lock test) to add one.
 pub const SECTION_ORDER: &[&str] = &[

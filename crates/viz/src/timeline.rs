@@ -6,7 +6,7 @@
 //! the x axis.
 
 use limba_model::ActivityKind;
-use limba_trace::{EventPayload, Trace, TraceError};
+use limba_trace::{Event, EventPayload, Trace, TraceError};
 
 fn activity_color(kind: Option<ActivityKind>) -> &'static str {
     match kind {
@@ -28,10 +28,10 @@ struct Segment {
     kind: Option<ActivityKind>,
 }
 
-/// Extracts the activity segments of one processor: inside regions, time
-/// between explicit activities is computation; outside regions it is
-/// idle (`None`).
-fn segments_of(trace: &Trace, proc: u32) -> Vec<Segment> {
+/// Extracts the activity segments of one processor from its
+/// time-ordered events: inside regions, time between explicit
+/// activities is computation; outside regions it is idle (`None`).
+fn segments_of<'e>(events: impl IntoIterator<Item = &'e Event>) -> Vec<Segment> {
     let mut segments = Vec::new();
     let mut depth = 0usize;
     let mut mark = 0.0f64;
@@ -41,7 +41,7 @@ fn segments_of(trace: &Trace, proc: u32) -> Vec<Segment> {
             segments.push(Segment { start, end, kind });
         }
     };
-    for e in trace.events_by_processor(proc) {
+    for e in events {
         match e.payload {
             EventPayload::EnterRegion { .. } => {
                 if depth == 0 {
@@ -121,13 +121,13 @@ pub fn timeline_svg(trace: &Trace, width_px: usize) -> Result<String, TraceError
             x + 14
         ));
     }
-    for proc in 0..procs as u32 {
+    for (proc, events) in trace.rank_order().ranks() {
         let y = TOP + proc as usize * (LANE + GAP);
         out.push_str(&format!(
             "  <text x=\"4\" y=\"{}\">p{proc}</text>\n",
             y + LANE - 4
         ));
-        for seg in segments_of(trace, proc) {
+        for seg in segments_of(events.map(|(_, e)| e)) {
             let x = LABEL as f64 + seg.start * scale;
             let w = ((seg.end - seg.start) * scale).max(0.5);
             out.push_str(&format!(
@@ -143,7 +143,7 @@ pub fn timeline_svg(trace: &Trace, width_px: usize) -> Result<String, TraceError
 #[cfg(test)]
 mod tests {
     use super::*;
-    use limba_trace::{Event, TraceBuilder};
+    use limba_trace::TraceBuilder;
 
     fn sample() -> Trace {
         let mut b = TraceBuilder::new(2);
@@ -169,13 +169,48 @@ mod tests {
 
     #[test]
     fn segments_classify_gaps_correctly() {
-        let segs = segments_of(&sample(), 0);
+        let segs = segments_of(&sample().events_by_processor(0));
         assert_eq!(segs.len(), 3);
         assert_eq!(segs[0].kind, Some(ActivityKind::Computation));
         assert_eq!(segs[1].kind, Some(ActivityKind::Collective));
         assert_eq!(segs[2].kind, Some(ActivityKind::Computation));
         assert_eq!(segs[0].start, 0.0);
         assert_eq!(segs[2].end, 1.0);
+    }
+
+    #[test]
+    fn rank_order_segments_match_per_processor_walk() {
+        // Three ranks recorded round-robin and against time (ties keep
+        // their order), each with idle gaps, nesting and an activity.
+        let mut b = TraceBuilder::new(3);
+        let outer = b.add_region("outer");
+        let inner = b.add_region("inner");
+        let per_rank: Vec<Vec<Event>> = (0..3u32)
+            .map(|p| {
+                let t0 = p as f64 * 0.5;
+                vec![
+                    Event::enter(t0, p, outer),
+                    Event::enter(t0 + 1.0, p, inner),
+                    Event::begin_activity(t0 + 1.0, p, ActivityKind::PointToPoint),
+                    Event::end_activity(t0 + 2.0, p, ActivityKind::PointToPoint),
+                    Event::leave(t0 + 2.5, p, inner),
+                    Event::leave(t0 + 3.0, p, outer),
+                ]
+            })
+            .collect();
+        for step in [4, 5, 3, 1, 2, 0] {
+            for events in &per_rank {
+                b.push(events[step]);
+            }
+        }
+        let trace = b.build();
+        trace.validate().unwrap();
+        let order = trace.rank_order();
+        for p in 0..3u32 {
+            let indexed = segments_of(order.rank(p).map(|(_, e)| e));
+            assert_eq!(indexed, segments_of(&trace.events_by_processor(p)));
+            assert_eq!(indexed.len(), if p == 0 { 3 } else { 4 });
+        }
     }
 
     #[test]

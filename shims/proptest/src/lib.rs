@@ -56,7 +56,7 @@ pub mod collection {
     use rand::Rng;
     use std::ops::Range;
 
-    /// Anything usable as the size argument of [`vec`]: an exact length
+    /// Anything usable as the size argument of [`vec()`]: an exact length
     /// or a half-open range of lengths.
     pub trait IntoSizeRange {
         /// Inclusive lower and upper length bounds.
