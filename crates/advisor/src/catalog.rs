@@ -159,7 +159,7 @@ impl Intervention {
     }
 
     /// Human-readable description; `region_names` resolves region ids.
-    pub fn label(&self, region_names: &[String]) -> String {
+    pub(crate) fn label(&self, region_names: &[String]) -> String {
         match self {
             Intervention::SplitRegionWork { region, factors } => {
                 let name = region_names
@@ -210,7 +210,7 @@ impl Intervention {
     /// The exclusive slot the intervention occupies inside a combo: a
     /// combo holds at most one intervention per slot, which rules out
     /// double-splitting one region or stacking two remaps.
-    pub fn slot(&self) -> String {
+    pub(crate) fn slot(&self) -> String {
         match self {
             Intervention::SplitRegionWork { region, .. } => format!("split:{}", region.index()),
             Intervention::RemapRanks { .. } => "remap".to_string(),

@@ -4,7 +4,7 @@
 //! region and the most dissimilar processors and stop there. This crate
 //! closes the loop entirely in-repo:
 //!
-//! 1. **propose** — the [`catalog`] derives typed, composable
+//! 1. **propose** — the catalog ([`propose`]) derives typed, composable
 //!    interventions from a [`Scenario`] (a program plus the machine it
 //!    runs on): splitting the heaviest region's work across underloaded
 //!    ranks, remapping ranks to CPUs (greedy LPT and a speed-aware
@@ -14,7 +14,7 @@
 //!    runtime mitigation against static refactors;
 //! 2. **predict** — each candidate's gain is estimated analytically
 //!    from the program's `t_ijp` marginals, bracketed by sound
-//!    majorization-style lower/upper bounds ([`predict`]) — no
+//!    majorization-style lower/upper bounds ([`BaselineModel`]) — no
 //!    simulation on the search path;
 //! 3. **search** — [`Advisor`] beam-searches intervention combos under
 //!    a prediction budget, evaluating candidates in parallel through
@@ -54,9 +54,9 @@ use std::fmt;
 use limba_model::{ActivityKind, Measurements};
 use limba_mpisim::{MachineConfig, Program, ProgramBuilder, SimError};
 
-pub mod catalog;
-pub mod predict;
-pub mod search;
+pub(crate) mod catalog;
+pub(crate) mod predict;
+pub(crate) mod search;
 pub mod verify;
 
 pub use catalog::{propose, Intervention, RemapVariant};
@@ -200,7 +200,7 @@ impl Scenario {
     }
 
     /// Per-rank CPU speeds of the machine, in rank order.
-    pub fn speeds(&self) -> Vec<f64> {
+    pub(crate) fn speeds(&self) -> Vec<f64> {
         (0..self.config.processors())
             .map(|p| self.config.cpu_speed(p))
             .collect()

@@ -61,7 +61,7 @@ pub struct Prediction {
 
 impl Prediction {
     /// Predicted gain over `baseline` seconds (positive = faster).
-    pub fn gain(&self, baseline: f64) -> f64 {
+    pub(crate) fn gain(&self, baseline: f64) -> f64 {
         baseline - self.makespan
     }
 }
@@ -192,11 +192,6 @@ impl BaselineModel {
             baseline,
             comm_slack,
         }
-    }
-
-    /// The baseline makespan the model was calibrated against.
-    pub fn baseline_makespan(&self) -> f64 {
-        self.baseline_makespan
     }
 
     /// Predicts a candidate's makespan and bounds analytically.

@@ -1,12 +1,10 @@
-//! Shared helpers for the limba benchmark harness and the `repro_*`
-//! binaries that regenerate every table and figure of the paper.
+//! Shared helpers for the `repro_*` binaries that regenerate every
+//! table and figure of the paper.
 
 use limba_analysis::{Analyzer, Report};
-use limba_model::{ActivityKind, Measurements, MeasurementsBuilder};
+use limba_model::Measurements;
 use limba_mpisim::{MachineConfig, SimOutput, Simulator};
 use limba_workloads::{cfd::CfdConfig, Imbalance};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 /// Analysis report of the calibrated paper reconstruction (loops only).
 pub fn paper_report() -> Report {
@@ -44,28 +42,6 @@ pub fn simulated_cfd_measurements(iterations: usize) -> Measurements {
         .measurements
 }
 
-/// Random measurements of shape `regions × 4 × processors` for scaling
-/// benchmarks, deterministic in `seed`.
-pub fn random_measurements(regions: usize, processors: usize, seed: u64) -> Measurements {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut b = MeasurementsBuilder::new(processors);
-    for i in 0..regions {
-        let r = b.add_region(format!("region {i}"));
-        for kind in [
-            ActivityKind::Computation,
-            ActivityKind::PointToPoint,
-            ActivityKind::Collective,
-            ActivityKind::Synchronization,
-        ] {
-            for p in 0..processors {
-                let t: f64 = rng.gen_range(0.1..10.0);
-                b.record(r, kind, p, t).expect("valid time");
-            }
-        }
-    }
-    b.build().expect("valid measurements")
-}
-
 /// Formats a paper-vs-measured comparison line.
 pub fn compare_line(label: &str, paper: f64, measured: f64) -> String {
     let delta = measured - paper;
@@ -77,14 +53,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn helpers_produce_consistent_data() {
+    fn paper_report_has_the_seven_loops() {
         let r = paper_report();
         assert_eq!(r.profile.regions.len(), 7);
-        let m = random_measurements(5, 8, 1);
-        assert_eq!(m.regions(), 5);
-        assert_eq!(m.processors(), 8);
-        let m2 = random_measurements(5, 8, 1);
-        assert_eq!(m, m2);
     }
 
     #[test]

@@ -13,13 +13,13 @@
 //! "processor 1" is id 0 and "processor 2" is id 1.
 
 use limba_model::{
-    ActivityKind, ActivitySet, Measurements, MeasurementsBuilder, RegionId, STANDARD_ACTIVITIES,
+    ActivityKind, ActivitySet, Measurements, MeasurementsBuilder, STANDARD_ACTIVITIES,
 };
 
 use crate::{solve_weights, CalibrateError, Placement, Shape};
 
 /// Number of processors of the case study (an IBM SP2 partition).
-pub const PROCESSORS: usize = 16;
+pub(crate) const PROCESSORS: usize = 16;
 
 /// Number of measured loops.
 pub const LOOPS: usize = 7;
@@ -31,7 +31,7 @@ pub const LOOP_NAMES: [&str; LOOPS] = [
 
 /// Name of the synthetic remainder region added by
 /// [`paper_measurements_with_tail`].
-pub const TAIL_NAME: &str = "rest of program";
+pub(crate) const TAIL_NAME: &str = "rest of program";
 
 /// Table 1: wall-clock time `t_ij` in seconds per loop ×
 /// (computation, point-to-point, collective, synchronization);
@@ -102,8 +102,6 @@ pub mod claims {
     pub const LONGEST_LOOP: usize = 0;
     /// Published `ID_P` of processor 2 on loop 1.
     pub const LONGEST_ID: f64 = 0.25754;
-    /// Published wall-clock time of processor 2 on loop 1, seconds.
-    pub const LONGEST_WALL_CLOCK: f64 = 15.93;
     /// Figure 1: processors of loop 4 whose computation time lies in the
     /// upper 15 % interval.
     pub const FIG1_LOOP4_UPPER: usize = 5;
@@ -181,7 +179,7 @@ pub fn paper_measurements() -> Result<Measurements, CalibrateError> {
     build(false)
 }
 
-/// Like [`paper_measurements`], plus the balanced [`TAIL_NAME`] region
+/// Like [`paper_measurements`], plus a balanced "rest of program" region
 /// accounting for the ≈ 5.18 s the program spent outside the measured
 /// loops, so the program total matches [`PROGRAM_TOTAL`] and the scaled
 /// indices of Tables 3–4 come out exactly.
@@ -223,15 +221,10 @@ fn build(with_tail: bool) -> Result<Measurements, CalibrateError> {
     Ok(b.build()?)
 }
 
-/// The loop region ids of the reconstruction, `loop 1` … `loop 7`.
-pub fn loop_ids() -> [RegionId; LOOPS] {
-    [0, 1, 2, 3, 4, 5, 6].map(RegionId::new)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use limba_model::ProcessorId;
+    use limba_model::{ProcessorId, RegionId};
     use limba_stats::dispersion::{DispersionIndex, EuclideanFromMean};
 
     #[test]
@@ -245,7 +238,7 @@ mod tests {
     #[test]
     fn reconstruction_matches_table1_means() {
         let m = paper_measurements().unwrap();
-        for (i, r) in loop_ids().into_iter().enumerate() {
+        for (i, r) in (0..LOOPS).map(RegionId::new).enumerate() {
             for (j, &kind) in STANDARD_ACTIVITIES.iter().enumerate() {
                 let t = m.region_activity_time(r, kind);
                 assert!(
@@ -263,7 +256,7 @@ mod tests {
     #[test]
     fn reconstruction_matches_table2_dispersions() {
         let m = paper_measurements().unwrap();
-        for (i, r) in loop_ids().into_iter().enumerate() {
+        for (i, r) in (0..LOOPS).map(RegionId::new).enumerate() {
             for (j, &kind) in STANDARD_ACTIVITIES.iter().enumerate() {
                 if TABLE1[i][j] <= 0.0 {
                     assert!(!m.performs(r, kind));

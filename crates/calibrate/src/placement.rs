@@ -1,7 +1,5 @@
 //! Position-to-processor placements.
 
-use crate::CalibrateError;
-
 /// Decides which processor takes which position of a solved (ascending)
 /// weight profile.
 ///
@@ -62,35 +60,9 @@ impl Placement {
         Placement { pos_to_proc }
     }
 
-    /// An explicit permutation: `pos_to_proc[k]` is the processor taking
-    /// position `k`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CalibrateError::InvalidShape`] when the vector is not a
-    /// permutation of `0..n`.
-    pub fn custom(pos_to_proc: Vec<usize>) -> Result<Self, CalibrateError> {
-        let n = pos_to_proc.len();
-        let mut seen = vec![false; n];
-        for &p in &pos_to_proc {
-            if p >= n || seen[p] {
-                return Err(CalibrateError::InvalidShape {
-                    detail: format!("placement {pos_to_proc:?} is not a permutation of 0..{n}"),
-                });
-            }
-            seen[p] = true;
-        }
-        Ok(Placement { pos_to_proc })
-    }
-
     /// Number of positions.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.pos_to_proc.len()
-    }
-
-    /// Returns `true` for the empty placement.
-    pub fn is_empty(&self) -> bool {
-        self.pos_to_proc.is_empty()
     }
 
     /// Scatters ascending weights to processors.
@@ -128,17 +100,6 @@ mod tests {
         assert_eq!(low[2], 1.0);
         let high = Placement::outlier_high(4, 0).apply(&w);
         assert_eq!(high[0], 9.0);
-    }
-
-    #[test]
-    fn custom_validates_permutation() {
-        assert!(Placement::custom(vec![2, 0, 1]).is_ok());
-        assert!(Placement::custom(vec![0, 0, 1]).is_err());
-        assert!(Placement::custom(vec![0, 3]).is_err());
-        let p = Placement::custom(vec![1, 0]).unwrap();
-        assert_eq!(p.apply(&[5.0, 7.0]), vec![7.0, 5.0]);
-        assert_eq!(p.len(), 2);
-        assert!(!p.is_empty());
     }
 
     #[test]

@@ -36,7 +36,7 @@ impl Shape {
     /// Returns [`CalibrateError::InvalidShape`] when the shape is
     /// degenerate for `n` (e.g. `high` not in `1..n`, or a custom
     /// direction of the wrong length or with nonzero mean).
-    pub fn direction(&self, n: usize) -> Result<Vec<f64>, CalibrateError> {
+    pub(crate) fn direction(&self, n: usize) -> Result<Vec<f64>, CalibrateError> {
         if n == 0 {
             return Err(CalibrateError::InvalidInput {
                 detail: "need at least one processor".into(),

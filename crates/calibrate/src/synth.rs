@@ -58,7 +58,7 @@ impl SyntheticCase {
     }
 
     /// Creates a case with an explicit activity set.
-    pub fn with_activities(processors: usize, activities: ActivitySet) -> Self {
+    pub(crate) fn with_activities(processors: usize, activities: ActivitySet) -> Self {
         SyntheticCase {
             processors,
             activities,
@@ -75,11 +75,13 @@ impl SyntheticCase {
     }
 
     /// Prescribes a cell with the default ramp shape and identity
-    /// placement.
+    /// placement: mean time `total`, Euclidean dispersion `dispersion`.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`set_shaped`](Self::set_shaped).
+    /// Returns an error for unknown regions/activities, invalid totals,
+    /// or unreachable dispersion targets (checked eagerly so mistakes
+    /// surface at specification time).
     pub fn set(
         &mut self,
         region: limba_model::RegionId,
@@ -100,7 +102,7 @@ impl SyntheticCase {
     /// Returns an error for unknown regions/activities, invalid totals,
     /// mismatched placement lengths, or unreachable dispersion targets
     /// (checked eagerly so mistakes surface at specification time).
-    pub fn set_shaped(
+    pub(crate) fn set_shaped(
         &mut self,
         region: limba_model::RegionId,
         kind: ActivityKind,

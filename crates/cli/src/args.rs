@@ -7,20 +7,20 @@ use limba_workloads::Imbalance;
 /// Parsed positional arguments, `--flag value` options, and bare
 /// `--flag` switches.
 #[derive(Debug, Clone, Default)]
-pub struct Parsed {
+pub(crate) struct Parsed {
     pub positional: Vec<String>,
     pub options: BTreeMap<String, String>,
     pub switches: BTreeSet<String>,
 }
 
 /// Splits `args` into positionals and `--flag value` pairs.
-pub fn parse(args: &[String]) -> Result<Parsed, String> {
+pub(crate) fn parse(args: &[String]) -> Result<Parsed, String> {
     parse_with_switches(args, &[])
 }
 
 /// Like [`parse`], but any flag named in `switches` is a bare switch
 /// that takes no value (e.g. `--resume`, `--json`).
-pub fn parse_with_switches(args: &[String], switches: &[&str]) -> Result<Parsed, String> {
+pub(crate) fn parse_with_switches(args: &[String], switches: &[&str]) -> Result<Parsed, String> {
     let mut parsed = Parsed::default();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -42,7 +42,7 @@ pub fn parse_with_switches(args: &[String], switches: &[&str]) -> Result<Parsed,
 
 impl Parsed {
     /// The option's value parsed as `T`, or `default` when absent.
-    pub fn get_or<T: std::str::FromStr>(&self, flag: &str, default: T) -> Result<T, String> {
+    pub(crate) fn get_or<T: std::str::FromStr>(&self, flag: &str, default: T) -> Result<T, String> {
         match self.options.get(flag) {
             None => Ok(default),
             Some(v) => v
@@ -52,18 +52,18 @@ impl Parsed {
     }
 
     /// The option's raw value, if present.
-    pub fn get(&self, flag: &str) -> Option<&str> {
+    pub(crate) fn get(&self, flag: &str) -> Option<&str> {
         self.options.get(flag).map(|s| s.as_str())
     }
 
     /// Whether a bare switch was given.
-    pub fn has(&self, flag: &str) -> bool {
+    pub(crate) fn has(&self, flag: &str) -> bool {
         self.switches.contains(flag)
     }
 }
 
 /// Parses an imbalance spec such as `linear:0.4` or `block:3,2.5`.
-pub fn parse_imbalance(spec: &str) -> Result<Imbalance, String> {
+pub(crate) fn parse_imbalance(spec: &str) -> Result<Imbalance, String> {
     let (kind, params) = match spec.split_once(':') {
         Some((k, p)) => (k, p),
         None => (spec, ""),

@@ -21,7 +21,7 @@ use crate::cmd_simulate::{build_program, load_fault_plan, render_fault_presets, 
 use crate::supervise::Supervision;
 
 /// Runs `limba advise <tracefile | --workload NAME> [options]`.
-pub fn run(argv: &[String]) -> Result<crate::CmdOutcome, String> {
+pub(crate) fn run(argv: &[String]) -> Result<crate::CmdOutcome, String> {
     let parsed: Parsed = parse_with_switches(argv, crate::supervise::SWITCHES)?;
     let json = parsed.has("json");
     if parsed.get("faults") == Some("list") {

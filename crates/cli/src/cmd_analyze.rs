@@ -230,7 +230,7 @@ fn run_from_stream(
 }
 
 /// Runs `limba analyze <tracefile> [options]`.
-pub fn run(argv: &[String]) -> Result<crate::CmdOutcome, String> {
+pub(crate) fn run(argv: &[String]) -> Result<crate::CmdOutcome, String> {
     let parsed: Parsed = parse_with_switches(argv, &["from-stream"])?;
     let path = parsed
         .positional

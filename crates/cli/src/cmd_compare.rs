@@ -7,7 +7,7 @@ use crate::args::parse;
 use crate::cmd_analyze::load_trace_auto;
 
 /// Runs `limba compare <before.trace> <after.trace> [--tolerance F]`.
-pub fn run(argv: &[String]) -> Result<crate::CmdOutcome, String> {
+pub(crate) fn run(argv: &[String]) -> Result<crate::CmdOutcome, String> {
     let parsed = parse(argv)?;
     let [before_path, after_path] = parsed.positional.as_slice() else {
         return Err("compare needs exactly two tracefile paths".into());

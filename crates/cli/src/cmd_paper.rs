@@ -10,7 +10,7 @@ use limba_model::ActivityKind;
 use crate::args::{parse, Parsed};
 
 /// Runs `limba paper [--svg DIR]`.
-pub fn run(argv: &[String]) -> Result<crate::CmdOutcome, String> {
+pub(crate) fn run(argv: &[String]) -> Result<crate::CmdOutcome, String> {
     let parsed: Parsed = parse(argv)?;
     let loops_only = paper_measurements().map_err(|e| e.to_string())?;
     let with_tail = paper_measurements_with_tail().map_err(|e| e.to_string())?;

@@ -21,7 +21,7 @@ use limba_workloads::Imbalance;
 const DEFAULT_ADDR: &str = "127.0.0.1:7979";
 
 /// Runs `limba serve [OPTIONS]`.
-pub fn serve(argv: &[String]) -> Result<crate::CmdOutcome, String> {
+pub(crate) fn serve(argv: &[String]) -> Result<crate::CmdOutcome, String> {
     let parsed: Parsed = parse(argv)?;
     if let Some(extra) = parsed.positional.first() {
         return Err(format!(
@@ -86,7 +86,7 @@ pub fn serve(argv: &[String]) -> Result<crate::CmdOutcome, String> {
 }
 
 /// Runs `limba push [<tracefile>] [OPTIONS]`.
-pub fn push(argv: &[String]) -> Result<crate::CmdOutcome, String> {
+pub(crate) fn push(argv: &[String]) -> Result<crate::CmdOutcome, String> {
     let parsed: Parsed = parse(argv)?;
     let addr = parsed.get("to").unwrap_or(DEFAULT_ADDR).to_string();
     let tenant = parsed.get("tenant").unwrap_or("default").to_string();
@@ -188,7 +188,7 @@ enum Source {
 }
 
 /// Runs `limba query <words...> [--to ADDR]`.
-pub fn query(argv: &[String]) -> Result<crate::CmdOutcome, String> {
+pub(crate) fn query(argv: &[String]) -> Result<crate::CmdOutcome, String> {
     let parsed: Parsed = parse(argv)?;
     if parsed.positional.is_empty() {
         return Err(

@@ -4,7 +4,7 @@ use std::fs::File;
 use std::io::BufWriter;
 
 use limba_mpisim::{
-    BalancePlan, FaultPlan, MachineConfig, Program, SimOutput, Simulator, StreamOutput,
+    BalancePlan, FaultPlan, MachineConfig, Program, SimError, SimOutput, Simulator, StreamOutput,
 };
 use limba_trace::{Trace, TraceSink};
 use limba_workloads::{
@@ -446,36 +446,37 @@ fn render_sweep(
                 balanced: spec.balance.is_some(),
             },
             |index, _| {
-                // Mirrors `Simulator::run_replications`: the same seed
-                // derivation, the same per-replication plan reseeding.
-                let seed = limba_par::derive_seed(spec.root_seed, index as u64);
-                let program = build_program(
-                    spec.workload,
-                    spec.ranks,
-                    spec.iterations,
-                    spec.imbalance,
-                    seed,
-                )
-                .map_err(limba_guard::JobError::Fatal)?;
-                let rep_faults = spec.faults.map(|plan| {
-                    plan.clone()
-                        .with_seed(limba_par::derive_seed(plan.seed, index as u64))
-                });
-                let rep_balance = spec.balance.map(|plan| {
-                    plan.clone()
-                        .with_seed(limba_par::derive_seed(plan.seed(), index as u64))
-                });
-                let output = sim
-                    .run_configured(&program, rep_faults.as_ref(), rep_balance.as_ref(), None)
-                    .map_err(|e| limba_guard::JobError::Fatal(e.to_string()))?;
+                let rep = sim
+                    .run_replication(
+                        index,
+                        spec.root_seed,
+                        spec.faults,
+                        spec.balance,
+                        |_, seed| {
+                            build_program(
+                                spec.workload,
+                                spec.ranks,
+                                spec.iterations,
+                                spec.imbalance,
+                                seed,
+                            )
+                            .map_err(|detail| SimError::BuildFailed { detail })
+                        },
+                    )
+                    // A build failure's row shows the builder's own text.
+                    .map_err(|e| match e {
+                        SimError::BuildFailed { detail } => limba_guard::JobError::Fatal(detail),
+                        e => limba_guard::JobError::Fatal(e.to_string()),
+                    })?;
+                let stats = &rep.output.stats;
                 Ok(SweepRow {
                     index: index as u64,
-                    seed,
-                    makespan: output.stats.makespan,
-                    messages: output.stats.messages,
-                    bytes: output.stats.bytes,
-                    migrations: output.balance.migrations as u64,
-                    moved: output.balance.moved_seconds,
+                    seed: rep.seed,
+                    makespan: stats.makespan,
+                    messages: stats.messages,
+                    bytes: stats.bytes,
+                    migrations: rep.output.balance.migrations,
+                    moved: rep.output.balance.moved_seconds,
                 })
             },
         )
@@ -795,7 +796,7 @@ fn run_stream_out(
 }
 
 /// Runs `limba simulate <workload> [options]`.
-pub fn run(argv: &[String]) -> Result<crate::CmdOutcome, String> {
+pub(crate) fn run(argv: &[String]) -> Result<crate::CmdOutcome, String> {
     let parsed: Parsed = parse_with_switches(argv, SIM_SWITCHES)?;
     // `--faults list` is a query, not a run: answer it even without a
     // workload on the command line.
@@ -914,7 +915,7 @@ pub fn run(argv: &[String]) -> Result<crate::CmdOutcome, String> {
 }
 
 /// Runs `limba demo`: CFD proxy with injected skew, analyzed in memory.
-pub fn demo() -> Result<crate::CmdOutcome, String> {
+pub(crate) fn demo() -> Result<crate::CmdOutcome, String> {
     let program = CfdConfig::new(16)
         .with_iterations(2)
         .with_imbalance(Imbalance::LinearSkew { spread: 0.4 })

@@ -247,7 +247,7 @@ pub(crate) fn render(
 }
 
 /// Runs `limba suite [--ranks N] [--jobs N] [supervision flags]`.
-pub fn run(argv: &[String]) -> Result<crate::CmdOutcome, String> {
+pub(crate) fn run(argv: &[String]) -> Result<crate::CmdOutcome, String> {
     let parsed: Parsed = parse_with_switches(argv, crate::supervise::SWITCHES)?;
     let ranks: usize = parsed.get_or("ranks", 8)?;
     let jobs: usize = parsed.get_or("jobs", 1)?;

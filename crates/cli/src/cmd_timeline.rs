@@ -5,7 +5,7 @@ use std::fs;
 use crate::args::parse;
 
 /// Runs `limba timeline <tracefile> [--out PATH] [--width PX]`.
-pub fn run(argv: &[String]) -> Result<crate::CmdOutcome, String> {
+pub(crate) fn run(argv: &[String]) -> Result<crate::CmdOutcome, String> {
     let parsed = parse(argv)?;
     let path = parsed
         .positional

@@ -28,12 +28,12 @@ pub(crate) struct Supervision {
 impl Supervision {
     /// No supervision at all — the defaults the tests use.
     #[cfg(test)]
-    pub fn none() -> Self {
+    pub(crate) fn none() -> Self {
         Supervision::default()
     }
 
     /// Extracts the supervision flags from a parsed command line.
-    pub fn from_args(parsed: &Parsed) -> Result<Self, String> {
+    pub(crate) fn from_args(parsed: &Parsed) -> Result<Self, String> {
         let deadline = match parsed.get("deadline") {
             Some(v) => {
                 let secs: f64 = v
@@ -71,7 +71,7 @@ impl Supervision {
     }
 
     /// Builds the [`Supervisor`] these options describe.
-    pub fn supervisor(&self, jobs: usize) -> Supervisor {
+    pub(crate) fn supervisor(&self, jobs: usize) -> Supervisor {
         let mut supervisor =
             Supervisor::new(jobs).with_retry(RetryPolicy::with_max_retries(self.max_retries));
         if let Some(deadline) = self.deadline {
@@ -87,7 +87,7 @@ impl Supervision {
     }
 
     /// Writes the run manifest when `--manifest` was given.
-    pub fn write_manifest(&self, manifest: &RunManifest) -> Result<(), String> {
+    pub(crate) fn write_manifest(&self, manifest: &RunManifest) -> Result<(), String> {
         if let Some(path) = &self.manifest {
             std::fs::write(path, manifest.to_json())
                 .map_err(|e| format!("cannot write manifest {}: {e}", path.display()))?;
@@ -98,7 +98,7 @@ impl Supervision {
     /// The command outcome a manifest maps to: complete runs exit 0,
     /// anything that left work undone or failed exits with the partial
     /// code.
-    pub fn outcome_of(manifest: &RunManifest) -> CmdOutcome {
+    pub(crate) fn outcome_of(manifest: &RunManifest) -> CmdOutcome {
         if manifest.is_complete() {
             CmdOutcome::Complete
         } else {

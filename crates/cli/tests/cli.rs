@@ -179,6 +179,57 @@ fn analyze_with_windows_reports_evolution() {
 }
 
 #[test]
+fn activity_outliving_its_region_attributes_alike_on_every_path() {
+    // Validation accepts an activity that ends after its region left.
+    // The strict reductions behind `compare` and `--windows` attribute
+    // it exactly as plain `analyze` does, instead of panicking.
+    let trace = temp_path("outliving.trace");
+    std::fs::write(
+        &trace,
+        "limba-trace v1\nprocessors 1\nregion 0 r\nevent 0 0 enter 0\n\
+         event 1 0 begin point-to-point\nevent 2 0 leave 0\nevent 3 0 end point-to-point\n",
+    )
+    .unwrap();
+    let path = trace.to_str().unwrap();
+    let run = |args: &[&str]| {
+        let out = limba(args);
+        assert!(
+            out.status.success(),
+            "{args:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        String::from_utf8(out.stdout).unwrap()
+    };
+    let plain = run(&["analyze", path]);
+    let windowed = run(&["analyze", path, "--windows", "2"]);
+    assert!(windowed.starts_with(&plain), "{windowed}");
+    assert!(windowed.contains("imbalance evolution (2 windows)"));
+    // The region's overall wall clock, from plain `analyze`'s breakdown
+    // and from both sides of `compare`.
+    let overall = plain
+        .lines()
+        .skip_while(|l| !l.starts_with("== wall clock breakdown"))
+        .find_map(|l| match l.split_whitespace().collect::<Vec<_>>()[..] {
+            ["r", overall, ..] => Some(format!("{overall}s")),
+            _ => None,
+        })
+        .unwrap();
+    let compared = run(&["compare", path, path]);
+    let row = compared
+        .lines()
+        .find(|l| l.starts_with("r "))
+        .unwrap()
+        .split_whitespace()
+        .collect::<Vec<_>>();
+    assert_eq!(
+        row[1..3],
+        [overall.as_str(), overall.as_str()],
+        "{compared}"
+    );
+    std::fs::remove_file(&trace).ok();
+}
+
+#[test]
 fn amr_drilldown_localizes_nested_culprit() {
     let trace = temp_path("amr.trace");
     assert!(limba(&[

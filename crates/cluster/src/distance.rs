@@ -9,7 +9,7 @@ use crate::ClusterError;
 /// Panics in debug builds when dimensions differ; in release the shorter
 /// dimension governs. Points coming from clustering entry points are
 /// validated up front, which rules this out.
-pub fn squared_euclidean(a: &[f64], b: &[f64]) -> f64 {
+pub(crate) fn squared_euclidean(a: &[f64], b: &[f64]) -> f64 {
     debug_assert_eq!(a.len(), b.len(), "dimension mismatch");
     a.iter().zip(b).map(|(&x, &y)| (x - y) * (x - y)).sum()
 }
@@ -104,16 +104,6 @@ impl Standardizer {
             })
             .collect()
     }
-
-    /// Per-feature means learned at fit time.
-    pub fn means(&self) -> &[f64] {
-        &self.means
-    }
-
-    /// Per-feature scales learned at fit time.
-    pub fn scales(&self) -> &[f64] {
-        &self.scales
-    }
 }
 
 #[cfg(test)]
@@ -151,7 +141,7 @@ mod tests {
         for p in &t {
             assert_eq!(p[1], 0.0);
         }
-        assert_eq!(s.scales()[1], 1.0);
-        assert_eq!(s.means()[0], 3.0);
+        assert_eq!(s.scales[1], 1.0);
+        assert_eq!(s.means[0], 3.0);
     }
 }

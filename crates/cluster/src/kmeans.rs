@@ -6,6 +6,10 @@ use rand::SeedableRng;
 use crate::distance::{squared_euclidean, validate_points};
 use crate::{ClusterError, InitMethod};
 
+/// Convergence tolerance on centroid movement: a restart stops once no
+/// centroid moves farther than this.
+const TOLERANCE: f64 = 1e-9;
+
 /// Configuration of a k-means run.
 ///
 /// # Example
@@ -24,7 +28,6 @@ pub struct KMeansConfig {
     k: usize,
     max_iterations: usize,
     restarts: usize,
-    tolerance: f64,
     seed: u64,
     init: InitMethod,
 }
@@ -37,7 +40,6 @@ impl KMeansConfig {
             k,
             max_iterations: 100,
             restarts: 4,
-            tolerance: 1e-9,
             seed: 0,
             init: InitMethod::default(),
         }
@@ -67,12 +69,6 @@ impl KMeansConfig {
         self
     }
 
-    /// Sets the convergence tolerance on centroid movement.
-    pub fn with_tolerance(mut self, tol: f64) -> Self {
-        self.tolerance = tol.max(0.0);
-        self
-    }
-
     /// Sets the initialization method.
     pub fn with_init(mut self, init: InitMethod) -> Self {
         self.init = init;
@@ -94,16 +90,6 @@ pub struct KMeansResult {
 }
 
 impl KMeansResult {
-    /// Members of cluster `c` as point indices.
-    pub fn cluster_members(&self, c: usize) -> Vec<usize> {
-        self.assignments
-            .iter()
-            .enumerate()
-            .filter(|&(_, &a)| a == c)
-            .map(|(i, _)| i)
-            .collect()
-    }
-
     /// Number of clusters.
     pub fn k(&self) -> usize {
         self.centroids.len()
@@ -190,7 +176,7 @@ impl KMeans {
                 movement += squared_euclidean(&centroids[c], &new);
                 centroids[c] = new;
             }
-            if movement <= self.config.tolerance {
+            if movement <= TOLERANCE {
                 break;
             }
         }
@@ -318,17 +304,5 @@ mod tests {
             .unwrap();
         assert_eq!(r.assignments.len(), 6);
         assert!(r.wcss < 1e-18);
-    }
-
-    #[test]
-    fn cluster_members_partition_points() {
-        let pts = two_blobs();
-        let r = KMeans::new(KMeansConfig::new(2).with_seed(2))
-            .fit(&pts)
-            .unwrap();
-        let m0 = r.cluster_members(0);
-        let m1 = r.cluster_members(1);
-        assert_eq!(m0.len() + m1.len(), pts.len());
-        assert_eq!(r.k(), 2);
     }
 }

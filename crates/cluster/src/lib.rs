@@ -35,7 +35,7 @@ mod init;
 mod kmeans;
 
 pub use assess::{calinski_harabasz, silhouette, within_cluster_sum_of_squares};
-pub use distance::{squared_euclidean, Standardizer};
+pub use distance::Standardizer;
 pub use error::ClusterError;
 pub use init::InitMethod;
 pub use kmeans::{KMeans, KMeansConfig, KMeansResult};

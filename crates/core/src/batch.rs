@@ -30,7 +30,7 @@ use limba_par::fnv1a;
 ///
 /// Two matrices digest equal iff they would analyze identically (modulo
 /// 64-bit collisions, acceptable for a cache key).
-pub fn measurements_digest(measurements: &Measurements) -> u64 {
+pub(crate) fn measurements_digest(measurements: &Measurements) -> u64 {
     let mut bytes: Vec<u8> = Vec::new();
     bytes.extend_from_slice(&(measurements.regions() as u64).to_le_bytes());
     bytes.extend_from_slice(&(measurements.processors() as u64).to_le_bytes());
@@ -161,16 +161,6 @@ impl BatchAnalyzer {
     pub fn with_cancel(mut self, cancel: limba_par::CancelToken) -> Self {
         self.cancel = Some(cancel);
         self
-    }
-
-    /// The configured per-item analyzer.
-    pub fn analyzer(&self) -> &Analyzer {
-        &self.analyzer
-    }
-
-    /// The configured worker count.
-    pub fn jobs(&self) -> usize {
-        self.jobs
     }
 
     /// Analyzes every item, in input order, isolating failures to their

@@ -38,18 +38,6 @@ pub struct RegionClustering {
     pub wcss: f64,
 }
 
-impl RegionClustering {
-    /// The cluster label of `region`.
-    pub fn label_of(&self, region: RegionId) -> usize {
-        self.assignments[region.index()]
-    }
-
-    /// Returns `true` when the two regions ended up in the same group.
-    pub fn same_group(&self, a: RegionId, b: RegionId) -> bool {
-        self.label_of(a) == self.label_of(b)
-    }
-}
-
 /// Clusters the regions of `measurements` into `k` groups by k-means on
 /// their `t_ij` vectors, with a deterministic seed and the given feature
 /// scaling.
@@ -130,9 +118,9 @@ mod tests {
     fn heavy_regions_form_their_own_group() {
         let m = sample();
         let c = cluster_regions(&m, 2, 0, FeatureScaling::Raw).unwrap();
-        assert!(c.same_group(RegionId::new(0), RegionId::new(1)));
-        assert!(c.same_group(RegionId::new(2), RegionId::new(3)));
-        assert!(!c.same_group(RegionId::new(0), RegionId::new(2)));
+        assert_eq!(c.assignments[0], c.assignments[1]);
+        assert_eq!(c.assignments[2], c.assignments[3]);
+        assert_ne!(c.assignments[0], c.assignments[2]);
         // Group 0 holds the heavy regions.
         assert_eq!(c.assignments[0], 0);
         assert_eq!(c.assignments[2], 1);

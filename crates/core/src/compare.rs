@@ -69,13 +69,6 @@ impl RunComparison {
             .filter(|d| d.verdict == Verdict::Regressed)
             .collect()
     }
-
-    /// The region with the largest speedup.
-    pub fn best_improvement(&self) -> Option<&RegionDelta> {
-        self.regions
-            .iter()
-            .max_by(|a, b| a.speedup.total_cmp(&b.speedup))
-    }
 }
 
 fn region_weighted_id(
@@ -211,7 +204,6 @@ mod tests {
         let core = &cmp.regions[0];
         assert_eq!(core.verdict, Verdict::Improved);
         assert!(core.after_id < core.before_id);
-        assert_eq!(cmp.best_improvement().unwrap().name, "core");
         assert!(cmp.regressions().is_empty());
         // Balanced halo unchanged.
         assert_eq!(cmp.regions[1].verdict, Verdict::Unchanged);

@@ -53,11 +53,6 @@ impl CountView {
     pub fn most_imbalanced_cell(&self) -> Option<&CountCell> {
         self.cells.iter().max_by(|a, b| a.id.total_cmp(&b.id))
     }
-
-    /// Summary of one kind, if recorded.
-    pub fn summary_of(&self, kind: CountKind) -> Option<&CountSummary> {
-        self.summaries.iter().find(|s| s.kind == kind)
-    }
 }
 
 /// Computes dispersion indices over all recorded counting cells.
@@ -154,11 +149,12 @@ mod tests {
         b.record(RegionId::new(1), CountKind::IoOperations, 0, 2.0)
             .unwrap(); // concentrated, total 2
         let v = count_view(&b.build(), DispersionKind::Euclidean).unwrap();
-        let s = v.summary_of(CountKind::IoOperations).unwrap();
+        let summary_of = |kind| v.summaries.iter().find(|s| s.kind == kind);
+        let s = summary_of(CountKind::IoOperations).unwrap();
         assert_eq!(s.total, 8.0);
         // Weighted: (6·0 + 2·sqrt(1/2)) / 8.
         assert!((s.id - 2.0 * 0.5f64.sqrt() / 8.0).abs() < 1e-12);
-        assert!(v.summary_of(CountKind::CacheMisses).is_none());
+        assert!(summary_of(CountKind::CacheMisses).is_none());
     }
 
     #[test]

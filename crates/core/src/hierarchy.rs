@@ -7,7 +7,7 @@
 //!
 //! * [`RegionTree`] — the static nesting of regions (recovered from a
 //!   trace by `limba_trace::region_parents` or declared directly);
-//! * [`inclusive_times`] — roll-up of the innermost-attributed
+//! * `inclusive_times` — roll-up of the innermost-attributed
 //!   measurements so each region also carries its descendants' time;
 //! * [`drilldown`] — a top-down search that starts at the program level,
 //!   repeatedly descends into the child with the largest scaled index of
@@ -77,18 +77,8 @@ impl RegionTree {
     }
 
     /// Number of regions.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.parents.len()
-    }
-
-    /// Returns `true` for the empty tree.
-    pub fn is_empty(&self) -> bool {
-        self.parents.is_empty()
-    }
-
-    /// Parent of `region`, `None` at top level.
-    pub fn parent(&self, region: RegionId) -> Option<RegionId> {
-        self.parents[region.index()].map(RegionId::new)
     }
 
     /// Direct children of `region`.
@@ -106,7 +96,7 @@ impl RegionTree {
 
     /// All regions of the subtree rooted at `region` (including it), in
     /// depth-first order.
-    pub fn subtree(&self, region: RegionId) -> Vec<RegionId> {
+    pub(crate) fn subtree(&self, region: RegionId) -> Vec<RegionId> {
         let mut out = Vec::new();
         let mut stack = vec![region.index()];
         while let Some(r) = stack.pop() {
@@ -124,7 +114,7 @@ impl RegionTree {
 /// # Errors
 ///
 /// Propagates model errors; the tree must describe the same region set.
-pub fn inclusive_times(
+pub(crate) fn inclusive_times(
     measurements: &Measurements,
     tree: &RegionTree,
 ) -> Result<Measurements, AnalysisError> {
@@ -305,7 +295,6 @@ mod tests {
     fn tree_navigation() {
         let (_, tree) = nested_case();
         assert_eq!(tree.roots(), vec![RegionId::new(0)]);
-        assert_eq!(tree.parent(RegionId::new(2)), Some(RegionId::new(1)));
         assert_eq!(tree.children(RegionId::new(0)).len(), 2);
         let mut subtree = tree.subtree(RegionId::new(1));
         subtree.sort();
@@ -314,7 +303,6 @@ mod tests {
             vec![RegionId::new(1), RegionId::new(2), RegionId::new(3)]
         );
         assert_eq!(tree.len(), 5);
-        assert!(!tree.is_empty());
     }
 
     #[test]

@@ -39,6 +39,11 @@ pub struct Report {
     pub findings: Findings,
 }
 
+/// Feature scaling applied before clustering regions: z-scored
+/// activity columns, under which k-means reproduces the paper's
+/// partition (see [`FeatureScaling`]).
+const SCALING: FeatureScaling = FeatureScaling::ZScore;
+
 /// Configurable analysis pipeline implementing the paper's methodology.
 ///
 /// Defaults follow the paper: Euclidean index of dispersion, maximum
@@ -63,7 +68,6 @@ pub struct Analyzer {
     dispersion: DispersionKind,
     criterion: RankingCriterion,
     cluster_k: usize,
-    scaling: FeatureScaling,
     seed: u64,
     jobs: usize,
 }
@@ -75,7 +79,6 @@ impl Analyzer {
             dispersion: DispersionKind::Euclidean,
             criterion: RankingCriterion::Maximum,
             cluster_k: 2,
-            scaling: FeatureScaling::default(),
             seed: 0,
             jobs: 1,
         }
@@ -99,12 +102,6 @@ impl Analyzer {
         self
     }
 
-    /// Sets the feature scaling used before clustering regions.
-    pub fn with_feature_scaling(mut self, scaling: FeatureScaling) -> Self {
-        self.scaling = scaling;
-        self
-    }
-
     /// Sets the clustering seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
@@ -125,26 +122,16 @@ impl Analyzer {
         self
     }
 
-    /// The configured index of dispersion.
-    pub fn dispersion(&self) -> DispersionKind {
-        self.dispersion
-    }
-
-    /// The configured intra-report job count (see [`with_jobs`](Self::with_jobs)).
-    pub fn jobs(&self) -> usize {
-        self.jobs
-    }
-
     /// A stable fingerprint of everything that influences analysis
     /// *results*: dispersion, criterion, cluster count, scaling, and
     /// seed. The job count is deliberately excluded — thread count never
     /// changes the report, so cached results remain valid across
     /// `--jobs` settings.
-    pub fn config_fingerprint(&self) -> u64 {
+    pub(crate) fn config_fingerprint(&self) -> u64 {
         limba_par::fnv1a(
             format!(
                 "{:?}|{:?}|{}|{:?}|{}",
-                self.dispersion, self.criterion, self.cluster_k, self.scaling, self.seed
+                self.dispersion, self.criterion, self.cluster_k, SCALING, self.seed
             )
             .as_bytes(),
         )
@@ -174,7 +161,7 @@ impl Analyzer {
             },
             || {
                 if self.cluster_k >= 1 && self.cluster_k <= measurements.regions() {
-                    cluster_regions(measurements, self.cluster_k, self.seed, self.scaling).map(Some)
+                    cluster_regions(measurements, self.cluster_k, self.seed, SCALING).map(Some)
                 } else {
                     Ok(None)
                 }
@@ -278,7 +265,7 @@ mod tests {
         assert_eq!(report.profile.regions.len(), 2);
         let c = report.clustering.as_ref().unwrap();
         assert_eq!(c.k, 2);
-        assert!(!c.same_group(limba_model::RegionId::new(0), limba_model::RegionId::new(1)));
+        assert_ne!(c.assignments[0], c.assignments[1]);
         // Three performed activities → three pattern grids.
         assert_eq!(report.patterns.len(), 3);
         assert!(report.pattern_for(ActivityKind::Computation).is_some());

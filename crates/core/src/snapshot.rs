@@ -12,8 +12,6 @@
 //! deterministic function of the value, and Rust's float formatting is
 //! shortest-round-trip, so distinct bit patterns render distinctly.
 
-use limba_par::fnv1a;
-
 use crate::Report;
 
 /// Version tag embedded in [`canonical`] output; bump when the report
@@ -23,11 +21,6 @@ pub const CANONICAL_VERSION: u32 = 1;
 /// The canonical byte-comparable serialization of a report.
 pub fn canonical(report: &Report) -> String {
     format!("limba-report v{CANONICAL_VERSION}\n{report:#?}\n")
-}
-
-/// Digest of a report's canonical form.
-pub fn report_digest(report: &Report) -> u64 {
-    fnv1a(canonical(report).as_bytes())
 }
 
 #[cfg(test)]
@@ -55,11 +48,10 @@ mod tests {
         let b = canonical(&report());
         assert!(a.starts_with("limba-report v1\n"));
         assert_eq!(a, b);
-        assert_eq!(report_digest(&report()), report_digest(&report()));
     }
 
     #[test]
-    fn different_reports_have_different_digests() {
+    fn different_reports_have_different_canonical_forms() {
         let base = report();
         let mut b = MeasurementsBuilder::new(4);
         let r = b.add_region("solver");
@@ -71,6 +63,6 @@ mod tests {
             .with_cluster_k(1)
             .analyze(&b.build().unwrap())
             .unwrap();
-        assert_ne!(report_digest(&base), report_digest(&other));
+        assert_ne!(canonical(&base), canonical(&other));
     }
 }

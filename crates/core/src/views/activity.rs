@@ -4,7 +4,7 @@
 //! performed by the processors across all the code regions with the
 //! objective of identifying the most imbalanced activity."
 
-use limba_model::{ActivityKind, Measurements, RegionId};
+use limba_model::{ActivityKind, Measurements};
 use limba_stats::dispersion::{DispersionIndex, DispersionKind};
 
 use crate::AnalysisError;
@@ -37,21 +37,14 @@ pub struct ActivityView {
 }
 
 impl ActivityView {
-    /// `ID_ij` of one cell, `None` when not performed.
-    pub fn id_of(&self, region: RegionId, column: usize) -> Option<f64> {
-        self.id
-            .get(region.index())
-            .and_then(|row| row.get(column).copied().flatten())
-    }
-
     /// The most imbalanced activity by raw `ID_A_j`.
-    pub fn most_imbalanced(&self) -> Option<&ActivitySummary> {
+    pub(crate) fn most_imbalanced(&self) -> Option<&ActivitySummary> {
         self.summaries.iter().max_by(|a, b| a.id.total_cmp(&b.id))
     }
 
     /// The most imbalanced activity by scaled `SID_A_j` — the paper's
     /// criterion for *tuning-relevant* imbalance.
-    pub fn most_imbalanced_scaled(&self) -> Option<&ActivitySummary> {
+    pub(crate) fn most_imbalanced_scaled(&self) -> Option<&ActivitySummary> {
         self.summaries.iter().max_by(|a, b| a.sid.total_cmp(&b.sid))
     }
 }
@@ -183,14 +176,6 @@ mod tests {
             v.most_imbalanced_scaled().unwrap().kind,
             ActivityKind::Computation
         );
-    }
-
-    #[test]
-    fn id_of_accessor() {
-        let v = activity_view(&sample(), DispersionKind::Euclidean).unwrap();
-        assert!(v.id_of(RegionId::new(0), 0).is_some());
-        assert!(v.id_of(RegionId::new(0), 1).is_none());
-        assert!(v.id_of(RegionId::new(9), 0).is_none());
     }
 
     #[test]

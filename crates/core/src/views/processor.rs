@@ -37,7 +37,7 @@ impl ProcessorView {
 
     /// How many regions each processor is the most imbalanced of — the
     /// paper's "most frequently imbalanced" count.
-    pub fn imbalance_counts(&self, processors: usize) -> Vec<usize> {
+    pub(crate) fn imbalance_counts(&self, processors: usize) -> Vec<usize> {
         let mut counts = vec![0usize; processors];
         for entry in self.most_imbalanced_per_region.iter().flatten() {
             counts[entry.0.index()] += 1;
@@ -48,7 +48,7 @@ impl ProcessorView {
     /// Total wall-clock time each processor spent in the regions it is
     /// the most imbalanced of — the paper's "imbalanced for the longest
     /// time" measure.
-    pub fn imbalance_durations(&self, processors: usize) -> Vec<f64> {
+    pub(crate) fn imbalance_durations(&self, processors: usize) -> Vec<f64> {
         let mut durations = vec![0.0; processors];
         for entry in self.most_imbalanced_per_region.iter().flatten() {
             durations[entry.0.index()] += entry.2;

@@ -36,7 +36,7 @@ pub struct RegionView {
 
 impl RegionView {
     /// The most imbalanced region by raw `ID_C_i`.
-    pub fn most_imbalanced(&self) -> Option<&RegionSummary> {
+    pub(crate) fn most_imbalanced(&self) -> Option<&RegionSummary> {
         self.summaries.iter().max_by(|a, b| a.id.total_cmp(&b.id))
     }
 

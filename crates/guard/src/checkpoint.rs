@@ -74,24 +74,9 @@ impl Checkpoint {
         }
     }
 
-    /// The run kind recorded in this checkpoint.
-    pub fn kind(&self) -> &str {
-        &self.kind
-    }
-
-    /// The configuration fingerprint recorded in this checkpoint.
-    pub fn fingerprint(&self) -> u64 {
-        self.fingerprint
-    }
-
     /// Number of completed units stored.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.entries.len()
-    }
-
-    /// Whether no units are stored.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 
     /// Stores (or replaces) the payload of unit `id`.
@@ -135,7 +120,7 @@ impl Checkpoint {
     /// version, truncation, oversized count or length fields) and
     /// [`GuardError::ChecksumMismatch`] when the whole-file or a
     /// per-entry checksum disagrees with the bytes.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Checkpoint, GuardError> {
+    pub(crate) fn from_bytes(bytes: &[u8]) -> Result<Checkpoint, GuardError> {
         if bytes.len() < MAGIC.len() + 2 + 8 {
             return Err(GuardError::Corrupted {
                 detail: "file too short to be a checkpoint".into(),
@@ -196,24 +181,16 @@ impl Checkpoint {
         })
     }
 
-    /// Loads and validates a checkpoint file, additionally requiring it
-    /// to belong to a run of `kind` under `fingerprint`.
+    /// Reads and decodes the checkpoint at `path` through `vfs`,
+    /// verifying it belongs to a run of `kind` under `fingerprint`.
     ///
     /// # Errors
     ///
-    /// Everything [`from_bytes`](Self::from_bytes) raises, plus
-    /// [`GuardError::Io`] for read failures, [`GuardError::KindMismatch`]
+    /// [`GuardError::Corrupted`] for structural damage,
+    /// [`GuardError::ChecksumMismatch`] when a checksum disagrees with
+    /// the bytes, [`GuardError::Io`] for read failures, [`GuardError::KindMismatch`]
     /// and [`GuardError::FingerprintMismatch`] for files written by a
     /// different command or configuration.
-    pub fn load(path: &Path, kind: &str, fingerprint: u64) -> Result<Checkpoint, GuardError> {
-        Checkpoint::load_vfs(&StdVfs, path, kind, fingerprint)
-    }
-
-    /// [`load`](Self::load) against an explicit [`Vfs`] backend.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`load`](Self::load).
     pub fn load_vfs(
         vfs: &dyn Vfs,
         path: &Path,
@@ -237,9 +214,9 @@ impl Checkpoint {
         Ok(checkpoint)
     }
 
-    /// Like [`load`](Self::load), but a missing file is a fresh start:
-    /// returns an empty checkpoint instead of an error.
-    pub fn load_or_new(
+    /// [`load_or_new_vfs`](Self::load_or_new_vfs) on the real
+    /// filesystem.
+    pub(crate) fn load_or_new(
         path: &Path,
         kind: &str,
         fingerprint: u64,
@@ -247,12 +224,12 @@ impl Checkpoint {
         Checkpoint::load_or_new_vfs(&StdVfs, path, kind, fingerprint)
     }
 
-    /// [`load_or_new`](Self::load_or_new) against an explicit [`Vfs`]
-    /// backend.
+    /// Like [`load_vfs`](Self::load_vfs), but a missing file is a fresh
+    /// start: returns an empty checkpoint instead of an error.
     ///
     /// # Errors
     ///
-    /// Same as [`load`](Self::load).
+    /// Same as [`load_vfs`](Self::load_vfs).
     pub fn load_or_new_vfs(
         vfs: &dyn Vfs,
         path: &Path,
@@ -266,9 +243,15 @@ impl Checkpoint {
         }
     }
 
-    /// Writes the checkpoint atomically and durably: the bytes are
-    /// assembled in a sibling `<path>.tmp` file, **fsynced**, renamed
-    /// over `path`, and the parent directory is fsynced. An
+    /// [`save_atomic_vfs`](Self::save_atomic_vfs) on the real
+    /// filesystem.
+    pub(crate) fn save_atomic(&self, path: &Path) -> Result<(), GuardError> {
+        self.save_atomic_vfs(&StdVfs, path)
+    }
+
+    /// Writes the checkpoint through `vfs` atomically and durably: the
+    /// bytes are assembled in a sibling `<path>.tmp` file, **fsynced**,
+    /// renamed over `path`, and the parent directory is fsynced. An
     /// interrupted save — even a power cut — leaves either the
     /// previous checkpoint or the new one, never a torn or
     /// zero-length file (a rename is only guaranteed durable once the
@@ -277,16 +260,6 @@ impl Checkpoint {
     /// # Errors
     ///
     /// [`GuardError::Io`] for write, sync, or rename failures.
-    pub fn save_atomic(&self, path: &Path) -> Result<(), GuardError> {
-        self.save_atomic_vfs(&StdVfs, path)
-    }
-
-    /// [`save_atomic`](Self::save_atomic) against an explicit [`Vfs`]
-    /// backend.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`save_atomic`](Self::save_atomic).
     pub fn save_atomic_vfs(&self, vfs: &dyn Vfs, path: &Path) -> Result<(), GuardError> {
         let tmp: PathBuf = {
             let mut os = path.as_os_str().to_os_string();
@@ -336,8 +309,8 @@ mod tests {
     fn round_trips_through_bytes() {
         let c = sample();
         let back = Checkpoint::from_bytes(&c.to_bytes()).unwrap();
-        assert_eq!(back.kind(), "sweep");
-        assert_eq!(back.fingerprint(), 0xABCD);
+        assert_eq!(back.kind, "sweep");
+        assert_eq!(back.fingerprint, 0xABCD);
         assert_eq!(back.len(), 3);
         assert_eq!(back.get(0), Some(&b"alpha"[..]));
         assert_eq!(back.get(3), Some(&b""[..]));
@@ -399,13 +372,13 @@ mod tests {
         let dir = std::env::temp_dir();
         let path = dir.join("limba-guard-ckpt-test.ckpt");
         sample().save_atomic(&path).unwrap();
-        assert!(Checkpoint::load(&path, "sweep", 0xABCD).is_ok());
+        assert!(Checkpoint::load_vfs(&StdVfs, &path, "sweep", 0xABCD).is_ok());
         assert!(matches!(
-            Checkpoint::load(&path, "suite", 0xABCD),
+            Checkpoint::load_vfs(&StdVfs, &path, "suite", 0xABCD),
             Err(GuardError::KindMismatch { .. })
         ));
         assert!(matches!(
-            Checkpoint::load(&path, "sweep", 0x1234),
+            Checkpoint::load_vfs(&StdVfs, &path, "sweep", 0x1234),
             Err(GuardError::FingerprintMismatch { .. })
         ));
         std::fs::remove_file(&path).ok();
@@ -459,7 +432,7 @@ mod tests {
         let path = std::env::temp_dir().join("limba-guard-ckpt-missing.ckpt");
         std::fs::remove_file(&path).ok();
         let c = Checkpoint::load_or_new(&path, "sweep", 9).unwrap();
-        assert!(c.is_empty());
+        assert_eq!(c.len(), 0);
     }
 
     #[test]
@@ -470,7 +443,7 @@ mod tests {
         c.save_atomic(&path).unwrap();
         c.insert(2, b"two".to_vec());
         c.save_atomic(&path).unwrap();
-        let back = Checkpoint::load(&path, "sweep", 5).unwrap();
+        let back = Checkpoint::load_vfs(&StdVfs, &path, "sweep", 5).unwrap();
         assert_eq!(back.len(), 2);
         // No stray temp file left behind.
         let tmp = path.with_extension("ckpt.tmp");

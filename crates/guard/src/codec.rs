@@ -45,7 +45,7 @@ impl ByteWriter {
     }
 
     /// Appends a `u64` length prefix followed by the bytes.
-    pub fn put_bytes(&mut self, v: &[u8]) {
+    pub(crate) fn put_bytes(&mut self, v: &[u8]) {
         self.put_u64(v.len() as u64);
         self.buf.extend_from_slice(v);
     }
@@ -56,12 +56,12 @@ impl ByteWriter {
     }
 
     /// Appends bytes verbatim, with no length prefix.
-    pub fn put_raw(&mut self, v: &[u8]) {
+    pub(crate) fn put_raw(&mut self, v: &[u8]) {
         self.buf.extend_from_slice(v);
     }
 
     /// The bytes written so far.
-    pub fn as_slice(&self) -> &[u8] {
+    pub(crate) fn as_slice(&self) -> &[u8] {
         &self.buf
     }
 
@@ -90,7 +90,7 @@ impl<'a> ByteReader<'a> {
     }
 
     /// Bytes not yet consumed.
-    pub fn remaining(&self) -> usize {
+    pub(crate) fn remaining(&self) -> usize {
         self.buf.len()
     }
 
@@ -131,7 +131,7 @@ impl<'a> ByteReader<'a> {
 
     /// Reads a length-prefixed byte string; the length is bounded by
     /// the remaining input before anything is copied.
-    pub fn get_bytes(&mut self, what: &str) -> Result<&'a [u8], GuardError> {
+    pub(crate) fn get_bytes(&mut self, what: &str) -> Result<&'a [u8], GuardError> {
         let len = self.get_u64(what)?;
         if len > self.buf.len() as u64 {
             return Err(GuardError::Corrupted {

@@ -25,12 +25,12 @@ pub enum JobError {
 
 impl JobError {
     /// Whether the supervisor may re-attempt the unit.
-    pub fn is_retryable(&self) -> bool {
+    pub(crate) fn is_retryable(&self) -> bool {
         matches!(self, JobError::Retryable(_))
     }
 
     /// The human-readable failure message.
-    pub fn message(&self) -> &str {
+    pub(crate) fn message(&self) -> &str {
         match self {
             JobError::Fatal(m) | JobError::Retryable(m) => m,
         }
@@ -131,7 +131,7 @@ impl RetryPolicy {
 
     /// The sleep before 1-based retry `n`, doubling each time and
     /// saturating instead of overflowing.
-    pub fn backoff_before(&self, retry: u32) -> Duration {
+    pub(crate) fn backoff_before(&self, retry: u32) -> Duration {
         let factor = 2u32.saturating_pow(retry.saturating_sub(1));
         self.base_backoff.saturating_mul(factor)
     }
@@ -141,7 +141,7 @@ impl RetryPolicy {
 /// `work` is captured and returned as [`FailureKind::Panicked`] with
 /// its message downcast to text when the payload is a `&str` or
 /// `String` (the overwhelmingly common cases).
-pub fn run_isolated<P>(
+pub(crate) fn run_isolated<P>(
     work: impl FnOnce() -> Result<P, JobError>,
 ) -> Result<Result<P, JobError>, FailureKind> {
     // AssertUnwindSafe: the closure owns or shares-through-sync all its
@@ -164,7 +164,7 @@ pub fn run_isolated<P>(
 /// between attempts. Returns the payload with the attempt count it
 /// took, or the final failure tagged with `unit` and the attempt
 /// count.
-pub fn run_with_retry<P>(
+pub(crate) fn run_with_retry<P>(
     unit: usize,
     policy: &RetryPolicy,
     work: impl Fn() -> Result<P, JobError>,

@@ -42,12 +42,12 @@
 
 use std::fmt;
 
-pub mod checkpoint;
+pub(crate) mod checkpoint;
 pub mod codec;
-pub mod job;
-pub mod manifest;
-pub mod supervisor;
-pub mod verify_cache;
+pub(crate) mod job;
+pub(crate) mod manifest;
+pub(crate) mod supervisor;
+pub(crate) mod verify_cache;
 
 pub use checkpoint::Checkpoint;
 pub use job::{FailureKind, JobError, JobFailure, RetryPolicy};

@@ -61,12 +61,6 @@ impl RunManifest {
         self.failures.is_empty() && self.skipped == 0
     }
 
-    /// Whether some units produced payloads but not all — the state a
-    /// partial-result exit code reports.
-    pub fn is_partial(&self) -> bool {
-        !self.is_complete() && (self.completed + self.cached) > 0
-    }
-
     /// Renders the manifest as deterministic JSON: fixed key order, no
     /// wall-clock data, failures sorted by unit index.
     pub fn to_json(&self) -> String {
@@ -163,12 +157,10 @@ mod tests {
     fn completeness_flags() {
         let mut m = sample();
         assert!(!m.is_complete());
-        assert!(m.is_partial());
         m.failures.clear();
         m.skipped = 0;
         m.stopped = None;
         assert!(m.is_complete());
-        assert!(!m.is_partial());
     }
 
     #[test]

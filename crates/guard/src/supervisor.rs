@@ -340,7 +340,6 @@ mod tests {
         let failure = &run.manifest.failures[0];
         assert_eq!(failure.unit, 4);
         assert!(failure.kind.message().contains("unit four exploded"));
-        assert!(run.manifest.is_partial());
         assert!(!run.manifest.is_complete());
         // Every other unit still delivered its payload.
         assert!(run
@@ -487,7 +486,6 @@ mod tests {
         assert_eq!(run.manifest.completed, 0);
         assert_eq!(run.manifest.skipped, 8);
         assert_eq!(run.manifest.stopped, Some(StopReason::DeadlineExpired));
-        assert!(!run.manifest.is_partial()); // nothing at all completed
     }
 
     #[test]

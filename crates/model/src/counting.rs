@@ -34,20 +34,8 @@ pub enum CountKind {
 }
 
 impl CountKind {
-    /// All count kinds in canonical order.
-    pub const ALL: [CountKind; 8] = [
-        CountKind::MessagesSent,
-        CountKind::MessagesReceived,
-        CountKind::BytesSent,
-        CountKind::BytesReceived,
-        CountKind::IoOperations,
-        CountKind::IoBytes,
-        CountKind::MemoryAccesses,
-        CountKind::CacheMisses,
-    ];
-
     /// Short, stable label.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             CountKind::MessagesSent => "msgs-sent",
             CountKind::MessagesReceived => "msgs-recv",
@@ -90,11 +78,6 @@ pub struct CountMatrix {
 }
 
 impl CountMatrix {
-    /// Number of processors.
-    pub fn processors(&self) -> usize {
-        self.processors
-    }
-
     /// Count in one cell; `0.0` for never-recorded cells.
     pub fn count(&self, region: RegionId, kind: CountKind, proc: ProcessorId) -> f64 {
         self.cells
@@ -104,7 +87,7 @@ impl CountMatrix {
     }
 
     /// Per-processor counts of one `(region, kind)` cell, if recorded.
-    pub fn processor_slice(&self, region: RegionId, kind: CountKind) -> Option<&[f64]> {
+    pub(crate) fn processor_slice(&self, region: RegionId, kind: CountKind) -> Option<&[f64]> {
         self.cells
             .get(&(region.index(), kind))
             .map(|v| v.as_slice())
@@ -249,12 +232,5 @@ mod tests {
         let m = b.build();
         let regions: Vec<usize> = m.cells().map(|(r, _, _)| r.index()).collect();
         assert_eq!(regions, vec![0, 1]);
-    }
-
-    #[test]
-    fn labels_are_stable() {
-        for k in CountKind::ALL {
-            assert!(!k.label().is_empty());
-        }
     }
 }

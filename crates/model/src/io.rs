@@ -80,7 +80,7 @@ fn malformed(detail: impl Into<String>) -> MeasurementsIoError {
 /// # Errors
 ///
 /// Propagates I/O failures of `writer`.
-pub fn write<W: Write>(
+pub(crate) fn write<W: Write>(
     measurements: &Measurements,
     mut writer: W,
 ) -> Result<(), MeasurementsIoError> {
@@ -133,7 +133,7 @@ pub fn to_string(measurements: &Measurements) -> String {
 ///
 /// Returns [`MeasurementsIoError::Malformed`] on syntax errors, model
 /// errors for invalid values, and propagates I/O failures.
-pub fn read<R: Read>(reader: R) -> Result<Measurements, MeasurementsIoError> {
+pub(crate) fn read<R: Read>(reader: R) -> Result<Measurements, MeasurementsIoError> {
     let mut lines = BufReader::new(reader).lines();
     let header = lines.next().ok_or_else(|| malformed("empty input"))??;
     if header.trim() != HEADER {
@@ -214,11 +214,12 @@ pub fn read<R: Read>(reader: R) -> Result<Measurements, MeasurementsIoError> {
     Ok(builder.build()?)
 }
 
-/// Decodes measurements from a string.
+/// Decodes measurements from a string in the text format.
 ///
 /// # Errors
 ///
-/// Same conditions as [`read`].
+/// Returns [`MeasurementsIoError::Malformed`] on syntax errors and model
+/// errors for invalid values.
 pub fn from_str(s: &str) -> Result<Measurements, MeasurementsIoError> {
     read(s.as_bytes())
 }

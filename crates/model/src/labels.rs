@@ -106,11 +106,6 @@ impl RegionInfo {
     pub fn kind(&self) -> RegionKind {
         self.kind
     }
-
-    /// Source location, when known.
-    pub fn location(&self) -> Option<&SourceLocation> {
-        self.location.as_ref()
-    }
 }
 
 impl fmt::Display for RegionInfo {
@@ -132,7 +127,6 @@ mod tests {
             .with_kind(RegionKind::Loop)
             .with_location(SourceLocation::new("a.c", 10));
         assert_eq!(info.name(), "main loop");
-        assert_eq!(info.location().unwrap().line, 10);
         assert!(info.to_string().contains("a.c:10"));
     }
 

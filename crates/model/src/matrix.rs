@@ -20,8 +20,7 @@ use crate::{ActivityKind, ActivitySet, ModelError, ProcessorId, RegionId, Region
 /// because every index of dispersion is scale invariant and every weight is
 /// a ratio of marginals, analyses are identical under the sum convention.
 ///
-/// Instances are created through [`MeasurementsBuilder`] or
-/// [`Measurements::from_dense`].
+/// Instances are created through [`MeasurementsBuilder`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct Measurements {
     activities: ActivitySet,
@@ -40,7 +39,7 @@ impl Measurements {
     /// Returns an error when the buffer length does not match
     /// `regions.len() * activities.len() * processors`, when `regions` or
     /// `processors` is empty, or when any value is negative or non-finite.
-    pub fn from_dense(
+    pub(crate) fn from_dense(
         regions: Vec<RegionInfo>,
         activities: ActivitySet,
         processors: usize,
@@ -257,7 +256,7 @@ impl MeasurementsBuilder {
     }
 
     /// Registers a new code region with full metadata and returns its id.
-    pub fn add_region_info(&mut self, info: RegionInfo) -> RegionId {
+    pub(crate) fn add_region_info(&mut self, info: RegionInfo) -> RegionId {
         let id = RegionId::new(self.regions.len());
         self.regions.push(info);
         self.data.extend(std::iter::repeat_n(
@@ -292,7 +291,7 @@ impl MeasurementsBuilder {
     }
 
     /// Number of regions registered so far.
-    pub fn regions(&self) -> usize {
+    pub(crate) fn regions(&self) -> usize {
         self.regions.len()
     }
 

@@ -90,7 +90,7 @@ impl fmt::Display for CollectiveAlgorithm {
 
 impl CollectiveKind {
     /// The algorithm the simulator uses for this collective.
-    pub fn algorithm(self) -> CollectiveAlgorithm {
+    pub(crate) fn algorithm(self) -> CollectiveAlgorithm {
         match self {
             CollectiveKind::Reduce | CollectiveKind::Broadcast => CollectiveAlgorithm::BinomialTree,
             CollectiveKind::Allreduce | CollectiveKind::Barrier => {
@@ -112,8 +112,8 @@ fn log2_ceil(p: usize) -> usize {
 /// takes once all ranks have arrived, under `config`'s network parameters.
 ///
 /// The algorithm is the machine's choice for the kind
-/// ([`MachineConfig::collective_algorithm`]), which defaults to
-/// [`CollectiveKind::algorithm`]. Per round the cost is
+/// ([`MachineConfig::collective_algorithm`]), which defaults to the
+/// kind's standard algorithm. Per round the cost is
 /// `overhead + latency + bytes / bandwidth` (no payload term for
 /// barriers, whichever algorithm costs them). A single-rank collective
 /// is free.
@@ -126,7 +126,7 @@ pub fn collective_cost(
     if procs <= 1 {
         return 0.0;
     }
-    let per_msg = config.overhead() + config.latency();
+    let per_msg = crate::config::OVERHEAD + config.latency();
     let payload = if kind == CollectiveKind::Barrier {
         0.0
     } else {
@@ -148,9 +148,9 @@ mod tests {
     use super::*;
 
     fn cfg() -> MachineConfig {
+        // Latency 5 µs plus the fixed 5 µs overhead: 10 µs per message.
         MachineConfig::new(16)
-            .with_overhead(1e-6)
-            .with_latency(9e-6)
+            .with_latency(5e-6)
             .with_bandwidth(1e8)
     }
 

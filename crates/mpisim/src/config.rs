@@ -4,14 +4,17 @@ use std::collections::HashMap;
 
 use crate::{CollectiveAlgorithm, CollectiveKind, SimError};
 
+/// Per-message CPU overhead `o` in seconds, on every machine.
+pub(crate) const OVERHEAD: f64 = 5e-6;
+
 /// Parameters of the simulated message-passing machine.
 ///
 /// The point-to-point network follows a LogP-flavoured model: sending a
-/// message of `n` bytes costs the sender `overhead + n / bandwidth` of CPU
-/// time; the message reaches the receiver one `latency` later. Messages
-/// larger than `eager_threshold` use a rendezvous protocol: the transfer
-/// only starts once *both* sides have reached their call, and the sender
-/// blocks until then.
+/// message of `n` bytes costs the sender a fixed per-message overhead
+/// (5 µs) plus `n / bandwidth` of CPU time; the message reaches the
+/// receiver one `latency` later. Messages larger than `eager_threshold`
+/// use a rendezvous protocol: the transfer only starts once *both* sides
+/// have reached their call, and the sender blocks until then.
 ///
 /// # Example
 ///
@@ -27,7 +30,6 @@ use crate::{CollectiveAlgorithm, CollectiveKind, SimError};
 pub struct MachineConfig {
     processors: usize,
     cpu_speeds: Vec<f64>,
-    overhead: f64,
     latency: f64,
     bandwidth: f64,
     eager_threshold: u64,
@@ -46,7 +48,6 @@ impl MachineConfig {
         MachineConfig {
             processors,
             cpu_speeds: vec![1.0; processors],
-            overhead: 5e-6,
             latency: 40e-6,
             bandwidth: 40e6,
             eager_threshold: 8 * 1024,
@@ -60,23 +61,18 @@ impl MachineConfig {
         self.processors
     }
 
-    /// Per-message CPU overhead `o` in seconds.
-    pub fn overhead(&self) -> f64 {
-        self.overhead
-    }
-
     /// Wire latency `L` in seconds.
-    pub fn latency(&self) -> f64 {
+    pub(crate) fn latency(&self) -> f64 {
         self.latency
     }
 
     /// Link bandwidth `B` in bytes per second.
-    pub fn bandwidth(&self) -> f64 {
+    pub(crate) fn bandwidth(&self) -> f64 {
         self.bandwidth
     }
 
     /// Eager/rendezvous protocol switch point in bytes.
-    pub fn eager_threshold(&self) -> u64 {
+    pub(crate) fn eager_threshold(&self) -> u64 {
         self.eager_threshold
     }
 
@@ -87,12 +83,6 @@ impl MachineConfig {
     /// Panics when `rank` is out of range.
     pub fn cpu_speed(&self, rank: usize) -> f64 {
         self.cpu_speeds[rank]
-    }
-
-    /// Sets the per-message CPU overhead in seconds.
-    pub fn with_overhead(mut self, seconds: f64) -> Self {
-        self.overhead = seconds;
-        self
     }
 
     /// Sets the wire latency in seconds.
@@ -158,7 +148,7 @@ impl MachineConfig {
     /// Whether any per-link overrides are present. The simulator's hot
     /// path skips the override lookup entirely on uniform machines and
     /// caches a dense link table otherwise.
-    pub fn has_link_overrides(&self) -> bool {
+    pub(crate) fn has_link_overrides(&self) -> bool {
         !self.link_overrides.is_empty()
     }
 
@@ -166,14 +156,14 @@ impl MachineConfig {
     /// machine's explicit network topology. Sorting makes the order
     /// deterministic (the overrides live in a `HashMap`), which the
     /// diffusion balancing policy depends on for its neighbor lists.
-    pub fn link_override_pairs(&self) -> Vec<(usize, usize)> {
+    pub(crate) fn link_override_pairs(&self) -> Vec<(usize, usize)> {
         let mut pairs: Vec<(usize, usize)> = self.link_overrides.keys().copied().collect();
         pairs.sort_unstable();
         pairs
     }
 
     /// Latency of the directed link `src → dst`.
-    pub fn link_latency(&self, src: usize, dst: usize) -> f64 {
+    pub(crate) fn link_latency(&self, src: usize, dst: usize) -> f64 {
         self.link_overrides
             .get(&(src, dst))
             .map(|&(l, _)| l)
@@ -181,7 +171,7 @@ impl MachineConfig {
     }
 
     /// Bandwidth of the directed link `src → dst`.
-    pub fn link_bandwidth(&self, src: usize, dst: usize) -> f64 {
+    pub(crate) fn link_bandwidth(&self, src: usize, dst: usize) -> f64 {
         self.link_overrides
             .get(&(src, dst))
             .map(|&(_, b)| b)
@@ -189,8 +179,8 @@ impl MachineConfig {
     }
 
     /// Overrides the algorithm one collective kind is costed with.
-    /// Collectives without an override keep their default
-    /// ([`CollectiveKind::algorithm`]); both engines cost collectives
+    /// Collectives without an override keep their kind's standard
+    /// algorithm; both engines cost collectives
     /// through the same [`collective_cost`](crate::collective_cost), so
     /// an override changes both identically.
     pub fn with_collective_algorithm(
@@ -212,12 +202,12 @@ impl MachineConfig {
     }
 
     /// Transfer time for `bytes` over the default link, `bytes / B`.
-    pub fn transfer_time(&self, bytes: u64) -> f64 {
+    pub(crate) fn transfer_time(&self, bytes: u64) -> f64 {
         bytes as f64 / self.bandwidth
     }
 
     /// Transfer time for `bytes` over the directed link `src → dst`.
-    pub fn link_transfer_time(&self, src: usize, dst: usize, bytes: u64) -> f64 {
+    pub(crate) fn link_transfer_time(&self, src: usize, dst: usize, bytes: u64) -> f64 {
         bytes as f64 / self.link_bandwidth(src, dst)
     }
 
@@ -234,11 +224,7 @@ impl MachineConfig {
                 detail: "machine needs at least one processor".into(),
             });
         }
-        for (name, v) in [
-            ("overhead", self.overhead),
-            ("latency", self.latency),
-            ("bandwidth", self.bandwidth),
-        ] {
+        for (name, v) in [("latency", self.latency), ("bandwidth", self.bandwidth)] {
             if !v.is_finite() || v <= 0.0 {
                 return Err(SimError::InvalidConfig {
                     detail: format!("{name} must be finite and positive, got {v}"),
@@ -286,12 +272,10 @@ mod tests {
     #[test]
     fn builder_setters_apply() {
         let cfg = MachineConfig::new(4)
-            .with_overhead(1e-6)
             .with_latency(2e-6)
             .with_bandwidth(1e9)
             .with_eager_threshold(1024)
             .with_cpu_speed(2, 0.5);
-        assert_eq!(cfg.overhead(), 1e-6);
         assert_eq!(cfg.latency(), 2e-6);
         assert_eq!(cfg.bandwidth(), 1e9);
         assert_eq!(cfg.eager_threshold(), 1024);
@@ -307,10 +291,6 @@ mod tests {
         assert!(MachineConfig::new(2).with_latency(0.0).validate().is_err());
         assert!(MachineConfig::new(2)
             .with_bandwidth(-1.0)
-            .validate()
-            .is_err());
-        assert!(MachineConfig::new(2)
-            .with_overhead(f64::NAN)
             .validate()
             .is_err());
         assert!(MachineConfig::new(2)

@@ -98,7 +98,7 @@ impl RunBudget {
     }
 
     /// Whether no limit is set at all.
-    pub fn is_unlimited(&self) -> bool {
+    pub(crate) fn is_unlimited(&self) -> bool {
         self.max_ops.is_none() && self.deadline.is_none() && self.cancel.is_none()
     }
 
@@ -1148,7 +1148,7 @@ impl<'a> Exec<'a> {
             }
         }
         let op = ops[self.arena.hot[rank].pc];
-        let o = self.config.overhead();
+        let o = crate::config::OVERHEAD;
         let n = self.n;
         match op {
             Op::Compute { seconds } => {
@@ -1835,11 +1835,6 @@ impl Simulator {
         Simulator { config }
     }
 
-    /// The machine being simulated.
-    pub fn config(&self) -> &MachineConfig {
-        &self.config
-    }
-
     /// Runs `program` to completion with the event-driven scheduler,
     /// producing the trace and statistics — [`Simulator::run_configured`]
     /// with no plans and no budget.
@@ -2033,7 +2028,6 @@ mod tests {
 
     fn machine(n: usize) -> MachineConfig {
         MachineConfig::new(n)
-            .with_overhead(1e-6)
             .with_latency(10e-6)
             .with_bandwidth(1e8)
             .with_eager_threshold(8192)
@@ -2218,10 +2212,10 @@ mod tests {
         let out = Simulator::new(cfg.clone())
             .run(&pb.build().unwrap())
             .unwrap();
-        // Sender: o + 1000/B = 1e-6 + 1e-5 = 1.1e-5.
-        assert!((out.stats.rank_end_times[0] - 1.1e-5).abs() < 1e-12);
-        // Receiver posted at 0; arrival = 1.1e-5 + 1e-5 latency = 2.1e-5.
-        assert!((out.stats.rank_end_times[1] - 2.1e-5).abs() < 1e-12);
+        // Sender: o + 1000/B = 5e-6 + 1e-5 = 1.5e-5.
+        assert!((out.stats.rank_end_times[0] - 1.5e-5).abs() < 1e-12);
+        // Receiver posted at 0; arrival = 1.5e-5 + 1e-5 latency = 2.5e-5.
+        assert!((out.stats.rank_end_times[1] - 2.5e-5).abs() < 1e-12);
         assert_eq!(out.stats.messages, 1);
         assert_eq!(out.stats.bytes, 1000);
     }
@@ -2235,7 +2229,7 @@ mod tests {
         pb.rank(1).enter(r).compute(1.0).recv(0).leave(r);
         let out = Simulator::new(cfg).run(&pb.build().unwrap()).unwrap();
         // Message long arrived; receive costs just the overhead.
-        assert!((out.stats.rank_end_times[1] - (1.0 + 1e-6)).abs() < 1e-9);
+        assert!((out.stats.rank_end_times[1] - (1.0 + 5e-6)).abs() < 1e-9);
     }
 
     #[test]
@@ -2247,7 +2241,7 @@ mod tests {
         pb.rank(1).enter(r).compute(2.0).recv(0).leave(r);
         let out = Simulator::new(cfg).run(&pb.build().unwrap()).unwrap();
         // Sync at 2.0; sender done at 2.0 + o + 0.01; receiver + latency.
-        let sender_done = 2.0 + 1e-6 + 0.01;
+        let sender_done = 2.0 + 5e-6 + 0.01;
         assert!((out.stats.rank_end_times[0] - sender_done).abs() < 1e-9);
         assert!((out.stats.rank_end_times[1] - (sender_done + 1e-5)).abs() < 1e-9);
         // Sender's point-to-point time includes the 2 s wait.
@@ -2432,7 +2426,7 @@ mod tests {
         let out = Simulator::new(cfg.clone())
             .run(&pb.build().unwrap())
             .unwrap();
-        assert!((out.stats.rank_end_times[1] - (1.0 + 1e-6)).abs() < 1e-7);
+        assert!((out.stats.rank_end_times[1] - (1.0 + 5e-6)).abs() < 1e-7);
 
         // Message arrives after the wait: the wait blocks until arrival.
         let mut pb = ProgramBuilder::new(2);

@@ -49,12 +49,12 @@
 #![warn(missing_docs)]
 
 pub(crate) mod arena;
-pub mod balance;
+pub(crate) mod balance;
 mod collectives;
 mod config;
 mod engine;
 mod error;
-pub mod faults;
+pub(crate) mod faults;
 mod ops;
 pub(crate) mod polling;
 mod replicate;

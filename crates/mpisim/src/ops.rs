@@ -561,12 +561,6 @@ impl RankOps<'_> {
         self.ops.push(Op::Leave { region });
         self
     }
-
-    /// Appends a raw op.
-    pub fn push(&mut self, op: Op) -> &mut Self {
-        self.ops.push(op);
-        self
-    }
 }
 
 #[cfg(test)]

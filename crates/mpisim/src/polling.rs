@@ -110,7 +110,7 @@ impl Polling<'_> {
     /// The original scheduling loop, verbatim apart from the fault
     /// hooks (crash checks, quiescence-with-crash handling, and the
     /// fault report on the output).
-    pub fn run(
+    pub(crate) fn run(
         &mut self,
         program: &Program,
         plan: Option<&FaultPlan>,
@@ -268,7 +268,7 @@ impl Polling<'_> {
             }
         }
         let op = ops[states[rank].pc];
-        let o = self.config.overhead();
+        let o = crate::config::OVERHEAD;
         match op {
             Op::Compute { seconds } => {
                 states[rank].time = match &mut self.balance {

@@ -76,23 +76,45 @@ impl Simulator {
     {
         let indices: Vec<usize> = (0..replications).collect();
         limba_par::par_map(jobs, &indices, |_, &index| {
-            let seed = limba_par::derive_seed(root_seed, index as u64);
-            let program = build(index, seed)?;
-            let rep_faults = faults.map(|plan| {
-                plan.clone()
-                    .with_seed(limba_par::derive_seed(plan.seed, index as u64))
-            });
-            let rep_balance = balance.map(|plan| {
-                plan.clone()
-                    .with_seed(limba_par::derive_seed(plan.seed(), index as u64))
-            });
-            let output =
-                self.run_configured(&program, rep_faults.as_ref(), rep_balance.as_ref(), None)?;
-            Ok(Replication {
-                index,
-                seed,
-                output,
-            })
+            self.run_replication(index, root_seed, faults, balance, &build)
+        })
+    }
+
+    /// Runs replication `index` of a sweep rooted at `root_seed`: the
+    /// body [`Simulator::run_replications`] maps over its indices, for
+    /// callers that schedule the replications themselves.
+    ///
+    /// # Errors
+    ///
+    /// A builder or simulation error, as for
+    /// [`Simulator::run_replications`].
+    pub fn run_replication<F>(
+        &self,
+        index: usize,
+        root_seed: u64,
+        faults: Option<&FaultPlan>,
+        balance: Option<&BalancePlan>,
+        build: F,
+    ) -> Result<Replication, SimError>
+    where
+        F: FnOnce(usize, u64) -> Result<Program, SimError>,
+    {
+        let seed = limba_par::derive_seed(root_seed, index as u64);
+        let program = build(index, seed)?;
+        let rep_faults = faults.map(|plan| {
+            plan.clone()
+                .with_seed(limba_par::derive_seed(plan.seed, index as u64))
+        });
+        let rep_balance = balance.map(|plan| {
+            plan.clone()
+                .with_seed(limba_par::derive_seed(plan.seed(), index as u64))
+        });
+        let output =
+            self.run_configured(&program, rep_faults.as_ref(), rep_balance.as_ref(), None)?;
+        Ok(Replication {
+            index,
+            seed,
+            output,
         })
     }
 }

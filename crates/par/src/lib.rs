@@ -28,7 +28,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-pub mod cancel;
+pub(crate) mod cancel;
 
 pub use cancel::CancelToken;
 
@@ -238,7 +238,7 @@ where
 /// Runs two closures, concurrently when `parallel` is true, and returns
 /// both results. The pairing `(a, b)` is positional, so the result is
 /// identical either way.
-pub fn join<A, B, FA, FB>(parallel: bool, fa: FA, fb: FB) -> (A, B)
+pub(crate) fn join<A, B, FA, FB>(parallel: bool, fa: FA, fb: FB) -> (A, B)
 where
     A: Send,
     B: Send,
@@ -258,21 +258,9 @@ where
     })
 }
 
-/// Three-way [`join`].
-pub fn join3<A, B, C, FA, FB, FC>(parallel: bool, fa: FA, fb: FB, fc: FC) -> (A, B, C)
-where
-    A: Send,
-    B: Send,
-    C: Send,
-    FA: FnOnce() -> A + Send,
-    FB: FnOnce() -> B + Send,
-    FC: FnOnce() -> C + Send,
-{
-    let (a, (b, c)) = join(parallel, fa, move || join(parallel, fb, fc));
-    (a, b, c)
-}
-
-/// Four-way [`join`].
+/// Four-way fork-join: runs the four closures concurrently when
+/// `parallel` is set, sequentially otherwise, and returns their results
+/// in argument order.
 #[allow(clippy::type_complexity)]
 pub fn join4<A, B, C, D, FA, FB, FC, FD>(
     parallel: bool,
@@ -407,7 +395,6 @@ mod tests {
     #[test]
     fn join_matches_sequential() {
         assert_eq!(join(false, || 1, || 2), join(true, || 1, || 2));
-        assert_eq!(join3(true, || "a", || "b", || "c"), ("a", "b", "c"));
         assert_eq!(join4(true, || 1, || 2, || 3, || 4), (1, 2, 3, 4));
     }
 

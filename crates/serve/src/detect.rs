@@ -133,17 +133,8 @@ pub enum Alert {
 }
 
 impl Alert {
-    /// The window the alert belongs to.
-    pub fn window(&self) -> usize {
-        match self {
-            Alert::Onset { window, .. }
-            | Alert::RisingTrend { window, .. }
-            | Alert::RankOutlier { window, .. } => *window,
-        }
-    }
-
     /// The alert as one JSON object.
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         match self {
             Alert::Onset { window, value } => format!(
                 "{{\"kind\":\"onset\",\"window\":{window},\"cv\":{}}}",
@@ -227,7 +218,7 @@ pub struct WindowStat {
 
 impl WindowStat {
     /// The stat as one JSON object.
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         format!(
             "{{\"window\":{},\"compute\":{},\"mean\":{},\"cv\":{},\
              \"busiest\":{},\"peak\":{}}}",
@@ -286,28 +277,28 @@ impl OnlineDetector {
     }
 
     /// Alerts emitted so far, in retirement order.
-    pub fn alerts(&self) -> &[Alert] {
+    pub(crate) fn alerts(&self) -> &[Alert] {
         &self.alerts
     }
 
     /// Retired window summaries so far, ascending.
-    pub fn stats(&self) -> &[WindowStat] {
+    pub(crate) fn stats(&self) -> &[WindowStat] {
         &self.stats
     }
 
     /// Events consumed so far. (Named to stay clear of
     /// [`TraceSink::events`].)
-    pub fn events_seen(&self) -> u64 {
+    pub(crate) fn events_seen(&self) -> u64 {
         self.events
     }
 
     /// Largest event timestamp seen so far.
-    pub fn makespan(&self) -> f64 {
+    pub(crate) fn makespan(&self) -> f64 {
         self.makespan
     }
 
     /// Ranks the stream declared (0 before `begin`).
-    pub fn processors(&self) -> usize {
+    pub(crate) fn processors(&self) -> usize {
         self.walkers.len().max(self.clocks.len())
     }
 

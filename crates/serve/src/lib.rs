@@ -19,7 +19,7 @@
 //!   through an incremental windowed fold that flags imbalance onset,
 //!   rising dispersion trends, and per-rank outliers as structured
 //!   [`detect::Alert`]s, long before the run ends.
-//! * [`registry::Registry`] — the shared tenant/run table queries are
+//! * the run registry — the shared tenant/run table queries are
 //!   answered from: admission control, live progress, terminal status.
 //! * Durability — every run's bytes spool to disk as they arrive; with
 //!   a checkpoint directory, run metadata persists via
@@ -47,15 +47,14 @@
 use std::fmt;
 
 pub mod client;
-pub mod detect;
-pub mod protocol;
-pub mod registry;
+pub(crate) mod detect;
+pub(crate) mod protocol;
+pub(crate) mod registry;
 pub mod replay;
-pub mod server;
+pub(crate) mod server;
 
 pub use client::{PushOutcome, PushSession};
 pub use detect::{Alert, DetectorConfig, OnlineDetector, WindowStat};
-pub use registry::{Registry, RunKey, RunStatus};
 pub use server::{ServeConfig, Server};
 
 /// Errors from the serving layer.

@@ -26,36 +26,36 @@ use std::io::{Read, Write};
 use crate::ServeError;
 
 /// Magic opening a push handshake.
-pub const MAGIC: &[u8; 8] = b"LIMBASRV";
+pub(crate) const MAGIC: &[u8; 8] = b"LIMBASRV";
 /// Protocol version this build speaks.
-pub const VERSION: u16 = 1;
+pub(crate) const VERSION: u16 = 1;
 /// Handshake kind: push a trace stream.
-pub const KIND_PUSH: u8 = 0;
+pub(crate) const KIND_PUSH: u8 = 0;
 
 /// Ack/Final status: accepted, or a complete run's report.
-pub const STATUS_OK: u8 = 0;
+pub(crate) const STATUS_OK: u8 = 0;
 /// Ack status: the handshake was rejected (message says why).
-pub const STATUS_REJECTED: u8 = 1;
+pub(crate) const STATUS_REJECTED: u8 = 1;
 /// Final status: the stream was truncated; the body is a
 /// salvage-grade partial report and the run stays resumable.
-pub const STATUS_SALVAGED: u8 = 2;
+pub(crate) const STATUS_SALVAGED: u8 = 2;
 /// Final status: ingestion failed (corrupt stream or internal error);
 /// the body is the error message.
-pub const STATUS_ERROR: u8 = 3;
+pub(crate) const STATUS_ERROR: u8 = 3;
 
 /// Longest tenant or run name accepted.
-pub const MAX_NAME: usize = 64;
+pub(crate) const MAX_NAME: usize = 64;
 /// Longest query line accepted.
-pub const MAX_LINE: usize = 4096;
+pub(crate) const MAX_LINE: usize = 4096;
 /// Largest final-frame body accepted by the client (reports are text;
 /// anything near this is a protocol violation, not a report).
-pub const MAX_FINAL: usize = 64 << 20;
+pub(crate) const MAX_FINAL: usize = 64 << 20;
 
 /// `true` when `name` is a valid tenant or run id: 1–64 characters of
 /// `[A-Za-z0-9._-]`. The charset keeps ids safe to embed in filesystem
 /// paths (the spool layout is `<tenant>/<run>.spool`) and in the
 /// space-separated query protocol.
-pub fn valid_name(name: &str) -> bool {
+pub(crate) fn valid_name(name: &str) -> bool {
     !name.is_empty()
         && name.len() <= MAX_NAME
         && name
@@ -111,7 +111,11 @@ fn read_name(r: &mut dyn Read, what: &str) -> Result<String, ServeError> {
 /// # Errors
 ///
 /// Invalid names and I/O failures.
-pub fn write_handshake(w: &mut dyn Write, tenant: &str, run: &str) -> Result<(), ServeError> {
+pub(crate) fn write_handshake(
+    w: &mut dyn Write,
+    tenant: &str,
+    run: &str,
+) -> Result<(), ServeError> {
     for (what, name) in [("tenant", tenant), ("run", run)] {
         if !valid_name(name) {
             return Err(proto(format!(
@@ -138,7 +142,7 @@ pub fn write_handshake(w: &mut dyn Write, tenant: &str, run: &str) -> Result<(),
 /// # Errors
 ///
 /// Bad magic, unsupported version or kind, invalid names.
-pub fn read_handshake_rest(r: &mut dyn Read) -> Result<(String, String), ServeError> {
+pub(crate) fn read_handshake_rest(r: &mut dyn Read) -> Result<(String, String), ServeError> {
     let mut magic = [0u8; 7];
     read_exact(r, &mut magic, "handshake magic")?;
     if magic != MAGIC[1..] {
@@ -162,7 +166,7 @@ pub fn read_handshake_rest(r: &mut dyn Read) -> Result<(String, String), ServeEr
 
 /// The server's answer to a push handshake.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Ack {
+pub(crate) struct Ack {
     /// [`STATUS_OK`] or [`STATUS_REJECTED`].
     pub status: u8,
     /// Bytes of this run already persisted server-side; the client
@@ -177,7 +181,7 @@ pub struct Ack {
 /// # Errors
 ///
 /// I/O failures.
-pub fn write_ack(w: &mut dyn Write, ack: &Ack) -> Result<(), ServeError> {
+pub(crate) fn write_ack(w: &mut dyn Write, ack: &Ack) -> Result<(), ServeError> {
     let mut buf = Vec::with_capacity(13 + ack.message.len());
     buf.push(ack.status);
     buf.extend_from_slice(&ack.offset.to_le_bytes());
@@ -192,7 +196,7 @@ pub fn write_ack(w: &mut dyn Write, ack: &Ack) -> Result<(), ServeError> {
 /// # Errors
 ///
 /// Truncated or malformed replies.
-pub fn read_ack(r: &mut dyn Read) -> Result<Ack, ServeError> {
+pub(crate) fn read_ack(r: &mut dyn Read) -> Result<Ack, ServeError> {
     let mut status = [0u8; 1];
     read_exact(r, &mut status, "ack status")?;
     let offset = read_u64(r, "ack offset")?;
@@ -212,7 +216,7 @@ pub fn read_ack(r: &mut dyn Read) -> Result<Ack, ServeError> {
 /// The final frame closing a push session: the run's report or the
 /// ingest error.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Final {
+pub(crate) struct Final {
     /// [`STATUS_OK`], [`STATUS_SALVAGED`], or [`STATUS_ERROR`].
     pub status: u8,
     /// The rendered report (or the error message).
@@ -224,7 +228,7 @@ pub struct Final {
 /// # Errors
 ///
 /// I/O failures.
-pub fn write_final(w: &mut dyn Write, frame: &Final) -> Result<(), ServeError> {
+pub(crate) fn write_final(w: &mut dyn Write, frame: &Final) -> Result<(), ServeError> {
     let mut buf = Vec::with_capacity(5 + frame.body.len());
     buf.push(frame.status);
     buf.extend_from_slice(&(frame.body.len() as u32).to_le_bytes());
@@ -238,7 +242,7 @@ pub fn write_final(w: &mut dyn Write, frame: &Final) -> Result<(), ServeError> {
 /// # Errors
 ///
 /// Truncated or oversized replies.
-pub fn read_final(r: &mut dyn Read) -> Result<Final, ServeError> {
+pub(crate) fn read_final(r: &mut dyn Read) -> Result<Final, ServeError> {
     let mut status = [0u8; 1];
     read_exact(r, &mut status, "final status")?;
     let len = read_u32(r, "final length")? as usize;
@@ -259,7 +263,7 @@ pub fn read_final(r: &mut dyn Read) -> Result<Final, ServeError> {
 /// # Errors
 ///
 /// Lines over [`MAX_LINE`] bytes or ending before a newline.
-pub fn read_line_rest(first: u8, r: &mut dyn Read) -> Result<String, ServeError> {
+pub(crate) fn read_line_rest(first: u8, r: &mut dyn Read) -> Result<String, ServeError> {
     let mut line = vec![first];
     let mut byte = [0u8; 1];
     loop {

@@ -18,7 +18,7 @@ use crate::ServeError;
 /// Identity of one run: tenant name plus run name, both validated by
 /// [`protocol::valid_name`](crate::protocol::valid_name).
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct RunKey {
+pub(crate) struct RunKey {
     /// The tenant the run belongs to.
     pub tenant: String,
     /// The run's name, unique within the tenant.
@@ -27,7 +27,7 @@ pub struct RunKey {
 
 impl RunKey {
     /// Builds a key (names are assumed already validated).
-    pub fn new(tenant: &str, run: &str) -> Self {
+    pub(crate) fn new(tenant: &str, run: &str) -> Self {
         RunKey {
             tenant: tenant.to_string(),
             run: run.to_string(),
@@ -43,7 +43,7 @@ impl fmt::Display for RunKey {
 
 /// Where a run stands in its lifecycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RunStatus {
+pub(crate) enum RunStatus {
     /// A session is currently streaming this run.
     Live,
     /// The stream ended before the trace's end chunk — the spool holds
@@ -57,7 +57,7 @@ pub enum RunStatus {
 
 impl RunStatus {
     /// Stable lowercase name used on the wire and in checkpoints.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             RunStatus::Live => "live",
             RunStatus::Partial => "partial",
@@ -65,22 +65,11 @@ impl RunStatus {
             RunStatus::Failed => "failed",
         }
     }
-
-    /// Parses [`RunStatus::name`] back.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "live" => Some(RunStatus::Live),
-            "partial" => Some(RunStatus::Partial),
-            "complete" => Some(RunStatus::Complete),
-            "failed" => Some(RunStatus::Failed),
-            _ => None,
-        }
-    }
 }
 
 /// Everything the registry tracks about one run.
 #[derive(Debug, Clone)]
-pub struct RunEntry {
+pub(crate) struct RunEntry {
     /// Lifecycle state.
     pub status: RunStatus,
     /// Which shard worker owns the run's fold state.
@@ -107,7 +96,7 @@ pub struct RunEntry {
 
 impl RunEntry {
     /// A fresh live entry for a newly admitted run.
-    pub fn new(shard: usize, spool: PathBuf) -> Self {
+    pub(crate) fn new(shard: usize, spool: PathBuf) -> Self {
         RunEntry {
             status: RunStatus::Live,
             shard,
@@ -126,13 +115,11 @@ impl RunEntry {
 
 /// Admission verdict for a push handshake.
 #[derive(Debug)]
-pub struct Admission {
+pub(crate) struct Admission {
     /// Shard worker assigned to the run.
     pub shard: usize,
     /// Offset the client must skip to (0 for a fresh run).
     pub offset: u64,
-    /// Spool path the shard appends to.
-    pub spool: PathBuf,
     /// Whether the run resumes a partial spool (the shard must replay
     /// it before accepting new bytes).
     pub resume: bool,
@@ -142,13 +129,13 @@ pub struct Admission {
 /// mutex serialises access (registry operations are tiny compared to
 /// decode work, which happens outside the lock).
 #[derive(Debug, Default)]
-pub struct Registry {
+pub(crate) struct Registry {
     runs: Mutex<BTreeMap<RunKey, RunEntry>>,
 }
 
 impl Registry {
     /// An empty registry.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Registry::default()
     }
 
@@ -157,7 +144,7 @@ impl Registry {
     }
 
     /// Pre-populates an entry recovered from a checkpoint at startup.
-    pub fn restore(&self, key: RunKey, entry: RunEntry) {
+    pub(crate) fn restore(&self, key: RunKey, entry: RunEntry) {
         self.lock().insert(key, entry);
     }
 
@@ -167,7 +154,7 @@ impl Registry {
     /// * [`RunStatus::Live`] → rejected (one session per run);
     /// * [`RunStatus::Complete`] / [`RunStatus::Failed`] → rejected
     ///   (runs are immutable once terminal).
-    pub fn admit(
+    pub(crate) fn admit(
         &self,
         key: &RunKey,
         shard: usize,
@@ -190,7 +177,6 @@ impl Registry {
                     Ok(Admission {
                         shard: entry.shard,
                         offset: entry.bytes,
-                        spool: entry.spool.clone(),
                         resume: true,
                     })
                 }
@@ -211,29 +197,28 @@ impl Registry {
                 key.tenant
             )));
         }
-        runs.insert(key.clone(), RunEntry::new(shard, spool.clone()));
+        runs.insert(key.clone(), RunEntry::new(shard, spool));
         Ok(Admission {
             shard,
             offset: 0,
-            spool,
             resume: false,
         })
     }
 
     /// Applies `f` to the run's entry (no-op when the run is unknown).
-    pub fn update<F: FnOnce(&mut RunEntry)>(&self, key: &RunKey, f: F) {
+    pub(crate) fn update<F: FnOnce(&mut RunEntry)>(&self, key: &RunKey, f: F) {
         if let Some(entry) = self.lock().get_mut(key) {
             f(entry);
         }
     }
 
     /// Clones the run's entry.
-    pub fn get(&self, key: &RunKey) -> Option<RunEntry> {
+    pub(crate) fn get(&self, key: &RunKey) -> Option<RunEntry> {
         self.lock().get(key).cloned()
     }
 
     /// Tenant names, ascending.
-    pub fn tenants(&self) -> Vec<String> {
+    pub(crate) fn tenants(&self) -> Vec<String> {
         let mut out: Vec<String> = Vec::new();
         for key in self.lock().keys() {
             if out.last().map(|t| t != &key.tenant).unwrap_or(true) {
@@ -245,7 +230,7 @@ impl Registry {
 
     /// `(key, status, bytes, events)` rows for one tenant, ascending
     /// by run name.
-    pub fn runs_of(&self, tenant: &str) -> Vec<(RunKey, RunStatus, u64, u64)> {
+    pub(crate) fn runs_of(&self, tenant: &str) -> Vec<(RunKey, RunStatus, u64, u64)> {
         self.lock()
             .iter()
             .filter(|(k, _)| k.tenant == tenant)
@@ -254,7 +239,7 @@ impl Registry {
     }
 
     /// `(key, status)` for every run, ascending.
-    pub fn all(&self) -> Vec<(RunKey, RunStatus)> {
+    pub(crate) fn all(&self) -> Vec<(RunKey, RunStatus)> {
         self.lock()
             .iter()
             .map(|(k, e)| (k.clone(), e.status))
@@ -264,7 +249,7 @@ impl Registry {
     /// Marks every [`RunStatus::Live`] run [`RunStatus::Partial`]
     /// (shutdown: the spool is a valid resumable prefix), returning
     /// the keys demoted.
-    pub fn demote_live(&self) -> Vec<RunKey> {
+    pub(crate) fn demote_live(&self) -> Vec<RunKey> {
         let mut runs = self.lock();
         let mut demoted = Vec::new();
         for (k, e) in runs.iter_mut() {

@@ -242,11 +242,6 @@ impl Server {
         self.addr
     }
 
-    /// The server's cancel token; a `SHUTDOWN` query cancels it.
-    pub fn cancel_token(&self) -> CancelToken {
-        self.shared.cancel.clone()
-    }
-
     /// Blocks until the token is cancelled (Ctrl-C handling or a
     /// `SHUTDOWN` query), polling at the shutdown granularity.
     pub fn wait_cancelled(&self) {

@@ -14,17 +14,6 @@ pub fn mean(data: &[f64]) -> Result<f64, StatsError> {
     Ok(data.iter().sum::<f64>() / data.len() as f64)
 }
 
-/// Population standard deviation.
-///
-/// # Errors
-///
-/// Returns [`StatsError::EmptyData`] for an empty slice.
-pub fn std_dev(data: &[f64]) -> Result<f64, StatsError> {
-    let m = mean(data)?;
-    let var = data.iter().map(|&v| (v - m).powi(2)).sum::<f64>() / data.len() as f64;
-    Ok(var.sqrt())
-}
-
 /// Percentile of `data` with linear interpolation between order statistics,
 /// `p` in `[0, 100]`.
 ///
@@ -53,36 +42,6 @@ pub fn percentile(data: &[f64], p: f64) -> Result<f64, StatsError> {
     let hi = rank.ceil() as usize;
     let frac = rank - lo as f64;
     Ok(sorted[lo] + (sorted[hi] - sorted[lo]) * frac)
-}
-
-/// Five-number summary of a data set.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FiveNumberSummary {
-    /// Minimum.
-    pub min: f64,
-    /// First quartile (25th percentile).
-    pub q1: f64,
-    /// Median.
-    pub median: f64,
-    /// Third quartile (75th percentile).
-    pub q3: f64,
-    /// Maximum.
-    pub max: f64,
-}
-
-/// Computes the [`FiveNumberSummary`] of `data`.
-///
-/// # Errors
-///
-/// Returns [`StatsError::EmptyData`] for an empty slice.
-pub fn five_number_summary(data: &[f64]) -> Result<FiveNumberSummary, StatsError> {
-    Ok(FiveNumberSummary {
-        min: percentile(data, 0.0)?,
-        q1: percentile(data, 25.0)?,
-        median: percentile(data, 50.0)?,
-        q3: percentile(data, 75.0)?,
-        max: percentile(data, 100.0)?,
-    })
 }
 
 /// Least-squares slope of `y` over `x` for a set of `(x, y)` points — the
@@ -114,35 +73,13 @@ pub fn least_squares_slope(points: &[(f64, f64)]) -> f64 {
     }
 }
 
-/// Index of the maximum element, breaking ties toward the smaller index.
-///
-/// Returns `None` for an empty slice.
-pub fn argmax(data: &[f64]) -> Option<usize> {
-    data.iter()
-        .enumerate()
-        .max_by(|a, b| a.1.total_cmp(b.1).then(b.0.cmp(&a.0)))
-        .map(|(i, _)| i)
-}
-
-/// Index of the minimum element, breaking ties toward the smaller index.
-///
-/// Returns `None` for an empty slice.
-pub fn argmin(data: &[f64]) -> Option<usize> {
-    data.iter()
-        .enumerate()
-        .min_by(|a, b| a.1.total_cmp(b.1).then(a.0.cmp(&b.0)))
-        .map(|(i, _)| i)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn mean_and_std_dev() {
+    fn mean_of_data() {
         assert_eq!(mean(&[1.0, 2.0, 3.0]).unwrap(), 2.0);
-        assert_eq!(std_dev(&[2.0, 2.0]).unwrap(), 0.0);
-        assert!((std_dev(&[0.0, 2.0]).unwrap() - 1.0).abs() < 1e-12);
         assert!(mean(&[]).is_err());
     }
 
@@ -168,23 +105,5 @@ mod tests {
         assert!(percentile(&[1.0], 100.5).is_err());
         assert!(percentile(&[1.0], f64::NAN).is_err());
         assert!(percentile(&[], 50.0).is_err());
-    }
-
-    #[test]
-    fn five_numbers() {
-        let s = five_number_summary(&[1.0, 2.0, 3.0, 4.0, 5.0]).unwrap();
-        assert_eq!(s.min, 1.0);
-        assert_eq!(s.median, 3.0);
-        assert_eq!(s.max, 5.0);
-        assert_eq!(s.q1, 2.0);
-        assert_eq!(s.q3, 4.0);
-    }
-
-    #[test]
-    fn argmax_argmin_with_ties() {
-        assert_eq!(argmax(&[1.0, 3.0, 3.0]), Some(1));
-        assert_eq!(argmin(&[2.0, 1.0, 1.0]), Some(1));
-        assert_eq!(argmax(&[]), None);
-        assert_eq!(argmin(&[]), None);
     }
 }

@@ -72,29 +72,6 @@ impl RankingCriterion {
             }
         }
     }
-
-    /// Convenience: the single most severe index, if any item is selected.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`select`](Self::select).
-    pub fn most_severe(&self, scores: &[f64]) -> Result<Option<usize>, StatsError> {
-        Ok(self.select(scores)?.into_iter().next())
-    }
-}
-
-/// Ranks all items by decreasing score, returning `(index, score)` pairs.
-///
-/// # Errors
-///
-/// Returns [`StatsError::EmptyData`] when `scores` is empty.
-pub fn rank_descending(scores: &[f64]) -> Result<Vec<(usize, f64)>, StatsError> {
-    if scores.is_empty() {
-        return Err(StatsError::EmptyData);
-    }
-    let mut pairs: Vec<(usize, f64)> = scores.iter().copied().enumerate().collect();
-    pairs.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-    Ok(pairs)
 }
 
 #[cfg(test)]
@@ -149,27 +126,5 @@ mod tests {
         assert!(RankingCriterion::Threshold(f64::NAN)
             .select(&SCORES)
             .is_err());
-    }
-
-    #[test]
-    fn most_severe_handles_empty_selection() {
-        assert_eq!(
-            RankingCriterion::Threshold(9.0)
-                .most_severe(&SCORES)
-                .unwrap(),
-            None
-        );
-        assert_eq!(
-            RankingCriterion::Maximum.most_severe(&SCORES).unwrap(),
-            Some(2)
-        );
-    }
-
-    #[test]
-    fn rank_descending_is_stable_on_ties() {
-        let r = rank_descending(&SCORES).unwrap();
-        let idx: Vec<usize> = r.iter().map(|p| p.0).collect();
-        assert_eq!(idx, vec![2, 3, 0, 4, 1]);
-        assert!(rank_descending(&[]).is_err());
     }
 }

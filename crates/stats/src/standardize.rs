@@ -14,7 +14,7 @@ use crate::StatsError;
 ///
 /// Returns [`StatsError::EmptyData`] for an empty slice and
 /// [`StatsError::InvalidValue`] for the first offending element.
-pub fn validate_nonnegative(data: &[f64]) -> Result<(), StatsError> {
+pub(crate) fn validate_nonnegative(data: &[f64]) -> Result<(), StatsError> {
     if data.is_empty() {
         return Err(StatsError::EmptyData);
     }
@@ -48,23 +48,6 @@ pub fn to_unit_sum(data: &[f64]) -> Result<Vec<f64>, StatsError> {
     Ok(data.iter().map(|&v| v / sum).collect())
 }
 
-/// Standardizes `data` in place to sum one.
-///
-/// # Errors
-///
-/// Same conditions as [`to_unit_sum`]; on error the slice is unchanged.
-pub fn unit_sum_in_place(data: &mut [f64]) -> Result<(), StatsError> {
-    validate_nonnegative(data)?;
-    let sum: f64 = data.iter().sum();
-    if sum <= 0.0 {
-        return Err(StatsError::ZeroSum);
-    }
-    for v in data.iter_mut() {
-        *v /= sum;
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -74,13 +57,6 @@ mod tests {
         let s = to_unit_sum(&[2.0, 2.0, 4.0]).unwrap();
         assert!((s.iter().sum::<f64>() - 1.0).abs() < 1e-12);
         assert_eq!(s, vec![0.25, 0.25, 0.5]);
-    }
-
-    #[test]
-    fn in_place_matches_owned() {
-        let mut d = [1.0, 2.0, 5.0];
-        unit_sum_in_place(&mut d).unwrap();
-        assert_eq!(d.to_vec(), to_unit_sum(&[1.0, 2.0, 5.0]).unwrap());
     }
 
     #[test]
@@ -99,8 +75,5 @@ mod tests {
             to_unit_sum(&[f64::INFINITY]),
             Err(StatsError::InvalidValue { .. })
         ));
-        let mut bad = [1.0, f64::NAN];
-        assert!(unit_sum_in_place(&mut bad).is_err());
-        assert_eq!(bad[0], 1.0); // unchanged on error
     }
 }

@@ -61,14 +61,6 @@ pub struct SealScan {
     pub damaged: bool,
 }
 
-impl SealScan {
-    /// Whether anything needs cutting: the file holds bytes past the
-    /// last sealed boundary that a clean stream would not.
-    pub fn torn(&self) -> bool {
-        !self.complete && self.sealed < self.total
-    }
-}
-
 /// Incremental torn-tail detector over a chunked-v3 (or materialized
 /// v1–2) byte stream. Feed any byte split; structural damage stops the
 /// scan without erroring — the verdict is in the final [`SealScan`].
@@ -81,13 +73,13 @@ pub struct SealScanner {
 
 impl SealScanner {
     /// A scanner for one stream.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         SealScanner::default()
     }
 
     /// Consumes the next bytes of the stream. Bytes after damage (or
     /// after a verified end) only count toward the total.
-    pub fn feed(&mut self, chunk: &[u8]) {
+    pub(crate) fn feed(&mut self, chunk: &[u8]) {
         self.total += chunk.len() as u64;
         if self.damaged {
             return;
@@ -98,7 +90,7 @@ impl SealScanner {
     }
 
     /// The verdict over everything fed so far.
-    pub fn finish(self) -> SealScan {
+    pub(crate) fn finish(self) -> SealScan {
         SealScan {
             sealed: self.decoder.sealed(),
             total: self.total,
@@ -230,7 +222,7 @@ mod tests {
     fn complete_stream_seals_at_its_full_length() {
         let bytes = sample_bytes();
         let scan = SealScanner::scan(&bytes);
-        assert!(scan.complete && !scan.damaged && !scan.torn());
+        assert!(scan.complete && !scan.damaged);
         assert_eq!(scan.sealed, bytes.len() as u64);
         assert_eq!(scan.total, bytes.len() as u64);
     }
@@ -247,7 +239,10 @@ mod tests {
             // same boundary (truncating there is a fixed point).
             let again = SealScanner::scan(&bytes[..scan.sealed as usize]);
             assert_eq!(again.sealed, scan.sealed, "cut {cut} not a fixed point");
-            assert!(!again.torn(), "cut {cut}: sealed prefix still torn");
+            assert_eq!(
+                again.sealed, again.total,
+                "cut {cut}: sealed prefix still torn"
+            );
         }
     }
 

@@ -273,7 +273,7 @@ impl<'a> RankOrder<'a> {
     }
 
     /// Number of processors indexed (the trace's declared count).
-    pub fn processors(&self) -> usize {
+    pub(crate) fn processors(&self) -> usize {
         self.offsets.len() - 1
     }
 
@@ -282,7 +282,7 @@ impl<'a> RankOrder<'a> {
     ///
     /// # Panics
     ///
-    /// When `proc` is not below [`RankOrder::processors`].
+    /// When `proc` is not below the trace's processor count.
     pub fn rank(&self, proc: u32) -> impl ExactSizeIterator<Item = (usize, &'a Event)> + '_ {
         let events = self.events;
         let p = proc as usize;
@@ -479,18 +479,8 @@ impl TraceBuilder {
     }
 
     /// Number of regions registered so far.
-    pub fn region_count(&self) -> usize {
+    pub(crate) fn region_count(&self) -> usize {
         self.region_names.len()
-    }
-
-    /// Number of events so far.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Returns `true` when no events were recorded.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
     }
 
     /// Finalizes the trace (without validating; call
@@ -693,16 +683,8 @@ mod tests {
         b.reserve_events(128);
         b.push(Event::enter(0.0, 0, m));
         b.push(Event::leave(1.0, 0, m));
-        assert_eq!(b.len(), 2);
-        b.build().validate().unwrap();
-    }
-
-    #[test]
-    fn builder_len_and_empty() {
-        let mut b = TraceBuilder::new(1);
-        assert!(b.is_empty());
-        let a = b.add_region("a");
-        b.push(Event::enter(0.0, 0, a));
-        assert_eq!(b.len(), 1);
+        let trace = b.build();
+        assert_eq!(trace.events().len(), 2);
+        trace.validate().unwrap();
     }
 }

@@ -47,7 +47,7 @@
 #![warn(missing_docs)]
 
 pub mod binary;
-pub mod durable;
+pub(crate) mod durable;
 pub mod stream;
 pub mod text;
 
@@ -64,8 +64,8 @@ pub use hierarchy::region_parents;
 pub use reduce::{reduce, reduce_well_formed, reduce_windows, Attribution, ReducedTrace};
 pub use salvage::{reduce_checked, RankCoverage, SalvageWalker, SalvagedTrace};
 pub use stream::{
-    MaterializeSink, ReduceSink, SalvageSink, ScanSink, StreamDecoder, StreamEncoder, StreamScan,
-    TeeSink, TraceSink, WindowSink, WriteSink,
+    MaterializeSink, ReduceSink, SalvageSink, ScanSink, StreamDecoder, StreamScan, TeeSink,
+    TraceSink, WindowSink, WriteSink,
 };
 
 mod error;

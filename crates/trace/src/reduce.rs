@@ -5,7 +5,7 @@ use limba_model::{
     MeasurementsBuilder, RegionId, STANDARD_ACTIVITIES,
 };
 
-use crate::{Event, EventPayload, RankOrder, Trace, TraceError};
+use crate::{Event, EventPayload, RankOrder, SalvageWalker, Trace, TraceError};
 
 /// Result of reducing a trace: the timing matrix `t_ijp` and the message
 /// counting parameters.
@@ -48,112 +48,6 @@ pub enum Attribution {
         /// Timestamp of the observation.
         at: f64,
     },
-}
-
-/// The incremental per-processor attribution state machine behind
-/// [`walk_processor`]: one event at a time via [`ProcWalker::step`], so
-/// the batch reduction (which iterates a materialized slice) and the
-/// streaming folds ([`crate::stream`], which see events as frames
-/// arrive) share the exact attribution code — structural identity, not
-/// merely tested equivalence.
-///
-/// Expects a well-formed, time-ordered stream (panics on malformed
-/// input, shielded by validation on the batch path); the lenient
-/// counterpart is `SalvageWalker`.
-pub(crate) struct ProcWalker {
-    stack: Vec<usize>,
-    current: Option<(ActivityKind, f64)>,
-    mark: f64,
-}
-
-impl ProcWalker {
-    pub(crate) fn new() -> Self {
-        ProcWalker {
-            stack: Vec::new(),
-            current: None,
-            mark: 0.0,
-        }
-    }
-
-    pub(crate) fn step<F: FnMut(Attribution)>(&mut self, e: &Event, sink: &mut F) {
-        match e.payload {
-            EventPayload::EnterRegion { region } => {
-                if let Some(&top) = self.stack.last() {
-                    sink(Attribution::Interval {
-                        region: top,
-                        kind: ActivityKind::Computation,
-                        start: self.mark,
-                        end: e.time,
-                    });
-                }
-                self.stack.push(region);
-                self.mark = e.time;
-            }
-            EventPayload::LeaveRegion { region } => {
-                sink(Attribution::Interval {
-                    region,
-                    kind: ActivityKind::Computation,
-                    start: self.mark,
-                    end: e.time,
-                });
-                self.stack.pop();
-                self.mark = e.time;
-            }
-            EventPayload::BeginActivity { kind } => {
-                let top = *self.stack.last().expect("validated: inside a region");
-                sink(Attribution::Interval {
-                    region: top,
-                    kind: ActivityKind::Computation,
-                    start: self.mark,
-                    end: e.time,
-                });
-                self.current = Some((kind, e.time));
-            }
-            EventPayload::EndActivity { .. } => {
-                let (kind, start) = self.current.take().expect("validated: activity open");
-                let top = *self.stack.last().expect("validated: inside a region");
-                sink(Attribution::Interval {
-                    region: top,
-                    kind,
-                    start,
-                    end: e.time,
-                });
-                self.mark = e.time;
-            }
-            EventPayload::MessageSend { bytes, .. } => {
-                if let Some(&top) = self.stack.last() {
-                    sink(Attribution::Count {
-                        region: top,
-                        kind: CountKind::MessagesSent,
-                        amount: 1.0,
-                        at: e.time,
-                    });
-                    sink(Attribution::Count {
-                        region: top,
-                        kind: CountKind::BytesSent,
-                        amount: bytes as f64,
-                        at: e.time,
-                    });
-                }
-            }
-            EventPayload::MessageRecv { bytes, .. } => {
-                if let Some(&top) = self.stack.last() {
-                    sink(Attribution::Count {
-                        region: top,
-                        kind: CountKind::MessagesReceived,
-                        amount: 1.0,
-                        at: e.time,
-                    });
-                    sink(Attribution::Count {
-                        region: top,
-                        kind: CountKind::BytesReceived,
-                        amount: bytes as f64,
-                        at: e.time,
-                    });
-                }
-            }
-        }
-    }
 }
 
 /// Records one rank's attributions into the full-run matrices, keeping
@@ -217,14 +111,24 @@ impl<'a> Tally<'a> {
 /// Walks one processor's (validated, time-sorted) events and emits
 /// attributions. Time between explicit activity intervals counts as
 /// computation; nested regions attribute to the innermost region.
+///
+/// The strict paths step the same [`SalvageWalker`] the salvage
+/// reduction and the streaming folds step, so there is one attribution
+/// state machine. Validation leaves nothing open at the end of a rank,
+/// so the walker's truncation repair (`finish`) is never needed here;
+/// an activity that outlives its region is attributed to its
+/// begin-time region, exactly as the salvage path does.
 pub(crate) fn walk_processor<'e, F: FnMut(Attribution)>(
-    events: impl IntoIterator<Item = &'e Event>,
+    proc: u32,
+    regions: usize,
+    events: impl IntoIterator<Item = (usize, &'e Event)>,
     mut sink: F,
-) {
-    let mut walker = ProcWalker::new();
-    for e in events {
-        walker.step(e, &mut sink);
+) -> Result<(), TraceError> {
+    let mut walker = SalvageWalker::new(proc, regions);
+    for (index, e) in events {
+        walker.step(index, e, &mut sink)?;
     }
+    Ok(())
 }
 
 /// Folds one event into a running activity-kind list: the paper's
@@ -278,12 +182,14 @@ pub fn reduce(trace: &Trace) -> Result<ReducedTrace, TraceError> {
 /// half the walk cost.
 ///
 /// Feeding a malformed trace (unbalanced nesting, dangling activities)
-/// is a logic error and may panic; route externally loaded traces
-/// through [`reduce`] instead.
+/// is a logic error: the walk fails on the first structural fault it
+/// meets but checks less than [`reduce`], so route externally loaded
+/// traces through [`reduce`] instead.
 ///
 /// # Errors
 ///
-/// Returns model errors should the trace encode invalid values.
+/// Returns model errors should the trace encode invalid values, and a
+/// [`TraceError::MalformedEvent`] for a structural fault the walk meets.
 pub fn reduce_well_formed(trace: &Trace) -> Result<ReducedTrace, TraceError> {
     reduce_ranks(trace, &trace.rank_order())
 }
@@ -296,9 +202,9 @@ fn reduce_ranks(trace: &Trace, order: &RankOrder<'_>) -> Result<ReducedTrace, Tr
     let mut cb = CountMatrixBuilder::new(trace.processors());
     for (proc, events) in order.ranks() {
         let mut tally = Tally::new(&mut mb, &mut cb, proc);
-        walk_processor(events.map(|(_, e)| e), |attribution| {
+        walk_processor(proc, trace.region_names().len(), events, |attribution| {
             tally.record(attribution)
-        });
+        })?;
         tally.finish()?;
     }
     Ok(ReducedTrace {
@@ -344,14 +250,14 @@ pub fn reduce_windows(trace: &Trace, windows: usize) -> Result<Vec<ReducedTrace>
         .collect();
     let mut failure: Option<TraceError> = None;
     for (proc, events) in order.ranks() {
-        walk_processor(events.map(|(_, e)| e), |attribution| {
+        walk_processor(proc, trace.region_names().len(), events, |attribution| {
             if failure.is_some() {
                 return;
             }
             if let Err(e) = scatter_windowed(&mut builders, width, proc, attribution) {
                 failure = Some(e.into());
             }
-        });
+        })?;
     }
     if let Some(e) = failure {
         return Err(e);

@@ -11,17 +11,18 @@ use crate::reduce::{scatter_windowed, trace_activities, walk_processor, ReducedT
 use crate::salvage::{walk_salvage, SalvagedTrace};
 use crate::{Event, EventPayload, Trace, TraceError};
 
-/// Every processor's events, copied and stably sorted by time; events
-/// naming an out-of-range processor are dropped.
-fn events_partitioned(trace: &Trace) -> Vec<Vec<Event>> {
-    let mut parts: Vec<Vec<Event>> = vec![Vec::new(); trace.processors()];
-    for e in trace.events() {
+/// Every processor's events with their recording-order indices,
+/// copied and stably sorted by time; events naming an out-of-range
+/// processor are dropped.
+fn events_partitioned(trace: &Trace) -> Vec<Vec<(usize, Event)>> {
+    let mut parts: Vec<Vec<(usize, Event)>> = vec![Vec::new(); trace.processors()];
+    for (index, e) in trace.events().iter().enumerate() {
         if let Some(bucket) = parts.get_mut(e.proc as usize) {
-            bucket.push(*e);
+            bucket.push((index, *e));
         }
     }
     for bucket in &mut parts {
-        bucket.sort_by(|a, b| a.time.total_cmp(&b.time));
+        bucket.sort_by(|a, b| a.1.time.total_cmp(&b.1.time));
     }
     parts
 }
@@ -43,7 +44,7 @@ fn validate(trace: &Trace) -> Result<(), TraceError> {
     let regions = trace.region_names().len();
     for (proc, events) in (0u32..).zip(events_partitioned(trace)) {
         let mut checker = RankChecker::new();
-        for e in &events {
+        for (_, e) in &events {
             checker.step(proc, e, regions)?;
         }
         checker.finish(proc)?;
@@ -68,7 +69,10 @@ fn reduce_well_formed(trace: &Trace) -> Result<ReducedTrace, TraceError> {
     let (mut mb, mut cb) = builders(trace);
     for (proc, events) in (0u32..).zip(events_partitioned(trace)) {
         let mut tally = Tally::new(&mut mb, &mut cb, proc);
-        walk_processor(&events, |attribution| tally.record(attribution));
+        let events = events.iter().map(|(index, e)| (*index, e));
+        walk_processor(proc, trace.region_names().len(), events, |attribution| {
+            tally.record(attribution)
+        })?;
         tally.finish()?;
     }
     Ok(ReducedTrace {
@@ -94,14 +98,15 @@ fn reduce_windows(trace: &Trace, windows: usize) -> Result<Vec<ReducedTrace>, Tr
     let mut window_builders: Vec<_> = (0..windows).map(|_| builders(trace)).collect();
     let mut failure: Option<TraceError> = None;
     for (proc, events) in (0u32..).zip(events_partitioned(trace)) {
-        walk_processor(&events, |attribution| {
+        let events = events.iter().map(|(index, e)| (*index, e));
+        walk_processor(proc, trace.region_names().len(), events, |attribution| {
             if failure.is_some() {
                 return;
             }
             if let Err(e) = scatter_windowed(&mut window_builders, width, proc, attribution) {
                 failure = Some(e.into());
             }
-        });
+        })?;
     }
     if let Some(e) = failure {
         return Err(e);
@@ -161,7 +166,6 @@ fn reduce_checked(trace: &Trace) -> Result<SalvagedTrace, TraceError> {
 
 mod tests {
     use std::fmt::Debug;
-    use std::panic::{catch_unwind, AssertUnwindSafe};
 
     use limba_model::{ActivityKind, RegionId};
     use limba_par::splitmix64;
@@ -170,11 +174,11 @@ mod tests {
     use crate::{Event, EventPayload, Trace, TraceBuilder};
 
     /// `f`'s result as `Debug` text — `f64`'s shortest round-trip
-    /// formatting makes equal text equal bits — or `"panicked"`: the
-    /// strict walk panics on some traces validation accepts, and then
-    /// both sides must panic alike.
+    /// formatting makes equal text equal bits. No path may panic: every
+    /// walk steps the checking [`SalvageWalker`](crate::SalvageWalker),
+    /// so a panic fails the property outright.
     fn outcome<T: Debug>(f: impl FnOnce() -> T) -> String {
-        catch_unwind(AssertUnwindSafe(f)).map_or_else(|_| "panicked".into(), |r| format!("{r:?}"))
+        format!("{:?}", f())
     }
 
     /// Damage the generator may inject, each with probability 1/4.

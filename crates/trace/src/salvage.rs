@@ -127,11 +127,9 @@ pub fn reduce_checked(trace: &Trace) -> Result<SalvagedTrace, TraceError> {
     })
 }
 
-/// The lenient counterpart of `reduce`'s per-processor walk: identical
-/// attribution on well-formed streams, structured errors where the
-/// strict walk would have been shielded by validation, and synthesized
-/// closings (at the last recorded timestamp) where the stream is merely
-/// truncated.
+/// [`reduce_checked`]'s per-processor walk: the strict walk plus
+/// synthesized closings (at the last recorded timestamp) where the
+/// stream is merely truncated.
 pub(crate) fn walk_salvage<'e, F: FnMut(Attribution)>(
     proc: u32,
     events: impl IntoIterator<Item = (usize, &'e Event)>,
@@ -145,13 +143,15 @@ pub(crate) fn walk_salvage<'e, F: FnMut(Attribution)>(
     Ok(walker.finish(&mut sink))
 }
 
-/// The incremental state machine behind [`reduce_checked`]'s per-rank
-/// walk: one event at a time via [`SalvageWalker::step`], truncation
-/// repair and the coverage record on [`SalvageWalker::finish`]. The
-/// batch salvage path drives it over the trace's rank-order index; the
-/// streaming salvage fold ([`crate::stream`]) drives one walker per
-/// rank as frames arrive — the same code attributes in both, so their
-/// outputs are identical by construction, not merely by test.
+/// The incremental per-rank attribution state machine behind every
+/// reduction: one event at a time via [`SalvageWalker::step`],
+/// truncation repair and the coverage record on
+/// [`SalvageWalker::finish`]. The batch paths drive it over the trace's
+/// rank-order index; the streaming folds ([`crate::stream`]) drive one
+/// walker per rank as frames arrive — the same code attributes in all
+/// of them, so their outputs are identical by construction, not merely
+/// by test. The strict paths ([`reduce`](crate::reduce()) and its fold
+/// counterparts) step it only after validation and skip `finish`.
 ///
 /// Public so external incremental consumers — e.g. `limba-serve`'s
 /// online window detector — fold the *same* [`Attribution`]s the
@@ -287,10 +287,9 @@ impl SalvageWalker {
                 let Some((open, start, begun_in)) = self.current.take() else {
                     return Err(malformed(index, format!("ends {kind} that never began")));
                 };
-                // Strict reduction attributes the interval to the
-                // innermost region at end time; keep that, falling back
-                // to the begin-time region when the stream left no
-                // region open (valid but previously panicked reduce).
+                // The interval goes to the innermost region at end
+                // time, or to the begin-time region when the activity
+                // outlived its region (a stream validation accepts).
                 let region = self.stack.last().copied().unwrap_or(begun_in);
                 sink(Attribution::Interval {
                     region,
@@ -528,10 +527,11 @@ mod tests {
     }
 
     #[test]
-    fn activity_outliving_its_region_reduces_without_panic() {
-        // Passes validate() (leave does not check activities) but the
-        // strict walk used to panic on the end event's empty stack; the
-        // salvage walk attributes the span to the begin-time region.
+    fn activity_outliving_its_region_reduces_alike_on_every_path() {
+        // Passes validate() (leave does not check activities). Every
+        // path, strict or salvaging, batch or streamed, attributes the
+        // span to the begin-time region; none may panic on the end
+        // event's empty region stack.
         let mut b = TraceBuilder::new(1);
         let r = b.add_region("r");
         b.push(Event::enter(0.0, 0, r));
@@ -543,6 +543,36 @@ mod tests {
         let salvaged = reduce_checked(&trace).unwrap();
         assert!(salvaged.is_complete());
         let m = &salvaged.reduced.measurements;
-        assert!((m.time(r, ActivityKind::PointToPoint, ProcessorId::new(0)) - 2.0).abs() < 1e-12);
+        assert_eq!(
+            m.time(r, ActivityKind::PointToPoint, ProcessorId::new(0)),
+            2.0
+        );
+
+        let bytes = crate::stream::to_stream_bytes(&trace, 2).unwrap();
+        let mut fold = crate::ReduceSink::new(limba_model::ActivitySet::standard());
+        crate::stream::decode_all(&bytes, &mut fold).unwrap();
+        for strict in [
+            reduce(&trace).unwrap(),
+            crate::reduce_well_formed(&trace).unwrap(),
+            fold.into_reduced().unwrap(),
+        ] {
+            assert_eq!(&strict.measurements, m);
+            assert_eq!(strict.counts, salvaged.reduced.counts);
+        }
+        let windows = crate::reduce_windows(&trace, 2).unwrap();
+        let mut fold =
+            crate::WindowSink::new(2, 3.0, limba_model::ActivitySet::standard()).unwrap();
+        crate::stream::decode_all(&bytes, &mut fold).unwrap();
+        let p2p: Vec<f64> = windows
+            .iter()
+            .map(|w| {
+                w.measurements
+                    .time(r, ActivityKind::PointToPoint, ProcessorId::new(0))
+            })
+            .collect();
+        assert_eq!(p2p, [0.5, 1.5]);
+        for (batch, streamed) in windows.iter().zip(fold.into_windows().unwrap()) {
+            assert_eq!(batch.measurements, streamed.measurements);
+        }
     }
 }

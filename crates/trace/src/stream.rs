@@ -11,7 +11,7 @@
 //!   recording order in arbitrarily sized batches. The simulator's
 //!   engines can record straight into any sink instead of a
 //!   [`TraceBuilder`].
-//! * [`StreamEncoder`] / [`StreamDecoder`] — the chunked binary
+//! * `StreamEncoder` / [`StreamDecoder`] — the chunked binary
 //!   container (format version 3): the same per-event wire records as
 //!   the materialized format, framed into self-delimiting chunks so a
 //!   writer can emit as rounds retire and a reader can fold from
@@ -28,7 +28,7 @@
 //! # Identity with the materialized path
 //!
 //! The folds do not reimplement attribution: they drive the *same*
-//! per-rank state machines (`ProcWalker`, `SalvageWalker`) and the same
+//! per-rank state machine ([`SalvageWalker`]) and the same
 //! window-scatter arithmetic as [`reduce`](crate::reduce()) /
 //! [`reduce_windows`](crate::reduce_windows) /
 //! [`reduce_checked`](crate::reduce_checked), stepping them as events
@@ -89,14 +89,12 @@ use limba_model::{
 use limba_par::Fnv;
 
 use crate::event::RankChecker;
-use crate::reduce::{
-    note_activity, scatter_windowed, Attribution, ProcWalker, ReducedTrace, Tally,
-};
+use crate::reduce::{note_activity, scatter_windowed, Attribution, ReducedTrace, Tally};
 use crate::salvage::{SalvageWalker, SalvagedTrace};
 use crate::{Event, EventPayload, Trace, TraceBuilder, TraceError};
 
 /// Format version of the chunked streaming container.
-pub const STREAM_VERSION: u16 = 3;
+pub(crate) const STREAM_VERSION: u16 = 3;
 
 /// File magic shared by every container version.
 pub(crate) const MAGIC: &[u8; 8] = b"LIMBATRC";
@@ -476,14 +474,14 @@ impl<W: std::io::Write> TraceSink for WriteSink<W> {
 ///
 /// [`binary::from_bytes`]: crate::binary::from_bytes
 #[derive(Debug)]
-pub struct StreamEncoder {
+pub(crate) struct StreamEncoder {
     hash: Fnv,
     events: u64,
 }
 
 impl StreamEncoder {
     /// Creates an encoder for one stream.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         StreamEncoder {
             hash: Fnv::new(),
             events: 0,
@@ -496,7 +494,7 @@ impl StreamEncoder {
     ///
     /// Rejects processor counts over the supported maximum and region
     /// tables the streamed format cannot represent.
-    pub fn header(
+    pub(crate) fn header(
         &mut self,
         processors: usize,
         region_names: &[String],
@@ -529,7 +527,7 @@ impl StreamEncoder {
 
     /// Encodes one batch of events as an event chunk. An empty batch
     /// encodes to an empty frame (nothing need be sent).
-    pub fn frame(&mut self, events: &[Event]) -> Bytes {
+    pub(crate) fn frame(&mut self, events: &[Event]) -> Bytes {
         if events.is_empty() {
             return Bytes::from(Vec::new());
         }
@@ -550,7 +548,7 @@ impl StreamEncoder {
 
     /// Seals the stream: the end chunk with the running event total and
     /// content checksum.
-    pub fn finish(&mut self) -> Bytes {
+    pub(crate) fn finish(&mut self) -> Bytes {
         let mut buf = BytesMut::with_capacity(17);
         buf.put_u8(CHUNK_END);
         buf.put_u64_le(self.events);
@@ -684,7 +682,7 @@ impl StreamDecoder {
     }
 
     /// Total input bytes the decoder has consumed.
-    pub fn consumed(&self) -> u64 {
+    pub(crate) fn consumed(&self) -> u64 {
         self.consumed
     }
 
@@ -694,7 +692,7 @@ impl StreamDecoder {
     /// A file truncated at this offset decodes without error and a
     /// resumed producer may append from exactly here — it is where the
     /// startup recovery scrub cuts a torn spool tail back to.
-    pub fn sealed(&self) -> u64 {
+    pub(crate) fn sealed(&self) -> u64 {
         self.sealed_at
     }
 
@@ -1085,7 +1083,8 @@ pub fn decode_all(data: &[u8], sink: &mut dyn TraceSink) -> Result<(), TraceErro
 ///
 /// # Errors
 ///
-/// Same conditions as [`StreamEncoder::header`].
+/// Rejects processor counts over the supported maximum and region
+/// tables the streamed format cannot represent.
 pub fn to_stream_bytes(trace: &Trace, frame_events: usize) -> Result<Bytes, TraceError> {
     let mut enc = StreamEncoder::new();
     let mut out = BytesMut::with_capacity(64 + trace.events().len() * 25);
@@ -1244,11 +1243,13 @@ fn grow_columns(mb: &mut MeasurementsBuilder, e: &Event) {
 }
 
 /// The strict folds' per-rank state: a `RankChecker` validating and a
-/// [`ProcWalker`] attributing each rank's events as they arrive.
+/// [`SalvageWalker`] attributing each rank's events as they arrive.
 struct StrictRanks {
     checkers: Vec<RankChecker>,
-    walkers: Vec<ProcWalker>,
+    walkers: Vec<SalvageWalker>,
     regions: usize,
+    /// Recording-order index of the next event (spans batches).
+    index: usize,
 }
 
 impl StrictRanks {
@@ -1257,10 +1258,11 @@ impl StrictRanks {
             checkers: std::iter::repeat_with(RankChecker::new)
                 .take(processors)
                 .collect(),
-            walkers: std::iter::repeat_with(ProcWalker::new)
-                .take(processors)
+            walkers: (0..processors)
+                .map(|proc| SalvageWalker::new(proc as u32, regions))
                 .collect(),
             regions,
+            index: 0,
         }
     }
 
@@ -1271,12 +1273,13 @@ impl StrictRanks {
         e: &Event,
         attribute: &mut F,
     ) -> Result<(), TraceError> {
+        let index = self.index;
+        self.index += 1;
         let Some(checker) = self.checkers.get_mut(e.proc as usize) else {
             return Err(TraceError::UnknownProcessor { proc: e.proc });
         };
         checker.step(e.proc, e, self.regions)?;
-        self.walkers[e.proc as usize].step(e, attribute);
-        Ok(())
+        self.walkers[e.proc as usize].step(index, e, attribute)
     }
 
     /// The end-of-stream checks, in rank order — matching the batch

@@ -1,9 +1,9 @@
 //! ASCII renderings of pattern diagrams (the paper's Figures 1 and 2).
 
-use limba_analysis::patterns::{PatternBin, PatternGrid};
+use limba_analysis::patterns::PatternGrid;
 
 /// Legend line explaining the glyphs.
-pub const LEGEND: &str =
+pub(crate) const LEGEND: &str =
     "legend: M = maximum, + = upper 15%, . = middle, - = lower 15%, m = minimum";
 
 /// Renders one pattern grid: one line per region, one glyph per
@@ -63,21 +63,6 @@ pub fn tail_summary(grid: &PatternGrid) -> String {
     out
 }
 
-/// Renders the share of each bin over the whole grid, for balance
-/// eyeballing.
-pub fn bin_histogram(grid: &PatternGrid) -> Vec<(PatternBin, usize)> {
-    let bins = [
-        PatternBin::Max,
-        PatternBin::UpperTail,
-        PatternBin::Mid,
-        PatternBin::LowerTail,
-        PatternBin::Min,
-    ];
-    bins.into_iter()
-        .map(|b| (b, grid.rows.iter().map(|r| r.count(b)).sum()))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -114,14 +99,6 @@ mod tests {
         let s = tail_summary(&grid());
         assert!(s.contains("loop 1: 2/4 upper, 1/4 lower"));
         assert!(s.contains("much longer name: 0/4 upper, 0/4 lower"));
-    }
-
-    #[test]
-    fn histogram_sums_to_cells() {
-        let g = grid();
-        let h = bin_histogram(&g);
-        let total: usize = h.iter().map(|(_, c)| c).sum();
-        assert_eq!(total, 8);
     }
 
     #[test]

@@ -14,7 +14,7 @@ use crate::table::{cell, TextTable};
 /// present sections always appear in this order. `assemble` enforces
 /// it, so a new section cannot silently shuffle existing report bytes —
 /// extend this list (and the rendering lock test) to add one.
-pub const SECTION_ORDER: &[&str] = &[
+pub(crate) const SECTION_ORDER: &[&str] = &[
     "coarse grain",
     "clustering",
     "wall clock breakdown",
@@ -89,7 +89,7 @@ pub fn render_dispersions(report: &Report) -> String {
 }
 
 /// Renders the activity-view summary (Table 3).
-pub fn render_activity_summary(report: &Report) -> String {
+pub(crate) fn render_activity_summary(report: &Report) -> String {
     let mut t = TextTable::new(vec!["activity".into(), "ID_A".into(), "SID_A".into()]);
     for s in &report.activity_view.summaries {
         t.row(vec![
@@ -102,7 +102,7 @@ pub fn render_activity_summary(report: &Report) -> String {
 }
 
 /// Renders the region-view summary (Table 4).
-pub fn render_region_summary(report: &Report) -> String {
+pub(crate) fn render_region_summary(report: &Report) -> String {
     let mut t = TextTable::new(vec!["region".into(), "ID_C".into(), "SID_C".into()]);
     for s in &report.region_view.summaries {
         t.row(vec![s.name.clone(), cell(Some(s.id)), cell(Some(s.sid))]);
@@ -112,7 +112,7 @@ pub fn render_region_summary(report: &Report) -> String {
 
 /// Renders the per-region most-imbalanced-processor table of the
 /// processor view.
-pub fn render_processor_view(report: &Report) -> String {
+pub(crate) fn render_processor_view(report: &Report) -> String {
     let mut t = TextTable::new(vec![
         "region".into(),
         "worst processor".into(),
@@ -144,8 +144,8 @@ pub fn render_processor_view(report: &Report) -> String {
 }
 
 /// Renders the whole report as plain text: coarse findings, the four
-/// tables, the pattern diagrams, and the processor findings. Sections
-/// appear in [`SECTION_ORDER`].
+/// tables, the pattern diagrams, and the processor findings, each
+/// section at its fixed place in the report.
 pub fn render(report: &Report) -> String {
     assemble(&report_sections(report))
 }
@@ -275,7 +275,7 @@ fn report_sections(report: &Report) -> Vec<(&'static str, String)> {
 /// Renders the per-rank data-coverage section for a salvaged trace (see
 /// [`limba_trace::reduce_checked`]): which ranks' streams were truncated
 /// and how far their data reaches.
-pub fn render_coverage(coverage: &[RankCoverage]) -> String {
+pub(crate) fn render_coverage(coverage: &[RankCoverage]) -> String {
     let mut out = String::from("== data coverage ==\n");
     let incomplete: Vec<&RankCoverage> = coverage.iter().filter(|c| !c.complete).collect();
     if incomplete.is_empty() {

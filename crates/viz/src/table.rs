@@ -33,16 +33,6 @@ impl TextTable {
         self
     }
 
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Returns `true` when the table has no data rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
     /// Renders the table with single-space-padded, left-aligned header
     /// and right-aligned numeric-looking cells.
     pub fn render(&self) -> String {
@@ -100,7 +90,7 @@ impl TextTable {
 
 /// Formats a time or index for table display: five significant decimals,
 /// or `"-"` for absent values.
-pub fn cell(value: Option<f64>) -> String {
+pub(crate) fn cell(value: Option<f64>) -> String {
     match value {
         Some(v) => format!("{v:.5}"),
         None => "-".to_string(),
@@ -132,8 +122,6 @@ mod tests {
         t.row(vec![]);
         let s = t.render();
         assert!(s.contains('3'));
-        assert_eq!(t.len(), 2);
-        assert!(!t.is_empty());
     }
 
     #[test]
@@ -147,6 +135,5 @@ mod tests {
         let t = TextTable::new(vec!["h".into()]);
         let s = t.render();
         assert_eq!(s.lines().count(), 2);
-        assert!(t.is_empty());
     }
 }

@@ -55,11 +55,6 @@ impl AmrConfig {
         }
     }
 
-    /// Number of ranks.
-    pub fn ranks(&self) -> usize {
-        self.ranks
-    }
-
     /// Sets the number of time steps.
     pub fn with_steps(mut self, steps: usize) -> Self {
         self.steps = steps.max(1);
@@ -130,7 +125,7 @@ mod tests {
 
     fn simulate(cfg: &AmrConfig) -> limba_mpisim::SimOutput {
         let program = cfg.build_program().unwrap();
-        Simulator::new(MachineConfig::new(cfg.ranks()))
+        Simulator::new(MachineConfig::new(program.ranks()))
             .run(&program)
             .unwrap()
     }

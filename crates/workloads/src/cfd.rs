@@ -23,7 +23,7 @@ use crate::exchange::chain_exchange;
 use crate::Imbalance;
 
 /// Names of the seven loops, in region-id order.
-pub const LOOP_NAMES: [&str; 7] = [
+pub(crate) const LOOP_NAMES: [&str; 7] = [
     "loop 1", "loop 2", "loop 3", "loop 4", "loop 5", "loop 6", "loop 7",
 ];
 
@@ -46,7 +46,6 @@ pub const LOOP_NAMES: [&str; 7] = [
 pub struct CfdConfig {
     ranks: usize,
     iterations: usize,
-    work_scale: f64,
     imbalance: Imbalance,
     seed: u64,
 }
@@ -58,26 +57,14 @@ impl CfdConfig {
         CfdConfig {
             ranks,
             iterations: 1,
-            work_scale: 1.0,
             imbalance: Imbalance::default(),
             seed: 0,
         }
     }
 
-    /// Number of ranks.
-    pub fn ranks(&self) -> usize {
-        self.ranks
-    }
-
     /// Sets the number of outer time-step iterations.
     pub fn with_iterations(mut self, iterations: usize) -> Self {
         self.iterations = iterations.max(1);
-        self
-    }
-
-    /// Scales all computation times (1.0 = nominal).
-    pub fn with_work_scale(mut self, scale: f64) -> Self {
-        self.work_scale = scale;
         self
     }
 
@@ -102,12 +89,11 @@ impl CfdConfig {
     pub fn build_program(&self) -> Result<Program, SimError> {
         let n = self.ranks;
         let w = self.imbalance.weights(n, self.seed);
-        let s = self.work_scale;
         let mut pb = ProgramBuilder::new(n);
         let loops: Vec<_> = LOOP_NAMES.iter().map(|name| pb.add_region(*name)).collect();
         for _ in 0..self.iterations {
             pb.spmd(|rank, mut ops| {
-                let wk = w[rank] * s;
+                let wk = w[rank];
                 // Loop 1: flux assembly — the core of the program. The
                 // reduce absorbs the computation spread (imbalanced
                 // collective); a small jittered fix-up before the barrier
@@ -171,7 +157,7 @@ mod tests {
 
     fn simulate(cfg: &CfdConfig) -> limba_mpisim::SimOutput {
         let program = cfg.build_program().unwrap();
-        Simulator::new(MachineConfig::new(cfg.ranks()))
+        Simulator::new(MachineConfig::new(program.ranks()))
             .run(&program)
             .unwrap()
     }
@@ -262,19 +248,6 @@ mod tests {
         let a = m1.region_activity_time(r, ActivityKind::Computation);
         let b = m3.region_activity_time(r, ActivityKind::Computation);
         assert!((b / a - 3.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn work_scale_scales_computation() {
-        let m1 = simulate(&CfdConfig::new(4)).reduce().unwrap().measurements;
-        let m2 = simulate(&CfdConfig::new(4).with_work_scale(2.0))
-            .reduce()
-            .unwrap()
-            .measurements;
-        let r = RegionId::new(0);
-        let a = m1.region_activity_time(r, ActivityKind::Computation);
-        let b = m2.region_activity_time(r, ActivityKind::Computation);
-        assert!((b / a - 2.0).abs() < 1e-9);
     }
 
     #[test]

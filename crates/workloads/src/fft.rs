@@ -5,6 +5,15 @@ use limba_mpisim::{Program, ProgramBuilder, SimError};
 
 use crate::Imbalance;
 
+/// Nominal per-rank work per butterfly stage, in seconds.
+const STAGE_WORK: f64 = 0.04;
+
+/// Per-destination payload of each transpose, in bytes.
+const TRANSPOSE_BYTES: u64 = 64 << 10;
+
+/// Iterations between checksum allreduces.
+const CHECKSUM_EVERY: usize = 2;
+
 /// Configuration of the FFT workload.
 ///
 /// Per iteration every rank computes its local butterflies, joins a
@@ -27,9 +36,6 @@ use crate::Imbalance;
 pub struct FftConfig {
     ranks: usize,
     iterations: usize,
-    stage_work: f64,
-    transpose_bytes: u64,
-    checksum_every: usize,
     imbalance: Imbalance,
     seed: u64,
 }
@@ -42,40 +48,14 @@ impl FftConfig {
         FftConfig {
             ranks,
             iterations: 2,
-            stage_work: 0.04,
-            transpose_bytes: 64 << 10,
-            checksum_every: 2,
             imbalance: Imbalance::default(),
             seed: 0,
         }
     }
 
-    /// Number of ranks.
-    pub fn ranks(&self) -> usize {
-        self.ranks
-    }
-
     /// Sets the iteration count.
     pub fn with_iterations(mut self, iterations: usize) -> Self {
         self.iterations = iterations.max(1);
-        self
-    }
-
-    /// Sets the nominal per-stage compute time in seconds.
-    pub fn with_stage_work(mut self, seconds: f64) -> Self {
-        self.stage_work = seconds;
-        self
-    }
-
-    /// Sets the per-pair transpose payload in bytes.
-    pub fn with_transpose_bytes(mut self, bytes: u64) -> Self {
-        self.transpose_bytes = bytes;
-        self
-    }
-
-    /// Sets how often (in iterations) the checksum allreduce happens.
-    pub fn with_checksum_every(mut self, every: usize) -> Self {
-        self.checksum_every = every.max(1);
         self
     }
 
@@ -110,18 +90,18 @@ impl FftConfig {
         for iter in 0..self.iterations {
             pb.spmd(|rank, mut ops| {
                 ops.enter(butterfly)
-                    .compute(self.stage_work * w[rank])
+                    .compute(STAGE_WORK * w[rank])
                     .leave(butterfly);
                 ops.enter(transpose)
-                    .alltoall(self.transpose_bytes)
+                    .alltoall(TRANSPOSE_BYTES)
                     .leave(transpose);
                 ops.enter(butterfly)
-                    .compute(self.stage_work * w[rank])
+                    .compute(STAGE_WORK * w[rank])
                     .leave(butterfly);
                 ops.enter(transpose)
-                    .alltoall(self.transpose_bytes)
+                    .alltoall(TRANSPOSE_BYTES)
                     .leave(transpose);
-                if (iter + 1) % self.checksum_every == 0 {
+                if (iter + 1) % CHECKSUM_EVERY == 0 {
                     ops.enter(checksum).allreduce(16).leave(checksum);
                 }
             });
@@ -139,7 +119,7 @@ mod tests {
 
     fn simulate(cfg: &FftConfig) -> limba_mpisim::SimOutput {
         let program = cfg.build_program().unwrap();
-        Simulator::new(MachineConfig::new(cfg.ranks()))
+        Simulator::new(MachineConfig::new(program.ranks()))
             .run(&program)
             .unwrap()
     }
@@ -172,7 +152,7 @@ mod tests {
 
     #[test]
     fn checksum_cadence_respected() {
-        let out = simulate(&FftConfig::new(4).with_iterations(4).with_checksum_every(2));
+        let out = simulate(&FftConfig::new(4).with_iterations(4));
         let m = out.reduce().unwrap().measurements;
         assert!(m.performs(RegionId::new(2), ActivityKind::Collective));
         assert_eq!(out.stats.collectives, 4 * 2 + 2); // 2 transposes/iter + 2 checksums

@@ -4,6 +4,12 @@ use limba_mpisim::{Program, ProgramBuilder, SimError};
 
 use crate::Imbalance;
 
+/// Nominal per-rank work per step, in seconds.
+const STEP_WORK: f64 = 0.03;
+
+/// Per-destination payload of each migration, in bytes.
+const MIGRATION_BYTES: u64 = 2 << 10;
+
 /// Configuration of the irregular (particle) workload.
 ///
 /// Every step each rank advances its particle population (compute time
@@ -29,8 +35,6 @@ use crate::Imbalance;
 pub struct IrregularConfig {
     ranks: usize,
     steps: usize,
-    step_work: f64,
-    migration_bytes: u64,
     imbalance: Imbalance,
     drift: Option<(Imbalance, f64)>,
     seed: u64,
@@ -43,34 +47,15 @@ impl IrregularConfig {
         IrregularConfig {
             ranks,
             steps: 4,
-            step_work: 0.03,
-            migration_bytes: 2 << 10,
             imbalance: Imbalance::default(),
             drift: None,
             seed: 0,
         }
     }
 
-    /// Number of ranks.
-    pub fn ranks(&self) -> usize {
-        self.ranks
-    }
-
     /// Sets the number of simulation steps.
     pub fn with_steps(mut self, steps: usize) -> Self {
         self.steps = steps.max(1);
-        self
-    }
-
-    /// Sets the nominal per-rank compute time per step in seconds.
-    pub fn with_step_work(mut self, seconds: f64) -> Self {
-        self.step_work = seconds;
-        self
-    }
-
-    /// Sets the alltoall per-pair payload in bytes.
-    pub fn with_migration_bytes(mut self, bytes: u64) -> Self {
-        self.migration_bytes = bytes;
         self
     }
 
@@ -129,10 +114,10 @@ impl IrregularConfig {
             };
             pb.spmd(|rank, mut ops| {
                 ops.enter(advance)
-                    .compute(self.step_work * w[rank])
+                    .compute(STEP_WORK * w[rank])
                     .leave(advance);
                 ops.enter(migrate)
-                    .alltoall(self.migration_bytes)
+                    .alltoall(MIGRATION_BYTES)
                     .barrier()
                     .leave(migrate);
             });
@@ -151,7 +136,7 @@ mod tests {
 
     fn simulate(cfg: &IrregularConfig) -> limba_mpisim::SimOutput {
         let program = cfg.build_program().unwrap();
-        Simulator::new(MachineConfig::new(cfg.ranks()))
+        Simulator::new(MachineConfig::new(program.ranks()))
             .run(&program)
             .unwrap()
     }

@@ -4,6 +4,15 @@ use limba_mpisim::{Program, ProgramBuilder, SimError};
 
 use crate::Imbalance;
 
+/// Nominal work per task, in seconds.
+const TASK_WORK: f64 = 0.02;
+
+/// Payload the master sends with each task, in bytes.
+const TASK_BYTES: u64 = 4 << 10;
+
+/// Payload a worker returns per task, in bytes.
+const RESULT_BYTES: u64 = 1 << 10;
+
 /// Configuration of the master–worker workload.
 ///
 /// Rank 0 is the master: it scatters `tasks` task descriptors round-robin
@@ -26,9 +35,6 @@ use crate::Imbalance;
 pub struct MasterWorkerConfig {
     ranks: usize,
     tasks: usize,
-    task_work: f64,
-    task_bytes: u64,
-    result_bytes: u64,
     imbalance: Imbalance,
     seed: u64,
 }
@@ -41,35 +47,14 @@ impl MasterWorkerConfig {
         MasterWorkerConfig {
             ranks,
             tasks: 2 * ranks.saturating_sub(1),
-            task_work: 0.02,
-            task_bytes: 4 << 10,
-            result_bytes: 1 << 10,
             imbalance: Imbalance::default(),
             seed: 0,
         }
     }
 
-    /// Number of ranks (master included).
-    pub fn ranks(&self) -> usize {
-        self.ranks
-    }
-
     /// Sets the total number of tasks.
     pub fn with_tasks(mut self, tasks: usize) -> Self {
         self.tasks = tasks;
-        self
-    }
-
-    /// Sets the nominal compute time per task in seconds.
-    pub fn with_task_work(mut self, seconds: f64) -> Self {
-        self.task_work = seconds;
-        self
-    }
-
-    /// Sets task and result payload sizes in bytes.
-    pub fn with_payloads(mut self, task_bytes: u64, result_bytes: u64) -> Self {
-        self.task_bytes = task_bytes;
-        self.result_bytes = result_bytes;
         self
     }
 
@@ -111,7 +96,7 @@ impl MasterWorkerConfig {
             master.enter(scatter);
             for t in 0..self.tasks {
                 let worker = 1 + t % workers;
-                master.send(worker, self.task_bytes);
+                master.send(worker, TASK_BYTES);
             }
             master.leave(scatter);
             master.enter(gather);
@@ -130,8 +115,8 @@ impl MasterWorkerConfig {
             ops.enter(work);
             for _ in 0..my_tasks {
                 ops.recv(0)
-                    .compute(self.task_work * w[worker - 1])
-                    .send(0, self.result_bytes);
+                    .compute(TASK_WORK * w[worker - 1])
+                    .send(0, RESULT_BYTES);
             }
             ops.leave(work);
         }
@@ -148,7 +133,7 @@ mod tests {
 
     fn simulate(cfg: &MasterWorkerConfig) -> limba_mpisim::SimOutput {
         let program = cfg.build_program().unwrap();
-        Simulator::new(MachineConfig::new(cfg.ranks()))
+        Simulator::new(MachineConfig::new(program.ranks()))
             .run(&program)
             .unwrap()
     }

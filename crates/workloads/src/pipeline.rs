@@ -4,6 +4,12 @@ use limba_mpisim::{Program, ProgramBuilder, SimError};
 
 use crate::Imbalance;
 
+/// Nominal work per stage and item, in seconds.
+const STAGE_WORK: f64 = 0.01;
+
+/// Payload passed downstream per item, in bytes.
+const ITEM_BYTES: u64 = 16 << 10;
+
 /// Configuration of the pipeline workload.
 ///
 /// Every rank is one pipeline stage; `items` work items stream through.
@@ -26,8 +32,6 @@ use crate::Imbalance;
 pub struct PipelineConfig {
     stages: usize,
     items: usize,
-    stage_work: f64,
-    item_bytes: u64,
     imbalance: Imbalance,
     seed: u64,
 }
@@ -39,33 +43,14 @@ impl PipelineConfig {
         PipelineConfig {
             stages,
             items: 8,
-            stage_work: 0.01,
-            item_bytes: 16 << 10,
             imbalance: Imbalance::default(),
             seed: 0,
         }
     }
 
-    /// Number of ranks (= stages).
-    pub fn ranks(&self) -> usize {
-        self.stages
-    }
-
     /// Sets the number of streamed items.
     pub fn with_items(mut self, items: usize) -> Self {
         self.items = items;
-        self
-    }
-
-    /// Sets the nominal per-stage compute time per item in seconds.
-    pub fn with_stage_work(mut self, seconds: f64) -> Self {
-        self.stage_work = seconds;
-        self
-    }
-
-    /// Sets the item payload size in bytes.
-    pub fn with_item_bytes(mut self, bytes: u64) -> Self {
-        self.item_bytes = bytes;
         self
     }
 
@@ -102,9 +87,9 @@ impl PipelineConfig {
                 if rank > 0 {
                     ops.recv(rank - 1);
                 }
-                ops.compute(self.stage_work * w[rank]);
+                ops.compute(STAGE_WORK * w[rank]);
                 if rank < last {
-                    ops.send(rank + 1, self.item_bytes);
+                    ops.send(rank + 1, ITEM_BYTES);
                 }
             }
             ops.leave(stage);
@@ -122,7 +107,7 @@ mod tests {
 
     fn simulate(cfg: &PipelineConfig) -> limba_mpisim::SimOutput {
         let program = cfg.build_program().unwrap();
-        Simulator::new(MachineConfig::new(cfg.ranks()))
+        Simulator::new(MachineConfig::new(program.ranks()))
             .run(&program)
             .unwrap()
     }

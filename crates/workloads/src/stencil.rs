@@ -5,11 +5,20 @@ use limba_mpisim::{Program, ProgramBuilder, SimError};
 use crate::exchange::line_exchange;
 use crate::Imbalance;
 
+/// Nominal per-rank work per iteration, in seconds.
+const CELL_WORK: f64 = 0.05;
+
+/// Halo payload per exchange, in bytes.
+const HALO_BYTES: u64 = 32 << 10;
+
+/// Iterations between residual allreduces.
+const RESIDUAL_EVERY: usize = 5;
+
 /// Configuration of the 2-D stencil workload on a `px × py` rank grid.
 ///
 /// Per iteration every rank exchanges halos with its grid neighbors
 /// (row-wise then column-wise, phased and deadlock-free), computes its
-/// subdomain, and every `residual_every` iterations joins an allreduce on
+/// subdomain, and every fifth iteration joins an allreduce on
 /// the residual.
 ///
 /// # Example
@@ -27,9 +36,6 @@ pub struct StencilConfig {
     px: usize,
     py: usize,
     iterations: usize,
-    cell_work: f64,
-    halo_bytes: u64,
-    residual_every: usize,
     imbalance: Imbalance,
     seed: u64,
 }
@@ -42,40 +48,19 @@ impl StencilConfig {
             px,
             py,
             iterations: 10,
-            cell_work: 0.05,
-            halo_bytes: 32 << 10,
-            residual_every: 5,
             imbalance: Imbalance::default(),
             seed: 0,
         }
     }
 
     /// Total ranks `px × py`.
-    pub fn ranks(&self) -> usize {
+    pub(crate) fn ranks(&self) -> usize {
         self.px * self.py
     }
 
     /// Sets the iteration count.
     pub fn with_iterations(mut self, iterations: usize) -> Self {
         self.iterations = iterations.max(1);
-        self
-    }
-
-    /// Sets the nominal per-rank work per iteration in seconds.
-    pub fn with_cell_work(mut self, seconds: f64) -> Self {
-        self.cell_work = seconds;
-        self
-    }
-
-    /// Sets halo payload size in bytes.
-    pub fn with_halo_bytes(mut self, bytes: u64) -> Self {
-        self.halo_bytes = bytes;
-        self
-    }
-
-    /// Sets how often (in iterations) the residual allreduce happens.
-    pub fn with_residual_every(mut self, every: usize) -> Self {
-        self.residual_every = every.max(1);
         self
     }
 
@@ -115,14 +100,14 @@ impl StencilConfig {
                 let (x, y) = (rank % px, rank / px);
                 ops.enter(exchange);
                 // Row-wise exchange: the rank's row is a line of px items.
-                line_exchange(&mut ops, x, px, |p| y * px + p, self.halo_bytes);
+                line_exchange(&mut ops, x, px, |p| y * px + p, HALO_BYTES);
                 // Column-wise exchange.
-                line_exchange(&mut ops, y, py, |p| p * px + x, self.halo_bytes);
+                line_exchange(&mut ops, y, py, |p| p * px + x, HALO_BYTES);
                 ops.leave(exchange);
                 ops.enter(compute)
-                    .compute(self.cell_work * w[rank])
+                    .compute(CELL_WORK * w[rank])
                     .leave(compute);
-                if (iter + 1) % self.residual_every == 0 {
+                if (iter + 1) % RESIDUAL_EVERY == 0 {
                     ops.enter(residual).allreduce(8).leave(residual);
                 }
             });
@@ -140,7 +125,7 @@ mod tests {
 
     fn simulate(cfg: &StencilConfig) -> limba_mpisim::SimOutput {
         let program = cfg.build_program().unwrap();
-        Simulator::new(MachineConfig::new(cfg.ranks()))
+        Simulator::new(MachineConfig::new(program.ranks()))
             .run(&program)
             .unwrap()
     }
@@ -171,12 +156,8 @@ mod tests {
     }
 
     #[test]
-    fn residual_region_appears_at_configured_cadence() {
-        let out = simulate(
-            &StencilConfig::new(2, 2)
-                .with_iterations(4)
-                .with_residual_every(2),
-        );
+    fn residual_region_appears_every_five_iterations() {
+        let out = simulate(&StencilConfig::new(2, 2).with_iterations(10));
         let m = out.reduce().unwrap().measurements;
         let res = RegionId::new(2);
         assert!(m.performs(res, ActivityKind::Collective));

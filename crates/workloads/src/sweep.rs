@@ -4,6 +4,12 @@ use limba_mpisim::{Program, ProgramBuilder, SimError};
 
 use crate::Imbalance;
 
+/// Nominal per-rank work per sweep direction, in seconds.
+const CELL_WORK: f64 = 0.02;
+
+/// Boundary payload passed to the next rank, in bytes.
+const BOUNDARY_BYTES: u64 = 8 << 10;
+
 /// Configuration of the wavefront sweep.
 ///
 /// Each sweep propagates a dependency front along the rank chain: rank
@@ -27,8 +33,6 @@ use crate::Imbalance;
 pub struct SweepConfig {
     ranks: usize,
     sweeps: usize,
-    cell_work: f64,
-    boundary_bytes: u64,
     imbalance: Imbalance,
     seed: u64,
 }
@@ -40,33 +44,14 @@ impl SweepConfig {
         SweepConfig {
             ranks,
             sweeps: 2,
-            cell_work: 0.02,
-            boundary_bytes: 8 << 10,
             imbalance: Imbalance::default(),
             seed: 0,
         }
     }
 
-    /// Number of ranks.
-    pub fn ranks(&self) -> usize {
-        self.ranks
-    }
-
     /// Sets the number of forward/backward sweep pairs.
     pub fn with_sweeps(mut self, sweeps: usize) -> Self {
         self.sweeps = sweeps.max(1);
-        self
-    }
-
-    /// Sets the nominal per-rank compute time per sweep in seconds.
-    pub fn with_cell_work(mut self, seconds: f64) -> Self {
-        self.cell_work = seconds;
-        self
-    }
-
-    /// Sets the boundary payload size in bytes.
-    pub fn with_boundary_bytes(mut self, bytes: u64) -> Self {
-        self.boundary_bytes = bytes;
         self
     }
 
@@ -105,9 +90,9 @@ impl SweepConfig {
                 if rank > 0 {
                     ops.recv(rank - 1);
                 }
-                ops.compute(self.cell_work * w[rank]);
+                ops.compute(CELL_WORK * w[rank]);
                 if rank + 1 < n {
-                    ops.send(rank + 1, self.boundary_bytes);
+                    ops.send(rank + 1, BOUNDARY_BYTES);
                 }
                 ops.leave(east);
                 // Backward (west) sweep: n−1 → 0.
@@ -115,9 +100,9 @@ impl SweepConfig {
                 if rank + 1 < n {
                     ops.recv(rank + 1);
                 }
-                ops.compute(self.cell_work * w[rank]);
+                ops.compute(CELL_WORK * w[rank]);
                 if rank > 0 {
-                    ops.send(rank - 1, self.boundary_bytes);
+                    ops.send(rank - 1, BOUNDARY_BYTES);
                 }
                 ops.leave(west);
             });
@@ -135,7 +120,7 @@ mod tests {
 
     fn simulate(cfg: &SweepConfig) -> limba_mpisim::SimOutput {
         let program = cfg.build_program().unwrap();
-        Simulator::new(MachineConfig::new(cfg.ranks()))
+        Simulator::new(MachineConfig::new(program.ranks()))
             .run(&program)
             .unwrap()
     }
