@@ -1,6 +1,7 @@
 //! End-to-end "organic" reproduction: run the CFD proxy on the simulated
 //! machine, reduce the trace, analyze it, and check that the paper's
 //! qualitative story re-emerges from first principles (no calibration).
+//! Exits 1 when any qualitative check fails.
 
 use limba_analysis::Analyzer;
 use limba_bench::simulated_cfd;
@@ -74,4 +75,7 @@ fn main() {
     println!("\n{pass}/{} qualitative checks hold", checks.len());
     println!("\nfull report:\n");
     print!("{}", limba_viz::report::render(&report));
+    if pass < checks.len() {
+        std::process::exit(1);
+    }
 }

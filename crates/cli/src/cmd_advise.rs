@@ -16,9 +16,9 @@ use limba_par::CancelToken;
 use limba_workloads::Imbalance;
 
 use crate::args::{parse_imbalance, parse_with_switches, Parsed};
-use crate::cmd_analyze::load_trace_auto;
 use crate::cmd_simulate::{build_program, load_fault_plan, render_fault_presets, Engine};
 use crate::supervise::Supervision;
+use crate::tracefile::fold_trace;
 
 /// Runs `limba advise <tracefile | --workload NAME> [options]`.
 pub(crate) fn run(argv: &[String]) -> Result<crate::CmdOutcome, String> {
@@ -68,10 +68,18 @@ pub(crate) fn run(argv: &[String]) -> Result<crate::CmdOutcome, String> {
         (None, Some(path)) => {
             // Close the loop on a recorded trace: rebuild a proxy
             // scenario from its measured computation marginals.
-            let bytes = std::fs::read(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-            let source = format!("trace-content=0x{:016x}", limba_par::fnv1a(&bytes));
-            let trace = load_trace_auto(path)?;
-            let salvaged = limba_trace::reduce_checked(&trace).map_err(|e| e.to_string())?;
+            // One read both folds the trace and hashes its bytes.
+            let fold = limba_trace::SalvageSink::new(limba_model::ActivitySet::standard());
+            let mut content = limba_par::Fnv::new();
+            let salvaged = fold_trace(
+                path,
+                "auto",
+                fold,
+                Some(&mut content),
+                |f| f.into_salvaged(),
+                limba_trace::reduce_checked,
+            )?;
+            let source = format!("trace-content=0x{:016x}", content.digest());
             let scenario = Scenario::from_measurements(&salvaged.reduced.measurements)
                 .map_err(|e| e.to_string())?;
             (scenario, source)

@@ -4,7 +4,15 @@ use limba_analysis::compare::compare_runs;
 use limba_stats::dispersion::DispersionKind;
 
 use crate::args::parse;
-use crate::cmd_analyze::load_trace_auto;
+use crate::tracefile::fold_trace;
+
+/// Folds one tracefile into its strict reduction's measurements.
+fn measurements(path: &str) -> Result<limba_model::Measurements, String> {
+    let fold = limba_trace::ReduceSink::new(limba_model::ActivitySet::standard());
+    let reduce = limba_trace::reduce;
+    let reduced = fold_trace(path, "auto", fold, None, |f| f.into_reduced(), reduce)?;
+    Ok(reduced.measurements)
+}
 
 /// Runs `limba compare <before.trace> <after.trace> [--tolerance F]`.
 pub(crate) fn run(argv: &[String]) -> Result<crate::CmdOutcome, String> {
@@ -14,12 +22,8 @@ pub(crate) fn run(argv: &[String]) -> Result<crate::CmdOutcome, String> {
     };
     let tolerance: f64 = parsed.get_or("tolerance", 0.02)?;
 
-    let before = limba_trace::reduce(&load_trace_auto(before_path)?)
-        .map_err(|e| e.to_string())?
-        .measurements;
-    let after = limba_trace::reduce(&load_trace_auto(after_path)?)
-        .map_err(|e| e.to_string())?
-        .measurements;
+    let before = measurements(before_path)?;
+    let after = measurements(after_path)?;
     let cmp = compare_runs(&before, &after, DispersionKind::Euclidean, tolerance)
         .map_err(|e| e.to_string())?;
 
@@ -54,46 +58,4 @@ pub(crate) fn run(argv: &[String]) -> Result<crate::CmdOutcome, String> {
         }
     }
     Ok(crate::CmdOutcome::Complete)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use limba_mpisim::{MachineConfig, Simulator};
-    use limba_workloads::{cfd::CfdConfig, Imbalance};
-
-    fn write_run(imbalance: Imbalance, name: &str) -> std::path::PathBuf {
-        let program = CfdConfig::new(4)
-            .with_imbalance(imbalance)
-            .build_program()
-            .unwrap();
-        let out = Simulator::new(MachineConfig::new(4)).run(&program).unwrap();
-        let path = std::env::temp_dir().join(name);
-        limba_trace::binary::write(&out.trace, std::fs::File::create(&path).unwrap()).unwrap();
-        path
-    }
-
-    #[test]
-    fn compares_two_traces() {
-        let before = write_run(
-            Imbalance::Hotspot {
-                rank: 1,
-                factor: 3.0,
-            },
-            "limba-cmp-b.trace",
-        );
-        let after = write_run(Imbalance::None, "limba-cmp-a.trace");
-        run(&[
-            before.to_str().unwrap().to_string(),
-            after.to_str().unwrap().to_string(),
-        ])
-        .unwrap();
-        std::fs::remove_file(before).ok();
-        std::fs::remove_file(after).ok();
-    }
-
-    #[test]
-    fn wrong_arity_rejected() {
-        assert!(run(&["only-one.trace".to_string()]).is_err());
-    }
 }

@@ -4,7 +4,7 @@
 //! `serve` runs the multi-tenant trace-ingestion server: concurrent
 //! chunked-v3 streams spool to disk and fold incrementally through the
 //! online imbalance detector; a completed run's report is byte-identical
-//! to `limba analyze <spool> --from-stream`. `push` streams a tracefile
+//! to `limba analyze <spool>`. `push` streams a tracefile
 //! — or a live simulation that is never materialized — into a serving
 //! tenant. `query` speaks the one-line text protocol (STATUS, TENANTS,
 //! RUNS, REPORT, DIGEST, ALERTS, EVOLUTION, SHUTDOWN).

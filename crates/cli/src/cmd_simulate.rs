@@ -592,6 +592,45 @@ fn render_sweep(
     Ok((out, run.manifest))
 }
 
+/// A chunked-v3 tracefile at `path` that is durable on finish: the
+/// container is fsynced (file, then directory entry) before the command
+/// reports success, so a power cut after it cannot lose or tear it.
+fn durable_file(path: &str) -> Result<limba_trace::DurableSink, String> {
+    limba_trace::DurableSink::create(
+        std::sync::Arc::new(limba_vfs::StdVfs),
+        std::path::Path::new(path),
+    )
+    .map_err(|e| format!("cannot create {path}: {e}"))
+}
+
+/// The checks `--stream-reduce` and `--stream-out` share: one run, an
+/// event engine, no `--out`/`--format` (`instead` says what `flag`
+/// does about a tracefile). Returns the engine's worker count and the
+/// frame size.
+fn check_streaming(
+    parsed: &Parsed,
+    flag: &str,
+    instead: &str,
+    engine: Engine,
+    jobs: usize,
+    replications: usize,
+) -> Result<(usize, usize), String> {
+    if replications > 1 {
+        return Err(format!("{flag} streams a single run; drop --replications"));
+    }
+    if parsed.get("out").is_some() || parsed.get("format").is_some() {
+        return Err(format!("{flag} {instead}; drop --out/--format"));
+    }
+    let jobs = engine
+        .event_jobs(jobs)
+        .ok_or_else(|| format!("{flag} needs --engine event or event-par"))?;
+    let frame_events: usize = parsed.get_or("stream-frame-events", 4096)?;
+    if frame_events == 0 {
+        return Err("--stream-frame-events must be positive".into());
+    }
+    Ok((jobs, frame_events))
+}
+
 /// `--stream-reduce`: pipe the simulation through the streaming
 /// reduction pipeline and print the analysis directly — the trace is
 /// never materialized and no tracefile is written.
@@ -607,29 +646,20 @@ fn run_stream_reduce(
     jobs: usize,
     replications: usize,
 ) -> Result<crate::CmdOutcome, String> {
-    if replications > 1 {
-        return Err("--stream-reduce streams a single run; drop --replications".into());
-    }
-    if parsed.get("out").is_some() || parsed.get("format").is_some() {
-        return Err("--stream-reduce writes no tracefile; drop --out/--format".into());
-    }
-    let stream_jobs = engine
-        .event_jobs(jobs)
-        .ok_or("--stream-reduce needs --engine event or event-par")?;
-    let windows: usize = parsed.get_or("windows", 0)?;
-    let frame_events: usize = parsed.get_or("stream-frame-events", 4096)?;
-    if frame_events == 0 {
-        return Err("--stream-frame-events must be positive".into());
-    }
-    let dispersion =
-        crate::cmd_analyze::parse_dispersion(parsed.get("dispersion").unwrap_or("euclidean"))?;
-    let criterion = crate::cmd_analyze::parse_criterion(parsed.get("criterion").unwrap_or("max"))?;
-    let clusters: usize = parsed.get_or("clusters", 2)?;
+    let (stream_jobs, frame_events) = check_streaming(
+        parsed,
+        "--stream-reduce",
+        "writes no tracefile",
+        engine,
+        jobs,
+        replications,
+    )?;
+    let opts = crate::cmd_analyze::ReportOptions::parse(parsed)?;
 
     let cfg = limba_stream::StreamConfig {
         frame_events,
         jobs: stream_jobs,
-        windows: (windows > 0).then_some(windows),
+        windows: (opts.windows > 0).then_some(opts.windows),
     };
     let sim = Simulator::new(MachineConfig::new(ranks));
     // `--stream-out` composes: the reduction still streams, but the
@@ -646,19 +676,7 @@ fn run_stream_reduce(
         Some(path) => Some(path.to_string()),
         None => None,
     };
-    // The teed tracefile goes through the durable sink: fsync on
-    // finish (file, then directory entry) so a power cut after the
-    // command returns cannot lose or tear the container.
-    let mut tee_sink = match &stream_out {
-        Some(path) => Some(
-            limba_trace::DurableSink::create(
-                std::sync::Arc::new(limba_vfs::StdVfs),
-                std::path::Path::new(path),
-            )
-            .map_err(|e| format!("cannot create {path}: {e}"))?,
-        ),
-        None => None,
-    };
+    let mut tee_sink = stream_out.as_deref().map(durable_file).transpose()?;
     let streamed = limba_stream::stream_reduce_tee(
         &sim,
         program,
@@ -694,19 +712,9 @@ fn run_stream_reduce(
             streamed.scan.events
         ),
     }
-    crate::cmd_analyze::guard_salvage(&streamed.salvaged)?;
-    let report = crate::cmd_analyze::build_report(
-        &streamed.salvaged.reduced,
-        dispersion,
-        criterion,
-        clusters,
-    )?;
-    print!(
-        "{}",
-        limba_viz::report::render_with_coverage(&report, &streamed.salvaged.coverage)
-    );
+    opts.print_report(&streamed.salvaged)?;
     if let Some(sliced) = streamed.windows {
-        crate::cmd_analyze::print_evolution(sliced, dispersion, windows)?;
+        opts.print_evolution(sliced)?;
     }
     Ok(crate::CmdOutcome::Complete)
 }
@@ -716,7 +724,7 @@ fn run_stream_reduce(
 /// chunked-v3 trace is written as rounds retire — the trace is never
 /// resident. `-` writes the container to stdout (status lines move to
 /// stderr), which is what makes
-/// `limba simulate ... --stream-out - | limba analyze - --from-stream`
+/// `limba simulate ... --stream-out - | limba analyze -`
 /// a real pipe.
 #[allow(clippy::too_many_arguments)]
 fn run_stream_out(
@@ -730,19 +738,14 @@ fn run_stream_out(
     jobs: usize,
     replications: usize,
 ) -> Result<crate::CmdOutcome, String> {
-    if replications > 1 {
-        return Err("--stream-out streams a single run; drop --replications".into());
-    }
-    if parsed.get("out").is_some() || parsed.get("format").is_some() {
-        return Err("--stream-out names the tracefile itself; drop --out/--format".into());
-    }
-    if engine.event_jobs(jobs).is_none() {
-        return Err("--stream-out needs --engine event or event-par".into());
-    }
-    let frame_events: usize = parsed.get_or("stream-frame-events", 4096)?;
-    if frame_events == 0 {
-        return Err("--stream-frame-events must be positive".into());
-    }
+    let (_, frame_events) = check_streaming(
+        parsed,
+        "--stream-out",
+        "names the tracefile itself",
+        engine,
+        jobs,
+        replications,
+    )?;
     let path = parsed.get("stream-out").unwrap_or("-");
     let sim = Simulator::new(MachineConfig::new(ranks));
 
@@ -764,14 +767,7 @@ fn run_stream_out(
         let mut sink = limba_trace::WriteSink::new(std::io::BufWriter::new(stdout.lock()));
         (run_into(&mut sink)?, true)
     } else {
-        // Durable on finish: the container is fsynced (file + parent
-        // directory) before the command reports success.
-        let mut sink = limba_trace::DurableSink::create(
-            std::sync::Arc::new(limba_vfs::StdVfs),
-            std::path::Path::new(path),
-        )
-        .map_err(|e| format!("cannot create {path}: {e}"))?;
-        (run_into(&mut sink)?, false)
+        (run_into(&mut durable_file(path)?)?, false)
     };
 
     // When the trace owns stdout, the human-readable summary moves to
@@ -1398,12 +1394,9 @@ mod tests {
             let path = dir.join(format!("limba-cli-test.{format}"));
             let path = path.to_str().unwrap();
             write_trace(&out.trace, path, format).unwrap();
-            let data = std::fs::File::open(path).unwrap();
-            let back = match format {
-                "binary" => limba_trace::binary::read(data).unwrap(),
-                _ => limba_trace::text::read(data).unwrap(),
-            };
-            assert_eq!(back, out.trace);
+            let mut back = limba_trace::MaterializeSink::new();
+            crate::tracefile::read_trace(path, format, &mut back, None).unwrap();
+            assert_eq!(back.into_trace().unwrap(), out.trace);
             std::fs::remove_file(path).ok();
         }
     }

@@ -14,13 +14,12 @@ pub(crate) fn run(argv: &[String]) -> Result<crate::CmdOutcome, String> {
     let out = parsed.get("out").unwrap_or("timeline.svg");
     let width: usize = parsed.get_or("width", 1200)?;
 
-    let data = fs::read(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let trace = if data.starts_with(b"LIMBATRC") {
-        limba_trace::binary::from_bytes(&data).map_err(|e| e.to_string())?
-    } else {
-        let s = std::str::from_utf8(&data).map_err(|e| e.to_string())?;
-        limba_trace::text::from_str(s).map_err(|e| e.to_string())?
-    };
+    // The one command that needs the whole trace.
+    let mut whole = limba_trace::MaterializeSink::new();
+    crate::tracefile::read_trace(path, "auto", &mut whole, None)?;
+    let trace = whole
+        .into_trace()
+        .ok_or_else(|| "trace read did not complete".to_string())?;
     let svg = limba_viz::timeline::timeline_svg(&trace, width).map_err(|e| e.to_string())?;
     fs::write(out, svg).map_err(|e| e.to_string())?;
     println!("timeline written to {out}");

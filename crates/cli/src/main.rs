@@ -17,6 +17,7 @@ mod cmd_simulate;
 mod cmd_suite;
 mod cmd_timeline;
 mod supervise;
+mod tracefile;
 
 /// How a subcommand finished.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -84,7 +85,7 @@ OPTIONS (simulate):
   --stream-out PATH      stream the chunked-v3 trace to PATH as rounds retire
                          instead of materializing it; `-` writes the container
                          to stdout (status moves to stderr) so it pipes into
-                         `limba analyze - --from-stream`; composes with
+                         `limba analyze -`; composes with
                          --stream-reduce to tee the trace while reducing
   --stream-frame-events N  events per streamed frame (default 4096)
 
@@ -129,11 +130,8 @@ OPTIONS (analyze):
   --windows N            also slice the run into N windows and report how
                          each activity's imbalance evolves (default off)
   --format FMT           tracefile format: auto | binary | text (default auto)
-  --from-stream          decode the tracefile through the streaming folds in
-                         bounded 64 KiB chunks instead of loading it whole;
-                         same report byte for byte (binary traces only,
-                         incompatible with --drilldown); with `-` as the
-                         tracefile, reads the trace stream from stdin
+  --from-stream          accepted and ignored: every command folds its
+                         tracefile in 64 KiB chunks (`-` reads stdin)
 
 OPTIONS (advise):
   --workload W           advise on a synthetic workload instead of a tracefile

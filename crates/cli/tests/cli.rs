@@ -214,6 +214,10 @@ fn activity_outliving_its_region_attributes_alike_on_every_path() {
             _ => None,
         })
         .unwrap();
+    // The leave inside the activity attributes nothing: 1 s of
+    // computation plus the 2 s activity make the 3 s run.
+    assert_eq!(overall, "3.000s", "{plain}");
+    assert!(plain.contains("program wall clock: 3.000 s"), "{plain}");
     let compared = run(&["compare", path, path]);
     let row = compared
         .lines()
@@ -227,6 +231,179 @@ fn activity_outliving_its_region_attributes_alike_on_every_path() {
         "{compared}"
     );
     std::fs::remove_file(&trace).ok();
+}
+
+/// Runs `limba` with `input` on stdin.
+fn limba_piped(args: &[&str], input: &[u8]) -> Output {
+    use std::io::Write;
+    let mut child = Command::new(env!("CARGO_BIN_EXE_limba"))
+        .args(args)
+        .stdin(std::process::Stdio::piped())
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("run limba");
+    child.stdin.take().unwrap().write_all(input).unwrap();
+    child.wait_with_output().unwrap()
+}
+
+#[test]
+fn a_rank_listed_newest_first_reads_like_its_sorted_form() {
+    // The folds walk each rank in recording order and refuse this one
+    // (its first event ends an activity that never began); the file is
+    // read again whole, and the batch path's per-rank time sort gives
+    // every command the sorted file's answer.
+    let sorted = temp_path("sorted.trace");
+    let newest = temp_path("newest-first.trace");
+    assert!(limba(&[
+        "simulate",
+        "cfd",
+        "--ranks",
+        "3",
+        "--iterations",
+        "2",
+        "--imbalance",
+        "linear:0.5",
+        "--format",
+        "text",
+        "--out",
+        sorted.to_str().unwrap(),
+    ])
+    .status
+    .success());
+    // Reverse rank 1's events, keeping simultaneous ones in order.
+    let text = std::fs::read_to_string(&sorted).unwrap();
+    let is_rank1 = |l: &&str| l.split(' ').nth(2) == Some("1") && l.starts_with("event ");
+    let mut groups: Vec<Vec<&str>> = Vec::new();
+    for line in text.lines().filter(is_rank1) {
+        match groups.last_mut() {
+            Some(g) if g[0].split(' ').nth(1) == line.split(' ').nth(1) => g.push(line),
+            _ => groups.push(vec![line]),
+        }
+    }
+    assert!(groups.len() > 2);
+    let mut lines: Vec<&str> = text.lines().filter(|l| !is_rank1(l)).collect();
+    lines.extend(groups.into_iter().rev().flatten());
+    std::fs::write(&newest, lines.join("\n") + "\n").unwrap();
+    let (sorted, newest) = (sorted.to_str().unwrap(), newest.to_str().unwrap());
+    for args in [
+        vec!["analyze", "FILE", "--drilldown", "on", "--windows", "3"],
+        vec!["compare", "FILE", "FILE"],
+        vec!["advise", "FILE", "--json", "--budget", "4", "--top", "1"],
+    ] {
+        let run = |file: &str| {
+            let args: Vec<&str> = args
+                .iter()
+                .map(|a| if *a == "FILE" { file } else { a })
+                .collect();
+            let out = limba(&args);
+            assert!(
+                out.status.success(),
+                "{args:?}: {}",
+                String::from_utf8_lossy(&out.stderr)
+            );
+            out.stdout
+        };
+        assert_eq!(run(sorted), run(newest), "{args:?}");
+    }
+    std::fs::remove_file(sorted).ok();
+    std::fs::remove_file(newest).ok();
+}
+
+#[test]
+fn analyze_dash_reads_text_and_binary_traces_from_stdin() {
+    let bin = temp_path("stdin.limba");
+    let text = temp_path("stdin.trace");
+    for (path, format) in [(&bin, "binary"), (&text, "text")] {
+        assert!(limba(&[
+            "simulate",
+            "cfd",
+            "--ranks",
+            "4",
+            "--iterations",
+            "2",
+            "--format",
+            format,
+            "--out",
+            path.to_str().unwrap(),
+        ])
+        .status
+        .success());
+        let from_file = limba(&["analyze", path.to_str().unwrap()]);
+        assert!(from_file.status.success());
+        let piped = limba_piped(&["analyze", "-"], &std::fs::read(path).unwrap());
+        assert!(
+            piped.status.success(),
+            "{format}: {}",
+            String::from_utf8_lossy(&piped.stderr)
+        );
+        assert_eq!(piped.stdout, from_file.stdout, "{format}");
+        std::fs::remove_file(path).ok();
+    }
+}
+
+#[test]
+fn drilldown_on_a_truncated_trace_prints_the_report_then_fails() {
+    // Rank 0 crashed inside a nested region: salvage closes it out and
+    // the report prints; the drill-down's region tree needs a valid
+    // trace and fails after it.
+    let trace = temp_path("truncated-drilldown.trace");
+    std::fs::write(
+        &trace,
+        "limba-trace v1\nprocessors 2\nregion 0 outer\nregion 1 inner\n\
+         event 0 0 enter 0\nevent 1 0 enter 1\nevent 2 0 send 1 64\n\
+         event 0 1 enter 0\nevent 1 1 enter 1\nevent 3 1 leave 1\nevent 4 1 leave 0\n",
+    )
+    .unwrap();
+    let path = trace.to_str().unwrap();
+    let plain = limba(&["analyze", path]);
+    assert!(plain.status.success());
+    let out = limba(&["analyze", path, "--drilldown", "on"]);
+    assert_eq!(out.status.code(), Some(1));
+    assert_eq!(out.stdout, plain.stdout);
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(
+        stderr.contains("region 1 still open at end of trace"),
+        "{stderr}"
+    );
+    std::fs::remove_file(&trace).ok();
+}
+
+#[test]
+fn compare_reports_the_speedup_of_a_tuning_change() {
+    let before = temp_path("cmp-before.limba");
+    let after = temp_path("cmp-after.limba");
+    for (path, imbalance) in [(&before, "hotspot:1,3"), (&after, "none")] {
+        let path = path.to_str().unwrap();
+        let args = [
+            "simulate",
+            "cfd",
+            "--ranks",
+            "4",
+            "--imbalance",
+            imbalance,
+            "--out",
+            path,
+        ];
+        assert!(limba(&args).status.success());
+    }
+    let (before, after) = (before.to_str().unwrap(), after.to_str().unwrap());
+    let out = limba(&["compare", before, after]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    let speedup: f64 = stdout
+        .strip_prefix("whole-program speedup: ")
+        .and_then(|rest| rest.split('x').next()?.parse().ok())
+        .unwrap();
+    assert!(speedup > 1.5, "{stdout}");
+    assert!(stdout.contains("Improved"), "{stdout}");
+    assert!(!limba(&["compare", before]).status.success());
+    std::fs::remove_file(before).ok();
+    std::fs::remove_file(after).ok();
 }
 
 #[test]
@@ -509,6 +686,17 @@ fn bad_flags_are_reported() {
     assert!(!out.status.success());
     let out = limba(&["analyze", "/nonexistent.trace"]);
     assert!(!out.status.success());
+    assert!(String::from_utf8_lossy(&out.stderr).contains("cannot read /nonexistent.trace"));
+    // `--format` forces a codec; a text trace is not a binary one.
+    let text = temp_path("forced-format.trace");
+    std::fs::write(&text, "limba-trace v1\nprocessors 1\nregion 0 r\n").unwrap();
+    let path = text.to_str().unwrap();
+    assert!(!limba(&["analyze", path, "--format", "binary"])
+        .status
+        .success());
+    let out = limba(&["analyze", path, "--format", "xml"]);
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown trace format \"xml\""));
+    std::fs::remove_file(&text).ok();
 }
 
 /// The shared sweep arguments for the kill-resume E2E locks.

@@ -34,7 +34,7 @@
 //!   and query responses.
 //!
 //! The contract that anchors all of it: a completed run's report is
-//! byte-for-byte what `limba analyze --from-stream` prints for the
+//! byte-for-byte what `limba analyze` prints for the
 //! same bytes. The server adds availability, not a second analysis
 //! path.
 

@@ -2,7 +2,7 @@
 //!
 //! The serving layer never grows a second analysis path. A run's
 //! **final** report is produced by replaying its spool through the
-//! exact sequence `limba analyze --from-stream` runs — one salvage
+//! exact sequence `limba analyze` runs — one salvage
 //! fold (its activity columns grow as extras appear, so no scan pass
 //! comes first), the default analyzer, the coverage renderer — so the
 //! served bytes are byte-for-byte what the offline CLI prints for the
@@ -131,7 +131,7 @@ fn render(salvaged: &SalvagedTrace) -> Result<String, ServeError> {
 }
 
 /// The final report for a **complete** spool: byte-for-byte what
-/// `limba analyze <spool> --from-stream` prints.
+/// `limba analyze <spool>` prints.
 pub fn complete_report(vfs: &dyn Vfs, spool: &Path) -> Result<String, ServeError> {
     let salvaged = fold_spool(vfs, spool, true)?;
     guard_salvage(&salvaged)?;
@@ -149,7 +149,7 @@ pub fn partial_report(vfs: &dyn Vfs, spool: &Path) -> Result<String, ServeError>
 
 /// The offline imbalance-evolution section over `windows` slices of a
 /// complete spool — same pass order and rendering as
-/// `limba analyze --from-stream --windows N`.
+/// `limba analyze --windows N`.
 pub fn evolution_report(vfs: &dyn Vfs, spool: &Path, windows: usize) -> Result<String, ServeError> {
     let scan = scan_spool(vfs, spool)?;
     let mut sink = WindowSink::new(windows, scan.makespan, scan.activities.clone())?;

@@ -1125,7 +1125,7 @@ fn handle_query(shared: &Shared, line: &str) -> Result<String, ServeError> {
             match entry.status {
                 RunStatus::Complete => match entry.report {
                     // The cached (or regenerated) bytes are exactly
-                    // what `limba analyze --from-stream` prints for
+                    // what `limba analyze` prints for
                     // the spooled tracefile.
                     Some(report) => Ok(report),
                     None => replay::complete_report(shared.vfs(), &entry.spool),

@@ -180,6 +180,22 @@ impl Trace {
     /// [`Trace::validate`], handing back the rank-order index the
     /// per-rank checks walked so a reduction can walk the same one.
     pub(crate) fn validated_rank_order(&self) -> Result<RankOrder<'_>, TraceError> {
+        self.check_indices()?;
+        let regions = self.region_names.len();
+        let order = self.rank_order();
+        for (proc, events) in order.ranks() {
+            let mut checker = RankChecker::new();
+            for (_, e) in events {
+                checker.step(proc, e, regions)?;
+            }
+            checker.finish(proc)?;
+        }
+        Ok(order)
+    }
+
+    /// [`Trace::validate`]'s range pass, in recording order: the first
+    /// event naming an undeclared processor or region.
+    pub(crate) fn check_indices(&self) -> Result<(), TraceError> {
         for e in &self.events {
             if e.proc as usize >= self.processors {
                 return Err(TraceError::UnknownProcessor { proc: e.proc });
@@ -193,16 +209,7 @@ impl Trace {
                 _ => {}
             }
         }
-        let regions = self.region_names.len();
-        let order = self.rank_order();
-        for (proc, events) in order.ranks() {
-            let mut checker = RankChecker::new();
-            for (_, e) in events {
-                checker.step(proc, e, regions)?;
-            }
-            checker.finish(proc)?;
-        }
-        Ok(order)
+        Ok(())
     }
 }
 
@@ -330,6 +337,11 @@ impl RankChecker {
             activity: None,
             last_time: f64::NEG_INFINITY,
         }
+    }
+
+    /// The innermost open region, if any.
+    pub(crate) fn innermost(&self) -> Option<usize> {
+        self.stack.last().copied()
     }
 
     /// Checks the next event `e` of processor `proc` against a region
@@ -476,11 +488,6 @@ impl TraceBuilder {
     /// this to splice precomputed event runs into the trace.
     pub fn extend_events(&mut self, events: &[Event]) {
         self.events.extend_from_slice(events);
-    }
-
-    /// Number of regions registered so far.
-    pub(crate) fn region_count(&self) -> usize {
-        self.region_names.len()
     }
 
     /// Finalizes the trace (without validating; call

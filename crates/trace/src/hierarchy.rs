@@ -6,6 +6,8 @@
 //! the dynamic nesting, so the analysis can drill down from coarse
 //! regions to the specific statement block that misbehaves.
 
+use crate::event::RankChecker;
+use crate::stream::{check_processors, TraceSink};
 use crate::{Event, EventPayload, Trace, TraceError};
 
 /// The observed parent of each region: `parents[r]` is `Some(q)` when
@@ -19,47 +21,165 @@ use crate::{Event, EventPayload, Trace, TraceError};
 /// observed under two different parents — the region structure is then
 /// not a tree and hierarchical analysis does not apply.
 pub fn region_parents(trace: &Trace) -> Result<Vec<Option<usize>>, TraceError> {
-    let order = trace.validated_rank_order()?;
-    // `Some(None)` = seen at top level; `Some(Some(q))` = seen under q.
-    let mut parents: Vec<Option<Option<usize>>> = vec![None; trace.region_names().len()];
-    for (_, events) in order.ranks() {
-        observe_parents(&mut parents, events.map(|(_, e)| e))?;
+    trace.check_indices()?;
+    let mut fold = ParentsFold::new(trace.region_names().len());
+    for (proc, events) in trace.rank_order().ranks() {
+        let mut checker = RankChecker::new();
+        for (_, e) in events {
+            fold.step(&mut checker, proc, e);
+        }
+        fold.finish_rank(&mut checker, proc);
     }
-    // Regions never entered default to top level.
-    Ok(parents.into_iter().map(|p| p.flatten()).collect())
+    fold.into_parents()
 }
 
-/// Folds one processor's time-ordered events into the observed parents.
-fn observe_parents<'e>(
-    parents: &mut [Option<Option<usize>>],
-    events: impl IntoIterator<Item = &'e Event>,
-) -> Result<(), TraceError> {
-    let mut stack: Vec<usize> = Vec::new();
-    for e in events {
-        match e.payload {
-            EventPayload::EnterRegion { region } => {
-                let parent = stack.last().copied();
-                match parents[region] {
-                    None => parents[region] = Some(parent),
-                    Some(seen) if seen == parent => {}
-                    Some(seen) => {
-                        return Err(TraceError::Malformed {
-                            detail: format!(
-                                "region {region} observed under parents {seen:?} and {parent:?}; \
-                                 the region structure is not a tree"
-                            ),
-                        })
-                    }
-                }
-                stack.push(region);
-            }
-            EventPayload::LeaveRegion { .. } => {
-                stack.pop();
-            }
-            _ => {}
+/// The per-event step [`region_parents`] and [`ParentsSink`] share:
+/// each rank's events pass through its [`RankChecker`], and a region
+/// entry records the innermost region open before it.
+///
+/// A structural error ends the fold. A region seen under two parents
+/// is remembered but does not: validation keeps running, and a later
+/// structural error takes precedence, as it does when the whole trace
+/// is validated before its nesting is read.
+struct ParentsFold {
+    /// `Some(None)` = seen at top level; `Some(Some(q))` = seen under q.
+    parents: Vec<Option<Option<usize>>>,
+    invalid: Option<TraceError>,
+    not_a_tree: Option<TraceError>,
+}
+
+impl ParentsFold {
+    fn new(regions: usize) -> Self {
+        ParentsFold {
+            parents: vec![None; regions],
+            invalid: None,
+            not_a_tree: None,
         }
     }
-    Ok(())
+
+    fn step(&mut self, checker: &mut RankChecker, proc: u32, e: &Event) {
+        if self.invalid.is_some() {
+            return;
+        }
+        let parent = checker.innermost();
+        if let Err(err) = checker.step(proc, e, self.parents.len()) {
+            self.invalid = Some(err);
+            return;
+        }
+        let EventPayload::EnterRegion { region } = e.payload else {
+            return;
+        };
+        if self.not_a_tree.is_some() {
+            return;
+        }
+        match self.parents[region] {
+            None => self.parents[region] = Some(parent),
+            Some(seen) if seen == parent => {}
+            Some(seen) => {
+                self.not_a_tree = Some(TraceError::Malformed {
+                    detail: format!(
+                        "region {region} observed under parents {seen:?} and {parent:?}; \
+                         the region structure is not a tree"
+                    ),
+                })
+            }
+        }
+    }
+
+    /// The rank's end-of-stream checks.
+    fn finish_rank(&mut self, checker: &mut RankChecker, proc: u32) {
+        if self.invalid.is_none() {
+            self.invalid = checker.finish(proc).err();
+        }
+    }
+
+    fn into_parents(self) -> Result<Vec<Option<usize>>, TraceError> {
+        if let Some(err) = self.invalid.or(self.not_a_tree) {
+            return Err(err);
+        }
+        // Regions never entered default to top level.
+        Ok(self.parents.into_iter().map(Option::flatten).collect())
+    }
+}
+
+/// Streaming [`region_parents`]: the same per-event step, with one
+/// per-rank checker (the one [`Trace::validate`] steps) per rank as
+/// events arrive, so `--drilldown` reads a tracefile without
+/// materializing it.
+///
+/// Its [`TraceSink`] methods never fail on the events themselves: the
+/// fold keeps its first error for [`ParentsSink::into_parents`], so it
+/// can ride in a [`TeeSink`](crate::TeeSink) beside a fold whose result
+/// must survive a trace the nesting walk rejects (a crash-truncated
+/// run still salvages). Errors match [`region_parents`] except where
+/// the order of meeting them matters: with several structural errors,
+/// or a region seen under parents on several ranks, the fold reports
+/// them in recording order, the batch walk in rank order.
+#[derive(Default)]
+pub struct ParentsSink {
+    fold: Option<ParentsFold>,
+    checkers: Vec<RankChecker>,
+    finished: bool,
+}
+
+impl ParentsSink {
+    /// Creates the fold.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// The observed parents, or the error [`region_parents`] would
+    /// report, once [`TraceSink::finish`] has run.
+    ///
+    /// # Errors
+    ///
+    /// The conditions of [`region_parents`], and a stream that never
+    /// finished.
+    pub fn into_parents(self) -> Result<Vec<Option<usize>>, TraceError> {
+        match self.fold {
+            Some(fold) if self.finished => fold.into_parents(),
+            _ => Err(TraceError::Malformed {
+                detail: "region-parents fold did not complete".into(),
+            }),
+        }
+    }
+}
+
+impl TraceSink for ParentsSink {
+    fn begin(&mut self, processors: usize, region_names: &[String]) -> Result<(), TraceError> {
+        check_processors(processors)?;
+        self.fold = Some(ParentsFold::new(region_names.len()));
+        self.checkers = std::iter::repeat_with(RankChecker::new)
+            .take(processors)
+            .collect();
+        Ok(())
+    }
+
+    fn events(&mut self, events: &[Event]) -> Result<(), TraceError> {
+        let Some(fold) = self.fold.as_mut() else {
+            return Ok(());
+        };
+        for e in events {
+            match self.checkers.get_mut(e.proc as usize) {
+                Some(checker) => fold.step(checker, e.proc, e),
+                None => {
+                    fold.invalid
+                        .get_or_insert(TraceError::UnknownProcessor { proc: e.proc });
+                }
+            }
+        }
+        Ok(())
+    }
+
+    fn finish(&mut self) -> Result<(), TraceError> {
+        if let Some(fold) = self.fold.as_mut() {
+            for (proc, checker) in (0u32..).zip(&mut self.checkers) {
+                fold.finish_rank(checker, proc);
+            }
+            self.finished = true;
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -67,14 +187,48 @@ mod tests {
     use super::*;
     use crate::TraceBuilder;
 
-    /// `region_parents` by the per-processor filter it replaced.
+    /// `region_parents` as it was before it shared the fold's step:
+    /// validate the whole trace, then walk each processor's filtered
+    /// events with a stack of its own.
     fn parents_by_processor(trace: &Trace) -> Result<Vec<Option<usize>>, TraceError> {
         trace.validate()?;
-        let mut parents = vec![None; trace.region_names().len()];
+        let mut parents: Vec<Option<Option<usize>>> = vec![None; trace.region_names().len()];
         for proc in 0..trace.processors() as u32 {
-            observe_parents(&mut parents, &trace.events_by_processor(proc))?;
+            let mut stack: Vec<usize> = Vec::new();
+            for e in trace.events_by_processor(proc) {
+                match e.payload {
+                    EventPayload::EnterRegion { region } => {
+                        let parent = stack.last().copied();
+                        match parents[region] {
+                            None => parents[region] = Some(parent),
+                            Some(seen) if seen == parent => {}
+                            Some(seen) => {
+                                return Err(TraceError::Malformed {
+                                    detail: format!(
+                                        "region {region} observed under parents {seen:?} and \
+                                         {parent:?}; the region structure is not a tree"
+                                    ),
+                                })
+                            }
+                        }
+                        stack.push(region);
+                    }
+                    EventPayload::LeaveRegion { .. } => {
+                        stack.pop();
+                    }
+                    _ => {}
+                }
+            }
         }
         Ok(parents.into_iter().map(|p| p.flatten()).collect())
+    }
+
+    /// [`ParentsSink`] over the trace's recording order.
+    fn parents_folded(trace: &Trace) -> Result<Vec<Option<usize>>, TraceError> {
+        let bytes = crate::stream::to_stream_bytes(trace, 3)?;
+        let mut sink = ParentsSink::new();
+        crate::stream::decode_all(&bytes, &mut sink)?;
+        sink.into_parents()
     }
 
     #[test]
@@ -177,6 +331,38 @@ mod tests {
         b.push(Event::leave(1.0, 0, a));
         let parents = region_parents(&b.build()).unwrap();
         assert_eq!(parents, vec![None, None]);
+    }
+
+    #[test]
+    fn the_fold_matches_the_batch_walk_results_and_errors() {
+        let mut b = TraceBuilder::new(2);
+        let outer = b.add_region("outer");
+        let inner = b.add_region("inner");
+        let other = b.add_region("other");
+        for p in 0..2 {
+            b.push(Event::enter(0.0, p, outer));
+            b.push(Event::enter(1.0, p, inner));
+            b.push(Event::leave(2.0, p, inner));
+            b.push(Event::leave(3.0, p, outer));
+        }
+        let mut truncated = b.clone();
+        let mut not_a_tree = b.clone();
+        b.push(Event::enter(4.0, 1, other));
+        b.push(Event::leave(5.0, 1, other));
+        // Rank 0 stops inside `other`: the trace is not valid.
+        truncated.push(Event::enter(4.0, 0, other));
+        // `inner` at top level on rank 1, after rank 0 saw it nested.
+        not_a_tree.push(Event::enter(4.0, 1, inner));
+        not_a_tree.push(Event::leave(5.0, 1, inner));
+        // Then rank 0 stops inside `other`: the structural error wins.
+        let mut both = not_a_tree.clone();
+        both.push(Event::enter(6.0, 0, other));
+        for trace in [b, truncated, not_a_tree, both].map(TraceBuilder::build) {
+            assert_eq!(
+                format!("{:?}", parents_folded(&trace)),
+                format!("{:?}", region_parents(&trace))
+            );
+        }
     }
 
     #[test]

@@ -60,7 +60,7 @@ mod salvage;
 
 pub use durable::{DurableSink, SealScan, SealScanner};
 pub use event::{Event, EventPayload, RankOrder, Trace, TraceBuilder};
-pub use hierarchy::region_parents;
+pub use hierarchy::{region_parents, ParentsSink};
 pub use reduce::{reduce, reduce_well_formed, reduce_windows, Attribution, ReducedTrace};
 pub use salvage::{reduce_checked, RankCoverage, SalvageWalker, SalvagedTrace};
 pub use stream::{

@@ -225,16 +225,20 @@ impl SalvageWalker {
         match e.payload {
             EventPayload::EnterRegion { region } => {
                 check_region(index, "enters", region)?;
-                if let Some(&top) = self.stack.last() {
-                    sink(Attribution::Interval {
-                        region: top,
-                        kind: ActivityKind::Computation,
-                        start: self.mark,
-                        end: e.time,
-                    });
+                // Inside an open activity the activity's own interval
+                // covers this time, and `mark` moves at its end.
+                if self.current.is_none() {
+                    if let Some(&top) = self.stack.last() {
+                        sink(Attribution::Interval {
+                            region: top,
+                            kind: ActivityKind::Computation,
+                            start: self.mark,
+                            end: e.time,
+                        });
+                    }
+                    self.mark = e.time;
                 }
                 self.stack.push(region);
-                self.mark = e.time;
             }
             EventPayload::LeaveRegion { region } => {
                 check_region(index, "leaves", region)?;
@@ -253,14 +257,16 @@ impl SalvageWalker {
                         ))
                     }
                 }
-                sink(Attribution::Interval {
-                    region,
-                    kind: ActivityKind::Computation,
-                    start: self.mark,
-                    end: e.time,
-                });
+                if self.current.is_none() {
+                    sink(Attribution::Interval {
+                        region,
+                        kind: ActivityKind::Computation,
+                        start: self.mark,
+                        end: e.time,
+                    });
+                    self.mark = e.time;
+                }
                 self.stack.pop();
-                self.mark = e.time;
             }
             EventPayload::BeginActivity { kind } => {
                 if let Some((open, _, _)) = self.current {
@@ -527,6 +533,30 @@ mod tests {
     }
 
     #[test]
+    fn region_entered_inside_an_activity_conserves_time() {
+        // A 5 s run: computation in r for 1 s, the activity (ending in
+        // s, so attributed to s) for 2 s, then 1 s of computation in
+        // each of s and r. The enter at 2.0 attributes nothing.
+        let mut b = TraceBuilder::new(1);
+        let r = b.add_region("r");
+        let s = b.add_region("s");
+        b.push(Event::enter(0.0, 0, r));
+        b.push(Event::begin_activity(1.0, 0, ActivityKind::PointToPoint));
+        b.push(Event::enter(2.0, 0, s));
+        b.push(Event::end_activity(3.0, 0, ActivityKind::PointToPoint));
+        b.push(Event::leave(4.0, 0, s));
+        b.push(Event::leave(5.0, 0, r));
+        let trace = b.build();
+        trace.validate().unwrap();
+        let m = reduce(&trace).unwrap().measurements;
+        let p0 = ProcessorId::new(0);
+        assert_eq!(m.time(r, ActivityKind::Computation, p0), 2.0);
+        assert_eq!(m.time(s, ActivityKind::Computation, p0), 1.0);
+        assert_eq!(m.time(s, ActivityKind::PointToPoint, p0), 2.0);
+        assert_eq!(m.time(r, ActivityKind::PointToPoint, p0), 0.0);
+    }
+
+    #[test]
     fn activity_outliving_its_region_reduces_alike_on_every_path() {
         // Passes validate() (leave does not check activities). Every
         // path, strict or salvaging, batch or streamed, attributes the
@@ -546,6 +576,11 @@ mod tests {
         assert_eq!(
             m.time(r, ActivityKind::PointToPoint, ProcessorId::new(0)),
             2.0
+        );
+        // The leave falls inside the activity: no computation past 1.0.
+        assert_eq!(
+            m.time(r, ActivityKind::Computation, ProcessorId::new(0)),
+            1.0
         );
 
         let bytes = crate::stream::to_stream_bytes(&trace, 2).unwrap();

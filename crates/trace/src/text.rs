@@ -17,7 +17,7 @@ use std::io::{BufRead, BufReader, Read, Write};
 
 use limba_model::ActivityKind;
 
-use crate::{Event, EventPayload, Trace, TraceBuilder, TraceError};
+use crate::{Event, EventPayload, MaterializeSink, Trace, TraceError, TraceSink};
 
 const HEADER: &str = "limba-trace v1";
 
@@ -79,6 +79,22 @@ fn malformed(detail: impl Into<String>) -> TraceError {
 /// failures. The decoded trace is *not* validated; call
 /// [`Trace::validate`] on untrusted input.
 pub fn read<R: Read>(reader: R) -> Result<Trace, TraceError> {
+    let mut sink = MaterializeSink::new();
+    feed(reader, &mut sink)?;
+    sink.into_trace()
+        .ok_or_else(|| malformed("text feed ended without finishing"))
+}
+
+/// Parses a text trace straight into `sink`, a batch of events at a
+/// time, so a fold reads a text tracefile without materializing it.
+/// The sink's `begin` runs at the first event line, which is why every
+/// `region` line must come before it.
+///
+/// # Errors
+///
+/// The conditions of [`read`], a region line after an event line, and
+/// whatever `sink` returns.
+pub fn feed<R: Read>(reader: R, sink: &mut dyn TraceSink) -> Result<(), TraceError> {
     let mut lines = BufReader::new(reader).lines();
     let header = lines.next().ok_or_else(|| malformed("empty input"))??;
     if header.trim() != HEADER {
@@ -95,7 +111,9 @@ pub fn read<R: Read>(reader: R) -> Result<Trace, TraceError> {
         .map_err(|e| malformed(format!("bad processor count: {e}")))?;
     crate::stream::check_processors(processors)?;
 
-    let mut builder = TraceBuilder::new(processors);
+    let mut region_names: Vec<String> = Vec::new();
+    let mut began = false;
+    let mut batch: Vec<Event> = Vec::with_capacity(FEED_BATCH);
     for line in lines {
         let line = line?;
         let line = line.trim_end();
@@ -103,26 +121,48 @@ pub fn read<R: Read>(reader: R) -> Result<Trace, TraceError> {
             continue;
         }
         if let Some(rest) = line.strip_prefix("region ") {
+            if began {
+                return Err(malformed(format!(
+                    "region line {line:?} after the first event"
+                )));
+            }
             let (idx, name) = rest
                 .split_once(' ')
                 .ok_or_else(|| malformed(format!("bad region line {line:?}")))?;
             let idx: usize = idx
                 .parse()
                 .map_err(|e| malformed(format!("bad region index: {e}")))?;
-            if idx != builder.region_count() {
+            if idx != region_names.len() {
                 return Err(malformed(format!(
                     "region indices must be dense, got {idx}"
                 )));
             }
-            builder.add_region(name);
+            region_names.push(name.to_string());
         } else if let Some(rest) = line.strip_prefix("event ") {
-            builder.push(parse_event(rest)?);
+            if !began {
+                sink.begin(processors, &region_names)?;
+                began = true;
+            }
+            batch.push(parse_event(rest)?);
+            if batch.len() == FEED_BATCH {
+                sink.events(&batch)?;
+                batch.clear();
+            }
         } else {
             return Err(malformed(format!("unrecognized line {line:?}")));
         }
     }
-    Ok(builder.build())
+    if !began {
+        sink.begin(processors, &region_names)?;
+    }
+    if !batch.is_empty() {
+        sink.events(&batch)?;
+    }
+    sink.finish()
 }
+
+/// Events per [`TraceSink::events`] call from [`feed`].
+const FEED_BATCH: usize = 4096;
 
 fn parse_event(rest: &str) -> Result<Event, TraceError> {
     let mut parts = rest.split_whitespace();
@@ -204,6 +244,7 @@ pub fn from_str(s: &str) -> Result<Trace, TraceError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::TraceBuilder;
     use limba_model::RegionId;
 
     fn sample() -> Trace {
@@ -255,6 +296,24 @@ mod tests {
         assert!(from_str("limba-trace v1\nprocessors 1\nevent 0 0 begin warp\n").is_err());
         assert!(from_str("limba-trace v1\nprocessors 1\nevent 0 0 enter 0 junk\n").is_err());
         assert!(from_str("limba-trace v1\nprocessors 1\nmystery line\n").is_err());
+    }
+
+    #[test]
+    fn feed_folds_like_the_materialized_trace() {
+        let t = sample();
+        let mut fold = crate::SalvageSink::new(limba_model::ActivitySet::standard());
+        feed(to_string(&t).as_bytes(), &mut fold).unwrap();
+        let folded = fold.into_salvaged().unwrap();
+        let batch = crate::reduce_checked(&t).unwrap();
+        assert_eq!(folded.reduced.measurements, batch.reduced.measurements);
+        assert_eq!(folded.coverage, batch.coverage);
+    }
+
+    #[test]
+    fn region_lines_must_precede_events() {
+        let s = "limba-trace v1\nprocessors 1\nregion 0 r\nevent 0 0 enter 0\nregion 1 late\n";
+        let err = from_str(s).unwrap_err().to_string();
+        assert!(err.contains("after the first event"), "{err}");
     }
 
     #[test]

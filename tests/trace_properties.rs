@@ -6,15 +6,25 @@
 use limba::model::{ActivityKind, ActivitySet};
 use limba::trace::stream;
 use limba::trace::{
-    binary, reduce, reduce_checked, reduce_windows, text, Event, MaterializeSink, ReducedTrace,
-    SalvageSink, ScanSink, StreamDecoder, Trace, TraceBuilder, TraceError, TraceSink, WindowSink,
+    binary, reduce, reduce_checked, reduce_windows, text, Event, MaterializeSink, ReduceSink,
+    ReducedTrace, SalvageSink, ScanSink, StreamDecoder, Trace, TraceBuilder, TraceError, TraceSink,
+    WindowSink,
 };
 use proptest::prelude::*;
 
 /// Strategy: a well-formed random trace. Each processor performs a
 /// random number of region visits, each with an optional activity
-/// interval and message events.
+/// interval and message events. Activities may cross region
+/// boundaries, as validation allows: an activity can outlive its
+/// region, and a nested region can be entered or left while it is open.
 fn trace_strategy() -> impl Strategy<Value = Trace> {
+    traces(true)
+}
+
+/// [`trace_strategy`] with every activity inside its region's visit
+/// (`crossing == false`): the traces on which each region's attributed
+/// time equals its visit time.
+fn traces(crossing: bool) -> impl Strategy<Value = Trace> {
     let procs = 1usize..5;
     let regions = 1usize..4;
     let visits = proptest::collection::vec(
@@ -24,40 +34,81 @@ fn trace_strategy() -> impl Strategy<Value = Trace> {
             0.01f64..5.0,                                     // duration
             proptest::option::of(0..ActivityKind::ALL.len()), // activity kind index
             proptest::bool::ANY,                              // emit a message?
+            0usize..4,                                        // crossing shape
         ),
         0..12,
     );
     (procs, regions, proptest::collection::vec(visits, 1..5)).prop_map(
-        |(procs, regions, per_proc)| {
+        move |(procs, regions, per_proc)| {
             let mut b = TraceBuilder::new(procs);
             for r in 0..regions {
                 b.add_region(format!("region {r}"));
             }
             for (p, visits) in per_proc.iter().enumerate().take(procs) {
+                let p = p as u32;
                 let mut clock = 0.0f64;
-                for &(r, offset, duration, activity, msg) in visits {
+                for &(r, offset, duration, activity, msg, shape) in visits {
                     let region = limba::model::RegionId::new(r % regions);
+                    let inner = limba::model::RegionId::new((r + 1) % regions);
                     let start = clock + offset;
                     let end = start + duration;
-                    b.push(Event::enter(start, p as u32, region));
-                    if let Some(a) = activity {
-                        let kind = ActivityKind::from_index(a).expect("kind in range");
-                        let a0 = start + duration * 0.25;
-                        let a1 = start + duration * 0.75;
-                        b.push(Event::begin_activity(a0, p as u32, kind));
-                        b.push(Event::end_activity(a1, p as u32, kind));
-                    }
-                    if msg && procs > 1 {
-                        let peer = ((p + 1) % procs) as u32;
-                        b.push(Event::message_send(
-                            start + duration * 0.5,
-                            p as u32,
-                            peer,
-                            64,
-                        ));
-                    }
-                    b.push(Event::leave(end, p as u32, region));
+                    let at = |fraction: f64| start + duration * fraction;
+                    let send = (msg && procs > 1).then(|| {
+                        Event::message_send(at(0.3), p, ((p as usize + 1) % procs) as u32, 64)
+                    });
+                    let kind =
+                        activity.map(|a| ActivityKind::from_index(a).expect("kind in range"));
                     clock = end;
+                    match kind.filter(|_| crossing && shape > 0) {
+                        None => {
+                            b.push(Event::enter(start, p, region));
+                            if let Some(kind) = kind {
+                                b.push(Event::begin_activity(at(0.25), p, kind));
+                                b.push(Event::end_activity(at(0.75), p, kind));
+                            }
+                            if let Some(send) = send {
+                                b.push(Event {
+                                    time: at(0.5),
+                                    ..send
+                                });
+                            }
+                            b.push(Event::leave(end, p, region));
+                        }
+                        // The region is left while its activity runs on.
+                        Some(kind) if shape == 1 => {
+                            b.push(Event::enter(start, p, region));
+                            b.push(Event::begin_activity(at(0.25), p, kind));
+                            if let Some(send) = send {
+                                b.push(send);
+                            }
+                            b.push(Event::leave(at(0.5), p, region));
+                            b.push(Event::end_activity(at(0.75), p, kind));
+                        }
+                        // A nested region is entered inside the activity.
+                        Some(kind) if shape == 2 => {
+                            b.push(Event::enter(start, p, region));
+                            b.push(Event::begin_activity(at(0.25), p, kind));
+                            if let Some(send) = send {
+                                b.push(send);
+                            }
+                            b.push(Event::enter(at(0.5), p, inner));
+                            b.push(Event::end_activity(at(0.75), p, kind));
+                            b.push(Event::leave(at(0.875), p, inner));
+                            b.push(Event::leave(end, p, region));
+                        }
+                        // A nested region is left inside the activity.
+                        Some(kind) => {
+                            b.push(Event::enter(start, p, region));
+                            b.push(Event::enter(at(0.125), p, inner));
+                            b.push(Event::begin_activity(at(0.25), p, kind));
+                            if let Some(send) = send {
+                                b.push(send);
+                            }
+                            b.push(Event::leave(at(0.5), p, inner));
+                            b.push(Event::end_activity(at(0.75), p, kind));
+                            b.push(Event::leave(end, p, region));
+                        }
+                    }
                 }
             }
             b.build()
@@ -90,7 +141,7 @@ proptest! {
     }
 
     #[test]
-    fn reduction_conserves_total_region_time(trace in trace_strategy()) {
+    fn reduction_conserves_total_region_time(trace in traces(false)) {
         // For non-nested visits, the sum over activities of a processor's
         // time in a region equals the sum of its visit durations.
         let reduced = reduce(&trace).unwrap();
@@ -121,6 +172,53 @@ proptest! {
                     (attributed - expected).abs() < 1e-9,
                     "proc {} region {}: {} vs {}",
                     p, r, attributed, expected
+                );
+            }
+        }
+    }
+
+    // Time is conserved: a processor's cells partition the time it
+    // spends with a region or an activity open, on the batch
+    // reductions and on every fold. Comparing the paths with each
+    // other cannot show this: they all step the same walker.
+    #[test]
+    fn every_path_conserves_each_ranks_time(trace in trace_strategy()) {
+        trace.validate().unwrap();
+        let trace = time_ordered(&trace);
+        let covered = covered_time(&trace);
+        let mut salvage = SalvageSink::new(ActivitySet::standard());
+        replay(&trace, &mut salvage).unwrap();
+        let mut strict = ReduceSink::new(ActivitySet::standard());
+        replay(&trace, &mut strict).unwrap();
+        let full = [
+            ("reduce", reduce(&trace).unwrap().measurements),
+            ("reduce_checked", reduce_checked(&trace).unwrap().reduced.measurements),
+            ("SalvageSink", salvage.into_salvaged().unwrap().reduced.measurements),
+            ("ReduceSink", strict.into_reduced().unwrap().measurements),
+        ];
+        for (path, m) in &full {
+            for (p, &expected) in covered.iter().enumerate() {
+                let got = m.processor_time(limba::model::ProcessorId::new(p));
+                prop_assert!(
+                    conserved(got, expected),
+                    "{}: proc {} attributes {} of {} s", path, p, got, expected
+                );
+            }
+        }
+        for windows in [1, 3] {
+            let Ok(sliced) = stream_windows(&trace, windows) else {
+                // A run spanning no time has no windows.
+                prop_assert!(covered.iter().all(|&t| t == 0.0));
+                continue;
+            };
+            for (p, &expected) in covered.iter().enumerate() {
+                let got: f64 = sliced
+                    .iter()
+                    .map(|w| w.measurements.processor_time(limba::model::ProcessorId::new(p)))
+                    .sum();
+                prop_assert!(
+                    conserved(got, expected),
+                    "{} WindowSink windows: proc {} attributes {} of {} s", windows, p, got, expected
                 );
             }
         }
@@ -310,6 +408,37 @@ proptest! {
             }
         }
     }
+}
+
+/// Each processor's time with a region or an activity open, from its
+/// events in time order: what its cells must sum to.
+fn covered_time(trace: &Trace) -> Vec<f64> {
+    use limba::trace::EventPayload;
+    (0..trace.processors() as u32)
+        .map(|p| {
+            let (mut depth, mut active, mut last, mut covered) = (0usize, false, 0.0f64, 0.0f64);
+            for e in trace.events_by_processor(p) {
+                if depth > 0 || active {
+                    covered += e.time - last;
+                }
+                last = e.time;
+                match e.payload {
+                    EventPayload::EnterRegion { .. } => depth += 1,
+                    EventPayload::LeaveRegion { .. } => depth -= 1,
+                    EventPayload::BeginActivity { .. } => active = true,
+                    EventPayload::EndActivity { .. } => active = false,
+                    _ => {}
+                }
+            }
+            covered
+        })
+        .collect()
+}
+
+/// Equal within a few ulps of the larger magnitude: the paths sum the
+/// same intervals in different groupings.
+fn conserved(got: f64, expected: f64) -> bool {
+    (got - expected).abs() <= 32.0 * f64::EPSILON * got.abs().max(expected.abs())
 }
 
 /// Decodes a byte stream through [`StreamDecoder`] in `chunk`-sized
