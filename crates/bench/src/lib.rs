@@ -1,5 +1,6 @@
-//! Shared helpers for the `repro_*` binaries that regenerate every
-//! table and figure of the paper.
+//! Shared helpers for the `repro_*` binaries: `repro_all` checks every
+//! table, figure and in-text claim of the paper, the others run the
+//! studies beyond it.
 
 use limba_analysis::{Analyzer, Report};
 use limba_model::Measurements;

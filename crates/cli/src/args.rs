@@ -13,25 +13,36 @@ pub(crate) struct Parsed {
     pub switches: BTreeSet<String>,
 }
 
-/// Splits `args` into positionals and `--flag value` pairs.
-pub(crate) fn parse(args: &[String]) -> Result<Parsed, String> {
-    parse_with_switches(args, &[])
+/// The flags one command accepts.
+pub(crate) struct Flags {
+    /// The command, as `limba <command>` names it.
+    pub command: &'static str,
+    /// Groups of flags that take a value.
+    pub options: &'static [&'static [&'static str]],
+    /// Groups of bare switches that take none (e.g. `--resume`).
+    pub switches: &'static [&'static [&'static str]],
 }
 
-/// Like [`parse`], but any flag named in `switches` is a bare switch
-/// that takes no value (e.g. `--resume`, `--json`).
-pub(crate) fn parse_with_switches(args: &[String], switches: &[&str]) -> Result<Parsed, String> {
+/// Splits `args` into positionals, `--flag value` options and bare
+/// switches. A flag `flags` does not name is an error.
+pub(crate) fn parse(args: &[String], flags: &Flags) -> Result<Parsed, String> {
+    let named = |groups: &[&[&str]], flag: &str| groups.iter().any(|g| g.contains(&flag));
     let mut parsed = Parsed::default();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         if let Some(flag) = arg.strip_prefix("--") {
-            if switches.contains(&flag) {
+            if named(flags.switches, flag) {
                 parsed.switches.insert(flag.to_string());
-            } else {
+            } else if named(flags.options, flag) {
                 let value = it
                     .next()
                     .ok_or_else(|| format!("flag --{flag} expects a value"))?;
                 parsed.options.insert(flag.to_string(), value.clone());
+            } else {
+                return Err(format!(
+                    "unknown option --{flag} for limba {}; see limba help",
+                    flags.command
+                ));
             }
         } else {
             parsed.positional.push(arg.clone());
@@ -103,9 +114,15 @@ mod tests {
         v.iter().map(|s| s.to_string()).collect()
     }
 
+    const FLAGS: Flags = Flags {
+        command: "test",
+        options: &[&["ranks"], &["iterations"]],
+        switches: &[&["resume", "json"]],
+    };
+
     #[test]
     fn parses_flags_and_positionals() {
-        let p = parse(&strs(&["cfd", "--ranks", "8", "extra"])).unwrap();
+        let p = parse(&strs(&["cfd", "--ranks", "8", "extra"]), &FLAGS).unwrap();
         assert_eq!(p.positional, vec!["cfd", "extra"]);
         assert_eq!(p.get("ranks"), Some("8"));
         assert_eq!(p.get_or("ranks", 16usize).unwrap(), 8);
@@ -114,27 +131,32 @@ mod tests {
 
     #[test]
     fn missing_value_is_an_error() {
-        assert!(parse(&strs(&["--ranks"])).is_err());
-        let p = parse(&strs(&["--ranks", "x"])).unwrap();
+        assert!(parse(&strs(&["--ranks"]), &FLAGS).is_err());
+        let p = parse(&strs(&["--ranks", "x"]), &FLAGS).unwrap();
         assert!(p.get_or::<usize>("ranks", 1).is_err());
     }
 
     #[test]
     fn switches_take_no_value() {
-        let p = parse_with_switches(
-            &strs(&["--resume", "--ranks", "8", "--json"]),
-            &["resume", "json"],
-        )
-        .unwrap();
+        let p = parse(&strs(&["--resume", "--ranks", "8", "--json"]), &FLAGS).unwrap();
         assert!(p.has("resume"));
         assert!(p.has("json"));
         assert!(!p.has("verbose"));
         assert_eq!(p.get("ranks"), Some("8"));
         // A trailing switch needs no value.
-        assert!(parse_with_switches(&strs(&["--resume"]), &["resume"]).is_ok());
-        // Without registration the same flag would consume the next arg.
-        let p = parse(&strs(&["--resume", "x"])).unwrap();
-        assert_eq!(p.get("resume"), Some("x"));
+        assert!(parse(&strs(&["--resume"]), &FLAGS).is_ok());
+    }
+
+    #[test]
+    fn unknown_flags_are_named() {
+        for bad in [&["--rnaks", "4"][..], &["cfd", "--verbose"], &["--ranks=4"]] {
+            let err = parse(&strs(bad), &FLAGS).unwrap_err();
+            let flag = bad.iter().find(|a| a.starts_with("--")).unwrap();
+            assert_eq!(
+                err,
+                format!("unknown option {flag} for limba test; see limba help")
+            );
+        }
     }
 
     #[test]

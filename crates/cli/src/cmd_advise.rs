@@ -15,17 +15,29 @@ use limba_mpisim::Simulator;
 use limba_par::CancelToken;
 use limba_workloads::Imbalance;
 
-use crate::args::{parse_imbalance, parse_with_switches, Parsed};
+use crate::args::{parse, parse_imbalance, Flags, Parsed};
 use crate::cmd_simulate::{build_program, load_fault_plan, render_fault_presets, Engine};
-use crate::supervise::Supervision;
+use crate::supervise::{self, Supervision};
 use crate::tracefile::fold_trace;
+
+/// The flags `advise` accepts.
+const FLAGS: Flags = Flags {
+    command: "advise",
+    options: &[
+        &["workload", "ranks", "iterations", "imbalance", "seed"],
+        &["budget", "top", "beam", "depth", "clusters", "jobs"],
+        &["faults", "engine"],
+        supervise::OPTIONS,
+    ],
+    switches: &[&["json"], supervise::SWITCHES],
+};
 
 /// Runs `limba advise <tracefile | --workload NAME> [options]`.
 pub(crate) fn run(argv: &[String]) -> Result<crate::CmdOutcome, String> {
-    let parsed: Parsed = parse_with_switches(argv, crate::supervise::SWITCHES)?;
+    let parsed: Parsed = parse(argv, &FLAGS)?;
     let json = parsed.has("json");
     if parsed.get("faults") == Some("list") {
-        print!("{}", render_fault_presets());
+        out!("{}", render_fault_presets());
         return Ok(crate::CmdOutcome::Complete);
     }
     let supervision = Supervision::from_args(&parsed)?;
@@ -198,7 +210,7 @@ pub(crate) fn run(argv: &[String]) -> Result<crate::CmdOutcome, String> {
     supervision.write_manifest(&advise_manifest(fingerprint, top, completed, cached, None))?;
 
     if json {
-        println!("{}", advice_json(&advice));
+        outln!("{}", advice_json(&advice));
         return Ok(crate::CmdOutcome::Complete);
     }
 
@@ -221,12 +233,12 @@ pub(crate) fn run(argv: &[String]) -> Result<crate::CmdOutcome, String> {
         .with_cluster_k(clusters)
         .analyze(&salvaged.reduced.measurements)
         .map_err(|e| e.to_string())?;
-    print!(
+    out!(
         "{}",
         limba_viz::report::render_with_coverage(&report, &salvaged.coverage)
     );
-    println!();
-    print!("{}", limba_viz::advice::render_advice(&advice));
+    outln!();
+    out!("{}", limba_viz::advice::render_advice(&advice));
     Ok(crate::CmdOutcome::Complete)
 }
 
@@ -256,7 +268,6 @@ fn advise_manifest(
         } else {
             0
         },
-        retries: 0,
         stopped,
     }
 }

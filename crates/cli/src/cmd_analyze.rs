@@ -11,7 +11,7 @@ use limba_trace::{
     WindowSink,
 };
 
-use crate::args::{parse_with_switches, Parsed};
+use crate::args::{parse, Flags, Parsed};
 use crate::tracefile::{fold_trace, read_trace};
 
 pub(crate) fn parse_dispersion(name: &str) -> Result<DispersionKind, String> {
@@ -34,6 +34,17 @@ pub(crate) fn parse_criterion(spec: &str) -> Result<RankingCriterion, String> {
         _ => Err(bad()),
     }
 }
+
+/// The flags `analyze` accepts. `--from-stream` is accepted and
+/// ignored: every read streams.
+const FLAGS: Flags = Flags {
+    command: "analyze",
+    options: &[&["format", "drilldown", "csv"], REPORT_OPTIONS],
+    switches: &[&["from-stream"]],
+};
+
+/// The flags of [`ReportOptions`].
+pub(crate) const REPORT_OPTIONS: &[&str] = &["dispersion", "criterion", "clusters", "windows"];
 
 /// The report knobs `analyze` and `simulate --stream-reduce` share.
 pub(crate) struct ReportOptions {
@@ -77,7 +88,7 @@ impl ReportOptions {
             .with_cluster_k(self.clusters)
             .analyze_with_counts(&reduced.measurements, &reduced.counts)
             .map_err(|e| e.to_string())?;
-        print!(
+        out!(
             "{}",
             limba_viz::report::render_with_coverage(&report, coverage)
         );
@@ -90,7 +101,7 @@ impl ReportOptions {
         let evolution =
             limba_analysis::evolution::imbalance_evolution(&matrices, self.dispersion, 0.02)
                 .map_err(|e| e.to_string())?;
-        print!(
+        out!(
             "{}",
             limba_viz::report::render_evolution(&evolution, self.windows)
         );
@@ -108,12 +119,12 @@ impl ReportOptions {
         let tree = RegionTree::from_parents(parents).map_err(|e| e.to_string())?;
         let dd = drilldown(&reduced.measurements, &tree, self.dispersion, 0.5)
             .map_err(|e| e.to_string())?;
-        println!("\n== drill-down ==");
+        outln!("\n== drill-down ==");
         if dd.path.is_empty() {
-            println!("no imbalanced region found");
+            outln!("no imbalanced region found");
         }
         for (depth, step) in dd.path.iter().enumerate() {
-            println!(
+            outln!(
                 "{}-> {} (inclusive SID_C {:.5}, {:.0}% of program)",
                 "  ".repeat(depth),
                 step.name,
@@ -141,7 +152,7 @@ fn write_csv(parsed: &Parsed, report: &Report) -> Result<(), String> {
         for (name, content) in files {
             fs::write(dir.join(name), content).map_err(|e| e.to_string())?;
         }
-        println!("\ncsv tables written to {}", dir.display());
+        outln!("\ncsv tables written to {}", dir.display());
     }
     Ok(())
 }
@@ -203,8 +214,7 @@ fn analyze(parsed: &Parsed, path: &str, opts: &ReportOptions) -> Result<(), Stri
 
 /// Runs `limba analyze <tracefile> [options]`.
 pub(crate) fn run(argv: &[String]) -> Result<crate::CmdOutcome, String> {
-    // `--from-stream` is accepted and ignored: every read streams.
-    let parsed: Parsed = parse_with_switches(argv, &["from-stream"])?;
+    let parsed: Parsed = parse(argv, &FLAGS)?;
     let path = parsed
         .positional
         .first()

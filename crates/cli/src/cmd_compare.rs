@@ -3,7 +3,7 @@
 use limba_analysis::compare::compare_runs;
 use limba_stats::dispersion::DispersionKind;
 
-use crate::args::parse;
+use crate::args::{parse, Flags};
 use crate::tracefile::fold_trace;
 
 /// Folds one tracefile into its strict reduction's measurements.
@@ -14,9 +14,16 @@ fn measurements(path: &str) -> Result<limba_model::Measurements, String> {
     Ok(reduced.measurements)
 }
 
+/// The flags `compare` accepts.
+const FLAGS: Flags = Flags {
+    command: "compare",
+    options: &[&["tolerance"]],
+    switches: &[],
+};
+
 /// Runs `limba compare <before.trace> <after.trace> [--tolerance F]`.
 pub(crate) fn run(argv: &[String]) -> Result<crate::CmdOutcome, String> {
-    let parsed = parse(argv)?;
+    let parsed = parse(argv, &FLAGS)?;
     let [before_path, after_path] = parsed.positional.as_slice() else {
         return Err("compare needs exactly two tracefile paths".into());
     };
@@ -27,13 +34,18 @@ pub(crate) fn run(argv: &[String]) -> Result<crate::CmdOutcome, String> {
     let cmp = compare_runs(&before, &after, DispersionKind::Euclidean, tolerance)
         .map_err(|e| e.to_string())?;
 
-    println!("whole-program speedup: {:.3}x", cmp.total_speedup);
-    println!(
+    outln!("whole-program speedup: {:.3}x", cmp.total_speedup);
+    outln!(
         "\n{:<20} {:>10} {:>10} {:>8} {:>9} {:>9}  verdict",
-        "region", "before", "after", "speedup", "ID before", "ID after"
+        "region",
+        "before",
+        "after",
+        "speedup",
+        "ID before",
+        "ID after"
     );
     for d in &cmp.regions {
-        println!(
+        outln!(
             "{:<20} {:>9.3}s {:>9.3}s {:>7.2}x {:>9.4} {:>9.4}  {:?}",
             d.name,
             d.before_seconds,
@@ -44,17 +56,17 @@ pub(crate) fn run(argv: &[String]) -> Result<crate::CmdOutcome, String> {
             d.verdict
         );
     }
-    println!("\nactivity dispersion (weighted ID_A):");
+    outln!("\nactivity dispersion (weighted ID_A):");
     for (kind, b, a) in &cmp.activity_ids {
-        println!("  {kind:<16} {b:.5} -> {a:.5}");
+        outln!("  {kind:<16} {b:.5} -> {a:.5}");
     }
     let regressions = cmp.regressions();
     if regressions.is_empty() {
-        println!("\nno regressions.");
+        outln!("\nno regressions.");
     } else {
-        println!("\nREGRESSIONS:");
+        outln!("\nREGRESSIONS:");
         for d in regressions {
-            println!("  {} ({:.2}x)", d.name, d.speedup);
+            outln!("  {} ({:.2}x)", d.name, d.speedup);
         }
     }
     Ok(crate::CmdOutcome::Complete)

@@ -7,25 +7,32 @@ use limba_analysis::Analyzer;
 use limba_calibrate::paper::{paper_measurements, paper_measurements_with_tail};
 use limba_model::ActivityKind;
 
-use crate::args::{parse, Parsed};
+use crate::args::{parse, Flags, Parsed};
+
+/// The flags `paper` accepts.
+const FLAGS: Flags = Flags {
+    command: "paper",
+    options: &[&["svg"]],
+    switches: &[],
+};
 
 /// Runs `limba paper [--svg DIR]`.
 pub(crate) fn run(argv: &[String]) -> Result<crate::CmdOutcome, String> {
-    let parsed: Parsed = parse(argv)?;
+    let parsed: Parsed = parse(argv, &FLAGS)?;
     let loops_only = paper_measurements().map_err(|e| e.to_string())?;
     let with_tail = paper_measurements_with_tail().map_err(|e| e.to_string())?;
     let analyzer = Analyzer::new();
     let report = analyzer.analyze(&loops_only).map_err(|e| e.to_string())?;
     let scaled = analyzer.analyze(&with_tail).map_err(|e| e.to_string())?;
 
-    println!("Reconstruction of the PACT 2003 case study (16-processor CFD code)\n");
-    println!("Table 1 — wall clock breakdown:");
-    print!("{}", limba_viz::report::render_profile(&report));
-    println!("\nTable 2 — indices of dispersion ID_ij:");
-    print!("{}", limba_viz::report::render_dispersions(&report));
+    outln!("Reconstruction of the PACT 2003 case study (16-processor CFD code)\n");
+    outln!("Table 1 — wall clock breakdown:");
+    out!("{}", limba_viz::report::render_profile(&report));
+    outln!("\nTable 2 — indices of dispersion ID_ij:");
+    out!("{}", limba_viz::report::render_dispersions(&report));
     // The paper weights ID over the measured loops but scales SID by the
     // whole-program time, so the two columns come from different runs.
-    println!("\nTable 3 — activity view:");
+    outln!("\nTable 3 — activity view:");
     let mut t3 =
         limba_viz::table::TextTable::new(vec!["activity".into(), "ID_A".into(), "SID_A".into()]);
     for s in &report.activity_view.summaries {
@@ -42,8 +49,8 @@ pub(crate) fn run(argv: &[String]) -> Result<crate::CmdOutcome, String> {
             format!("{sid:.5}"),
         ]);
     }
-    print!("{}", t3.render());
-    println!("\nTable 4 — code region view:");
+    out!("{}", t3.render());
+    outln!("\nTable 4 — code region view:");
     let mut t4 =
         limba_viz::table::TextTable::new(vec!["loop".into(), "ID_C".into(), "SID_C".into()]);
     for s in &report.region_view.summaries {
@@ -58,26 +65,26 @@ pub(crate) fn run(argv: &[String]) -> Result<crate::CmdOutcome, String> {
             format!("{sid:.5}"),
         ]);
     }
-    print!("{}", t4.render());
-    println!("\nFigure 1 — computation patterns:");
+    out!("{}", t4.render());
+    outln!("\nFigure 1 — computation patterns:");
     let fig1 = report
         .pattern_for(ActivityKind::Computation)
         .ok_or("missing computation pattern")?;
-    print!("{}", limba_viz::pattern::render(fig1));
-    println!("\nFigure 2 — point-to-point patterns:");
+    out!("{}", limba_viz::pattern::render(fig1));
+    outln!("\nFigure 2 — point-to-point patterns:");
     let fig2 = report
         .pattern_for(ActivityKind::PointToPoint)
         .ok_or("missing point-to-point pattern")?;
-    print!("{}", limba_viz::pattern::render(fig2));
-    println!("\nProcessor view findings:");
+    out!("{}", limba_viz::pattern::render(fig2));
+    outln!("\nProcessor view findings:");
     if let Some((p, n)) = report.findings.processors.most_frequently_imbalanced {
-        println!(
+        outln!(
             "  most frequently imbalanced: processor {} ({n} loops)",
             p.index() + 1
         );
     }
     if let Some((p, t)) = report.findings.processors.longest_imbalanced {
-        println!(
+        outln!(
             "  imbalanced for the longest time: processor {} ({t:.2} s)",
             p.index() + 1
         );
@@ -92,7 +99,7 @@ pub(crate) fn run(argv: &[String]) -> Result<crate::CmdOutcome, String> {
         }
         let heatmap = limba_viz::svg::processor_heatmap_svg(&report);
         fs::write(dir.join("processor_view.svg"), heatmap).map_err(|e| e.to_string())?;
-        println!("\nSVG figures written to {}", dir.display());
+        outln!("\nSVG figures written to {}", dir.display());
     }
     Ok(crate::CmdOutcome::Complete)
 }

@@ -13,16 +13,26 @@ use limba_mpisim::{MachineConfig, Simulator};
 use limba_serve::client::{self, PushStatus};
 use limba_serve::{DetectorConfig, PushSession, ServeConfig, Server};
 
-use crate::args::{parse, parse_imbalance, Parsed};
+use crate::args::{parse, parse_imbalance, Flags, Parsed};
 use crate::cmd_simulate::{build_program, Engine};
 use limba_workloads::Imbalance;
 
 /// Default listen / connect address for the serving protocol.
 const DEFAULT_ADDR: &str = "127.0.0.1:7979";
 
+/// The flags `serve` accepts.
+const SERVE_FLAGS: Flags = Flags {
+    command: "serve",
+    options: &[
+        &["listen", "max-tenants", "max-sessions", "shards", "window"],
+        &["checkpoint-dir", "io-faults"],
+    ],
+    switches: &[],
+};
+
 /// Runs `limba serve [OPTIONS]`.
 pub(crate) fn serve(argv: &[String]) -> Result<crate::CmdOutcome, String> {
-    let parsed: Parsed = parse(argv)?;
+    let parsed: Parsed = parse(argv, &SERVE_FLAGS)?;
     if let Some(extra) = parsed.positional.first() {
         return Err(format!(
             "serve takes no positional arguments, got {extra:?}"
@@ -69,7 +79,7 @@ pub(crate) fn serve(argv: &[String]) -> Result<crate::CmdOutcome, String> {
 
     let persistent = cfg.checkpoint_dir.is_some();
     let server = Server::start(&listen, cfg).map_err(|e| e.to_string())?;
-    println!(
+    outln!(
         "limba-serve listening on {} ({})",
         server.addr(),
         if persistent {
@@ -78,16 +88,27 @@ pub(crate) fn serve(argv: &[String]) -> Result<crate::CmdOutcome, String> {
             "ephemeral: no --checkpoint-dir"
         }
     );
-    println!("stop with `limba query SHUTDOWN --to {}`", server.addr());
+    outln!("stop with `limba query SHUTDOWN --to {}`", server.addr());
     server.wait_cancelled();
     server.shutdown().map_err(|e| e.to_string())?;
-    println!("limba-serve stopped");
+    outln!("limba-serve stopped");
     Ok(crate::CmdOutcome::Complete)
 }
 
+/// The flags `push` accepts.
+const PUSH_FLAGS: Flags = Flags {
+    command: "push",
+    options: &[
+        &["to", "tenant", "run", "workload"],
+        &["ranks", "iterations", "imbalance", "seed", "jobs", "engine"],
+        &["stream-frame-events"],
+    ],
+    switches: &[],
+};
+
 /// Runs `limba push [<tracefile>] [OPTIONS]`.
 pub(crate) fn push(argv: &[String]) -> Result<crate::CmdOutcome, String> {
-    let parsed: Parsed = parse(argv)?;
+    let parsed: Parsed = parse(argv, &PUSH_FLAGS)?;
     let addr = parsed.get("to").unwrap_or(DEFAULT_ADDR).to_string();
     let tenant = parsed.get("tenant").unwrap_or("default").to_string();
 
@@ -114,7 +135,7 @@ pub(crate) fn push(argv: &[String]) -> Result<crate::CmdOutcome, String> {
 
     let session = PushSession::connect(&addr, &tenant, &run).map_err(|e| e.to_string())?;
     if session.offset() > 0 {
-        println!(
+        outln!(
             "resuming {tenant}/{run}: server holds {} bytes, skipping",
             session.offset()
         );
@@ -167,13 +188,13 @@ pub(crate) fn push(argv: &[String]) -> Result<crate::CmdOutcome, String> {
     };
     match outcome.status {
         PushStatus::Complete => {
-            println!("run {tenant}/{run} complete; final report:");
-            print!("{}", outcome.report);
+            outln!("run {tenant}/{run} complete; final report:");
+            out!("{}", outcome.report);
             Ok(crate::CmdOutcome::Complete)
         }
         PushStatus::Salvaged => {
-            println!("run {tenant}/{run} ended early; salvaged report:");
-            print!("{}", outcome.report);
+            outln!("run {tenant}/{run} ended early; salvaged report:");
+            out!("{}", outcome.report);
             Ok(crate::CmdOutcome::Partial)
         }
     }
@@ -187,9 +208,16 @@ enum Source {
     Workload(String),
 }
 
+/// The flags `query` accepts.
+const QUERY_FLAGS: Flags = Flags {
+    command: "query",
+    options: &[&["to"]],
+    switches: &[],
+};
+
 /// Runs `limba query <words...> [--to ADDR]`.
 pub(crate) fn query(argv: &[String]) -> Result<crate::CmdOutcome, String> {
-    let parsed: Parsed = parse(argv)?;
+    let parsed: Parsed = parse(argv, &QUERY_FLAGS)?;
     if parsed.positional.is_empty() {
         return Err(
             "query needs a request, e.g. `limba query STATUS` or `limba query REPORT t r`".into(),
@@ -198,6 +226,6 @@ pub(crate) fn query(argv: &[String]) -> Result<crate::CmdOutcome, String> {
     let addr = parsed.get("to").unwrap_or(DEFAULT_ADDR).to_string();
     let line = parsed.positional.join(" ");
     let response = client::query(&addr, &line).map_err(|e| e.to_string())?;
-    print!("{response}");
+    out!("{response}");
     Ok(crate::CmdOutcome::Complete)
 }

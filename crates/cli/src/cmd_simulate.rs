@@ -13,13 +13,21 @@ use limba_workloads::{
     sweep::SweepConfig, Imbalance,
 };
 
-use crate::args::{parse_imbalance, parse_with_switches, Parsed};
-use crate::supervise::Supervision;
+use crate::args::{parse, parse_imbalance, Flags, Parsed};
+use crate::supervise::{self, Supervision};
 
-/// Bare switches `simulate` accepts: the supervision switches (kept in
-/// sync with [`crate::supervise::SWITCHES`] by a test below) plus the
-/// streaming-reduction mode.
-const SIM_SWITCHES: &[&str] = &["resume", "json", "stream-reduce"];
+/// The flags `simulate` accepts.
+const FLAGS: Flags = Flags {
+    command: "simulate",
+    options: &[
+        &["ranks", "iterations", "imbalance", "seed", "jobs"],
+        &["replications", "faults", "balance", "engine"],
+        &["out", "format", "stream-out", "stream-frame-events"],
+        crate::cmd_analyze::REPORT_OPTIONS,
+        supervise::OPTIONS,
+    ],
+    switches: &[&["stream-reduce"], supervise::SWITCHES],
+};
 
 pub(crate) fn build_program(
     workload: &str,
@@ -692,7 +700,7 @@ fn run_stream_reduce(
     drop(tee_sink);
 
     let output = &streamed.output;
-    print!(
+    out!(
         "{}",
         run_summary(
             workload,
@@ -703,11 +711,11 @@ fn run_stream_reduce(
         )
     );
     match &stream_out {
-        Some(path) => println!(
+        Some(path) => outln!(
             "streamed reduce: {} events in frames of {frame_events}, trace teed to {path}",
             streamed.scan.events
         ),
-        None => println!(
+        None => outln!(
             "streamed reduce: {} events in frames of {frame_events}, no tracefile written",
             streamed.scan.events
         ),
@@ -763,8 +771,7 @@ fn run_stream_out(
     };
 
     let (output, to_stdout) = if path == "-" {
-        let stdout = std::io::stdout();
-        let mut sink = limba_trace::WriteSink::new(std::io::BufWriter::new(stdout.lock()));
+        let mut sink = limba_trace::WriteSink::new(std::io::BufWriter::new(crate::out::Stdout));
         (run_into(&mut sink)?, true)
     } else {
         (run_into(&mut durable_file(path)?)?, false)
@@ -786,23 +793,23 @@ fn run_stream_out(
     if to_stdout {
         eprint!("{status}");
     } else {
-        print!("{status}");
+        out!("{status}");
     }
     Ok(crate::CmdOutcome::Complete)
 }
 
 /// Runs `limba simulate <workload> [options]`.
 pub(crate) fn run(argv: &[String]) -> Result<crate::CmdOutcome, String> {
-    let parsed: Parsed = parse_with_switches(argv, SIM_SWITCHES)?;
+    let parsed: Parsed = parse(argv, &FLAGS)?;
     // `--faults list` is a query, not a run: answer it even without a
     // workload on the command line.
     if parsed.get("faults") == Some("list") {
-        print!("{}", render_fault_presets());
+        out!("{}", render_fault_presets());
         return Ok(crate::CmdOutcome::Complete);
     }
     // Same for `--balance list`.
     if parsed.get("balance") == Some("list") {
-        print!("{}", render_balance_presets());
+        out!("{}", render_balance_presets());
         return Ok(crate::CmdOutcome::Complete);
     }
     let workload = parsed
@@ -879,7 +886,7 @@ pub(crate) fn run(argv: &[String]) -> Result<crate::CmdOutcome, String> {
             balance: balance.as_ref(),
         };
         let (table, manifest) = render_sweep(&spec, &supervision)?;
-        print!("{table}");
+        out!("{table}");
         supervision.write_manifest(&manifest)?;
         return Ok(Supervision::outcome_of(&manifest));
     }
@@ -893,7 +900,7 @@ pub(crate) fn run(argv: &[String]) -> Result<crate::CmdOutcome, String> {
         jobs,
     )?;
     write_trace(&output.trace, &out, &format)?;
-    print!(
+    out!(
         "{}",
         run_summary(
             &workload,
@@ -903,7 +910,7 @@ pub(crate) fn run(argv: &[String]) -> Result<crate::CmdOutcome, String> {
             balance.and(Some(&output.balance)),
         )
     );
-    println!(
+    outln!(
         "trace written to {out} ({format}, {} events)",
         output.trace.events().len()
     );
@@ -911,7 +918,15 @@ pub(crate) fn run(argv: &[String]) -> Result<crate::CmdOutcome, String> {
 }
 
 /// Runs `limba demo`: CFD proxy with injected skew, analyzed in memory.
-pub(crate) fn demo() -> Result<crate::CmdOutcome, String> {
+pub(crate) fn demo(argv: &[String]) -> Result<crate::CmdOutcome, String> {
+    parse(
+        argv,
+        &Flags {
+            command: "demo",
+            options: &[],
+            switches: &[],
+        },
+    )?;
     let program = CfdConfig::new(16)
         .with_iterations(2)
         .with_imbalance(Imbalance::LinearSkew { spread: 0.4 })
@@ -922,7 +937,7 @@ pub(crate) fn demo() -> Result<crate::CmdOutcome, String> {
     let report = limba_analysis::Analyzer::new()
         .analyze(&reduced.measurements)
         .map_err(|e| e.to_string())?;
-    print!("{}", limba_viz::report::render(&report));
+    out!("{}", limba_viz::report::render(&report));
     Ok(crate::CmdOutcome::Complete)
 }
 
@@ -1253,16 +1268,6 @@ mod tests {
         // 12 ranks → 3×4 or 4×3; must build and simulate.
         let p = build_program("stencil", 12, Some(2), Imbalance::None, 0).unwrap();
         simulate(&p, 12).unwrap();
-    }
-
-    #[test]
-    fn sim_switches_cover_supervision() {
-        for s in crate::supervise::SWITCHES {
-            assert!(
-                SIM_SWITCHES.contains(s),
-                "supervision switch --{s} missing from SIM_SWITCHES"
-            );
-        }
     }
 
     fn args(v: &[&str]) -> Vec<String> {

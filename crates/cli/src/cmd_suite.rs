@@ -19,8 +19,15 @@ use limba_workloads::{
     pipeline::PipelineConfig, stencil::StencilConfig, sweep::SweepConfig, Imbalance,
 };
 
-use crate::args::{parse_with_switches, Parsed};
-use crate::supervise::Supervision;
+use crate::args::{parse, Flags, Parsed};
+use crate::supervise::{self, Supervision};
+
+/// The flags `suite` accepts.
+const FLAGS: Flags = Flags {
+    command: "suite",
+    options: &[&["ranks", "jobs"], supervise::OPTIONS],
+    switches: &[supervise::SWITCHES],
+};
 
 fn programs(ranks: usize, imbalance: Imbalance) -> Vec<(&'static str, Program)> {
     vec![
@@ -248,12 +255,12 @@ pub(crate) fn render(
 
 /// Runs `limba suite [--ranks N] [--jobs N] [supervision flags]`.
 pub(crate) fn run(argv: &[String]) -> Result<crate::CmdOutcome, String> {
-    let parsed: Parsed = parse_with_switches(argv, crate::supervise::SWITCHES)?;
+    let parsed: Parsed = parse(argv, &FLAGS)?;
     let ranks: usize = parsed.get_or("ranks", 8)?;
     let jobs: usize = parsed.get_or("jobs", 1)?;
     let supervision = Supervision::from_args(&parsed)?;
     let (table, manifest) = render(ranks, jobs, &supervision)?;
-    print!("{table}");
+    out!("{table}");
     supervision.write_manifest(&manifest)?;
     Ok(Supervision::outcome_of(&manifest))
 }

@@ -2,11 +2,18 @@
 
 use std::fs;
 
-use crate::args::parse;
+use crate::args::{parse, Flags};
+
+/// The flags `timeline` accepts.
+const FLAGS: Flags = Flags {
+    command: "timeline",
+    options: &[&["out", "width"]],
+    switches: &[],
+};
 
 /// Runs `limba timeline <tracefile> [--out PATH] [--width PX]`.
 pub(crate) fn run(argv: &[String]) -> Result<crate::CmdOutcome, String> {
-    let parsed = parse(argv)?;
+    let parsed = parse(argv, &FLAGS)?;
     let path = parsed
         .positional
         .first()
@@ -22,7 +29,7 @@ pub(crate) fn run(argv: &[String]) -> Result<crate::CmdOutcome, String> {
         .ok_or_else(|| "trace read did not complete".to_string())?;
     let svg = limba_viz::timeline::timeline_svg(&trace, width).map_err(|e| e.to_string())?;
     fs::write(out, svg).map_err(|e| e.to_string())?;
-    println!("timeline written to {out}");
+    outln!("timeline written to {out}");
     Ok(crate::CmdOutcome::Complete)
 }
 

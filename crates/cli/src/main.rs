@@ -7,6 +7,9 @@
 
 use std::process::ExitCode;
 
+// First, so that `out!` and `outln!` are in scope in every module.
+#[macro_use]
+mod out;
 mod args;
 mod cmd_advise;
 mod cmd_analyze;
@@ -165,8 +168,6 @@ SUPERVISION (simulate --replications N, suite, advise):
   --resume               load PATH first and run only the missing units; the
                          resumed output is byte-identical to an uninterrupted
                          run at any --jobs
-  --max-retries N        retry transiently failing units up to N times with
-                         exponential backoff (default 0; panics never retry)
   --manifest PATH        write a machine-readable JSON run manifest to PATH
 
 EXIT CODES:
@@ -191,13 +192,14 @@ fn main() -> ExitCode {
         "serve" => cmd_serve::serve(rest),
         "push" => cmd_serve::push(rest),
         "query" => cmd_serve::query(rest),
-        "demo" => cmd_simulate::demo(),
+        "demo" => cmd_simulate::demo(rest),
         "help" | "--help" | "-h" => {
-            print!("{USAGE}");
+            out!("{USAGE}");
             Ok(CmdOutcome::Complete)
         }
         other => Err(format!("unknown command {other:?}; see `limba help`")),
     };
+    let result = result.and_then(|outcome| out::finish().map(|()| outcome));
     match result {
         Ok(CmdOutcome::Complete) => ExitCode::SUCCESS,
         Ok(CmdOutcome::Partial) => ExitCode::from(PARTIAL_EXIT_CODE),

@@ -1,18 +1,21 @@
 //! Shared supervision plumbing: the `--deadline` / `--max-units` /
-//! `--checkpoint` / `--resume` / `--max-retries` / `--manifest` flags,
+//! `--checkpoint` / `--resume` / `--manifest` flags,
 //! their translation into a [`Supervisor`], and the partial-result
 //! exit-code protocol.
 
 use std::path::PathBuf;
 use std::time::Duration;
 
-use limba_guard::{RetryPolicy, RunManifest, Supervisor};
+use limba_guard::{RunManifest, Supervisor};
 
 use crate::args::Parsed;
 use crate::CmdOutcome;
 
+/// The value flags shared by every supervised subcommand.
+pub(crate) const OPTIONS: &[&str] = &["deadline", "max-units", "checkpoint", "manifest"];
+
 /// The bare switches shared by every supervised subcommand.
-pub(crate) const SWITCHES: &[&str] = &["resume", "json"];
+pub(crate) const SWITCHES: &[&str] = &["resume"];
 
 /// Supervision options parsed from the command line.
 #[derive(Debug, Clone, Default)]
@@ -21,7 +24,6 @@ pub(crate) struct Supervision {
     pub max_units: Option<usize>,
     pub checkpoint: Option<PathBuf>,
     pub resume: bool,
-    pub max_retries: u32,
     pub manifest: Option<PathBuf>,
 }
 
@@ -58,22 +60,19 @@ impl Supervision {
         if resume && checkpoint.is_none() {
             return Err("--resume needs --checkpoint <path>".into());
         }
-        let max_retries: u32 = parsed.get_or("max-retries", 0)?;
         let manifest = parsed.get("manifest").map(PathBuf::from);
         Ok(Supervision {
             deadline,
             max_units,
             checkpoint,
             resume,
-            max_retries,
             manifest,
         })
     }
 
     /// Builds the [`Supervisor`] these options describe.
     pub(crate) fn supervisor(&self, jobs: usize) -> Supervisor {
-        let mut supervisor =
-            Supervisor::new(jobs).with_retry(RetryPolicy::with_max_retries(self.max_retries));
+        let mut supervisor = Supervisor::new(jobs);
         if let Some(deadline) = self.deadline {
             supervisor = supervisor.with_deadline(deadline);
         }
@@ -110,7 +109,13 @@ impl Supervision {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::args::parse_with_switches;
+    use crate::args::{parse, Flags};
+
+    const FLAGS: Flags = Flags {
+        command: "test",
+        options: &[OPTIONS],
+        switches: &[SWITCHES],
+    };
 
     fn strs(v: &[&str]) -> Vec<String> {
         v.iter().map(|s| s.to_string()).collect()
@@ -118,7 +123,7 @@ mod tests {
 
     #[test]
     fn parses_the_full_flag_set() {
-        let parsed = parse_with_switches(
+        let parsed = parse(
             &strs(&[
                 "--deadline",
                 "2.5",
@@ -127,12 +132,10 @@ mod tests {
                 "--checkpoint",
                 "run.ckpt",
                 "--resume",
-                "--max-retries",
-                "3",
                 "--manifest",
                 "run.json",
             ]),
-            SWITCHES,
+            &FLAGS,
         )
         .unwrap();
         let s = Supervision::from_args(&parsed).unwrap();
@@ -143,7 +146,6 @@ mod tests {
             Some(std::path::Path::new("run.ckpt"))
         );
         assert!(s.resume);
-        assert_eq!(s.max_retries, 3);
         assert_eq!(
             s.manifest.as_deref(),
             Some(std::path::Path::new("run.json"))
@@ -152,7 +154,7 @@ mod tests {
 
     #[test]
     fn resume_requires_a_checkpoint() {
-        let parsed = parse_with_switches(&strs(&["--resume"]), SWITCHES).unwrap();
+        let parsed = parse(&strs(&["--resume"]), &FLAGS).unwrap();
         assert!(Supervision::from_args(&parsed)
             .unwrap_err()
             .contains("--checkpoint"));
@@ -161,19 +163,18 @@ mod tests {
     #[test]
     fn bad_deadlines_are_rejected() {
         for bad in ["-1", "nan", "inf", "x"] {
-            let parsed = parse_with_switches(&strs(&["--deadline", bad]), SWITCHES).unwrap();
+            let parsed = parse(&strs(&["--deadline", bad]), &FLAGS).unwrap();
             assert!(Supervision::from_args(&parsed).is_err(), "{bad}");
         }
     }
 
     #[test]
     fn absent_flags_mean_no_supervision() {
-        let parsed = parse_with_switches(&[], SWITCHES).unwrap();
+        let parsed = parse(&[], &FLAGS).unwrap();
         let s = Supervision::from_args(&parsed).unwrap();
         assert!(s.deadline.is_none());
         assert!(s.max_units.is_none());
         assert!(s.checkpoint.is_none());
         assert!(!s.resume);
-        assert_eq!(s.max_retries, 0);
     }
 }

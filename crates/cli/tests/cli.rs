@@ -699,6 +699,64 @@ fn bad_flags_are_reported() {
     std::fs::remove_file(&text).ok();
 }
 
+#[test]
+fn misspelt_flags_are_named_errors() {
+    for (args, flag, command) in [
+        (
+            &["simulate", "cfd", "--rnaks", "4"][..],
+            "--rnaks",
+            "simulate",
+        ),
+        (
+            &["analyze", "x.limba", "--dispersoin", "gini"],
+            "--dispersoin",
+            "analyze",
+        ),
+        (
+            &["advise", "--workload", "cfd", "--bugdet", "4"],
+            "--bugdet",
+            "advise",
+        ),
+    ] {
+        let out = limba(args);
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?}");
+        assert_eq!(
+            String::from_utf8_lossy(&out.stderr),
+            format!("error: unknown option {flag} for limba {command}; see limba help\n")
+        );
+    }
+}
+
+/// Runs `limba` with a stdout pipe whose reader has already gone away.
+fn limba_into_closed_pipe(args: &[&str]) -> Output {
+    let (reader, writer) = std::io::pipe().unwrap();
+    drop(reader);
+    Command::new(env!("CARGO_BIN_EXE_limba"))
+        .args(args)
+        .stdout(writer)
+        .output()
+        .expect("binary runs")
+}
+
+#[test]
+fn a_closed_stdout_is_a_quiet_exit() {
+    let trace = temp_path("closed-stdout.limba");
+    let path = trace.to_str().unwrap();
+    assert!(limba(&["simulate", "cfd", "--ranks", "4", "--out", path])
+        .status
+        .success());
+    for args in [&["paper"][..], &["analyze", path]] {
+        let out = limba_into_closed_pipe(args);
+        assert_eq!(
+            (out.status.code(), String::from_utf8_lossy(&out.stderr)),
+            (Some(0), "".into()),
+            "{args:?}"
+        );
+    }
+    std::fs::remove_file(&trace).ok();
+}
+
 /// The shared sweep arguments for the kill-resume E2E locks.
 fn sweep_args<'a>(extra: &[&'a str]) -> Vec<&'a str> {
     let mut args = vec![

@@ -4,15 +4,14 @@
 //! are a pure function of the inputs, never of scheduling. This crate
 //! adds the operational half of that story — what happens when a sweep
 //! is *interrupted* (deadline, Ctrl-C, crash) or a unit of work
-//! *misbehaves* (panics, fails transiently) — without giving the
+//! *misbehaves* (panics, fails) — without giving the
 //! invariant up:
 //!
 //! * [`Supervisor`] runs a batch of independent units under a
 //!   wall-clock deadline, a unit-count cap, and a cooperative
 //!   [`CancelToken`](limba_par::CancelToken), isolating each unit with
 //!   `catch_unwind` so a panicking unit becomes a structured
-//!   [`JobFailure`] while the rest of the sweep completes, and retrying
-//!   retryable failures with exponential backoff;
+//!   [`JobFailure`] while the rest of the sweep completes;
 //! * [`Checkpoint`] is a versioned, checksummed, atomically-written
 //!   store of completed unit payloads. The supervisor saves it after
 //!   every completed unit, so a killed run leaves a valid file; a
@@ -22,8 +21,8 @@
 //!   renders **byte-identically** to an uninterrupted one at any
 //!   `--jobs` setting;
 //! * [`RunManifest`] is the machine-readable account of a supervised
-//!   run: completed / failed / skipped / cached counts, retry totals,
-//!   and every failure with its unit index and reason, rendered as
+//!   run: completed / failed / skipped / cached counts and every
+//!   failure with its unit index and reason, rendered as
 //!   deterministic JSON;
 //! * [`CheckpointVerifyCache`] plugs the checkpoint store into the
 //!   advisor's [`VerifyCache`](limba_advisor::VerifyCache), making
@@ -50,7 +49,7 @@ pub(crate) mod supervisor;
 pub(crate) mod verify_cache;
 
 pub use checkpoint::Checkpoint;
-pub use job::{FailureKind, JobError, JobFailure, RetryPolicy};
+pub use job::{FailureKind, JobError, JobFailure};
 pub use manifest::{RunManifest, StopReason};
 pub use supervisor::{PayloadCodec, SupervisedRun, Supervisor};
 pub use verify_cache::{CheckpointVerifyCache, VERIFY_KIND};

@@ -49,8 +49,6 @@ pub struct RunManifest {
     pub failures: Vec<JobFailure>,
     /// Units never started (interrupted before they were claimed).
     pub skipped: usize,
-    /// Total retry attempts across all units.
-    pub retries: u32,
     /// Why the run stopped early, if it did.
     pub stopped: Option<StopReason>,
 }
@@ -74,7 +72,6 @@ impl RunManifest {
         out.push_str(&format!("  \"completed\": {},\n", self.completed));
         out.push_str(&format!("  \"cached\": {},\n", self.cached));
         out.push_str(&format!("  \"skipped\": {},\n", self.skipped));
-        out.push_str(&format!("  \"retries\": {},\n", self.retries));
         out.push_str(&format!("  \"complete\": {},\n", self.is_complete()));
         match &self.stopped {
             Some(reason) => out.push_str(&format!(
@@ -93,9 +90,8 @@ impl RunManifest {
                 FailureKind::Failed { .. } => "failed",
             };
             out.push_str(&format!(
-                "\n    {{\"unit\": {}, \"attempts\": {}, \"kind\": {}, \"message\": {}}}",
+                "\n    {{\"unit\": {}, \"kind\": {}, \"message\": {}}}",
                 failure.unit,
-                failure.attempts,
                 json_string(kind),
                 json_string(failure.kind.message())
             ));
@@ -142,13 +138,11 @@ mod tests {
             cached: 2,
             failures: vec![JobFailure {
                 unit: 4,
-                attempts: 3,
                 kind: FailureKind::Failed {
                     message: "replication diverged".into(),
                 },
             }],
             skipped: 1,
-            retries: 2,
             stopped: Some(StopReason::DeadlineExpired),
         }
     }

@@ -1,5 +1,5 @@
 //! The supervised parallel runner: deadlines, unit caps, cooperative
-//! cancellation, panic isolation, retry, and incremental checkpointing
+//! cancellation, panic isolation, and incremental checkpointing
 //! over a batch of independent units.
 //!
 //! The determinism contract: a unit's payload depends only on its input
@@ -11,14 +11,14 @@
 //! byte-identical to an uninterrupted run, at any `jobs` setting.
 
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use limba_par::{par_map_cancellable, CancelToken};
 
 use crate::checkpoint::Checkpoint;
-use crate::job::{run_with_retry, JobError, JobFailure, RetryPolicy};
+use crate::job::{run_isolated, JobError, JobFailure};
 use crate::manifest::{RunManifest, StopReason};
 use crate::GuardError;
 
@@ -58,29 +58,27 @@ enum Outcome<P> {
     Declined,
 }
 
-/// Supervised execution policy: how many workers, when to stop, how to
-/// retry, and where to checkpoint.
+/// Supervised execution policy: how many workers, when to stop, and
+/// where to checkpoint.
 #[derive(Debug, Clone)]
 pub struct Supervisor {
     jobs: usize,
     deadline: Option<Duration>,
     max_units: Option<usize>,
     cancel: CancelToken,
-    retry: RetryPolicy,
     checkpoint: Option<PathBuf>,
     resume: bool,
 }
 
 impl Supervisor {
     /// A supervisor with `jobs` workers (0 = one per CPU), no deadline,
-    /// no unit cap, no retries, and no checkpointing.
+    /// no unit cap, and no checkpointing.
     pub fn new(jobs: usize) -> Self {
         Supervisor {
             jobs,
             deadline: None,
             max_units: None,
             cancel: CancelToken::new(),
-            retry: RetryPolicy::default(),
             checkpoint: None,
             resume: false,
         }
@@ -107,12 +105,6 @@ impl Supervisor {
     /// unit cap is reached.
     pub fn with_cancel(mut self, cancel: CancelToken) -> Self {
         self.cancel = cancel;
-        self
-    }
-
-    /// Sets the retry policy for retryable unit failures.
-    pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
         self
     }
 
@@ -189,7 +181,6 @@ impl Supervisor {
         // Phase 2: run the pending units under supervision.
         let start = Instant::now();
         let claimed = AtomicUsize::new(0);
-        let retries = AtomicU32::new(0);
         let stopped: Mutex<Option<StopReason>> = Mutex::new(None);
         let store: Mutex<(Checkpoint, Option<GuardError>)> = Mutex::new((checkpoint, None));
         let set_stopped = |reason: StopReason| {
@@ -215,9 +206,8 @@ impl Supervisor {
                     return Outcome::Declined;
                 }
             }
-            match run_with_retry(index, &self.retry, || work(index, &items[index])) {
-                Ok((payload, attempts)) => {
-                    retries.fetch_add(attempts - 1, Ordering::Relaxed);
+            match run_isolated(index, || work(index, &items[index])) {
+                Ok(payload) => {
                     if let Some(path) = &self.checkpoint {
                         let mut guard = store.lock().unwrap_or_else(PoisonError::into_inner);
                         let (ckpt, save_error) = &mut *guard;
@@ -230,10 +220,7 @@ impl Supervisor {
                     }
                     Outcome::Done(payload)
                 }
-                Err(failure) => {
-                    retries.fetch_add(failure.attempts - 1, Ordering::Relaxed);
-                    Outcome::Failed(failure)
-                }
+                Err(failure) => Outcome::Failed(failure),
             }
         });
 
@@ -270,7 +257,6 @@ impl Supervisor {
             cached,
             failures,
             skipped,
-            retries: retries.into_inner(),
             stopped: stop_reason,
         };
         Ok(SupervisedRun {
@@ -486,27 +472,6 @@ mod tests {
         assert_eq!(run.manifest.completed, 0);
         assert_eq!(run.manifest.skipped, 8);
         assert_eq!(run.manifest.stopped, Some(StopReason::DeadlineExpired));
-    }
-
-    #[test]
-    fn retries_are_counted_in_the_manifest() {
-        let items: Vec<u64> = (0..3).collect();
-        let flaky = std::sync::atomic::AtomicU32::new(0);
-        let policy = RetryPolicy {
-            max_retries: 2,
-            base_backoff: Duration::ZERO,
-        };
-        let run = Supervisor::new(1)
-            .with_retry(policy)
-            .run("test", 1, &items, &U64Codec, |i, &x| {
-                if i == 1 && flaky.fetch_add(1, Ordering::SeqCst) == 0 {
-                    return Err(JobError::Retryable("transient".into()));
-                }
-                Ok(x)
-            })
-            .unwrap();
-        assert!(run.manifest.is_complete());
-        assert_eq!(run.manifest.retries, 1);
     }
 
     #[test]

@@ -5,9 +5,8 @@
 //! resuming it from its checkpoint reaches output byte-identical to an
 //! uninterrupted run, at any `jobs` setting. Alongside it, the
 //! robustness half: a panicking unit becomes a structured `JobFailure`
-//! while the rest of the sweep completes, retryable failures are
-//! retried with a bounded budget, and corrupted checkpoint files are
-//! rejected with named errors, never a panic.
+//! while the rest of the sweep completes, and corrupted checkpoint
+//! files are rejected with named errors, never a panic.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -17,8 +16,7 @@ use limba::advisor::{AdviseError, Advisor, Scenario};
 use limba::analysis::Analyzer;
 use limba::guard::codec::{ByteReader, ByteWriter};
 use limba::guard::{
-    config_fingerprint, CheckpointVerifyCache, GuardError, JobError, PayloadCodec, RetryPolicy,
-    Supervisor,
+    config_fingerprint, CheckpointVerifyCache, GuardError, JobError, PayloadCodec, Supervisor,
 };
 use limba::mpisim::{MachineConfig, Simulator};
 use limba::par::{derive_seed, CancelToken};
@@ -184,24 +182,6 @@ fn panicking_unit_is_isolated_and_reported() {
             None => panic!("unit {i} never ran"),
         }
     }
-}
-
-#[test]
-fn retryable_failures_are_retried_within_budget() {
-    let items: Vec<usize> = (0..4).collect();
-    let flaky_calls = AtomicUsize::new(0);
-    let run = Supervisor::new(1)
-        .with_retry(RetryPolicy::with_max_retries(2))
-        .run(KIND, 3, &items, &LineCodec, |_, &i| {
-            if i == 2 && flaky_calls.fetch_add(1, Ordering::SeqCst) == 0 {
-                return Err(JobError::Retryable("transient glitch".into()));
-            }
-            replicate(i)
-        })
-        .unwrap();
-    assert!(run.manifest.is_complete());
-    assert_eq!(run.manifest.retries, 1);
-    assert_eq!(flaky_calls.load(Ordering::SeqCst), 2);
 }
 
 #[test]

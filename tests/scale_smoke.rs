@@ -2,7 +2,7 @@
 //! channel routing is sparse, so memory must grow sub-quadratically in
 //! the rank count, and the engine triple must stay bit-identical at
 //! thousands of ranks — not just at the 8–64 ranks the rest of the
-//! suite exercises.
+//! suite exercises — and on every communication pattern at 64 ranks.
 //!
 //! The peak-footprint check uses a counting `GlobalAlloc` shim over the
 //! system allocator. Everything runs inside one `#[test]` so the
@@ -14,8 +14,11 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use limba::analysis::snapshot::canonical;
 use limba::analysis::Analyzer;
-use limba::mpisim::{MachineConfig, SimOutput, Simulator};
-use limba::workloads::{cfd::CfdConfig, Imbalance};
+use limba::mpisim::{MachineConfig, Program, SimOutput, Simulator};
+use limba::workloads::{
+    cfd::CfdConfig, fft::FftConfig, irregular::IrregularConfig, master_worker::MasterWorkerConfig,
+    pipeline::PipelineConfig, stencil::StencilConfig, sweep::SweepConfig, Imbalance,
+};
 
 /// Tracks live bytes and the high-water mark across every allocation in
 /// the test binary. `realloc`/`alloc_zeroed` use the default trait
@@ -55,14 +58,17 @@ fn with_peak<R>(f: impl FnOnce() -> R) -> (R, usize) {
     (result, peak.saturating_sub(before))
 }
 
-fn cfd_event_run(ranks: usize) -> SimOutput {
-    let program = CfdConfig::new(ranks)
+fn cfd_program(ranks: usize) -> Program {
+    CfdConfig::new(ranks)
         .with_imbalance(Imbalance::RandomJitter { amplitude: 0.2 })
         .with_seed(2003)
         .build_program()
-        .expect("cfd builds");
+        .expect("cfd builds")
+}
+
+fn cfd_event_run(ranks: usize) -> SimOutput {
     Simulator::new(MachineConfig::new(ranks))
-        .run(&program)
+        .run(&cfd_program(ranks))
         .expect("event run")
 }
 
@@ -93,28 +99,98 @@ fn thousands_of_ranks_stay_sub_quadratic_and_engine_identical() {
          hot state is no longer sub-quadratic in the rank count"
     );
 
-    // Engine triple at 4k ranks: event, polling, and parallel event
-    // must agree byte for byte, down to the canonical analysis digest.
-    let ranks = 4096usize;
-    let program = CfdConfig::new(ranks)
-        .with_imbalance(Imbalance::RandomJitter { amplitude: 0.2 })
-        .with_seed(2003)
-        .build_program()
-        .expect("cfd builds");
-    let sim = Simulator::new(MachineConfig::new(ranks));
+    // Engine triple: event, polling, and parallel event must agree byte
+    // for byte, down to the canonical analysis digest — on the CFD proxy
+    // from 16 to 4k ranks, one program of each communication pattern at
+    // 64 ranks, and the stencil at 4k ranks.
+    let jitter = Imbalance::RandomJitter { amplitude: 0.2 };
+    let cases: Vec<(&str, Program)> = vec![
+        ("cfd 16", cfd_program(16)),
+        ("cfd 64", cfd_program(64)),
+        ("cfd 256", cfd_program(256)),
+        ("cfd 1k", cfd_program(1024)),
+        (
+            "stencil 8x8",
+            StencilConfig::new(8, 8)
+                .with_imbalance(jitter)
+                .build_program()
+                .expect("workload builds"),
+        ),
+        (
+            "master-worker 64",
+            MasterWorkerConfig::new(64)
+                .with_tasks(256)
+                .with_imbalance(jitter)
+                .build_program()
+                .expect("workload builds"),
+        ),
+        (
+            "pipeline 64",
+            PipelineConfig::new(64)
+                .with_items(32)
+                .with_imbalance(jitter)
+                .build_program()
+                .expect("workload builds"),
+        ),
+        (
+            "irregular 64",
+            IrregularConfig::new(64)
+                .with_steps(8)
+                .with_imbalance(jitter)
+                .build_program()
+                .expect("workload builds"),
+        ),
+        (
+            "fft 64",
+            FftConfig::new(64)
+                .with_imbalance(jitter)
+                .build_program()
+                .expect("workload builds"),
+        ),
+        (
+            "sweep 64",
+            SweepConfig::new(64)
+                .with_imbalance(jitter)
+                .build_program()
+                .expect("workload builds"),
+        ),
+        (
+            "stencil 64x64",
+            StencilConfig::new(64, 64)
+                .with_imbalance(jitter)
+                .build_program()
+                .expect("workload builds"),
+        ),
+    ];
+    assert_engines_agree("cfd 4k", &cfd_program(4096), &out_4k);
+    for (label, program) in &cases {
+        let event = Simulator::new(MachineConfig::new(program.ranks()))
+            .run(program)
+            .expect("event run");
+        assert_engines_agree(label, program, &event);
+    }
+}
+
+/// Asserts that the polling and the parallel event engine (4 worker
+/// threads) reproduce `event`, the event engine's run of `program`.
+fn assert_engines_agree(label: &str, program: &Program, event: &SimOutput) {
+    let sim = Simulator::new(MachineConfig::new(program.ranks()));
     let polling = sim
-        .run_polling_configured(&program, None, None, None)
+        .run_polling_configured(program, None, None, None)
         .expect("polling run");
-    assert_eq!(out_4k.trace, polling.trace, "4k: polling trace diverges");
-    assert_eq!(out_4k.stats, polling.stats, "4k: polling stats diverge");
-    let par = sim
-        .run_parallel_configured(&program, None, None, None, 4)
-        .expect("parallel event run");
-    assert_eq!(out_4k.trace, par.trace, "4k: event-par trace diverges");
-    assert_eq!(out_4k.stats, par.stats, "4k: event-par stats diverge");
     assert_eq!(
-        canonical_digest(&out_4k),
+        event.trace, polling.trace,
+        "{label}: polling trace diverges"
+    );
+    assert_eq!(event.stats, polling.stats, "{label}: polling stats diverge");
+    let par = sim
+        .run_parallel_configured(program, None, None, None, 4)
+        .expect("parallel event run");
+    assert_eq!(event.trace, par.trace, "{label}: event-par trace diverges");
+    assert_eq!(event.stats, par.stats, "{label}: event-par stats diverge");
+    assert_eq!(
+        canonical_digest(event),
         canonical_digest(&polling),
-        "4k: canonical snapshot digest diverges between engines"
+        "{label}: canonical snapshot digest diverges between engines"
     );
 }

@@ -190,8 +190,9 @@ type Decoded = (SalvagedTrace, Option<Vec<ReducedTrace>>);
 
 /// The codec leg: the case rerun through [`stream_reduce_tee`] with a
 /// [`WriteSink`] tee, and the teed v3 bytes decoded with [`decode_all`]
-/// — a scan, then fresh folds — the way `analyze --from-stream
-/// --windows` reads a tracefile (without `--windows` it reads once, its
+/// — a scan, then fresh folds — the way `analyze --windows` reads a
+/// tracefile: the first read learns the makespan the window fold needs,
+/// the second folds the windows (without `--windows` it reads once, its
 /// salvage fold seeded with the standard activities, which gives the
 /// same result as seeding it from the scan). `stream_reduce` hands the simulator's events to its
 /// folds directly, so this leg is what keeps simulator → v3 encoder →
