@@ -4,6 +4,9 @@
 //! measured value where the paper prints one. Exits nonzero if any check
 //! fails, so it doubles as a CI gate.
 
+#[macro_use]
+extern crate limba_viz;
+
 use limba_analysis::cluster_regions::{cluster_regions, FeatureScaling};
 use limba_analysis::views::ActivitySummary;
 use limba_analysis::{Analyzer, Report};
@@ -22,9 +25,9 @@ struct Checker {
 impl Checker {
     /// Prints the verdict on `label`, then the `figures` behind it.
     fn check(&mut self, label: &str, ok: bool, figures: &[String]) {
-        println!("[{}] {label}", if ok { "PASS" } else { "FAIL" });
+        outln!("[{}] {label}", if ok { "PASS" } else { "FAIL" });
         for line in figures {
-            println!("    {line}");
+            outln!("    {line}");
         }
         if ok {
             self.passed += 1;
@@ -79,7 +82,7 @@ fn largest(values: &[f64]) -> f64 {
     values.iter().copied().fold(0.0, f64::max)
 }
 
-fn main() {
+fn main() -> std::process::ExitCode {
     let mut c = Checker {
         passed: 0,
         failed: 0,
@@ -105,7 +108,7 @@ fn main() {
     totals.sort_by(f64::total_cmp);
     let shown: Vec<String> = totals.iter().map(|t| format!("{t:.2}")).collect();
     let loops_total: f64 = TABLE1_OVERALL.iter().sum();
-    println!(
+    outln!(
         "program total T implied by the {} (ID, SID) pairs of Tables 3-4: {} s; \
          median {:.2} s\nreconstruction: T = {PROGRAM_TOTAL} s, the loops sum to \
          {loops_total:.3} s, {:.3} s outside them\n",
@@ -392,8 +395,6 @@ fn main() {
         ],
     );
 
-    println!("\n{} passed, {} failed", c.passed, c.failed);
-    if c.failed > 0 {
-        std::process::exit(1);
-    }
+    outln!("\n{} passed, {} failed", c.passed, c.failed);
+    limba_bench::exit_status(c.failed == 0)
 }

@@ -2,6 +2,9 @@
 //! criteria"): how much do the severity criteria agree on which regions
 //! deserve tuning, across the case study and all simulated workloads?
 
+#[macro_use]
+extern crate limba_viz;
+
 use limba_analysis::criteria::criteria_study;
 use limba_analysis::Analyzer;
 use limba_bench::simulated_cfd_measurements;
@@ -27,31 +30,33 @@ fn study(name: &str, m: &Measurements) {
     let scores: Vec<f64> = report.region_view.summaries.iter().map(|s| s.sid).collect();
     let criteria = candidates();
     let study = criteria_study(&scores, &criteria).expect("study runs");
-    println!("\n=== {name} (SID_C over {} regions) ===", scores.len());
-    print!("{:<12}", "");
+    outln!("\n=== {name} (SID_C over {} regions) ===", scores.len());
+    out!("{:<12}", "");
     for l in &study.labels {
-        print!("{l:>11}");
+        out!("{l:>11}");
     }
-    println!();
+    outln!();
     for (i, row) in study.matrix.iter().enumerate() {
-        print!("{:<12}", study.labels[i]);
+        out!("{:<12}", study.labels[i]);
         for v in row {
-            print!("{v:>11.2}");
+            out!("{v:>11.2}");
         }
-        println!();
+        outln!();
     }
     if let Some((i, j, v)) = study.most_divergent() {
-        println!(
+        outln!(
             "most divergent pair: {} vs {} (Jaccard {v:.2})",
-            study.labels[i], study.labels[j]
+            study.labels[i],
+            study.labels[j]
         );
     }
 }
 
-fn main() {
-    println!("=== Severity-criteria agreement study ===");
+fn main() -> std::process::ExitCode {
+    outln!("=== Severity-criteria agreement study ===");
     let paper = limba_calibrate::paper::paper_measurements().expect("calibrates");
     study("paper case study", &paper);
     let simulated = simulated_cfd_measurements(2);
     study("simulated CFD proxy", &simulated);
+    limba_bench::exit_status(true)
 }

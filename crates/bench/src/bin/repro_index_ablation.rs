@@ -3,16 +3,23 @@
 //! index … depends on the objective of the study"). Would the paper's
 //! conclusions change under a different index?
 
+#[macro_use]
+extern crate limba_viz;
+
 use limba_analysis::Analyzer;
 use limba_model::ActivityKind;
 use limba_stats::dispersion::{DispersionIndex, DispersionKind};
 
-fn main() {
-    println!("=== Index-of-dispersion ablation on the paper's case study ===\n");
+fn main() -> std::process::ExitCode {
+    outln!("=== Index-of-dispersion ablation on the paper's case study ===\n");
     let m = limba_calibrate::paper::paper_measurements().expect("calibrates");
-    println!(
+    outln!(
         "{:<12} {:>18} {:>14} {:>16} {:>14}",
-        "index", "worst activity", "worst loop", "scaled activity", "candidate"
+        "index",
+        "worst activity",
+        "worst loop",
+        "scaled activity",
+        "candidate"
     );
     let mut agree = 0;
     for kind in DispersionKind::ALL {
@@ -46,18 +53,19 @@ fn main() {
         if matches_paper {
             agree += 1;
         }
-        println!(
+        outln!(
             "{:<12} {worst_activity:>18} {worst_loop:>14} {:>16} {candidate:>14}{}",
             kind.name(),
             scaled.to_string(),
             if matches_paper { "" } else { "   <- diverges" }
         );
     }
-    println!(
+    outln!(
         "\n{agree}/{} indices reproduce the paper's three headline findings\n\
          (worst activity = synchronization, worst loop = loop 6, candidate = loop 1).\n\
          All provided indices are Schur-convex, so divergences reflect weighting,\n\
          not a different notion of spread.",
         DispersionKind::ALL.len()
     );
+    limba_bench::exit_status(true)
 }

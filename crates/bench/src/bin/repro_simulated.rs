@@ -3,16 +3,21 @@
 //! qualitative story re-emerges from first principles (no calibration).
 //! Exits 1 when any qualitative check fails.
 
+#[macro_use]
+extern crate limba_viz;
+
 use limba_analysis::Analyzer;
 use limba_bench::simulated_cfd;
 use limba_model::ActivityKind;
 
-fn main() {
-    println!("=== End-to-end: CFD proxy on the simulated machine ===\n");
+fn main() -> std::process::ExitCode {
+    outln!("=== End-to-end: CFD proxy on the simulated machine ===\n");
     let out = simulated_cfd(2);
-    println!(
+    outln!(
         "simulated run: makespan {:.3} s, {} p2p messages, {} collectives",
-        out.stats.makespan, out.stats.messages, out.stats.collectives
+        out.stats.makespan,
+        out.stats.messages,
+        out.stats.collectives
     );
     let reduced = out.reduce().expect("trace reduces");
     let report = Analyzer::new()
@@ -64,18 +69,16 @@ fn main() {
                 .unwrap_or(false),
         ),
     ];
-    println!();
+    outln!();
     let mut pass = 0;
     for (label, ok) in &checks {
-        println!("[{}] {label}", if *ok { "PASS" } else { "FAIL" });
+        outln!("[{}] {label}", if *ok { "PASS" } else { "FAIL" });
         if *ok {
             pass += 1;
         }
     }
-    println!("\n{pass}/{} qualitative checks hold", checks.len());
-    println!("\nfull report:\n");
-    print!("{}", limba_viz::report::render(&report));
-    if pass < checks.len() {
-        std::process::exit(1);
-    }
+    outln!("\n{pass}/{} qualitative checks hold", checks.len());
+    outln!("\nfull report:\n");
+    out!("{}", limba_viz::report::render(&report));
+    limba_bench::exit_status(pass == checks.len())
 }

@@ -1,6 +1,8 @@
 //! Shared helpers for the `repro_*` binaries: `repro_all` checks every
 //! table, figure and in-text claim of the paper, the others run the
-//! studies beyond it.
+//! studies beyond it. They all print through
+//! [`limba_viz::stdout`] and end with [`exit_status`], so a reader
+//! that closes the pipe early (`repro_all | head -3`) ends them quietly.
 
 use limba_analysis::{Analyzer, Report};
 use limba_model::Measurements;
@@ -47,6 +49,21 @@ pub fn simulated_cfd_measurements(iterations: usize) -> Measurements {
 pub fn compare_line(label: &str, paper: f64, measured: f64) -> String {
     let delta = measured - paper;
     format!("{label:<28} paper {paper:>9.5}   measured {measured:>9.5}   delta {delta:>+9.5}")
+}
+
+/// A binary's exit status: flushes stdout and fails when `passed` is
+/// false or a write to stdout failed for any reason but a closed pipe
+/// (which is reported on stderr).
+pub fn exit_status(passed: bool) -> std::process::ExitCode {
+    if let Err(message) = limba_viz::stdout::finish() {
+        eprintln!("error: {message}");
+        return std::process::ExitCode::FAILURE;
+    }
+    if passed {
+        std::process::ExitCode::SUCCESS
+    } else {
+        std::process::ExitCode::FAILURE
+    }
 }
 
 #[cfg(test)]

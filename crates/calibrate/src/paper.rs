@@ -2,8 +2,10 @@
 //!
 //! Tables 1 and 2 of the paper are reproduced verbatim as constants. The
 //! scaled indices of Tables 3 and 4 imply a whole-program wall-clock time
-//! of [`PROGRAM_TOTAL`] ≈ 69.93 s — *larger* than the 64.754 s sum of the
-//! seven measured loops, i.e. the program spent ≈ 5.18 s outside them.
+//! near 70 s (the median of the eleven `(ID, SID)` estimates is 69.96 s;
+//! the reconstruction takes [`PROGRAM_TOTAL`] = 69.93 s) — *larger* than
+//! the 64.754 s sum of the seven measured loops, i.e. the program spent
+//! ≈ 5.18 s outside them.
 //! [`paper_measurements_with_tail`] adds that remainder as a balanced
 //! "rest of program" region, after which every `SID` value of Tables 3
 //! and 4 is reproduced to ≈ 1e-5.
@@ -82,10 +84,12 @@ pub const TABLE4: [(f64, f64); LOOPS] = [
 
 /// Whole-program wall-clock time implied by the paper's scaled indices.
 ///
-/// Every published `SID = (t/T)·ID` pair of Tables 3–4 solves to
-/// `T ≈ 69.93 s` (median of the ten estimates), while the seven loops sum
-/// to 64.754 s; the difference is program time outside the measured
-/// loops.
+/// Each of the eleven published `SID = (t/T)·ID` pairs of Tables 3–4
+/// solves for `T`. Nine give 69.88–70.40 s and the median of all eleven
+/// is 69.96 s; the two with the smallest printed `SID` (synchronization's
+/// 0.00016, loop 7's 0.00003) are dominated by rounding and give 71.96
+/// and 78.53 s. The seven loops sum to 64.754 s; the difference is
+/// program time outside the measured loops.
 pub const PROGRAM_TOTAL: f64 = 69.93;
 
 /// In-text processor-view claims of Section 4.

@@ -692,9 +692,7 @@ fn run_stream_reduce(
         balance,
         None,
         &cfg,
-        tee_sink
-            .as_mut()
-            .map(|s| s as &mut dyn limba_trace::TraceSink),
+        tee_sink.as_mut().map(|s| s as &mut (dyn TraceSink + Send)),
     )
     .map_err(|e| e.to_string())?;
     drop(tee_sink);
@@ -729,11 +727,12 @@ fn run_stream_reduce(
 
 /// `--stream-out` without `--stream-reduce`: run the streaming
 /// simulator with a [`WriteSink`](limba_trace::WriteSink) so the
-/// chunked-v3 trace is written as rounds retire — the trace is never
-/// resident. `-` writes the container to stdout (status lines move to
-/// stderr), which is what makes
+/// chunked-v3 trace is encoded and written on a second thread as rounds
+/// retire — the trace is never resident. `-` writes the container to
+/// stdout (status lines move to stderr), which is what makes
 /// `limba simulate ... --stream-out - | limba analyze -`
-/// a real pipe.
+/// a real pipe; a reader that goes away stops the run at the next round
+/// boundary, and the command ends quietly.
 #[allow(clippy::too_many_arguments)]
 fn run_stream_out(
     parsed: &Parsed,
@@ -755,9 +754,17 @@ fn run_stream_out(
         replications,
     )?;
     let path = parsed.get("stream-out").unwrap_or("-");
+    let to_stdout = path == "-";
     let sim = Simulator::new(MachineConfig::new(ranks));
 
-    let run_into = |sink: &mut dyn TraceSink| {
+    let mut sink: Box<dyn TraceSink + Send> = if to_stdout {
+        Box::new(limba_trace::WriteSink::new(std::io::BufWriter::new(
+            limba_viz::stdout::StreamStdout,
+        )))
+    } else {
+        Box::new(durable_file(path)?)
+    };
+    let written = limba_stream::pipelined(sink.as_mut(), |sink| {
         engine.run_streaming(
             "--stream-out",
             &sim,
@@ -768,13 +775,13 @@ fn run_stream_out(
             sink,
             frame_events,
         )
-    };
-
-    let (output, to_stdout) = if path == "-" {
-        let mut sink = limba_trace::WriteSink::new(std::io::BufWriter::new(crate::out::Stdout));
-        (run_into(&mut sink)?, true)
-    } else {
-        (run_into(&mut durable_file(path)?)?, false)
+    });
+    let output = match written {
+        Ok(output) => output?,
+        Err(_) if to_stdout && limba_viz::stdout::closed() => {
+            return Ok(crate::CmdOutcome::Complete)
+        }
+        Err(e) => return Err(limba_mpisim::SimError::Trace(e).to_string()),
     };
 
     // When the trace owns stdout, the human-readable summary moves to

@@ -7,9 +7,11 @@
 
 use std::process::ExitCode;
 
-// First, so that `out!` and `outln!` are in scope in every module.
+// `out!` and `outln!` in every module: stdout as `limba_viz::stdout`
+// writes it.
 #[macro_use]
-mod out;
+extern crate limba_viz;
+
 mod args;
 mod cmd_advise;
 mod cmd_analyze;
@@ -199,7 +201,7 @@ fn main() -> ExitCode {
         }
         other => Err(format!("unknown command {other:?}; see `limba help`")),
     };
-    let result = result.and_then(|outcome| out::finish().map(|()| outcome));
+    let result = result.and_then(|outcome| limba_viz::stdout::finish().map(|()| outcome));
     match result {
         Ok(CmdOutcome::Complete) => ExitCode::SUCCESS,
         Ok(CmdOutcome::Partial) => ExitCode::from(PARTIAL_EXIT_CODE),

@@ -233,6 +233,58 @@ fn activity_outliving_its_region_attributes_alike_on_every_path() {
     std::fs::remove_file(&trace).ok();
 }
 
+/// A reader that stops after the first bytes of `--stream-out -` ends
+/// the run: quietly, with status 0, and long before the whole trace
+/// would have been written.
+#[test]
+fn stream_out_to_a_closed_pipe_stops_the_run_quietly() {
+    use std::io::Read;
+    use std::process::Stdio;
+    use std::time::Instant;
+    let args = [
+        "simulate",
+        "cfd",
+        "--ranks",
+        "16384",
+        "--imbalance",
+        "jitter:0.2",
+        "--stream-out",
+        "-",
+    ];
+    let start = Instant::now();
+    let full = Command::new(env!("CARGO_BIN_EXE_limba"))
+        .args(args)
+        .stdout(Stdio::null())
+        .output()
+        .expect("run limba");
+    let full_s = start.elapsed();
+    assert!(full.status.success());
+    assert!(String::from_utf8_lossy(&full.stderr).contains("trace streamed to stdout"));
+
+    let start = Instant::now();
+    let mut child = Command::new(env!("CARGO_BIN_EXE_limba"))
+        .args(args)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("run limba");
+    let mut head = [0u8; 10];
+    // Read ten bytes, then close the pipe.
+    child.stdout.take().unwrap().read_exact(&mut head).unwrap();
+    let closed = child.wait_with_output().unwrap();
+    let closed_s = start.elapsed();
+    assert!(closed.status.success(), "{:?}", closed.status);
+    assert!(
+        closed.stderr.is_empty(),
+        "{}",
+        String::from_utf8_lossy(&closed.stderr)
+    );
+    assert!(
+        closed_s * 3 < full_s,
+        "stopped after {closed_s:?}; the whole run takes {full_s:?}"
+    );
+}
+
 /// Runs `limba` with `input` on stdin.
 fn limba_piped(args: &[&str], input: &[u8]) -> Output {
     use std::io::Write;

@@ -4,10 +4,12 @@
 //!
 //! The materialized pipeline builds each stage's full output before the
 //! next starts: simulate → [`Trace`] → tracefile → reduce. Here the
-//! simulator hands each retired batch of events straight to the
-//! reducing [`TraceSink`] folds, so a 64k-rank run is reduced (and,
-//! optionally, windowed) while holding only one batch of events plus
-//! the folds' per-rank state:
+//! simulator hands each retired batch of events to the reducing
+//! [`TraceSink`] folds, which run on a second thread while it simulates
+//! on ([`pipelined`]), so a 64k-rank run is reduced (and, optionally,
+//! windowed) while holding at most five batches of events — the one the
+//! simulator fills, two queued, one being folded and one being handed
+//! over — plus the folds' per-rank state:
 //!
 //! * [`stream_reduce`] — the driver the CLI and examples use. It
 //!   simulates once, folding the events into the salvaged reduction
@@ -19,7 +21,9 @@
 //!   identical event stream for the folds.
 //! * [`stream_reduce_tee`] — the same, with an extra sink (e.g. a
 //!   [`WriteSink`] persisting the chunked tracefile) fed the folding
-//!   run's events alongside the folds.
+//!   run's events alongside the folds, on the same fold thread.
+//! * [`pipelined`] — the two-thread pipeline under both: any producer
+//!   on the calling thread, any `Send` sink on the fold thread.
 //!
 //! Results are **bit-identical** to the materialized path — the folds
 //! drive the same per-rank attribution state machines over the same
@@ -44,6 +48,10 @@ use limba_trace::stream::StreamScan;
 use limba_trace::{
     ReducedTrace, SalvageSink, SalvagedTrace, ScanSink, TeeSink, TraceError, TraceSink, WindowSink,
 };
+
+mod pipeline;
+
+pub use pipeline::pipelined;
 
 /// Error of a streamed run.
 #[derive(Debug)]
@@ -131,13 +139,14 @@ pub struct StreamedReduction {
 /// reduction, never materializing the trace.
 ///
 /// Without [`StreamConfig::windows`] the program is simulated once:
-/// each batch of `frame_events` events goes straight into a
-/// [`ScanSink`] and a standard-seeded [`SalvageSink`], which appends
-/// the extra activities' columns as they first appear. With windows,
-/// the [`WindowSink`] needs the makespan at construction, so an
-/// O(1)-memory scan-only run comes first and the folds run on a
-/// second; the simulator's determinism makes both see the identical
-/// event stream.
+/// each batch of `frame_events` events goes to a [`ScanSink`] and a
+/// standard-seeded [`SalvageSink`], which appends the extra
+/// activities' columns as they first appear; they fold on a second
+/// thread while the simulator runs on the calling one ([`pipelined`]).
+/// With windows, the [`WindowSink`] needs the makespan at
+/// construction, so an O(1)-memory scan-only run comes first, on the
+/// calling thread alone, and the folds ride a second run; the
+/// simulator's determinism makes both see the identical event stream.
 ///
 /// The results are bit-identical to materializing the trace and
 /// reducing it, per the differential harness.
@@ -171,7 +180,10 @@ pub fn stream_reduce(
 ///
 /// As [`stream_reduce`]. An error from the tee aborts the simulation at
 /// the next round boundary, like a fold error, and is returned as
-/// [`StreamError::Trace`]; the tee is handed no events after it.
+/// [`StreamError::Trace`]; the tee is handed no events after it. A fold
+/// or tee error is returned in preference to a simulation error of the
+/// same run ([`pipelined`]'s precedence rule), and a panic in either is
+/// re-raised on the caller.
 pub fn stream_reduce_tee(
     sim: &Simulator,
     program: &Program,
@@ -179,7 +191,7 @@ pub fn stream_reduce_tee(
     balance: Option<&BalancePlan>,
     budget: Option<&RunBudget>,
     cfg: &StreamConfig,
-    tee: Option<&mut dyn TraceSink>,
+    tee: Option<&mut (dyn TraceSink + Send)>,
 ) -> Result<StreamedReduction, StreamError> {
     let run = |sink: &mut dyn TraceSink| {
         sim.run_streaming_parallel_configured(
@@ -193,17 +205,19 @@ pub fn stream_reduce_tee(
         )
     };
 
-    // Sink errors latch in the engine and surface as `SimError::Trace`;
-    // they are the stream's failure, not the run's.
-    let fold = |folds: &mut dyn TraceSink| {
+    // The folds (and the tee) run on the pipeline's worker thread. A
+    // sink's error wins over the run's; one that latched in the engine
+    // surfaces as `SimError::Trace`, and is the stream's failure too.
+    let fold = |folds: &mut (dyn TraceSink + Send)| {
         let result = match tee {
-            Some(tee) => run(&mut TeeSink::new(tee, folds)),
-            None => run(folds),
+            Some(tee) => pipelined(&mut TeeSink::new(tee, folds), run),
+            None => pipelined(folds, run),
         };
-        result.map_err(|e| match e {
-            SimError::Trace(te) => StreamError::Trace(te),
-            e => StreamError::Sim(e),
-        })
+        match result? {
+            Ok(output) => Ok(output),
+            Err(SimError::Trace(te)) => Err(StreamError::Trace(te)),
+            Err(e) => Err(StreamError::Sim(e)),
+        }
     };
 
     let mut salvage = SalvageSink::new(ActivitySet::standard());
@@ -387,5 +401,271 @@ mod tests {
         };
         let err = stream_reduce(&sim, &program, None, None, None, &cfg).expect_err("no time");
         assert!(err.to_string().contains("spans no time"), "{err}");
+    }
+
+    /// A fold that counts the batches it is handed, fails on batch
+    /// `reject_at` and sleeps `pause` on each batch, so a fast producer
+    /// has frames in flight.
+    struct Probe {
+        batches: usize,
+        reject_at: Option<usize>,
+        pause: std::time::Duration,
+    }
+
+    impl Probe {
+        fn new(reject_at: Option<usize>) -> Self {
+            Probe {
+                batches: 0,
+                reject_at,
+                pause: std::time::Duration::ZERO,
+            }
+        }
+    }
+
+    impl TraceSink for Probe {
+        fn begin(&mut self, _: usize, _: &[String]) -> Result<(), TraceError> {
+            Ok(())
+        }
+        fn events(&mut self, _: &[limba_trace::Event]) -> Result<(), TraceError> {
+            self.batches += 1;
+            std::thread::sleep(self.pause);
+            if self.reject_at == Some(self.batches) {
+                return Err(TraceError::Malformed {
+                    detail: format!("fold rejected batch {}", self.batches),
+                });
+            }
+            Ok(())
+        }
+        fn finish(&mut self) -> Result<(), TraceError> {
+            Ok(())
+        }
+    }
+
+    /// The serial path: the same folds as `stream_reduce_tee`'s
+    /// unwindowed run, called by the engine on the simulating thread.
+    fn serial(
+        sim: &Simulator,
+        program: &Program,
+        budget: Option<&RunBudget>,
+        cfg: &StreamConfig,
+        tee: &mut dyn TraceSink,
+    ) -> Result<StreamOutput, StreamError> {
+        let mut scan = ScanSink::new();
+        let mut salvage = SalvageSink::new(ActivitySet::standard());
+        let folds = TeeSink::new(&mut scan, &mut salvage);
+        sim.run_streaming_parallel_configured(
+            program,
+            None,
+            None,
+            budget,
+            cfg.jobs,
+            &mut TeeSink::new(tee, folds),
+            cfg.frame_events,
+        )
+        .map_err(|e| match e {
+            SimError::Trace(te) => StreamError::Trace(te),
+            e => StreamError::Sim(e),
+        })
+    }
+
+    /// `sample_program`, then every rank waits on its neighbour for a
+    /// message nobody sends: a deadlock some rounds into the run.
+    fn deadlocking_program(ranks: usize) -> Program {
+        use limba_mpisim::ProgramBuilder;
+        let mut b = ProgramBuilder::new(ranks);
+        let work = b.add_region("work");
+        let stuck = b.add_region("stuck");
+        b.spmd(|rank, mut ops| {
+            ops.enter(work);
+            ops.compute(1.0 + rank as f64 * 0.25);
+            ops.barrier();
+            ops.leave(work);
+            ops.enter(stuck);
+            ops.recv((rank + 1) % ranks);
+            ops.leave(stuck);
+        });
+        b.build().expect("valid program")
+    }
+
+    fn frame_by_frame() -> StreamConfig {
+        StreamConfig {
+            frame_events: 1,
+            ..StreamConfig::default()
+        }
+    }
+
+    #[test]
+    fn a_fold_rejecting_batch_k_fails_as_on_the_serial_path() {
+        let ranks = 6;
+        let sim = machine(ranks);
+        let program = sample_program(ranks);
+        let cfg = frame_by_frame();
+        for k in [1, 2, 9, 20] {
+            let mut tee = Probe::new(Some(k));
+            let piped = stream_reduce_tee(&sim, &program, None, None, None, &cfg, Some(&mut tee))
+                .expect_err("the fold rejects a batch");
+            assert_eq!(
+                tee.batches, k,
+                "batch {k}: the fold was fed after it failed"
+            );
+
+            let mut tee = Probe::new(Some(k));
+            let alone = serial(&sim, &program, None, &cfg, &mut tee).expect_err("serial");
+            assert_eq!(tee.batches, k);
+            assert_eq!(piped.to_string(), alone.to_string(), "batch {k}");
+            assert!(piped.to_string().contains(&format!("batch {k}")), "{piped}");
+        }
+    }
+
+    #[test]
+    fn a_panicking_fold_re_raises_its_panic_on_the_caller() {
+        struct Panics;
+        impl TraceSink for Panics {
+            fn begin(&mut self, _: usize, _: &[String]) -> Result<(), TraceError> {
+                Ok(())
+            }
+            fn events(&mut self, _: &[limba_trace::Event]) -> Result<(), TraceError> {
+                panic!("the fold blew up");
+            }
+            fn finish(&mut self) -> Result<(), TraceError> {
+                Ok(())
+            }
+        }
+        let message = |payload: Box<dyn std::any::Any + Send>| {
+            payload
+                .downcast_ref::<&str>()
+                .map(|s| s.to_string())
+                .or_else(|| payload.downcast_ref::<String>().cloned())
+                .unwrap_or_default()
+        };
+
+        let ranks = 4;
+        let sim = machine(ranks);
+        let program = sample_program(ranks);
+        let cfg = frame_by_frame();
+        let piped = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            stream_reduce_tee(&sim, &program, None, None, None, &cfg, Some(&mut Panics))
+        }))
+        .expect_err("the fold's panic reaches the caller");
+        let alone = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            serial(&sim, &program, None, &cfg, &mut Panics)
+        }))
+        .expect_err("serial");
+        assert_eq!(message(piped), "the fold blew up");
+        assert_eq!(message(alone), "the fold blew up");
+    }
+
+    #[test]
+    fn a_budget_interruption_with_frames_in_flight_keeps_its_diagnostic() {
+        let ranks = 8;
+        let sim = machine(ranks);
+        let program = sample_program(ranks);
+        let budget = RunBudget {
+            max_ops: Some(30),
+            ..RunBudget::default()
+        };
+        let expected = sim
+            .run_configured(&program, None, None, Some(&budget))
+            .expect_err("the budget interrupts the run");
+        assert!(matches!(expected, SimError::Interrupted { .. }));
+
+        let cfg = frame_by_frame();
+        // A slow fold: the simulator runs ahead and fills the channel.
+        let mut tee = Probe::new(None);
+        tee.pause = std::time::Duration::from_millis(1);
+        let piped = stream_reduce_tee(
+            &sim,
+            &program,
+            None,
+            None,
+            Some(&budget),
+            &cfg,
+            Some(&mut tee),
+        )
+        .expect_err("interrupted");
+        assert!(
+            matches!(piped, StreamError::Sim(ref e) if e.to_string() == expected.to_string()),
+            "{piped}"
+        );
+
+        // Every frame recorded before the interruption was folded.
+        let mut alone = Probe::new(None);
+        let err = serial(&sim, &program, Some(&budget), &cfg, &mut alone).expect_err("serial");
+        assert_eq!(err.to_string(), piped.to_string());
+        assert_eq!(tee.batches, alone.batches);
+        assert!(tee.batches > 0);
+    }
+
+    /// A fold error and a simulation error in one run: the fold's error
+    /// is returned (see `pipelined`'s precedence rule). The serial path
+    /// agrees whenever the fold fails in an earlier round than the
+    /// simulation, because it stops at the next round boundary; within
+    /// one round it reports the simulation's.
+    #[test]
+    fn a_fold_error_takes_precedence_over_a_simulation_error() {
+        let ranks = 4;
+        let sim = machine(ranks);
+        let program = deadlocking_program(ranks);
+        let cfg = frame_by_frame();
+
+        // Without a fold error the deadlock is returned unchanged.
+        let expected = sim.run(&program).expect_err("the program deadlocks");
+        assert!(matches!(expected, SimError::Deadlock { .. }));
+        let mut tee = Probe::new(None);
+        let piped = stream_reduce_tee(&sim, &program, None, None, None, &cfg, Some(&mut tee))
+            .expect_err("deadlock");
+        assert!(
+            matches!(piped, StreamError::Sim(ref e) if e.to_string() == expected.to_string()),
+            "{piped}"
+        );
+        let alone = serial(&sim, &program, None, &cfg, &mut Probe::new(None)).expect_err("serial");
+        assert_eq!(alone.to_string(), piped.to_string());
+
+        // A fold that fails on the first event: its error wins.
+        let mut tee = Probe::new(Some(1));
+        let piped = stream_reduce_tee(&sim, &program, None, None, None, &cfg, Some(&mut tee))
+            .expect_err("the fold fails");
+        assert!(matches!(piped, StreamError::Trace(_)), "{piped}");
+        assert_eq!(tee.batches, 1);
+        let alone =
+            serial(&sim, &program, None, &cfg, &mut Probe::new(Some(1))).expect_err("serial");
+        assert_eq!(alone.to_string(), piped.to_string());
+
+        // Also when the simulation fails before the fold's error can
+        // reach it: a budget that fires within the first round. The
+        // serial path checks its sink's error only at round boundaries,
+        // so there the interruption comes first; the pipelined run
+        // cannot tell how far the simulator got, and takes the fold's.
+        let budget = RunBudget {
+            max_ops: Some(2),
+            ..RunBudget::default()
+        };
+        let alone = serial(
+            &sim,
+            &program,
+            Some(&budget),
+            &cfg,
+            &mut Probe::new(Some(1)),
+        )
+        .expect_err("serial");
+        assert!(
+            matches!(alone, StreamError::Sim(SimError::Interrupted { .. })),
+            "{alone}"
+        );
+        let mut tee = Probe::new(Some(1));
+        let piped = stream_reduce_tee(
+            &sim,
+            &program,
+            None,
+            None,
+            Some(&budget),
+            &cfg,
+            Some(&mut tee),
+        )
+        .expect_err("both fail");
+        assert!(
+            piped.to_string().contains("fold rejected batch 1"),
+            "{piped}"
+        );
     }
 }

@@ -352,21 +352,41 @@ impl TraceSink for MaterializeSink {
     }
 }
 
-/// Forwards one stream to two sinks — e.g. a full reduction and a
-/// windowed one folding the same frames in a single pass.
-pub struct TeeSink<'a> {
-    first: &'a mut dyn TraceSink,
-    second: &'a mut dyn TraceSink,
+/// A borrowed sink is a sink: the stream reaches the sink behind it.
+impl<T: TraceSink + ?Sized> TraceSink for &mut T {
+    fn begin(&mut self, processors: usize, region_names: &[String]) -> Result<(), TraceError> {
+        (**self).begin(processors, region_names)
+    }
+
+    fn events(&mut self, events: &[Event]) -> Result<(), TraceError> {
+        (**self).events(events)
+    }
+
+    fn reserve(&mut self, events: usize) {
+        (**self).reserve(events);
+    }
+
+    fn finish(&mut self) -> Result<(), TraceError> {
+        (**self).finish()
+    }
 }
 
-impl<'a> TeeSink<'a> {
+/// Forwards one stream to two sinks — e.g. a full reduction and a
+/// windowed one folding the same frames in a single pass. A tee of two
+/// `Send` sinks is `Send`, so it can fold on another thread.
+pub struct TeeSink<A, B> {
+    first: A,
+    second: B,
+}
+
+impl<A: TraceSink, B: TraceSink> TeeSink<A, B> {
     /// Tees the stream into `first` then `second` (per call, in order).
-    pub fn new(first: &'a mut dyn TraceSink, second: &'a mut dyn TraceSink) -> Self {
+    pub fn new(first: A, second: B) -> Self {
         TeeSink { first, second }
     }
 }
 
-impl TraceSink for TeeSink<'_> {
+impl<A: TraceSink, B: TraceSink> TraceSink for TeeSink<A, B> {
     fn begin(&mut self, processors: usize, region_names: &[String]) -> Result<(), TraceError> {
         self.first.begin(processors, region_names)?;
         self.second.begin(processors, region_names)

@@ -7,7 +7,9 @@
 //! * [`advice`] — the ranked "recommended interventions" section from
 //!   an advisor run;
 //! * [`svg`] — standalone SVG renderings of pattern grids and Lorenz
-//!   curves.
+//!   curves;
+//! * [`stdout`] — the writer every rendering reaches standard output
+//!   through, where a closed pipe is a quiet end.
 //!
 //! # Example
 //!
@@ -27,6 +29,7 @@ pub mod advice;
 pub mod csv;
 pub mod pattern;
 pub mod report;
+pub mod stdout;
 pub mod svg;
 pub mod table;
 pub mod timeline;
