@@ -33,8 +33,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod io;
-
 mod activity;
 mod counting;
 mod error;

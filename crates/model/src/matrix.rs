@@ -290,11 +290,6 @@ impl MeasurementsBuilder {
         col
     }
 
-    /// Number of regions registered so far.
-    pub(crate) fn regions(&self) -> usize {
-        self.regions.len()
-    }
-
     /// Adds `seconds` to the `(region, kind, proc)` cell.
     ///
     /// # Errors

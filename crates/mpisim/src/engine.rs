@@ -162,29 +162,28 @@ pub struct SimOutput {
 }
 
 impl SimOutput {
-    /// Reduces the trace to measurement matrices (see
-    /// [`limba_trace::reduce`]).
-    ///
-    /// Simulator-produced traces are well-formed by construction, so
-    /// this takes the fast path that skips structural re-validation
-    /// ([`limba_trace::reduce_well_formed`]). For traces loaded from
-    /// external files, use the checked [`limba_trace::reduce`] — or
-    /// [`SimOutput::reduce_checked`] when the output was deserialized
-    /// rather than produced by [`Simulator::run`].
+    /// Reduces the trace to measurement matrices: the reduction
+    /// [`SimOutput::reduce_checked`] salvages, without the per-rank
+    /// coverage. On a well-formed trace it equals the strict
+    /// [`limba_trace::reduce`] bit for bit; a fault-injected run whose
+    /// crashed ranks left regions open is closed out at each rank's
+    /// last event, as the salvage does. Use
+    /// [`SimOutput::reduce_checked`] to see which ranks were cut short.
     ///
     /// # Errors
     ///
     /// Propagates reduction errors; a trace produced by the simulator
     /// always reduces, so failures indicate a bug.
     pub fn reduce(&self) -> Result<ReducedTrace, SimError> {
-        Ok(limba_trace::reduce_well_formed(&self.trace)?)
+        Ok(limba_trace::reduce_checked(&self.trace)?.reduced)
     }
 
-    /// Like [`SimOutput::reduce`], but re-validates the trace first and
-    /// *salvages* truncated per-rank streams instead of erroring. Use
-    /// when the trace did not come straight out of an unfaulted
-    /// [`Simulator::run`] — it round-tripped through an untrusted file,
-    /// or the run was fault-injected and some ranks crashed mid-region.
+    /// [`SimOutput::reduce`] with per-rank coverage: it *salvages*
+    /// truncated per-rank streams instead of erroring, and says which
+    /// ranks it salvaged. Use when the trace did not come straight out
+    /// of an unfaulted [`Simulator::run`] — it round-tripped through an
+    /// untrusted file, or the run was fault-injected and some ranks
+    /// crashed mid-region.
     ///
     /// The result carries per-rank coverage
     /// ([`limba_trace::RankCoverage`]) flagging every rank whose stream

@@ -89,11 +89,12 @@ pub fn write<W: Write>(trace: &Trace, mut writer: W) -> Result<(), TraceError> {
 pub fn from_bytes(buf: &[u8]) -> Result<Trace, TraceError> {
     if buf.len() >= 18 && buf.starts_with(MAGIC) && buf[8..10] == VERSION.to_le_bytes() {
         // Verify the whole payload before trusting any of its structure.
-        let (body, tail) = buf.split_at(buf.len() - 8);
-        let expected = u64::from_le_bytes(tail.try_into().expect("8-byte checksum slice"));
-        let actual = fnv1a(body);
-        if expected != actual {
-            return Err(TraceError::ChecksumMismatch { expected, actual });
+        if let Some((body, tail)) = buf.split_last_chunk() {
+            let expected = u64::from_le_bytes(*tail);
+            let actual = fnv1a(body);
+            if expected != actual {
+                return Err(TraceError::ChecksumMismatch { expected, actual });
+            }
         }
     }
     let mut sink = MaterializeSink::new();
@@ -116,6 +117,8 @@ pub fn read<R: Read>(mut reader: R) -> Result<Trace, TraceError> {
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::unwrap_used, clippy::panic)]
+
     use super::*;
     use crate::stream::{try_event, MAX_PROCESSORS};
     use crate::{Event, EventPayload, TraceBuilder};

@@ -174,23 +174,16 @@ impl Trace {
     ///
     /// Returns the first violation found.
     pub fn validate(&self) -> Result<(), TraceError> {
-        self.validated_rank_order().map(drop)
-    }
-
-    /// [`Trace::validate`], handing back the rank-order index the
-    /// per-rank checks walked so a reduction can walk the same one.
-    pub(crate) fn validated_rank_order(&self) -> Result<RankOrder<'_>, TraceError> {
         self.check_indices()?;
         let regions = self.region_names.len();
-        let order = self.rank_order();
-        for (proc, events) in order.ranks() {
-            let mut checker = RankChecker::new();
+        for (proc, events) in self.rank_order().ranks() {
+            let mut checker = RankChecker::new(proc);
             for (_, e) in events {
-                checker.step(proc, e, regions)?;
+                checker.step(e, regions)?;
             }
-            checker.finish(proc)?;
+            checker.finish()?;
         }
-        Ok(order)
+        Ok(())
     }
 
     /// [`Trace::validate`]'s range pass, in recording order: the first
@@ -310,29 +303,31 @@ impl<'a> RankOrder<'a> {
 
 /// Per-rank structural validation, one event at a time: monotone
 /// clock, balanced region nesting, matched activity begin/end pairs.
-/// The one validator — [`Trace::validate`] steps a checker over each
-/// processor's time-sorted events, and the strict streaming folds
-/// ([`ReduceSink`](crate::ReduceSink), [`WindowSink`](crate::WindowSink))
-/// step one per rank as events arrive, so both reject exactly the same
-/// malformed traces with the same errors — a crash-truncated trace
-/// fails windowing identically on both paths.
+/// The one validator: [`Trace::validate`] steps one over each
+/// processor's time-sorted events, and the strict reductions
+/// ([`reduce`](crate::reduce()), [`reduce_windows`](crate::reduce_windows),
+/// [`region_parents`](crate::region_parents) and their sinks) step one
+/// per rank inside their own walk, so they reject exactly the malformed
+/// traces `validate` rejects, with the same errors.
 ///
-/// Ordering caveat (the same one [`SalvageSink`](crate::SalvageSink)
-/// documents): `validate` scans rank 0's whole stream before rank 1's,
-/// so when *several* ranks are malformed it reports the lowest-ranked
-/// violation; a streaming fold reports the first in recording order.
-/// Truncation — the violation that actually occurs — only manifests at
-/// end of stream, where the folds call [`RankChecker::finish`] in rank
-/// order and report the identical error.
+/// Ordering caveat: a batch walk meets rank 0's whole stream, end check
+/// included, before rank 1's, so when *several* ranks are malformed it
+/// reports the lowest-ranked violation; a sink reports the first in
+/// recording order. Truncation, the violation that actually occurs,
+/// only shows at end of stream, where the sinks run the end checks in
+/// rank order and report the identical error.
 pub(crate) struct RankChecker {
+    proc: u32,
     stack: Vec<usize>,
     activity: Option<ActivityKind>,
     last_time: f64,
 }
 
 impl RankChecker {
-    pub(crate) fn new() -> Self {
+    /// A checker for processor `proc`'s events.
+    pub(crate) fn new(proc: u32) -> Self {
         RankChecker {
+            proc,
             stack: Vec::new(),
             activity: None,
             last_time: f64::NEG_INFINITY,
@@ -344,9 +339,10 @@ impl RankChecker {
         self.stack.last().copied()
     }
 
-    /// Checks the next event `e` of processor `proc` against a region
-    /// table of `regions` entries.
-    pub(crate) fn step(&mut self, proc: u32, e: &Event, regions: usize) -> Result<(), TraceError> {
+    /// Checks the rank's next event `e` against a region table of
+    /// `regions` entries.
+    pub(crate) fn step(&mut self, e: &Event, regions: usize) -> Result<(), TraceError> {
+        let proc = self.proc;
         match e.payload {
             EventPayload::EnterRegion { region } | EventPayload::LeaveRegion { region }
                 if region >= regions =>
@@ -416,14 +412,15 @@ impl RankChecker {
     }
 
     /// The end-of-trace checks: no activity or region left open.
-    pub(crate) fn finish(&mut self, proc: u32) -> Result<(), TraceError> {
+    pub(crate) fn finish(&self) -> Result<(), TraceError> {
+        let proc = self.proc;
         if let Some(kind) = self.activity {
             return Err(TraceError::UnbalancedNesting {
                 proc,
                 detail: format!("activity {kind} still open at end of trace"),
             });
         }
-        if let Some(region) = self.stack.pop() {
+        if let Some(region) = self.innermost() {
             return Err(TraceError::UnbalancedNesting {
                 proc,
                 detail: format!("region {region} still open at end of trace"),
@@ -503,6 +500,8 @@ impl TraceBuilder {
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::unwrap_used)]
+
     use super::*;
 
     fn r(i: usize) -> RegionId {

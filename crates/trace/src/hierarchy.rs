@@ -7,7 +7,8 @@
 //! regions to the specific statement block that misbehaves.
 
 use crate::event::RankChecker;
-use crate::stream::{check_processors, TraceSink};
+use crate::reduce::{replay, Fold};
+use crate::stream::{check_processors, Folding, TraceSink};
 use crate::{Event, EventPayload, Trace, TraceError};
 
 /// The observed parent of each region: `parents[r]` is `Some(q)` when
@@ -22,25 +23,21 @@ use crate::{Event, EventPayload, Trace, TraceError};
 /// not a tree and hierarchical analysis does not apply.
 pub fn region_parents(trace: &Trace) -> Result<Vec<Option<usize>>, TraceError> {
     trace.check_indices()?;
-    let mut fold = ParentsFold::new(trace.region_names().len());
-    for (proc, events) in trace.rank_order().ranks() {
-        let mut checker = RankChecker::new();
-        for (_, e) in events {
-            fold.step(&mut checker, proc, e);
-        }
-        fold.finish_rank(&mut checker, proc);
-    }
-    fold.into_parents()
+    replay(
+        &trace.rank_order(),
+        ParentsFold::new(trace.region_names().len()),
+    )
 }
 
-/// The per-event step [`region_parents`] and [`ParentsSink`] share:
-/// each rank's events pass through its [`RankChecker`], and a region
-/// entry records the innermost region open before it.
+/// The region-parents walk as a fold: each rank's events pass through
+/// its [`RankChecker`], and a region entry records the innermost region
+/// open before it.
 ///
 /// A structural error ends the fold. A region seen under two parents
 /// is remembered but does not: validation keeps running, and a later
 /// structural error takes precedence, as it does when the whole trace
-/// is validated before its nesting is read.
+/// is validated before its nesting is read. Neither is returned before
+/// [`finish`](Fold::finish), so [`ParentsSink`] never fails mid-stream.
 struct ParentsFold {
     /// `Some(None)` = seen at top level; `Some(Some(q))` = seen under q.
     parents: Vec<Option<Option<usize>>>,
@@ -56,21 +53,30 @@ impl ParentsFold {
             not_a_tree: None,
         }
     }
+}
 
-    fn step(&mut self, checker: &mut RankChecker, proc: u32, e: &Event) {
+impl Fold for ParentsFold {
+    type Rank = RankChecker;
+    type Output = Vec<Option<usize>>;
+
+    fn rank(&self, proc: u32) -> RankChecker {
+        RankChecker::new(proc)
+    }
+
+    fn step(&mut self, checker: &mut RankChecker, _: usize, e: &Event) -> Result<(), TraceError> {
         if self.invalid.is_some() {
-            return;
+            return Ok(());
         }
         let parent = checker.innermost();
-        if let Err(err) = checker.step(proc, e, self.parents.len()) {
+        if let Err(err) = checker.step(e, self.parents.len()) {
             self.invalid = Some(err);
-            return;
+            return Ok(());
         }
         let EventPayload::EnterRegion { region } = e.payload else {
-            return;
+            return Ok(());
         };
         if self.not_a_tree.is_some() {
-            return;
+            return Ok(());
         }
         match self.parents[region] {
             None => self.parents[region] = Some(parent),
@@ -84,16 +90,23 @@ impl ParentsFold {
                 })
             }
         }
+        Ok(())
     }
 
-    /// The rank's end-of-stream checks.
-    fn finish_rank(&mut self, checker: &mut RankChecker, proc: u32) {
+    fn end_rank(&mut self, checker: RankChecker) -> Result<(), TraceError> {
         if self.invalid.is_none() {
-            self.invalid = checker.finish(proc).err();
+            self.invalid = checker.finish().err();
         }
+        Ok(())
     }
 
-    fn into_parents(self) -> Result<Vec<Option<usize>>, TraceError> {
+    fn stray(&mut self, _: usize, e: &Event, _: usize) -> Result<(), TraceError> {
+        self.invalid
+            .get_or_insert(TraceError::UnknownProcessor { proc: e.proc });
+        Ok(())
+    }
+
+    fn finish(self) -> Result<Vec<Option<usize>>, TraceError> {
         if let Some(err) = self.invalid.or(self.not_a_tree) {
             return Err(err);
         }
@@ -102,10 +115,9 @@ impl ParentsFold {
     }
 }
 
-/// Streaming [`region_parents`]: the same per-event step, with one
-/// per-rank checker (the one [`Trace::validate`] steps) per rank as
-/// events arrive, so `--drilldown` reads a tracefile without
-/// materializing it.
+/// Streaming [`region_parents`]: the same fold, with one per-rank
+/// checker (the one [`Trace::validate`] steps) per rank as events
+/// arrive, so `--drilldown` reads a tracefile without materializing it.
 ///
 /// Its [`TraceSink`] methods never fail on the events themselves: the
 /// fold keeps its first error for [`ParentsSink::into_parents`], so it
@@ -117,9 +129,8 @@ impl ParentsFold {
 /// them in recording order, the batch walk in rank order.
 #[derive(Default)]
 pub struct ParentsSink {
-    fold: Option<ParentsFold>,
-    checkers: Vec<RankChecker>,
-    finished: bool,
+    run: Option<Folding<ParentsFold>>,
+    result: Option<Result<Vec<Option<usize>>, TraceError>>,
 }
 
 impl ParentsSink {
@@ -136,47 +147,32 @@ impl ParentsSink {
     /// The conditions of [`region_parents`], and a stream that never
     /// finished.
     pub fn into_parents(self) -> Result<Vec<Option<usize>>, TraceError> {
-        match self.fold {
-            Some(fold) if self.finished => fold.into_parents(),
-            _ => Err(TraceError::Malformed {
+        self.result.unwrap_or_else(|| {
+            Err(TraceError::Malformed {
                 detail: "region-parents fold did not complete".into(),
-            }),
-        }
+            })
+        })
     }
 }
 
 impl TraceSink for ParentsSink {
     fn begin(&mut self, processors: usize, region_names: &[String]) -> Result<(), TraceError> {
         check_processors(processors)?;
-        self.fold = Some(ParentsFold::new(region_names.len()));
-        self.checkers = std::iter::repeat_with(RankChecker::new)
-            .take(processors)
-            .collect();
+        let fold = ParentsFold::new(region_names.len());
+        self.run = Some(Folding::new(fold, processors));
         Ok(())
     }
 
     fn events(&mut self, events: &[Event]) -> Result<(), TraceError> {
-        let Some(fold) = self.fold.as_mut() else {
-            return Ok(());
-        };
-        for e in events {
-            match self.checkers.get_mut(e.proc as usize) {
-                Some(checker) => fold.step(checker, e.proc, e),
-                None => {
-                    fold.invalid
-                        .get_or_insert(TraceError::UnknownProcessor { proc: e.proc });
-                }
-            }
+        match self.run.as_mut() {
+            Some(run) => run.events(events),
+            None => Ok(()),
         }
-        Ok(())
     }
 
     fn finish(&mut self) -> Result<(), TraceError> {
-        if let Some(fold) = self.fold.as_mut() {
-            for (proc, checker) in (0u32..).zip(&mut self.checkers) {
-                fold.finish_rank(checker, proc);
-            }
-            self.finished = true;
+        if let Some(run) = self.run.take() {
+            self.result = Some(run.finish());
         }
         Ok(())
     }
@@ -184,6 +180,8 @@ impl TraceSink for ParentsSink {
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::unwrap_used)]
+
     use super::*;
     use crate::TraceBuilder;
 

@@ -45,6 +45,9 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(clippy::panic)]
+#![warn(clippy::unwrap_used)]
+#![warn(clippy::expect_used)]
 
 pub mod binary;
 pub(crate) mod durable;
@@ -61,7 +64,7 @@ mod salvage;
 pub use durable::{DurableSink, SealScan, SealScanner};
 pub use event::{Event, EventPayload, RankOrder, Trace, TraceBuilder};
 pub use hierarchy::{region_parents, ParentsSink};
-pub use reduce::{reduce, reduce_well_formed, reduce_windows, Attribution, ReducedTrace};
+pub use reduce::{reduce, reduce_windows, Attribution, ReducedTrace};
 pub use salvage::{reduce_checked, RankCoverage, SalvageWalker, SalvagedTrace};
 pub use stream::{
     MaterializeSink, ReduceSink, SalvageSink, ScanSink, StreamDecoder, StreamScan, TeeSink,

@@ -1,10 +1,24 @@
 //! Reduction of traces into measurement matrices.
+//!
+//! Every reduction is one [`Fold`]: the tables it fills, a per-event
+//! step and an end-of-rank step. The per-rank state is a value the
+//! driver holds, and two drivers run a fold. The sinks of
+//! [`crate::stream`] step it in recording order as events arrive, with
+//! one rank state per declared processor. The batch entry points —
+//! [`reduce`], [`reduce_windows`], [`reduce_checked`](crate::reduce_checked)
+//! and [`region_parents`](crate::region_parents) — [`replay`] a
+//! materialized trace's [`RankOrder`] into it, so only one rank's state
+//! is alive at a time. Each rank's events reach the same state machine
+//! in the same order on both drivers, and every matrix cell belongs to
+//! one rank, so the two drivers' results are bit-identical.
 
 use limba_model::{
     ActivityKind, ActivitySet, CountKind, CountMatrix, CountMatrixBuilder, Measurements,
-    MeasurementsBuilder, RegionId, STANDARD_ACTIVITIES,
+    MeasurementsBuilder, ModelError, RegionId, STANDARD_ACTIVITIES,
 };
 
+use crate::event::RankChecker;
+use crate::salvage::SalvageFold;
 use crate::{Event, EventPayload, RankOrder, SalvageWalker, Trace, TraceError};
 
 /// Result of reducing a trace: the timing matrix `t_ijp` and the message
@@ -50,85 +64,116 @@ pub enum Attribution {
     },
 }
 
-/// Records one rank's attributions into the full-run matrices, keeping
-/// the first model error and ignoring everything after it. The one
-/// place attribution meets the builders — the batch reductions and the
-/// streaming folds all record through it, so their per-cell
-/// accumulation sequences are identical by construction.
-pub(crate) struct Tally<'a> {
-    mb: &'a mut MeasurementsBuilder,
-    cb: &'a mut CountMatrixBuilder,
-    proc: usize,
-    failure: Option<limba_model::ModelError>,
+/// One reduction, stepped one event at a time by a driver that holds
+/// its per-rank state (see the [module docs](self)).
+pub(crate) trait Fold {
+    /// Per-rank state: made by [`rank`](Fold::rank), fed the rank's
+    /// events by [`step`](Fold::step), consumed by
+    /// [`end_rank`](Fold::end_rank).
+    type Rank;
+    /// What [`finish`](Fold::finish) produces.
+    type Output;
+
+    /// Fresh state for processor `proc`.
+    fn rank(&self, proc: u32) -> Self::Rank;
+
+    /// Folds the rank's next event `e`, in time order; `index` is its
+    /// recording-order position, which errors name.
+    fn step(&mut self, rank: &mut Self::Rank, index: usize, e: &Event) -> Result<(), TraceError>;
+
+    /// Ends the rank: none of its events follow.
+    fn end_rank(&mut self, rank: Self::Rank) -> Result<(), TraceError>;
+
+    /// Meets event `index`, which names a processor outside the
+    /// declared `processors`. Only a sink meets one: the batch entry
+    /// points reject such traces before they replay. The default fails
+    /// with [`TraceError::UnknownProcessor`].
+    fn stray(&mut self, index: usize, e: &Event, processors: usize) -> Result<(), TraceError> {
+        let _ = (index, processors);
+        Err(TraceError::UnknownProcessor { proc: e.proc })
+    }
+
+    /// The result, once every rank has ended.
+    fn finish(self) -> Result<Self::Output, TraceError>;
 }
 
-impl<'a> Tally<'a> {
-    pub(crate) fn new(
-        mb: &'a mut MeasurementsBuilder,
-        cb: &'a mut CountMatrixBuilder,
-        proc: u32,
-    ) -> Self {
-        Tally {
-            mb,
-            cb,
-            proc: proc as usize,
-            failure: None,
+/// The batch driver: each rank's events in time order, ascending by
+/// rank. One rank's state is created, stepped, ended and dropped
+/// before the next rank's is created.
+pub(crate) fn replay<F: Fold>(order: &RankOrder<'_>, mut fold: F) -> Result<F::Output, TraceError> {
+    for (proc, events) in order.ranks() {
+        let mut rank = fold.rank(proc);
+        for (index, e) in events {
+            fold.step(&mut rank, index, e)?;
         }
+        fold.end_rank(rank)?;
     }
-
-    pub(crate) fn record(&mut self, attribution: Attribution) {
-        if self.failure.is_some() {
-            return;
-        }
-        let result = match attribution {
-            Attribution::Interval {
-                region,
-                kind,
-                start,
-                end,
-            } => self
-                .mb
-                .record(RegionId::new(region), kind, self.proc, end - start),
-            Attribution::Count {
-                region,
-                kind,
-                amount,
-                ..
-            } => self
-                .cb
-                .record(RegionId::new(region), kind, self.proc, amount)
-                .and(Ok(())),
-        };
-        self.failure = result.err();
-    }
-
-    /// The first model error recorded, if any.
-    pub(crate) fn finish(self) -> Result<(), TraceError> {
-        self.failure.map_or(Ok(()), |e| Err(e.into()))
-    }
+    fold.finish()
 }
 
-/// Walks one processor's (validated, time-sorted) events and emits
-/// attributions. Time between explicit activity intervals counts as
-/// computation; nested regions attribute to the innermost region.
-///
-/// The strict paths step the same [`SalvageWalker`] the salvage
-/// reduction and the streaming folds step, so there is one attribution
-/// state machine. Validation leaves nothing open at the end of a rank,
-/// so the walker's truncation repair (`finish`) is never needed here;
-/// an activity that outlives its region is attributed to its
-/// begin-time region, exactly as the salvage path does.
-pub(crate) fn walk_processor<'e, F: FnMut(Attribution)>(
-    proc: u32,
+/// `F` with every rank validated as it walks: each event passes its
+/// rank's [`RankChecker`] before `F` steps it, and the rank's end check
+/// runs before `F` ends it. The strict reductions are checked folds. A
+/// rank that passes its end check has nothing open, so the walker's
+/// truncation repair emits nothing for it.
+pub(crate) struct Checked<F> {
+    fold: F,
     regions: usize,
-    events: impl IntoIterator<Item = (usize, &'e Event)>,
-    mut sink: F,
-) -> Result<(), TraceError> {
-    let mut walker = SalvageWalker::new(proc, regions);
-    for (index, e) in events {
-        walker.step(index, e, &mut sink)?;
+}
+
+impl<F> Checked<F> {
+    /// Checks every rank against a table of `regions` regions.
+    pub(crate) fn new(fold: F, regions: usize) -> Self {
+        Checked { fold, regions }
     }
-    Ok(())
+}
+
+impl<F: Fold> Fold for Checked<F> {
+    type Rank = (RankChecker, F::Rank);
+    type Output = F::Output;
+
+    fn rank(&self, proc: u32) -> Self::Rank {
+        (RankChecker::new(proc), self.fold.rank(proc))
+    }
+
+    fn step(&mut self, rank: &mut Self::Rank, index: usize, e: &Event) -> Result<(), TraceError> {
+        let (checker, rank) = rank;
+        checker.step(e, self.regions)?;
+        self.fold.step(rank, index, e)
+    }
+
+    fn end_rank(&mut self, (checker, rank): Self::Rank) -> Result<(), TraceError> {
+        checker.finish()?;
+        self.fold.end_rank(rank)
+    }
+
+    fn finish(self) -> Result<F::Output, TraceError> {
+        self.fold.finish()
+    }
+}
+
+/// A fresh measurement and count builder pair for one full-run or
+/// per-window matrix.
+pub(crate) fn builders(
+    processors: usize,
+    region_names: &[String],
+    activities: ActivitySet,
+) -> (MeasurementsBuilder, CountMatrixBuilder) {
+    let mut mb = MeasurementsBuilder::with_activities(processors, activities);
+    for name in region_names {
+        mb.add_region(name.clone());
+    }
+    (mb, CountMatrixBuilder::new(processors))
+}
+
+/// Builds a filled builder pair.
+pub(crate) fn build(
+    (mb, cb): (MeasurementsBuilder, CountMatrixBuilder),
+) -> Result<ReducedTrace, TraceError> {
+    Ok(ReducedTrace {
+        measurements: mb.build()?,
+        counts: cb.build(),
+    })
 }
 
 /// Folds one event into a running activity-kind list: the paper's
@@ -147,7 +192,10 @@ pub(crate) fn note_activity(kinds: &mut Vec<ActivityKind>, e: &Event) {
 }
 
 /// The activity set of a trace: the paper's standard four plus whatever
-/// else the trace actually used, in canonical order.
+/// else the trace actually used, in canonical order. The batch entry
+/// points seed the full-run folds with it: the folds grow a column at
+/// each new `BeginActivity`, and a rank-order replay meets those in a
+/// different order than the recording.
 pub(crate) fn trace_activities(trace: &Trace) -> ActivitySet {
     let mut kinds: Vec<ActivityKind> = STANDARD_ACTIVITIES.to_vec();
     for e in trace.events() {
@@ -169,48 +217,18 @@ pub(crate) fn trace_activities(trace: &Trace) -> ActivitySet {
 ///
 /// # Errors
 ///
-/// Returns validation errors (this function validates first) and model
-/// errors should the trace encode invalid values.
+/// Returns validation errors (the walk validates each rank as it goes,
+/// reporting what [`Trace::validate`] reports) and model errors should
+/// the trace encode invalid values.
 pub fn reduce(trace: &Trace) -> Result<ReducedTrace, TraceError> {
-    let order = trace.validated_rank_order()?;
-    reduce_ranks(trace, &order)
-}
-
-/// Reduces a trace that is well-formed *by construction* — e.g. one the
-/// simulator just produced — skipping the structural validation pass
-/// that [`reduce`] performs. Identical results on valid input, roughly
-/// half the walk cost.
-///
-/// Feeding a malformed trace (unbalanced nesting, dangling activities)
-/// is a logic error: the walk fails on the first structural fault it
-/// meets but checks less than [`reduce`], so route externally loaded
-/// traces through [`reduce`] instead.
-///
-/// # Errors
-///
-/// Returns model errors should the trace encode invalid values, and a
-/// [`TraceError::MalformedEvent`] for a structural fault the walk meets.
-pub fn reduce_well_formed(trace: &Trace) -> Result<ReducedTrace, TraceError> {
-    reduce_ranks(trace, &trace.rank_order())
-}
-
-fn reduce_ranks(trace: &Trace, order: &RankOrder<'_>) -> Result<ReducedTrace, TraceError> {
-    let mut mb = MeasurementsBuilder::with_activities(trace.processors(), trace_activities(trace));
-    for name in trace.region_names() {
-        mb.add_region(name.clone());
-    }
-    let mut cb = CountMatrixBuilder::new(trace.processors());
-    for (proc, events) in order.ranks() {
-        let mut tally = Tally::new(&mut mb, &mut cb, proc);
-        walk_processor(proc, trace.region_names().len(), events, |attribution| {
-            tally.record(attribution)
-        })?;
-        tally.finish()?;
-    }
-    Ok(ReducedTrace {
-        measurements: mb.build()?,
-        counts: cb.build(),
-    })
+    trace.check_indices()?;
+    let fold = SalvageFold::new(
+        trace.processors(),
+        trace.region_names(),
+        trace_activities(trace),
+    );
+    let regions = trace.region_names().len();
+    Ok(replay(&trace.rank_order(), Checked::new(fold, regions))?.reduced)
 }
 
 /// Reduces a validated trace into `windows` equal time slices of the
@@ -222,107 +240,159 @@ fn reduce_ranks(trace: &Trace, order: &RankOrder<'_>) -> Result<ReducedTrace, Tr
 /// # Errors
 ///
 /// Returns a malformed-trace error when `windows` is zero or the trace
-/// spans no time, plus the conditions of [`reduce`].
+/// spans no time, plus the conditions of [`reduce`]; a validation error
+/// comes first.
 pub fn reduce_windows(trace: &Trace, windows: usize) -> Result<Vec<ReducedTrace>, TraceError> {
-    let order = trace.validated_rank_order()?;
-    if windows == 0 {
-        return Err(TraceError::Malformed {
-            detail: "window count must be positive".into(),
-        });
-    }
+    trace.check_indices()?;
     let makespan = trace.events().iter().map(|e| e.time).fold(0.0f64, f64::max);
-    if makespan <= 0.0 {
-        return Err(TraceError::Malformed {
-            detail: "trace spans no time, cannot window".into(),
-        });
+    let width = window_width(windows, makespan);
+    if width.is_err() {
+        // A malformed trace reports that before a degenerate request.
+        trace.validate()?;
     }
-    let width = makespan / windows as f64;
-    let activities = trace_activities(trace);
-    let mut builders: Vec<(MeasurementsBuilder, CountMatrixBuilder)> = (0..windows)
-        .map(|_| {
-            let mut mb =
-                MeasurementsBuilder::with_activities(trace.processors(), activities.clone());
-            for name in trace.region_names() {
-                mb.add_region(name.clone());
-            }
-            (mb, CountMatrixBuilder::new(trace.processors()))
-        })
-        .collect();
-    let mut failure: Option<TraceError> = None;
-    for (proc, events) in order.ranks() {
-        walk_processor(proc, trace.region_names().len(), events, |attribution| {
-            if failure.is_some() {
-                return;
-            }
-            if let Err(e) = scatter_windowed(&mut builders, width, proc, attribution) {
-                failure = Some(e.into());
-            }
-        })?;
-    }
-    if let Some(e) = failure {
-        return Err(e);
-    }
-    builders
-        .into_iter()
-        .map(|(mb, cb)| {
-            Ok(ReducedTrace {
-                measurements: mb.build()?,
-                counts: cb.build(),
-            })
-        })
-        .collect()
+    let fold = WindowFold::new(
+        windows,
+        width?,
+        trace.processors(),
+        trace.region_names(),
+        trace_activities(trace),
+    );
+    let regions = trace.region_names().len();
+    replay(&trace.rank_order(), Checked::new(fold, regions))
 }
 
-/// Scatters one attribution over the window builders: intervals split
-/// proportionally across every window they overlap, counts land in the
-/// window of their timestamp. Shared verbatim by [`reduce_windows`] and
-/// the streaming window fold ([`crate::stream`]), so the two paths
-/// perform the identical floating-point splits in the identical order.
-pub(crate) fn scatter_windowed(
-    builders: &mut [(MeasurementsBuilder, CountMatrixBuilder)],
+/// The width of each of `windows` equal slices of `[0, makespan]`.
+///
+/// # Errors
+///
+/// A malformed-trace error for zero windows or a run spanning no time.
+pub(crate) fn window_width(windows: usize, makespan: f64) -> Result<f64, TraceError> {
+    let malformed = |detail: &str| TraceError::Malformed {
+        detail: detail.into(),
+    };
+    if windows == 0 {
+        return Err(malformed("window count must be positive"));
+    }
+    if makespan <= 0.0 {
+        return Err(malformed("trace spans no time, cannot window"));
+    }
+    Ok(makespan / windows as f64)
+}
+
+/// The windowed reduction as a fold: one builder pair per window, fixed
+/// activity columns, a [`SalvageWalker`] per rank. Intervals split
+/// proportionally across every window they overlap; counts land in the
+/// window of their timestamp. The first model error is kept and
+/// reported by [`finish`](Fold::finish).
+pub(crate) struct WindowFold {
+    windows: Vec<(MeasurementsBuilder, CountMatrixBuilder)>,
     width: f64,
-    proc: u32,
-    attribution: Attribution,
-) -> Result<(), limba_model::ModelError> {
-    let windows = builders.len();
-    let clamp_window = |t: f64| -> usize { ((t / width) as usize).min(windows - 1) };
-    match attribution {
-        Attribution::Interval {
-            region,
-            kind,
-            start,
-            end,
-        } => {
-            let (first, last) = (clamp_window(start), clamp_window(end));
-            let mut res = Ok(());
-            for (w, builder) in builders.iter_mut().enumerate().take(last + 1).skip(first) {
-                let lo = start.max(w as f64 * width);
-                let hi = end.min((w + 1) as f64 * width);
-                if hi > lo {
-                    res = res.and(builder.0.record(
-                        RegionId::new(region),
-                        kind,
-                        proc as usize,
-                        hi - lo,
-                    ));
-                }
-            }
-            res
+    regions: usize,
+    failure: Option<ModelError>,
+}
+
+impl WindowFold {
+    /// `windows` slices of `width` seconds over a trace of `processors`
+    /// ranks and `region_names`, with `activities` as the columns.
+    pub(crate) fn new(
+        windows: usize,
+        width: f64,
+        processors: usize,
+        region_names: &[String],
+        activities: ActivitySet,
+    ) -> Self {
+        WindowFold {
+            windows: (0..windows)
+                .map(|_| builders(processors, region_names, activities.clone()))
+                .collect(),
+            width,
+            regions: region_names.len(),
+            failure: None,
         }
-        Attribution::Count {
-            region,
-            kind,
-            amount,
-            at,
-        } => builders[clamp_window(at)]
-            .1
-            .record(RegionId::new(region), kind, proc as usize, amount)
-            .and(Ok(())),
+    }
+
+    fn scatter(&mut self, proc: u32, attribution: Attribution) {
+        if self.failure.is_none() {
+            self.failure = self.try_scatter(proc as usize, attribution).err();
+        }
+    }
+
+    fn try_scatter(&mut self, proc: usize, attribution: Attribution) -> Result<(), ModelError> {
+        let width = self.width;
+        let top = self.windows.len() - 1;
+        let window = |t: f64| ((t / width) as usize).min(top);
+        match attribution {
+            Attribution::Interval {
+                region,
+                kind,
+                start,
+                end,
+            } => {
+                let (first, last) = (window(start), window(end));
+                let mut res = Ok(());
+                for (w, (mb, _)) in self
+                    .windows
+                    .iter_mut()
+                    .enumerate()
+                    .take(last + 1)
+                    .skip(first)
+                {
+                    let lo = start.max(w as f64 * width);
+                    let hi = end.min((w + 1) as f64 * width);
+                    if hi > lo {
+                        res = res.and(mb.record(RegionId::new(region), kind, proc, hi - lo));
+                    }
+                }
+                res
+            }
+            Attribution::Count {
+                region,
+                kind,
+                amount,
+                at,
+            } => self.windows[window(at)]
+                .1
+                .record(RegionId::new(region), kind, proc, amount)
+                .and(Ok(())),
+        }
+    }
+}
+
+impl Fold for WindowFold {
+    type Rank = SalvageWalker;
+    type Output = Vec<ReducedTrace>;
+
+    fn rank(&self, proc: u32) -> SalvageWalker {
+        SalvageWalker::new(proc, self.regions)
+    }
+
+    fn step(
+        &mut self,
+        walker: &mut SalvageWalker,
+        index: usize,
+        e: &Event,
+    ) -> Result<(), TraceError> {
+        walker.step(index, e, &mut |a| self.scatter(e.proc, a))
+    }
+
+    fn end_rank(&mut self, walker: SalvageWalker) -> Result<(), TraceError> {
+        let proc = walker.proc();
+        walker.finish(&mut |a| self.scatter(proc, a));
+        Ok(())
+    }
+
+    fn finish(self) -> Result<Vec<ReducedTrace>, TraceError> {
+        if let Some(e) = self.failure {
+            return Err(e.into());
+        }
+        self.windows.into_iter().map(build).collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::unwrap_used)]
+
     use super::*;
     use crate::{Event, TraceBuilder};
     use limba_model::ProcessorId;
@@ -414,28 +484,6 @@ mod tests {
         let m = &red.measurements;
         assert!(m.activities().contains(ActivityKind::Io));
         assert!((m.time(r, ActivityKind::Io, ProcessorId::new(0)) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn well_formed_fast_path_matches_checked_reduction() {
-        let mut b = TraceBuilder::new(2);
-        let r = b.add_region("r");
-        for p in 0..2u32 {
-            b.push(Event::enter(0.0, p, r));
-            b.push(Event::begin_activity(1.0, p, ActivityKind::PointToPoint));
-            b.push(Event::end_activity(
-                1.5 + p as f64,
-                p,
-                ActivityKind::PointToPoint,
-            ));
-            b.push(Event::message_send(1.2, p, 1 - p, 64));
-            b.push(Event::leave(3.0 + p as f64, p, r));
-        }
-        let trace = b.build();
-        let checked = reduce(&trace).unwrap();
-        let fast = reduce_well_formed(&trace).unwrap();
-        assert_eq!(checked.measurements, fast.measurements);
-        assert_eq!(checked.counts, fast.counts);
     }
 
     #[test]

@@ -1,14 +1,14 @@
-//! Test oracle for the rank-order index: the copying per-processor
-//! partitions the batch paths walked before [`RankOrder`](crate::RankOrder),
-//! and the batch entry points rebuilt on them. The property test below
-//! checks that the index-driven paths agree with these bit for bit,
-//! errors included, on traces whose recording order runs against time.
-
-use limba_model::{CountMatrixBuilder, MeasurementsBuilder};
+//! Test oracle for the rank-order index and the one-walk batch
+//! drivers: copying per-processor partitions in place of
+//! [`RankOrder`](crate::RankOrder), and the batch entry points rebuilt
+//! on them with validation as a pass of its own: the whole trace is
+//! validated first, then reduced. The property test below checks that
+//! the index-driven paths agree with these bit for bit, errors
+//! included, on traces whose recording order runs against time.
 
 use crate::event::RankChecker;
-use crate::reduce::{scatter_windowed, trace_activities, walk_processor, ReducedTrace, Tally};
-use crate::salvage::{walk_salvage, SalvagedTrace};
+use crate::reduce::{trace_activities, window_width, Fold, ReducedTrace, WindowFold};
+use crate::salvage::{SalvageFold, SalvagedTrace};
 use crate::{Event, EventPayload, Trace, TraceError};
 
 /// Every processor's events with their recording-order indices,
@@ -27,6 +27,18 @@ fn events_partitioned(trace: &Trace) -> Vec<Vec<(usize, Event)>> {
     parts
 }
 
+/// `fold` over every partition, ascending by processor.
+fn fold_partitions<F: Fold>(trace: &Trace, mut fold: F) -> Result<F::Output, TraceError> {
+    for (proc, events) in (0u32..).zip(events_partitioned(trace)) {
+        let mut rank = fold.rank(proc);
+        for (index, e) in &events {
+            fold.step(&mut rank, *index, e)?;
+        }
+        fold.end_rank(rank)?;
+    }
+    fold.finish()
+}
+
 fn validate(trace: &Trace) -> Result<(), TraceError> {
     for e in trace.events() {
         if e.proc as usize >= trace.processors() {
@@ -43,128 +55,95 @@ fn validate(trace: &Trace) -> Result<(), TraceError> {
     }
     let regions = trace.region_names().len();
     for (proc, events) in (0u32..).zip(events_partitioned(trace)) {
-        let mut checker = RankChecker::new();
+        let mut checker = RankChecker::new(proc);
         for (_, e) in &events {
-            checker.step(proc, e, regions)?;
+            checker.step(e, regions)?;
         }
-        checker.finish(proc)?;
+        checker.finish()?;
     }
     Ok(())
 }
 
+fn salvage_fold(trace: &Trace) -> SalvageFold {
+    SalvageFold::new(
+        trace.processors(),
+        trace.region_names(),
+        trace_activities(trace),
+    )
+}
+
 fn reduce(trace: &Trace) -> Result<ReducedTrace, TraceError> {
     validate(trace)?;
-    reduce_well_formed(trace)
-}
-
-fn builders(trace: &Trace) -> (MeasurementsBuilder, CountMatrixBuilder) {
-    let mut mb = MeasurementsBuilder::with_activities(trace.processors(), trace_activities(trace));
-    for name in trace.region_names() {
-        mb.add_region(name.clone());
-    }
-    (mb, CountMatrixBuilder::new(trace.processors()))
-}
-
-fn reduce_well_formed(trace: &Trace) -> Result<ReducedTrace, TraceError> {
-    let (mut mb, mut cb) = builders(trace);
-    for (proc, events) in (0u32..).zip(events_partitioned(trace)) {
-        let mut tally = Tally::new(&mut mb, &mut cb, proc);
-        let events = events.iter().map(|(index, e)| (*index, e));
-        walk_processor(proc, trace.region_names().len(), events, |attribution| {
-            tally.record(attribution)
-        })?;
-        tally.finish()?;
-    }
-    Ok(ReducedTrace {
-        measurements: mb.build()?,
-        counts: cb.build(),
-    })
+    Ok(fold_partitions(trace, salvage_fold(trace))?.reduced)
 }
 
 fn reduce_windows(trace: &Trace, windows: usize) -> Result<Vec<ReducedTrace>, TraceError> {
     validate(trace)?;
-    if windows == 0 {
-        return Err(TraceError::Malformed {
-            detail: "window count must be positive".into(),
-        });
-    }
     let makespan = trace.events().iter().map(|e| e.time).fold(0.0f64, f64::max);
-    if makespan <= 0.0 {
-        return Err(TraceError::Malformed {
-            detail: "trace spans no time, cannot window".into(),
-        });
-    }
-    let width = makespan / windows as f64;
-    let mut window_builders: Vec<_> = (0..windows).map(|_| builders(trace)).collect();
-    let mut failure: Option<TraceError> = None;
-    for (proc, events) in (0u32..).zip(events_partitioned(trace)) {
-        let events = events.iter().map(|(index, e)| (*index, e));
-        walk_processor(proc, trace.region_names().len(), events, |attribution| {
-            if failure.is_some() {
-                return;
-            }
-            if let Err(e) = scatter_windowed(&mut window_builders, width, proc, attribution) {
-                failure = Some(e.into());
-            }
-        })?;
-    }
-    if let Some(e) = failure {
-        return Err(e);
-    }
-    window_builders
-        .into_iter()
-        .map(|(mb, cb)| {
-            Ok(ReducedTrace {
-                measurements: mb.build()?,
-                counts: cb.build(),
-            })
-        })
-        .collect()
+    let fold = WindowFold::new(
+        windows,
+        window_width(windows, makespan)?,
+        trace.processors(),
+        trace.region_names(),
+        trace_activities(trace),
+    );
+    fold_partitions(trace, fold)
 }
 
 fn reduce_checked(trace: &Trace) -> Result<SalvagedTrace, TraceError> {
     crate::stream::check_processors(trace.processors())?;
-    let mut parts: Vec<Vec<(usize, Event)>> = vec![Vec::new(); trace.processors()];
     for (index, e) in trace.events().iter().enumerate() {
-        match parts.get_mut(e.proc as usize) {
-            Some(bucket) => bucket.push((index, *e)),
-            None => {
-                return Err(TraceError::MalformedEvent {
-                    proc: e.proc,
-                    index,
-                    detail: format!(
-                        "references processor {}, trace has {}",
-                        e.proc,
-                        trace.processors()
-                    ),
-                })
+        if e.proc as usize >= trace.processors() {
+            return Err(TraceError::MalformedEvent {
+                proc: e.proc,
+                index,
+                detail: format!(
+                    "references processor {}, trace has {}",
+                    e.proc,
+                    trace.processors()
+                ),
+            });
+        }
+    }
+    fold_partitions(trace, salvage_fold(trace))
+}
+
+fn region_parents(trace: &Trace) -> Result<Vec<Option<usize>>, TraceError> {
+    validate(trace)?;
+    let mut parents: Vec<Option<Option<usize>>> = vec![None; trace.region_names().len()];
+    for events in events_partitioned(trace) {
+        let mut stack: Vec<usize> = Vec::new();
+        for (_, e) in events {
+            match e.payload {
+                EventPayload::EnterRegion { region } => {
+                    let parent = stack.last().copied();
+                    match parents[region] {
+                        None => parents[region] = Some(parent),
+                        Some(seen) if seen == parent => {}
+                        Some(seen) => {
+                            return Err(TraceError::Malformed {
+                                detail: format!(
+                                    "region {region} observed under parents {seen:?} and \
+                                     {parent:?}; the region structure is not a tree"
+                                ),
+                            })
+                        }
+                    }
+                    stack.push(region);
+                }
+                EventPayload::LeaveRegion { .. } => {
+                    stack.pop();
+                }
+                _ => {}
             }
         }
     }
-    for bucket in &mut parts {
-        bucket.sort_by(|a, b| a.1.time.total_cmp(&b.1.time));
-    }
-    let (mut mb, mut cb) = builders(trace);
-    let mut coverage = Vec::with_capacity(trace.processors());
-    for (proc, events) in (0u32..).zip(&parts) {
-        let mut tally = Tally::new(&mut mb, &mut cb, proc);
-        let events = events.iter().map(|(index, e)| (*index, e));
-        let cov = walk_salvage(proc, events, trace.region_names().len(), |attribution| {
-            tally.record(attribution)
-        })?;
-        tally.finish()?;
-        coverage.push(cov);
-    }
-    Ok(SalvagedTrace {
-        reduced: ReducedTrace {
-            measurements: mb.build()?,
-            counts: cb.build(),
-        },
-        coverage,
-    })
+    Ok(parents.into_iter().map(Option::flatten).collect())
 }
 
 mod tests {
+    #![allow(clippy::expect_used)]
+
     use std::fmt::Debug;
 
     use limba_model::{ActivityKind, RegionId};
@@ -189,6 +168,7 @@ mod tests {
         stray_region: bool,
         drop_event: bool,
         truncate: bool,
+        truncate_late: bool,
     }
 
     struct Rng(u64);
@@ -264,12 +244,15 @@ mod tests {
         for r in 0..regions {
             b.add_region(format!("r{r}"));
         }
+        // A rank other than 0 to cut short: its end-of-rank error then
+        // sits between other ranks' damage in rank order.
+        let late = (damage.truncate_late && procs > 1).then(|| 1 + rng.below(procs - 1) as u32);
         // (recording key, event): sorting by key gives recording order.
         let mut keyed: Vec<(u64, Event)> = Vec::new();
         for proc in 0..procs as u32 {
             let rank_ops = rng.below(ops) + 1;
             let mut events = rank_stream(&mut rng, proc, regions, rank_ops);
-            if damage.truncate && proc == 0 {
+            if (damage.truncate && proc == 0) || late == Some(proc) {
                 let cut = events[rng.below(events.len())].time;
                 events.retain(|e| e.time <= cut);
             }
@@ -334,14 +317,18 @@ mod tests {
             one_in_four(),
             one_in_four(),
             one_in_four(),
+            one_in_four(),
         )
             .prop_map(
-                |(scramble_ties, stray_processor, stray_region, drop_event, truncate)| Damage {
-                    scramble_ties,
-                    stray_processor,
-                    stray_region,
-                    drop_event,
-                    truncate,
+                |(scramble_ties, stray_processor, stray_region, drop_event, truncate, late)| {
+                    Damage {
+                        scramble_ties,
+                        stray_processor,
+                        stray_region,
+                        drop_event,
+                        truncate,
+                        truncate_late: late,
+                    }
                 },
             );
         (1usize..6, 1usize..4, 1usize..120, 0u64..u64::MAX, damage).prop_map(
@@ -356,12 +343,6 @@ mod tests {
         fn rank_order_paths_match_copying_partitions(trace in trace_strategy()) {
             prop_assert_eq!(outcome(|| trace.validate()), outcome(|| super::validate(&trace)));
             prop_assert_eq!(outcome(|| crate::reduce(&trace)), outcome(|| super::reduce(&trace)));
-            if trace.validate().is_ok() {
-                prop_assert_eq!(
-                    outcome(|| crate::reduce_well_formed(&trace)),
-                    outcome(|| super::reduce_well_formed(&trace))
-                );
-            }
             prop_assert_eq!(
                 outcome(|| crate::reduce_checked(&trace)),
                 outcome(|| super::reduce_checked(&trace))
@@ -372,6 +353,10 @@ mod tests {
                     outcome(|| super::reduce_windows(&trace, windows))
                 );
             }
+            prop_assert_eq!(
+                outcome(|| crate::region_parents(&trace)),
+                outcome(|| super::region_parents(&trace))
+            );
         }
     }
 }

@@ -14,10 +14,18 @@
 //! per-rank [`RankCoverage`] records, so downstream imbalance views can
 //! flag the ranks whose measurements are incomplete instead of silently
 //! comparing full columns against truncated ones.
+//!
+//! The salvaged reduction is one fold, `SalvageFold`: [`reduce_checked`]
+//! replays a materialized trace into it one rank at a time, and
+//! [`SalvageSink`](crate::SalvageSink) steps it in recording order. The
+//! strict [`reduce`](crate::reduce) is the same fold with every rank
+//! validated as it walks.
 
-use limba_model::{ActivityKind, CountMatrixBuilder, MeasurementsBuilder};
+use limba_model::{
+    ActivityKind, ActivitySet, CountMatrixBuilder, MeasurementsBuilder, ModelError, RegionId,
+};
 
-use crate::reduce::{trace_activities, Attribution, ReducedTrace, Tally};
+use crate::reduce::{build, builders, replay, trace_activities, Attribution, Fold, ReducedTrace};
 use crate::{Event, EventPayload, Trace, TraceError};
 
 /// How much of one processor's stream survived into the reduction.
@@ -97,61 +105,141 @@ pub fn reduce_checked(trace: &Trace) -> Result<SalvagedTrace, TraceError> {
     let processors = trace.processors();
     let mut indexed = trace.events().iter().enumerate();
     if let Some((index, e)) = indexed.find(|(_, e)| e.proc as usize >= processors) {
-        return Err(TraceError::MalformedEvent {
-            proc: e.proc,
-            index,
-            detail: format!("references processor {}, trace has {processors}", e.proc),
-        });
+        return Err(stray_processor(index, e, processors));
     }
-
-    let mut mb = MeasurementsBuilder::with_activities(trace.processors(), trace_activities(trace));
-    for name in trace.region_names() {
-        mb.add_region(name.clone());
-    }
-    let mut cb = CountMatrixBuilder::new(trace.processors());
-    let mut coverage = Vec::with_capacity(trace.processors());
-    for (proc, events) in trace.rank_order().ranks() {
-        let mut tally = Tally::new(&mut mb, &mut cb, proc);
-        let cov = walk_salvage(proc, events, trace.region_names().len(), |attribution| {
-            tally.record(attribution)
-        })?;
-        tally.finish()?;
-        coverage.push(cov);
-    }
-    Ok(SalvagedTrace {
-        reduced: ReducedTrace {
-            measurements: mb.build()?,
-            counts: cb.build(),
-        },
-        coverage,
-    })
+    let fold = SalvageFold::new(processors, trace.region_names(), trace_activities(trace));
+    replay(&trace.rank_order(), fold)
 }
 
-/// [`reduce_checked`]'s per-processor walk: the strict walk plus
-/// synthesized closings (at the last recorded timestamp) where the
-/// stream is merely truncated.
-pub(crate) fn walk_salvage<'e, F: FnMut(Attribution)>(
-    proc: u32,
-    events: impl IntoIterator<Item = (usize, &'e Event)>,
-    regions: usize,
-    mut sink: F,
-) -> Result<RankCoverage, TraceError> {
-    let mut walker = SalvageWalker::new(proc, regions);
-    for (index, e) in events {
-        walker.step(index, e, &mut sink)?;
+/// The salvaged reduction's error for event `index`, which names a
+/// processor outside the declared `processors`.
+fn stray_processor(index: usize, e: &Event, processors: usize) -> TraceError {
+    TraceError::MalformedEvent {
+        proc: e.proc,
+        index,
+        detail: format!("references processor {}, trace has {processors}", e.proc),
     }
-    Ok(walker.finish(&mut sink))
+}
+
+/// The salvaged reduction as a fold: full-run matrices, a
+/// [`SalvageWalker`] per rank, and a [`RankCoverage`] record per ended
+/// rank. Its activity columns start from a seed set and grow at each
+/// `BeginActivity` of a kind they lack, so a stream seeded with the
+/// standard four gets the columns a scan would have found, in
+/// first-appearance order. The first model error is kept and reported
+/// by [`finish`](Fold::finish).
+pub(crate) struct SalvageFold {
+    mb: MeasurementsBuilder,
+    cb: CountMatrixBuilder,
+    regions: usize,
+    coverage: Vec<RankCoverage>,
+    failure: Option<ModelError>,
+}
+
+impl SalvageFold {
+    /// The fold over `processors` ranks and `region_names`, with
+    /// `activities` as its seed columns.
+    pub(crate) fn new(processors: usize, region_names: &[String], activities: ActivitySet) -> Self {
+        let (mb, cb) = builders(processors, region_names, activities);
+        SalvageFold {
+            mb,
+            cb,
+            regions: region_names.len(),
+            coverage: Vec::with_capacity(processors),
+            failure: None,
+        }
+    }
+
+    fn record(&mut self, proc: u32, attribution: Attribution) {
+        if self.failure.is_some() {
+            return;
+        }
+        let proc = proc as usize;
+        self.failure = match attribution {
+            Attribution::Interval {
+                region,
+                kind,
+                start,
+                end,
+            } => self
+                .mb
+                .record(RegionId::new(region), kind, proc, end - start),
+            Attribution::Count {
+                region,
+                kind,
+                amount,
+                ..
+            } => self
+                .cb
+                .record(RegionId::new(region), kind, proc, amount)
+                .map(drop),
+        }
+        .err();
+    }
+}
+
+impl Fold for SalvageFold {
+    type Rank = SalvageWalker;
+    type Output = SalvagedTrace;
+
+    fn rank(&self, proc: u32) -> SalvageWalker {
+        SalvageWalker::new(proc, self.regions)
+    }
+
+    fn step(
+        &mut self,
+        walker: &mut SalvageWalker,
+        index: usize,
+        e: &Event,
+    ) -> Result<(), TraceError> {
+        // A sink cannot sort, so each rank's events must arrive in time
+        // order (every in-repo writer's order); a replay's always do.
+        if walker.events > 0 && e.time < walker.last_time {
+            return Err(TraceError::NonMonotoneTime {
+                proc: e.proc,
+                before: walker.last_time,
+                after: e.time,
+            });
+        }
+        if let EventPayload::BeginActivity { kind } = e.payload {
+            self.mb.add_activity(kind);
+        }
+        walker.step(index, e, &mut |a| self.record(e.proc, a))
+    }
+
+    fn end_rank(&mut self, walker: SalvageWalker) -> Result<(), TraceError> {
+        let proc = walker.proc();
+        let coverage = walker.finish(&mut |a| self.record(proc, a));
+        self.coverage.push(coverage);
+        Ok(())
+    }
+
+    fn stray(&mut self, index: usize, e: &Event, processors: usize) -> Result<(), TraceError> {
+        Err(stray_processor(index, e, processors))
+    }
+
+    fn finish(self) -> Result<SalvagedTrace, TraceError> {
+        if let Some(e) = self.failure {
+            return Err(e.into());
+        }
+        Ok(SalvagedTrace {
+            reduced: build((self.mb, self.cb))?,
+            coverage: self.coverage,
+        })
+    }
 }
 
 /// The incremental per-rank attribution state machine behind every
 /// reduction: one event at a time via [`SalvageWalker::step`],
 /// truncation repair and the coverage record on
-/// [`SalvageWalker::finish`]. The batch paths drive it over the trace's
-/// rank-order index; the streaming folds ([`crate::stream`]) drive one
-/// walker per rank as frames arrive — the same code attributes in all
-/// of them, so their outputs are identical by construction, not merely
-/// by test. The strict paths ([`reduce`](crate::reduce()) and its fold
-/// counterparts) step it only after validation and skip `finish`.
+/// [`SalvageWalker::finish`]. It is the per-rank state of the salvaged
+/// and windowed folds, so the same code attributes on every path, batch
+/// or streamed, strict or salvaging, and their outputs are identical by
+/// construction, not merely by test. On the strict paths
+/// ([`reduce`](crate::reduce()) and its fold counterparts) a checker
+/// validates each event just before the walker steps it, and the
+/// rank's end check runs before `finish`, which then has nothing to
+/// close.
 ///
 /// Public so external incremental consumers — e.g. `limba-serve`'s
 /// online window detector — fold the *same* [`Attribution`]s the
@@ -384,6 +472,8 @@ impl SalvageWalker {
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::unwrap_used, clippy::panic)]
+
     use super::*;
     use crate::{reduce, TraceBuilder};
     use limba_model::{CountKind, ProcessorId};
@@ -586,11 +676,7 @@ mod tests {
         let bytes = crate::stream::to_stream_bytes(&trace, 2).unwrap();
         let mut fold = crate::ReduceSink::new(limba_model::ActivitySet::standard());
         crate::stream::decode_all(&bytes, &mut fold).unwrap();
-        for strict in [
-            reduce(&trace).unwrap(),
-            crate::reduce_well_formed(&trace).unwrap(),
-            fold.into_reduced().unwrap(),
-        ] {
+        for strict in [reduce(&trace).unwrap(), fold.into_reduced().unwrap()] {
             assert_eq!(&strict.measurements, m);
             assert_eq!(strict.counts, salvaged.reduced.counts);
         }

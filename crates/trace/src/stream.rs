@@ -27,18 +27,21 @@
 //!
 //! # Identity with the materialized path
 //!
-//! The folds do not reimplement attribution: they drive the *same*
-//! per-rank state machine ([`SalvageWalker`]) and the same
-//! window-scatter arithmetic as [`reduce`](crate::reduce()) /
-//! [`reduce_windows`](crate::reduce_windows) /
-//! [`reduce_checked`](crate::reduce_checked), stepping them as events
-//! arrive instead of over materialized slices. Because every matrix
-//! cell `(region, activity, processor)` is written by exactly one
-//! rank's walker, and each rank's events reach its walker in the same
-//! order on both paths, the per-cell floating-point accumulation
-//! sequences — and therefore the results — are bit-identical. The
-//! differential harness (`tests/stream_equivalence.rs`) locks this
-//! empirically across workloads × faults × balance × frame sizes.
+//! The folds are the materialized path's reductions, not copies of
+//! them: [`ReduceSink`], [`WindowSink`], [`SalvageSink`] and
+//! [`ParentsSink`](crate::ParentsSink) each step the one fold behind
+//! [`reduce`](crate::reduce()), [`reduce_windows`](crate::reduce_windows),
+//! [`reduce_checked`](crate::reduce_checked) and
+//! [`region_parents`](crate::region_parents) as events arrive, holding
+//! one [`SalvageWalker`](crate::SalvageWalker) (or checker) per rank;
+//! the batch entry points replay the trace's rank order into the same
+//! fold one rank at a time. Because every matrix cell
+//! `(region, activity, processor)` is written by exactly one rank's
+//! walker, and each rank's events reach its walker in the same order
+//! on both paths, the per-cell floating-point accumulation sequences —
+//! and therefore the results — are bit-identical. The differential
+//! harness (`tests/stream_equivalence.rs`) locks this empirically
+//! across workloads × faults × balance × frame sizes.
 //!
 //! One prerequisite the materialized path does not have: streaming
 //! folds cannot sort, so each rank's events must already be
@@ -82,15 +85,12 @@
 
 use bytes::{BufMut, Bytes, BytesMut};
 
-use limba_model::{
-    ActivityKind, ActivitySet, CountMatrixBuilder, MeasurementsBuilder, STANDARD_ACTIVITIES,
-};
+use limba_model::{ActivityKind, ActivitySet, STANDARD_ACTIVITIES};
 
 use limba_par::Fnv;
 
-use crate::event::RankChecker;
-use crate::reduce::{note_activity, scatter_windowed, Attribution, ReducedTrace, Tally};
-use crate::salvage::{SalvageWalker, SalvagedTrace};
+use crate::reduce::{note_activity, window_width, Checked, Fold, ReducedTrace, WindowFold};
+use crate::salvage::{SalvageFold, SalvagedTrace};
 use crate::{Event, EventPayload, Trace, TraceBuilder, TraceError};
 
 /// Format version of the chunked streaming container.
@@ -177,6 +177,12 @@ pub(crate) fn put_event(buf: &mut BytesMut, e: &Event) {
     }
 }
 
+/// The `N` bytes of `buf` starting at `at` — a fixed-width
+/// little-endian field — or `None` when `buf` ends first.
+fn field<const N: usize>(buf: &[u8], at: usize) -> Option<[u8; N]> {
+    buf.get(at..)?.first_chunk().copied()
+}
+
 /// Decodes one event record from the front of `buf` if a complete one
 /// is present: `Ok(Some((event, consumed)))` on success, `Ok(None)`
 /// when more bytes are needed (an incomplete record is not an error for
@@ -184,25 +190,22 @@ pub(crate) fn put_event(buf: &mut BytesMut, e: &Event) {
 /// structurally impossible bytes (unknown op code, bad activity index),
 /// which no amount of further input can repair.
 pub(crate) fn try_event(buf: &[u8]) -> Result<Option<(Event, usize)>, TraceError> {
-    if buf.len() < 13 {
+    let (Some(time), Some(proc), Some(&op)) = (field(buf, 0), field(buf, 8), buf.get(12)) else {
         return Ok(None);
-    }
-    let time = f64::from_le_bytes(buf[0..8].try_into().expect("8-byte time slice"));
+    };
+    let time = f64::from_le_bytes(time);
     if !time.is_finite() {
         // No writer emits non-finite timestamps; downstream folds (the
         // online detector's window binning in particular) rely on this.
         return Err(malformed(format!("non-finite event timestamp {time}")));
     }
-    let proc = u32::from_le_bytes(buf[8..12].try_into().expect("4-byte proc slice"));
-    let op = buf[12];
-    let rest = &buf[13..];
+    let proc = u32::from_le_bytes(proc);
     let (payload, operand_len) = match op {
         0 | 1 => {
-            if rest.len() < 4 {
+            let Some(region) = field(buf, 13) else {
                 return Ok(None);
-            }
-            let region =
-                u32::from_le_bytes(rest[..4].try_into().expect("4-byte region slice")) as usize;
+            };
+            let region = u32::from_le_bytes(region) as usize;
             let payload = if op == 0 {
                 EventPayload::EnterRegion { region }
             } else {
@@ -211,10 +214,10 @@ pub(crate) fn try_event(buf: &[u8]) -> Result<Option<(Event, usize)>, TraceError
             (payload, 4)
         }
         2 | 3 => {
-            if rest.is_empty() {
+            let Some(&idx) = buf.get(13) else {
                 return Ok(None);
-            }
-            let idx = rest[0] as usize;
+            };
+            let idx = idx as usize;
             let kind = ActivityKind::from_index(idx)
                 .ok_or_else(|| malformed(format!("bad activity index {idx}")))?;
             let payload = if op == 2 {
@@ -225,11 +228,10 @@ pub(crate) fn try_event(buf: &[u8]) -> Result<Option<(Event, usize)>, TraceError
             (payload, 1)
         }
         4 | 5 => {
-            if rest.len() < 12 {
+            let (Some(peer), Some(bytes)) = (field(buf, 13), field(buf, 17)) else {
                 return Ok(None);
-            }
-            let peer = u32::from_le_bytes(rest[..4].try_into().expect("4-byte peer slice"));
-            let bytes = u64::from_le_bytes(rest[4..12].try_into().expect("8-byte bytes slice"));
+            };
+            let (peer, bytes) = (u32::from_le_bytes(peer), u64::from_le_bytes(bytes));
             let payload = if op == 4 {
                 EventPayload::MessageSend { peer, bytes }
             } else {
@@ -860,23 +862,23 @@ impl StreamDecoder {
         match self.state {
             DecodeState::Prelude => {
                 let a = &input[self.pos..];
-                if a.len() < 18 {
+                let (Some(version), Some(processors), Some(nregions)) =
+                    (field(a, 8), field(a, 10), field(a, 14))
+                else {
                     return Ok(false);
-                }
-                if &a[..8] != MAGIC {
+                };
+                if !a.starts_with(MAGIC) {
                     return Err(malformed("bad magic"));
                 }
-                let version = u16::from_le_bytes(a[8..10].try_into().expect("2-byte version"));
+                let version = u16::from_le_bytes(version);
                 if !(1..=STREAM_VERSION).contains(&version) {
                     return Err(malformed(format!(
                         "unsupported version {version} (this build reads 1..={STREAM_VERSION})"
                     )));
                 }
-                let processors =
-                    u32::from_le_bytes(a[10..14].try_into().expect("4-byte procs")) as usize;
+                let processors = u32::from_le_bytes(processors) as usize;
                 check_processors(processors)?;
-                let nregions =
-                    u32::from_le_bytes(a[14..18].try_into().expect("4-byte nregions")) as usize;
+                let nregions = u32::from_le_bytes(nregions) as usize;
                 if nregions > MAX_REGIONS {
                     return Err(malformed(format!(
                         "region count {nregions} exceeds the streamed maximum {MAX_REGIONS}"
@@ -891,11 +893,10 @@ impl StreamDecoder {
             }
             DecodeState::Regions { left } => {
                 let a = &input[self.pos..];
-                if a.len() < 4 {
+                let Some(len) = field(a, 0) else {
                     return Ok(false);
-                }
-                let len =
-                    u32::from_le_bytes(a[..4].try_into().expect("4-byte name length")) as usize;
+                };
+                let len = u32::from_le_bytes(len) as usize;
                 if len > MAX_REGION_NAME {
                     return Err(malformed(format!(
                         "region name of {len} bytes exceeds the streamed maximum \
@@ -913,11 +914,10 @@ impl StreamDecoder {
                 Ok(true)
             }
             DecodeState::EventCount => {
-                let a = &input[self.pos..];
-                if a.len() < 8 {
+                let Some(count) = field(input, self.pos) else {
                     return Ok(false);
-                }
-                self.expect_events = u64::from_le_bytes(a[..8].try_into().expect("8-byte count"));
+                };
+                self.expect_events = u64::from_le_bytes(count);
                 self.consume(input, 8, true);
                 // Pre-size the sink, but never past what the bytes in
                 // hand can hold: a hostile count allocates nothing.
@@ -952,11 +952,10 @@ impl StreamDecoder {
                 Ok(true)
             }
             DecodeState::Checksum => {
-                let a = &input[self.pos..];
-                if a.len() < 8 {
+                let Some(expected) = field(input, self.pos) else {
                     return Ok(false);
-                }
-                let expected = u64::from_le_bytes(a[..8].try_into().expect("8-byte checksum"));
+                };
+                let expected = u64::from_le_bytes(expected);
                 let actual = self.hash.digest();
                 if expected != actual {
                     return Err(TraceError::ChecksumMismatch { expected, actual });
@@ -985,11 +984,10 @@ impl StreamDecoder {
                 Ok(true)
             }
             DecodeState::BatchCount => {
-                let a = &input[self.pos..];
-                if a.len() < 4 {
+                let Some(count) = field(input, self.pos) else {
                     return Ok(false);
-                }
-                let count = u32::from_le_bytes(a[..4].try_into().expect("4-byte batch count"));
+                };
+                let count = u32::from_le_bytes(count);
                 self.consume(input, 4, true);
                 self.state = if count == 0 {
                     DecodeState::ChunkTag
@@ -1021,18 +1019,19 @@ impl StreamDecoder {
                 Ok(true)
             }
             DecodeState::Trailer => {
-                let a = &input[self.pos..];
-                if a.len() < 16 {
+                let (Some(total), Some(expected)) =
+                    (field(input, self.pos), field(input, self.pos + 8))
+                else {
                     return Ok(false);
-                }
-                let total = u64::from_le_bytes(a[..8].try_into().expect("8-byte total"));
+                };
+                let total = u64::from_le_bytes(total);
                 if total != self.seen_events {
                     return Err(malformed(format!(
                         "end chunk declares {total} events, stream carried {}",
                         self.seen_events
                     )));
                 }
-                let expected = u64::from_le_bytes(a[8..16].try_into().expect("8-byte checksum"));
+                let expected = u64::from_le_bytes(expected);
                 self.consume(input, 8, true); // the total precedes the checksum, so it is hashed
                 let actual = self.hash.digest();
                 if expected != actual {
@@ -1211,105 +1210,57 @@ impl TraceSink for ScanSink {
     }
 }
 
-/// Shared plumbing of the full-run folds: the measurement and count
-/// builders, whose activity columns start from a seed set and grow as
-/// extras appear (see [`grow_columns`]).
-struct FoldCore {
-    activities: ActivitySet,
-    mb: Option<MeasurementsBuilder>,
-    cb: Option<CountMatrixBuilder>,
-}
-
-impl FoldCore {
-    fn new(activities: ActivitySet) -> Self {
-        FoldCore {
-            activities,
-            mb: None,
-            cb: None,
-        }
-    }
-
-    fn begin(&mut self, processors: usize, region_names: &[String]) -> Result<(), TraceError> {
-        check_processors(processors)?;
-        let mut mb = MeasurementsBuilder::with_activities(processors, self.activities.clone());
-        for name in region_names {
-            mb.add_region(name.clone());
-        }
-        self.mb = Some(mb);
-        self.cb = Some(CountMatrixBuilder::new(processors));
-        Ok(())
-    }
-
-    /// Both builders, once [`begin`](Self::begin) has run.
-    fn builders(
-        &mut self,
-    ) -> Result<(&mut MeasurementsBuilder, &mut CountMatrixBuilder), TraceError> {
-        match (self.mb.as_mut(), self.cb.as_mut()) {
-            (Some(mb), Some(cb)) => Ok((mb, cb)),
-            _ => Err(malformed("events before begin")),
-        }
-    }
-}
-
-/// Gives the activity `e` begins a matrix column if it has none yet.
-/// The folds call this before their walker steps `e`, so the columns
-/// end up in the order the batch path's activity scan lists them: the
-/// seed set, then each extra at its first `BeginActivity` in recording
-/// order.
-fn grow_columns(mb: &mut MeasurementsBuilder, e: &Event) {
-    if let EventPayload::BeginActivity { kind } = e.payload {
-        mb.add_activity(kind);
-    }
-}
-
-/// The strict folds' per-rank state: a `RankChecker` validating and a
-/// [`SalvageWalker`] attributing each rank's events as they arrive.
-struct StrictRanks {
-    checkers: Vec<RankChecker>,
-    walkers: Vec<SalvageWalker>,
-    regions: usize,
+/// The sink driver: a [`Fold`] stepped in recording order as events
+/// arrive, with one rank state per declared processor. Ranks end in
+/// rank order when the stream does.
+pub(crate) struct Folding<F: Fold> {
+    fold: F,
+    ranks: Vec<F::Rank>,
     /// Recording-order index of the next event (spans batches).
     index: usize,
 }
 
-impl StrictRanks {
-    fn new(processors: usize, regions: usize) -> Self {
-        StrictRanks {
-            checkers: std::iter::repeat_with(RankChecker::new)
-                .take(processors)
-                .collect(),
-            walkers: (0..processors)
-                .map(|proc| SalvageWalker::new(proc as u32, regions))
-                .collect(),
-            regions,
+impl<F: Fold> Folding<F> {
+    pub(crate) fn new(fold: F, processors: usize) -> Self {
+        let ranks = (0..processors as u32).map(|proc| fold.rank(proc)).collect();
+        Folding {
+            fold,
+            ranks,
             index: 0,
         }
     }
 
-    /// Validates `e` against its rank's history, then walks it, handing
-    /// every attribution to `attribute`.
-    fn step<F: FnMut(Attribution)>(
-        &mut self,
-        e: &Event,
-        attribute: &mut F,
-    ) -> Result<(), TraceError> {
-        let index = self.index;
-        self.index += 1;
-        let Some(checker) = self.checkers.get_mut(e.proc as usize) else {
-            return Err(TraceError::UnknownProcessor { proc: e.proc });
-        };
-        checker.step(e.proc, e, self.regions)?;
-        self.walkers[e.proc as usize].step(index, e, attribute)
-    }
-
-    /// The end-of-stream checks, in rank order — matching the batch
-    /// validator's reporting when several ranks were truncated.
-    fn finish(&mut self) -> Result<(), TraceError> {
-        for (proc, checker) in (0u32..).zip(&mut self.checkers) {
-            checker.finish(proc)?;
+    pub(crate) fn events(&mut self, events: &[Event]) -> Result<(), TraceError> {
+        for e in events {
+            let index = self.index;
+            self.index += 1;
+            let processors = self.ranks.len();
+            match self.ranks.get_mut(e.proc as usize) {
+                Some(rank) => self.fold.step(rank, index, e)?,
+                None => self.fold.stray(index, e, processors)?,
+            }
         }
         Ok(())
     }
+
+    pub(crate) fn finish(mut self) -> Result<F::Output, TraceError> {
+        for rank in self.ranks {
+            self.fold.end_rank(rank)?;
+        }
+        self.fold.finish()
+    }
+}
+
+/// A sink's running fold, or the error for a stream that has not begun.
+fn running<F: Fold>(run: &mut Option<Folding<F>>) -> Result<&mut Folding<F>, TraceError> {
+    run.as_mut().ok_or_else(|| malformed("events before begin"))
+}
+
+/// A sink's fold result, or the error for a stream that never began.
+fn finished<F: Fold>(run: &mut Option<Folding<F>>) -> Result<F::Output, TraceError> {
+    run.take()
+        .ok_or_else(|| malformed("finish before begin"))?
+        .finish()
 }
 
 /// Streaming full reduction — the fold counterpart of
@@ -1317,16 +1268,15 @@ impl StrictRanks {
 /// simulator produces. Structural validation runs inline, one event
 /// at a time through the per-rank checker [`Trace::validate`] steps:
 /// malformed streams — truncation included — fail with the same
-/// [`TraceError`] the batch path's up-front validation reports, never
-/// a panic. For lenient salvage of truncated streams use
-/// [`SalvageSink`].
+/// [`TraceError`] the batch path reports, never a panic. For lenient
+/// salvage of truncated streams use [`SalvageSink`].
 ///
 /// Like [`SalvageSink`], it needs no scan pass: its activity columns
 /// start from a seed set and grow as extras appear, in the batch path's
 /// order.
 pub struct ReduceSink {
-    core: FoldCore,
-    ranks: StrictRanks,
+    activities: ActivitySet,
+    run: Option<Folding<Checked<SalvageFold>>>,
     result: Option<ReducedTrace>,
 }
 
@@ -1335,8 +1285,8 @@ impl ReduceSink {
     /// [`SalvageSink::new`].
     pub fn new(activities: ActivitySet) -> Self {
         ReduceSink {
-            core: FoldCore::new(activities),
-            ranks: StrictRanks::new(0, 0),
+            activities,
+            run: None,
             result: None,
         }
     }
@@ -1349,45 +1299,30 @@ impl ReduceSink {
 
 impl TraceSink for ReduceSink {
     fn begin(&mut self, processors: usize, region_names: &[String]) -> Result<(), TraceError> {
-        self.core.begin(processors, region_names)?;
-        self.ranks = StrictRanks::new(processors, region_names.len());
+        check_processors(processors)?;
+        let fold = SalvageFold::new(processors, region_names, self.activities.clone());
+        let fold = Checked::new(fold, region_names.len());
+        self.run = Some(Folding::new(fold, processors));
         Ok(())
     }
 
     fn events(&mut self, events: &[Event]) -> Result<(), TraceError> {
-        let (mb, cb) = self.core.builders()?;
-        for e in events {
-            grow_columns(mb, e);
-            let mut tally = Tally::new(mb, cb, e.proc);
-            self.ranks.step(e, &mut |a| tally.record(a))?;
-            tally.finish()?;
-        }
-        Ok(())
+        running(&mut self.run)?.events(events)
     }
 
     fn finish(&mut self) -> Result<(), TraceError> {
-        let mb = self
-            .core
-            .mb
-            .take()
-            .ok_or_else(|| malformed("finish before begin"))?;
-        let cb = self.core.cb.take().expect("begin created both builders");
-        self.ranks.finish()?;
-        self.result = Some(ReducedTrace {
-            measurements: mb.build()?,
-            counts: cb.build(),
-        });
+        self.result = Some(finished(&mut self.run)?.reduced);
         Ok(())
     }
 }
 
 /// Streaming windowed reduction — the fold counterpart of
-/// [`reduce_windows`](crate::reduce_windows), driving the identical
-/// window-scatter arithmetic, bit-identical on well-formed streams.
-/// Structural validation runs inline through the per-rank checker
-/// [`Trace::validate`] steps, so a malformed or crash-truncated stream
-/// fails windowing with the same [`TraceError`] the batch path reports
-/// from its up-front validation.
+/// [`reduce_windows`](crate::reduce_windows), the same fold over the
+/// same window-scatter arithmetic, bit-identical on well-formed
+/// streams. Structural validation runs inline through the per-rank
+/// checker [`Trace::validate`] steps, so a malformed or crash-truncated
+/// stream fails windowing with the same [`TraceError`] the batch path
+/// reports.
 ///
 /// Needs the run's horizon (makespan) up front to fix the window width
 /// — which is exactly what the first-pass [`ScanSink`] provides; the
@@ -1398,9 +1333,7 @@ pub struct WindowSink {
     windows: usize,
     width: f64,
     activities: ActivitySet,
-    builders: Vec<(MeasurementsBuilder, CountMatrixBuilder)>,
-    ranks: StrictRanks,
-    began: bool,
+    run: Option<Folding<Checked<WindowFold>>>,
     result: Option<Vec<ReducedTrace>>,
 }
 
@@ -1414,19 +1347,11 @@ impl WindowSink {
     /// [`reduce_windows`](crate::reduce_windows): zero windows, or a
     /// stream spanning no time.
     pub fn new(windows: usize, makespan: f64, activities: ActivitySet) -> Result<Self, TraceError> {
-        if windows == 0 {
-            return Err(malformed("window count must be positive"));
-        }
-        if makespan <= 0.0 {
-            return Err(malformed("trace spans no time, cannot window"));
-        }
         Ok(WindowSink {
             windows,
-            width: makespan / windows as f64,
+            width: window_width(windows, makespan)?,
             activities,
-            builders: Vec::new(),
-            ranks: StrictRanks::new(0, 0),
-            began: false,
+            run: None,
             result: None,
         })
     }
@@ -1440,85 +1365,48 @@ impl WindowSink {
 impl TraceSink for WindowSink {
     fn begin(&mut self, processors: usize, region_names: &[String]) -> Result<(), TraceError> {
         check_processors(processors)?;
-        self.builders = (0..self.windows)
-            .map(|_| {
-                let mut mb =
-                    MeasurementsBuilder::with_activities(processors, self.activities.clone());
-                for name in region_names {
-                    mb.add_region(name.clone());
-                }
-                (mb, CountMatrixBuilder::new(processors))
-            })
-            .collect();
-        self.ranks = StrictRanks::new(processors, region_names.len());
-        self.began = true;
+        let fold = WindowFold::new(
+            self.windows,
+            self.width,
+            processors,
+            region_names,
+            self.activities.clone(),
+        );
+        let fold = Checked::new(fold, region_names.len());
+        self.run = Some(Folding::new(fold, processors));
         Ok(())
     }
 
     fn events(&mut self, events: &[Event]) -> Result<(), TraceError> {
-        if !self.began {
-            return Err(malformed("events before begin"));
-        }
-        for e in events {
-            let builders = &mut self.builders;
-            let width = self.width;
-            let mut failure = None;
-            self.ranks.step(e, &mut |attribution| {
-                if failure.is_some() {
-                    return;
-                }
-                if let Err(err) = scatter_windowed(builders, width, e.proc, attribution) {
-                    failure = Some(err.into());
-                }
-            })?;
-            if let Some(err) = failure {
-                return Err(err);
-            }
-        }
-        Ok(())
+        running(&mut self.run)?.events(events)
     }
 
     fn finish(&mut self) -> Result<(), TraceError> {
-        if !self.began {
-            return Err(malformed("finish before begin"));
-        }
-        self.ranks.finish()?;
-        let builders = std::mem::take(&mut self.builders);
-        let windows = builders
-            .into_iter()
-            .map(|(mb, cb)| {
-                Ok(ReducedTrace {
-                    measurements: mb.build()?,
-                    counts: cb.build(),
-                })
-            })
-            .collect::<Result<Vec<_>, TraceError>>()?;
-        self.result = Some(windows);
+        self.result = Some(finished(&mut self.run)?);
         Ok(())
     }
 }
 
 /// Streaming salvaged reduction — the fold counterpart of
-/// [`reduce_checked`](crate::reduce_checked): identical attribution,
-/// identical truncation repair (open regions and activities closed at
-/// each rank's last timestamp on [`TraceSink::finish`]), identical
-/// per-rank [`coverage`](crate::RankCoverage) records, and the same
-/// structured [`TraceError::MalformedEvent`] errors naming an
-/// offending event's recording-order index.
+/// [`reduce_checked`](crate::reduce_checked), the same fold: identical
+/// attribution, identical truncation repair (open regions and
+/// activities closed at each rank's last timestamp on
+/// [`TraceSink::finish`]), identical per-rank
+/// [`coverage`](crate::RankCoverage) records, and the same structured
+/// [`TraceError::MalformedEvent`] errors naming an offending event's
+/// recording-order index.
 ///
 /// One divergence is inherent: the batch path walks rank 0's whole
 /// stream before rank 1's, so when *several* ranks carry malformed
 /// events it reports the lowest-ranked one; the streaming fold fails at
 /// the first malformed event in recording order. Single-error streams
 /// — and all valid or merely truncated ones — behave identically.
+/// Streaming cannot sort, so each rank's stream must arrive
+/// time-ordered (every in-repo writer's order); a rank whose clock runs
+/// backwards fails with [`TraceError::NonMonotoneTime`].
 pub struct SalvageSink {
-    core: FoldCore,
-    walkers: Vec<SalvageWalker>,
-    /// Last timestamp per rank — streaming cannot sort, so each rank's
-    /// stream must arrive time-ordered (every in-repo writer's order).
-    last_time: Vec<f64>,
-    /// Recording-order index of the next event (spans batches).
-    index: usize,
+    activities: ActivitySet,
+    run: Option<Folding<SalvageFold>>,
     result: Option<SalvagedTrace>,
 }
 
@@ -1530,10 +1418,8 @@ impl SalvageSink {
     /// the same result.
     pub fn new(activities: ActivitySet) -> Self {
         SalvageSink {
-            core: FoldCore::new(activities),
-            walkers: Vec::new(),
-            last_time: Vec::new(),
-            index: 0,
+            activities,
+            run: None,
             result: None,
         }
     }
@@ -1546,79 +1432,29 @@ impl SalvageSink {
 
 impl TraceSink for SalvageSink {
     fn begin(&mut self, processors: usize, region_names: &[String]) -> Result<(), TraceError> {
-        self.core.begin(processors, region_names)?;
-        self.walkers = (0..processors)
-            .map(|proc| SalvageWalker::new(proc as u32, region_names.len()))
-            .collect();
-        self.last_time = vec![f64::NEG_INFINITY; processors];
+        check_processors(processors)?;
+        let fold = SalvageFold::new(processors, region_names, self.activities.clone());
+        self.run = Some(Folding::new(fold, processors));
         Ok(())
     }
 
     fn events(&mut self, events: &[Event]) -> Result<(), TraceError> {
-        let (mb, cb) = self.core.builders()?;
-        for e in events {
-            let index = self.index;
-            self.index += 1;
-            let Some(walker) = self.walkers.get_mut(e.proc as usize) else {
-                // Same structured error as the batch partitioner.
-                return Err(TraceError::MalformedEvent {
-                    proc: e.proc,
-                    index,
-                    detail: format!(
-                        "references processor {}, trace has {}",
-                        e.proc,
-                        self.walkers.len()
-                    ),
-                });
-            };
-            let last = &mut self.last_time[e.proc as usize];
-            if e.time < *last {
-                return Err(TraceError::NonMonotoneTime {
-                    proc: e.proc,
-                    before: *last,
-                    after: e.time,
-                });
-            }
-            *last = e.time;
-            grow_columns(mb, e);
-            let mut tally = Tally::new(mb, cb, e.proc);
-            walker.step(index, e, &mut |a| tally.record(a))?;
-            tally.finish()?;
-        }
-        Ok(())
+        running(&mut self.run)?.events(events)
     }
 
     fn finish(&mut self) -> Result<(), TraceError> {
-        let mut mb = self
-            .core
-            .mb
-            .take()
-            .ok_or_else(|| malformed("finish before begin"))?;
-        let mut cb = self.core.cb.take().expect("begin created both builders");
-        let walkers = std::mem::take(&mut self.walkers);
-        let mut coverage = Vec::with_capacity(walkers.len());
-        for walker in walkers {
-            let mut tally = Tally::new(&mut mb, &mut cb, walker.proc());
-            let cov = walker.finish(&mut |a| tally.record(a));
-            tally.finish()?;
-            coverage.push(cov);
-        }
-        self.result = Some(SalvagedTrace {
-            reduced: ReducedTrace {
-                measurements: mb.build()?,
-                counts: cb.build(),
-            },
-            coverage,
-        });
+        self.result = Some(finished(&mut self.run)?);
         Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::unwrap_used, clippy::panic)]
+
     use super::*;
     use crate::binary::{from_bytes, to_bytes};
-    use crate::{reduce, reduce_checked, reduce_well_formed, reduce_windows};
+    use crate::{reduce, reduce_checked, reduce_windows};
     use limba_model::ProcessorId;
 
     fn sample() -> Trace {
@@ -1892,7 +1728,7 @@ mod tests {
     #[test]
     fn reduce_sink_is_bit_identical_to_batch() {
         let t = sample();
-        let batch = reduce_well_formed(&t).unwrap();
+        let batch = reduce(&t).unwrap();
         for frame in [1, 2, 5, 100] {
             let mut scan = ScanSink::new();
             stream_trace(&t, frame, &mut scan);
@@ -1988,7 +1824,7 @@ mod tests {
         .concat();
         let complete = extras_trace(false);
         let truncated = extras_trace(true);
-        let strict = reduce_well_formed(&complete).unwrap();
+        let strict = reduce(&complete).unwrap();
         assert_eq!(strict.measurements.activities().as_slice(), grown);
         for t in [&complete, &truncated] {
             let batch = reduce_checked(t).unwrap();

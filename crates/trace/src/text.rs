@@ -13,6 +13,7 @@
 //! event 1 0 leave 0
 //! ```
 
+use std::fmt;
 use std::io::{BufRead, BufReader, Read, Write};
 
 use limba_model::ActivityKind;
@@ -21,6 +22,43 @@ use crate::{Event, EventPayload, MaterializeSink, Trace, TraceError, TraceSink};
 
 const HEADER: &str = "limba-trace v1";
 
+/// `trace` in the text format, for `{}` formatting.
+struct Text<'a>(&'a Trace);
+
+impl fmt::Display for Text<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let trace = self.0;
+        writeln!(f, "{HEADER}")?;
+        writeln!(f, "processors {}", trace.processors())?;
+        for (i, name) in trace.region_names().iter().enumerate() {
+            writeln!(f, "region {i} {name}")?;
+        }
+        for e in trace.events() {
+            match e.payload {
+                EventPayload::EnterRegion { region } => {
+                    writeln!(f, "event {} {} enter {region}", e.time, e.proc)?
+                }
+                EventPayload::LeaveRegion { region } => {
+                    writeln!(f, "event {} {} leave {region}", e.time, e.proc)?
+                }
+                EventPayload::BeginActivity { kind } => {
+                    writeln!(f, "event {} {} begin {}", e.time, e.proc, kind.label())?
+                }
+                EventPayload::EndActivity { kind } => {
+                    writeln!(f, "event {} {} end {}", e.time, e.proc, kind.label())?
+                }
+                EventPayload::MessageSend { peer, bytes } => {
+                    writeln!(f, "event {} {} send {peer} {bytes}", e.time, e.proc)?
+                }
+                EventPayload::MessageRecv { peer, bytes } => {
+                    writeln!(f, "event {} {} recv {peer} {bytes}", e.time, e.proc)?
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
 /// Writes `trace` in the text format.
 ///
 /// # Errors
@@ -28,41 +66,13 @@ const HEADER: &str = "limba-trace v1";
 /// Propagates I/O failures of `writer`. A `&mut Vec<u8>` works as a writer
 /// for in-memory encoding.
 pub fn write<W: Write>(trace: &Trace, mut writer: W) -> Result<(), TraceError> {
-    writeln!(writer, "{HEADER}")?;
-    writeln!(writer, "processors {}", trace.processors())?;
-    for (i, name) in trace.region_names().iter().enumerate() {
-        writeln!(writer, "region {i} {name}")?;
-    }
-    for e in trace.events() {
-        match e.payload {
-            EventPayload::EnterRegion { region } => {
-                writeln!(writer, "event {} {} enter {region}", e.time, e.proc)?
-            }
-            EventPayload::LeaveRegion { region } => {
-                writeln!(writer, "event {} {} leave {region}", e.time, e.proc)?
-            }
-            EventPayload::BeginActivity { kind } => {
-                writeln!(writer, "event {} {} begin {}", e.time, e.proc, kind.label())?
-            }
-            EventPayload::EndActivity { kind } => {
-                writeln!(writer, "event {} {} end {}", e.time, e.proc, kind.label())?
-            }
-            EventPayload::MessageSend { peer, bytes } => {
-                writeln!(writer, "event {} {} send {peer} {bytes}", e.time, e.proc)?
-            }
-            EventPayload::MessageRecv { peer, bytes } => {
-                writeln!(writer, "event {} {} recv {peer} {bytes}", e.time, e.proc)?
-            }
-        }
-    }
+    write!(writer, "{}", Text(trace))?;
     Ok(())
 }
 
 /// Encodes `trace` to a text `String`.
 pub fn to_string(trace: &Trace) -> String {
-    let mut buf = Vec::new();
-    write(trace, &mut buf).expect("writing to a Vec cannot fail");
-    String::from_utf8(buf).expect("codec emits utf-8")
+    Text(trace).to_string()
 }
 
 fn malformed(detail: impl Into<String>) -> TraceError {
@@ -243,6 +253,8 @@ pub fn from_str(s: &str) -> Result<Trace, TraceError> {
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::unwrap_used)]
+
     use super::*;
     use crate::TraceBuilder;
     use limba_model::RegionId;

@@ -71,13 +71,6 @@ proptest! {
     }
 
     #[test]
-    fn text_io_round_trips(m in measurements_strategy()) {
-        let text = limba::model::io::to_string(&m);
-        let back = limba::model::io::from_str(&text).unwrap();
-        prop_assert_eq!(back, m);
-    }
-
-    #[test]
     fn scaling_composes(m in measurements_strategy(), a in 0.1f64..10.0, b in 0.1f64..10.0) {
         let ab = m.scaled(a).unwrap().scaled(b).unwrap();
         let ba = m.scaled(a * b).unwrap();

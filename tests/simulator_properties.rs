@@ -449,3 +449,46 @@ proptest! {
         }
     }
 }
+
+/// A crash leaves every rank's stream open: the strict reduction
+/// refuses the trace, and `SimOutput::reduce` is the salvaged
+/// reduction, open spans closed at each rank's last event.
+#[test]
+fn crashed_run_reduces_to_its_salvage() {
+    use limba::trace::{Event, TraceBuilder};
+    use limba::workloads::cfd::CfdConfig;
+    use limba::workloads::Imbalance;
+
+    let ranks = 16;
+    let program = CfdConfig::new(ranks)
+        .with_iterations(2)
+        .with_imbalance(Imbalance::LinearSkew { spread: 0.4 })
+        .build_program()
+        .unwrap();
+    let sim = Simulator::new(MachineConfig::new(ranks));
+    let horizon = sim.run(&program).unwrap().stats.makespan;
+    let plan = limba::workloads::faults::preset("crash", ranks, horizon).unwrap();
+    let out = sim
+        .run_configured(&program, Some(&plan), None, None)
+        .unwrap();
+    assert!(limba::trace::reduce(&out.trace).is_err());
+    let salvaged = out.reduce_checked().unwrap();
+    assert_eq!(salvaged.incomplete_ranks().len(), ranks);
+    let reduced = out.reduce().unwrap();
+    assert_eq!(reduced.measurements, salvaged.reduced.measurements);
+    assert_eq!(reduced.counts, salvaged.reduced.counts);
+
+    // The crash leaves only empty spans open. A stream cut after a
+    // message inside an open region leaves one second open, which the
+    // reduction closes out like the salvage does instead of dropping.
+    let mut cut = out.clone();
+    let mut b = TraceBuilder::new(1);
+    let r = b.add_region("r");
+    b.push(Event::enter(0.0, 0, r));
+    b.push(Event::message_send(1.0, 0, 0, 8));
+    cut.trace = b.build();
+    let p0 = ProcessorId::new(0);
+    let computation = |m: &limba::model::Measurements| m.time(r, ActivityKind::Computation, p0);
+    assert_eq!(computation(&cut.reduce().unwrap().measurements), 1.0);
+    assert_eq!(cut.reduce_checked().unwrap().incomplete_ranks(), [0]);
+}

@@ -5,7 +5,7 @@ use limba::analysis::compare::{compare_runs, Verdict};
 use limba::analysis::hierarchy::{drilldown, RegionTree};
 use limba::analysis::Analyzer;
 use limba::calibrate::SyntheticCase;
-use limba::model::{io as measurements_io, ActivityKind, Measurements};
+use limba::model::{ActivityKind, Measurements};
 use limba::mpisim::{MachineConfig, Simulator};
 use limba::stats::dispersion::DispersionKind;
 use limba::trace::region_parents;
@@ -47,25 +47,6 @@ fn identify_localize_repair_verify() {
     let flux = cmp.regions.iter().find(|d| d.name == "flux").unwrap();
     assert_eq!(flux.verdict, Verdict::Improved);
     assert!(flux.after_id < flux.before_id);
-}
-
-#[test]
-fn measurements_persist_across_the_loop() {
-    // Matrices can be saved and reloaded without changing any analysis
-    // result — the post-mortem archive workflow.
-    let (before, _) = measure(Imbalance::Hotspot {
-        rank: 1,
-        factor: 3.0,
-    });
-    let text = measurements_io::to_string(&before);
-    let reloaded = measurements_io::from_str(&text).unwrap();
-    assert_eq!(before, reloaded);
-    let a = Analyzer::new().with_cluster_k(0).analyze(&before).unwrap();
-    let b = Analyzer::new()
-        .with_cluster_k(0)
-        .analyze(&reloaded)
-        .unwrap();
-    assert_eq!(a, b);
 }
 
 #[test]
