@@ -280,7 +280,7 @@ mod tests {
         b.add_region("r");
         b.push(Event::enter(0.0, 0, limba_model::RegionId::new(4)));
         let path = std::env::temp_dir().join("limba-undeclared-region.bin");
-        fs::write(&path, limba_trace::binary::to_bytes(&b.build())).unwrap();
+        fs::write(&path, limba_trace::binary::to_bytes(&b.build().unwrap())).unwrap();
         let err = run(&[path.to_str().unwrap().to_string()]).unwrap_err();
         assert!(err.contains("unknown region index 4"), "{err}");
         fs::remove_file(path).ok();
@@ -298,7 +298,7 @@ mod tests {
         b.push(Event::leave(1.0, 0, r));
         b.push(Event::enter(3.0, 0, r));
         b.push(Event::leave(4.0, 0, r));
-        let bytes = limba_trace::stream::to_stream_bytes(&b.build(), 1).unwrap();
+        let bytes = limba_trace::stream::to_stream_bytes(&b.build().unwrap(), 1).unwrap();
         let path = std::env::temp_dir().join("limba-backwards-then-corrupt.trc");
         fs::write(&path, &bytes[..bytes.len() - 3]).unwrap();
         let path = path.to_str().unwrap().to_string();

@@ -137,7 +137,7 @@ mod tests {
         let r = b.add_region("r");
         b.push(Event::enter(1.0, 0, r));
         b.push(Event::leave(0.5, 0, r));
-        let bytes = limba_trace::stream::to_stream_bytes(&b.build(), 1).unwrap();
+        let bytes = limba_trace::stream::to_stream_bytes(&b.build().unwrap(), 1).unwrap();
         let path = std::env::temp_dir().join("limba-content-hash.trc");
         fs::write(&path, &bytes).unwrap();
         let path = path.to_str().unwrap();

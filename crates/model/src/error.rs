@@ -78,6 +78,8 @@ impl Error for ModelError {}
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::unwrap_used)]
+
     use super::*;
 
     #[test]

@@ -368,6 +368,8 @@ impl MeasurementsBuilder {
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::unwrap_used)]
+
     use super::*;
     use crate::STANDARD_ACTIVITIES;
 

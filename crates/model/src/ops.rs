@@ -45,19 +45,15 @@ impl Measurements {
                 });
             }
             if part.activities() != first.activities() {
-                return Err(ModelError::UnknownActivity {
-                    kind: part
-                        .activities()
-                        .iter()
-                        .find(|&k| !first.activities().contains(k))
-                        .unwrap_or_else(|| {
-                            first
-                                .activities()
-                                .iter()
-                                .next()
-                                .expect("non-empty activity set")
-                        }),
-                });
+                // Two sets that differ are not both empty: one names a kind.
+                let kind = part
+                    .activities()
+                    .iter()
+                    .find(|&k| !first.activities().contains(k))
+                    .or_else(|| first.activities().iter().next());
+                if let Some(kind) = kind {
+                    return Err(ModelError::UnknownActivity { kind });
+                }
             }
         }
         let mut b =
@@ -159,6 +155,8 @@ impl Measurements {
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::unwrap_used)]
+
     use super::*;
     use crate::{ActivityKind, ProcessorId};
 

@@ -156,6 +156,8 @@ impl ProgramProfile {
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::unwrap_used)]
+
     use super::*;
     use crate::MeasurementsBuilder;
 

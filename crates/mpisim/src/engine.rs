@@ -1795,17 +1795,17 @@ impl<'a> Exec<'a> {
         (faults, balance)
     }
 
-    fn finish(mut self) -> SimOutput {
+    fn finish(mut self) -> Result<SimOutput, SimError> {
         let (faults, balance) = self.finish_parts();
         let Recorder::Materialize(builder) = self.builder else {
             unreachable!("materializing finish on a streaming run");
         };
-        SimOutput {
-            trace: builder.build(),
+        Ok(SimOutput {
+            trace: builder.build()?,
             stats: self.stats,
             faults,
             balance,
-        }
+        })
     }
 
     /// The streaming counterpart of [`Exec::finish`]: flushes the last
@@ -1904,7 +1904,7 @@ impl Simulator {
     ) -> Result<SimOutput, SimError> {
         let mut exec = self.exec(program, faults, balance, budget, None)?;
         exec.run_event()?;
-        Ok(exec.finish())
+        exec.finish()
     }
 
     /// [`Simulator::run_configured`] on the deterministic parallel
@@ -1934,7 +1934,7 @@ impl Simulator {
     ) -> Result<SimOutput, SimError> {
         let mut exec = self.exec(program, faults, balance, budget, None)?;
         exec.run_event_parallel(jobs)?;
-        Ok(exec.finish())
+        exec.finish()
     }
 
     /// The streaming counterpart of [`Simulator::run_configured`]: the

@@ -72,7 +72,8 @@ pub enum SimError {
         /// What went wrong.
         detail: String,
     },
-    /// The produced trace failed validation or reduction.
+    /// The produced trace failed validation or reduction, or outgrew
+    /// what a trace holds.
     Trace(TraceError),
     /// A run budget cut the simulation short (op-count or wall-clock
     /// deadline exceeded, or its cancellation token tripped — see

@@ -216,7 +216,7 @@ impl Polling<'_> {
             None => BalanceReport::default(),
         };
         Ok(SimOutput {
-            trace: builder.build(),
+            trace: builder.build()?,
             stats,
             faults,
             balance: balance_report,

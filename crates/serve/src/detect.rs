@@ -4,7 +4,8 @@
 //! tracks dispersion across them. A live stream has no makespan to
 //! slice against, so the detector bins computation time into
 //! **fixed-width** time windows as events arrive and retires a window
-//! once every rank's clock has passed its end (the watermark) — at
+//! once every rank's clock, and the start of any computation interval
+//! the rank still has open, has passed its end (the watermark) — at
 //! which point the window's per-rank compute loads are final and can
 //! be judged:
 //!
@@ -361,7 +362,14 @@ impl OnlineDetector {
     /// straggler are dropped, and across idle gaps longer than
     /// `MAX_IDLE_RUN`, which are elided (see `retire_below`).
     fn retire_ready(&mut self) {
-        let watermark = self.clocks.iter().copied().fold(f64::INFINITY, f64::min);
+        // A rank's loads are final up to its clock, or up to the start
+        // of the computation interval it still has open, if earlier.
+        let watermark = self
+            .walkers
+            .iter()
+            .zip(&self.clocks)
+            .map(|(walker, &clock)| walker.computation_since().map_or(clock, |t| t.min(clock)))
+            .fold(f64::INFINITY, f64::min);
         if watermark.is_finite() {
             // Windows strictly before `boundary` are final: every
             // rank's clock has passed their end. `as usize` saturates

@@ -285,4 +285,146 @@ mod tests {
         assert!(report.contains("== coarse grain =="), "{report}");
         fs::remove_file(&spool).unwrap();
     }
+
+    /// A well-formed `procs`-rank stream drawn from `seed`: nested
+    /// regions, activities inside them and messages anywhere, each
+    /// rank's clock advancing by random steps; events are recorded in
+    /// global time order (stable), as a live recording interleaves
+    /// ranks.
+    fn random_events(procs: u32, seed: u64) -> Vec<limba_trace::Event> {
+        use limba_model::{ActivityKind, RegionId};
+        use limba_trace::Event;
+        let mut state = seed | 1;
+        let mut draw = move |n: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % n
+        };
+        let mut events = Vec::new();
+        for p in 0..procs {
+            let (mut t, mut stack, mut activity) = (0.0f64, Vec::new(), None);
+            for _ in 0..draw(40) {
+                t += draw(1000) as f64 / 997.0;
+                match (draw(6), activity) {
+                    (0 | 1, None) if stack.len() < 3 => {
+                        let region = RegionId::new(draw(3) as usize);
+                        stack.push(region);
+                        events.push(Event::enter(t, p, region));
+                    }
+                    (2, None) => {
+                        if let Some(region) = stack.pop() {
+                            events.push(Event::leave(t, p, region));
+                        }
+                    }
+                    (3, None) if !stack.is_empty() => {
+                        let kind = ActivityKind::ALL[1 + draw(5) as usize];
+                        activity = Some(kind);
+                        events.push(Event::begin_activity(t, p, kind));
+                    }
+                    (3, Some(kind)) => {
+                        activity = None;
+                        events.push(Event::end_activity(t, p, kind));
+                    }
+                    _ => events.push(Event::message_send(t, p, (p + 1) % procs, draw(4096))),
+                }
+            }
+            t += 0.5;
+            if let Some(kind) = activity {
+                events.push(Event::end_activity(t, p, kind));
+            }
+            while let Some(region) = stack.pop() {
+                events.push(Event::leave(t, p, region));
+            }
+        }
+        events.sort_by(|a, b| a.time.total_cmp(&b.time));
+        events
+    }
+
+    /// `proc`'s time with a region or an activity open.
+    fn covered_time(events: &[limba_trace::Event], proc: u32) -> f64 {
+        use limba_trace::EventPayload;
+        let (mut depth, mut active, mut last, mut covered) = (0usize, false, 0.0f64, 0.0f64);
+        for e in events.iter().filter(|e| e.proc == proc) {
+            if depth > 0 || active {
+                covered += e.time - last;
+            }
+            last = e.time;
+            match e.payload() {
+                EventPayload::EnterRegion { .. } => depth += 1,
+                EventPayload::LeaveRegion { .. } => depth -= 1,
+                EventPayload::BeginActivity { .. } => active = true,
+                EventPayload::EndActivity { .. } => active = false,
+                _ => {}
+            }
+        }
+        covered
+    }
+
+    /// Equal within 32 ulps of the larger magnitude, the rule the
+    /// folds' conservation test applies.
+    fn conserved(got: f64, expected: f64) -> bool {
+        (got - expected).abs() <= 32.0 * f64::EPSILON * got.abs().max(expected.abs())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// Serve's two folds conserve each rank's time like the
+        /// library's: the spool replay behind `complete_report`
+        /// attributes a rank's covered time, and the detector's window
+        /// loads of a rank, summed over windows, equal that rank's
+        /// computation cells.
+        #[test]
+        fn spool_replay_and_detector_conserve_each_ranks_time(
+            procs in 1u32..5,
+            seed in 0u64..u64::MAX,
+        ) {
+            use crate::detect::{DetectorConfig, OnlineDetector};
+            use limba_model::{ActivityKind, ProcessorId};
+            use limba_vfs::MemVfs;
+
+            let events = random_events(procs, seed);
+            let names: Vec<String> = (0..3).map(|r| format!("r{r}")).collect();
+            let vfs = MemVfs::new();
+            let spool = Path::new("run.trc");
+            let mut sink = WriteSink::new(Vec::new());
+            sink.begin(procs as usize, &names).unwrap();
+            for frame in events.chunks(7) {
+                sink.events(frame).unwrap();
+            }
+            sink.finish().unwrap();
+            vfs.create(spool).unwrap().append(&sink.into_inner()).unwrap();
+            let salvaged = fold_spool(&vfs, spool, true).unwrap();
+            let m = &salvaged.reduced.measurements;
+            let computation = |p: u32| -> f64 {
+                m.region_ids()
+                    .map(|r| m.time(r, ActivityKind::Computation, ProcessorId::new(p as usize)))
+                    .sum()
+            };
+            let binned = |events: &[limba_trace::Event]| -> f64 {
+                let mut detector = OnlineDetector::new(DetectorConfig::default());
+                detector.begin(procs as usize, &names).unwrap();
+                for frame in events.chunks(5) {
+                    detector.events(frame).unwrap();
+                }
+                detector.finish().unwrap();
+                detector.stats().iter().map(|w| w.compute).sum()
+            };
+            // All ranks at once: a window retires only once every rank
+            // is done with it.
+            let (got, expected) = (binned(&events), (0..procs).map(computation).sum::<f64>());
+            proptest::prop_assert!(conserved(got, expected), "detector: bins {got} of {expected} s");
+            for p in 0..procs {
+                let (got, expected) = (m.processor_time(ProcessorId::new(p as usize)), covered_time(&events, p));
+                proptest::prop_assert!(conserved(got, expected), "replay: proc {p} attributes {got} of {expected} s");
+
+                // Rank p's window loads: ranks bin into separate load
+                // slots, so a stream of rank p's events alone shows them.
+                let own: Vec<_> = events.iter().copied().filter(|e| e.proc == p).collect();
+                let (got, expected) = (binned(&own), computation(p));
+                proptest::prop_assert!(conserved(got, expected), "detector: proc {p} bins {got} of {expected} s");
+            }
+        }
+    }
 }

@@ -116,7 +116,7 @@ pub fn read<R: Read>(mut reader: R) -> Result<Trace, TraceError> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     #![allow(clippy::unwrap_used, clippy::panic)]
 
     use super::*;
@@ -133,10 +133,10 @@ mod tests {
         b.push(Event::end_activity(0.75, 0, ActivityKind::Synchronization));
         b.push(Event::leave(1.0, 0, r0));
         b.push(Event::enter(0.0, 2, r1));
-        b.push(Event::message_send(0.25, 2, 1, u64::MAX));
+        b.push(Event::message_send(0.25, 2, 1, Event::MAX_MESSAGE_BYTES));
         b.push(Event::message_recv(0.5, 2, 1, 0));
         b.push(Event::leave(1.0, 2, r1));
-        b.build()
+        b.build().unwrap()
     }
 
     #[test]
@@ -156,11 +156,7 @@ mod tests {
             let mut buf = BytesMut::with_capacity(24);
             put_event(
                 &mut buf,
-                &Event {
-                    time,
-                    proc: 0,
-                    payload: EventPayload::EnterRegion { region: 0 },
-                },
+                &Event::new(time, 0, EventPayload::EnterRegion { region: 0 }),
             );
             let err = try_event(buf.as_ref()).unwrap_err();
             assert!(err.to_string().contains("non-finite"), "{err}");
@@ -256,7 +252,7 @@ mod tests {
         // no per-entry bytes exist to bound it against, so only the
         // explicit cap stands between the header and the multi-GB
         // per-processor tables downstream consumers allocate from it.
-        let mut bytes = to_bytes(&TraceBuilder::new(1).build()).to_vec();
+        let mut bytes = to_bytes(&TraceBuilder::new(1).build().unwrap()).to_vec();
         bytes[10..14].copy_from_slice(&u32::MAX.to_le_bytes());
         let v1 = as_v1(&bytes);
         match from_bytes(&v1) {
@@ -267,12 +263,12 @@ mod tests {
         }
 
         // The cap boundary itself: exactly MAX_PROCESSORS decodes.
-        let mut bytes = to_bytes(&TraceBuilder::new(1).build()).to_vec();
+        let mut bytes = to_bytes(&TraceBuilder::new(1).build().unwrap()).to_vec();
         bytes[10..14].copy_from_slice(&(MAX_PROCESSORS as u32).to_le_bytes());
         assert!(from_bytes(&as_v1(&bytes)).is_ok());
 
         // Region count claiming u32::MAX entries in a near-empty file.
-        let mut bytes = to_bytes(&TraceBuilder::new(1).build()).to_vec();
+        let mut bytes = to_bytes(&TraceBuilder::new(1).build().unwrap()).to_vec();
         bytes[14..18].copy_from_slice(&u32::MAX.to_le_bytes());
         let v1 = as_v1(&bytes);
         match from_bytes(&v1) {
@@ -283,7 +279,7 @@ mod tests {
         }
 
         // Event count claiming u64::MAX events.
-        let mut bytes = to_bytes(&TraceBuilder::new(1).build()).to_vec();
+        let mut bytes = to_bytes(&TraceBuilder::new(1).build().unwrap()).to_vec();
         let nevents_at = bytes.len() - 8 - 8; // before checksum
         bytes[nevents_at..nevents_at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
         let v1 = as_v1(&bytes);
@@ -297,7 +293,7 @@ mod tests {
         // A region name length larger than the rest of the file.
         let mut b = TraceBuilder::new(1);
         b.add_region("x");
-        let mut bytes = to_bytes(&b.build()).to_vec();
+        let mut bytes = to_bytes(&b.build().unwrap()).to_vec();
         bytes[18..22].copy_from_slice(&u32::MAX.to_le_bytes());
         let v1 = as_v1(&bytes);
         match from_bytes(&v1) {
@@ -316,7 +312,7 @@ mod tests {
         let mut b = TraceBuilder::new(2);
         let r = b.add_region("r");
         b.push(Event::enter(0.0, 5, r));
-        match from_bytes(&to_bytes(&b.build())) {
+        match from_bytes(&to_bytes(&b.build().unwrap())) {
             Err(TraceError::UnknownProcessor { proc: 5 }) => {}
             other => panic!("{other:?}"),
         }
@@ -324,7 +320,7 @@ mod tests {
         let mut b = TraceBuilder::new(2);
         b.add_region("r");
         b.push(Event::enter(0.0, 1, limba_model::RegionId::new(3)));
-        let t = b.build();
+        let t = b.build().unwrap();
         assert!(matches!(
             t.validate(),
             Err(TraceError::UnknownRegion { region: 3 })
@@ -337,7 +333,7 @@ mod tests {
 
     #[test]
     fn empty_trace_round_trips() {
-        let t = TraceBuilder::new(1).build();
+        let t = TraceBuilder::new(1).build().unwrap();
         assert_eq!(from_bytes(&to_bytes(&t)).unwrap(), t);
     }
 
@@ -349,9 +345,61 @@ mod tests {
             b.push(Event::enter(i as f64, (i % 4) as u32, r));
             b.push(Event::leave(i as f64 + 0.5, (i % 4) as u32, r));
         }
-        let t = b.build();
+        let t = b.build().unwrap();
         let bin = to_bytes(&t).len();
         let txt = crate::text::to_string(&t).len();
         assert!(bin < txt, "binary {bin} >= text {txt}");
+    }
+
+    /// A two-rank file whose one send carries the largest message size
+    /// an event holds, and the offset of that size field.
+    pub(crate) fn largest_message(bytes: &[u8]) -> usize {
+        let field = Event::MAX_MESSAGE_BYTES.to_le_bytes();
+        let at: Vec<usize> = (0..bytes.len() - 7)
+            .filter(|&i| bytes[i..i + 8] == field)
+            .collect();
+        assert_eq!(at.len(), 1, "size field not unique");
+        at[0]
+    }
+
+    /// `bytes` with its largest message size raised to 2^56.
+    pub(crate) fn oversized_message(bytes: &[u8]) -> Vec<u8> {
+        let mut bytes = bytes.to_vec();
+        let at = largest_message(&bytes);
+        bytes[at..at + 8].copy_from_slice(&(1u64 << 56).to_le_bytes());
+        bytes
+    }
+
+    pub(crate) fn one_message() -> Trace {
+        let mut b = TraceBuilder::new(2);
+        b.push(Event::message_send(0.0, 0, 1, Event::MAX_MESSAGE_BYTES));
+        b.build().unwrap()
+    }
+
+    pub(crate) fn assert_oversized(result: Result<Trace, TraceError>) {
+        match result {
+            Err(TraceError::Malformed { detail }) => assert!(
+                detail.contains("message size 72057594037927936 exceeds the maximum"),
+                "{detail}"
+            ),
+            other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
+    fn version_1_refuses_a_message_of_2_pow_56_bytes() {
+        let v1 = as_v1(&to_bytes(&one_message()));
+        assert_eq!(from_bytes(&v1).unwrap(), one_message());
+        assert_oversized(from_bytes(&oversized_message(&v1)));
+    }
+
+    #[test]
+    fn version_2_refuses_a_message_of_2_pow_56_bytes() {
+        let mut v2 = oversized_message(&to_bytes(&one_message()));
+        // Re-seal the checksum, so the size is what the decoder refuses.
+        let body_len = v2.len() - 8;
+        let (body, tail) = v2.split_at_mut(body_len);
+        tail.copy_from_slice(&fnv1a(body).to_le_bytes());
+        assert_oversized(from_bytes(&v2));
     }
 }

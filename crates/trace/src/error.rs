@@ -62,6 +62,13 @@ pub enum TraceError {
         /// Description of the structural violation.
         detail: String,
     },
+    /// A trace outgrew its in-memory index: more than `u32::MAX`
+    /// events, the most a [`RankOrder`](crate::RankOrder) position
+    /// names.
+    TooManyEvents {
+        /// The event count that was refused.
+        events: usize,
+    },
     /// An underlying I/O failure.
     Io(std::io::Error),
     /// Reduction produced an invalid measurement matrix.
@@ -95,6 +102,11 @@ impl fmt::Display for TraceError {
                 index,
                 detail,
             } => write!(f, "malformed event #{index} on processor {proc}: {detail}"),
+            TraceError::TooManyEvents { events } => write!(
+                f,
+                "trace of {events} events exceeds the maximum of {} events",
+                u32::MAX
+            ),
             TraceError::Io(e) => write!(f, "trace i/o failed: {e}"),
             TraceError::Model(e) => write!(f, "trace reduction produced invalid data: {e}"),
         }

@@ -1,5 +1,7 @@
 //! The trace event model.
 
+use std::fmt;
+
 use limba_model::{ActivityKind, RegionId};
 
 use crate::TraceError;
@@ -10,12 +12,12 @@ pub enum EventPayload {
     /// The processor entered a code region.
     EnterRegion {
         /// Dense region index.
-        region: usize,
+        region: u32,
     },
     /// The processor left a code region.
     LeaveRegion {
         /// Dense region index.
-        region: usize,
+        region: u32,
     },
     /// The processor started a non-computation activity (e.g. entered an
     /// `MPI_SEND`).
@@ -32,86 +34,149 @@ pub enum EventPayload {
     MessageSend {
         /// Destination processor.
         peer: u32,
-        /// Payload size in bytes.
+        /// Payload size in bytes, at most [`Event::MAX_MESSAGE_BYTES`].
         bytes: u64,
     },
     /// A message arrived at this processor (counting parameter only).
     MessageRecv {
         /// Source processor.
         peer: u32,
-        /// Payload size in bytes.
+        /// Payload size in bytes, at most [`Event::MAX_MESSAGE_BYTES`].
         bytes: u64,
     },
 }
 
-/// One timestamped event of one processor.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// One timestamped event of one processor, packed into 24 bytes: the
+/// time, the processor, one 32-bit operand (the region, peer or
+/// activity index) and one 64-bit word holding the op tag in its top
+/// byte and a message size in its low 56 bits. [`Event::payload`]
+/// unpacks the operands.
+#[derive(Clone, Copy, PartialEq)]
 pub struct Event {
     /// Wall-clock time in seconds since program start.
     pub time: f64,
     /// Processor the event occurred on.
     pub proc: u32,
-    /// What happened.
-    pub payload: EventPayload,
+    /// Region, peer or activity index, as the tag says.
+    arg: u32,
+    /// Op tag in the top byte, message size in the low 56 bits.
+    word: u64,
 }
 
+const _: () = assert!(std::mem::size_of::<Event>() == 24);
+
+/// Op tags, the wire format's op codes.
+const ENTER: u64 = 0;
+const LEAVE: u64 = 1;
+const BEGIN: u64 = 2;
+const END: u64 = 3;
+const SEND: u64 = 4;
+const RECV: u64 = 5;
+/// Where the tag sits in [`Event`]'s word: above the message size.
+const TAG_SHIFT: u32 = 56;
+
 impl Event {
-    /// Region-enter event.
-    pub fn enter(time: f64, proc: u32, region: RegionId) -> Self {
+    /// Largest message size an event holds: 2^56 − 1 bytes (64 PiB).
+    /// Every decoder refuses a larger size as
+    /// [`TraceError::Malformed`].
+    pub const MAX_MESSAGE_BYTES: u64 = (1 << TAG_SHIFT) - 1;
+
+    /// The event `payload` at `time` on `proc`. A message size over
+    /// [`Event::MAX_MESSAGE_BYTES`] saturates to it.
+    #[inline]
+    pub(crate) fn new(time: f64, proc: u32, payload: EventPayload) -> Self {
+        let (tag, arg, bytes) = match payload {
+            EventPayload::EnterRegion { region } => (ENTER, region, 0),
+            EventPayload::LeaveRegion { region } => (LEAVE, region, 0),
+            EventPayload::BeginActivity { kind } => (BEGIN, kind.index() as u32, 0),
+            EventPayload::EndActivity { kind } => (END, kind.index() as u32, 0),
+            EventPayload::MessageSend { peer, bytes } => (SEND, peer, bytes),
+            EventPayload::MessageRecv { peer, bytes } => (RECV, peer, bytes),
+        };
         Event {
             time,
             proc,
-            payload: EventPayload::EnterRegion {
-                region: region.index(),
-            },
+            arg,
+            word: tag << TAG_SHIFT | bytes.min(Self::MAX_MESSAGE_BYTES),
         }
     }
 
-    /// Region-leave event.
-    pub fn leave(time: f64, proc: u32, region: RegionId) -> Self {
-        Event {
-            time,
-            proc,
-            payload: EventPayload::LeaveRegion {
-                region: region.index(),
-            },
+    /// What happened.
+    #[inline]
+    pub fn payload(&self) -> EventPayload {
+        let arg = self.arg;
+        let bytes = self.word & Self::MAX_MESSAGE_BYTES;
+        match self.word >> TAG_SHIFT {
+            ENTER => EventPayload::EnterRegion { region: arg },
+            LEAVE => EventPayload::LeaveRegion { region: arg },
+            tag @ (BEGIN | END) => {
+                // `new` stores `kind.index()`, so the lookup always hits.
+                let kind =
+                    ActivityKind::from_index(arg as usize).unwrap_or(ActivityKind::Computation);
+                if tag == BEGIN {
+                    EventPayload::BeginActivity { kind }
+                } else {
+                    EventPayload::EndActivity { kind }
+                }
+            }
+            SEND => EventPayload::MessageSend { peer: arg, bytes },
+            _ => EventPayload::MessageRecv { peer: arg, bytes },
         }
+    }
+
+    /// Region-enter event. A region index over `u32::MAX` saturates to
+    /// `u32::MAX`, an index no trace declares, so the event is still
+    /// refused as an unknown region.
+    pub fn enter(time: f64, proc: u32, region: RegionId) -> Self {
+        let region = region_index(region);
+        Event::new(time, proc, EventPayload::EnterRegion { region })
+    }
+
+    /// Region-leave event; see [`Event::enter`] for region indices over
+    /// `u32::MAX`.
+    pub fn leave(time: f64, proc: u32, region: RegionId) -> Self {
+        let region = region_index(region);
+        Event::new(time, proc, EventPayload::LeaveRegion { region })
     }
 
     /// Activity-begin event.
     pub fn begin_activity(time: f64, proc: u32, kind: ActivityKind) -> Self {
-        Event {
-            time,
-            proc,
-            payload: EventPayload::BeginActivity { kind },
-        }
+        Event::new(time, proc, EventPayload::BeginActivity { kind })
     }
 
     /// Activity-end event.
     pub fn end_activity(time: f64, proc: u32, kind: ActivityKind) -> Self {
-        Event {
-            time,
-            proc,
-            payload: EventPayload::EndActivity { kind },
-        }
+        Event::new(time, proc, EventPayload::EndActivity { kind })
     }
 
-    /// Message-send event.
+    /// Message-send event. A size over [`Event::MAX_MESSAGE_BYTES`]
+    /// saturates to it.
     pub fn message_send(time: f64, proc: u32, peer: u32, bytes: u64) -> Self {
-        Event {
-            time,
-            proc,
-            payload: EventPayload::MessageSend { peer, bytes },
-        }
+        Event::new(time, proc, EventPayload::MessageSend { peer, bytes })
     }
 
-    /// Message-receive event.
+    /// Message-receive event. A size over [`Event::MAX_MESSAGE_BYTES`]
+    /// saturates to it.
     pub fn message_recv(time: f64, proc: u32, peer: u32, bytes: u64) -> Self {
-        Event {
-            time,
-            proc,
-            payload: EventPayload::MessageRecv { peer, bytes },
-        }
+        Event::new(time, proc, EventPayload::MessageRecv { peer, bytes })
+    }
+}
+
+/// `region`'s index as an event operand: saturated at `u32::MAX`, an
+/// index no region table reaches ([`TraceBuilder::build`] refuses
+/// tables of more than `u32::MAX` entries).
+fn region_index(region: RegionId) -> u32 {
+    u32::try_from(region.index()).unwrap_or(u32::MAX)
+}
+
+/// Prints what a derived `Debug` of the unpacked fields would.
+impl fmt::Debug for Event {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Event")
+            .field("time", &self.time)
+            .field("proc", &self.proc)
+            .field("payload", &self.payload())
+            .finish()
     }
 }
 
@@ -120,7 +185,10 @@ impl Event {
 ///
 /// Events may be appended in any order; [`Trace::rank_order`] provides
 /// the per-processor, time-ordered view reduction needs, and
-/// [`Trace::validate`] checks structural well-formedness.
+/// [`Trace::validate`] checks structural well-formedness. A trace holds
+/// at most [`u32::MAX`] events and declares at most `u32::MAX` regions
+/// ([`TraceBuilder::build`] refuses more), so a 32-bit position names
+/// any event and a 32-bit operand any region.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Trace {
     processors: usize,
@@ -193,16 +261,24 @@ impl Trace {
             if e.proc as usize >= self.processors {
                 return Err(TraceError::UnknownProcessor { proc: e.proc });
             }
-            match e.payload {
-                EventPayload::EnterRegion { region } | EventPayload::LeaveRegion { region }
-                    if region >= self.region_names.len() =>
-                {
-                    return Err(TraceError::UnknownRegion { region });
-                }
-                _ => {}
+            if let Some(region) = unknown_region(e, self.region_names.len()) {
+                return Err(TraceError::UnknownRegion { region });
             }
         }
         Ok(())
+    }
+}
+
+/// The region `e` enters or leaves, when a table of `regions` entries
+/// does not declare it.
+pub(crate) fn unknown_region(e: &Event, regions: usize) -> Option<usize> {
+    match e.payload() {
+        EventPayload::EnterRegion { region } | EventPayload::LeaveRegion { region }
+            if region as usize >= regions =>
+        {
+            Some(region as usize)
+        }
+        _ => None,
     }
 }
 
@@ -210,8 +286,8 @@ impl Trace {
 /// processor's events in time order, as positions into
 /// [`Trace::events`] rather than copies.
 ///
-/// `order` holds one recording-order position per indexed event,
-/// grouped by processor; processor `p`'s run is
+/// `order` holds one 4-byte recording-order position per indexed
+/// event, grouped by processor; processor `p`'s run is
 /// `order[offsets[p]..offsets[p + 1]]`. A two-pass counting sort
 /// fills each run ascending in recording order, and a run whose times
 /// are not already non-decreasing is then stably sorted by time — so
@@ -222,17 +298,19 @@ impl Trace {
 #[derive(Debug)]
 pub struct RankOrder<'a> {
     events: &'a [Event],
-    offsets: Vec<usize>,
-    order: Vec<usize>,
+    offsets: Vec<u32>,
+    order: Vec<u32>,
 }
 
 impl<'a> RankOrder<'a> {
     fn new(trace: &'a Trace) -> Self {
         let events = trace.events.as_slice();
         let processors = trace.processors;
+        // Every count and position below fits a u32: a trace holds at
+        // most u32::MAX events (`TraceBuilder::build` refuses more).
         // Pass 1: offsets[p] counts processor p's events, then becomes
         // the end of its run by an inclusive prefix sum.
-        let mut offsets = vec![0usize; processors + 1];
+        let mut offsets = vec![0u32; processors + 1];
         for e in events {
             if let Some(count) = offsets[..processors].get_mut(e.proc as usize) {
                 *count += 1;
@@ -247,14 +325,14 @@ impl<'a> RankOrder<'a> {
         // and comes out ascending in recording order; offsets[p] ends at
         // the start of p's run. Comparing each event with the rank's
         // next one in recording order finds the runs that need sorting.
-        let mut order = vec![0usize; total];
+        let mut order = vec![0u32; total as usize];
         let mut next_time = vec![f64::INFINITY; processors];
         let mut unsorted = vec![false; processors];
         for (index, e) in events.iter().enumerate().rev() {
             let p = e.proc as usize;
             if let Some(slot) = offsets[..processors].get_mut(p) {
                 *slot -= 1;
-                order[*slot] = index;
+                order[*slot as usize] = index as u32;
                 unsorted[p] |= e.time.total_cmp(&next_time[p]).is_gt();
                 next_time[p] = e.time;
             }
@@ -262,7 +340,8 @@ impl<'a> RankOrder<'a> {
         // Stable, so simultaneous events keep recording order.
         for (run, unsorted) in offsets.windows(2).zip(unsorted) {
             if unsorted {
-                order[run[0]..run[1]].sort_by(|&a, &b| events[a].time.total_cmp(&events[b].time));
+                order[run[0] as usize..run[1] as usize]
+                    .sort_by(|&a, &b| events[a as usize].time.total_cmp(&events[b as usize].time));
             }
         }
         RankOrder {
@@ -286,9 +365,9 @@ impl<'a> RankOrder<'a> {
     pub fn rank(&self, proc: u32) -> impl ExactSizeIterator<Item = (usize, &'a Event)> + '_ {
         let events = self.events;
         let p = proc as usize;
-        self.order[self.offsets[p]..self.offsets[p + 1]]
+        self.order[self.offsets[p] as usize..self.offsets[p + 1] as usize]
             .iter()
-            .map(move |&index| (index, &events[index]))
+            .map(move |&index| (index as usize, &events[index as usize]))
     }
 
     /// Every processor's [`RankOrder::rank`] iterator, ascending by
@@ -343,13 +422,8 @@ impl RankChecker {
     /// `regions` entries.
     pub(crate) fn step(&mut self, e: &Event, regions: usize) -> Result<(), TraceError> {
         let proc = self.proc;
-        match e.payload {
-            EventPayload::EnterRegion { region } | EventPayload::LeaveRegion { region }
-                if region >= regions =>
-            {
-                return Err(TraceError::UnknownRegion { region });
-            }
-            _ => {}
+        if let Some(region) = unknown_region(e, regions) {
+            return Err(TraceError::UnknownRegion { region });
         }
         if e.time < self.last_time {
             return Err(TraceError::NonMonotoneTime {
@@ -359,10 +433,10 @@ impl RankChecker {
             });
         }
         self.last_time = e.time;
-        match e.payload {
-            EventPayload::EnterRegion { region } => self.stack.push(region),
+        match e.payload() {
+            EventPayload::EnterRegion { region } => self.stack.push(region as usize),
             EventPayload::LeaveRegion { region } => match self.stack.pop() {
-                Some(top) if top == region => {}
+                Some(top) if top == region as usize => {}
                 Some(top) => {
                     return Err(TraceError::UnbalancedNesting {
                         proc,
@@ -440,9 +514,10 @@ impl RankChecker {
 /// let r = b.add_region("main");
 /// b.push(Event::enter(0.0, 0, r));
 /// b.push(Event::leave(1.0, 0, r));
-/// let trace = b.build();
+/// let trace = b.build()?;
 /// assert_eq!(trace.processors(), 2);
 /// assert_eq!(trace.events().len(), 2);
+/// # Ok::<(), limba_trace::TraceError>(())
 /// ```
 #[derive(Debug, Clone)]
 pub struct TraceBuilder {
@@ -487,22 +562,63 @@ impl TraceBuilder {
         self.events.extend_from_slice(events);
     }
 
+    /// Events appended so far.
+    pub(crate) fn event_count(&self) -> usize {
+        self.events.len()
+    }
+
     /// Finalizes the trace (without validating; call
     /// [`Trace::validate`] separately when the source is untrusted).
-    pub fn build(self) -> Trace {
-        Trace {
+    ///
+    /// # Errors
+    ///
+    /// [`TraceError::TooManyEvents`] for more than `u32::MAX` events and
+    /// [`TraceError::Malformed`] for more than `u32::MAX` regions: a
+    /// [`RankOrder`] position and an event's region operand are 32 bits.
+    pub fn build(self) -> Result<Trace, TraceError> {
+        check_event_count(self.events.len(), 0)?;
+        if self.region_names.len() > MAX_REGIONS {
+            return Err(TraceError::Malformed {
+                detail: format!(
+                    "region count {} exceeds the maximum {MAX_REGIONS}",
+                    self.region_names.len()
+                ),
+            });
+        }
+        Ok(Trace {
             processors: self.processors,
             region_names: self.region_names,
             events: self.events,
-        }
+        })
+    }
+}
+
+/// Most events a [`Trace`] holds: [`RankOrder`] positions are `u32`.
+const MAX_EVENTS: usize = u32::MAX as usize;
+/// Most regions a [`Trace`] declares, so that index `u32::MAX` (where
+/// [`Event::enter`] saturates) is never a declared one.
+const MAX_REGIONS: usize = u32::MAX as usize;
+
+/// Refuses a trace of `have + more` events when that passes
+/// [`MAX_EVENTS`].
+pub(crate) fn check_event_count(have: usize, more: usize) -> Result<(), TraceError> {
+    match have.checked_add(more) {
+        Some(events) if events <= MAX_EVENTS => Ok(()),
+        _ => Err(TraceError::TooManyEvents {
+            events: have.saturating_add(more),
+        }),
     }
 }
 
 #[cfg(test)]
 mod tests {
-    #![allow(clippy::unwrap_used)]
+    #![allow(clippy::unwrap_used, clippy::panic)]
+
+    use bytes::BytesMut;
+    use proptest::prelude::*;
 
     use super::*;
+    use crate::stream::{put_event, try_event};
 
     fn r(i: usize) -> RegionId {
         RegionId::new(i)
@@ -520,7 +636,7 @@ mod tests {
             b.push(Event::leave(1.0, p, inner));
             b.push(Event::leave(2.0, p, main));
         }
-        b.build()
+        b.build().unwrap()
     }
 
     #[test]
@@ -534,7 +650,7 @@ mod tests {
         let m = b.add_region("m");
         b.push(Event::leave(2.0, 0, m));
         b.push(Event::enter(1.0, 0, m));
-        let t = b.build();
+        let t = b.build().unwrap();
         let evs = t.events_by_processor(0);
         assert!(evs[0].time < evs[1].time);
     }
@@ -545,7 +661,7 @@ mod tests {
         let m = b.add_region("m");
         b.push(Event::enter(0.0, 5, m));
         assert!(matches!(
-            b.build().validate(),
+            b.build().unwrap().validate(),
             Err(TraceError::UnknownProcessor { proc: 5 })
         ));
 
@@ -553,7 +669,7 @@ mod tests {
         b.add_region("m");
         b.push(Event::enter(0.0, 0, r(3)));
         assert!(matches!(
-            b.build().validate(),
+            b.build().unwrap().validate(),
             Err(TraceError::UnknownRegion { region: 3 })
         ));
     }
@@ -568,7 +684,7 @@ mod tests {
         let m = b.add_region("m");
         b.push(Event::enter(1.0, 0, m));
         b.push(Event::leave(1.0, 0, m));
-        b.build().validate().unwrap();
+        b.build().unwrap().validate().unwrap();
     }
 
     #[test]
@@ -579,7 +695,7 @@ mod tests {
         b.push(Event::enter(0.0, 0, a));
         b.push(Event::leave(1.0, 0, c));
         assert!(matches!(
-            b.build().validate(),
+            b.build().unwrap().validate(),
             Err(TraceError::UnbalancedNesting { .. })
         ));
     }
@@ -589,12 +705,12 @@ mod tests {
         let mut b = TraceBuilder::new(1);
         let a = b.add_region("a");
         b.push(Event::leave(1.0, 0, a));
-        assert!(b.build().validate().is_err());
+        assert!(b.build().unwrap().validate().is_err());
 
         let mut b = TraceBuilder::new(1);
         let a = b.add_region("a");
         b.push(Event::enter(1.0, 0, a));
-        assert!(b.build().validate().is_err());
+        assert!(b.build().unwrap().validate().is_err());
     }
 
     #[test]
@@ -605,7 +721,7 @@ mod tests {
         b.push(Event::enter(0.0, 0, a));
         b.push(Event::begin_activity(0.1, 0, ActivityKind::PointToPoint));
         b.push(Event::begin_activity(0.2, 0, ActivityKind::Collective));
-        assert!(b.build().validate().is_err());
+        assert!(b.build().unwrap().validate().is_err());
 
         // Mismatched end.
         let mut b = TraceBuilder::new(1);
@@ -613,20 +729,20 @@ mod tests {
         b.push(Event::enter(0.0, 0, a));
         b.push(Event::begin_activity(0.1, 0, ActivityKind::PointToPoint));
         b.push(Event::end_activity(0.2, 0, ActivityKind::Collective));
-        assert!(b.build().validate().is_err());
+        assert!(b.build().unwrap().validate().is_err());
 
         // End without begin.
         let mut b = TraceBuilder::new(1);
         let a = b.add_region("a");
         b.push(Event::enter(0.0, 0, a));
         b.push(Event::end_activity(0.2, 0, ActivityKind::Collective));
-        assert!(b.build().validate().is_err());
+        assert!(b.build().unwrap().validate().is_err());
 
         // Activity outside any region.
         let mut b = TraceBuilder::new(1);
         b.add_region("a");
         b.push(Event::begin_activity(0.1, 0, ActivityKind::PointToPoint));
-        assert!(b.build().validate().is_err());
+        assert!(b.build().unwrap().validate().is_err());
 
         // Activity left open.
         let mut b = TraceBuilder::new(1);
@@ -634,7 +750,7 @@ mod tests {
         b.push(Event::enter(0.0, 0, a));
         b.push(Event::begin_activity(0.1, 0, ActivityKind::PointToPoint));
         b.push(Event::leave(0.2, 0, a));
-        assert!(b.build().validate().is_err());
+        assert!(b.build().unwrap().validate().is_err());
     }
 
     #[test]
@@ -645,7 +761,7 @@ mod tests {
         b.push(Event::message_send(0.5, 0, 1, 1024));
         b.push(Event::leave(1.0, 0, a));
         b.push(Event::message_recv(0.7, 1, 0, 1024));
-        b.build().validate().unwrap();
+        b.build().unwrap().validate().unwrap();
     }
 
     #[test]
@@ -660,7 +776,7 @@ mod tests {
         b.push(Event::enter(1.0, 1, m));
         b.push(Event::enter(0.0, 0, m));
         b.push(Event::enter(1.0, 7, m));
-        let t = b.build();
+        let t = b.build().unwrap();
         let order = t.rank_order();
         assert_eq!(order.processors(), 3);
         for p in 0..3 {
@@ -689,8 +805,128 @@ mod tests {
         b.reserve_events(128);
         b.push(Event::enter(0.0, 0, m));
         b.push(Event::leave(1.0, 0, m));
-        let trace = b.build();
+        let trace = b.build().unwrap();
         assert_eq!(trace.events().len(), 2);
         trace.validate().unwrap();
+    }
+
+    /// The payload of op `variant` (the wire op code) with these
+    /// operands.
+    fn payload_of(variant: u8, arg: u32, kind: ActivityKind, bytes: u64) -> EventPayload {
+        match variant {
+            0 => EventPayload::EnterRegion { region: arg },
+            1 => EventPayload::LeaveRegion { region: arg },
+            2 => EventPayload::BeginActivity { kind },
+            3 => EventPayload::EndActivity { kind },
+            4 => EventPayload::MessageSend { peer: arg, bytes },
+            _ => EventPayload::MessageRecv { peer: arg, bytes },
+        }
+    }
+
+    /// Packs `payload`, then checks that unpacking, `Debug` and the
+    /// wire record (`put_event` → `try_event`) all give it back.
+    fn check_packing(time: f64, proc: u32, payload: EventPayload) -> Result<(), String> {
+        let e = Event::new(time, proc, payload);
+        let unpacked = (e.time.to_bits(), e.proc, e.payload());
+        if unpacked != (time.to_bits(), proc, payload) {
+            return Err(format!(
+                "{payload:?} at {time:?} on {proc} unpacked as {unpacked:?}"
+            ));
+        }
+        let derived = format!("Event {{ time: {time:?}, proc: {proc:?}, payload: {payload:?} }}");
+        if format!("{e:?}") != derived {
+            return Err(format!("{e:?} is not {derived}"));
+        }
+        let mut buf = BytesMut::with_capacity(25);
+        put_event(&mut buf, &e);
+        match try_event(buf.as_ref()) {
+            Ok(Some((back, len))) if len == buf.len() && back.time.to_bits() == time.to_bits() => {
+                if back != e {
+                    return Err(format!("{e:?} decoded as {back:?}"));
+                }
+                Ok(())
+            }
+            other => Err(format!("{e:?} decoded as {other:?}")),
+        }
+    }
+
+    #[test]
+    fn every_payload_packs_at_its_extremes() {
+        assert_eq!(Event::MAX_MESSAGE_BYTES, (1 << 56) - 1);
+        let subnormal = f64::MIN_POSITIVE / 2.0;
+        let times = [0.0, -0.0, subnormal, -subnormal, f64::MAX, -f64::MAX];
+        for variant in 0..6 {
+            for kind in ActivityKind::ALL {
+                for (proc, arg) in [(0, 0), (0, u32::MAX), (u32::MAX, 0), (u32::MAX, u32::MAX)] {
+                    for bytes in [0, Event::MAX_MESSAGE_BYTES] {
+                        for time in times {
+                            let payload = payload_of(variant, arg, kind, bytes);
+                            check_packing(time, proc, payload).unwrap();
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    fn extreme_u32() -> impl Strategy<Value = u32> {
+        prop_oneof![Just(0), Just(u32::MAX), 0..=u32::MAX]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn packing_round_trips_through_the_wire_record(
+            variant in 0u8..6,
+            (proc, arg) in (extreme_u32(), extreme_u32()),
+            kind in (0usize..6).prop_map(|i| ActivityKind::ALL[i]),
+            bytes in prop_oneof![Just(0), Just(Event::MAX_MESSAGE_BYTES), 0..=Event::MAX_MESSAGE_BYTES],
+            time in (0..=u64::MAX).prop_map(f64::from_bits).prop_filter("finite", |t| t.is_finite()),
+        ) {
+            let payload = payload_of(variant, arg, kind, bytes);
+            if let Err(failure) = check_packing(time, proc, payload) {
+                prop_assert!(false, "{failure}");
+            }
+        }
+    }
+
+    #[test]
+    fn oversized_operands_saturate_out_of_range() {
+        let e = Event::message_send(0.0, 0, 1, u64::MAX);
+        assert_eq!(
+            e.payload(),
+            EventPayload::MessageSend {
+                peer: 1,
+                bytes: Event::MAX_MESSAGE_BYTES
+            }
+        );
+        // A region index no trace declares stays one.
+        let mut b = TraceBuilder::new(1);
+        b.add_region("m");
+        b.push(Event::enter(0.0, 0, r(1 << 40)));
+        assert!(matches!(
+            b.build().unwrap().validate(),
+            Err(TraceError::UnknownRegion { region }) if region == u32::MAX as usize
+        ));
+    }
+
+    /// The cap, driven by count: no events are allocated.
+    #[test]
+    fn event_count_cap_is_a_named_error() {
+        check_event_count(0, MAX_EVENTS).unwrap();
+        check_event_count(MAX_EVENTS - 1, 1).unwrap();
+        for (have, more, events) in [
+            (MAX_EVENTS, 1, 1 << 32),
+            (1, MAX_EVENTS, 1 << 32),
+            (usize::MAX, 1, usize::MAX),
+        ] {
+            match check_event_count(have, more) {
+                Err(TraceError::TooManyEvents { events: refused }) => assert_eq!(refused, events),
+                other => panic!("{have} + {more} events: {other:?}"),
+            }
+        }
+        let err = check_event_count(MAX_EVENTS, 1).unwrap_err().to_string();
+        assert!(err.contains("4294967296 events exceeds"), "{err}");
     }
 }

@@ -72,9 +72,10 @@ impl Fold for ParentsFold {
             self.invalid = Some(err);
             return Ok(());
         }
-        let EventPayload::EnterRegion { region } = e.payload else {
+        let EventPayload::EnterRegion { region } = e.payload() else {
             return Ok(());
         };
+        let region = region as usize;
         if self.not_a_tree.is_some() {
             return Ok(());
         }
@@ -194,8 +195,9 @@ mod tests {
         for proc in 0..trace.processors() as u32 {
             let mut stack: Vec<usize> = Vec::new();
             for e in trace.events_by_processor(proc) {
-                match e.payload {
+                match e.payload() {
                     EventPayload::EnterRegion { region } => {
+                        let region = region as usize;
                         let parent = stack.last().copied();
                         match parents[region] {
                             None => parents[region] = Some(parent),
@@ -256,7 +258,7 @@ mod tests {
                     b.push(events[step]);
                 }
             }
-            let trace = b.build();
+            let trace = b.build().unwrap();
             let indexed = region_parents(&trace);
             assert_eq!(
                 format!("{indexed:?}"),
@@ -278,7 +280,7 @@ mod tests {
         b.push(Event::enter(3.0, 0, inner_b));
         b.push(Event::leave(4.0, 0, inner_b));
         b.push(Event::leave(5.0, 0, outer));
-        let parents = region_parents(&b.build()).unwrap();
+        let parents = region_parents(&b.build().unwrap()).unwrap();
         assert_eq!(parents, vec![None, Some(0), Some(0)]);
     }
 
@@ -296,7 +298,7 @@ mod tests {
                 b.push(Event::leave(t + 3.0, p, outer));
             }
         }
-        let parents = region_parents(&b.build()).unwrap();
+        let parents = region_parents(&b.build().unwrap()).unwrap();
         assert_eq!(parents, vec![None, Some(0)]);
     }
 
@@ -315,7 +317,7 @@ mod tests {
         b.push(Event::leave(6.0, 0, shared));
         b.push(Event::leave(7.0, 0, c));
         assert!(matches!(
-            region_parents(&b.build()),
+            region_parents(&b.build().unwrap()),
             Err(TraceError::Malformed { .. })
         ));
     }
@@ -327,7 +329,7 @@ mod tests {
         let _never = b.add_region("never entered");
         b.push(Event::enter(0.0, 0, a));
         b.push(Event::leave(1.0, 0, a));
-        let parents = region_parents(&b.build()).unwrap();
+        let parents = region_parents(&b.build().unwrap()).unwrap();
         assert_eq!(parents, vec![None, None]);
     }
 
@@ -355,7 +357,7 @@ mod tests {
         // Then rank 0 stops inside `other`: the structural error wins.
         let mut both = not_a_tree.clone();
         both.push(Event::enter(6.0, 0, other));
-        for trace in [b, truncated, not_a_tree, both].map(TraceBuilder::build) {
+        for trace in [b, truncated, not_a_tree, both].map(|b| b.build().unwrap()) {
             assert_eq!(
                 format!("{:?}", parents_folded(&trace)),
                 format!("{:?}", region_parents(&trace))
@@ -375,7 +377,7 @@ mod tests {
         b.push(Event::leave(3.0, 0, l2));
         b.push(Event::leave(4.0, 0, l1));
         b.push(Event::leave(5.0, 0, l0));
-        let parents = region_parents(&b.build()).unwrap();
+        let parents = region_parents(&b.build().unwrap()).unwrap();
         assert_eq!(parents, vec![None, Some(0), Some(1)]);
     }
 }

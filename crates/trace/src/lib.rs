@@ -34,7 +34,7 @@
 //! b.push(Event::begin_activity(1.0, 0, ActivityKind::PointToPoint));
 //! b.push(Event::end_activity(1.5, 0, ActivityKind::PointToPoint));
 //! b.push(Event::leave(2.0, 0, solve));
-//! let trace = b.build();
+//! let trace = b.build()?;
 //! let reduced = reduce(&trace)?;
 //! let m = reduced.measurements;
 //! assert!((m.time(solve, ActivityKind::Computation, 0.into()) - 1.5).abs() < 1e-12);

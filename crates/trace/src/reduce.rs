@@ -184,7 +184,7 @@ pub(crate) fn build(
 /// grow a column at the same `BeginActivity` events, so all three
 /// discover the identical [`ActivitySet`].
 pub(crate) fn note_activity(kinds: &mut Vec<ActivityKind>, e: &Event) {
-    if let EventPayload::BeginActivity { kind } = e.payload {
+    if let EventPayload::BeginActivity { kind } = e.payload() {
         if !kinds.contains(&kind) {
             kinds.push(kind);
         }
@@ -405,7 +405,7 @@ mod tests {
         b.push(Event::begin_activity(2.0, 0, ActivityKind::PointToPoint));
         b.push(Event::end_activity(3.0, 0, ActivityKind::PointToPoint));
         b.push(Event::leave(5.0, 0, r));
-        let red = reduce(&b.build()).unwrap();
+        let red = reduce(&b.build().unwrap()).unwrap();
         let m = &red.measurements;
         let p = ProcessorId::new(0);
         assert!((m.time(r, ActivityKind::Computation, p) - 4.0).abs() < 1e-12);
@@ -421,7 +421,7 @@ mod tests {
         b.push(Event::enter(1.0, 0, inner));
         b.push(Event::leave(3.0, 0, inner));
         b.push(Event::leave(4.0, 0, outer));
-        let red = reduce(&b.build()).unwrap();
+        let red = reduce(&b.build().unwrap()).unwrap();
         let m = &red.measurements;
         let p = ProcessorId::new(0);
         assert!((m.time(outer, ActivityKind::Computation, p) - 2.0).abs() < 1e-12);
@@ -437,7 +437,7 @@ mod tests {
             b.push(Event::enter(t0, 0, r));
             b.push(Event::leave(t0 + 2.0, 0, r));
         }
-        let red = reduce(&b.build()).unwrap();
+        let red = reduce(&b.build().unwrap()).unwrap();
         let t = red
             .measurements
             .time(r, ActivityKind::Computation, ProcessorId::new(0));
@@ -455,7 +455,7 @@ mod tests {
         b.push(Event::enter(0.0, 1, r));
         b.push(Event::message_recv(0.8, 1, 0, 300));
         b.push(Event::leave(1.0, 1, r));
-        let red = reduce(&b.build()).unwrap();
+        let red = reduce(&b.build().unwrap()).unwrap();
         let c = &red.counts;
         assert_eq!(
             c.count(r, CountKind::MessagesSent, ProcessorId::new(0)),
@@ -480,7 +480,7 @@ mod tests {
         b.push(Event::begin_activity(0.5, 0, ActivityKind::Io));
         b.push(Event::end_activity(1.5, 0, ActivityKind::Io));
         b.push(Event::leave(2.0, 0, r));
-        let red = reduce(&b.build()).unwrap();
+        let red = reduce(&b.build().unwrap()).unwrap();
         let m = &red.measurements;
         assert!(m.activities().contains(ActivityKind::Io));
         assert!((m.time(r, ActivityKind::Io, ProcessorId::new(0)) - 1.0).abs() < 1e-12);
@@ -491,7 +491,7 @@ mod tests {
         let mut b = TraceBuilder::new(1);
         let r = b.add_region("r");
         b.push(Event::enter(0.0, 0, r));
-        assert!(reduce(&b.build()).is_err());
+        assert!(reduce(&b.build().unwrap()).is_err());
     }
 
     #[test]
@@ -502,7 +502,7 @@ mod tests {
         b.push(Event::leave(1.0, 0, r));
         b.push(Event::enter(0.0, 1, r));
         b.push(Event::leave(3.0, 1, r));
-        let red = reduce(&b.build()).unwrap();
+        let red = reduce(&b.build().unwrap()).unwrap();
         let m = &red.measurements;
         let s = m.processor_slice(r, ActivityKind::Computation).unwrap();
         assert_eq!(s, &[1.0, 3.0]);
@@ -516,7 +516,7 @@ mod tests {
         b.push(Event::begin_activity(3.0, 0, ActivityKind::Collective));
         b.push(Event::end_activity(7.0, 0, ActivityKind::Collective));
         b.push(Event::leave(10.0, 0, r));
-        let trace = b.build();
+        let trace = b.build().unwrap();
         let windows = reduce_windows(&trace, 4).unwrap();
         assert_eq!(windows.len(), 4);
         let p = ProcessorId::new(0);
@@ -548,7 +548,7 @@ mod tests {
             b.push(Event::message_send(1.0 + p as f64, p, 1 - p, 64));
             b.push(Event::leave(4.0 + p as f64, p, r));
         }
-        let trace = b.build();
+        let trace = b.build().unwrap();
         let full = reduce(&trace).unwrap();
         let windows = reduce_windows(&trace, 3).unwrap();
         for p in 0..2 {
@@ -573,7 +573,7 @@ mod tests {
         let r = b.add_region("r");
         b.push(Event::enter(0.0, 0, r));
         b.push(Event::leave(1.0, 0, r));
-        let trace = b.build();
+        let trace = b.build().unwrap();
         assert!(reduce_windows(&trace, 0).is_err());
 
         // Zero-span trace cannot be windowed.
@@ -581,6 +581,6 @@ mod tests {
         let r = b.add_region("r");
         b.push(Event::enter(0.0, 0, r));
         b.push(Event::leave(0.0, 0, r));
-        assert!(reduce_windows(&b.build(), 2).is_err());
+        assert!(reduce_windows(&b.build().unwrap(), 2).is_err());
     }
 }

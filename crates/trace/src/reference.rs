@@ -44,11 +44,13 @@ fn validate(trace: &Trace) -> Result<(), TraceError> {
         if e.proc as usize >= trace.processors() {
             return Err(TraceError::UnknownProcessor { proc: e.proc });
         }
-        match e.payload {
+        match e.payload() {
             EventPayload::EnterRegion { region } | EventPayload::LeaveRegion { region }
-                if region >= trace.region_names().len() =>
+                if region as usize >= trace.region_names().len() =>
             {
-                return Err(TraceError::UnknownRegion { region });
+                return Err(TraceError::UnknownRegion {
+                    region: region as usize,
+                });
             }
             _ => {}
         }
@@ -114,8 +116,9 @@ fn region_parents(trace: &Trace) -> Result<Vec<Option<usize>>, TraceError> {
     for events in events_partitioned(trace) {
         let mut stack: Vec<usize> = Vec::new();
         for (_, e) in events {
-            match e.payload {
+            match e.payload() {
                 EventPayload::EnterRegion { region } => {
+                    let region = region as usize;
                     let parent = stack.last().copied();
                     match parents[region] {
                         None => parents[region] = Some(parent),
@@ -293,20 +296,21 @@ mod tests {
             let start = rng.below(events.len().max(1));
             if let Some(e) = events[start..].iter_mut().find(|e| {
                 matches!(
-                    e.payload,
+                    e.payload(),
                     EventPayload::EnterRegion { .. } | EventPayload::LeaveRegion { .. }
                 )
             }) {
-                e.payload = match e.payload {
-                    EventPayload::EnterRegion { .. } => EventPayload::EnterRegion { region: stray },
-                    _ => EventPayload::LeaveRegion { region: stray },
+                let stray = RegionId::new(stray);
+                *e = match e.payload() {
+                    EventPayload::EnterRegion { .. } => Event::enter(e.time, e.proc, stray),
+                    _ => Event::leave(e.time, e.proc, stray),
                 };
             }
         }
         for e in events {
             b.push(e);
         }
-        b.build()
+        b.build().expect("a generated trace fits the caps")
     }
 
     fn trace_strategy() -> impl Strategy<Value = Trace> {

@@ -201,7 +201,7 @@ impl Fold for SalvageFold {
                 after: e.time,
             });
         }
-        if let EventPayload::BeginActivity { kind } = e.payload {
+        if let EventPayload::BeginActivity { kind } = e.payload() {
             self.mb.add_activity(kind);
         }
         walker.step(index, e, &mut |a| self.record(e.proc, a))
@@ -277,6 +277,15 @@ impl SalvageWalker {
         self.proc
     }
 
+    /// The start of the computation interval the rank has open (inside
+    /// a region, outside any activity), if any. A message event moves
+    /// the rank's clock but not this start, so a consumer binning
+    /// computation by time must not treat a window as final for the
+    /// rank before this point.
+    pub fn computation_since(&self) -> Option<f64> {
+        (self.current.is_none() && !self.stack.is_empty()).then_some(self.mark)
+    }
+
     /// Feeds the rank's next event (in time order), emitting any
     /// attributions it completes into `sink`. `index` is the event's
     /// recording-order position, used only to name offenders in errors.
@@ -310,8 +319,9 @@ impl SalvageWalker {
         };
         self.events += 1;
         self.last_time = e.time;
-        match e.payload {
+        match e.payload() {
             EventPayload::EnterRegion { region } => {
+                let region = region as usize;
                 check_region(index, "enters", region)?;
                 // Inside an open activity the activity's own interval
                 // covers this time, and `mark` moves at its end.
@@ -329,6 +339,7 @@ impl SalvageWalker {
                 self.stack.push(region);
             }
             EventPayload::LeaveRegion { region } => {
+                let region = region as usize;
                 check_region(index, "leaves", region)?;
                 match self.stack.last() {
                     Some(&top) if top == region => {}
@@ -493,7 +504,7 @@ mod tests {
             ));
             b.push(Event::leave(3.0, p, r));
         }
-        let trace = b.build();
+        let trace = b.build().unwrap();
         let strict = reduce(&trace).unwrap();
         let salvaged = reduce_checked(&trace).unwrap();
         assert!(salvaged.is_complete());
@@ -514,7 +525,7 @@ mod tests {
         b.push(Event::enter(0.0, 1, r));
         b.push(Event::begin_activity(2.0, 1, ActivityKind::Collective));
         b.push(Event::message_send(2.5, 1, 0, 128));
-        let trace = b.build();
+        let trace = b.build().unwrap();
         assert!(reduce(&trace).is_err()); // strict path rejects
         let salvaged = reduce_checked(&trace).unwrap();
         assert!(!salvaged.is_complete());
@@ -543,7 +554,7 @@ mod tests {
         // No events at all: every rank is trivially complete.
         let mut b = TraceBuilder::new(3);
         b.add_region("r");
-        let salvaged = reduce_checked(&b.build()).unwrap();
+        let salvaged = reduce_checked(&b.build().unwrap()).unwrap();
         assert!(salvaged.is_complete());
         assert_eq!(salvaged.coverage.len(), 3);
         for cov in &salvaged.coverage {
@@ -554,7 +565,7 @@ mod tests {
         // that surfaces as a model error (same as strict reduce), never
         // a panic.
         assert!(matches!(
-            reduce_checked(&TraceBuilder::new(2).build()),
+            reduce_checked(&TraceBuilder::new(2).build().unwrap()),
             Err(TraceError::Model(_))
         ));
     }
@@ -566,7 +577,7 @@ mod tests {
         let inner = b.add_region("inner");
         b.push(Event::enter(0.0, 0, outer));
         b.push(Event::enter(1.0, 0, inner));
-        let salvaged = reduce_checked(&b.build()).unwrap();
+        let salvaged = reduce_checked(&b.build().unwrap()).unwrap();
         let cov = salvaged.coverage[0];
         assert_eq!(cov.open_regions, 2);
         assert!(!cov.open_activity);
@@ -582,7 +593,7 @@ mod tests {
         b.push(Event::enter(0.0, 0, r));
         b.push(Event::leave(1.0, 0, r));
         b.push(Event::leave(1.0, 1, r));
-        let err = reduce_checked(&b.build()).unwrap_err();
+        let err = reduce_checked(&b.build().unwrap()).unwrap_err();
         match err {
             TraceError::MalformedEvent { proc, index, .. } => {
                 assert_eq!(proc, 1);
@@ -596,7 +607,7 @@ mod tests {
         let r = b.add_region("r");
         b.push(Event::enter(0.0, 0, r));
         b.push(Event::enter(0.5, 9, r));
-        let err = reduce_checked(&b.build()).unwrap_err().to_string();
+        let err = reduce_checked(&b.build().unwrap()).unwrap_err().to_string();
         assert!(err.contains("event #1"), "{err}");
         assert!(err.contains("processor 9"), "{err}");
 
@@ -605,7 +616,7 @@ mod tests {
         let r = b.add_region("r");
         b.push(Event::enter(0.0, 0, r));
         b.push(Event::end_activity(1.0, 0, ActivityKind::Collective));
-        let err = reduce_checked(&b.build()).unwrap_err().to_string();
+        let err = reduce_checked(&b.build().unwrap()).unwrap_err().to_string();
         assert!(err.contains("never began"), "{err}");
 
         // Begin outside any region.
@@ -613,7 +624,7 @@ mod tests {
         b.add_region("r");
         b.push(Event::begin_activity(0.0, 0, ActivityKind::Io));
         assert!(matches!(
-            reduce_checked(&b.build()),
+            reduce_checked(&b.build().unwrap()),
             Err(TraceError::MalformedEvent {
                 proc: 0,
                 index: 0,
@@ -636,7 +647,7 @@ mod tests {
         b.push(Event::end_activity(3.0, 0, ActivityKind::PointToPoint));
         b.push(Event::leave(4.0, 0, s));
         b.push(Event::leave(5.0, 0, r));
-        let trace = b.build();
+        let trace = b.build().unwrap();
         trace.validate().unwrap();
         let m = reduce(&trace).unwrap().measurements;
         let p0 = ProcessorId::new(0);
@@ -658,7 +669,7 @@ mod tests {
         b.push(Event::begin_activity(1.0, 0, ActivityKind::PointToPoint));
         b.push(Event::leave(2.0, 0, r));
         b.push(Event::end_activity(3.0, 0, ActivityKind::PointToPoint));
-        let trace = b.build();
+        let trace = b.build().unwrap();
         trace.validate().unwrap();
         let salvaged = reduce_checked(&trace).unwrap();
         assert!(salvaged.is_complete());

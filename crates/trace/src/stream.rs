@@ -74,8 +74,9 @@
 //!   [`finish`](StreamDecoder::finish) with an error naming the count;
 //! * records naming a processor or region the header never declared
 //!   fail as [`TraceError::UnknownProcessor`] /
-//!   [`TraceError::UnknownRegion`], non-finite timestamps and unknown op
-//!   codes or activity indices as [`TraceError::Malformed`];
+//!   [`TraceError::UnknownRegion`], non-finite timestamps, unknown op
+//!   codes or activity indices and message sizes over
+//!   [`Event::MAX_MESSAGE_BYTES`] as [`TraceError::Malformed`];
 //! * the content checksum (v2 trailer, v3 end chunk) is verified as the
 //!   stream ends; [`binary::from_bytes`], holding the whole buffer,
 //!   verifies a v2 checksum before decoding at all.
@@ -89,6 +90,7 @@ use limba_model::{ActivityKind, ActivitySet, STANDARD_ACTIVITIES};
 
 use limba_par::Fnv;
 
+use crate::event::{check_event_count, unknown_region};
 use crate::reduce::{note_activity, window_width, Checked, Fold, ReducedTrace, WindowFold};
 use crate::salvage::{SalvageFold, SalvagedTrace};
 use crate::{Event, EventPayload, Trace, TraceBuilder, TraceError};
@@ -147,14 +149,14 @@ pub(crate) fn check_processors(processors: usize) -> Result<(), TraceError> {
 pub(crate) fn put_event(buf: &mut BytesMut, e: &Event) {
     buf.put_f64_le(e.time);
     buf.put_u32_le(e.proc);
-    match e.payload {
+    match e.payload() {
         EventPayload::EnterRegion { region } => {
             buf.put_u8(0);
-            buf.put_u32_le(region as u32);
+            buf.put_u32_le(region);
         }
         EventPayload::LeaveRegion { region } => {
             buf.put_u8(1);
-            buf.put_u32_le(region as u32);
+            buf.put_u32_le(region);
         }
         EventPayload::BeginActivity { kind } => {
             buf.put_u8(2);
@@ -187,8 +189,9 @@ fn field<const N: usize>(buf: &[u8], at: usize) -> Option<[u8; N]> {
 /// is present: `Ok(Some((event, consumed)))` on success, `Ok(None)`
 /// when more bytes are needed (an incomplete record is not an error for
 /// a stream — the rest may still arrive), and a named error for
-/// structurally impossible bytes (unknown op code, bad activity index),
-/// which no amount of further input can repair.
+/// structurally impossible bytes (unknown op code, bad activity index,
+/// a message size over [`Event::MAX_MESSAGE_BYTES`]), which no amount
+/// of further input can repair.
 pub(crate) fn try_event(buf: &[u8]) -> Result<Option<(Event, usize)>, TraceError> {
     let (Some(time), Some(proc), Some(&op)) = (field(buf, 0), field(buf, 8), buf.get(12)) else {
         return Ok(None);
@@ -205,7 +208,7 @@ pub(crate) fn try_event(buf: &[u8]) -> Result<Option<(Event, usize)>, TraceError
             let Some(region) = field(buf, 13) else {
                 return Ok(None);
             };
-            let region = u32::from_le_bytes(region) as usize;
+            let region = u32::from_le_bytes(region);
             let payload = if op == 0 {
                 EventPayload::EnterRegion { region }
             } else {
@@ -232,6 +235,7 @@ pub(crate) fn try_event(buf: &[u8]) -> Result<Option<(Event, usize)>, TraceError
                 return Ok(None);
             };
             let (peer, bytes) = (u32::from_le_bytes(peer), u64::from_le_bytes(bytes));
+            check_message_bytes(bytes)?;
             let payload = if op == 4 {
                 EventPayload::MessageSend { peer, bytes }
             } else {
@@ -241,14 +245,19 @@ pub(crate) fn try_event(buf: &[u8]) -> Result<Option<(Event, usize)>, TraceError
         }
         other => return Err(malformed(format!("unknown op code {other}"))),
     };
-    Ok(Some((
-        Event {
-            time,
-            proc,
-            payload,
-        },
-        13 + operand_len,
-    )))
+    Ok(Some((Event::new(time, proc, payload), 13 + operand_len)))
+}
+
+/// Refuses a message size no [`Event`] holds: over
+/// [`Event::MAX_MESSAGE_BYTES`]. No writer emits one.
+pub(crate) fn check_message_bytes(bytes: u64) -> Result<(), TraceError> {
+    if bytes > Event::MAX_MESSAGE_BYTES {
+        return Err(malformed(format!(
+            "message size {bytes} exceeds the maximum {}",
+            Event::MAX_MESSAGE_BYTES
+        )));
+    }
+    Ok(())
 }
 
 /// The producer/consumer contract of the streaming pipeline: a trace
@@ -334,6 +343,7 @@ impl TraceSink for MaterializeSink {
             .builder
             .as_mut()
             .ok_or_else(|| malformed("events before begin"))?;
+        check_event_count(builder.event_count(), events.len())?;
         builder.extend_events(events);
         Ok(())
     }
@@ -349,7 +359,7 @@ impl TraceSink for MaterializeSink {
             .builder
             .take()
             .ok_or_else(|| malformed("finish before begin"))?;
-        self.trace = Some(builder.build());
+        self.trace = Some(builder.build()?);
         Ok(())
     }
 }
@@ -732,13 +742,9 @@ impl StreamDecoder {
         if event.proc as usize >= self.processors {
             return Err(TraceError::UnknownProcessor { proc: event.proc });
         }
-        match event.payload {
-            EventPayload::EnterRegion { region } | EventPayload::LeaveRegion { region }
-                if region >= self.nregions =>
-            {
-                Err(TraceError::UnknownRegion { region })
-            }
-            _ => Ok(()),
+        match unknown_region(event, self.nregions) {
+            Some(region) => Err(TraceError::UnknownRegion { region }),
+            None => Ok(()),
         }
     }
 
@@ -1469,7 +1475,7 @@ mod tests {
         b.push(Event::message_send(0.25, 2, 1, 4096));
         b.push(Event::message_recv(0.5, 2, 1, 128));
         b.push(Event::leave(1.5, 2, r1));
-        b.build()
+        b.build().unwrap()
     }
 
     fn stream_trace(trace: &Trace, frame_events: usize, sink: &mut dyn TraceSink) {
@@ -1673,7 +1679,7 @@ mod tests {
         let header = 18 + t.region_names().iter().map(|n| 4 + n.len()).sum::<usize>() + 8;
 
         // A v1 header declaring u64::MAX events over an empty body.
-        let mut hostile = to_bytes(&TraceBuilder::new(1).build())[..26].to_vec();
+        let mut hostile = to_bytes(&TraceBuilder::new(1).build().unwrap())[..26].to_vec();
         hostile[8..10].copy_from_slice(&1u16.to_le_bytes());
         hostile[18..26].copy_from_slice(&u64::MAX.to_le_bytes());
         assert!(reserve_hints(&hostile, hostile.len(), 26).is_empty());
@@ -1771,7 +1777,7 @@ mod tests {
         b.push(Event::enter(0.0, 1, r));
         b.push(Event::begin_activity(2.0, 1, ActivityKind::Collective));
         b.push(Event::message_send(2.5, 1, 0, 128));
-        let t = b.build();
+        let t = b.build().unwrap();
         let batch = reduce_checked(&t).unwrap();
         for frame in [1, 2, 100] {
             let mut scan = ScanSink::new();
@@ -1812,7 +1818,7 @@ mod tests {
         if !truncate {
             b.push(Event::leave(3.0, 2, exchange));
         }
-        b.build()
+        b.build().unwrap()
     }
 
     #[test]
@@ -1858,7 +1864,7 @@ mod tests {
         b.push(Event::enter(0.0, 0, r));
         b.push(Event::leave(1.0, 0, r));
         b.push(Event::leave(1.0, 1, r));
-        let t = b.build();
+        let t = b.build().unwrap();
         let mut scan = ScanSink::new();
         stream_trace(&t, 10, &mut scan);
         let mut fold = SalvageSink::new(scan.into_scan().unwrap().activities);
@@ -1879,7 +1885,7 @@ mod tests {
         let r = b.add_region("r");
         b.push(Event::enter(2.0, 0, r));
         b.push(Event::leave(1.0, 0, r));
-        let t = b.build();
+        let t = b.build().unwrap();
         let mut fold = SalvageSink::new(ActivitySet::standard());
         fold.begin(t.processors(), t.region_names()).unwrap();
         assert!(matches!(
@@ -1913,7 +1919,7 @@ mod tests {
         let r = b.add_region("r");
         b.push(Event::enter(0.0, 0, r));
         b.push(Event::leave(2.0, 0, r));
-        let t = b.build();
+        let t = b.build().unwrap();
         let batch = reduce_checked(&t).unwrap();
         let mut fold = SalvageSink::new(ActivitySet::standard());
         stream_trace(&t, 1, &mut fold);
@@ -1929,5 +1935,13 @@ mod tests {
                 .measurements
                 .time(r, ActivityKind::Computation, ProcessorId::new(0)),
         );
+    }
+
+    #[test]
+    fn version_3_refuses_a_message_of_2_pow_56_bytes() {
+        use crate::binary::tests::{assert_oversized, one_message, oversized_message};
+        let v3 = to_stream_bytes(&one_message(), 1).unwrap();
+        assert_eq!(from_bytes(&v3).unwrap(), one_message());
+        assert_oversized(from_bytes(&oversized_message(&v3)));
     }
 }

@@ -18,6 +18,7 @@ use std::io::{BufRead, BufReader, Read, Write};
 
 use limba_model::ActivityKind;
 
+use crate::stream::check_message_bytes;
 use crate::{Event, EventPayload, MaterializeSink, Trace, TraceError, TraceSink};
 
 const HEADER: &str = "limba-trace v1";
@@ -34,7 +35,7 @@ impl fmt::Display for Text<'_> {
             writeln!(f, "region {i} {name}")?;
         }
         for e in trace.events() {
-            match e.payload {
+            match e.payload() {
                 EventPayload::EnterRegion { region } => {
                     writeln!(f, "event {} {} enter {region}", e.time, e.proc)?
                 }
@@ -197,6 +198,8 @@ fn parse_event(rest: &str) -> Result<Event, TraceError> {
                 .ok_or_else(|| malformed("missing region"))?
                 .parse()
                 .map_err(|e| malformed(format!("bad region: {e}")))?;
+            // No trace declares more than u32::MAX regions.
+            let region = u32::try_from(region).map_err(|_| TraceError::UnknownRegion { region })?;
             if op == "enter" {
                 EventPayload::EnterRegion { region }
             } else {
@@ -224,6 +227,7 @@ fn parse_event(rest: &str) -> Result<Event, TraceError> {
                 .ok_or_else(|| malformed("missing bytes"))?
                 .parse()
                 .map_err(|e| malformed(format!("bad bytes: {e}")))?;
+            check_message_bytes(bytes)?;
             if op == "send" {
                 EventPayload::MessageSend { peer, bytes }
             } else {
@@ -235,11 +239,7 @@ fn parse_event(rest: &str) -> Result<Event, TraceError> {
     if parts.next().is_some() {
         return Err(malformed(format!("trailing tokens after event {rest:?}")));
     }
-    Ok(Event {
-        time,
-        proc,
-        payload,
-    })
+    Ok(Event::new(time, proc, payload))
 }
 
 /// Decodes a trace from a string.
@@ -271,7 +271,7 @@ mod tests {
         b.push(Event::message_send(0.1, 1, 0, 4096));
         b.push(Event::message_recv(0.2, 1, 0, 2048));
         b.push(Event::leave(0.75, 1, r1));
-        b.build()
+        b.build().unwrap()
     }
 
     #[test]
@@ -334,5 +334,20 @@ mod tests {
         let t = from_str(s).unwrap();
         assert!((t.events()[0].time - 0.001).abs() < 1e-12);
         let _ = RegionId::new(0);
+    }
+
+    #[test]
+    fn text_refuses_a_message_of_2_pow_56_bytes() {
+        let largest = "limba-trace v1\nprocessors 2\nevent 0 0 send 1 72057594037927935\n";
+        let t = from_str(largest).unwrap();
+        assert_eq!(
+            t.events()[0].payload(),
+            EventPayload::MessageSend {
+                peer: 1,
+                bytes: Event::MAX_MESSAGE_BYTES
+            }
+        );
+        let oversized = largest.replace("72057594037927935", "72057594037927936");
+        crate::binary::tests::assert_oversized(from_str(&oversized));
     }
 }

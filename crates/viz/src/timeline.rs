@@ -42,7 +42,7 @@ fn segments_of<'e>(events: impl IntoIterator<Item = &'e Event>) -> Vec<Segment> 
         }
     };
     for e in events {
-        match e.payload {
+        match e.payload() {
             EventPayload::EnterRegion { .. } => {
                 if depth == 0 {
                     push(mark, e.time, None);
@@ -154,7 +154,7 @@ mod tests {
             b.push(Event::end_activity(0.6, p, ActivityKind::Collective));
             b.push(Event::leave(1.0, p, r));
         }
-        b.build()
+        b.build().unwrap()
     }
 
     #[test]
@@ -203,7 +203,7 @@ mod tests {
                 b.push(events[step]);
             }
         }
-        let trace = b.build();
+        let trace = b.build().unwrap();
         trace.validate().unwrap();
         let order = trace.rank_order();
         for p in 0..3u32 {
@@ -219,18 +219,18 @@ mod tests {
         let r = b.add_region("r");
         b.push(Event::enter(1.0, 0, r)); // idle [0, 1)
         b.push(Event::leave(2.0, 0, r));
-        let svg = timeline_svg(&b.build(), 400).unwrap();
+        let svg = timeline_svg(&b.build().unwrap(), 400).unwrap();
         assert!(svg.contains(activity_color(None)));
     }
 
     #[test]
     fn degenerate_traces_rejected() {
-        let empty = TraceBuilder::new(1).build();
+        let empty = TraceBuilder::new(1).build().unwrap();
         assert!(timeline_svg(&empty, 400).is_err());
 
         let mut b = TraceBuilder::new(1);
         let r = b.add_region("r");
         b.push(Event::enter(0.0, 0, r)); // unbalanced
-        assert!(timeline_svg(&b.build(), 400).is_err());
+        assert!(timeline_svg(&b.build().unwrap(), 400).is_err());
     }
 }

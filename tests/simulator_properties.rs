@@ -486,7 +486,7 @@ fn crashed_run_reduces_to_its_salvage() {
     let r = b.add_region("r");
     b.push(Event::enter(0.0, 0, r));
     b.push(Event::message_send(1.0, 0, 0, 8));
-    cut.trace = b.build();
+    cut.trace = b.build().unwrap();
     let p0 = ProcessorId::new(0);
     let computation = |m: &limba::model::Measurements| m.time(r, ActivityKind::Computation, p0);
     assert_eq!(computation(&cut.reduce().unwrap().measurements), 1.0);

@@ -66,11 +66,9 @@ fn traces(crossing: bool) -> impl Strategy<Value = Trace> {
                                 b.push(Event::begin_activity(at(0.25), p, kind));
                                 b.push(Event::end_activity(at(0.75), p, kind));
                             }
-                            if let Some(send) = send {
-                                b.push(Event {
-                                    time: at(0.5),
-                                    ..send
-                                });
+                            if let Some(mut send) = send {
+                                send.time = at(0.5);
+                                b.push(send);
                             }
                             b.push(Event::leave(end, p, region));
                         }
@@ -111,7 +109,7 @@ fn traces(crossing: bool) -> impl Strategy<Value = Trace> {
                     }
                 }
             }
-            b.build()
+            b.build().unwrap()
         },
     )
 }
@@ -150,14 +148,14 @@ proptest! {
             let mut per_region = vec![0.0f64; m.regions()];
             let mut stack: Vec<(usize, f64)> = Vec::new();
             for e in trace.events_by_processor(p) {
-                match e.payload {
+                match e.payload() {
                     limba::trace::EventPayload::EnterRegion { region } => {
-                        stack.push((region, e.time));
+                        stack.push((region as usize, e.time));
                     }
                     limba::trace::EventPayload::LeaveRegion { region } => {
                         let (r, t0) = stack.pop().expect("balanced");
-                        assert_eq!(r, region);
-                        per_region[region] += e.time - t0;
+                        assert_eq!(r, region as usize);
+                        per_region[r] += e.time - t0;
                     }
                     _ => {}
                 }
@@ -230,7 +228,7 @@ proptest! {
         let sent_events = trace
             .events()
             .iter()
-            .filter(|e| matches!(e.payload, limba::trace::EventPayload::MessageSend { .. }))
+            .filter(|e| matches!(e.payload(), limba::trace::EventPayload::MessageSend { .. }))
             .count();
         let counted: f64 = reduced
             .counts
@@ -422,7 +420,7 @@ fn covered_time(trace: &Trace) -> Vec<f64> {
                     covered += e.time - last;
                 }
                 last = e.time;
-                match e.payload {
+                match e.payload() {
                     EventPayload::EnterRegion { .. } => depth += 1,
                     EventPayload::LeaveRegion { .. } => depth -= 1,
                     EventPayload::BeginActivity { .. } => active = true,
@@ -498,7 +496,7 @@ fn rerecord(trace: &Trace, order: impl Fn(&Event, &Event) -> std::cmp::Ordering)
     for event in events {
         b.push(event);
     }
-    b.build()
+    b.build().unwrap()
 }
 
 /// The streamed counterpart of [`reduce_windows`]: scan pass for the
@@ -536,7 +534,7 @@ fn boundary_trace() -> Trace {
             b.push(Event::leave(t1, p, region));
         }
     }
-    b.build()
+    b.build().unwrap()
 }
 
 #[test]
@@ -613,7 +611,7 @@ fn single_rank_traces_window_identically() {
     b.push(Event::begin_activity(0.5, 0, ActivityKind::Computation));
     b.push(Event::end_activity(2.5, 0, ActivityKind::Computation));
     b.push(Event::leave(3.0, 0, region));
-    let trace = b.build();
+    let trace = b.build().unwrap();
     let batch = reduce_windows(&trace, 3).unwrap();
     let streamed = stream_windows(&trace, 3).unwrap();
     assert_windows_match(&batch, &streamed);
@@ -640,7 +638,7 @@ fn degenerate_window_requests_fail_identically_on_both_paths() {
     tb.add_region("instant");
     tb.push(Event::enter(0.0, 0, region));
     tb.push(Event::leave(0.0, 0, region));
-    let flat = tb.build();
+    let flat = tb.build().unwrap();
     let b = reduce_windows(&flat, 2).expect_err("zero-span run windowed");
     let s = stream_windows(&flat, 2).expect_err("zero-span run windowed");
     assert_eq!(b.to_string(), s.to_string());
@@ -662,7 +660,7 @@ fn truncation_on_a_window_boundary_is_rejected_identically() {
     b.push(Event::enter(0.0, 1, region));
     b.push(Event::leave(1.0, 1, region));
     b.push(Event::enter(2.0, 1, region));
-    let trace = b.build();
+    let trace = b.build().unwrap();
     let be = reduce_windows(&trace, 4).expect_err("truncated trace windowed");
     let se = stream_windows(&trace, 4).expect_err("truncated stream windowed");
     assert_eq!(be.to_string(), se.to_string());
@@ -687,5 +685,5 @@ fn rebuild(trace: &Trace, cut: usize, corrupt: Option<usize>) -> Trace {
         }
         b.push(event);
     }
-    b.build()
+    b.build().unwrap()
 }
