@@ -2220,6 +2220,30 @@ mod tests {
     }
 
     #[test]
+    fn largest_recordable_send_is_traced_exactly() {
+        let max = Event::MAX_MESSAGE_BYTES;
+        let mut pb = ProgramBuilder::new(2);
+        let r = pb.add_region("r");
+        pb.rank(0).enter(r).send(1, max).leave(r);
+        pb.rank(1).enter(r).recv(0).leave(r);
+        let out = Simulator::new(machine(2))
+            .run(&pb.build().unwrap())
+            .unwrap();
+        assert_eq!(out.stats.bytes, max);
+        let traced: Vec<u64> = out
+            .trace
+            .events()
+            .iter()
+            .filter_map(|e| match e.payload() {
+                limba_trace::EventPayload::MessageSend { bytes, .. }
+                | limba_trace::EventPayload::MessageRecv { bytes, .. } => Some(bytes),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(traced, [max, max]);
+    }
+
+    #[test]
     fn late_receiver_pays_only_overhead() {
         let cfg = machine(2);
         let mut pb = ProgramBuilder::new(2);

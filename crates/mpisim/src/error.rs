@@ -25,6 +25,14 @@ pub enum SimError {
         /// The rank that tried to message itself.
         rank: usize,
     },
+    /// A point-to-point send carried more bytes than a trace event holds
+    /// ([`Event::MAX_MESSAGE_BYTES`](limba_trace::Event::MAX_MESSAGE_BYTES)).
+    MessageTooLarge {
+        /// The sending rank.
+        rank: usize,
+        /// The rejected size.
+        bytes: u64,
+    },
     /// A compute op carried a negative or non-finite duration.
     InvalidWork {
         /// The rejected value.
@@ -94,6 +102,11 @@ impl fmt::Display for SimError {
                 write!(f, "rank {rank} out of range for machine of {ranks} ranks")
             }
             SimError::SelfMessage { rank } => write!(f, "rank {rank} cannot message itself"),
+            SimError::MessageTooLarge { rank, bytes } => write!(
+                f,
+                "rank {rank} sends a message of {bytes} bytes, over the maximum of {} a trace records",
+                limba_trace::Event::MAX_MESSAGE_BYTES
+            ),
             SimError::InvalidWork { value } => {
                 write!(
                     f,

@@ -1,6 +1,7 @@
 //! Per-rank op programs and their builders.
 
 use limba_model::RegionId;
+use limba_trace::Event;
 
 use crate::{CollectiveKind, SimError};
 
@@ -319,7 +320,8 @@ impl ProgramBuilder {
     /// # Errors
     ///
     /// Returns an error when an op references an out-of-range rank, a rank
-    /// messages itself, compute work is invalid, or the ranks' collective
+    /// messages itself, a send is larger than a trace event records
+    /// ([`Event::MAX_MESSAGE_BYTES`]), compute work is invalid, or the ranks' collective
     /// call sequences disagree in length or kind.
     pub fn build(self) -> Result<Program, SimError> {
         let n = self.ranks.len();
@@ -332,7 +334,10 @@ impl ProgramBuilder {
                             return Err(SimError::InvalidWork { value: seconds });
                         }
                     }
-                    Op::Send { dst, .. } | Op::Isend { dst, .. } => {
+                    Op::Send { dst, bytes } | Op::Isend { dst, bytes, .. } => {
+                        if bytes > Event::MAX_MESSAGE_BYTES {
+                            return Err(SimError::MessageTooLarge { rank, bytes });
+                        }
                         if dst >= n {
                             return Err(SimError::RankOutOfRange {
                                 rank: dst,
@@ -609,6 +614,43 @@ mod tests {
         let mut pb = ProgramBuilder::new(2);
         pb.rank(0).compute(f64::NAN);
         assert!(matches!(pb.build(), Err(SimError::InvalidWork { .. })));
+    }
+
+    #[test]
+    fn sends_larger_than_a_trace_event_holds_are_refused() {
+        let max = Event::MAX_MESSAGE_BYTES;
+        let mut pb = ProgramBuilder::new(2);
+        pb.rank(0).send(1, max);
+        pb.rank(1).recv(0);
+        assert!(pb.build().is_ok());
+
+        let mut pb = ProgramBuilder::new(2);
+        pb.rank(0).compute(1.0).send(1, max + 1);
+        pb.rank(1).recv(0);
+        let err = pb.build().unwrap_err();
+        assert!(matches!(
+            err,
+            SimError::MessageTooLarge { rank: 0, bytes } if bytes == max + 1
+        ));
+        assert!(err.to_string().contains("72057594037927936 bytes"));
+
+        let mut pb = ProgramBuilder::new(2);
+        pb.rank(0).irecv(1, 7).wait(7);
+        pb.rank(1).isend(0, u64::MAX, 3).wait(3);
+        assert!(matches!(
+            pb.build(),
+            Err(SimError::MessageTooLarge {
+                rank: 1,
+                bytes: u64::MAX
+            })
+        ));
+
+        // Collective sizes enter timing only, never a trace event.
+        let mut pb = ProgramBuilder::new(2);
+        pb.spmd(|_, mut ops| {
+            ops.allreduce(u64::MAX);
+        });
+        assert!(pb.build().is_ok());
     }
 
     #[test]

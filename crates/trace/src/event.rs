@@ -150,13 +150,15 @@ impl Event {
     }
 
     /// Message-send event. A size over [`Event::MAX_MESSAGE_BYTES`]
-    /// saturates to it.
+    /// saturates to it; the simulator refuses such a send when its
+    /// program is built, so it never records one.
     pub fn message_send(time: f64, proc: u32, peer: u32, bytes: u64) -> Self {
         Event::new(time, proc, EventPayload::MessageSend { peer, bytes })
     }
 
     /// Message-receive event. A size over [`Event::MAX_MESSAGE_BYTES`]
-    /// saturates to it.
+    /// saturates to it; the simulator refuses such a send when its
+    /// program is built, so it never records one.
     pub fn message_recv(time: f64, proc: u32, peer: u32, bytes: u64) -> Self {
         Event::new(time, proc, EventPayload::MessageRecv { peer, bytes })
     }
