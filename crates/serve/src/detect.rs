@@ -16,16 +16,24 @@
 //! * **rank outliers** — ranks whose window load sits more than the
 //!   configured number of standard deviations above the window mean.
 //!
-//! Attribution is not reimplemented: the detector drives one
-//! [`SalvageWalker`] per rank — the same state machine behind
-//! [`reduce_checked`](limba_trace::reduce_checked) and the streaming
-//! salvage fold — and bins the computation intervals it emits. Alerts
-//! are therefore a pure function of the event stream: replaying the
-//! same bytes (after a reconnect or a server restart) reproduces the
-//! identical alert sequence.
+//! Attribution is not reimplemented, and not repeated: the detector
+//! owns the run's standard-seeded [`SalvageSink`] — the streaming
+//! counterpart of [`reduce_checked`](limba_trace::reduce_checked),
+//! with one [`SalvageWalker`](limba_trace::SalvageWalker) per rank —
+//! and bins the computation intervals that fold records, which an
+//! [`AttributionTap`] hands it. It reads each walker's open
+//! computation start for its watermark and holds no walker of its own.
+//! Once finished, the same fold is the run's full reduction, from
+//! which serve renders the final report. Alerts are a pure function of
+//! the event stream: replaying the same bytes (after a reconnect or a
+//! server restart) reproduces the identical alert sequence. The fold
+//! also checks each rank's clock, so a rank whose clock runs backwards
+//! fails the detector with [`TraceError::NonMonotoneTime`].
 //!
-//! Memory is bounded: O(`max_active` × ranks) for the open windows
-//! plus O(1) walker state per rank. A straggling rank stalls the
+//! Memory is bounded: O(`max_active` × ranks) for the open windows,
+//! O(1) walker state per rank, and the fold's live matrices,
+//! O(regions × activities × ranks) — about 1 MiB at 4096 ranks for
+//! the 7-region CFD proxy. A straggling rank stalls the
 //! watermark; when more than `max_active` windows accumulate behind
 //! it, the oldest is force-retired so the bound holds. The bound is
 //! enforced against hostile input too: decode rejects non-finite
@@ -38,8 +46,10 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use limba_model::ActivityKind;
-use limba_trace::{Attribution, Event, SalvageWalker, TraceError, TraceSink};
+use limba_model::{ActivityKind, ActivitySet};
+use limba_trace::{
+    Attribution, AttributionTap, Event, SalvageSink, SalvagedTrace, TraceError, TraceSink,
+};
 
 /// Formats a float for a JSON body: six decimal places, or `null` for
 /// non-finite values (bare `NaN`/`inf` would make the object invalid
@@ -233,11 +243,35 @@ impl WindowStat {
     }
 }
 
+/// The detector's tap on its salvage fold: the computation intervals
+/// the fold attributed since the detector last binned, as (rank,
+/// start, end) in attribution order.
+#[derive(Default)]
+struct ComputeTap(Vec<(u32, f64, f64)>);
+
+impl AttributionTap for ComputeTap {
+    fn attribution(&mut self, proc: u32, attribution: Attribution) {
+        if let Attribution::Interval {
+            kind: ActivityKind::Computation,
+            start,
+            end,
+            ..
+        } = attribution
+        {
+            self.0.push((proc, start, end));
+        }
+    }
+}
+
 /// The live detector: a [`TraceSink`] fed incrementally as frames
-/// decode, producing [`Alert`]s and per-window [`WindowStat`]s.
+/// decode, producing [`Alert`]s and per-window [`WindowStat`]s. It owns
+/// the run's standard-seeded salvage fold and bins that fold's
+/// computation attributions, so once finished it also holds the run's
+/// full reduction.
 pub struct OnlineDetector {
     cfg: DetectorConfig,
-    walkers: Vec<SalvageWalker>,
+    /// The run's salvage fold: one walker per rank.
+    fold: SalvageSink<ComputeTap>,
     /// Per-rank clock high-water mark (last event time).
     clocks: Vec<f64>,
     /// Open windows: index → per-rank compute seconds.
@@ -263,7 +297,7 @@ impl OnlineDetector {
     pub fn new(cfg: DetectorConfig) -> Self {
         OnlineDetector {
             cfg,
-            walkers: Vec::new(),
+            fold: SalvageSink::with_tap(ActivitySet::standard(), ComputeTap::default()),
             clocks: Vec::new(),
             active: BTreeMap::new(),
             next_retire: 0,
@@ -300,7 +334,31 @@ impl OnlineDetector {
 
     /// Ranks the stream declared (0 before `begin`).
     pub(crate) fn processors(&self) -> usize {
-        self.walkers.len().max(self.clocks.len())
+        self.clocks.len()
+    }
+
+    /// The run's salvaged reduction, once [`TraceSink::finish`] has
+    /// run: what `limba analyze` folds from the same bytes.
+    pub(crate) fn salvaged(&self) -> Option<&SalvagedTrace> {
+        self.fold.salvaged()
+    }
+
+    /// Bins the computation intervals the fold attributed since the
+    /// last call.
+    fn bin_tapped(&mut self) {
+        let procs = self.clocks.len();
+        for (rank, start, end) in self.fold.tap_mut().0.drain(..) {
+            Self::bin_interval(
+                &mut self.active,
+                self.next_retire,
+                self.cfg.max_active,
+                procs,
+                self.cfg.window,
+                rank as usize,
+                start,
+                end,
+            );
+        }
     }
 
     /// Bins one computation interval into the fixed-width windows it
@@ -365,7 +423,8 @@ impl OnlineDetector {
         // A rank's loads are final up to its clock, or up to the start
         // of the computation interval it still has open, if earlier.
         let watermark = self
-            .walkers
+            .fold
+            .walkers()
             .iter()
             .zip(&self.clocks)
             .map(|(walker, &clock)| walker.computation_since().map_or(clock, |t| t.min(clock)))
@@ -529,22 +588,17 @@ fn least_squares_slope(values: impl Iterator<Item = f64>) -> f64 {
 
 impl TraceSink for OnlineDetector {
     fn begin(&mut self, processors: usize, region_names: &[String]) -> Result<(), TraceError> {
-        self.walkers = (0..processors)
-            .map(|proc| SalvageWalker::new(proc as u32, region_names.len()))
-            .collect();
+        self.fold.begin(processors, region_names)?;
         self.clocks = vec![0.0; processors];
         Ok(())
     }
 
     fn events(&mut self, events: &[Event]) -> Result<(), TraceError> {
-        if self.walkers.len() != self.clocks.len() || self.clocks.is_empty() {
+        if self.clocks.is_empty() {
             return Err(TraceError::Malformed {
                 detail: "events before begin".into(),
             });
         }
-        let width = self.cfg.window;
-        let max_active = self.cfg.max_active;
-        let procs = self.clocks.len();
         for e in events {
             let index = self.index;
             self.index += 1;
@@ -552,6 +606,7 @@ impl TraceSink for OnlineDetector {
             // The stream decoder already rejects non-finite times;
             // this guards sinks fed from other producers.
             if !e.time.is_finite() {
+                self.bin_tapped();
                 return Err(TraceError::MalformedEvent {
                     proc: e.proc,
                     index,
@@ -559,38 +614,18 @@ impl TraceSink for OnlineDetector {
                 });
             }
             self.makespan = self.makespan.max(e.time);
-            let rank = e.proc as usize;
-            let Some(walker) = self.walkers.get_mut(rank) else {
-                return Err(TraceError::MalformedEvent {
-                    proc: e.proc,
-                    index,
-                    detail: format!("references processor {}, trace has {}", e.proc, procs),
-                });
-            };
-            self.clocks[rank] = self.clocks[rank].max(e.time);
-            let active = &mut self.active;
-            let next_retire = self.next_retire;
-            walker.step(index, e, &mut |attribution| {
-                if let Attribution::Interval {
-                    kind: ActivityKind::Computation,
-                    start,
-                    end,
-                    ..
-                } = attribution
-                {
-                    Self::bin_interval(
-                        active,
-                        next_retire,
-                        max_active,
-                        procs,
-                        width,
-                        rank,
-                        start,
-                        end,
-                    );
-                }
-            })?;
+            // A stray processor has no clock; the fold names it.
+            if let Some(clock) = self.clocks.get_mut(e.proc as usize) {
+                *clock = clock.max(e.time);
+            }
+            if let Err(err) = self.fold.events(std::slice::from_ref(e)) {
+                self.bin_tapped();
+                return Err(err);
+            }
         }
+        // `next_retire` holds still until `retire_ready`, so binning
+        // the batch's intervals now is binning each as it came.
+        self.bin_tapped();
         self.retire_ready();
         Ok(())
     }
@@ -600,42 +635,14 @@ impl TraceSink for OnlineDetector {
             return Ok(());
         }
         self.finished = true;
-        // Close every rank (truncation repair, same as salvage) so
-        // trailing partial intervals are attributed, then retire
-        // everything still open.
-        let walkers = std::mem::take(&mut self.walkers);
-        let width = self.cfg.window;
-        let max_active = self.cfg.max_active;
-        let procs = self.clocks.len().max(1);
-        for walker in walkers {
-            let rank = walker.proc() as usize;
-            let active = &mut self.active;
-            let next_retire = self.next_retire;
-            walker.finish(&mut |attribution| {
-                if let Attribution::Interval {
-                    kind: ActivityKind::Computation,
-                    start,
-                    end,
-                    ..
-                } = attribution
-                {
-                    Self::bin_interval(
-                        active,
-                        next_retire,
-                        max_active,
-                        procs,
-                        width,
-                        rank,
-                        start,
-                        end,
-                    );
-                }
-            });
-        }
+        // Close every rank (truncation repair) so trailing partial
+        // intervals are attributed, then retire everything still open.
+        let folded = self.fold.finish();
+        self.bin_tapped();
         while let Some((&oldest, _)) = self.active.first_key_value() {
             self.retire(oldest);
         }
-        Ok(())
+        folded
     }
 }
 

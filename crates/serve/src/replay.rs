@@ -1,18 +1,28 @@
 //! Spool replay: turning a run's on-disk bytes into reports.
 //!
-//! The serving layer never grows a second analysis path. A run's
-//! **final** report is produced by replaying its spool through the
-//! exact sequence `limba analyze` runs — one salvage
-//! fold (its activity columns grow as extras appear, so no scan pass
-//! comes first), the default analyzer, the coverage renderer — so the
-//! served bytes are byte-for-byte what the offline CLI prints for the
-//! same tracefile. A **partial** report (mid-stream disconnect, live
-//! query) runs the same single pass but closes the fold directly
-//! instead of requiring the stream's end chunk, which is precisely the
-//! salvage repair: truncated ranks are closed at their last event and
-//! flagged in the coverage section. Only the **evolution** report
-//! reads its spool twice: a scan for the makespan that fixes the window
-//! width, then the window fold.
+//! The serving layer never grows a second analysis path. Every report
+//! runs the exact sequence `limba analyze` runs — one salvage fold
+//! (its activity columns grow as extras appear, so no scan pass comes
+//! first), the default analyzer, the coverage renderer — so the served
+//! bytes are byte-for-byte what the offline CLI prints for the same
+//! tracefile. The crate-private `render` is that last step, shared by
+//! both kinds of fold.
+//!
+//! The final report of a push that ends cleanly is **not** a replay:
+//! the shard renders it from the run's live fold, which has stepped
+//! exactly the spooled bytes (see the server). What still replays:
+//!
+//! * [`complete_report`] — the `REPORT` of a complete run whose cached
+//!   report is gone (a restarted server), and the benchmark's oracle;
+//! * [`partial_report`] — a live or partial `REPORT`, and the salvaged
+//!   verdict of a disconnect, a disk fault or a failed spool sync. It
+//!   runs the same single pass but closes the fold directly instead of
+//!   requiring the stream's end chunk, which is precisely the salvage
+//!   repair: truncated ranks are closed at their last event and
+//!   flagged in the coverage section;
+//! * [`evolution_report`] — the only report that reads its spool
+//!   twice: a scan for the makespan that fixes the window width, then
+//!   the window fold.
 //!
 //! Replay reads the spool in bounded chunks; memory is one chunk
 //! buffer plus fold state, never the trace.
@@ -120,7 +130,12 @@ fn guard_salvage(salvaged: &SalvagedTrace) -> Result<(), ServeError> {
     Ok(())
 }
 
-fn render(salvaged: &SalvagedTrace) -> Result<String, ServeError> {
+/// Renders a finished salvage fold as a served report: the salvage
+/// guard, the default analyzer, the coverage renderer. Every report
+/// serve sends goes through here, whether its fold replayed a spool or
+/// ran live on the shard.
+pub(crate) fn render(salvaged: &SalvagedTrace) -> Result<String, ServeError> {
+    guard_salvage(salvaged)?;
     let report = analyzer()
         .analyze_with_counts(&salvaged.reduced.measurements, &salvaged.reduced.counts)
         .map_err(|e| ServeError::State(e.to_string()))?;
@@ -133,18 +148,14 @@ fn render(salvaged: &SalvagedTrace) -> Result<String, ServeError> {
 /// The final report for a **complete** spool: byte-for-byte what
 /// `limba analyze <spool>` prints.
 pub fn complete_report(vfs: &dyn Vfs, spool: &Path) -> Result<String, ServeError> {
-    let salvaged = fold_spool(vfs, spool, true)?;
-    guard_salvage(&salvaged)?;
-    render(&salvaged)
+    render(&fold_spool(vfs, spool, true)?)
 }
 
 /// A salvage-grade report over a **partial** spool (disconnected or
 /// still-live run): the pass closes its fold at the last decoded event
 /// instead of requiring the end chunk.
 pub fn partial_report(vfs: &dyn Vfs, spool: &Path) -> Result<String, ServeError> {
-    let salvaged = fold_spool(vfs, spool, false)?;
-    guard_salvage(&salvaged)?;
-    render(&salvaged)
+    render(&fold_spool(vfs, spool, false)?)
 }
 
 /// The offline imbalance-evolution section over `windows` slices of a

@@ -11,7 +11,8 @@
 //!   bounded end to end (channel depth × chunk per shard, plus fold
 //!   state);
 //! * each shard worker owns the decode/detect state for the runs
-//!   hashed onto it, spools every byte to disk before folding it, and
+//!   hashed onto it (one salvage fold per run, which the detector
+//!   taps), spools every byte to disk before folding it, and
 //!   isolates fold panics with `catch_unwind` so one poisoned run
 //!   cannot take down its shard;
 //! * query sessions answer from the [`Registry`] and spool replay
@@ -19,8 +20,10 @@
 //!   ingestion.
 //!
 //! **Durability.** The spool file is the source of truth: a run's
-//! resume offset *is* its spool length, and every report — live,
-//! salvaged, final — is a replay of those bytes. With a checkpoint
+//! resume offset *is* its spool length, and every report is a fold of
+//! those bytes. A clean end renders the final report from the run's
+//! live fold, which has stepped exactly the spooled bytes; live and
+//! salvaged reports replay the spool. With a checkpoint
 //! directory, run metadata also persists through a
 //! [`limba_guard::Checkpoint`], so a killed server restarts knowing
 //! every tenant's runs and resumes each one from its spooled offset;
@@ -44,7 +47,7 @@ use limba_par::{fnv1a, CancelToken};
 use limba_trace::{SealScanner, StreamDecoder};
 use limba_vfs::{StdVfs, Vfs, VfsFile};
 
-use crate::detect::{DetectorConfig, OnlineDetector};
+use crate::detect::{Alert, DetectorConfig, OnlineDetector};
 use crate::protocol::{self, Final, STATUS_ERROR, STATUS_OK, STATUS_REJECTED, STATUS_SALVAGED};
 use crate::registry::{Registry, RunEntry, RunKey, RunStatus};
 use crate::{replay, ServeError};
@@ -722,17 +725,26 @@ enum Failure {
 /// Live fold state for one run on its shard.
 struct Ingest {
     decoder: StreamDecoder,
+    /// The detector and the run's one salvage fold, which a clean end
+    /// renders the final report from.
     detector: OnlineDetector,
     spool: Box<dyn VfsFile>,
     path: PathBuf,
+    /// Bytes in the spool: its length at open plus every successful
+    /// append.
+    spooled: u64,
     /// First failure (fold or disk); latches the run.
     failed: Option<Failure>,
-    /// How many of the detector's alerts the registry already holds —
-    /// `publish` appends only the suffix past this mark instead of
-    /// re-cloning the whole history every chunk.
-    published_alerts: usize,
-    /// Same high-water mark for retired-window stats.
-    published_windows: usize,
+    published: Published,
+}
+
+/// How much of the detector's output the registry already holds:
+/// `publish` appends only the suffix past these marks instead of
+/// re-cloning the whole history every chunk.
+#[derive(Default)]
+struct Published {
+    alerts: usize,
+    windows: usize,
 }
 
 fn shard_worker(shared: Arc<Shared>, rx: Receiver<ShardMsg>) {
@@ -767,14 +779,15 @@ fn open_run(
         .get(key)
         .map(|e| e.spool)
         .unwrap_or_else(|| shared.spool_dir.join(spool_name(key)));
+    let spool = shared.vfs().open_append(&path)?;
     let mut ingest = Ingest {
         decoder: StreamDecoder::new(),
         detector: OnlineDetector::new(shared.cfg.detector.clone()),
-        spool: shared.vfs().open_append(&path)?,
+        spool,
+        spooled: shared.vfs().len(&path).unwrap_or(0),
         path: path.clone(),
         failed: None,
-        published_alerts: 0,
-        published_windows: 0,
+        published: Published::default(),
     };
     if resume {
         // Deterministic folds: replaying the spooled prefix rebuilds
@@ -793,7 +806,13 @@ fn open_run(
                 break;
             }
         }
-        publish(shared, key, &mut ingest);
+        publish(
+            shared,
+            key,
+            &ingest.detector,
+            &mut ingest.published,
+            ingest.spooled,
+        );
     }
     runs.insert(key.clone(), ingest);
     Ok(())
@@ -822,29 +841,31 @@ fn feed(ingest: &mut Ingest, data: &[u8]) {
     }
 }
 
-/// Pushes the detector's current view into the registry. Alerts and
-/// window stats are append-only over an ingest's lifetime, so only the
-/// suffix past the published high-water mark is cloned — per-chunk
-/// cost stays proportional to what the chunk produced, not to the
-/// run's whole history.
-fn publish(shared: &Shared, key: &RunKey, ingest: &mut Ingest) {
-    let events = ingest.detector.events_seen();
-    let processors = ingest.detector.processors();
-    let makespan = ingest.detector.makespan();
-    let new_alerts = ingest.detector.alerts()[ingest.published_alerts..].to_vec();
-    let new_windows = ingest.detector.stats()[ingest.published_windows..].to_vec();
+/// Pushes the detector's current view into the registry, with
+/// `bytes` spooled. Alerts and window stats are append-only over an
+/// ingest's lifetime, so only the suffix past the published marks is
+/// cloned — per-chunk cost stays proportional to what the chunk
+/// produced, not to the run's whole history.
+fn publish(
+    shared: &Shared,
+    key: &RunKey,
+    detector: &OnlineDetector,
+    published: &mut Published,
+    bytes: u64,
+) {
+    let new_alerts = detector.alerts()[published.alerts..].to_vec();
+    let new_windows = detector.stats()[published.windows..].to_vec();
     // Nothing published yet for this ingest: a resumed run's registry
     // entry may hold state from the previous session, which the
     // replayed detector regenerates from byte zero.
-    let fresh = ingest.published_alerts == 0 && ingest.published_windows == 0;
-    ingest.published_alerts = ingest.detector.alerts().len();
-    ingest.published_windows = ingest.detector.stats().len();
-    let bytes = shared.vfs().len(&ingest.path).unwrap_or(0);
+    let fresh = published.alerts == 0 && published.windows == 0;
+    published.alerts = detector.alerts().len();
+    published.windows = detector.stats().len();
     shared.registry.update(key, |entry| {
         entry.bytes = bytes;
-        entry.events = events;
-        entry.processors = processors;
-        entry.makespan = makespan;
+        entry.events = detector.events_seen();
+        entry.processors = detector.processors();
+        entry.makespan = detector.makespan();
         if fresh {
             entry.alerts.clear();
             entry.windows.clear();
@@ -883,8 +904,15 @@ fn ingest_chunk(shared: &Shared, runs: &mut HashMap<RunKey, Ingest>, key: &RunKe
         save_meta(shared, key);
         return;
     }
+    ingest.spooled += data.len() as u64;
     feed(ingest, data);
-    publish(shared, key, ingest);
+    publish(
+        shared,
+        key,
+        &ingest.detector,
+        &mut ingest.published,
+        ingest.spooled,
+    );
 }
 
 fn end_run(shared: &Shared, runs: &mut HashMap<RunKey, Ingest>, key: &RunKey) -> Final {
@@ -895,11 +923,13 @@ fn end_run(shared: &Shared, runs: &mut HashMap<RunKey, Ingest>, key: &RunKey) ->
         };
     };
     let Ingest {
-        decoder,
-        path,
-        failed,
+        mut decoder,
+        mut detector,
         mut spool,
-        ..
+        path,
+        spooled,
+        failed,
+        mut published,
     } = ingest;
 
     match failed {
@@ -972,8 +1002,22 @@ fn end_run(shared: &Shared, runs: &mut HashMap<RunKey, Ingest>, key: &RunKey) ->
                 body: format!("{error}\n{body}"),
             };
         }
-        match replay::complete_report(shared.vfs(), &path) {
+        // Decoder done, spool synced: the live fold has folded exactly
+        // the spooled bytes, in order, so finishing it gives what a
+        // replay of the spool would. Finishing also retires the
+        // detector's last windows.
+        let report = decoder
+            .finish(&mut detector)
+            .map_err(ServeError::from)
+            .and_then(|()| {
+                detector
+                    .salvaged()
+                    .ok_or_else(|| ServeError::State("stream fold did not complete".into()))
+            })
+            .and_then(replay::render);
+        match report {
             Ok(report) => {
+                publish(shared, key, &detector, &mut published, spooled);
                 shared.registry.update(key, |entry| {
                     entry.status = RunStatus::Complete;
                     entry.report = Some(report.clone());
@@ -1083,6 +1127,46 @@ fn find_run(shared: &Shared, tenant: &str, run: &str) -> Result<(RunKey, RunEntr
         .ok_or_else(|| ServeError::State(format!("unknown run {key}")))
 }
 
+/// The `ALERTS` answer: one line per alert, in retirement order.
+fn alert_lines(alerts: &[Alert]) -> String {
+    if alerts.is_empty() {
+        return "no alerts\n".into();
+    }
+    alerts.iter().map(|a| format!("{a}\n")).collect()
+}
+
+/// The `DIGEST` answer: the run's progress, every alert and its last
+/// eight windows, as one JSON object.
+fn digest(key: &RunKey, entry: &RunEntry) -> String {
+    let alerts: Vec<String> = entry.alerts.iter().map(|a| a.to_json()).collect();
+    let recent: Vec<String> = entry
+        .windows
+        .iter()
+        .rev()
+        .take(8)
+        .rev()
+        .map(|w| w.to_json())
+        .collect();
+    format!(
+        "{{\"tenant\":\"{}\",\"run\":\"{}\",\"status\":\"{}\",\"bytes\":{},\
+         \"events\":{},\"processors\":{},\"makespan\":{},\"error\":{},\
+         \"alerts\":[{}],\"windows\":[{}]}}\n",
+        json_escape(&key.tenant),
+        json_escape(&key.run),
+        entry.status.name(),
+        entry.bytes,
+        entry.events,
+        entry.processors,
+        crate::detect::json_f64(entry.makespan),
+        match &entry.error {
+            Some(e) => format!("\"{}\"", json_escape(e)),
+            None => "null".into(),
+        },
+        alerts.join(","),
+        recent.join(","),
+    )
+}
+
 fn handle_query(shared: &Shared, line: &str) -> Result<String, ServeError> {
     let mut words = line.split_whitespace();
     let verb = words.next().unwrap_or("").to_ascii_uppercase();
@@ -1147,44 +1231,11 @@ fn handle_query(shared: &Shared, line: &str) -> Result<String, ServeError> {
         }
         ("DIGEST", [tenant, run]) => {
             let (key, entry) = find_run(shared, tenant, run)?;
-            let alerts: Vec<String> = entry.alerts.iter().map(|a| a.to_json()).collect();
-            let recent: Vec<String> = entry
-                .windows
-                .iter()
-                .rev()
-                .take(8)
-                .rev()
-                .map(|w| w.to_json())
-                .collect();
-            Ok(format!(
-                "{{\"tenant\":\"{}\",\"run\":\"{}\",\"status\":\"{}\",\"bytes\":{},\
-                 \"events\":{},\"processors\":{},\"makespan\":{},\"error\":{},\
-                 \"alerts\":[{}],\"windows\":[{}]}}\n",
-                json_escape(&key.tenant),
-                json_escape(&key.run),
-                entry.status.name(),
-                entry.bytes,
-                entry.events,
-                entry.processors,
-                crate::detect::json_f64(entry.makespan),
-                match &entry.error {
-                    Some(e) => format!("\"{}\"", json_escape(e)),
-                    None => "null".into(),
-                },
-                alerts.join(","),
-                recent.join(","),
-            ))
+            Ok(digest(&key, &entry))
         }
         ("ALERTS", [tenant, run]) => {
             let (_, entry) = find_run(shared, tenant, run)?;
-            if entry.alerts.is_empty() {
-                return Ok("no alerts\n".into());
-            }
-            let mut out = String::new();
-            for a in &entry.alerts {
-                out.push_str(&format!("{a}\n"));
-            }
-            Ok(out)
+            Ok(alert_lines(&entry.alerts))
         }
         ("EVOLUTION", [tenant, run, windows]) => {
             let (_, entry) = find_run(shared, tenant, run)?;
@@ -1209,16 +1260,4 @@ fn handle_query(shared: &Shared, line: &str) -> Result<String, ServeError> {
 }
 
 #[cfg(test)]
-mod tests {
-    #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
-
-    use super::*;
-
-    #[test]
-    fn json_escape_covers_control_characters() {
-        assert_eq!(json_escape(r#"a"b\c"#), r#"a\"b\\c"#);
-        assert_eq!(json_escape("line1\nline2\ttab\r"), "line1\\nline2\\ttab\\r");
-        assert_eq!(json_escape("bell\u{7}"), "bell\\u0007");
-        assert_eq!(json_escape("plain ünïcode"), "plain ünïcode");
-    }
-}
+mod tests;

@@ -65,7 +65,7 @@ pub use durable::{DurableSink, SealScan, SealScanner};
 pub use event::{Event, EventPayload, RankOrder, Trace, TraceBuilder};
 pub use hierarchy::{region_parents, ParentsSink};
 pub use reduce::{reduce, reduce_windows, Attribution, ReducedTrace};
-pub use salvage::{reduce_checked, RankCoverage, SalvageWalker, SalvagedTrace};
+pub use salvage::{reduce_checked, AttributionTap, RankCoverage, SalvageWalker, SalvagedTrace};
 pub use stream::{
     MaterializeSink, ReduceSink, SalvageSink, ScanSink, StreamDecoder, StreamScan, TeeSink,
     TraceSink, WindowSink, WriteSink,

@@ -35,9 +35,10 @@ pub struct ReducedTrace {
 /// interval spent in an activity of a region, or a message count.
 ///
 /// Public so incremental consumers outside this crate (e.g. an online
-/// imbalance detector driving a [`SalvageWalker`](crate::SalvageWalker)
-/// per rank) can receive exactly the attributions the reductions fold —
-/// same state machine, same arithmetic, byte-identical results.
+/// imbalance detector tapping a [`SalvageSink`](crate::SalvageSink)
+/// through an [`AttributionTap`](crate::AttributionTap)) receive
+/// exactly the attributions the reductions fold — same state machine,
+/// same arithmetic, byte-identical results.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Attribution {
     /// Time spent in one activity of one region.

@@ -19,7 +19,10 @@
 //! replays a materialized trace into it one rank at a time, and
 //! [`SalvageSink`](crate::SalvageSink) steps it in recording order. The
 //! strict [`reduce`](crate::reduce) is the same fold with every rank
-//! validated as it walks.
+//! validated as it walks. An [`AttributionTap`] sees every attribution
+//! the fold records, so a live consumer (`limba-serve`'s online
+//! detector) bins the same intervals the matrices get without stepping
+//! a second walker per rank; the default tap `()` compiles to nothing.
 
 use limba_model::{
     ActivityKind, ActivitySet, CountMatrixBuilder, MeasurementsBuilder, ModelError, RegionId,
@@ -121,25 +124,55 @@ fn stray_processor(index: usize, e: &Event, processors: usize) -> TraceError {
     }
 }
 
+/// A consumer of the salvage fold's attributions: called once for each
+/// [`Attribution`] the fold records, with the rank it belongs to, in the
+/// order the fold records them (each rank's in time order, truncation
+/// repair at the rank's end). The fold calls it statically, so the unit
+/// tap `()` costs nothing.
+pub trait AttributionTap {
+    /// Receives one attribution of rank `proc`.
+    fn attribution(&mut self, proc: u32, attribution: Attribution);
+}
+
+/// The no-op tap of every untapped salvage fold.
+impl AttributionTap for () {
+    #[inline(always)]
+    fn attribution(&mut self, _proc: u32, _attribution: Attribution) {}
+}
+
 /// The salvaged reduction as a fold: full-run matrices, a
 /// [`SalvageWalker`] per rank, and a [`RankCoverage`] record per ended
 /// rank. Its activity columns start from a seed set and grow at each
 /// `BeginActivity` of a kind they lack, so a stream seeded with the
 /// standard four gets the columns a scan would have found, in
 /// first-appearance order. The first model error is kept and reported
-/// by [`finish`](Fold::finish).
-pub(crate) struct SalvageFold {
+/// by [`finish`](Fold::finish). Every attribution also goes to the
+/// tap `T`, model error or not.
+pub(crate) struct SalvageFold<T = ()> {
     mb: MeasurementsBuilder,
     cb: CountMatrixBuilder,
     regions: usize,
     coverage: Vec<RankCoverage>,
     failure: Option<ModelError>,
+    tap: T,
 }
 
 impl SalvageFold {
     /// The fold over `processors` ranks and `region_names`, with
     /// `activities` as its seed columns.
     pub(crate) fn new(processors: usize, region_names: &[String], activities: ActivitySet) -> Self {
+        SalvageFold::with_tap(processors, region_names, activities, ())
+    }
+}
+
+impl<T: AttributionTap> SalvageFold<T> {
+    /// [`SalvageFold::new`], with every attribution also going to `tap`.
+    pub(crate) fn with_tap(
+        processors: usize,
+        region_names: &[String],
+        activities: ActivitySet,
+        tap: T,
+    ) -> Self {
         let (mb, cb) = builders(processors, region_names, activities);
         SalvageFold {
             mb,
@@ -147,10 +180,17 @@ impl SalvageFold {
             regions: region_names.len(),
             coverage: Vec::with_capacity(processors),
             failure: None,
+            tap,
         }
     }
 
+    /// The tap.
+    pub(crate) fn tap_mut(&mut self) -> &mut T {
+        &mut self.tap
+    }
+
     fn record(&mut self, proc: u32, attribution: Attribution) {
+        self.tap.attribution(proc, attribution);
         if self.failure.is_some() {
             return;
         }
@@ -178,7 +218,7 @@ impl SalvageFold {
     }
 }
 
-impl Fold for SalvageFold {
+impl<T: AttributionTap> Fold for SalvageFold<T> {
     type Rank = SalvageWalker;
     type Output = SalvagedTrace;
 
@@ -241,9 +281,10 @@ impl Fold for SalvageFold {
 /// rank's end check runs before `finish`, which then has nothing to
 /// close.
 ///
-/// Public so external incremental consumers — e.g. `limba-serve`'s
-/// online window detector — fold the *same* [`Attribution`]s the
-/// reductions see, instead of reimplementing attribution.
+/// Public so incremental consumers outside this crate can attribute
+/// with the same state machine, and so a [`SalvageSink`](crate::SalvageSink)
+/// can lend its walkers out read-only (`limba-serve`'s online detector
+/// reads [`computation_since`](SalvageWalker::computation_since) there).
 pub struct SalvageWalker {
     proc: u32,
     regions: usize,

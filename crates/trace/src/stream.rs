@@ -33,7 +33,7 @@
 //! [`reduce`](crate::reduce()), [`reduce_windows`](crate::reduce_windows),
 //! [`reduce_checked`](crate::reduce_checked) and
 //! [`region_parents`](crate::region_parents) as events arrive, holding
-//! one [`SalvageWalker`](crate::SalvageWalker) (or checker) per rank;
+//! one [`SalvageWalker`] (or checker) per rank;
 //! the batch entry points replay the trace's rank order into the same
 //! fold one rank at a time. Because every matrix cell
 //! `(region, activity, processor)` is written by exactly one rank's
@@ -92,8 +92,8 @@ use limba_par::Fnv;
 
 use crate::event::{check_event_count, unknown_region};
 use crate::reduce::{note_activity, window_width, Checked, Fold, ReducedTrace, WindowFold};
-use crate::salvage::{SalvageFold, SalvagedTrace};
-use crate::{Event, EventPayload, Trace, TraceBuilder, TraceError};
+use crate::salvage::{AttributionTap, SalvageFold, SalvagedTrace};
+use crate::{Event, EventPayload, SalvageWalker, Trace, TraceBuilder, TraceError};
 
 /// Format version of the chunked streaming container.
 pub(crate) const STREAM_VERSION: u16 = 3;
@@ -1249,11 +1249,27 @@ impl<F: Fold> Folding<F> {
         Ok(())
     }
 
-    pub(crate) fn finish(mut self) -> Result<F::Output, TraceError> {
+    /// The per-rank states, ascending by processor.
+    pub(crate) fn ranks(&self) -> &[F::Rank] {
+        &self.ranks
+    }
+
+    /// The fold being stepped.
+    pub(crate) fn fold_mut(&mut self) -> &mut F {
+        &mut self.fold
+    }
+
+    /// Ends every rank in rank order, returning the fold ready to
+    /// finish.
+    pub(crate) fn end_ranks(mut self) -> Result<F, TraceError> {
         for rank in self.ranks {
             self.fold.end_rank(rank)?;
         }
-        self.fold.finish()
+        Ok(self.fold)
+    }
+
+    pub(crate) fn finish(self) -> Result<F::Output, TraceError> {
+        self.end_ranks()?.finish()
     }
 }
 
@@ -1410,9 +1426,18 @@ impl TraceSink for WindowSink {
 /// Streaming cannot sort, so each rank's stream must arrive
 /// time-ordered (every in-repo writer's order); a rank whose clock runs
 /// backwards fails with [`TraceError::NonMonotoneTime`].
-pub struct SalvageSink {
+///
+/// The sink may carry an [`AttributionTap`] (see
+/// [`SalvageSink::with_tap`]) that sees every attribution the fold
+/// records. [`SalvageSink::new`] builds the untapped sink, whose tap is
+/// the no-op `()`.
+pub struct SalvageSink<T: AttributionTap = ()> {
     activities: ActivitySet,
-    run: Option<Folding<SalvageFold>>,
+    /// The tap while no fold runs (before `begin`, after `finish`);
+    /// the running fold holds it in between, and this field a
+    /// default.
+    tap: T,
+    run: Option<Folding<SalvageFold<T>>>,
     result: Option<SalvagedTrace>,
 }
 
@@ -1423,11 +1448,40 @@ impl SalvageSink {
     /// one pass; a scan pass's full [`StreamScan::activities`] gives
     /// the same result.
     pub fn new(activities: ActivitySet) -> Self {
+        SalvageSink::with_tap(activities, ())
+    }
+}
+
+impl<T: AttributionTap + Default> SalvageSink<T> {
+    /// [`SalvageSink::new`], with every attribution the fold records
+    /// also going to `tap`, rank by rank as the fold records it.
+    pub fn with_tap(activities: ActivitySet, tap: T) -> Self {
         SalvageSink {
             activities,
+            tap,
             run: None,
             result: None,
         }
+    }
+
+    /// The tap, wherever it currently sits.
+    pub fn tap_mut(&mut self) -> &mut T {
+        match &mut self.run {
+            Some(run) => run.fold_mut().tap_mut(),
+            None => &mut self.tap,
+        }
+    }
+
+    /// The running fold's per-rank walkers, ascending by processor
+    /// (empty before [`TraceSink::begin`] and after
+    /// [`TraceSink::finish`]).
+    pub fn walkers(&self) -> &[SalvageWalker] {
+        self.run.as_ref().map_or(&[], |run| run.ranks())
+    }
+
+    /// The salvaged reduction, once [`TraceSink::finish`] has run.
+    pub fn salvaged(&self) -> Option<&SalvagedTrace> {
+        self.result.as_ref()
     }
 
     /// The salvaged reduction, once [`TraceSink::finish`] has run.
@@ -1436,10 +1490,11 @@ impl SalvageSink {
     }
 }
 
-impl TraceSink for SalvageSink {
+impl<T: AttributionTap + Default> TraceSink for SalvageSink<T> {
     fn begin(&mut self, processors: usize, region_names: &[String]) -> Result<(), TraceError> {
         check_processors(processors)?;
-        let fold = SalvageFold::new(processors, region_names, self.activities.clone());
+        let tap = std::mem::take(self.tap_mut());
+        let fold = SalvageFold::with_tap(processors, region_names, self.activities.clone(), tap);
         self.run = Some(Folding::new(fold, processors));
         Ok(())
     }
@@ -1449,7 +1504,15 @@ impl TraceSink for SalvageSink {
     }
 
     fn finish(&mut self) -> Result<(), TraceError> {
-        self.result = Some(finished(&mut self.run)?);
+        let run = self
+            .run
+            .take()
+            .ok_or_else(|| malformed("finish before begin"))?;
+        // The tap comes back once every rank's truncation repair has
+        // reached it, whether or not the tables build.
+        let mut fold = run.end_ranks()?;
+        self.tap = std::mem::take(fold.tap_mut());
+        self.result = Some(fold.finish()?);
         Ok(())
     }
 }
