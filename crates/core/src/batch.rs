@@ -18,7 +18,7 @@
 //!   can be shared across batches and across threads.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use limba_model::Measurements;
 
@@ -41,14 +41,9 @@ pub(crate) fn measurements_digest(measurements: &Measurements) -> u64 {
         let name = measurements.region_info(region).name();
         bytes.extend_from_slice(&(name.len() as u64).to_le_bytes());
         bytes.extend_from_slice(name.as_bytes());
-        for kind in measurements.activities().iter() {
-            for proc in measurements.processor_ids() {
-                bytes.extend_from_slice(
-                    &measurements
-                        .time(region, kind, proc)
-                        .to_bits()
-                        .to_le_bytes(),
-                );
+        for column in measurements.region_columns(region) {
+            for t in column {
+                bytes.extend_from_slice(&t.to_bits().to_le_bytes());
             }
         }
     }
@@ -71,9 +66,16 @@ impl ReportCache {
         ReportCache::default()
     }
 
+    /// The cache's map. A worker that panicked while holding the lock
+    /// left at worst a missing entry, never a torn one (each operation
+    /// is one `HashMap` call), so a poisoned lock is taken over as is.
+    fn entries(&self) -> MutexGuard<'_, HashMap<CacheKey, Arc<Report>>> {
+        self.entries.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Number of memoized reports.
     pub fn len(&self) -> usize {
-        self.entries.lock().expect("cache lock").len()
+        self.entries().len()
     }
 
     /// Whether the cache is empty.
@@ -82,11 +84,11 @@ impl ReportCache {
     }
 
     fn get(&self, key: (u64, u64)) -> Option<Arc<Report>> {
-        self.entries.lock().expect("cache lock").get(&key).cloned()
+        self.entries().get(&key).cloned()
     }
 
     fn insert(&self, key: (u64, u64), report: Arc<Report>) {
-        self.entries.lock().expect("cache lock").insert(key, report);
+        self.entries().insert(key, report);
     }
 }
 
@@ -198,6 +200,8 @@ impl BatchAnalyzer {
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
     use super::*;
     use limba_model::{ActivityKind, MeasurementsBuilder};
 

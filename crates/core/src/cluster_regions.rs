@@ -98,6 +98,8 @@ pub fn cluster_regions(
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
     use super::*;
     use limba_model::{ActivityKind, MeasurementsBuilder};
 

@@ -59,15 +59,18 @@ pub fn coarse_analysis(
     if profile.total_seconds <= 0.0 {
         return Err(AnalysisError::EmptyProgram);
     }
+    // A profile with positive time has an activity, a region, and a
+    // region performing the dominant activity; one that lacks them (not
+    // derived from `measurements`) has nothing to characterize either.
     let (dominant_activity, dominant_activity_seconds) = profile
         .dominant_activity()
-        .expect("non-empty program has activities");
+        .ok_or(AnalysisError::EmptyProgram)?;
     let heaviest = profile
         .heaviest_region()
-        .expect("non-empty program has regions");
+        .ok_or(AnalysisError::EmptyProgram)?;
     let heaviest_in_dominant = profile
         .worst_region_for(dominant_activity)
-        .expect("dominant activity is performed somewhere")
+        .ok_or(AnalysisError::EmptyProgram)?
         .region;
     let extremes = measurements
         .activities()
@@ -100,6 +103,8 @@ pub fn coarse_analysis(
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
     use super::*;
     use limba_model::MeasurementsBuilder;
 

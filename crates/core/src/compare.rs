@@ -12,6 +12,7 @@
 use limba_model::{ActivityKind, Measurements, RegionId};
 use limba_stats::dispersion::{DispersionIndex, DispersionKind};
 
+use crate::views::weighted_activity_id;
 use crate::AnalysisError;
 
 /// Verdict on one region's change between two runs.
@@ -81,29 +82,9 @@ fn region_weighted_id(
         return Ok(0.0);
     }
     let mut weighted = 0.0;
-    for kind in m.activities().iter() {
+    for (kind, column) in m.activities().iter().zip(m.region_columns(r)) {
         if m.performs(r, kind) {
-            let slice = m.processor_slice(r, kind).expect("performed");
-            weighted += m.region_activity_time(r, kind) / t_i * dispersion.index(slice)?;
-        }
-    }
-    Ok(weighted)
-}
-
-fn activity_weighted_id(
-    m: &Measurements,
-    kind: ActivityKind,
-    dispersion: DispersionKind,
-) -> Result<f64, AnalysisError> {
-    let t_j = m.activity_time(kind);
-    if t_j <= 0.0 {
-        return Ok(0.0);
-    }
-    let mut weighted = 0.0;
-    for r in m.region_ids() {
-        if m.performs(r, kind) {
-            let slice = m.processor_slice(r, kind).expect("performed");
-            weighted += m.region_activity_time(r, kind) / t_j * dispersion.index(slice)?;
+            weighted += m.region_activity_time(r, kind) / t_i * dispersion.index(column)?;
         }
     }
     Ok(weighted)
@@ -163,8 +144,8 @@ pub fn compare_runs(
     }
     let mut activity_ids = Vec::new();
     for kind in before.activities().iter() {
-        let b = activity_weighted_id(before, kind, dispersion)?;
-        let a = activity_weighted_id(after, kind, dispersion)?;
+        let b = weighted_activity_id(before, kind, dispersion)?.unwrap_or(0.0);
+        let a = weighted_activity_id(after, kind, dispersion)?.unwrap_or(0.0);
         if b > 0.0 || a > 0.0 || before.activity_time(kind) > 0.0 || after.activity_time(kind) > 0.0
         {
             activity_ids.push((kind, b, a));
@@ -179,6 +160,8 @@ pub fn compare_runs(
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
     use super::*;
     use limba_model::MeasurementsBuilder;
 

@@ -101,6 +101,8 @@ pub fn count_view(
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
     use super::*;
     use limba_model::CountMatrixBuilder;
 

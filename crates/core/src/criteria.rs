@@ -101,6 +101,8 @@ pub fn criteria_study(
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
     use super::*;
 
     const SCORES: [f64; 6] = [0.9, 0.1, 0.8, 0.2, 0.7, 0.05];

@@ -61,6 +61,8 @@ impl From<ClusterError> for AnalysisError {
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
     use super::*;
 
     #[test]

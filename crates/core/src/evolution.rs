@@ -11,8 +11,9 @@
 
 use limba_model::{ActivityKind, Measurements};
 use limba_stats::describe::least_squares_slope;
-use limba_stats::dispersion::{DispersionIndex, DispersionKind};
+use limba_stats::dispersion::DispersionKind;
 
+use crate::views::weighted_activity_id;
 use crate::AnalysisError;
 
 /// Direction of an imbalance trend over time.
@@ -63,28 +64,6 @@ impl Evolution {
     }
 }
 
-/// Computes the weighted dispersion `ID_A_j` of one activity within one
-/// window's measurements, or `None` if the activity has no time there.
-fn window_activity_id(
-    m: &Measurements,
-    kind: ActivityKind,
-    dispersion: DispersionKind,
-) -> Result<Option<f64>, AnalysisError> {
-    let t_j = m.activity_time(kind);
-    if t_j <= 0.0 {
-        return Ok(None);
-    }
-    let mut weighted = 0.0;
-    for r in m.region_ids() {
-        if m.performs(r, kind) {
-            let slice = m.processor_slice(r, kind).expect("performed");
-            let id = dispersion.index(slice)?;
-            weighted += m.region_activity_time(r, kind) / t_j * id;
-        }
-    }
-    Ok(Some(weighted))
-}
-
 /// Tracks how each activity's weighted dispersion evolves across the
 /// per-window measurement matrices.
 ///
@@ -106,7 +85,7 @@ pub fn imbalance_evolution(
     for kind in first.activities().iter() {
         let mut values = Vec::with_capacity(windows.len());
         for w in windows {
-            values.push(window_activity_id(w, kind, dispersion)?);
+            values.push(weighted_activity_id(w, kind, dispersion)?);
         }
         if values.iter().all(|v| v.is_none()) {
             continue;
@@ -137,6 +116,8 @@ pub fn imbalance_evolution(
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
     use super::*;
     use limba_model::MeasurementsBuilder;
 

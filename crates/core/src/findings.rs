@@ -138,6 +138,8 @@ pub fn derive_findings(
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
     use super::*;
     use crate::views::{activity_view, processor_view, region_view};
     use limba_model::MeasurementsBuilder;

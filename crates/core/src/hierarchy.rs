@@ -253,6 +253,8 @@ pub fn drilldown(
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
     use super::*;
     use limba_model::{ActivityKind, MeasurementsBuilder, ProcessorId};
 

@@ -53,6 +53,9 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(clippy::panic)]
+#![warn(clippy::unwrap_used)]
+#![warn(clippy::expect_used)]
 
 pub mod batch;
 pub mod cluster_regions;
@@ -69,6 +72,8 @@ pub mod views;
 
 mod error;
 mod pipeline;
+#[cfg(test)]
+mod reference;
 
 pub use batch::{BatchAnalyzer, ReportCache};
 pub use error::AnalysisError;

@@ -7,6 +7,8 @@
 
 use limba_model::{ActivityKind, Measurements, RegionId};
 
+use crate::views::performed_cells;
+
 /// Classification of one processor's time within a (region, activity) row.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PatternBin {
@@ -112,18 +114,11 @@ pub struct PatternGrid {
 
 /// Builds the pattern diagram of `activity` from `measurements`.
 pub fn pattern_grid(measurements: &Measurements, activity: ActivityKind) -> PatternGrid {
-    let rows = measurements
-        .region_ids()
-        .filter(|&r| measurements.performs(r, activity))
-        .map(|r| {
-            let slice = measurements
-                .processor_slice(r, activity)
-                .expect("performed activity has a slice");
-            PatternRow {
-                region: r,
-                name: measurements.region_info(r).name().to_string(),
-                bins: classify_row(slice),
-            }
+    let rows = performed_cells(measurements, activity)
+        .map(|(r, column)| PatternRow {
+            region: r,
+            name: measurements.region_info(r).name().to_string(),
+            bins: classify_row(column),
         })
         .collect();
     PatternGrid { activity, rows }
@@ -131,6 +126,8 @@ pub fn pattern_grid(measurements: &Measurements, activity: ActivityKind) -> Patt
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
     use super::*;
     use limba_model::MeasurementsBuilder;
 

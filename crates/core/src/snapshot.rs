@@ -25,6 +25,8 @@ pub fn canonical(report: &Report) -> String {
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
     use super::*;
     use crate::Analyzer;
     use limba_model::{ActivityKind, MeasurementsBuilder};

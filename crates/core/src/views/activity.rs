@@ -4,7 +4,7 @@
 //! performed by the processors across all the code regions with the
 //! objective of identifying the most imbalanced activity."
 
-use limba_model::{ActivityKind, Measurements};
+use limba_model::{ActivityKind, Measurements, RegionId};
 use limba_stats::dispersion::{DispersionIndex, DispersionKind};
 
 use crate::AnalysisError;
@@ -55,7 +55,21 @@ impl ActivityView {
 /// For each cell where region `i` performs activity `j`, the times of the
 /// processors are standardized to sum one and their dispersion around the
 /// balanced point is `ID_ij`. The per-activity summaries weight the
-/// `ID_ij` by `t_ij / T_j` and scale by `T_j / T`.
+/// `ID_ij` by `t_ij / T_j` and scale by `T_j / T`. Each index reads the
+/// cell's per-processor column in place
+/// ([`Measurements::region_columns`]).
+///
+/// Degenerate inputs have defined results:
+///
+/// * an activity column that is zero everywhere is not performed: its
+///   cells are `None` and it has no summary;
+/// * with `P = 1`, or when a cell's processors all spent the same time
+///   (all-equal loads), the cell's `ID_ij` is `0`, and so is a summary
+///   whose cells all are;
+/// * a processor idle in a cell that others perform counts as a `0`
+///   time in the cell's spread;
+/// * with a single region, each summary's `ID_A_j` is that region's
+///   `ID_ij`.
 ///
 /// # Errors
 ///
@@ -73,15 +87,13 @@ pub fn activity_view(
     let mut id: Vec<Vec<Option<f64>>> = Vec::with_capacity(measurements.regions());
     for r in measurements.region_ids() {
         let mut row = Vec::with_capacity(k);
-        for kind in measurements.activities().iter() {
-            if measurements.performs(r, kind) {
-                let slice = measurements
-                    .processor_slice(r, kind)
-                    .expect("performed activity has a slice");
-                row.push(Some(dispersion.index(slice)?));
+        let cells = measurements.activities().iter();
+        for (kind, column) in cells.zip(measurements.region_columns(r)) {
+            row.push(if measurements.performs(r, kind) {
+                Some(dispersion.index(column)?)
             } else {
-                row.push(None);
-            }
+                None
+            });
         }
         id.push(row);
     }
@@ -110,8 +122,45 @@ pub fn activity_view(
     Ok(ActivityView { id, summaries })
 }
 
+/// The regions that perform `kind`, in region order, each with its
+/// per-processor column of `kind`.
+pub(crate) fn performed_cells(
+    measurements: &Measurements,
+    kind: ActivityKind,
+) -> impl Iterator<Item = (RegionId, &[f64])> {
+    measurements.region_ids().filter_map(move |r| {
+        let column = measurements.processor_slice(r, kind)?;
+        measurements.performs(r, kind).then_some((r, column))
+    })
+}
+
+/// `ID_A_j` of one activity, computed straight from the matrix (the
+/// activity view's summary value), or `None` when the activity has no
+/// time.
+///
+/// # Errors
+///
+/// Propagates statistical errors (which indicate invalid measurements).
+pub(crate) fn weighted_activity_id(
+    measurements: &Measurements,
+    kind: ActivityKind,
+    dispersion: DispersionKind,
+) -> Result<Option<f64>, AnalysisError> {
+    let t_j = measurements.activity_time(kind);
+    if t_j <= 0.0 {
+        return Ok(None);
+    }
+    let mut weighted = 0.0;
+    for (r, column) in performed_cells(measurements, kind) {
+        weighted += measurements.region_activity_time(r, kind) / t_j * dispersion.index(column)?;
+    }
+    Ok(Some(weighted))
+}
+
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
     use super::*;
     use limba_model::MeasurementsBuilder;
 
@@ -187,6 +236,87 @@ mod tests {
             activity_view(&m, DispersionKind::Euclidean),
             Err(AnalysisError::EmptyProgram)
         ));
+    }
+
+    /// One region on `p` processors; `comp(p)` and `coll(p)` give each
+    /// processor's computation and collective times (point-to-point
+    /// and synchronization stay zero everywhere).
+    fn one_region(
+        p: usize,
+        comp: impl Fn(usize) -> f64,
+        coll: impl Fn(usize) -> f64,
+    ) -> Measurements {
+        let mut b = MeasurementsBuilder::new(p);
+        let r = b.add_region("r");
+        for proc in 0..p {
+            b.record(r, ActivityKind::Computation, proc, comp(proc))
+                .unwrap();
+            b.record(r, ActivityKind::Collective, proc, coll(proc))
+                .unwrap();
+        }
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn one_processor_cells_are_balanced() {
+        let v = activity_view(&one_region(1, |_| 0.3, |_| 0.1), DispersionKind::Euclidean).unwrap();
+        assert_eq!(v.id, vec![vec![Some(0.0), None, Some(0.0), None]]);
+        assert!(v.summaries.iter().all(|s| s.id == 0.0 && s.sid == 0.0));
+    }
+
+    #[test]
+    fn all_equal_loads_have_index_zero() {
+        // Times that sum exactly give exact zeros; others leave rounding.
+        let exact =
+            activity_view(&one_region(4, |_| 2.0, |_| 0.5), DispersionKind::Euclidean).unwrap();
+        assert_eq!(exact.id[0], vec![Some(0.0), None, Some(0.0), None]);
+        let rounded =
+            activity_view(&one_region(3, |_| 0.1, |_| 0.7), DispersionKind::Euclidean).unwrap();
+        for d in rounded.id[0].iter().flatten() {
+            assert!(d.abs() < 1e-15, "{d}");
+        }
+    }
+
+    #[test]
+    fn single_region_summaries_are_its_cells() {
+        let m = one_region(3, |p| 1.0 + p as f64, |p| 0.5 * p as f64);
+        let v = activity_view(&m, DispersionKind::Euclidean).unwrap();
+        // t_ij / T_j is exactly 1 with one region.
+        assert_eq!(v.summaries[0].id, v.id[0][0].unwrap());
+        assert_eq!(v.summaries[1].id, v.id[0][2].unwrap());
+        let fractions: f64 = v.summaries.iter().map(|s| s.fraction_of_program).sum();
+        assert!((fractions - 1.0).abs() < 1e-15);
+    }
+
+    #[test]
+    fn zero_activity_columns_are_not_performed() {
+        let v = activity_view(
+            &one_region(2, |_| 1.0, |p| p as f64),
+            DispersionKind::Euclidean,
+        )
+        .unwrap();
+        assert_eq!(v.id[0][1], None);
+        assert_eq!(v.id[0][3], None);
+        let kinds: Vec<ActivityKind> = v.summaries.iter().map(|s| s.kind).collect();
+        assert_eq!(
+            kinds,
+            vec![ActivityKind::Computation, ActivityKind::Collective]
+        );
+    }
+
+    #[test]
+    fn idle_processor_counts_as_zero_time() {
+        // Processor 1 is idle in the region: the computation cell is
+        // [2, 0, 2], standardized (1/2, 0, 1/2) around 1/3.
+        let m = one_region(
+            3,
+            |p| if p == 1 { 0.0 } else { 2.0 },
+            |p| if p == 1 { 0.0 } else { 1.0 },
+        );
+        let v = activity_view(&m, DispersionKind::Euclidean).unwrap();
+        let expected = (1.0f64 / 6.0).sqrt();
+        assert!((v.id[0][0].unwrap() - expected).abs() < 1e-15);
+        assert!((v.id[0][2].unwrap() - expected).abs() < 1e-15);
     }
 
     #[test]

@@ -10,5 +10,6 @@ mod processor;
 mod region;
 
 pub use activity::{activity_view, ActivitySummary, ActivityView};
+pub(crate) use activity::{performed_cells, weighted_activity_id};
 pub use processor::{processor_view, ProcessorView};
 pub use region::{region_view, RegionSummary, RegionView};

@@ -10,8 +10,6 @@
 //! its own sum within the region.
 
 use limba_model::{Measurements, ProcessorId, RegionId};
-use limba_stats::dispersion::euclidean_distance;
-use limba_stats::standardize::to_unit_sum;
 
 use crate::AnalysisError;
 
@@ -65,6 +63,27 @@ impl ProcessorView {
 /// standardized activity mix and the mean mix over all processors of the
 /// region.
 ///
+/// The view walks each region's activity columns in place
+/// ([`Measurements::region_columns`]), keeping one sum per processor and
+/// one mean mix per region as scratch; a standardized time `t_ijp / Σ_j
+/// t_ijp` is recomputed where it is used and never stored, so the view
+/// makes no allocation per processor.
+///
+/// Degenerate inputs have defined results:
+///
+/// * a processor with no time in a region (idle there) has `None` for
+///   that region and is left out of the region's mean mix; a region
+///   where every processor is idle has a row of `None`s and no most
+///   imbalanced processor;
+/// * with `P = 1` every index is `0`; when every processor of a region
+///   has the same mix (in particular, under all-equal loads) every index
+///   of the region is `0` up to the rounding of the mean mix (exactly `0`
+///   when that mean is exact, as for mixes like `(0.75, 0.25)`); ties go
+///   to the lowest-numbered participating processor;
+/// * an activity column that is zero everywhere adds nothing to any
+///   distance;
+/// * a single region gives a one-row view.
+///
 /// # Errors
 ///
 /// Returns [`AnalysisError::EmptyProgram`] when the total time is zero.
@@ -76,35 +95,50 @@ pub fn processor_view(measurements: &Measurements) -> Result<ProcessorView, Anal
     let k = measurements.activities().len();
     let mut id = Vec::with_capacity(measurements.regions());
     let mut most = Vec::with_capacity(measurements.regions());
+    // Per-region scratch, reused: the region's columns, each processor's
+    // time in the region (`Σ_j t_ijp`, summed in column order from -0.0
+    // like `Iterator::sum`), and the mean standardized mix.
+    let mut columns: Vec<&[f64]> = Vec::with_capacity(k);
+    let mut sums = vec![0.0; p];
+    let mut mean = vec![0.0; k];
     for r in measurements.region_ids() {
-        // Standardized activity mix per processor (None for idle procs).
-        let mixes: Vec<Option<Vec<f64>>> = (0..p)
-            .map(|pi| {
-                let v = measurements.activity_vector(r, ProcessorId::new(pi));
-                to_unit_sum(&v).ok()
-            })
-            .collect();
-        let participating: Vec<&Vec<f64>> = mixes.iter().flatten().collect();
-        if participating.is_empty() {
+        columns.clear();
+        columns.extend(measurements.region_columns(r));
+        sums.fill(-0.0);
+        for column in &columns {
+            for (sum, &t) in sums.iter_mut().zip(*column) {
+                *sum += t;
+            }
+        }
+        // A processor participates when its standardized mix exists:
+        // it spent a positive time in the region.
+        let participating = sums.iter().filter(|&&sum| sum > 0.0).count();
+        if participating == 0 {
             id.push(vec![None; p]);
             most.push(None);
             continue;
         }
         // Mean standardized mix over participating processors.
-        let mut mean = vec![0.0; k];
-        for mix in &participating {
-            for (m, &v) in mean.iter_mut().zip(mix.iter()) {
-                *m += v;
+        for (m, column) in mean.iter_mut().zip(&columns) {
+            let mut acc = 0.0;
+            for (&t, &sum) in column.iter().zip(&sums) {
+                if sum > 0.0 {
+                    acc += t / sum;
+                }
             }
+            *m = acc / participating as f64;
         }
-        for m in &mut mean {
-            *m /= participating.len() as f64;
-        }
-        let row: Vec<Option<f64>> = mixes
+        let row: Vec<Option<f64>> = sums
             .iter()
-            .map(|mix| {
-                mix.as_ref().map(|mix| {
-                    euclidean_distance(mix, &mean).expect("equal lengths by construction")
+            .enumerate()
+            .map(|(pi, &sum)| {
+                (sum > 0.0).then(|| {
+                    columns
+                        .iter()
+                        .zip(&mean)
+                        .map(|(column, &m)| (column[pi] / sum - m).powi(2))
+                        .sum::<f64>()
+                        .sqrt()
                 })
             })
             .collect();
@@ -114,10 +148,7 @@ pub fn processor_view(measurements: &Measurements) -> Result<ProcessorView, Anal
             .enumerate()
             .filter_map(|(i, d)| d.map(|d| (i, d)))
             .max_by(|a, b| a.1.total_cmp(&b.1).then(b.0.cmp(&a.0)));
-        most.push(argmax.map(|(i, d)| {
-            let proc = ProcessorId::new(i);
-            (proc, d, measurements.processor_region_time(r, proc))
-        }));
+        most.push(argmax.map(|(i, d)| (ProcessorId::new(i), d, sums[i])));
         id.push(row);
     }
     Ok(ProcessorView {
@@ -128,6 +159,8 @@ pub fn processor_view(measurements: &Measurements) -> Result<ProcessorView, Anal
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
     use super::*;
     use limba_model::{ActivityKind, MeasurementsBuilder};
 
@@ -214,6 +247,97 @@ mod tests {
         assert_eq!(counts.iter().sum::<usize>(), 2);
         let durations = v.imbalance_durations(2);
         assert!(durations.iter().sum::<f64>() > 0.0);
+    }
+
+    #[test]
+    fn one_processor_has_index_zero() {
+        let mut b = MeasurementsBuilder::new(1);
+        let r = b.add_region("r");
+        b.record(r, ActivityKind::Computation, 0, 0.3).unwrap();
+        b.record(r, ActivityKind::Collective, 0, 0.1).unwrap();
+        let v = processor_view(&b.build().unwrap()).unwrap();
+        assert_eq!(v.id, vec![vec![Some(0.0)]]);
+        assert_eq!(
+            v.most_imbalanced_per_region,
+            vec![Some((ProcessorId::new(0), 0.0, 0.3 + 0.1))]
+        );
+    }
+
+    #[test]
+    fn all_equal_loads_have_index_zero() {
+        // A (0.75, 0.25) mix averages exactly, so the indices are exactly
+        // zero and the tie goes to processor 0; other mixes leave
+        // rounding only.
+        for (comp, coll, exact) in [(1.5, 0.5, true), (0.1, 0.7, false)] {
+            let mut b = MeasurementsBuilder::new(6);
+            let r = b.add_region("r");
+            for p in 0..6 {
+                b.record(r, ActivityKind::Computation, p, comp).unwrap();
+                b.record(r, ActivityKind::Collective, p, coll).unwrap();
+            }
+            let v = processor_view(&b.build().unwrap()).unwrap();
+            for d in v.id[0].iter().map(|d| d.unwrap()) {
+                if exact {
+                    assert_eq!(d, 0.0);
+                } else {
+                    assert!(d.abs() < 1e-15, "{d}");
+                }
+            }
+            if exact {
+                let (proc, d, t) = v.most_imbalanced_per_region[0].unwrap();
+                assert_eq!((proc, d, t), (ProcessorId::new(0), 0.0, comp + coll));
+            }
+        }
+    }
+
+    #[test]
+    fn zero_activity_column_adds_nothing() {
+        // The same program with and without an extra all-zero column.
+        let plain = sample();
+        let mut b = MeasurementsBuilder::with_activities(
+            3,
+            limba_model::ActivitySet::new(
+                limba_model::STANDARD_ACTIVITIES
+                    .into_iter()
+                    .chain([ActivityKind::Io]),
+            ),
+        );
+        let r = b.add_region("r");
+        for p in 0..3 {
+            for kind in limba_model::STANDARD_ACTIVITIES {
+                let t = plain.time(RegionId::new(0), kind, ProcessorId::new(p));
+                b.set(r, kind, p, t).unwrap();
+            }
+        }
+        let padded = b.build().unwrap();
+        assert_eq!(
+            processor_view(&padded).unwrap(),
+            processor_view(&plain).unwrap()
+        );
+    }
+
+    #[test]
+    fn processor_idle_in_one_region_only() {
+        let mut b = MeasurementsBuilder::new(3);
+        let r0 = b.add_region("all busy");
+        let r1 = b.add_region("p1 idle");
+        for p in 0..3 {
+            b.record(r0, ActivityKind::Computation, p, 1.0 + p as f64)
+                .unwrap();
+            b.record(r0, ActivityKind::PointToPoint, p, 1.0).unwrap();
+            if p != 1 {
+                b.record(r1, ActivityKind::Computation, p, 2.0).unwrap();
+                b.record(r1, ActivityKind::Collective, p, p as f64).unwrap();
+            }
+        }
+        let v = processor_view(&b.build().unwrap()).unwrap();
+        assert!(v.id[0].iter().all(Option::is_some));
+        assert_eq!(v.id[1][1], None);
+        // The idle processor is left out of the mean: the two others
+        // are symmetric about it, and the tie goes to processor 0.
+        let (d0, d2) = (v.id[1][0].unwrap(), v.id[1][2].unwrap());
+        assert!((d0 - d2).abs() < 1e-15);
+        assert_eq!(v.most_imbalanced_per_region[1].unwrap().0.index(), 0);
     }
 
     #[test]

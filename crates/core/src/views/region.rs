@@ -54,6 +54,17 @@ impl RegionView {
 /// Computes the code-region view from the `ID_ij` matrix of an already
 /// computed [`ActivityView`].
 ///
+/// Degenerate inputs have defined results:
+///
+/// * a region with no time has no summary;
+/// * with `P = 1`, or under all-equal loads, every `ID_ij` is `0` (up to
+///   the rounding of the cells' sums), and so is every `ID_C_i`;
+/// * with a single region, its summary has `t_i / T = 1`;
+/// * an activity column that is zero everywhere has weight `0` and adds
+///   nothing;
+/// * a processor idle in a region counts as a `0` time in the region's
+///   cells, as in the activity view.
+///
 /// # Errors
 ///
 /// Returns [`AnalysisError::EmptyProgram`] when the total time is zero.
@@ -92,6 +103,8 @@ pub fn region_view(
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
     use super::*;
     use crate::views::activity_view as compute_activity_view;
     use limba_model::{ActivityKind, MeasurementsBuilder};
@@ -141,6 +154,60 @@ mod tests {
         assert_eq!(rv.most_imbalanced_scaled().unwrap().name, "a");
         assert!(rv.summary_of(RegionId::new(1)).is_some());
         assert!(rv.summary_of(RegionId::new(7)).is_none());
+    }
+
+    #[test]
+    fn one_processor_and_all_equal_loads_give_zero() {
+        for p in [1, 4] {
+            let mut b = MeasurementsBuilder::new(p);
+            let r0 = b.add_region("a");
+            let r1 = b.add_region("b");
+            for proc in 0..p {
+                b.record(r0, ActivityKind::Computation, proc, 2.0).unwrap();
+                b.record(r0, ActivityKind::Collective, proc, 0.5).unwrap();
+                b.record(r1, ActivityKind::PointToPoint, proc, 0.25)
+                    .unwrap();
+            }
+            let (_, rv) = views(&b.build().unwrap());
+            assert_eq!(rv.summaries.len(), 2);
+            assert!(rv.summaries.iter().all(|s| s.id == 0.0 && s.sid == 0.0));
+        }
+    }
+
+    #[test]
+    fn single_region_takes_the_whole_program() {
+        // Computation [1, 3] and an all-zero synchronization column.
+        let mut b = MeasurementsBuilder::new(2);
+        let r = b.add_region("only");
+        b.record(r, ActivityKind::Computation, 0, 1.0).unwrap();
+        b.record(r, ActivityKind::Computation, 1, 3.0).unwrap();
+        b.record(r, ActivityKind::Collective, 0, 1.0).unwrap();
+        b.record(r, ActivityKind::Collective, 1, 1.0).unwrap();
+        let m = b.build().unwrap();
+        let (av, rv) = views(&m);
+        assert_eq!(rv.summaries.len(), 1);
+        let s = &rv.summaries[0];
+        assert_eq!(s.fraction_of_program, 1.0);
+        assert_eq!(s.sid, s.id);
+        // Only computation spreads; it holds 2 of the region's 3 s.
+        assert_eq!(av.id[0][3], None);
+        let id0 = (2.0f64 * 0.25 * 0.25).sqrt();
+        assert!((s.id - 2.0 / 3.0 * id0).abs() < 1e-15);
+    }
+
+    #[test]
+    fn idle_processor_spreads_its_region() {
+        let mut b = MeasurementsBuilder::new(2);
+        let busy = b.add_region("busy");
+        let half = b.add_region("p1 idle");
+        for p in 0..2 {
+            b.record(busy, ActivityKind::Computation, p, 1.0).unwrap();
+        }
+        b.record(half, ActivityKind::Computation, 0, 1.0).unwrap();
+        let (_, rv) = views(&b.build().unwrap());
+        assert_eq!(rv.summaries[0].id, 0.0);
+        // [1, 0] standardized is (1, 0): sqrt(2 · 0.5²) from the mean.
+        assert!((rv.summaries[1].id - 0.5f64.sqrt()).abs() < 1e-15);
     }
 
     #[test]

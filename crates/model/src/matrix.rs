@@ -20,6 +20,14 @@ use crate::{ActivityKind, ActivitySet, ModelError, ProcessorId, RegionId, Region
 /// because every index of dispersion is scale invariant and every weight is
 /// a ratio of marginals, analyses are identical under the sum convention.
 ///
+/// A matrix never changes after construction, so the cell marginals
+/// `t_ij` and the [`performs`](Self::performs) flags are computed once,
+/// in the pass that validates the times: `t_ij` and `performs` are
+/// lookups, and `t_i`, `T_j` and `T` are `O(N·K)` sums of the cached
+/// `t_ij` (in the same order, so with the same bits, as summing the
+/// per-processor times afresh). [`region_columns`](Self::region_columns)
+/// lends a region's `K` per-processor columns without copying.
+///
 /// Instances are created through [`MeasurementsBuilder`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct Measurements {
@@ -28,6 +36,12 @@ pub struct Measurements {
     regions: Vec<RegionInfo>,
     /// Row-major `[region][activity][processor]`.
     data: Vec<f64>,
+    /// `t_ij` per `[region][activity]`.
+    cell_times: Vec<f64>,
+    /// Whether any processor spent a positive time, per
+    /// `[region][activity]`. Not `t_ij > 0`: the mean of a subnormal
+    /// cell can round to zero.
+    performed: Vec<bool>,
 }
 
 impl Measurements {
@@ -60,17 +74,36 @@ impl Measurements {
                 regions: regions.len(),
             });
         }
-        for &v in &data {
-            if !v.is_finite() || v < 0.0 {
-                return Err(ModelError::InvalidTime { value: v });
+        let cells = regions.len() * activities.len();
+        let mut cell_times = Vec::with_capacity(cells);
+        let mut performed = Vec::with_capacity(cells);
+        for cell in data.chunks_exact(processors) {
+            for &v in cell {
+                if !v.is_finite() || v < 0.0 {
+                    return Err(ModelError::InvalidTime { value: v });
+                }
             }
+            cell_times.push(cell.iter().sum::<f64>() / processors as f64);
+            performed.push(cell.iter().any(|&v| v > 0.0));
         }
         Ok(Measurements {
             activities,
             processors,
             regions,
             data,
+            cell_times,
+            performed,
         })
+    }
+
+    /// Index of the `(region, column)` cell in the cached marginals.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `region` is out of range.
+    fn cell(&self, region: RegionId, column: usize) -> usize {
+        assert!(region.index() < self.regions(), "region out of range");
+        region.index() * self.activities.len() + column
     }
 
     fn offset(&self, region: usize, column: usize, proc: usize) -> usize {
@@ -140,27 +173,59 @@ impl Measurements {
         Some(&self.data[start..start + self.processors])
     }
 
-    /// `t_ij`: time of activity `kind` within `region` (mean over processors).
+    /// The `K` per-processor columns of `region`, in activity column
+    /// order: the `j`-th slice (of length `P`) is what
+    /// [`processor_slice`](Self::processor_slice) returns for the `j`-th
+    /// activity, borrowed without a copy.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `region` is out of range.
+    pub fn region_columns(&self, region: RegionId) -> std::slice::ChunksExact<'_, f64> {
+        assert!(region.index() < self.regions(), "region out of range");
+        let block = self.activities.len() * self.processors;
+        let start = region.index() * block;
+        self.data[start..start + block].chunks_exact(self.processors)
+    }
+
+    /// `t_ij`: time of activity `kind` within `region` (mean over
+    /// processors), computed at construction. Returns `0.0` when `kind`
+    /// is not part of the activity set.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `region` is out of range.
     pub fn region_activity_time(&self, region: RegionId, kind: ActivityKind) -> f64 {
-        match self.processor_slice(region, kind) {
-            Some(s) => s.iter().sum::<f64>() / self.processors as f64,
+        match self.activities.column(kind) {
+            Some(col) => self.cell_times[self.cell(region, col)],
             None => 0.0,
         }
     }
 
     /// `t_i`: time of `region` summed over its activities.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `region` is out of range.
     pub fn region_time(&self, region: RegionId) -> f64 {
-        self.activities
+        let start = self.cell(region, 0);
+        self.cell_times[start..start + self.activities.len()]
             .iter()
-            .map(|k| self.region_activity_time(region, k))
             .sum()
     }
 
-    /// `T_j`: time of activity `kind` summed over all regions.
+    /// `T_j`: time of activity `kind` summed over all regions; `0.0`
+    /// when `kind` is not part of the activity set.
     pub fn activity_time(&self, kind: ActivityKind) -> f64 {
-        self.region_ids()
-            .map(|r| self.region_activity_time(r, kind))
-            .sum()
+        match self.activities.column(kind) {
+            Some(col) => self
+                .cell_times
+                .iter()
+                .skip(col)
+                .step_by(self.activities.len())
+                .sum(),
+            None => 0.0,
+        }
     }
 
     /// `T`: wall-clock time of the whole program.
@@ -188,19 +253,15 @@ impl Measurements {
     /// Returns `true` when `region` performs `kind` at all (any processor
     /// spent a positive time in it). The paper's tables print "-" for cells
     /// where an activity is not performed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `region` is out of range.
     pub fn performs(&self, region: RegionId, kind: ActivityKind) -> bool {
-        self.processor_slice(region, kind)
-            .map(|s| s.iter().any(|&v| v > 0.0))
-            .unwrap_or(false)
-    }
-
-    /// The region's times across activities for one processor, in activity
-    /// column order — the vector standardized by the processor view.
-    pub fn activity_vector(&self, region: RegionId, proc: ProcessorId) -> Vec<f64> {
-        self.activities
-            .iter()
-            .map(|k| self.time(region, k, proc))
-            .collect()
+        match self.activities.column(kind) {
+            Some(col) => self.performed[self.cell(region, col)],
+            None => false,
+        }
     }
 }
 
@@ -523,10 +584,8 @@ mod tests {
         b.add_activity(ActivityKind::MemoryAccess);
         b.record(r, ActivityKind::MemoryAccess, 0, 0.5).unwrap();
         let m = b.build().unwrap();
-        assert_eq!(
-            m.activity_vector(r, ProcessorId::new(0)),
-            vec![0.0, 0.0, 0.0, 1.5, 0.5]
-        );
+        let columns: Vec<&[f64]> = m.region_columns(r).collect();
+        assert_eq!(columns, [[0.0], [0.0], [0.0], [1.5], [0.5]]);
     }
 
     #[test]
@@ -577,10 +636,44 @@ mod tests {
     }
 
     #[test]
-    fn activity_vector_is_in_column_order() {
+    fn region_columns_are_the_processor_slices_in_column_order() {
         let m = sample();
-        let v = m.activity_vector(RegionId::new(0), ProcessorId::new(0));
-        assert_eq!(v, vec![1.0, 0.0, 0.5, 0.0]);
+        for r in m.region_ids() {
+            let columns: Vec<&[f64]> = m.region_columns(r).collect();
+            let slices: Vec<&[f64]> = m
+                .activities()
+                .iter()
+                .map(|k| m.processor_slice(r, k).unwrap())
+                .collect();
+            assert_eq!(columns, slices);
+        }
+        let r0: Vec<&[f64]> = m.region_columns(RegionId::new(0)).collect();
+        assert_eq!(r0, [[1.0, 3.0], [0.0, 0.0], [0.5, 0.5], [0.0, 0.0]]);
+    }
+
+    #[test]
+    fn cached_marginals_match_a_fresh_sum() {
+        // -0.0 cells (only `set` can store one) keep their sign through
+        // the cached t_ij, as through `Iterator::sum`, which starts at
+        // -0.0.
+        let mut b = MeasurementsBuilder::new(3);
+        let r = b.add_region("r");
+        for p in 0..3 {
+            b.set(r, ActivityKind::Collective, p, -0.0).unwrap();
+            b.set(r, ActivityKind::Computation, p, 0.1 * (p + 1) as f64)
+                .unwrap();
+        }
+        let m = b.build().unwrap();
+        for kind in ActivitySet::standard().iter() {
+            let fresh = m.processor_slice(r, kind).unwrap().iter().sum::<f64>() / 3.0;
+            let cached = m.region_activity_time(r, kind);
+            assert_eq!(cached.to_bits(), fresh.to_bits(), "{kind}");
+        }
+        assert!(m
+            .region_activity_time(r, ActivityKind::Collective)
+            .is_sign_negative());
+        assert!(!m.performs(r, ActivityKind::Collective));
+        assert!(m.performs(r, ActivityKind::Computation));
     }
 
     #[test]

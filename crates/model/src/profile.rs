@@ -71,7 +71,20 @@ pub struct ProgramProfile {
 }
 
 impl ProgramProfile {
-    /// Computes the profile of `measurements`.
+    /// Computes the profile of `measurements` from its cached marginals.
+    ///
+    /// Degenerate inputs have defined results:
+    ///
+    /// * with `P = 1`, each `t_ij` is the one processor's time;
+    /// * under all-equal loads, each `t_ij` is the common time (up to
+    ///   the rounding of the cell's sum);
+    /// * a single region has `t_i / T = 1`;
+    /// * an activity column that is zero everywhere has `t_ij = 0`,
+    ///   `performed = false`, `T_j = 0` and no worst or best region;
+    /// * a processor idle in a region counts as a `0` time in the
+    ///   region's means;
+    /// * a region (or a program) with no time has fractions `0`, not
+    ///   `NaN`.
     pub fn from_measurements(measurements: &Measurements) -> Self {
         let total = measurements.total_time();
         let regions = measurements
@@ -221,6 +234,65 @@ mod tests {
         );
         // Nobody performs synchronization.
         assert!(p.worst_region_for(ActivityKind::Synchronization).is_none());
+    }
+
+    #[test]
+    fn one_processor_and_all_equal_loads() {
+        for p in [1, 3] {
+            let mut b = MeasurementsBuilder::new(p);
+            let r = b.add_region("only");
+            for proc in 0..p {
+                b.record(r, ActivityKind::Computation, proc, 0.75).unwrap();
+                b.record(r, ActivityKind::Collective, proc, 0.25).unwrap();
+            }
+            let profile = ProgramProfile::from_measurements(&b.build().unwrap());
+            assert_eq!(profile.total_seconds, 1.0);
+            let only = &profile.regions[0];
+            assert_eq!(only.fraction_of_program, 1.0);
+            assert_eq!(only.breakdown[0].seconds, 0.75);
+            assert_eq!(only.breakdown[0].fraction_of_region, 0.75);
+            assert_eq!(profile.heaviest_region().unwrap().name, "only");
+        }
+    }
+
+    #[test]
+    fn zero_column_and_idle_processor() {
+        // Processor 1 is idle in "half"; synchronization is never done.
+        let mut b = MeasurementsBuilder::new(2);
+        let full = b.add_region("full");
+        let half = b.add_region("half");
+        for p in 0..2 {
+            b.record(full, ActivityKind::Computation, p, 1.0).unwrap();
+        }
+        b.record(half, ActivityKind::PointToPoint, 0, 3.0).unwrap();
+        let profile = ProgramProfile::from_measurements(&b.build().unwrap());
+        assert_eq!(
+            profile.regions[1].activity_seconds(ActivityKind::PointToPoint),
+            1.5
+        );
+        let sync = &profile.regions[0].breakdown[3];
+        assert_eq!(sync.kind, ActivityKind::Synchronization);
+        assert_eq!((sync.seconds, sync.performed), (0.0, false));
+        assert_eq!(
+            profile.activity_totals[3],
+            (ActivityKind::Synchronization, 0.0)
+        );
+        assert!(profile
+            .worst_region_for(ActivityKind::Synchronization)
+            .is_none());
+    }
+
+    #[test]
+    fn empty_program_has_zero_fractions() {
+        let mut b = MeasurementsBuilder::new(2);
+        b.add_region("idle");
+        let profile = ProgramProfile::from_measurements(&b.build().unwrap());
+        assert_eq!(profile.total_seconds, 0.0);
+        assert_eq!(profile.regions[0].fraction_of_program, 0.0);
+        assert!(profile.regions[0]
+            .breakdown
+            .iter()
+            .all(|b| b.fraction_of_region == 0.0));
     }
 
     #[test]

@@ -5,7 +5,9 @@
 //! absolute deviation, maximum, sum of the elements of the data sets."
 //!
 //! Every index here first standardizes its input to sum one (see
-//! [`standardize`](crate::standardize)), so all indices are *relative*
+//! [`standardize`](crate::standardize)) — on the fly, dividing each value
+//! by the sum as it is read, so only [`Gini`] (which sorts) copies the
+//! data — and all indices are therefore *relative*
 //! measures of spread with value `0` exactly at the perfectly balanced
 //! condition. The paper selects the Euclidean distance from the average —
 //! [`EuclideanFromMean`] — as the index best suited for load-imbalance
@@ -19,7 +21,7 @@
 
 use std::fmt;
 
-use crate::standardize::to_unit_sum;
+use crate::standardize::unit_sum_divisor;
 use crate::StatsError;
 
 /// A relative index of dispersion over a non-negative data set.
@@ -55,9 +57,13 @@ impl DispersionIndex for EuclideanFromMean {
     }
 
     fn index(&self, data: &[f64]) -> Result<f64, StatsError> {
-        let x = to_unit_sum(data)?;
-        let mean = 1.0 / x.len() as f64;
-        Ok(x.iter().map(|&v| (v - mean).powi(2)).sum::<f64>().sqrt())
+        let sum = unit_sum_divisor(data)?;
+        let mean = 1.0 / data.len() as f64;
+        Ok(data
+            .iter()
+            .map(|&v| (v / sum - mean).powi(2))
+            .sum::<f64>()
+            .sqrt())
     }
 }
 
@@ -84,9 +90,9 @@ impl DispersionIndex for Variance {
     }
 
     fn index(&self, data: &[f64]) -> Result<f64, StatsError> {
-        let x = to_unit_sum(data)?;
-        let mean = 1.0 / x.len() as f64;
-        Ok(x.iter().map(|&v| (v - mean).powi(2)).sum::<f64>() / x.len() as f64)
+        let sum = unit_sum_divisor(data)?;
+        let mean = 1.0 / data.len() as f64;
+        Ok(data.iter().map(|&v| (v / sum - mean).powi(2)).sum::<f64>() / data.len() as f64)
     }
 }
 
@@ -101,9 +107,9 @@ impl DispersionIndex for CoefficientOfVariation {
     }
 
     fn index(&self, data: &[f64]) -> Result<f64, StatsError> {
-        let x = to_unit_sum(data)?;
-        let mean = 1.0 / x.len() as f64;
-        let var = x.iter().map(|&v| (v - mean).powi(2)).sum::<f64>() / x.len() as f64;
+        let sum = unit_sum_divisor(data)?;
+        let mean = 1.0 / data.len() as f64;
+        let var = data.iter().map(|&v| (v / sum - mean).powi(2)).sum::<f64>() / data.len() as f64;
         Ok(var.sqrt() / mean)
     }
 }
@@ -118,9 +124,9 @@ impl DispersionIndex for MeanAbsoluteDeviation {
     }
 
     fn index(&self, data: &[f64]) -> Result<f64, StatsError> {
-        let x = to_unit_sum(data)?;
-        let mean = 1.0 / x.len() as f64;
-        Ok(x.iter().map(|&v| (v - mean).abs()).sum::<f64>() / x.len() as f64)
+        let sum = unit_sum_divisor(data)?;
+        let mean = 1.0 / data.len() as f64;
+        Ok(data.iter().map(|&v| (v / sum - mean).abs()).sum::<f64>() / data.len() as f64)
     }
 }
 
@@ -135,9 +141,12 @@ impl DispersionIndex for MaxExcess {
     }
 
     fn index(&self, data: &[f64]) -> Result<f64, StatsError> {
-        let x = to_unit_sum(data)?;
-        let max = x.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-        Ok(max - 1.0 / x.len() as f64)
+        let sum = unit_sum_divisor(data)?;
+        let max = data
+            .iter()
+            .map(|&v| v / sum)
+            .fold(f64::NEG_INFINITY, f64::max);
+        Ok(max - 1.0 / data.len() as f64)
     }
 }
 
@@ -151,9 +160,10 @@ impl DispersionIndex for Range {
     }
 
     fn index(&self, data: &[f64]) -> Result<f64, StatsError> {
-        let x = to_unit_sum(data)?;
-        let max = x.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-        let min = x.iter().copied().fold(f64::INFINITY, f64::min);
+        let sum = unit_sum_divisor(data)?;
+        let x = data.iter().map(|&v| v / sum);
+        let max = x.clone().fold(f64::NEG_INFINITY, f64::max);
+        let min = x.fold(f64::INFINITY, f64::min);
         Ok(max - min)
     }
 }
@@ -169,9 +179,9 @@ impl DispersionIndex for Gini {
     }
 
     fn index(&self, data: &[f64]) -> Result<f64, StatsError> {
-        let x = to_unit_sum(data)?;
-        let n = x.len() as f64;
-        let mut sorted = x;
+        let sum = unit_sum_divisor(data)?;
+        let n = data.len() as f64;
+        let mut sorted: Vec<f64> = data.iter().map(|&v| v / sum).collect();
         sorted.sort_by(f64::total_cmp);
         // G = (2·Σ_i i·x_(i) − (n+1)) / n for unit-sum data, i counted from 1.
         let weighted: f64 = sorted
@@ -195,11 +205,12 @@ impl DispersionIndex for Theil {
     }
 
     fn index(&self, data: &[f64]) -> Result<f64, StatsError> {
-        let x = to_unit_sum(data)?;
-        let n = x.len() as f64;
-        Ok(x.iter()
+        let sum = unit_sum_divisor(data)?;
+        let n = data.len() as f64;
+        Ok(data
+            .iter()
             .map(|&v| {
-                let r = v * n; // x / mean
+                let r = v / sum * n; // x / mean
                 if r > 0.0 {
                     r * r.ln()
                 } else {
@@ -223,9 +234,9 @@ impl DispersionIndex for Atkinson {
     }
 
     fn index(&self, data: &[f64]) -> Result<f64, StatsError> {
-        let x = to_unit_sum(data)?;
-        let n = x.len() as f64;
-        let mean_sqrt = x.iter().map(|&v| (v * n).sqrt()).sum::<f64>() / n;
+        let sum = unit_sum_divisor(data)?;
+        let n = data.len() as f64;
+        let mean_sqrt = data.iter().map(|&v| (v / sum * n).sqrt()).sum::<f64>() / n;
         Ok(1.0 - mean_sqrt * mean_sqrt)
     }
 }

@@ -40,12 +40,24 @@ pub(crate) fn validate_nonnegative(data: &[f64]) -> Result<(), StatsError> {
 /// assert_eq!(s, vec![0.25, 0.75]);
 /// ```
 pub fn to_unit_sum(data: &[f64]) -> Result<Vec<f64>, StatsError> {
+    let sum = unit_sum_divisor(data)?;
+    Ok(data.iter().map(|&v| v / sum).collect())
+}
+
+/// The sum that [`to_unit_sum`] divides by, after the same checks: the
+/// standardized `i`-th value is `data[i] / unit_sum_divisor(data)?`, bit
+/// for bit, so callers can standardize on the fly without a copy.
+///
+/// # Errors
+///
+/// Same conditions as [`to_unit_sum`].
+pub(crate) fn unit_sum_divisor(data: &[f64]) -> Result<f64, StatsError> {
     validate_nonnegative(data)?;
     let sum: f64 = data.iter().sum();
     if sum <= 0.0 {
         return Err(StatsError::ZeroSum);
     }
-    Ok(data.iter().map(|&v| v / sum).collect())
+    Ok(sum)
 }
 
 #[cfg(test)]
