@@ -25,7 +25,9 @@
 //! and the scenario has no policy active yet.
 
 use limba_model::RegionId;
-use limba_mpisim::{collective_cost, BalancePlan, CollectiveAlgorithm, CollectiveKind};
+use limba_mpisim::{
+    collective_cost, BalancePlan, CollectiveAlgorithm, CollectiveKind, ComputeCells,
+};
 
 use crate::{AdviseError, Scenario};
 
@@ -277,13 +279,13 @@ const SPLIT_REGIONS: usize = 3;
 pub fn propose(scenario: &Scenario) -> Vec<Intervention> {
     let mut catalog = Vec::new();
     let speeds = scenario.speeds();
-    let regions = scenario.program.region_names().len();
+    let ComputeCells {
+        regions: region_loads,
+        totals: total_loads,
+    } = scenario.program.compute_cells();
 
     // Work splitting: heaviest imbalanced regions, by effective load.
-    let region_loads: Vec<Vec<f64>> = (0..regions)
-        .map(|j| scenario.program.region_compute_seconds(RegionId::new(j)))
-        .collect();
-    let mut by_weight: Vec<usize> = (0..regions).collect();
+    let mut by_weight: Vec<usize> = (0..region_loads.len()).collect();
     let totals: Vec<f64> = region_loads.iter().map(|w| w.iter().sum()).collect();
     by_weight.sort_by(|&a, &b| totals[b].total_cmp(&totals[a]).then(a.cmp(&b)));
     let mut split_candidates = 0usize;
@@ -320,7 +322,6 @@ pub fn propose(scenario: &Scenario) -> Vec<Intervention> {
     let slowest = speeds.iter().copied().fold(f64::INFINITY, f64::min);
     let fastest = speeds.iter().copied().fold(f64::NEG_INFINITY, f64::max);
     if fastest > slowest {
-        let total_loads = scenario.program.compute_seconds();
         let peak_loads: Vec<f64> = (0..scenario.program.ranks())
             .map(|p| region_loads.iter().map(|w| w[p]).fold(0.0f64, f64::max))
             .collect();
@@ -383,8 +384,11 @@ pub fn propose(scenario: &Scenario) -> Vec<Intervention> {
     // are imbalanced and no policy is active yet. One candidate per
     // policy family; the plan parameters match the workload presets.
     if scenario.balance.is_none() {
-        let totals = scenario.program.compute_seconds();
-        let eff: Vec<f64> = totals.iter().zip(&speeds).map(|(&w, &s)| w / s).collect();
+        let eff: Vec<f64> = total_loads
+            .iter()
+            .zip(&speeds)
+            .map(|(&w, &s)| w / s)
+            .collect();
         let eff_max = eff.iter().copied().fold(0.0f64, f64::max);
         let eff_mean = eff.iter().sum::<f64>() / eff.len().max(1) as f64;
         if eff_max > eff_mean * (1.0 + SPLIT_THRESHOLD) {

@@ -238,18 +238,10 @@ mod tests {
         let scenario = Scenario::from_measurements(&m).unwrap();
         assert_eq!(scenario.program.ranks(), 3);
         assert_eq!(scenario.program.region_names(), ["solve", "exchange"]);
-        assert_eq!(
-            scenario
-                .program
-                .region_compute_seconds(limba_model::RegionId::new(0)),
-            vec![1.0, 2.0, 3.0]
-        );
         // Communication marginals are abstracted into the barrier.
         assert_eq!(
-            scenario
-                .program
-                .region_compute_seconds(limba_model::RegionId::new(1)),
-            vec![0.5, 0.5, 0.5]
+            scenario.program.compute_cells().regions,
+            vec![vec![1.0, 2.0, 3.0], vec![0.5, 0.5, 0.5]]
         );
     }
 }

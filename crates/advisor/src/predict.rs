@@ -38,8 +38,7 @@
 //! can never migrate away (migrated chunks overlap the target's own
 //! compute on its auxiliary stream).
 
-use limba_model::RegionId;
-use limba_mpisim::collective_cost;
+use limba_mpisim::{collective_cost, ComputeCells, MachineConfig};
 use limba_stats::majorization::is_weakly_submajorized_by;
 
 use crate::Scenario;
@@ -87,21 +86,22 @@ struct Loads {
 }
 
 impl Loads {
-    fn decompose(scenario: &Scenario) -> Loads {
+    /// The scenario's decomposition, and its nominal compute seconds
+    /// per rank, from one walk of its program.
+    fn decompose(scenario: &Scenario) -> (Loads, Vec<f64>) {
         let speeds = scenario.speeds();
-        let regions = scenario.program.region_names().len();
-        let region_nominal: Vec<Vec<f64>> = (0..regions)
-            .map(|j| scenario.program.region_compute_seconds(RegionId::new(j)))
-            .collect();
+        let ComputeCells {
+            regions: region_nominal,
+            totals: nominal_totals,
+        } = scenario.program.compute_cells();
         let region_eff: Vec<Vec<f64>> = region_nominal
             .iter()
             .map(|w| w.iter().zip(&speeds).map(|(&w, &s)| w / s).collect())
             .collect();
-        let total = scenario.program.compute_seconds();
         let outside_eff: Vec<f64> = (0..scenario.program.ranks())
             .map(|p| {
                 let in_regions: f64 = region_nominal.iter().map(|w| w[p]).sum();
-                ((total[p] - in_regions) / speeds[p]).max(0.0)
+                ((nominal_totals[p] - in_regions) / speeds[p]).max(0.0)
             })
             .collect();
         let procs = scenario.config.processors();
@@ -111,23 +111,29 @@ impl Loads {
             .iter()
             .map(|&(kind, bytes)| collective_cost(kind, procs, bytes, &scenario.config))
             .collect();
-        Loads {
+        let loads = Loads {
             region_eff,
             outside_eff,
             coll_costs,
             moved: 0.0,
-        }
+        };
+        (loads, nominal_totals)
     }
 
     /// Folds the scenario's balancing plan into the decomposition:
     /// every rank's cells are scaled toward the plan's analytic
-    /// steady-state loads ([`limba_mpisim::BalancePlan::predicted_loads`]),
-    /// and the migrated nominal seconds are recorded for the overhead
-    /// term. Callers that need the *unbalanced* cells (the upper bound
-    /// does — see [`BaselineModel::predict`]) must read them first.
-    fn apply_balance(&mut self, plan: &limba_mpisim::BalancePlan, scenario: &Scenario) {
-        let totals = scenario.program.compute_seconds();
-        let smoothed = plan.predicted_loads(&totals, &scenario.config);
+    /// steady-state loads ([`limba_mpisim::BalancePlan::predicted_loads`])
+    /// from its nominal `totals`, and the migrated nominal seconds are
+    /// recorded for the overhead term. Callers that need the
+    /// *unbalanced* cells (the upper bound does — see
+    /// [`BaselineModel::predict`]) must read them first.
+    fn apply_balance(
+        &mut self,
+        plan: &limba_mpisim::BalancePlan,
+        totals: &[f64],
+        config: &MachineConfig,
+    ) {
+        let smoothed = plan.predicted_loads(totals, config);
         self.moved = totals
             .iter()
             .zip(&smoothed)
@@ -179,11 +185,11 @@ impl BaselineModel {
     /// Builds the model from the baseline scenario and its simulated
     /// makespan (the one simulation the prediction path relies on).
     pub fn new(scenario: &Scenario, baseline_makespan: f64) -> BaselineModel {
-        let mut baseline = Loads::decompose(scenario);
+        let (mut baseline, totals) = Loads::decompose(scenario);
         if let Some(plan) = &scenario.balance {
             // The measured baseline makespan includes the balancing, so
             // the slack must be calibrated against the smoothed loads.
-            baseline.apply_balance(plan, scenario);
+            baseline.apply_balance(plan, &totals, &scenario.config);
         }
         let coll_total: f64 = baseline.coll_costs.iter().sum();
         let comm_slack = (baseline_makespan - baseline.phase_sum() - coll_total).max(0.0);
@@ -196,7 +202,7 @@ impl BaselineModel {
 
     /// Predicts a candidate's makespan and bounds analytically.
     pub fn predict(&self, candidate: &Scenario) -> Prediction {
-        let mut cand = Loads::decompose(candidate);
+        let (mut cand, totals) = Loads::decompose(candidate);
         let coll_total: f64 = cand.coll_costs.iter().sum();
 
         // Upper bound: baseline plus the positive per-cell deltas —
@@ -234,7 +240,7 @@ impl BaselineModel {
             None => serial_floor + coll_total,
         };
         if let Some(plan) = &candidate.balance {
-            cand.apply_balance(plan, candidate);
+            cand.apply_balance(plan, &totals, &candidate.config);
         }
         let cand_totals = cand.rank_totals();
 

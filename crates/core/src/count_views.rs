@@ -10,6 +10,8 @@
 
 use limba_model::{CountKind, CountMatrix, RegionId};
 use limba_stats::dispersion::{DispersionIndex, DispersionKind};
+use limba_stats::standardize::UnitSum;
+use limba_stats::StatsError;
 
 use crate::AnalysisError;
 
@@ -68,15 +70,19 @@ pub fn count_view(
 ) -> Result<CountView, AnalysisError> {
     let mut cells = Vec::new();
     for (region, kind, slice) in counts.cells() {
-        let total: f64 = slice.iter().sum();
-        if total <= 0.0 {
-            continue;
-        }
+        // The checked cell's sum, taken once, is both its total and the
+        // index's standardizing divisor. Recorded counts are finite and
+        // non-negative, so a zero sum is an all-zero cell.
+        let cell = match UnitSum::new(slice) {
+            Ok(cell) => cell,
+            Err(StatsError::ZeroSum) => continue,
+            Err(e) => return Err(e.into()),
+        };
         cells.push(CountCell {
             region,
             kind,
-            total,
-            id: dispersion.index(slice)?,
+            total: cell.sum(),
+            id: dispersion.index_of(&cell),
         });
     }
     let mut summaries: Vec<CountSummary> = Vec::new();
@@ -157,6 +163,27 @@ mod tests {
         // Weighted: (6·0 + 2·sqrt(1/2)) / 8.
         assert!((s.id - 2.0 * 0.5f64.sqrt() / 8.0).abs() < 1e-12);
         assert!(summary_of(CountKind::CacheMisses).is_none());
+    }
+
+    #[test]
+    fn cells_keep_the_bits_of_summing_and_indexing_separately() {
+        let mut b = CountMatrixBuilder::new(5);
+        let counts = [0.1, 1.0 / 3.0, 1e-9, 1e6, 0.0];
+        for (p, &c) in counts.iter().enumerate() {
+            b.record(RegionId::new(0), CountKind::BytesSent, p, c)
+                .unwrap();
+        }
+        b.record(RegionId::new(1), CountKind::BytesSent, 0, 0.0)
+            .unwrap(); // an all-zero cell is skipped
+        let matrix = b.build();
+        for kind in DispersionKind::ALL {
+            let v = count_view(&matrix, kind).unwrap();
+            assert_eq!(v.cells.len(), 1);
+            let total: f64 = counts.iter().sum();
+            assert_eq!(v.cells[0].total.to_bits(), total.to_bits());
+            let id = kind.index(&counts).unwrap();
+            assert_eq!(v.cells[0].id.to_bits(), id.to_bits(), "{kind}");
+        }
     }
 
     #[test]

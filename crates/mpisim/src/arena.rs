@@ -356,6 +356,8 @@ impl<V: Copy> HandleArena<V> {
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
     use super::*;
 
     #[test]

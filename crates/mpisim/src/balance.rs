@@ -53,12 +53,20 @@
 //! rather than rescanning every rank per compute op: the alive set is
 //! rebuilt only when a rank crashes, the warmup gate tracks the minimum
 //! sample count and how many alive ranks sit at it, and the
-//! least-loaded target is a query on a min tournament tree. Two sums
-//! stay O(P) — the alive-mean load (once per stealing decision, and per
-//! anticipatory trend sample) and the anticipatory mean op cost —
-//! because they must round exactly like a left-to-right sum in rank
-//! order, which no running total reproduces. Diffusion costs
-//! O(degree + log P) per compute op, stealing O(log P) plus one sum.
+//! least-loaded target is a query on a min tournament tree.
+//!
+//! The alive-mean load must round exactly like a left-to-right sum in
+//! rank order, which no running total reproduces. A running sum of the
+//! alive loads, with a rigorous bound on its error, still brackets that
+//! sum in O(1), and work stealing decides from the bracket: its tests
+//! are monotone in the mean, so when both ends give the same answer the
+//! exact mean would too. Only a tie inside the bracket, or a firing
+//! below the migration cap (whose amount is `projected − mean` itself),
+//! pays an O(P) scan — 15 of 9,212 decisions on a 1,024-rank skewed CFD
+//! run. A crash rebuilds the running sum from a scan. Stealing costs
+//! O(log P) per compute op, diffusion O(degree + log P). The
+//! anticipatory policy stays O(P) per op: its trend window stores the
+//! exact relative load after every op, and its mean op cost is a scan.
 
 use std::cmp::Ordering;
 
@@ -68,6 +76,19 @@ use crate::faults::{mix, FaultState};
 
 /// Recent-sample capacity of the per-rank trend windows.
 const WINDOW_CAP: usize = 16;
+
+/// What the running alive sum's error bound charges per rounding:
+/// `2u`, twice the most one rounding can cost (`u = 2⁻⁵³`), so the
+/// bound's own rounding never leaves it short, and `2ku ≥ γ_{k−1}`.
+const UNIT: f64 = f64::EPSILON;
+
+/// Relative widening applied after each error-bound update: covers the
+/// update's own roundings, at most four `(1 − u)` factors.
+const GROW: f64 = 1.0 + 4.0 * f64::EPSILON;
+
+/// Absolute widening per error-bound update: covers any precision the
+/// update's products lose below the normal range.
+const TINY: f64 = f64::MIN_POSITIVE;
 
 /// Default cap on the fraction of one compute op a policy may migrate.
 pub(crate) const DEFAULT_MAX_FRACTION: f64 = 0.5;
@@ -131,11 +152,25 @@ impl BalancePolicy for WorkStealing {
             return Vec::new();
         }
         let projected = view.load(donor) + nominal;
-        let mean = view.mean_alive_load() + nominal / n_alive as f64;
-        if projected <= self.threshold * mean {
+        let share = nominal / n_alive as f64;
+        let cap = nominal * self.max_fraction;
+        // `mean` rounds monotonically in the alive-mean, so each test
+        // below, evaluated at both ends of the alive-mean's bounds,
+        // settles the test on the exact mean when the two ends agree.
+        // Only a tie within the bounds, or a firing below the cap (which
+        // moves `projected − mean` itself), needs the exact scan.
+        let (lo, hi) = view.mean_alive_load_bounds();
+        let seconds = if projected <= self.threshold * (lo + share) {
             return Vec::new();
-        }
-        let seconds = (projected - mean).min(nominal * self.max_fraction);
+        } else if projected > self.threshold * (hi + share) && projected - (hi + share) >= cap {
+            cap
+        } else {
+            let mean = view.mean_alive_load() + share;
+            if projected <= self.threshold * mean {
+                return Vec::new();
+            }
+            (projected - mean).min(cap)
+        };
         if seconds <= 0.0 {
             return Vec::new();
         }
@@ -660,8 +695,13 @@ pub(crate) trait LoadView {
     /// has yet to execute a compute op — the policies' warmup gate).
     fn min_alive_samples(&self) -> u64;
 
-    /// Mean cumulative load over alive ranks.
+    /// Mean cumulative load over alive ranks: their rank-order sum over
+    /// their count.
     fn mean_alive_load(&self) -> f64;
+
+    /// Bounds `(lo, hi)` with `lo ≤ mean_alive_load() ≤ hi`, answered
+    /// without a scan.
+    fn mean_alive_load_bounds(&self) -> (f64, f64);
 
     /// Mean nominal cost per compute op over the whole run so far.
     fn mean_op_cost(&self) -> f64;
@@ -845,6 +885,11 @@ pub(crate) struct BalanceState {
     at_min: usize,
     /// Alive ranks' loads, for the least-loaded-target query.
     targets: LoadTree,
+    /// Running sum of the alive ranks' loads, in update order, and a
+    /// rigorous bound on its distance from their exact (real) sum; see
+    /// [`BalanceState::mean_alive_load_bounds`].
+    alive_sum: f64,
+    alive_sum_err: f64,
     neighbors: Vec<Vec<usize>>,
     total_ops: u64,
     report: BalanceReport,
@@ -864,6 +909,8 @@ impl BalanceState {
             min_samples: 0,
             at_min: n,
             targets: LoadTree::new(n),
+            alive_sum: 0.0,
+            alive_sum_err: 0.0,
             neighbors: topology_neighbors(config, n),
             total_ops: 0,
             report: BalanceReport {
@@ -893,6 +940,8 @@ impl BalanceState {
         let n = self.load.len();
         self.sync_alive(host.faults);
         let proposals = if nominal > 0.0 && n > 1 {
+            #[cfg(test)]
+            counters::DECISIONS.set(counters::DECISIONS.get() + 1);
             self.plan.policy().decide(rank, nominal, self)
         } else {
             Vec::new()
@@ -967,8 +1016,9 @@ impl BalanceState {
     }
 
     /// Drops ranks that crashed since the last compute op from the
-    /// alive set, the target tree, and the warmup gate. O(1) unless a
-    /// crash was recorded, and never rebuilt without a fault plan.
+    /// alive set, the target tree, the warmup gate, and the running
+    /// alive sum, which restarts from an exact scan. O(1) unless a crash
+    /// was recorded, and never rebuilt without a fault plan.
     fn sync_alive(&mut self, faults: Option<&FaultState>) {
         let Some(fs) = faults else { return };
         if fs.crash_count() == self.crashes_seen {
@@ -983,6 +1033,19 @@ impl BalanceState {
             }
         }
         self.rescan_min_samples();
+        // The scan is the rank-order sum `s` itself, within
+        // `γ_{k−1}·S ≤ 2ku·s` of the exact sum `S` for `k` alive ranks.
+        self.alive_sum = self.alive_load_sum();
+        self.alive_sum_err = self.alive_count as f64 * UNIT * self.alive_sum * GROW + TINY;
+    }
+
+    /// The alive ranks' loads summed left to right in rank order: the
+    /// sum whose bits [`LoadView::mean_alive_load`] must reproduce.
+    fn alive_load_sum(&self) -> f64 {
+        (0..self.load.len())
+            .filter(|&r| self.alive[r])
+            .map(|r| self.load[r])
+            .sum()
     }
 
     fn rescan_min_samples(&mut self) {
@@ -996,6 +1059,12 @@ impl BalanceState {
         self.load[rank] += seconds;
         if self.alive[rank] {
             self.targets.set(rank, (self.load[rank], 1));
+            // The exact sum moves by the load's exact change, which
+            // differs from `seconds` by the load's own rounding; the
+            // running sum adds one more. Each is at most `u·|result|`.
+            self.alive_sum += seconds;
+            self.alive_sum_err =
+                (self.alive_sum_err + (self.load[rank] + self.alive_sum) * UNIT) * GROW + TINY;
         }
     }
 
@@ -1032,16 +1101,34 @@ impl LoadView for BalanceState {
 
     // This sum and `mean_op_cost`'s stay scans: their bits are those of
     // a left-to-right sum in rank order, which no running total
-    // reproduces.
+    // reproduces. `mean_alive_load_bounds` spares most callers the scan.
     fn mean_alive_load(&self) -> f64 {
+        #[cfg(test)]
+        counters::SCANS.set(counters::SCANS.get() + 1);
         if self.alive_count == 0 {
             return 0.0;
         }
-        (0..self.load.len())
-            .filter(|&r| self.alive[r])
-            .map(|r| self.load[r])
-            .sum::<f64>()
-            / self.alive_count as f64
+        self.alive_load_sum() / self.alive_count as f64
+    }
+
+    // For `k` alive ranks with exact load sum `S`, running sum `R` and
+    // bound `E ≥ |R − S|`: the rank-order sum of `k` non-negative terms
+    // lies within `γ_{k−1}·S ≤ 2ku·(R + E)` of `S` (Higham, *Accuracy and
+    // Stability of Numerical Algorithms*, §4.2), so within
+    // `E + 2ku·(R + E)` of `R`. `GROW` absorbs the rounding of that
+    // expression, and stepping one ulp outward that of `R ∓ slack`.
+    // Division by `k` rounds monotonically, so the bounds carry over to
+    // the mean.
+    fn mean_alive_load_bounds(&self) -> (f64, f64) {
+        if self.alive_count == 0 {
+            return (0.0, 0.0);
+        }
+        let k = self.alive_count as f64;
+        let (sum, err) = (self.alive_sum, self.alive_sum_err);
+        let slack = (err + k * UNIT * (sum + err)) * GROW;
+        let lo = (sum - slack).next_down().max(0.0);
+        let hi = (sum + slack).next_up();
+        (lo / k, hi / k)
     }
 
     fn mean_op_cost(&self) -> f64 {
@@ -1063,6 +1150,25 @@ impl LoadView for BalanceState {
         let draw = tie_break(self.plan.seed, donor, self.samples[donor]);
         self.targets
             .kth_least_excluding(donor, |ties| ((draw * ties as f64) as usize).min(ties - 1))
+    }
+}
+
+/// Per-thread tallies the tests read: policy decisions taken, and exact
+/// scans of the alive loads ([`LoadView::mean_alive_load`] on a
+/// [`BalanceState`]). A simulation runs on its caller's thread.
+#[cfg(test)]
+pub(crate) mod counters {
+    use std::cell::Cell;
+
+    thread_local! {
+        pub(crate) static DECISIONS: Cell<u64> = const { Cell::new(0) };
+        pub(crate) static SCANS: Cell<u64> = const { Cell::new(0) };
+    }
+
+    /// Zeroes both tallies.
+    pub(crate) fn reset() {
+        DECISIONS.set(0);
+        SCANS.set(0);
     }
 }
 
@@ -1130,6 +1236,11 @@ mod reference {
                 .map(|r| self.load[r])
                 .sum::<f64>()
                 / alive as f64
+        }
+
+        fn mean_alive_load_bounds(&self) -> (f64, f64) {
+            let mean = self.mean_alive_load();
+            (mean, mean)
         }
 
         fn mean_op_cost(&self) -> f64 {
@@ -1298,6 +1409,8 @@ mod reference {
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
     use super::reference::ScanState;
     use super::*;
     use crate::{FaultPlan, MachineConfig, ProgramBuilder, Simulator};
@@ -1637,9 +1750,15 @@ mod tests {
             let view = scan.view(0);
             prop_assert_eq!(fast.alive_count(), view.alive_count(), "step {}", i);
             prop_assert_eq!(fast.min_alive_samples(), view.min_alive_samples());
-            prop_assert_eq!(
-                fast.mean_alive_load().to_bits(),
-                view.mean_alive_load().to_bits()
+            let mean = view.mean_alive_load();
+            prop_assert_eq!(fast.mean_alive_load().to_bits(), mean.to_bits());
+            let (lo, hi) = fast.mean_alive_load_bounds();
+            prop_assert!(
+                lo <= mean && mean <= hi,
+                "bounds {:?} miss the mean {} after step {}",
+                (lo, hi),
+                mean,
+                i
             );
             prop_assert_eq!(fast.mean_op_cost().to_bits(), view.mean_op_cost().to_bits());
         }
@@ -1647,8 +1766,22 @@ mod tests {
     }
 
     /// Op sizes drawn from a short list, so equal loads (the tie-break
-    /// cases) are common; both zeros included.
-    const NOMINALS: [f64; 8] = [0.0, -0.0, 1e-3, 0.25, 0.25, 0.5, 1.0, 3.0];
+    /// cases) are common; both zeros included. The non-dyadic sizes,
+    /// and the tiny beside the huge, make the running alive sum round.
+    const NOMINALS: [f64; 12] = [
+        0.0,
+        -0.0,
+        1e-3,
+        0.25,
+        0.25,
+        0.5,
+        1.0,
+        3.0,
+        0.1,
+        1.0 / 3.0,
+        1e-9,
+        1e6,
+    ];
 
     fn oracle_plan() -> impl Strategy<Value = BalancePlan> {
         (0u8..3, 0u64..4, 0usize..3, 0usize..2).prop_map(|(kind, seed, p, f)| {
@@ -1731,6 +1864,36 @@ mod tests {
                 2,
                 warmup(2, 0.25).chain(rising(0)).chain(rising(1)).collect(),
             ),
+            // Projected load 3 equals the mean 2 + 2/2 exactly.
+            (
+                "exact tie with the threshold",
+                2,
+                vec![Compute(0, 1.0), Compute(1, 3.0), Compute(0, 2.0)],
+            ),
+            // Projected 2 exceeds the mean 1.5 by less than the op.
+            (
+                "firing below the cap",
+                2,
+                warmup(2, 1.0).chain([Compute(0, 1.0)]).collect(),
+            ),
+            (
+                "crash after a rounding run",
+                5,
+                warmup(5, 0.1)
+                    .chain(warmup(5, 1.0 / 3.0))
+                    .chain([Compute(4, 1e6), Crash(2), Compute(3, 0.1)])
+                    .chain(rising(0))
+                    .collect(),
+            ),
+            // Thousands of roundings in the running sum against one per
+            // term in the rank-order sum: the bracket must count both.
+            (
+                "long run on two ranks",
+                2,
+                (0..4000)
+                    .map(|i| Compute(i % 2, [0.1, 1.0 / 3.0, 0.7][i % 3]))
+                    .collect(),
+            ),
             (
                 "zero-second and negative-zero ops",
                 3,
@@ -1770,5 +1933,157 @@ mod tests {
         state.compute(0, 0.0, 1.0, &host);
         assert_eq!(state.alive_count(), 1);
         assert_eq!(state.least_loaded_alive(0), None);
+    }
+
+    /// Runs `steps` on a fresh fault-free state and returns the last
+    /// step's exact scans and the report after it.
+    fn last_step_scans(
+        plan: &BalancePlan,
+        n: usize,
+        steps: &[(usize, f64)],
+    ) -> (u64, BalanceReport) {
+        let config = MachineConfig::new(n);
+        let host = HostView {
+            config: &config,
+            faults: None,
+        };
+        let mut state = BalanceState::new(plan, n, &config);
+        let (&(rank, nominal), warmup) = steps.split_last().unwrap();
+        for &(r, s) in warmup {
+            state.compute(r, 0.0, s, &host);
+        }
+        counters::reset();
+        state.compute(rank, 0.0, nominal, &host);
+        (counters::SCANS.get(), state.report())
+    }
+
+    #[test]
+    fn stealing_scans_only_when_the_bounds_cannot_decide() {
+        let stealing = |max_fraction| BalancePlan::stealing(0, 1.0).with_max_fraction(max_fraction);
+        // Far below the threshold: settled at the lower bound.
+        let (scans, report) = last_step_scans(&stealing(1.0), 2, &[(0, 1.0), (1, 3.0), (0, 0.5)]);
+        assert_eq!((scans, report.migrations), (0, 0));
+        // Projected 3 == mean 3: the bounds straddle the tie.
+        let (scans, report) = last_step_scans(&stealing(1.0), 2, &[(0, 1.0), (1, 3.0), (0, 2.0)]);
+        assert_eq!((scans, report.migrations), (1, 0));
+        // Fires with excess 0.5 under a cap of 1: the amount needs the
+        // exact mean.
+        let (scans, report) = last_step_scans(&stealing(1.0), 2, &[(0, 1.0), (1, 1.0), (0, 1.0)]);
+        assert_eq!(
+            (scans, report.migrations, report.moved_seconds),
+            (1, 1, 0.5)
+        );
+        // Same excess under a cap of 0.25: the cap is the amount.
+        let (scans, report) = last_step_scans(&stealing(0.25), 2, &[(0, 1.0), (1, 1.0), (0, 1.0)]);
+        assert_eq!(
+            (scans, report.migrations, report.moved_seconds),
+            (0, 1, 0.25)
+        );
+    }
+
+    #[test]
+    fn a_crash_restarts_the_running_sum_from_a_scan() {
+        let n = 6;
+        let plan = BalancePlan::stealing(0, 1.5);
+        let config = MachineConfig::new(n);
+        let mut faults = FaultState::new(&FaultPlan::new(0), n);
+        let mut state = BalanceState::new(&plan, n, &config);
+        for k in 0..50 {
+            let host = HostView {
+                config: &config,
+                faults: Some(&faults),
+            };
+            state.compute(k % n, 0.0, [0.1, 1.0 / 3.0, 1e-9, 1e6][k % 4], &host);
+        }
+        let drifted = state.alive_sum_err;
+        faults.record_crash(2, 0.0);
+        let host = HostView {
+            config: &config,
+            faults: Some(&faults),
+        };
+        state.compute(0, 0.0, 0.1, &host);
+        let rebuilt = state.alive_sum - 0.1; // undo the op that synced
+        assert_eq!(rebuilt.to_bits(), (state.alive_load_sum() - 0.1).to_bits());
+        assert!(
+            state.alive_sum_err < drifted,
+            "{} vs {drifted}",
+            state.alive_sum_err
+        );
+    }
+
+    /// The CFD proxy's op schedule (seven loops, chain exchanges,
+    /// reduces and barriers) under a linear skew, as the workloads crate
+    /// builds it for one iteration.
+    fn cfd_program(ranks: usize, spread: f64) -> crate::Program {
+        let w = |p: usize| 1.0 - spread / 2.0 + spread * p as f64 / (ranks - 1) as f64;
+        let exchange = |ops: &mut crate::RankOps<'_>, rank: usize, bytes: u64| {
+            for phase in 0..2 {
+                if rank % 2 == phase {
+                    if rank + 1 < ranks {
+                        ops.send(rank + 1, bytes).recv(rank + 1);
+                    }
+                } else if rank >= 1 {
+                    ops.recv(rank - 1).send(rank - 1, bytes);
+                }
+            }
+        };
+        let mut pb = ProgramBuilder::new(ranks);
+        let loops: Vec<_> = (1..=7)
+            .map(|j| pb.add_region(format!("loop {j}")))
+            .collect();
+        pb.spmd(|rank, mut ops| {
+            let (wk, interior) = (w(rank), rank != 0 && rank + 1 != ranks);
+            ops.enter(loops[0]).compute(0.60 * wk).reduce(256 << 10);
+            if interior {
+                ops.compute(0.010 * wk);
+            }
+            ops.barrier().leave(loops[0]);
+            ops.enter(loops[1])
+                .compute(0.40 * wk)
+                .reduce(224 << 10)
+                .leave(loops[1]);
+            ops.enter(loops[2]).compute(0.26 * wk);
+            exchange(&mut ops, rank, 768 << 10);
+            ops.leave(loops[2]).enter(loops[3]).compute(0.40 * wk);
+            exchange(&mut ops, rank, 128 << 10);
+            ops.leave(loops[3]).enter(loops[4]);
+            exchange(&mut ops, rank, 2 << 10);
+            ops.compute(0.38 * wk).reduce(16 << 10);
+            if interior {
+                ops.compute(0.004 * wk);
+            }
+            ops.barrier()
+                .leave(loops[4])
+                .enter(loops[5])
+                .compute(0.018 * wk);
+            exchange(&mut ops, rank, 8 << 10);
+            ops.barrier().leave(loops[5]);
+            ops.enter(loops[6])
+                .compute(0.014 * wk)
+                .reduce(1 << 10)
+                .leave(loops[6]);
+        });
+        pb.build().unwrap()
+    }
+
+    #[test]
+    fn stealing_on_a_skewed_cfd_run_rarely_scans() {
+        let ranks = 1024;
+        let program = cfd_program(ranks, 0.4);
+        let sim = Simulator::new(MachineConfig::new(ranks));
+        // The advisor's stealing candidate.
+        let plan = BalancePlan::stealing(2003, 1.15);
+        counters::reset();
+        let out = sim
+            .run_configured(&program, None, Some(&plan), None)
+            .unwrap();
+        let (decisions, scans) = (counters::DECISIONS.get(), counters::SCANS.get());
+        assert!(out.balance.migrations > 0);
+        // Nine compute ops per interior rank, seven per boundary rank.
+        assert_eq!(decisions, 9 * ranks as u64 - 4);
+        assert!(
+            scans * 100 <= decisions,
+            "{scans} exact scans in {decisions} decisions"
+        );
     }
 }

@@ -145,6 +145,8 @@ pub fn collective_cost(
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
     use super::*;
 
     fn cfg() -> MachineConfig {

@@ -844,8 +844,7 @@ impl<'a> Exec<'a> {
         hot.clear();
         hot.resize(n, RankHot::default());
         let mut arena = RankArena { hot };
-        if crash_possible {
-            let fs = faults.as_ref().expect("crash_possible implies faults");
+        if let Some(fs) = faults.as_ref().filter(|_| crash_possible) {
             for (rank, hot) in arena.hot.iter_mut().enumerate() {
                 hot.crash_at = fs.crash_time(rank);
             }
@@ -1031,10 +1030,10 @@ impl<'a> Exec<'a> {
         }
     }
 
-    fn handle_get(&self, rank: usize, handle: u32) -> Outstanding {
+    fn handle_get(&self, rank: usize, handle: u32) -> Result<Outstanding, SimError> {
         self.handles
             .get(rank, handle)
-            .expect("validated: handle outstanding")
+            .ok_or_else(|| SimError::no_request(rank, handle))
     }
 
     fn handle_remove(&mut self, rank: usize, handle: u32) {
@@ -1362,7 +1361,7 @@ impl<'a> Exec<'a> {
                 Ok(StepOutcome::Ran)
             }
             Op::Wait { handle } => {
-                let outstanding = self.handle_get(rank, handle);
+                let outstanding = self.handle_get(rank, handle)?;
                 match outstanding {
                     Outstanding::SendDone(free) => {
                         let begin = self.arena.hot[rank].time;
@@ -1519,7 +1518,9 @@ impl<'a> Exec<'a> {
                     ActivityKind::Collective
                 };
                 for r in 0..n {
-                    let arrival = self.coll.arrivals[r].take().expect("all arrived");
+                    let arrival = self.coll.arrivals[r]
+                        .take()
+                        .ok_or_else(|| SimError::not_arrived(self.coll.completed, r))?;
                     self.builder
                         .push(Event::begin_activity(arrival, r as u32, activity));
                     self.builder
@@ -1798,7 +1799,9 @@ impl<'a> Exec<'a> {
     fn finish(mut self) -> Result<SimOutput, SimError> {
         let (faults, balance) = self.finish_parts();
         let Recorder::Materialize(builder) = self.builder else {
-            unreachable!("materializing finish on a streaming run");
+            return Err(SimError::Internal {
+                detail: "materializing finish on a streaming run".to_string(),
+            });
         };
         Ok(SimOutput {
             trace: builder.build()?,
@@ -2021,6 +2024,8 @@ impl Simulator {
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
     use super::*;
     use crate::ProgramBuilder;
     use limba_model::ProcessorId;

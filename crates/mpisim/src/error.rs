@@ -83,6 +83,12 @@ pub enum SimError {
     /// The produced trace failed validation or reduction, or outgrew
     /// what a trace holds.
     Trace(TraceError),
+    /// The simulator broke one of its own invariants — a bug in this
+    /// crate, reported as an error rather than a panic.
+    Internal {
+        /// Which invariant broke.
+        detail: String,
+    },
     /// A run budget cut the simulation short (op-count or wall-clock
     /// deadline exceeded, or its cancellation token tripped — see
     /// [`RunBudget`](crate::RunBudget)). The run produced no output;
@@ -137,6 +143,7 @@ impl fmt::Display for SimError {
                 write!(f, "replication program build failed: {detail}")
             }
             SimError::Trace(e) => write!(f, "trace handling failed: {e}"),
+            SimError::Internal { detail } => write!(f, "simulator invariant broken: {detail}"),
             SimError::Interrupted { detail } => write!(f, "run interrupted: {detail}"),
         }
     }
@@ -151,6 +158,29 @@ impl Error for SimError {
     }
 }
 
+impl SimError {
+    /// A wait by `rank` on `handle` found no outstanding request.
+    /// Program validation rules this out; both engines report it
+    /// instead of panicking.
+    pub(crate) fn no_request(rank: usize, handle: u32) -> SimError {
+        SimError::BadHandle {
+            rank,
+            handle,
+            detail: "wait found no outstanding request".to_string(),
+        }
+    }
+
+    /// Collective `instance` completed without `rank`'s arrival. The
+    /// engines complete an instance only once every rank has arrived;
+    /// both report a breach instead of panicking.
+    pub(crate) fn not_arrived(instance: usize, rank: usize) -> SimError {
+        SimError::CollectiveMismatch {
+            instance,
+            detail: format!("completed before rank {rank} arrived"),
+        }
+    }
+}
+
 impl From<TraceError> for SimError {
     fn from(e: TraceError) -> Self {
         SimError::Trace(e)
@@ -159,6 +189,8 @@ impl From<TraceError> for SimError {
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
     use super::*;
 
     #[test]

@@ -47,6 +47,9 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(clippy::panic)]
+#![warn(clippy::unwrap_used)]
+#![warn(clippy::expect_used)]
 
 pub(crate) mod arena;
 pub(crate) mod balance;
@@ -65,5 +68,5 @@ pub use config::MachineConfig;
 pub use engine::{RunBudget, SimOutput, SimStats, Simulator, StreamOutput};
 pub use error::SimError;
 pub use faults::{Crash, FaultPlan, FaultReport, LinkFault, MessageLoss, SlowdownWindow};
-pub use ops::{Op, Program, ProgramBuilder, RankOps};
+pub use ops::{ComputeCells, Op, Program, ProgramBuilder, RankOps};
 pub use replicate::Replication;

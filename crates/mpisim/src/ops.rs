@@ -103,48 +103,41 @@ impl Program {
         self.ranks.iter().map(|r| r.len()).sum()
     }
 
-    /// Nominal compute seconds per rank (speed 1.0), summed over the
-    /// whole program — the load vector the advisor's majorization
-    /// bounds are built from.
-    pub fn compute_seconds(&self) -> Vec<f64> {
-        self.ranks
-            .iter()
-            .map(|ops| {
-                ops.iter()
-                    .map(|op| match op {
-                        Op::Compute { seconds } => *seconds,
-                        _ => 0.0,
-                    })
-                    .sum()
-            })
-            .collect()
-    }
-
-    /// Nominal compute seconds per rank attributed to `region`
-    /// (innermost enclosing region wins, matching how the trace reducer
-    /// attributes busy time). Compute outside any region, or inside a
-    /// nested sub-region, is not counted.
-    pub fn region_compute_seconds(&self, region: RegionId) -> Vec<f64> {
-        self.ranks
-            .iter()
-            .map(|ops| {
-                let mut stack: Vec<RegionId> = Vec::new();
-                let mut total = 0.0;
-                for op in ops {
-                    match op {
-                        Op::Enter { region } => stack.push(*region),
-                        Op::Leave { .. } => {
-                            stack.pop();
-                        }
-                        Op::Compute { seconds } if stack.last() == Some(&region) => {
-                            total += seconds;
-                        }
-                        _ => {}
+    /// Nominal compute seconds (speed 1.0) of every `(region, rank)`
+    /// cell and of every rank in total, from one walk of the program —
+    /// the loads the advisor's proposals and predictions are built from.
+    pub fn compute_cells(&self) -> ComputeCells {
+        let n = self.ranks.len();
+        let mut regions = vec![vec![0.0; n]; self.region_names.len()];
+        let mut totals = Vec::with_capacity(n);
+        let mut stack: Vec<RegionId> = Vec::new();
+        for (p, ops) in self.ranks.iter().enumerate() {
+            stack.clear();
+            // Every op adds to the total, a non-compute op `+0.0`, from
+            // `Sum`'s `-0.0` start: the bits of summing the rank's
+            // per-op compute seconds, down to the sign of a zero.
+            let mut total = -0.0;
+            for op in ops {
+                let mut seconds = 0.0;
+                match op {
+                    Op::Enter { region } => stack.push(*region),
+                    Op::Leave { .. } => {
+                        stack.pop();
                     }
+                    Op::Compute { seconds: s } => {
+                        seconds = *s;
+                        let cell = stack.last().and_then(|r| regions.get_mut(r.index()));
+                        if let Some(row) = cell {
+                            row[p] += seconds;
+                        }
+                    }
+                    _ => {}
                 }
-                total
-            })
-            .collect()
+                total += seconds;
+            }
+            totals.push(total);
+        }
+        ComputeCells { regions, totals }
     }
 
     /// The program's collective call sequence as `(kind, bytes)` pairs,
@@ -179,7 +172,7 @@ impl Program {
 
     /// Returns a copy of the program with every compute op attributed
     /// to `region` (innermost attribution, as in
-    /// [`region_compute_seconds`](Program::region_compute_seconds))
+    /// [`compute_cells`](Program::compute_cells))
     /// scaled by its rank's entry in `factors` — the advisor's
     /// work-splitting transform. Communication, collectives, and
     /// compute in other regions are untouched, so the program's
@@ -250,6 +243,21 @@ impl Program {
             })
             .sum()
     }
+}
+
+/// A program's nominal compute seconds per `(region, rank)` cell and
+/// per rank, from [`Program::compute_cells`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct ComputeCells {
+    /// `regions[j][p]`: compute seconds rank `p` spends with region `j`
+    /// as its innermost enclosing region — the attribution the trace
+    /// reducer gives busy time. Compute outside any region, or inside a
+    /// nested sub-region, is not in the cell. Each cell sums its ops in
+    /// op order from `+0.0`.
+    pub regions: Vec<Vec<f64>>,
+    /// `totals[p]`: all of rank `p`'s compute seconds, in or outside
+    /// regions, summed in op order.
+    pub totals: Vec<f64>,
 }
 
 /// Builder for [`Program`]s.
@@ -570,6 +578,8 @@ impl RankOps<'_> {
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
     use super::*;
 
     #[test]
@@ -702,11 +712,128 @@ mod tests {
     }
 
     #[test]
-    fn compute_accessors_attribute_to_innermost_region() {
-        let p = two_region_program();
-        assert_eq!(p.compute_seconds(), vec![13.25, 4.0]);
-        assert_eq!(p.region_compute_seconds(RegionId::new(0)), vec![3.0, 4.0]);
-        assert_eq!(p.region_compute_seconds(RegionId::new(1)), vec![0.25, 0.0]);
+    fn compute_cells_attribute_to_innermost_region() {
+        let cells = two_region_program().compute_cells();
+        assert_eq!(cells.totals, vec![13.25, 4.0]);
+        assert_eq!(cells.regions, vec![vec![3.0, 4.0], vec![0.25, 0.0]]);
+    }
+
+    /// The per-region walks [`Program::compute_cells`] replaced: one
+    /// walk for the totals and one per region.
+    mod reference {
+        use super::*;
+
+        pub(super) fn compute_seconds(program: &Program) -> Vec<f64> {
+            program
+                .ranks
+                .iter()
+                .map(|ops| {
+                    ops.iter()
+                        .map(|op| match op {
+                            Op::Compute { seconds } => *seconds,
+                            _ => 0.0,
+                        })
+                        .sum()
+                })
+                .collect()
+        }
+
+        pub(super) fn region_compute_seconds(program: &Program, region: RegionId) -> Vec<f64> {
+            program
+                .ranks
+                .iter()
+                .map(|ops| {
+                    let mut stack: Vec<RegionId> = Vec::new();
+                    let mut total = 0.0;
+                    for op in ops {
+                        match op {
+                            Op::Enter { region } => stack.push(*region),
+                            Op::Leave { .. } => {
+                                stack.pop();
+                            }
+                            Op::Compute { seconds } if stack.last() == Some(&region) => {
+                                total += seconds;
+                            }
+                            _ => {}
+                        }
+                    }
+                    total
+                })
+                .collect()
+        }
+    }
+
+    /// One op of a generated rank: enter region `j` (ids past the
+    /// declared regions included), leave the innermost region, compute
+    /// `seconds`, or a barrier.
+    #[derive(Debug, Clone, Copy)]
+    enum Step {
+        Enter(usize),
+        Leave,
+        Compute(f64),
+        Barrier,
+    }
+
+    fn build(regions: usize, ranks: &[Vec<Step>], barriers: usize) -> Program {
+        let mut pb = ProgramBuilder::new(ranks.len());
+        for j in 0..regions {
+            pb.add_region(format!("r{j}"));
+        }
+        for (p, steps) in ranks.iter().enumerate() {
+            let mut ops = pb.rank(p);
+            for &step in steps {
+                match step {
+                    Step::Enter(j) => ops.enter(RegionId::new(j)),
+                    Step::Leave => ops.leave(RegionId::new(0)),
+                    Step::Compute(s) => ops.compute(s),
+                    // Every rank calls the same number of collectives.
+                    Step::Barrier => continue,
+                };
+            }
+            for _ in 0..barriers {
+                ops.barrier();
+            }
+        }
+        pb.build().unwrap()
+    }
+
+    fn steps() -> impl proptest::strategy::Strategy<Value = Vec<Step>> {
+        use proptest::prelude::*;
+        const SECONDS: [f64; 8] = [0.0, -0.0, 0.1, 1.0 / 3.0, 1e-9, 1e6, 0.25, 5e-324];
+        proptest::collection::vec((0u8..10, 0usize..6, 0..SECONDS.len()), 0..40).prop_map(|raw| {
+            raw.into_iter()
+                .map(|(kind, j, s)| match kind {
+                    0 | 1 => Step::Enter(j),
+                    2 | 3 => Step::Leave,
+                    4 => Step::Barrier,
+                    _ => Step::Compute(SECONDS[s]),
+                })
+                .collect()
+        })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn compute_cells_match_the_per_region_walks_bit_for_bit(
+            regions in 0usize..5,
+            ranks in proptest::collection::vec(steps(), 1..6),
+            barriers in 0usize..2,
+        ) {
+            let program = build(regions, &ranks, barriers);
+            let cells = program.compute_cells();
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+            proptest::prop_assert_eq!(
+                bits(&cells.totals),
+                bits(&reference::compute_seconds(&program))
+            );
+            proptest::prop_assert_eq!(cells.regions.len(), regions);
+            for (j, row) in cells.regions.iter().enumerate() {
+                let want = reference::region_compute_seconds(&program, RegionId::new(j));
+                proptest::prop_assert_eq!(bits(row), bits(&want), "region {}", j);
+            }
+        }
     }
 
     #[test]
@@ -727,16 +854,11 @@ mod tests {
         let scaled = p
             .with_region_compute_scaled(RegionId::new(0), &[0.5, 1.5])
             .unwrap();
-        assert_eq!(
-            scaled.region_compute_seconds(RegionId::new(0)),
-            vec![1.5, 6.0]
-        );
+        let cells = scaled.compute_cells();
+        assert_eq!(cells.regions[0], vec![1.5, 6.0]);
         // Nested and out-of-region compute are untouched.
-        assert_eq!(
-            scaled.region_compute_seconds(RegionId::new(1)),
-            vec![0.25, 0.0]
-        );
-        assert_eq!(scaled.compute_seconds(), vec![0.25 + 1.5 + 10.0, 6.0]);
+        assert_eq!(cells.regions[1], vec![0.25, 0.0]);
+        assert_eq!(cells.totals, vec![0.25 + 1.5 + 10.0, 6.0]);
         assert!(matches!(
             p.with_region_compute_scaled(RegionId::new(0), &[1.0, f64::NAN]),
             Err(SimError::InvalidWork { .. })

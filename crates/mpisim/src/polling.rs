@@ -488,7 +488,7 @@ impl Polling<'_> {
                 let outstanding = *states[rank]
                     .handles
                     .get(&handle)
-                    .expect("validated: handle outstanding");
+                    .ok_or_else(|| SimError::no_request(rank, handle))?;
                 match outstanding {
                     Outstanding::SendDone(free) => {
                         let begin = states[rank].time;
@@ -632,11 +632,10 @@ impl Polling<'_> {
                     return Ok(false);
                 }
                 // Everyone has arrived: release all participants.
-                let ready = inst
-                    .arrivals
-                    .iter()
-                    .map(|a| a.expect("all arrived"))
-                    .fold(f64::NEG_INFINITY, f64::max);
+                let mut ready = f64::NEG_INFINITY;
+                for (r, arrival) in inst.arrivals.iter().enumerate() {
+                    ready = ready.max(arrival.ok_or_else(|| SimError::not_arrived(instance, r))?);
+                }
                 let cost = collective_cost(kind, program.ranks(), inst.max_bytes, self.config);
                 let completion = ready + cost;
                 let activity = if kind == CollectiveKind::Barrier {
@@ -645,7 +644,8 @@ impl Polling<'_> {
                     ActivityKind::Collective
                 };
                 for (r, state) in states.iter_mut().enumerate() {
-                    let arrival = collectives[instance].arrivals[r].expect("all arrived");
+                    let arrival = collectives[instance].arrivals[r]
+                        .ok_or_else(|| SimError::not_arrived(instance, r))?;
                     builder.push(Event::begin_activity(arrival, r as u32, activity));
                     builder.push(Event::end_activity(completion, r as u32, activity));
                     state.time = completion;

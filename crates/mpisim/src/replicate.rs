@@ -121,6 +121,8 @@ impl Simulator {
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
     use super::*;
     use crate::{MachineConfig, ProgramBuilder};
 

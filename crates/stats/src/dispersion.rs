@@ -21,7 +21,7 @@
 
 use std::fmt;
 
-use crate::standardize::unit_sum_divisor;
+use crate::standardize::UnitSum;
 use crate::StatsError;
 
 /// A relative index of dispersion over a non-negative data set.
@@ -32,6 +32,9 @@ pub trait DispersionIndex {
     /// Human-readable name used in reports and benchmarks.
     fn name(&self) -> &'static str;
 
+    /// Computes the index of an already checked data set.
+    fn index_of(&self, data: &UnitSum<'_>) -> f64;
+
     /// Computes the index for `data`.
     ///
     /// # Errors
@@ -39,7 +42,9 @@ pub trait DispersionIndex {
     /// Returns an error when `data` is empty, contains negative or
     /// non-finite values, or sums to zero (an all-idle data set has no
     /// relative spread).
-    fn index(&self, data: &[f64]) -> Result<f64, StatsError>;
+    fn index(&self, data: &[f64]) -> Result<f64, StatsError> {
+        Ok(self.index_of(&UnitSum::new(data)?))
+    }
 }
 
 /// The paper's index: the Euclidean distance between the standardized times
@@ -56,14 +61,13 @@ impl DispersionIndex for EuclideanFromMean {
         "euclidean"
     }
 
-    fn index(&self, data: &[f64]) -> Result<f64, StatsError> {
-        let sum = unit_sum_divisor(data)?;
+    fn index_of(&self, data: &UnitSum<'_>) -> f64 {
+        let (data, sum) = (data.data(), data.sum());
         let mean = 1.0 / data.len() as f64;
-        Ok(data
-            .iter()
+        data.iter()
             .map(|&v| (v / sum - mean).powi(2))
             .sum::<f64>()
-            .sqrt())
+            .sqrt()
     }
 }
 
@@ -89,10 +93,10 @@ impl DispersionIndex for Variance {
         "variance"
     }
 
-    fn index(&self, data: &[f64]) -> Result<f64, StatsError> {
-        let sum = unit_sum_divisor(data)?;
+    fn index_of(&self, data: &UnitSum<'_>) -> f64 {
+        let (data, sum) = (data.data(), data.sum());
         let mean = 1.0 / data.len() as f64;
-        Ok(data.iter().map(|&v| (v / sum - mean).powi(2)).sum::<f64>() / data.len() as f64)
+        data.iter().map(|&v| (v / sum - mean).powi(2)).sum::<f64>() / data.len() as f64
     }
 }
 
@@ -106,11 +110,11 @@ impl DispersionIndex for CoefficientOfVariation {
         "cv"
     }
 
-    fn index(&self, data: &[f64]) -> Result<f64, StatsError> {
-        let sum = unit_sum_divisor(data)?;
+    fn index_of(&self, data: &UnitSum<'_>) -> f64 {
+        let (data, sum) = (data.data(), data.sum());
         let mean = 1.0 / data.len() as f64;
         let var = data.iter().map(|&v| (v / sum - mean).powi(2)).sum::<f64>() / data.len() as f64;
-        Ok(var.sqrt() / mean)
+        var.sqrt() / mean
     }
 }
 
@@ -123,10 +127,10 @@ impl DispersionIndex for MeanAbsoluteDeviation {
         "mad"
     }
 
-    fn index(&self, data: &[f64]) -> Result<f64, StatsError> {
-        let sum = unit_sum_divisor(data)?;
+    fn index_of(&self, data: &UnitSum<'_>) -> f64 {
+        let (data, sum) = (data.data(), data.sum());
         let mean = 1.0 / data.len() as f64;
-        Ok(data.iter().map(|&v| (v / sum - mean).abs()).sum::<f64>() / data.len() as f64)
+        data.iter().map(|&v| (v / sum - mean).abs()).sum::<f64>() / data.len() as f64
     }
 }
 
@@ -140,13 +144,13 @@ impl DispersionIndex for MaxExcess {
         "max-excess"
     }
 
-    fn index(&self, data: &[f64]) -> Result<f64, StatsError> {
-        let sum = unit_sum_divisor(data)?;
+    fn index_of(&self, data: &UnitSum<'_>) -> f64 {
+        let (data, sum) = (data.data(), data.sum());
         let max = data
             .iter()
             .map(|&v| v / sum)
             .fold(f64::NEG_INFINITY, f64::max);
-        Ok(max - 1.0 / data.len() as f64)
+        max - 1.0 / data.len() as f64
     }
 }
 
@@ -159,12 +163,12 @@ impl DispersionIndex for Range {
         "range"
     }
 
-    fn index(&self, data: &[f64]) -> Result<f64, StatsError> {
-        let sum = unit_sum_divisor(data)?;
+    fn index_of(&self, data: &UnitSum<'_>) -> f64 {
+        let (data, sum) = (data.data(), data.sum());
         let x = data.iter().map(|&v| v / sum);
         let max = x.clone().fold(f64::NEG_INFINITY, f64::max);
         let min = x.fold(f64::INFINITY, f64::min);
-        Ok(max - min)
+        max - min
     }
 }
 
@@ -178,8 +182,8 @@ impl DispersionIndex for Gini {
         "gini"
     }
 
-    fn index(&self, data: &[f64]) -> Result<f64, StatsError> {
-        let sum = unit_sum_divisor(data)?;
+    fn index_of(&self, data: &UnitSum<'_>) -> f64 {
+        let (data, sum) = (data.data(), data.sum());
         let n = data.len() as f64;
         let mut sorted: Vec<f64> = data.iter().map(|&v| v / sum).collect();
         sorted.sort_by(f64::total_cmp);
@@ -189,7 +193,7 @@ impl DispersionIndex for Gini {
             .enumerate()
             .map(|(i, &v)| (i as f64 + 1.0) * v)
             .sum();
-        Ok((2.0 * weighted - (n + 1.0)) / n)
+        (2.0 * weighted - (n + 1.0)) / n
     }
 }
 
@@ -204,11 +208,10 @@ impl DispersionIndex for Theil {
         "theil"
     }
 
-    fn index(&self, data: &[f64]) -> Result<f64, StatsError> {
-        let sum = unit_sum_divisor(data)?;
+    fn index_of(&self, data: &UnitSum<'_>) -> f64 {
+        let (data, sum) = (data.data(), data.sum());
         let n = data.len() as f64;
-        Ok(data
-            .iter()
+        data.iter()
             .map(|&v| {
                 let r = v / sum * n; // x / mean
                 if r > 0.0 {
@@ -218,7 +221,7 @@ impl DispersionIndex for Theil {
                 }
             })
             .sum::<f64>()
-            / n)
+            / n
     }
 }
 
@@ -233,11 +236,11 @@ impl DispersionIndex for Atkinson {
         "atkinson"
     }
 
-    fn index(&self, data: &[f64]) -> Result<f64, StatsError> {
-        let sum = unit_sum_divisor(data)?;
+    fn index_of(&self, data: &UnitSum<'_>) -> f64 {
+        let (data, sum) = (data.data(), data.sum());
         let n = data.len() as f64;
         let mean_sqrt = data.iter().map(|&v| (v / sum * n).sqrt()).sum::<f64>() / n;
-        Ok(1.0 - mean_sqrt * mean_sqrt)
+        1.0 - mean_sqrt * mean_sqrt
     }
 }
 
@@ -303,17 +306,17 @@ impl DispersionIndex for DispersionKind {
         }
     }
 
-    fn index(&self, data: &[f64]) -> Result<f64, StatsError> {
+    fn index_of(&self, data: &UnitSum<'_>) -> f64 {
         match self {
-            DispersionKind::Euclidean => EuclideanFromMean.index(data),
-            DispersionKind::Variance => Variance.index(data),
-            DispersionKind::Cv => CoefficientOfVariation.index(data),
-            DispersionKind::Mad => MeanAbsoluteDeviation.index(data),
-            DispersionKind::MaxExcess => MaxExcess.index(data),
-            DispersionKind::Range => Range.index(data),
-            DispersionKind::Gini => Gini.index(data),
-            DispersionKind::Theil => Theil.index(data),
-            DispersionKind::Atkinson => Atkinson.index(data),
+            DispersionKind::Euclidean => EuclideanFromMean.index_of(data),
+            DispersionKind::Variance => Variance.index_of(data),
+            DispersionKind::Cv => CoefficientOfVariation.index_of(data),
+            DispersionKind::Mad => MeanAbsoluteDeviation.index_of(data),
+            DispersionKind::MaxExcess => MaxExcess.index_of(data),
+            DispersionKind::Range => Range.index_of(data),
+            DispersionKind::Gini => Gini.index_of(data),
+            DispersionKind::Theil => Theil.index_of(data),
+            DispersionKind::Atkinson => Atkinson.index_of(data),
         }
     }
 }

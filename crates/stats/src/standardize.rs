@@ -40,24 +40,45 @@ pub(crate) fn validate_nonnegative(data: &[f64]) -> Result<(), StatsError> {
 /// assert_eq!(s, vec![0.25, 0.75]);
 /// ```
 pub fn to_unit_sum(data: &[f64]) -> Result<Vec<f64>, StatsError> {
-    let sum = unit_sum_divisor(data)?;
-    Ok(data.iter().map(|&v| v / sum).collect())
+    let checked = UnitSum::new(data)?;
+    Ok(data.iter().map(|&v| v / checked.sum()).collect())
 }
 
-/// The sum that [`to_unit_sum`] divides by, after the same checks: the
-/// standardized `i`-th value is `data[i] / unit_sum_divisor(data)?`, bit
-/// for bit, so callers can standardize on the fly without a copy.
-///
-/// # Errors
-///
-/// Same conditions as [`to_unit_sum`].
-pub(crate) fn unit_sum_divisor(data: &[f64]) -> Result<f64, StatsError> {
-    validate_nonnegative(data)?;
-    let sum: f64 = data.iter().sum();
-    if sum <= 0.0 {
-        return Err(StatsError::ZeroSum);
+/// A data set checked for standardization, with the sum
+/// [`to_unit_sum`] divides by: the standardized `i`-th value is
+/// `data()[i] / sum()`, bit for bit, so callers can standardize on the
+/// fly without a copy, and read the sum without taking it again.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct UnitSum<'a> {
+    data: &'a [f64],
+    sum: f64,
+}
+
+impl<'a> UnitSum<'a> {
+    /// Checks `data` and sums it left to right.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`to_unit_sum`]; [`StatsError::ZeroSum`] only
+    /// once every value has passed.
+    pub fn new(data: &'a [f64]) -> Result<UnitSum<'a>, StatsError> {
+        validate_nonnegative(data)?;
+        let sum: f64 = data.iter().sum();
+        if sum <= 0.0 {
+            return Err(StatsError::ZeroSum);
+        }
+        Ok(UnitSum { data, sum })
     }
-    Ok(sum)
+
+    /// The checked values: non-empty, finite and non-negative.
+    pub fn data(&self) -> &'a [f64] {
+        self.data
+    }
+
+    /// Their sum, positive.
+    pub fn sum(&self) -> f64 {
+        self.sum
+    }
 }
 
 #[cfg(test)]
@@ -74,6 +95,19 @@ mod tests {
     #[test]
     fn zero_sum_is_rejected() {
         assert_eq!(to_unit_sum(&[0.0, 0.0]), Err(StatsError::ZeroSum));
+        // Checked before the sum: a bad value wins over a zero sum.
+        assert_eq!(
+            UnitSum::new(&[0.0, -0.5]),
+            Err(StatsError::InvalidValue { value: -0.5 })
+        );
+    }
+
+    #[test]
+    fn unit_sum_keeps_the_left_to_right_sum() {
+        let data = [0.1, 0.2, 0.3];
+        let checked = UnitSum::new(&data).unwrap();
+        assert_eq!(checked.sum(), 0.1 + 0.2 + 0.3);
+        assert_eq!(checked.data(), data);
     }
 
     #[test]
