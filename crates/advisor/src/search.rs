@@ -22,10 +22,11 @@ use std::sync::Arc;
 use limba_analysis::{Analyzer, BatchAnalyzer, ReportCache};
 use limba_mpisim::{FaultPlan, Simulator};
 use limba_par::{par_map, par_map_cancellable, CancelToken};
+use limba_trace::ScanSink;
 
 use crate::catalog::{propose, Intervention};
 use crate::predict::{BaselineModel, Prediction};
-use crate::verify::{verify, Verification, VerifyCache};
+use crate::verify::{verify, Verification, VerifyCache, FRAME_EVENTS};
 use crate::{AdviseError, Scenario};
 
 /// One ranked recommendation: an intervention combo, its analytic
@@ -212,11 +213,13 @@ impl Advisor {
         // scenario's own balance plan (if any) is part of the baseline
         // — the advisor measures interventions against it.
         let baseline_makespan = Simulator::new(scenario.config.clone())
-            .run_configured(
+            .run_streaming_configured(
                 &scenario.program,
                 self.faults.as_ref(),
                 scenario.balance.as_ref(),
                 None,
+                &mut ScanSink::new(),
+                FRAME_EVENTS,
             )?
             .stats
             .makespan;

@@ -1,5 +1,7 @@
 //! Minimal `--flag value` argument parsing shared by the subcommands.
 
+#![warn(clippy::panic, clippy::unwrap_used, clippy::expect_used)]
+
 use std::collections::{BTreeMap, BTreeSet};
 
 use limba_workloads::Imbalance;
@@ -108,6 +110,8 @@ pub(crate) fn parse_imbalance(spec: &str) -> Result<Imbalance, String> {
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
     use super::*;
 
     fn strs(v: &[&str]) -> Vec<String> {

@@ -16,7 +16,7 @@ use limba_par::CancelToken;
 use limba_workloads::Imbalance;
 
 use crate::args::{parse, parse_imbalance, Flags, Parsed};
-use crate::cmd_simulate::{build_program, load_fault_plan, render_fault_presets, Engine};
+use crate::cmd_simulate::{build_program, fold_run, load_fault_plan, render_fault_presets};
 use crate::supervise::{self, Supervision};
 use crate::tracefile::fold_trace;
 
@@ -26,7 +26,7 @@ const FLAGS: Flags = Flags {
     options: &[
         &["workload", "ranks", "iterations", "imbalance", "seed"],
         &["budget", "top", "beam", "depth", "clusters", "jobs"],
-        &["faults", "engine"],
+        &["faults"],
         supervise::OPTIONS,
     ],
     switches: &[&["json"], supervise::SWITCHES],
@@ -47,7 +47,6 @@ pub(crate) fn run(argv: &[String]) -> Result<crate::CmdOutcome, String> {
     let depth: usize = parsed.get_or("depth", 2)?;
     let jobs: usize = parsed.get_or("jobs", 1)?;
     let clusters: usize = parsed.get_or("clusters", 2)?;
-    let engine = Engine::parse(parsed.get("engine").unwrap_or("event"))?;
 
     // `source` identifies the scenario for the verification-cache
     // fingerprint: the full workload spec, or the tracefile's content
@@ -103,14 +102,13 @@ pub(crate) fn run(argv: &[String]) -> Result<crate::CmdOutcome, String> {
             spec,
             &scenario.program,
             scenario.program.ranks(),
-            engine,
         )?),
         None => None,
     };
 
     // The fingerprint covers everything that affects which verifications
-    // run and what they measure; `jobs` and `engine` are excluded (the
-    // advice is byte-identical under both).
+    // run and what they measure; `jobs` is excluded (the advice is
+    // byte-identical under every worker count).
     let fingerprint = limba_guard::config_fingerprint(&format!(
         "advise|{source}|budget={budget}|top={top}|beam={beam}|depth={depth}|clusters={clusters}|faults={:?}",
         parsed.get("faults")
@@ -217,18 +215,14 @@ pub(crate) fn run(argv: &[String]) -> Result<crate::CmdOutcome, String> {
     // The baseline analysis report the recommendations refer to,
     // simulated under the same fault and balance plans the advice was
     // measured under (a fault plan may truncate ranks, hence the
-    // coverage section). Both engines produce bit-identical traces, so
-    // the report — like the advice — does not depend on the engine
-    // choice.
+    // coverage section), its events folded as the run goes.
     let sim = Simulator::new(scenario.config.clone());
-    let output = engine.run(
+    let (_, salvaged) = fold_run(
         &sim,
         &scenario.program,
         faults.as_ref(),
         scenario.balance.as_ref(),
-        jobs,
     )?;
-    let salvaged = output.reduce_checked().map_err(|e| e.to_string())?;
     let report = Analyzer::new()
         .with_cluster_k(clusters)
         .analyze(&salvaged.reduced.measurements)

@@ -3,10 +3,11 @@
 use std::fs::File;
 use std::io::BufWriter;
 
+use limba_model::ActivitySet;
 use limba_mpisim::{
     BalancePlan, FaultPlan, MachineConfig, Program, SimError, SimOutput, Simulator, StreamOutput,
 };
-use limba_trace::{Trace, TraceSink};
+use limba_trace::{SalvageSink, SalvagedTrace, ScanSink, Trace, TraceSink};
 use limba_workloads::{
     amr::AmrConfig, cfd::CfdConfig, fft::FftConfig, irregular::IrregularConfig,
     master_worker::MasterWorkerConfig, pipeline::PipelineConfig, stencil::StencilConfig,
@@ -172,36 +173,44 @@ impl Engine {
     }
 }
 
-fn simulate(program: &Program, ranks: usize) -> Result<SimOutput, String> {
-    simulate_with(program, ranks, Engine::Event, None, None, 1)
-}
+/// Events per frame on the runs that fold inline, and the default
+/// `--stream-frame-events`.
+const FRAME_EVENTS: usize = 4096;
 
-fn simulate_with(
+/// Simulates `program` on the event engine with its events folded into
+/// the salvaged reduction inline, on the calling thread: the commands
+/// that read only the reduction never materialize a trace.
+pub(crate) fn fold_run(
+    sim: &Simulator,
     program: &Program,
-    ranks: usize,
-    engine: Engine,
     faults: Option<&FaultPlan>,
     balance: Option<&BalancePlan>,
-    jobs: usize,
-) -> Result<SimOutput, String> {
-    let sim = Simulator::new(MachineConfig::new(ranks));
-    engine.run(&sim, program, faults, balance, jobs)
+) -> Result<(StreamOutput, SalvagedTrace), String> {
+    let mut fold = SalvageSink::new(ActivitySet::standard());
+    let output = sim
+        .run_streaming_configured(program, faults, balance, None, &mut fold, FRAME_EVENTS)
+        .map_err(|e| e.to_string())?;
+    // A run that completes has finished its sink.
+    let salvaged = fold
+        .into_salvaged()
+        .ok_or("simulation ended without finishing its fold")?;
+    Ok((output, salvaged))
 }
 
 /// Resolves `--faults`: either a TOML plan file or `preset:<name>` from
 /// [`limba_workloads::faults`]. Presets are scaled to the makespan of a
-/// fault-free run of the same program (both runs are deterministic, so
-/// the recipe reproduces exactly).
+/// fault-free run of the same program, recorded into a scan (both runs
+/// are deterministic, so the recipe reproduces exactly).
 pub(crate) fn load_fault_plan(
     spec: &str,
     program: &Program,
     ranks: usize,
-    engine: Engine,
 ) -> Result<FaultPlan, String> {
     let plan = if let Some(name) = spec.strip_prefix("preset:") {
-        let horizon = simulate_with(program, ranks, engine, None, None, 1)?
-            .stats
-            .makespan;
+        let sim = Simulator::new(MachineConfig::new(ranks));
+        let mut scan = ScanSink::new();
+        let run = sim.run_streaming_configured(program, None, None, None, &mut scan, FRAME_EVENTS);
+        let horizon = run.map_err(|e| e.to_string())?.stats.makespan;
         limba_workloads::faults::preset(name, ranks, horizon).ok_or_else(|| {
             format!(
                 "unknown fault preset {name:?} (available: {})",
@@ -632,7 +641,7 @@ fn check_streaming(
     let jobs = engine
         .event_jobs(jobs)
         .ok_or_else(|| format!("{flag} needs --engine event or event-par"))?;
-    let frame_events: usize = parsed.get_or("stream-frame-events", 4096)?;
+    let frame_events: usize = parsed.get_or("stream-frame-events", FRAME_EVENTS)?;
     if frame_events == 0 {
         return Err("--stream-frame-events must be positive".into());
     }
@@ -843,7 +852,7 @@ pub(crate) fn run(argv: &[String]) -> Result<crate::CmdOutcome, String> {
 
     let program = build_program(&workload, ranks, iterations, imbalance, seed)?;
     let faults = match parsed.get("faults") {
-        Some(spec) => Some(load_fault_plan(spec, &program, ranks, engine)?),
+        Some(spec) => Some(load_fault_plan(spec, &program, ranks)?),
         None => None,
     };
     let balance = match parsed.get("balance") {
@@ -898,14 +907,8 @@ pub(crate) fn run(argv: &[String]) -> Result<crate::CmdOutcome, String> {
         return Ok(Supervision::outcome_of(&manifest));
     }
 
-    let output = simulate_with(
-        &program,
-        ranks,
-        engine,
-        faults.as_ref(),
-        balance.as_ref(),
-        jobs,
-    )?;
+    let sim = Simulator::new(MachineConfig::new(ranks));
+    let output = engine.run(&sim, &program, faults.as_ref(), balance.as_ref(), jobs)?;
     write_trace(&output.trace, &out, &format)?;
     out!(
         "{}",
@@ -939,10 +942,10 @@ pub(crate) fn demo(argv: &[String]) -> Result<crate::CmdOutcome, String> {
         .with_imbalance(Imbalance::LinearSkew { spread: 0.4 })
         .build_program()
         .map_err(|e| e.to_string())?;
-    let output = simulate(&program, 16)?;
-    let reduced = output.reduce().map_err(|e| e.to_string())?;
+    let sim = Simulator::new(MachineConfig::new(16));
+    let (_, salvaged) = fold_run(&sim, &program, None, None)?;
     let report = limba_analysis::Analyzer::new()
-        .analyze(&reduced.measurements)
+        .analyze(&salvaged.reduced.measurements)
         .map_err(|e| e.to_string())?;
     out!("{}", limba_viz::report::render(&report));
     Ok(crate::CmdOutcome::Complete)
@@ -951,6 +954,18 @@ pub(crate) fn demo(argv: &[String]) -> Result<crate::CmdOutcome, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn simulate_with(
+        program: &Program,
+        ranks: usize,
+        engine: Engine,
+        faults: Option<&FaultPlan>,
+        balance: Option<&BalancePlan>,
+        jobs: usize,
+    ) -> Result<SimOutput, String> {
+        let sim = Simulator::new(MachineConfig::new(ranks));
+        engine.run(&sim, program, faults, balance, jobs)
+    }
 
     #[test]
     fn builds_every_workload() {
@@ -1154,25 +1169,25 @@ mod tests {
         // TOML file path.
         let path = std::env::temp_dir().join("limba-cli-faults.toml");
         std::fs::write(&path, "seed = 5\n[[crash]]\nrank = 3\ntime = 0.001\n").unwrap();
-        let plan = load_fault_plan(path.to_str().unwrap(), &p, 4, Engine::Event).unwrap();
+        let plan = load_fault_plan(path.to_str().unwrap(), &p, 4).unwrap();
         assert_eq!(plan.crashes.len(), 1);
         std::fs::remove_file(&path).ok();
 
         // Preset scaled to the clean run's makespan.
-        let plan = load_fault_plan("preset:straggler", &p, 4, Engine::Event).unwrap();
+        let plan = load_fault_plan("preset:straggler", &p, 4).unwrap();
         assert_eq!(plan.slowdowns.len(), 1);
-        assert!(load_fault_plan("preset:hurricane", &p, 4, Engine::Event)
+        assert!(load_fault_plan("preset:hurricane", &p, 4)
             .unwrap_err()
             .contains("unknown fault preset"));
 
         // A plan referencing ranks outside the machine is rejected here.
         let path = std::env::temp_dir().join("limba-cli-bad-faults.toml");
         std::fs::write(&path, "[[crash]]\nrank = 9\ntime = 1.0\n").unwrap();
-        assert!(load_fault_plan(path.to_str().unwrap(), &p, 4, Engine::Event).is_err());
+        assert!(load_fault_plan(path.to_str().unwrap(), &p, 4).is_err());
         std::fs::remove_file(&path).ok();
 
         // All three engines honor the same plan identically.
-        let plan = load_fault_plan("preset:chaos", &p, 4, Engine::Event).unwrap();
+        let plan = load_fault_plan("preset:chaos", &p, 4).unwrap();
         let event = simulate_with(&p, 4, Engine::Event, Some(&plan), None, 1).unwrap();
         let polling = simulate_with(&p, 4, Engine::Polling, Some(&plan), None, 1).unwrap();
         let par = simulate_with(&p, 4, Engine::EventPar, Some(&plan), None, 4).unwrap();
@@ -1274,7 +1289,7 @@ mod tests {
     fn stencil_grid_factors_rank_count() {
         // 12 ranks → 3×4 or 4×3; must build and simulate.
         let p = build_program("stencil", 12, Some(2), Imbalance::None, 0).unwrap();
-        simulate(&p, 12).unwrap();
+        simulate_with(&p, 12, Engine::Event, None, None, 1).unwrap();
     }
 
     fn args(v: &[&str]) -> Vec<String> {
@@ -1355,7 +1370,7 @@ mod tests {
         // materialized trace of the same run.
         let dir = std::env::temp_dir();
         let program = build_program("cfd", 4, Some(1), Imbalance::None, 0).unwrap();
-        let reference = simulate(&program, 4).unwrap();
+        let reference = simulate_with(&program, 4, Engine::Event, None, None, 1).unwrap();
         let mut expect = Vec::new();
         {
             use limba_trace::TraceSink;
@@ -1401,7 +1416,7 @@ mod tests {
     fn trace_round_trips_through_files() {
         let dir = std::env::temp_dir();
         let program = build_program("cfd", 4, Some(1), Imbalance::None, 0).unwrap();
-        let out = simulate(&program, 4).unwrap();
+        let out = simulate_with(&program, 4, Engine::Event, None, None, 1).unwrap();
         for format in ["binary", "text"] {
             let path = dir.join(format!("limba-cli-test.{format}"));
             let path = path.to_str().unwrap();

@@ -20,6 +20,7 @@ use limba_workloads::{
 };
 
 use crate::args::{parse, Flags, Parsed};
+use crate::cmd_simulate::fold_run;
 use crate::supervise::{self, Supervision};
 
 /// The flags `suite` accepts.
@@ -163,7 +164,8 @@ pub(crate) fn render(
         })
         .collect();
 
-    // One unit per case: simulate, reduce, analyze. The checkpoint
+    // One unit per case: simulate with the reduction folding inline,
+    // then analyze. The checkpoint
     // fingerprint covers everything that affects a row (`jobs` does
     // not — the output is jobs-invariant).
     let fingerprint =
@@ -179,11 +181,10 @@ pub(crate) fn render(
             |_, (iname, wname, program)| {
                 let fatal =
                     |e: String| limba_guard::JobError::Fatal(format!("{wname}/{iname}: {e}"));
-                let out = sim.run(program).map_err(|e| fatal(e.to_string()))?;
-                let reduced = out.reduce().map_err(|e| fatal(e.to_string()))?;
+                let (out, salvaged) = fold_run(&sim, program, None, None).map_err(fatal)?;
                 let report = Analyzer::new()
                     .with_cluster_k(0)
-                    .analyze(&reduced.measurements)
+                    .analyze(&salvaged.reduced.measurements)
                     .map_err(|e| fatal(e.to_string()))?;
                 let (sid, top) = report
                     .findings

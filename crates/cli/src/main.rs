@@ -149,8 +149,6 @@ OPTIONS (advise):
   --jobs N               worker threads; output is byte-identical for every N
   --faults SPEC          verify under a fault plan (TOML file, preset:<name>,
                          or list to print the presets)
-  --engine ENGINE        event | event-par | polling — advice is identical
-                         under all three (event-par uses --jobs)
   --json                 machine-readable digest instead of the text report
 
 OPTIONS (timeline):

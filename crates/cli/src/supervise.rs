@@ -3,6 +3,8 @@
 //! their translation into a [`Supervisor`], and the partial-result
 //! exit-code protocol.
 
+#![warn(clippy::panic, clippy::unwrap_used, clippy::expect_used)]
+
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -108,6 +110,8 @@ impl Supervision {
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
     use super::*;
     use crate::args::{parse, Flags};
 

@@ -40,7 +40,9 @@ pub struct RegionDelta {
     pub before_seconds: f64,
     /// `t_i` after, seconds.
     pub after_seconds: f64,
-    /// `before / after` (`> 1` means faster).
+    /// `before / after` (`> 1` means faster). A region with zero time
+    /// in both runs did not change: `1.0`. One whose time drops to zero
+    /// from a positive one is `inf`.
     pub speedup: f64,
     /// Weighted dispersion `ID_C` before.
     pub before_id: f64,
@@ -136,7 +138,11 @@ pub fn compare_runs(
             name: before.region_info(r).name().to_string(),
             before_seconds: b_t,
             after_seconds: a_t,
-            speedup: if a_t > 0.0 { b_t / a_t } else { f64::INFINITY },
+            speedup: match (b_t > 0.0, a_t > 0.0) {
+                (_, true) => b_t / a_t,
+                (true, false) => f64::INFINITY,
+                (false, false) => 1.0,
+            },
             before_id: b_id,
             after_id: a_id,
             verdict,
@@ -220,6 +226,112 @@ mod tests {
             .unwrap();
         let other = b.build().unwrap();
         assert!(compare_runs(&before, &other, DispersionKind::Euclidean, 0.02).is_err());
+    }
+
+    /// A two-region program on `processors` processors whose `core`
+    /// region computes `core[p % core.len()]` seconds on processor `p`
+    /// and whose `idle` region records nothing.
+    fn with_idle_region(processors: usize, core: &[f64]) -> Measurements {
+        let mut b = MeasurementsBuilder::new(processors);
+        let r = b.add_region("core");
+        b.add_region("idle");
+        for p in 0..processors {
+            b.record(r, ActivityKind::Computation, p, core[p % core.len()])
+                .unwrap();
+        }
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn a_region_idle_in_both_runs_is_unchanged() {
+        let before = with_idle_region(4, &[1.0, 2.0]);
+        let after = with_idle_region(4, &[1.5]);
+        let cmp = compare_runs(&before, &after, DispersionKind::Euclidean, 0.02).unwrap();
+        let idle = &cmp.regions[1];
+        assert_eq!(idle.before_seconds, 0.0);
+        assert_eq!(idle.after_seconds, 0.0);
+        assert_eq!(idle.speedup, 1.0);
+        assert_eq!((idle.before_id, idle.after_id), (0.0, 0.0));
+        assert_eq!(idle.verdict, Verdict::Unchanged);
+    }
+
+    #[test]
+    fn a_region_that_drops_to_zero_time_is_infinitely_faster() {
+        let before = run(0.0, 1.0);
+        let mut b = MeasurementsBuilder::new(4);
+        let core = b.add_region("core");
+        b.add_region("halo");
+        for p in 0..4 {
+            b.record(core, ActivityKind::Computation, p, 1.0).unwrap();
+            b.record(RegionId::new(1), ActivityKind::PointToPoint, p, 0.0)
+                .unwrap();
+        }
+        let after = b.build().unwrap();
+        let cmp = compare_runs(&before, &after, DispersionKind::Euclidean, 0.02).unwrap();
+        assert_eq!(cmp.regions[1].speedup, f64::INFINITY);
+        assert_eq!(cmp.regions[1].verdict, Verdict::Improved);
+        // The reverse: from nothing to something is a zero speedup.
+        let cmp = compare_runs(&after, &before, DispersionKind::Euclidean, 0.02).unwrap();
+        assert_eq!(cmp.regions[1].speedup, 0.0);
+        assert_eq!(cmp.regions[1].verdict, Verdict::Regressed);
+    }
+
+    #[test]
+    fn one_processor_has_no_dispersion() {
+        for kind in DispersionKind::ALL {
+            let before = with_idle_region(1, &[2.0]);
+            let after = with_idle_region(1, &[1.0]);
+            let cmp = compare_runs(&before, &after, kind, 0.02).unwrap();
+            assert_eq!(cmp.total_speedup, 2.0, "{kind}");
+            let core = &cmp.regions[0];
+            assert_eq!((core.before_id, core.after_id), (0.0, 0.0), "{kind}");
+            assert_eq!(core.speedup, 2.0, "{kind}");
+            assert_eq!(core.verdict, Verdict::Improved, "{kind}");
+        }
+    }
+
+    #[test]
+    fn all_equal_loads_compare_on_time_alone() {
+        for kind in DispersionKind::ALL {
+            let before = with_idle_region(8, &[0.75]);
+            let after = with_idle_region(8, &[0.5]);
+            let cmp = compare_runs(&before, &after, kind, 0.02).unwrap();
+            let core = &cmp.regions[0];
+            assert_eq!((core.before_id, core.after_id), (0.0, 0.0), "{kind}");
+            assert_eq!(core.speedup, 1.5, "{kind}");
+            assert_eq!(core.verdict, Verdict::Improved, "{kind}");
+            assert_eq!(
+                cmp.activity_ids,
+                vec![(ActivityKind::Computation, 0.0, 0.0)]
+            );
+            // A run compared with itself is unchanged everywhere.
+            let same = compare_runs(&before, &before, kind, 0.02).unwrap();
+            assert_eq!(same.total_speedup, 1.0);
+            assert!(same.regions.iter().all(|d| d.speedup == 1.0));
+            assert!(same.regions.iter().all(|d| d.verdict == Verdict::Unchanged));
+        }
+    }
+
+    #[test]
+    fn a_single_region_carries_the_whole_program() {
+        let single = |skew: f64| {
+            let mut b = MeasurementsBuilder::new(4);
+            let r = b.add_region("only");
+            for p in 0..4 {
+                let t = if p == 0 { 1.0 + skew } else { 1.0 };
+                b.record(r, ActivityKind::Computation, p, t).unwrap();
+            }
+            b.build().unwrap()
+        };
+        let cmp =
+            compare_runs(&single(3.0), &single(0.0), DispersionKind::Euclidean, 0.02).unwrap();
+        assert_eq!(cmp.regions.len(), 1);
+        let only = &cmp.regions[0];
+        assert_eq!(only.speedup, cmp.total_speedup);
+        assert_eq!(only.speedup, 7.0 / 4.0);
+        assert!(only.before_id > 0.0);
+        assert_eq!(only.after_id, 0.0);
+        assert_eq!(only.verdict, Verdict::Improved);
     }
 
     #[test]

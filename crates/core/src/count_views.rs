@@ -187,6 +187,88 @@ mod tests {
     }
 
     #[test]
+    fn one_processor_has_no_dispersion() {
+        let mut b = CountMatrixBuilder::new(1);
+        b.record(RegionId::new(0), CountKind::BytesSent, 0, 512.0)
+            .unwrap();
+        b.record(RegionId::new(1), CountKind::BytesSent, 0, 1536.0)
+            .unwrap();
+        let matrix = b.build();
+        for kind in DispersionKind::ALL {
+            let v = count_view(&matrix, kind).unwrap();
+            assert_eq!(v.cells.len(), 2, "{kind}");
+            assert!(v.cells.iter().all(|c| c.id == 0.0), "{kind}");
+            assert_eq!(v.summaries.len(), 1, "{kind}");
+            assert_eq!(v.summaries[0].total, 2048.0, "{kind}");
+            assert_eq!(v.summaries[0].id, 0.0, "{kind}");
+        }
+    }
+
+    #[test]
+    fn all_equal_counts_have_zero_dispersion_for_every_index() {
+        let mut b = CountMatrixBuilder::new(6);
+        for p in 0..6 {
+            b.record(RegionId::new(0), CountKind::CacheMisses, p, 7.0)
+                .unwrap();
+        }
+        let matrix = b.build();
+        for kind in DispersionKind::ALL {
+            let v = count_view(&matrix, kind).unwrap();
+            assert_eq!(v.cells.len(), 1, "{kind}");
+            assert_eq!(v.cells[0].total, 42.0, "{kind}");
+            assert!(v.cells[0].id.abs() < 1e-12, "{kind}: {}", v.cells[0].id);
+            assert_eq!(v.summaries[0].id, v.cells[0].id, "{kind}");
+        }
+    }
+
+    #[test]
+    fn a_single_region_summary_is_its_cell() {
+        let mut b = CountMatrixBuilder::new(3);
+        for (p, c) in [1.0, 2.0, 5.0].into_iter().enumerate() {
+            b.record(RegionId::new(0), CountKind::IoOperations, p, c)
+                .unwrap();
+        }
+        let matrix = b.build();
+        for kind in DispersionKind::ALL {
+            let v = count_view(&matrix, kind).unwrap();
+            assert_eq!(v.cells.len(), 1, "{kind}");
+            let (cell, summary) = (&v.cells[0], &v.summaries[0]);
+            assert_eq!(summary.kind, cell.kind, "{kind}");
+            assert_eq!(summary.total, cell.total, "{kind}");
+            // total · id / total: equal up to one rounding.
+            assert!(
+                (summary.id - cell.id).abs() <= 1e-15 * cell.id.abs(),
+                "{kind}"
+            );
+            assert_eq!(v.most_imbalanced_cell(), Some(cell), "{kind}");
+        }
+    }
+
+    #[test]
+    fn a_kind_recorded_only_as_zeros_has_no_cell_and_no_summary() {
+        let mut b = CountMatrixBuilder::new(4);
+        for p in 0..4 {
+            b.record(RegionId::new(0), CountKind::MessagesSent, p, 0.0)
+                .unwrap();
+        }
+        b.record(RegionId::new(0), CountKind::BytesSent, 1, 64.0)
+            .unwrap();
+        let matrix = b.build();
+        for kind in DispersionKind::ALL {
+            let v = count_view(&matrix, kind).unwrap();
+            assert!(
+                v.cells.iter().all(|c| c.kind == CountKind::BytesSent),
+                "{kind}"
+            );
+            assert!(
+                v.summaries.iter().all(|s| s.kind == CountKind::BytesSent),
+                "{kind}"
+            );
+            assert!(v.summaries.iter().all(|s| s.id.is_finite()), "{kind}");
+        }
+    }
+
+    #[test]
     fn empty_matrix_yields_empty_view() {
         let v = count_view(
             &CountMatrixBuilder::new(2).build(),

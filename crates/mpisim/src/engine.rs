@@ -23,7 +23,9 @@ use std::cell::Cell;
 use std::collections::VecDeque;
 
 use limba_model::ActivityKind;
-use limba_trace::{Event, ReducedTrace, SalvagedTrace, Trace, TraceBuilder, TraceError, TraceSink};
+use limba_trace::{
+    Event, MaterializeSink, ReducedTrace, SalvagedTrace, Trace, TraceError, TraceSink,
+};
 
 use crate::arena::{ChannelIndex, HandleArena, SparseMap};
 use crate::balance::{BalancePlan, BalanceReport, BalanceState, HostView};
@@ -603,11 +605,10 @@ fn speculate_local(
     })
 }
 
-/// Where the executor's recorded events go: materialized into a
-/// [`TraceBuilder`] (the classic path, verbatim), or streamed to a
-/// [`TraceSink`] in frames of `frame_events` events as rounds retire —
-/// the producer half of the streaming pipeline, holding at most one
-/// frame of events at a time.
+/// Where the executor's recorded events go: a [`TraceSink`], in frames
+/// of `frame_events` events as rounds retire, so the engine holds at
+/// most one frame at a time. Materializing a [`Trace`] is one sink
+/// among the others ([`MaterializeSink`]).
 ///
 /// Sink errors don't unwind through the hot path: they latch into
 /// `failed`, recording stops, and the scheduler loops surface the
@@ -615,93 +616,61 @@ fn speculate_local(
 /// This is how a failing fold or tee (a full disk under a
 /// `--stream-out` file, a window fold rejecting the stream) stops a
 /// running simulation.
-enum Recorder<'a> {
-    Materialize(TraceBuilder),
-    Stream {
-        /// Events of the frame being filled.
-        buf: Vec<Event>,
-        /// Flush threshold: events per emitted frame.
-        frame_events: usize,
-        sink: &'a mut dyn TraceSink,
-        failed: Option<TraceError>,
-    },
+struct Recorder<'a> {
+    /// Events of the frame being filled.
+    buf: Vec<Event>,
+    /// Flush threshold: events per emitted frame.
+    frame_events: usize,
+    sink: &'a mut dyn TraceSink,
+    failed: Option<TraceError>,
 }
 
 impl Recorder<'_> {
     #[inline]
     fn push(&mut self, e: Event) {
-        match self {
-            Recorder::Materialize(b) => b.push(e),
-            Recorder::Stream {
-                buf,
-                frame_events,
-                sink,
-                failed,
-            } => {
-                if failed.is_some() {
-                    return;
-                }
-                buf.push(e);
-                if buf.len() >= *frame_events {
-                    if let Err(err) = sink.events(buf) {
-                        *failed = Some(err);
-                    }
-                    buf.clear();
-                }
-            }
+        if self.failed.is_some() {
+            return;
         }
+        self.buf.push(e);
+        self.flush_full();
     }
 
     #[inline]
     fn extend_events(&mut self, events: &[Event]) {
-        match self {
-            Recorder::Materialize(b) => b.extend_events(events),
-            Recorder::Stream {
-                buf,
-                frame_events,
-                sink,
-                failed,
-            } => {
-                if failed.is_some() {
-                    return;
-                }
-                buf.extend_from_slice(events);
-                if buf.len() >= *frame_events {
-                    if let Err(err) = sink.events(buf) {
-                        *failed = Some(err);
-                    }
-                    buf.clear();
-                }
+        if self.failed.is_some() {
+            return;
+        }
+        self.buf.extend_from_slice(events);
+        self.flush_full();
+    }
+
+    /// Hands a full frame to the sink, latching its error.
+    #[inline]
+    fn flush_full(&mut self) {
+        if self.buf.len() >= self.frame_events {
+            if let Err(err) = self.sink.events(&self.buf) {
+                self.failed = Some(err);
             }
+            self.buf.clear();
         }
     }
 
     /// The latched sink error, if any — checked by the scheduler loops
     /// at round boundaries to abort a run whose consumer failed.
     fn take_failure(&mut self) -> Option<TraceError> {
-        match self {
-            Recorder::Materialize(_) => None,
-            Recorder::Stream { failed, .. } => failed.take(),
-        }
+        self.failed.take()
     }
 
-    /// Flushes the partial frame and finishes the sink (streaming mode).
-    fn finish_stream(&mut self) -> Result<(), TraceError> {
-        match self {
-            Recorder::Materialize(_) => Ok(()),
-            Recorder::Stream {
-                buf, sink, failed, ..
-            } => {
-                if let Some(err) = failed.take() {
-                    return Err(err);
-                }
-                if !buf.is_empty() {
-                    sink.events(buf)?;
-                    buf.clear();
-                }
-                sink.finish()
-            }
+    /// Flushes the partial frame and finishes the sink.
+    fn finish(&mut self) -> Result<(), TraceError> {
+        if let Some(err) = self.failed.take() {
+            return Err(err);
         }
+        if !self.buf.is_empty() {
+            self.sink.events(&self.buf)?;
+            self.buf.clear();
+        }
+        self.sink.finish()
     }
 }
 
@@ -734,7 +703,7 @@ struct Exec<'a> {
     /// of distinct collective shapes across thousands of calls, and a
     /// linear scan of this short list beats recomputing the cost model.
     coll_costs: Vec<(CollectiveKind, u64, f64)>,
-    builder: Recorder<'a>,
+    recorder: Recorder<'a>,
     stats: SimStats,
     /// The round pair: ready ranks of the running round (drained in
     /// ascending order) and ranks woken for the next one (woken by a
@@ -791,7 +760,8 @@ impl<'a> Exec<'a> {
         program: &'a Program,
         plan: Option<&FaultPlan>,
         balance: Option<&BalancePlan>,
-        stream: Option<(&'a mut dyn TraceSink, usize)>,
+        sink: &'a mut dyn TraceSink,
+        frame_events: usize,
     ) -> Result<Self, SimError> {
         config.validate()?;
         let p = config.processors();
@@ -851,37 +821,21 @@ impl<'a> Exec<'a> {
         }
         let rounds = Rounds::with_words(round_words, n);
 
-        let builder = match stream {
-            Some((sink, frame_events)) => {
-                // The sink learns the run's shape up front; events
-                // follow in frames. No full-run reservation — a frame
-                // is the most this run ever buffers.
-                sink.begin(n, program.region_names())?;
-                let frame_events = frame_events.max(1);
-                Recorder::Stream {
-                    buf: Vec::with_capacity(frame_events),
-                    frame_events,
-                    sink,
-                    failed: None,
-                }
-            }
-            None => {
-                let mut builder = TraceBuilder::new(n);
-                // A planned crash truncates the run at a point the hint
-                // cannot know, so the full-run reservation would be
-                // mostly dead weight and even a small floor is a net
-                // loss on heavily truncated runs; let the buffer grow
-                // on demand exactly like the polling reference does
-                // (capacity never reaches the output, only layout
-                // does).
-                if !crash_possible {
-                    builder.reserve_events(program.event_capacity_hint());
-                }
-                for name in program.region_names() {
-                    builder.add_region(name.clone());
-                }
-                Recorder::Materialize(builder)
-            }
+        // The sink learns the run's shape up front; events follow in
+        // frames. A planned crash truncates the run at a point the hint
+        // cannot know, so the full-run reservation would be mostly dead
+        // weight; the sink then grows on demand exactly like the polling
+        // reference does (capacity never reaches the output).
+        sink.begin(n, program.region_names())?;
+        if !crash_possible {
+            sink.reserve(program.event_capacity_hint());
+        }
+        let frame_events = frame_events.max(1);
+        let recorder = Recorder {
+            buf: Vec::with_capacity(frame_events),
+            frame_events,
+            sink,
+            failed: None,
         };
 
         let link_cache = if config.has_link_overrides() {
@@ -910,7 +864,7 @@ impl<'a> Exec<'a> {
                 completed: 0,
             },
             coll_costs: Vec::new(),
-            builder,
+            recorder,
             stats: SimStats {
                 rank_end_times: vec![0.0; n],
                 makespan: 0.0,
@@ -1095,10 +1049,10 @@ impl<'a> Exec<'a> {
                     };
                 }
                 Op::Enter { region } => {
-                    self.builder.push(Event::enter(time, rank as u32, region));
+                    self.recorder.push(Event::enter(time, rank as u32, region));
                 }
                 Op::Leave { region } => {
-                    self.builder.push(Event::leave(time, rank as u32, region));
+                    self.recorder.push(Event::leave(time, rank as u32, region));
                 }
                 _ => break,
             }
@@ -1173,13 +1127,13 @@ impl<'a> Exec<'a> {
                 Ok(StepOutcome::Ran)
             }
             Op::Enter { region } => {
-                self.builder
+                self.recorder
                     .push(Event::enter(self.arena.hot[rank].time, rank as u32, region));
                 self.arena.hot[rank].pc += 1;
                 Ok(StepOutcome::Ran)
             }
             Op::Leave { region } => {
-                self.builder
+                self.recorder
                     .push(Event::leave(self.arena.hot[rank].time, rank as u32, region));
                 self.arena.hot[rank].pc += 1;
                 Ok(StepOutcome::Ran)
@@ -1190,14 +1144,14 @@ impl<'a> Exec<'a> {
                     let (transfer, latency, loss_delay) =
                         self.message_costs(rank, dst, begin, bytes);
                     let end = begin + o + transfer;
-                    self.builder.push(Event::begin_activity(
+                    self.recorder.push(Event::begin_activity(
                         begin,
                         rank as u32,
                         ActivityKind::PointToPoint,
                     ));
-                    self.builder
+                    self.recorder
                         .push(Event::message_send(begin, rank as u32, dst as u32, bytes));
-                    self.builder.push(Event::end_activity(
+                    self.recorder.push(Event::end_activity(
                         end,
                         rank as u32,
                         ActivityKind::PointToPoint,
@@ -1235,14 +1189,18 @@ impl<'a> Exec<'a> {
                     MsgInFlight::Eager { arrival, bytes } => {
                         self.channel_mut(ch).pop_front();
                         let end = (posted + o).max(arrival);
-                        self.builder.push(Event::begin_activity(
+                        self.recorder.push(Event::begin_activity(
                             posted,
                             rank as u32,
                             ActivityKind::PointToPoint,
                         ));
-                        self.builder
-                            .push(Event::message_recv(end, rank as u32, src as u32, bytes));
-                        self.builder.push(Event::end_activity(
+                        self.recorder.push(Event::message_recv(
+                            end,
+                            rank as u32,
+                            src as u32,
+                            bytes,
+                        ));
+                        self.recorder.push(Event::end_activity(
                             end,
                             rank as u32,
                             ActivityKind::PointToPoint,
@@ -1266,18 +1224,18 @@ impl<'a> Exec<'a> {
                         let sender_done = sync + o + transfer + loss_delay;
                         let recv_done = sender_done + latency;
                         // Complete the blocked sender's side.
-                        self.builder.push(Event::begin_activity(
+                        self.recorder.push(Event::begin_activity(
                             sender_ready,
                             src as u32,
                             ActivityKind::PointToPoint,
                         ));
-                        self.builder.push(Event::message_send(
+                        self.recorder.push(Event::message_send(
                             sender_ready,
                             src as u32,
                             rank as u32,
                             bytes,
                         ));
-                        self.builder.push(Event::end_activity(
+                        self.recorder.push(Event::end_activity(
                             sender_done,
                             src as u32,
                             ActivityKind::PointToPoint,
@@ -1287,18 +1245,18 @@ impl<'a> Exec<'a> {
                         self.arena.hot[src].pc += 1;
                         self.wake(src, rank);
                         // Complete the receive.
-                        self.builder.push(Event::begin_activity(
+                        self.recorder.push(Event::begin_activity(
                             posted,
                             rank as u32,
                             ActivityKind::PointToPoint,
                         ));
-                        self.builder.push(Event::message_recv(
+                        self.recorder.push(Event::message_recv(
                             recv_done,
                             rank as u32,
                             src as u32,
                             bytes,
                         ));
-                        self.builder.push(Event::end_activity(
+                        self.recorder.push(Event::end_activity(
                             recv_done,
                             rank as u32,
                             ActivityKind::PointToPoint,
@@ -1319,14 +1277,14 @@ impl<'a> Exec<'a> {
                 let (transfer, latency, loss_delay) = self.message_costs(rank, dst, begin, bytes);
                 let issue = begin + o;
                 let buffer_free = issue + transfer;
-                self.builder.push(Event::begin_activity(
+                self.recorder.push(Event::begin_activity(
                     begin,
                     rank as u32,
                     ActivityKind::PointToPoint,
                 ));
-                self.builder
+                self.recorder
                     .push(Event::message_send(begin, rank as u32, dst as u32, bytes));
-                self.builder.push(Event::end_activity(
+                self.recorder.push(Event::end_activity(
                     issue,
                     rank as u32,
                     ActivityKind::PointToPoint,
@@ -1344,12 +1302,12 @@ impl<'a> Exec<'a> {
             Op::Irecv { src, handle } => {
                 let begin = self.arena.hot[rank].time;
                 let posted = begin + o;
-                self.builder.push(Event::begin_activity(
+                self.recorder.push(Event::begin_activity(
                     begin,
                     rank as u32,
                     ActivityKind::PointToPoint,
                 ));
-                self.builder.push(Event::end_activity(
+                self.recorder.push(Event::end_activity(
                     posted,
                     rank as u32,
                     ActivityKind::PointToPoint,
@@ -1367,12 +1325,12 @@ impl<'a> Exec<'a> {
                         let begin = self.arena.hot[rank].time;
                         let end = begin.max(free);
                         if end > begin {
-                            self.builder.push(Event::begin_activity(
+                            self.recorder.push(Event::begin_activity(
                                 begin,
                                 rank as u32,
                                 ActivityKind::PointToPoint,
                             ));
-                            self.builder.push(Event::end_activity(
+                            self.recorder.push(Event::end_activity(
                                 end,
                                 rank as u32,
                                 ActivityKind::PointToPoint,
@@ -1394,18 +1352,18 @@ impl<'a> Exec<'a> {
                             MsgInFlight::Eager { arrival, bytes } => {
                                 self.channel_mut(ch).pop_front();
                                 let end = begin.max(arrival);
-                                self.builder.push(Event::begin_activity(
+                                self.recorder.push(Event::begin_activity(
                                     begin,
                                     rank as u32,
                                     ActivityKind::PointToPoint,
                                 ));
-                                self.builder.push(Event::message_recv(
+                                self.recorder.push(Event::message_recv(
                                     end,
                                     rank as u32,
                                     src as u32,
                                     bytes,
                                 ));
-                                self.builder.push(Event::end_activity(
+                                self.recorder.push(Event::end_activity(
                                     end,
                                     rank as u32,
                                     ActivityKind::PointToPoint,
@@ -1429,18 +1387,18 @@ impl<'a> Exec<'a> {
                                     self.message_costs(src, rank, sync, bytes);
                                 let sender_done = sync + o + transfer + loss_delay;
                                 let recv_done = sender_done + latency;
-                                self.builder.push(Event::begin_activity(
+                                self.recorder.push(Event::begin_activity(
                                     sender_ready,
                                     src as u32,
                                     ActivityKind::PointToPoint,
                                 ));
-                                self.builder.push(Event::message_send(
+                                self.recorder.push(Event::message_send(
                                     sender_ready,
                                     src as u32,
                                     rank as u32,
                                     bytes,
                                 ));
-                                self.builder.push(Event::end_activity(
+                                self.recorder.push(Event::end_activity(
                                     sender_done,
                                     src as u32,
                                     ActivityKind::PointToPoint,
@@ -1450,18 +1408,18 @@ impl<'a> Exec<'a> {
                                 self.arena.hot[src].pc += 1;
                                 self.wake(src, rank);
                                 let end = begin.max(recv_done);
-                                self.builder.push(Event::begin_activity(
+                                self.recorder.push(Event::begin_activity(
                                     begin,
                                     rank as u32,
                                     ActivityKind::PointToPoint,
                                 ));
-                                self.builder.push(Event::message_recv(
+                                self.recorder.push(Event::message_recv(
                                     end,
                                     rank as u32,
                                     src as u32,
                                     bytes,
                                 ));
-                                self.builder.push(Event::end_activity(
+                                self.recorder.push(Event::end_activity(
                                     end,
                                     rank as u32,
                                     ActivityKind::PointToPoint,
@@ -1521,9 +1479,9 @@ impl<'a> Exec<'a> {
                     let arrival = self.coll.arrivals[r]
                         .take()
                         .ok_or_else(|| SimError::not_arrived(self.coll.completed, r))?;
-                    self.builder
+                    self.recorder
                         .push(Event::begin_activity(arrival, r as u32, activity));
-                    self.builder
+                    self.recorder
                         .push(Event::end_activity(completion, r as u32, activity));
                     let hot = &mut self.arena.hot[r];
                     hot.time = completion;
@@ -1587,7 +1545,7 @@ impl<'a> Exec<'a> {
     fn run_event(&mut self) -> Result<(), SimError> {
         let mut remaining = self.seed_runnable();
         while remaining > 0 {
-            if let Some(err) = self.builder.take_failure() {
+            if let Some(err) = self.recorder.take_failure() {
                 return Err(SimError::Trace(err));
             }
             if self.rounds.current_is_empty() {
@@ -1675,7 +1633,7 @@ impl<'a> Exec<'a> {
         }
         let mut remaining = self.seed_runnable();
         while remaining > 0 {
-            if let Some(err) = self.builder.take_failure() {
+            if let Some(err) = self.recorder.take_failure() {
                 return Err(SimError::Trace(err));
             }
             if self.rounds.current_is_empty() {
@@ -1731,7 +1689,7 @@ impl<'a> Exec<'a> {
                     let p = &prefixes[pfx];
                     pfx += 1;
                     if p.pc0 == self.arena.hot[rank].pc && p.time0 == self.arena.hot[rank].time {
-                        self.builder.extend_events(&p.events);
+                        self.recorder.extend_events(&p.events);
                         self.arena.hot[rank].pc = p.pc;
                         self.arena.hot[rank].time = p.time;
                     }
@@ -1762,10 +1720,10 @@ impl<'a> Exec<'a> {
         Ok(())
     }
 
-    /// Everything [`Exec::finish`] and [`Exec::finish_stream`] share:
-    /// final statistics, the fault and balance reports, and the scratch
-    /// handback.
-    fn finish_parts(&mut self) -> (FaultReport, BalanceReport) {
+    /// Ends the run: final statistics, the fault and balance reports,
+    /// the scratch handback, and the last partial frame flushed into
+    /// the finished sink.
+    fn finish(mut self) -> Result<StreamOutput, SimError> {
         for (rank, &RankHot { time: t, .. }) in self.arena.hot.iter().enumerate() {
             self.stats.rank_end_times[rank] = t;
             self.stats.makespan = self.stats.makespan.max(t);
@@ -1785,38 +1743,14 @@ impl<'a> Exec<'a> {
         // Everything above that reads them (stats, fault report) has
         // already run; the output is fully assembled from other state.
         let scratch = Scratch {
-            hot: std::mem::take(&mut self.arena.hot),
-            round_words: std::mem::replace(&mut self.rounds, Rounds::with_words(Vec::new(), 0))
-                .into_words(),
-            channels: std::mem::replace(&mut self.channels, ChannelIndex::new(0)),
-            handles: std::mem::replace(&mut self.handles, HandleArena::new()),
-            arrivals: std::mem::take(&mut self.coll.arrivals),
+            hot: self.arena.hot,
+            round_words: self.rounds.into_words(),
+            channels: self.channels,
+            handles: self.handles,
+            arrivals: self.coll.arrivals,
         };
         SCRATCH.with(|c| c.set(Some(Box::new(scratch))));
-        (faults, balance)
-    }
-
-    fn finish(mut self) -> Result<SimOutput, SimError> {
-        let (faults, balance) = self.finish_parts();
-        let Recorder::Materialize(builder) = self.builder else {
-            return Err(SimError::Internal {
-                detail: "materializing finish on a streaming run".to_string(),
-            });
-        };
-        Ok(SimOutput {
-            trace: builder.build()?,
-            stats: self.stats,
-            faults,
-            balance,
-        })
-    }
-
-    /// The streaming counterpart of [`Exec::finish`]: flushes the last
-    /// partial frame, finishes the sink, and returns the trace-free
-    /// output.
-    fn finish_stream(mut self) -> Result<StreamOutput, SimError> {
-        let (faults, balance) = self.finish_parts();
-        self.builder.finish_stream()?;
+        self.recorder.finish()?;
         Ok(StreamOutput {
             stats: self.stats,
             faults,
@@ -1824,6 +1758,10 @@ impl<'a> Exec<'a> {
         })
     }
 }
+
+/// Events per frame on the materializing runs: small enough that a
+/// frame is still in cache when the sink copies it into the trace.
+const FRAME_EVENTS: usize = 4096;
 
 /// The simulator: runs a [`Program`] on a [`MachineConfig`].
 #[derive(Debug, Clone)]
@@ -1850,26 +1788,12 @@ impl Simulator {
         self.run_configured(program, None, None, None)
     }
 
-    /// The shared setup of every event-engine entry point: the
-    /// executor with its plans and recorder attached, and the budget
-    /// only when it can fire — an unlimited budget takes the exact
-    /// unbudgeted code path (no per-op bookkeeping).
-    fn exec<'a>(
-        &'a self,
-        program: &'a Program,
-        faults: Option<&FaultPlan>,
-        balance: Option<&BalancePlan>,
-        budget: Option<&'a RunBudget>,
-        stream: Option<(&'a mut dyn TraceSink, usize)>,
-    ) -> Result<Exec<'a>, SimError> {
-        let mut exec = Exec::new(&self.config, program, faults, balance, stream)?;
-        exec.budget = budget.filter(|b| !b.is_unlimited());
-        Ok(exec)
-    }
-
     /// Runs `program` with the event-driven scheduler under any
     /// combination of fault plan, balance plan, and interruption budget;
-    /// `None` everywhere is [`Simulator::run`].
+    /// `None` everywhere is [`Simulator::run`]. The engine has one
+    /// recorder, the streaming one: this is
+    /// [`Simulator::run_streaming_configured`] recording into a
+    /// [`MaterializeSink`].
     ///
     /// * **Faults** (see [`FaultPlan`]): slowdown windows, link
     ///   degradation, message loss with retries, and rank crashes.
@@ -1905,9 +1829,7 @@ impl Simulator {
         balance: Option<&BalancePlan>,
         budget: Option<&RunBudget>,
     ) -> Result<SimOutput, SimError> {
-        let mut exec = self.exec(program, faults, balance, budget, None)?;
-        exec.run_event()?;
-        exec.finish()
+        self.run_parallel_configured(program, faults, balance, budget, 1)
     }
 
     /// [`Simulator::run_configured`] on the deterministic parallel
@@ -1935,9 +1857,26 @@ impl Simulator {
         budget: Option<&RunBudget>,
         jobs: usize,
     ) -> Result<SimOutput, SimError> {
-        let mut exec = self.exec(program, faults, balance, budget, None)?;
-        exec.run_event_parallel(jobs)?;
-        exec.finish()
+        let mut sink = MaterializeSink::new();
+        let out = self.run_streaming_parallel_configured(
+            program,
+            faults,
+            balance,
+            budget,
+            jobs,
+            &mut sink,
+            FRAME_EVENTS,
+        )?;
+        // A run that completes has finished its sink.
+        let trace = sink.into_trace().ok_or_else(|| TraceError::Malformed {
+            detail: "materialized run ended without finishing its sink".to_string(),
+        })?;
+        Ok(SimOutput {
+            trace,
+            stats: out.stats,
+            faults: out.faults,
+            balance: out.balance,
+        })
     }
 
     /// The streaming counterpart of [`Simulator::run_configured`]: the
@@ -1949,8 +1888,11 @@ impl Simulator {
     /// bit-identical results to reducing the materialized trace, which
     /// the stream-equivalence differential harness locks.
     ///
-    /// Resident memory on the simulator side is O(ranks + one frame):
-    /// no full-run event reservation is made.
+    /// Resident memory on the simulator side is O(ranks + one frame).
+    /// Right after [`TraceSink::begin`] the engine hands the sink the
+    /// program's event-count hint through [`TraceSink::reserve`]
+    /// (skipped when the fault plan schedules a crash): the folds
+    /// ignore it, and a [`MaterializeSink`] sizes its buffer once.
     ///
     /// # Errors
     ///
@@ -1967,9 +1909,15 @@ impl Simulator {
         sink: &mut dyn TraceSink,
         frame_events: usize,
     ) -> Result<StreamOutput, SimError> {
-        let mut exec = self.exec(program, faults, balance, budget, Some((sink, frame_events)))?;
-        exec.run_event()?;
-        exec.finish_stream()
+        self.run_streaming_parallel_configured(
+            program,
+            faults,
+            balance,
+            budget,
+            1,
+            sink,
+            frame_events,
+        )
     }
 
     /// The streaming counterpart of
@@ -1993,9 +1941,12 @@ impl Simulator {
         sink: &mut dyn TraceSink,
         frame_events: usize,
     ) -> Result<StreamOutput, SimError> {
-        let mut exec = self.exec(program, faults, balance, budget, Some((sink, frame_events)))?;
+        let mut exec = Exec::new(&self.config, program, faults, balance, sink, frame_events)?;
+        // An unlimited budget takes the exact unbudgeted code path (no
+        // per-op bookkeeping).
+        exec.budget = budget.filter(|b| !b.is_unlimited());
         exec.run_event_parallel(jobs)?;
-        exec.finish_stream()
+        exec.finish()
     }
 
     /// [`Simulator::run_configured`] on the polling reference engine —

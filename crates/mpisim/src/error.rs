@@ -83,12 +83,6 @@ pub enum SimError {
     /// The produced trace failed validation or reduction, or outgrew
     /// what a trace holds.
     Trace(TraceError),
-    /// The simulator broke one of its own invariants — a bug in this
-    /// crate, reported as an error rather than a panic.
-    Internal {
-        /// Which invariant broke.
-        detail: String,
-    },
     /// A run budget cut the simulation short (op-count or wall-clock
     /// deadline exceeded, or its cancellation token tripped — see
     /// [`RunBudget`](crate::RunBudget)). The run produced no output;
@@ -143,7 +137,6 @@ impl fmt::Display for SimError {
                 write!(f, "replication program build failed: {detail}")
             }
             SimError::Trace(e) => write!(f, "trace handling failed: {e}"),
-            SimError::Internal { detail } => write!(f, "simulator invariant broken: {detail}"),
             SimError::Interrupted { detail } => write!(f, "run interrupted: {detail}"),
         }
     }

@@ -291,8 +291,9 @@ pub trait TraceSink {
     /// A size hint between [`begin`](TraceSink::begin) and the first
     /// [`events`](TraceSink::events): about `events` more events are
     /// coming. Advisory only — the decoder passes a materialized
-    /// header's event count, capped at what the bytes in hand can hold,
-    /// so a sink may pre-allocate from it. The default ignores it.
+    /// header's event count capped at what the bytes in hand can hold,
+    /// the event engine its program's hint — so a sink may
+    /// pre-allocate from it. The default ignores it.
     fn reserve(&mut self, events: usize) {
         let _ = events;
     }
