@@ -24,12 +24,15 @@
 //! is only proposed when the per-rank effective totals are imbalanced
 //! and the scenario has no policy active yet.
 
+use std::borrow::Cow;
+
 use limba_model::RegionId;
 use limba_mpisim::{
-    collective_cost, BalancePlan, CollectiveAlgorithm, CollectiveKind, ComputeCells,
+    collective_cost, BalancePlan, CollectiveAlgorithm, CollectiveKind, ComputeCells, MachineConfig,
+    SimError,
 };
 
-use crate::{AdviseError, Scenario};
+use crate::{cpu_speeds, AdviseError, Scenario};
 
 /// How a rank-to-CPU remapping chooses its assignment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -97,67 +100,59 @@ pub enum Intervention {
 }
 
 impl Intervention {
-    /// Applies the intervention, returning the transformed scenario.
+    /// Applies the intervention, returning the transformed scenario:
+    /// the one-intervention case of [`apply_combo`].
     ///
     /// # Errors
     ///
     /// Returns [`AdviseError::Sim`] when the transformation produces an
     /// invalid program or machine (e.g. non-finite split factors).
     pub fn apply(&self, scenario: &Scenario) -> Result<Scenario, AdviseError> {
+        apply_combo(scenario, [self])
+    }
+
+    /// Edits `applied` the way [`apply`](Intervention::apply) edits a
+    /// scenario, raising the same errors, without touching a program:
+    /// a split is checked and recorded, a remap, upgrade or swap
+    /// replaces the machine, and balancing sets the plan.
+    fn edit<'a>(&'a self, applied: &mut Applied<'a>) -> Result<(), AdviseError> {
         match self {
             Intervention::SplitRegionWork { region, factors } => {
-                let program = scenario
-                    .program
-                    .with_region_compute_scaled(*region, factors)?;
-                Ok(Scenario {
-                    program,
-                    config: scenario.config.clone(),
-                    balance: scenario.balance.clone(),
-                })
+                assert_eq!(
+                    factors.len(),
+                    applied.scenario.program.ranks(),
+                    "one factor per rank required"
+                );
+                if let Some(&value) = factors.iter().find(|f| !f.is_finite() || **f < 0.0) {
+                    return Err(SimError::InvalidWork { value }.into());
+                }
+                applied.splits.push((*region, factors));
             }
             Intervention::RemapRanks { assignment, .. } => {
-                let speeds = scenario.speeds();
+                let speeds = cpu_speeds(&applied.config);
                 let remapped: Vec<f64> = assignment.iter().map(|&c| speeds[c]).collect();
-                let config = scenario.config.clone().with_cpu_speeds(remapped);
-                config.validate()?;
-                Ok(Scenario {
-                    program: scenario.program.clone(),
-                    config,
-                    balance: scenario.balance.clone(),
-                })
+                applied.reconfigure(|config| config.with_cpu_speeds(remapped));
+                applied.config.validate()?;
             }
             Intervention::UpgradeSlowestCpu { speed } => {
-                let speeds = scenario.speeds();
+                let speeds = cpu_speeds(&applied.config);
                 let slowest = speeds.iter().copied().fold(f64::INFINITY, f64::min);
                 let upgraded: Vec<f64> = speeds
                     .iter()
                     .map(|&s| if s == slowest { *speed } else { s })
                     .collect();
-                let config = scenario.config.clone().with_cpu_speeds(upgraded);
-                config.validate()?;
-                Ok(Scenario {
-                    program: scenario.program.clone(),
-                    config,
-                    balance: scenario.balance.clone(),
-                })
+                applied.reconfigure(|config| config.with_cpu_speeds(upgraded));
+                applied.config.validate()?;
             }
-            Intervention::SwapCollective { kind, algorithm } => Ok(Scenario {
-                program: scenario.program.clone(),
-                config: scenario
-                    .config
-                    .clone()
-                    .with_collective_algorithm(*kind, *algorithm),
-                balance: scenario.balance.clone(),
-            }),
+            Intervention::SwapCollective { kind, algorithm } => {
+                applied.reconfigure(|config| config.with_collective_algorithm(*kind, *algorithm));
+            }
             Intervention::EnableBalancing { plan } => {
                 plan.validate()?;
-                Ok(Scenario {
-                    program: scenario.program.clone(),
-                    config: scenario.config.clone(),
-                    balance: Some(plan.clone()),
-                })
+                applied.balance = Some(plan);
             }
         }
+        Ok(())
     }
 
     /// Human-readable description; `region_names` resolves region ids.
@@ -223,6 +218,80 @@ impl Intervention {
     }
 }
 
+/// A combo applied to a scenario as a delta: the work splits, machine
+/// and balancing plan of the candidate scenario, with the scenario's
+/// program left as it is. The search predicts from this
+/// ([`BaselineModel::predict_combo`](crate::BaselineModel::predict_combo));
+/// [`build`](Applied::build) materializes it for verification.
+pub(crate) struct Applied<'a> {
+    /// The scenario the combo applies to.
+    pub(crate) scenario: &'a Scenario,
+    /// Split factors per region, in apply order, borrowed from the
+    /// catalog.
+    pub(crate) splits: Vec<(RegionId, &'a [f64])>,
+    /// The candidate's machine: the scenario's until a remap, upgrade
+    /// or swap changes it.
+    pub(crate) config: Cow<'a, MachineConfig>,
+    /// The candidate's balancing plan.
+    pub(crate) balance: Option<&'a BalancePlan>,
+}
+
+impl<'a> Applied<'a> {
+    /// Applies `combo` to `scenario` in the order given.
+    ///
+    /// # Errors
+    ///
+    /// The first error an intervention's [`apply`](Intervention::apply)
+    /// raises in that order.
+    pub(crate) fn new(
+        scenario: &'a Scenario,
+        combo: impl IntoIterator<Item = &'a Intervention>,
+    ) -> Result<Self, AdviseError> {
+        let mut applied = Applied {
+            scenario,
+            splits: Vec::new(),
+            config: Cow::Borrowed(&scenario.config),
+            balance: scenario.balance.as_ref(),
+        };
+        for intervention in combo {
+            intervention.edit(&mut applied)?;
+        }
+        Ok(applied)
+    }
+
+    /// Replaces the machine with `change` applied to it.
+    fn reconfigure(&mut self, change: impl FnOnce(MachineConfig) -> MachineConfig) {
+        let config = std::mem::replace(&mut self.config, Cow::Borrowed(&self.scenario.config));
+        self.config = Cow::Owned(change(config.into_owned()));
+    }
+
+    /// The candidate scenario, with one copy of the program that every
+    /// split is applied to in one pass.
+    pub(crate) fn build(self) -> Result<Scenario, AdviseError> {
+        Ok(Scenario {
+            program: self.scenario.program.with_compute_scaled(&self.splits)?,
+            config: self.config.into_owned(),
+            balance: self.balance.cloned(),
+        })
+    }
+}
+
+/// Applies a combo to `scenario` in the order given, building the
+/// candidate's program once: the scenario that applying each
+/// intervention in turn with [`Intervention::apply`] gives, without
+/// the intermediate copies.
+///
+/// # Errors
+///
+/// The first error an intervention raises, in combo order, as
+/// [`Intervention::apply`] raises it.
+pub fn apply_combo<'a>(
+    scenario: &'a Scenario,
+    combo: impl IntoIterator<Item = &'a Intervention>,
+) -> Result<Scenario, AdviseError> {
+    Applied::new(scenario, combo)?.build()
+}
+
 /// Factors that move region work `w` toward the speed-weighted balance
 /// point, conserving the region's total. Ranks with zero work keep
 /// factor 1 (a multiplicative transform cannot create work from
@@ -278,7 +347,7 @@ const SPLIT_REGIONS: usize = 3;
 /// (imbalanced scenarios only).
 pub fn propose(scenario: &Scenario) -> Vec<Intervention> {
     let mut catalog = Vec::new();
-    let speeds = scenario.speeds();
+    let speeds = cpu_speeds(&scenario.config);
     let ComputeCells {
         regions: region_loads,
         totals: total_loads,

@@ -19,9 +19,13 @@
 //! 3. **search** — [`Advisor`] beam-searches intervention combos under
 //!    a prediction budget, evaluating candidates in parallel through
 //!    [`limba_par::par_map`] with input-order slots, so advice is
-//!    byte-identical at every `--jobs` setting;
-//! 4. **verify** — the top-k candidates are re-simulated ([`verify`]),
-//!    reporting predicted-vs-measured gain and flagging mispredictions.
+//!    byte-identical at every `--jobs` setting. A combo is predicted as
+//!    a delta on the baseline program
+//!    ([`BaselineModel::predict_combo`]): the search builds no program;
+//! 4. **verify** — the top-k candidates are built once each
+//!    ([`apply_combo`]) and re-simulated ([`verify`]), each folding its
+//!    run on one pipeline thread beside the simulator, reporting
+//!    predicted-vs-measured gain and flagging mispredictions.
 //!
 //! # Example
 //!
@@ -59,7 +63,7 @@ pub(crate) mod predict;
 pub(crate) mod search;
 pub mod verify;
 
-pub use catalog::{propose, Intervention, RemapVariant};
+pub use catalog::{apply_combo, propose, Intervention, RemapVariant};
 pub use predict::{BaselineModel, Prediction};
 pub use search::{Advice, Advisor, Candidate};
 pub use verify::{Verification, VerifyCache};
@@ -119,6 +123,8 @@ impl From<limba_trace::TraceError> for AdviseError {
 ///
 /// Interventions are pure transformations `Scenario → Scenario`; the
 /// original is never mutated, so candidates compose and compare freely.
+/// Only [`Intervention::apply`] and [`apply_combo`] build a candidate
+/// scenario; the search predicts without one.
 #[derive(Debug, Clone)]
 pub struct Scenario {
     /// The per-rank op program.
@@ -198,13 +204,13 @@ impl Scenario {
         }
         Scenario::new(pb.build()?, MachineConfig::new(procs))
     }
+}
 
-    /// Per-rank CPU speeds of the machine, in rank order.
-    pub(crate) fn speeds(&self) -> Vec<f64> {
-        (0..self.config.processors())
-            .map(|p| self.config.cpu_speed(p))
-            .collect()
-    }
+/// Per-rank CPU speeds of `config`, in rank order.
+pub(crate) fn cpu_speeds(config: &MachineConfig) -> Vec<f64> {
+    (0..config.processors())
+        .map(|p| config.cpu_speed(p))
+        .collect()
 }
 
 #[cfg(test)]

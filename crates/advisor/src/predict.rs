@@ -1,10 +1,12 @@
 //! Analytic gain prediction: `t_ijp` marginals plus majorization bounds.
 //!
 //! Candidate evaluation must be cheap — the search explores many combos
-//! — so nothing here simulates. A [`BaselineModel`] is built once from
-//! the baseline scenario and its (single, shared) simulated makespan;
-//! each candidate is then predicted from its per-region per-rank
-//! compute marginals:
+//! — so nothing here simulates, and the search builds no program: a
+//! combo is predicted as a delta on the baseline program
+//! ([`BaselineModel::predict_combo`]). A [`BaselineModel`] is built
+//! once from the baseline scenario and its (single, shared) simulated
+//! makespan; each candidate is then predicted from its per-region
+//! per-rank compute marginals:
 //!
 //! * **lower bound** — every rank executes its own compute and every
 //!   collective instance serially, so the makespan is at least
@@ -38,10 +40,11 @@
 //! can never migrate away (migrated chunks overlap the target's own
 //! compute on its auxiliary stream).
 
-use limba_mpisim::{collective_cost, ComputeCells, MachineConfig};
+use limba_mpisim::{collective_cost, BalancePlan, CollectiveKind, ComputeCells, MachineConfig};
 use limba_stats::majorization::is_weakly_submajorized_by;
 
-use crate::Scenario;
+use crate::catalog::Applied;
+use crate::{cpu_speeds, AdviseError, Intervention, Scenario};
 
 /// The analytic prediction for one candidate scenario.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -86,30 +89,32 @@ struct Loads {
 }
 
 impl Loads {
-    /// The scenario's decomposition, and its nominal compute seconds
-    /// per rank, from one walk of its program.
-    fn decompose(scenario: &Scenario) -> (Loads, Vec<f64>) {
-        let speeds = scenario.speeds();
+    /// The decomposition of a program's compute `cells` and collective
+    /// `calls` on `config`; the cells' nominal totals stay beside it.
+    fn decompose(
+        cells: ComputeCells,
+        calls: &[(CollectiveKind, u64)],
+        config: &MachineConfig,
+    ) -> (Loads, Vec<f64>) {
+        let speeds = cpu_speeds(config);
         let ComputeCells {
             regions: region_nominal,
             totals: nominal_totals,
-        } = scenario.program.compute_cells();
+        } = cells;
         let region_eff: Vec<Vec<f64>> = region_nominal
             .iter()
             .map(|w| w.iter().zip(&speeds).map(|(&w, &s)| w / s).collect())
             .collect();
-        let outside_eff: Vec<f64> = (0..scenario.program.ranks())
+        let outside_eff: Vec<f64> = (0..nominal_totals.len())
             .map(|p| {
                 let in_regions: f64 = region_nominal.iter().map(|w| w[p]).sum();
                 ((nominal_totals[p] - in_regions) / speeds[p]).max(0.0)
             })
             .collect();
-        let procs = scenario.config.processors();
-        let coll_costs: Vec<f64> = scenario
-            .program
-            .collective_calls()
+        let procs = config.processors();
+        let coll_costs: Vec<f64> = calls
             .iter()
-            .map(|&(kind, bytes)| collective_cost(kind, procs, bytes, &scenario.config))
+            .map(|&(kind, bytes)| collective_cost(kind, procs, bytes, config))
             .collect();
         let loads = Loads {
             region_eff,
@@ -127,12 +132,7 @@ impl Loads {
     /// recorded for the overhead term. Callers that need the
     /// *unbalanced* cells (the upper bound does — see
     /// [`BaselineModel::predict`]) must read them first.
-    fn apply_balance(
-        &mut self,
-        plan: &limba_mpisim::BalancePlan,
-        totals: &[f64],
-        config: &MachineConfig,
-    ) {
+    fn apply_balance(&mut self, plan: &BalancePlan, totals: &[f64], config: &MachineConfig) {
         let smoothed = plan.predicted_loads(totals, config);
         self.moved = totals
             .iter()
@@ -176,6 +176,12 @@ impl Loads {
 pub struct BaselineModel {
     baseline_makespan: f64,
     baseline: Loads,
+    /// The baseline program's collective call sequence, which no
+    /// intervention changes: combos are predicted with it.
+    calls: Vec<(CollectiveKind, u64)>,
+    /// The baseline's per-rank effective totals, the reference of every
+    /// candidate's submajorization check.
+    rank_totals: Vec<f64>,
     /// Baseline makespan minus the baseline phase sum and collective
     /// costs: the communication/wait time the phase model does not see.
     comm_slack: f64,
@@ -185,7 +191,9 @@ impl BaselineModel {
     /// Builds the model from the baseline scenario and its simulated
     /// makespan (the one simulation the prediction path relies on).
     pub fn new(scenario: &Scenario, baseline_makespan: f64) -> BaselineModel {
-        let (mut baseline, totals) = Loads::decompose(scenario);
+        let calls = scenario.program.collective_calls();
+        let (mut baseline, totals) =
+            Loads::decompose(scenario.program.compute_cells(), &calls, &scenario.config);
         if let Some(plan) = &scenario.balance {
             // The measured baseline makespan includes the balancing, so
             // the slack must be calibrated against the smoothed loads.
@@ -195,14 +203,59 @@ impl BaselineModel {
         let comm_slack = (baseline_makespan - baseline.phase_sum() - coll_total).max(0.0);
         BaselineModel {
             baseline_makespan,
+            rank_totals: baseline.rank_totals(),
             baseline,
+            calls,
             comm_slack,
         }
     }
 
-    /// Predicts a candidate's makespan and bounds analytically.
+    /// Predicts a candidate's makespan and bounds analytically from its
+    /// own program, machine and balancing plan.
     pub fn predict(&self, candidate: &Scenario) -> Prediction {
-        let (mut cand, totals) = Loads::decompose(candidate);
+        self.predict_loads(
+            candidate.program.compute_cells(),
+            &candidate.program.collective_calls(),
+            &candidate.config,
+            candidate.balance.as_ref(),
+        )
+    }
+
+    /// Predicts `combo` applied to `scenario` in the order given, which
+    /// must be the baseline this model was built from, without building
+    /// the candidate: the splits scale the baseline program's cells in
+    /// one walk, and the baseline's collective calls are reused. The
+    /// prediction is bit for bit the one [`predict`](Self::predict)
+    /// gives for [`apply_combo`](crate::apply_combo)'s scenario.
+    ///
+    /// # Errors
+    ///
+    /// The error [`apply_combo`](crate::apply_combo) raises for the
+    /// combo.
+    pub fn predict_combo<'a>(
+        &self,
+        scenario: &'a Scenario,
+        combo: impl IntoIterator<Item = &'a Intervention>,
+    ) -> Result<Prediction, AdviseError> {
+        let applied = Applied::new(scenario, combo)?;
+        Ok(self.predict_loads(
+            scenario.program.compute_cells_scaled(&applied.splits),
+            &self.calls,
+            &applied.config,
+            applied.balance,
+        ))
+    }
+
+    /// The one prediction core: a candidate given by its compute cells,
+    /// collective calls, machine and balancing plan.
+    fn predict_loads(
+        &self,
+        cells: ComputeCells,
+        calls: &[(CollectiveKind, u64)],
+        config: &MachineConfig,
+        balance: Option<&BalancePlan>,
+    ) -> Prediction {
+        let (mut cand, totals) = Loads::decompose(cells, calls, config);
         let coll_total: f64 = cand.coll_costs.iter().sum();
 
         // Upper bound: baseline plus the positive per-cell deltas —
@@ -235,12 +288,12 @@ impl BaselineModel {
         // serial floor is the `1 − max_fraction` share of each op the
         // policy can never migrate away.
         let serial_floor = cand.rank_totals().iter().copied().fold(0.0f64, f64::max);
-        let lower = match &candidate.balance {
+        let lower = match balance {
             Some(plan) => serial_floor * (1.0 - plan.max_fraction()) + coll_total,
             None => serial_floor + coll_total,
         };
-        if let Some(plan) = &candidate.balance {
-            cand.apply_balance(plan, &totals, &candidate.config);
+        if let Some(plan) = balance {
+            cand.apply_balance(plan, &totals, config);
         }
         let cand_totals = cand.rank_totals();
 
@@ -254,7 +307,7 @@ impl BaselineModel {
         let makespan = estimate.max(lower).min(upper.max(lower));
 
         let submajorized =
-            is_weakly_submajorized_by(&cand_totals, &self.baseline.rank_totals()).unwrap_or(false);
+            is_weakly_submajorized_by(&cand_totals, &self.rank_totals).unwrap_or(false);
 
         Prediction {
             makespan,

@@ -2,13 +2,16 @@
 //!
 //! Candidates are *combos* — signature-sorted sets of catalog
 //! interventions with pairwise-distinct slots. The driver predicts
-//! every explored combo analytically (never simulating on the search
-//! path), keeps the `beam_width` best per depth, extends them with
-//! compatible interventions up to `max_depth`, and stops when the
-//! prediction `budget` is exhausted. The top `top_k` combos by
-//! predicted makespan — plus the best balancing combo when none of them
-//! balances — are then handed to the verification stage, and the advice
-//! is ranked by *measured* makespan.
+//! every explored combo analytically, as a delta on the baseline
+//! program ([`BaselineModel::predict_combo`]: the search neither
+//! simulates nor builds a program), keeps the `beam_width` best per
+//! depth, extends them with compatible interventions up to
+//! `max_depth`, and stops when the prediction `budget` is exhausted.
+//! The top `top_k` combos by predicted makespan — plus the best
+//! balancing combo when none of them balances — are then built once
+//! each ([`apply_combo`]) and handed to the verification stage, whose
+//! runs each fold on one pipeline thread, and the advice is ranked by
+//! *measured* makespan.
 //!
 //! Determinism: combos are evaluated through [`limba_par::par_map`]
 //! (input-order result slots), every ranking tie-breaks on the combo's
@@ -24,7 +27,7 @@ use limba_mpisim::{FaultPlan, Simulator};
 use limba_par::{par_map, par_map_cancellable, CancelToken};
 use limba_trace::ScanSink;
 
-use crate::catalog::{propose, Intervention};
+use crate::catalog::{apply_combo, propose, Intervention};
 use crate::predict::{BaselineModel, Prediction};
 use crate::verify::{verify, Verification, VerifyCache, FRAME_EVENTS};
 use crate::{AdviseError, Scenario};
@@ -255,10 +258,11 @@ impl Advisor {
             if batch.is_empty() {
                 break;
             }
+            // A combo that fails to apply stays unscored.
             let predictions = par_map(self.jobs, &batch, |_, (_, combo)| {
-                apply_combo(scenario, combo.iter().map(|&i| &catalog[i]))
+                model
+                    .predict_combo(scenario, combo.iter().map(|&i| &catalog[i]))
                     .ok()
-                    .map(|cand| model.predict(&cand))
             });
             evaluated += batch.len();
             for ((signature, combo), prediction) in batch.into_iter().zip(predictions) {
@@ -427,18 +431,6 @@ fn rank_predicted(
         .total_cmp(&b.2.makespan)
         .then(a.1.len().cmp(&b.1.len()))
         .then(a.0.cmp(&b.0))
-}
-
-/// Applies a combo in its canonical order.
-fn apply_combo<'a>(
-    scenario: &Scenario,
-    combo: impl IntoIterator<Item = &'a Intervention>,
-) -> Result<Scenario, AdviseError> {
-    let mut current = scenario.clone();
-    for intervention in combo {
-        current = intervention.apply(&current)?;
-    }
-    Ok(current)
 }
 
 #[cfg(test)]

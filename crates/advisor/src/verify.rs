@@ -7,14 +7,16 @@
 //! compared against the prediction: `mispredicted` flags estimates off
 //! by more than [`MISPREDICT_TOLERANCE`] of the measured value, and
 //! `within_bounds` checks the majorization bracket (guaranteed for
-//! fault-free runs). The verified run is folded as it simulates and
-//! analyzed through the shared batch memo cache, so the advice can also
-//! report where the imbalance *moved*: the post-intervention heaviest region.
+//! fault-free runs). The verified run is folded as it simulates, on one
+//! pipeline thread beside the simulator ([`limba_trace::pipelined`]),
+//! and analyzed through the shared batch memo cache, so the advice can
+//! also report where the imbalance *moved*: the post-intervention
+//! heaviest region.
 
 use limba_analysis::BatchAnalyzer;
 use limba_model::ActivitySet;
 use limba_mpisim::{FaultPlan, Simulator};
-use limba_trace::{Event, SalvageSink, TraceError, TraceSink};
+use limba_trace::{pipelined, Event, SalvageSink, TraceError, TraceSink};
 
 use crate::{AdviseError, Prediction, Scenario};
 
@@ -112,17 +114,21 @@ pub fn verify(
     prediction: &Prediction,
     batch: &BatchAnalyzer,
 ) -> Result<Verification, AdviseError> {
-    // Where did the imbalance move? The run folds its events into the
-    // salvaged reduction as it goes, for re-analysis below.
+    // Where did the imbalance move? The run's events fold into the
+    // salvaged reduction on a pipeline thread while the simulator runs
+    // on this one, for re-analysis below. The fold never fails, so the
+    // run is the one an inline fold would see.
     let mut fold = Lenient(Some(SalvageSink::new(ActivitySet::standard())));
-    let run = Simulator::new(candidate.config.clone()).run_streaming_configured(
-        &candidate.program,
-        faults,
-        candidate.balance.as_ref(),
-        None,
-        &mut fold,
-        FRAME_EVENTS,
-    )?;
+    let run = pipelined(&mut fold, |sink| {
+        Simulator::new(candidate.config.clone()).run_streaming_configured(
+            &candidate.program,
+            faults,
+            candidate.balance.as_ref(),
+            None,
+            sink,
+            FRAME_EVENTS,
+        )
+    })??;
     let measured = run.stats.makespan;
     let eps = 1e-9 * measured.abs().max(1.0);
     let within_bounds =

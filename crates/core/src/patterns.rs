@@ -46,8 +46,11 @@ pub fn classify_row(row: &[f64]) -> Vec<PatternBin> {
     if row.is_empty() {
         return Vec::new();
     }
-    let max = row.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-    let min = row.iter().copied().fold(f64::INFINITY, f64::min);
+    let (min, max) = row
+        .iter()
+        .fold((f64::INFINITY, f64::NEG_INFINITY), |(min, max), &v| {
+            (min.min(v), max.max(v))
+        });
     let range = max - min;
     if range <= 0.0 {
         return vec![PatternBin::Mid; row.len()];
@@ -196,6 +199,47 @@ mod tests {
         assert_eq!(row.upper_tail_count(), 3); // 99 + two 100s
         assert_eq!(row.lower_tail_count(), 2); // 0 + 1
         assert_eq!(row.count(PatternBin::Max), 2);
+    }
+
+    /// `classify_row` as it was with two sequential folds for the
+    /// extremes: the one-pass scan must bin every row the same.
+    fn classify_row_two_folds(row: &[f64]) -> Vec<PatternBin> {
+        if row.is_empty() {
+            return Vec::new();
+        }
+        let max = row.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        let min = row.iter().copied().fold(f64::INFINITY, f64::min);
+        let range = max - min;
+        if range <= 0.0 {
+            return vec![PatternBin::Mid; row.len()];
+        }
+        row.iter()
+            .map(|&v| {
+                if v == max {
+                    PatternBin::Max
+                } else if v == min {
+                    PatternBin::Min
+                } else if v >= min + 0.85 * range {
+                    PatternBin::UpperTail
+                } else if v <= min + 0.15 * range {
+                    PatternBin::LowerTail
+                } else {
+                    PatternBin::Mid
+                }
+            })
+            .collect()
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn one_pass_extremes_bin_like_two_folds(
+            picks in proptest::collection::vec(0usize..10, 0..12)
+        ) {
+            const VALUES: [f64; 10] =
+                [0.0, -0.0, 1.0, 0.15, 0.85, 100.0, f64::NAN, f64::INFINITY, 5e-324, 1.0 / 3.0];
+            let row: Vec<f64> = picks.iter().map(|&i| VALUES[i]).collect();
+            proptest::prop_assert_eq!(classify_row(&row), classify_row_two_folds(&row));
+        }
     }
 
     #[test]

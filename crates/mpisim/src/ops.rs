@@ -106,8 +106,29 @@ impl Program {
     /// Nominal compute seconds (speed 1.0) of every `(region, rank)`
     /// cell and of every rank in total, from one walk of the program —
     /// the loads the advisor's proposals and predictions are built from.
+    /// The no-split case of
+    /// [`compute_cells_scaled`](Program::compute_cells_scaled).
     pub fn compute_cells(&self) -> ComputeCells {
+        self.compute_cells_scaled(&[])
+    }
+
+    /// The compute cells of this program with `splits` applied, from
+    /// one walk and without building the scaled program: each compute
+    /// op contributes `seconds * factors[rank]` for every split of its
+    /// innermost region, in list order. The bits equal applying each
+    /// split with
+    /// [`with_region_compute_scaled`](Program::with_region_compute_scaled)
+    /// in turn and then taking [`compute_cells`](Program::compute_cells)
+    /// — the advisor predicts work-splitting combos from this. The
+    /// factors are not checked here; see
+    /// [`with_compute_scaled`](Program::with_compute_scaled).
+    ///
+    /// # Panics
+    ///
+    /// Panics when a split's factor count differs from the rank count.
+    pub fn compute_cells_scaled(&self, splits: &[(RegionId, &[f64])]) -> ComputeCells {
         let n = self.ranks.len();
+        assert_one_factor_per_rank(splits, n);
         let mut regions = vec![vec![0.0; n]; self.region_names.len()];
         let mut totals = Vec::with_capacity(n);
         let mut stack: Vec<RegionId> = Vec::new();
@@ -125,9 +146,9 @@ impl Program {
                         stack.pop();
                     }
                     Op::Compute { seconds: s } => {
-                        seconds = *s;
-                        let cell = stack.last().and_then(|r| regions.get_mut(r.index()));
-                        if let Some(row) = cell {
+                        let top = stack.last();
+                        seconds = scaled(*s, p, top, splits);
+                        if let Some(row) = top.and_then(|r| regions.get_mut(r.index())) {
                             row[p] += seconds;
                         }
                     }
@@ -191,28 +212,43 @@ impl Program {
         region: RegionId,
         factors: &[f64],
     ) -> Result<Program, SimError> {
-        assert_eq!(
-            factors.len(),
-            self.ranks.len(),
-            "one factor per rank required"
-        );
-        for &f in factors {
+        self.with_compute_scaled(&[(region, factors)])
+    }
+
+    /// Returns a copy of the program with every split of `splits`
+    /// applied in one pass: a compute op is multiplied by its rank's
+    /// factor of every split of its innermost region, in list order —
+    /// the program [`with_region_compute_scaled`] gives when applied
+    /// once per split, built with one copy.
+    ///
+    /// [`with_region_compute_scaled`]: Program::with_region_compute_scaled
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::InvalidWork`] for the first factor, in list
+    /// order, that is negative or non-finite.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a split's factor count differs from the rank count.
+    pub fn with_compute_scaled(&self, splits: &[(RegionId, &[f64])]) -> Result<Program, SimError> {
+        assert_one_factor_per_rank(splits, self.ranks.len());
+        for &f in splits.iter().flat_map(|(_, factors)| factors.iter()) {
             if !f.is_finite() || f < 0.0 {
                 return Err(SimError::InvalidWork { value: f });
             }
         }
         let mut out = self.clone();
-        for (ops, &factor) in out.ranks.iter_mut().zip(factors) {
-            let mut stack: Vec<RegionId> = Vec::new();
+        let mut stack: Vec<RegionId> = Vec::new();
+        for (p, ops) in out.ranks.iter_mut().enumerate() {
+            stack.clear();
             for op in ops.iter_mut() {
                 match op {
                     Op::Enter { region } => stack.push(*region),
                     Op::Leave { .. } => {
                         stack.pop();
                     }
-                    Op::Compute { seconds } if stack.last() == Some(&region) => {
-                        *seconds *= factor;
-                    }
+                    Op::Compute { seconds } => *seconds = scaled(*seconds, p, stack.last(), splits),
                     _ => {}
                 }
             }
@@ -258,6 +294,22 @@ pub struct ComputeCells {
     /// `totals[p]`: all of rank `p`'s compute seconds, in or outside
     /// regions, summed in op order.
     pub totals: Vec<f64>,
+}
+
+/// `seconds` of a compute op of rank `p` whose innermost region is
+/// `top`, multiplied by that rank's factor of every split of `top`, in
+/// split order.
+fn scaled(seconds: f64, p: usize, top: Option<&RegionId>, splits: &[(RegionId, &[f64])]) -> f64 {
+    splits
+        .iter()
+        .filter(|(region, _)| top == Some(region))
+        .fold(seconds, |s, (_, factors)| s * factors[p])
+}
+
+fn assert_one_factor_per_rank(splits: &[(RegionId, &[f64])], ranks: usize) {
+    for (_, factors) in splits {
+        assert_eq!(factors.len(), ranks, "one factor per rank required");
+    }
 }
 
 /// Builder for [`Program`]s.
@@ -834,7 +886,46 @@ mod tests {
                 proptest::prop_assert_eq!(bits(row), bits(&want), "region {}", j);
             }
         }
+
+        #[test]
+        fn scaled_cells_match_the_chained_scaled_programs_bit_for_bit(
+            regions in 0usize..5,
+            ranks in proptest::collection::vec(steps(), 1..6),
+            raw_splits in proptest::collection::vec(
+                (0usize..6, proptest::collection::vec(0..FACTORS.len(), 6)),
+                0..4,
+            ),
+        ) {
+            let program = build(regions, &ranks, 1);
+            let n = program.ranks();
+            // Splits may repeat a region or name one no op enters.
+            let factors: Vec<(RegionId, Vec<f64>)> = raw_splits
+                .iter()
+                .map(|(j, fs)| (RegionId::new(*j), fs[..n].iter().map(|&i| FACTORS[i]).collect()))
+                .collect();
+            let splits: Vec<(RegionId, &[f64])> =
+                factors.iter().map(|(r, fs)| (*r, fs.as_slice())).collect();
+            let mut chained = program.clone();
+            for &(region, fs) in &splits {
+                chained = chained.with_region_compute_scaled(region, fs).unwrap();
+            }
+            let want = chained.compute_cells();
+            let got = program.compute_cells_scaled(&splits);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+            proptest::prop_assert_eq!(bits(&got.totals), bits(&want.totals));
+            proptest::prop_assert_eq!(got.regions.len(), want.regions.len());
+            for (j, (g, w)) in got.regions.iter().zip(&want.regions).enumerate() {
+                proptest::prop_assert_eq!(bits(g), bits(w), "region {}", j);
+            }
+            proptest::prop_assert!(program.with_compute_scaled(&splits).unwrap() == chained);
+        }
     }
+
+    /// Split factors the scaling properties draw from: zero, one,
+    /// inexact fractions, a subnormal and a large value (small enough
+    /// that three of them on the largest op stay finite, so the
+    /// programs compare with `==`).
+    const FACTORS: [f64; 8] = [0.0, 1.0, 0.5, 1.0 / 3.0, 2.0, 1e100, 5e-324, 0.7];
 
     #[test]
     fn collective_calls_take_the_max_payload() {

@@ -83,16 +83,27 @@ impl PushSession {
     }
 
     /// Streams an existing tracefile, skipping the resume offset, then
-    /// half-closes and reads the server's verdict.
+    /// half-closes and reads the server's verdict. A server whose fold
+    /// failed answers before the upload ends and closes; that verdict
+    /// is returned instead of the failed write.
     pub fn push_file(mut self, path: &std::path::Path) -> Result<PushOutcome, ServeError> {
-        let mut file = std::fs::File::open(path)?;
-        std::io::copy(
-            &mut SkipReader {
-                inner: &mut file,
-                remaining: self.offset,
-            },
-            &mut self.stream,
-        )?;
+        let mut inner = std::fs::File::open(path)?;
+        let mut file = SkipReader {
+            inner: &mut inner,
+            remaining: self.offset,
+        };
+        let mut buf = vec![0u8; 64 * 1024];
+        loop {
+            let n = match file.read(&mut buf) {
+                Ok(0) => break,
+                Ok(n) => n,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                Err(e) => return Err(e.into()),
+            };
+            if let Err(e) = self.stream.write_all(&buf[..n]) {
+                return self.verdict(Err(e));
+            }
+        }
         self.finish()
     }
 
@@ -120,9 +131,22 @@ impl PushSession {
     }
 
     fn finish(mut self) -> Result<PushOutcome, ServeError> {
-        self.stream.flush()?;
-        self.stream.shutdown(Shutdown::Write)?;
-        let fin = read_final(&mut self.stream)?;
+        let sent = self
+            .stream
+            .flush()
+            .and_then(|()| self.stream.shutdown(Shutdown::Write));
+        self.verdict(sent)
+    }
+
+    /// Reads the server's verdict after an upload that ended with
+    /// `sent`. The upload's error counts only when no verdict follows
+    /// it: a server that already answered may have closed the
+    /// connection under the client's last writes.
+    fn verdict(mut self, sent: std::io::Result<()>) -> Result<PushOutcome, ServeError> {
+        let fin = match read_final(&mut self.stream) {
+            Ok(fin) => fin,
+            Err(e) => return Err(sent.err().map_or(e, ServeError::from)),
+        };
         let report = fin.body;
         match fin.status {
             STATUS_OK => Ok(PushOutcome {

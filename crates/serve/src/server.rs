@@ -36,6 +36,7 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -123,8 +124,14 @@ impl Default for ServeConfig {
 /// One message from a session to its shard worker.
 enum ShardMsg {
     /// A session was admitted for `key`; `resume` replays the
-    /// existing spool into fresh fold state first.
-    Open { key: RunKey, resume: bool },
+    /// existing spool into fresh fold state first. The shard raises
+    /// `failed` once the run's fold fails, which stops the session's
+    /// pump.
+    Open {
+        key: RunKey,
+        resume: bool,
+        failed: Arc<AtomicBool>,
+    },
     /// Raw bytes off the socket, in arrival order.
     Chunk { key: RunKey, data: Vec<u8> },
     /// The stream ended (end chunk, half-close, or disconnect — the
@@ -630,10 +637,12 @@ fn push_session(shared: &Shared, mut stream: TcpStream, txs: &[SyncSender<ShardM
         }
     }
     let tx = &txs[admission.shard];
+    let failed = Arc::new(AtomicBool::new(false));
     if tx
         .send(ShardMsg::Open {
             key: key.clone(),
             resume: admission.resume,
+            failed: failed.clone(),
         })
         .is_err()
     {
@@ -658,10 +667,14 @@ fn push_session(shared: &Shared, mut stream: TcpStream, txs: &[SyncSender<ShardM
 
     // The pump: socket → shard. A full shard channel blocks `send`,
     // which stops `read`, which backpressures the client through TCP.
+    // A run whose fold failed takes nothing more: the pump stops at the
+    // next chunk and answers with the run's error verdict at once.
     let _ = stream.set_read_timeout(Some(POLL));
     let mut buf = vec![0u8; CHUNK];
     loop {
-        if shared.cancel.is_cancelled() {
+        // The flag publishes no other data (the verdict travels on
+        // `finish_run`'s reply channel), so `Relaxed` suffices.
+        if shared.cancel.is_cancelled() || failed.load(Ordering::Relaxed) {
             break;
         }
         match stream.read(&mut buf) {
@@ -735,6 +748,8 @@ struct Ingest {
     spooled: u64,
     /// First failure (fold or disk); latches the run.
     failed: Option<Failure>,
+    /// Raised with a fold failure, for the session's pump.
+    fold_failed: Arc<AtomicBool>,
     published: Published,
 }
 
@@ -751,8 +766,12 @@ fn shard_worker(shared: Arc<Shared>, rx: Receiver<ShardMsg>) {
     let mut runs: HashMap<RunKey, Ingest> = HashMap::new();
     for msg in rx {
         match msg {
-            ShardMsg::Open { key, resume } => {
-                if let Err(e) = open_run(&shared, &mut runs, &key, resume) {
+            ShardMsg::Open {
+                key,
+                resume,
+                failed,
+            } => {
+                if let Err(e) = open_run(&shared, &mut runs, &key, resume, failed) {
                     shared.registry.update(&key, |entry| {
                         entry.status = RunStatus::Failed;
                         entry.error = Some(e.to_string());
@@ -773,6 +792,7 @@ fn open_run(
     runs: &mut HashMap<RunKey, Ingest>,
     key: &RunKey,
     resume: bool,
+    fold_failed: Arc<AtomicBool>,
 ) -> Result<(), ServeError> {
     let path = shared
         .registry
@@ -787,6 +807,7 @@ fn open_run(
         spooled: shared.vfs().len(&path).unwrap_or(0),
         path: path.clone(),
         failed: None,
+        fold_failed,
         published: Published::default(),
     };
     if resume {
@@ -827,18 +848,20 @@ fn feed(ingest: &mut Ingest, data: &[u8]) {
     let Ingest {
         decoder, detector, ..
     } = ingest;
-    match catch_unwind(AssertUnwindSafe(|| decoder.feed(data, detector))) {
-        Ok(Ok(())) => {}
-        Ok(Err(e)) => ingest.failed = Some(Failure::Fold(e.to_string())),
+    let error = match catch_unwind(AssertUnwindSafe(|| decoder.feed(data, detector))) {
+        Ok(Ok(())) => return,
+        Ok(Err(e)) => e.to_string(),
         Err(panic) => {
             let what = panic
                 .downcast_ref::<&str>()
                 .map(|s| s.to_string())
                 .or_else(|| panic.downcast_ref::<String>().cloned())
                 .unwrap_or_else(|| "unknown panic".into());
-            ingest.failed = Some(Failure::Fold(format!("ingestion fold panicked: {what}")));
+            format!("ingestion fold panicked: {what}")
         }
-    }
+    };
+    ingest.failed = Some(Failure::Fold(error));
+    ingest.fold_failed.store(true, Ordering::Relaxed);
 }
 
 /// Pushes the detector's current view into the registry, with
@@ -929,6 +952,7 @@ fn end_run(shared: &Shared, runs: &mut HashMap<RunKey, Ingest>, key: &RunKey) ->
         path,
         spooled,
         failed,
+        fold_failed: _,
         mut published,
     } = ingest;
 

@@ -119,7 +119,7 @@ fn drive(shared: &Shared, key: &RunKey, bytes: &[u8], chunk: usize) -> Final {
     let spool = shared.spool_dir.join(spool_name(key));
     let admission = shared.registry.admit(key, 0, spool, 8).unwrap();
     let mut runs = HashMap::new();
-    open_run(shared, &mut runs, key, admission.resume).unwrap();
+    open_run(shared, &mut runs, key, admission.resume, Arc::default()).unwrap();
     for data in bytes.chunks(chunk) {
         ingest_chunk(shared, &mut runs, key, data);
     }
@@ -334,6 +334,60 @@ fn a_backwards_clock_fails_the_push_at_its_chunk() {
             "chunk {chunk}"
         );
     }
+}
+
+/// A push whose fold fails mid-file is answered at once: the server
+/// stops reading, sends the fold's error verdict and closes, and
+/// `push_file` returns that verdict long before it has read the whole
+/// file. The file is a pipe fed the bad run's bytes and then zeros, far
+/// more than socket buffers hold, so the feeder sees how much was read.
+#[cfg(unix)]
+#[test]
+fn a_failed_fold_answers_before_push_file_sends_the_whole_file() {
+    const TAIL: usize = 64 << 20;
+    let dir = scratch("early-verdict");
+    let (events, _, error) = backwards_events();
+    let bytes = encode(4, &events, 6);
+    let fifo = dir.join("bad.fifo");
+    let made = std::process::Command::new("mkfifo")
+        .arg(&fifo)
+        .status()
+        .unwrap();
+    assert!(made.success());
+
+    let server = Server::start("127.0.0.1:0", ServeConfig::default()).unwrap();
+    let addr = server.addr().to_string();
+    let (pushed, fed) = std::thread::scope(|scope| {
+        let feeder = scope.spawn(|| {
+            let mut pipe = std::fs::OpenOptions::new().write(true).open(&fifo).unwrap();
+            pipe.write_all(&bytes).unwrap();
+            let zeros = vec![0u8; 64 << 10];
+            let mut fed = bytes.len();
+            // Stops once the reader closes the pipe (EPIPE).
+            while fed < bytes.len() + TAIL {
+                match pipe.write(&zeros) {
+                    Ok(n) => fed += n,
+                    Err(_) => break,
+                }
+            }
+            fed
+        });
+        let pushed = PushSession::connect(&addr, "mallory", "run")
+            .unwrap()
+            .push_file(&fifo);
+        (pushed, feeder.join().unwrap())
+    });
+    let err = pushed.unwrap_err().to_string();
+    assert_eq!(err, ServeError::State(error.to_string()).to_string());
+    assert!(
+        fed < bytes.len() + TAIL / 2,
+        "push_file read {fed} of {} bytes",
+        bytes.len() + TAIL
+    );
+    let runs = client::query(&addr, "RUNS mallory").unwrap();
+    assert!(runs.starts_with("run failed "), "{runs}");
+    server.shutdown().unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// The backwards-clock verdict over real sessions: the bad push fails

@@ -49,9 +49,7 @@ use limba_trace::{
     ReducedTrace, SalvageSink, SalvagedTrace, ScanSink, TeeSink, TraceError, TraceSink, WindowSink,
 };
 
-mod pipeline;
-
-pub use pipeline::pipelined;
+pub use limba_trace::pipelined;
 
 /// Error of a streamed run.
 #[derive(Debug)]

@@ -14,7 +14,10 @@
 //! * [`reduce`] — the reduction of a trace into the
 //!   [`Measurements`](limba_model::Measurements) matrix `t_ijp` (plus
 //!   message [`CountMatrix`](limba_model::CountMatrix) counting
-//!   parameters) that the analysis methodology consumes.
+//!   parameters) that the analysis methodology consumes;
+//! * [`pipelined`] — a two-thread pipeline: a producer (the simulator)
+//!   keeps the calling thread while any `Send` [`TraceSink`] folds its
+//!   events on one worker thread.
 //!
 //! Time inside a region that is not covered by an explicit activity
 //! interval is attributed to `ActivityKind::Computation`, mirroring how
@@ -56,6 +59,7 @@ pub mod text;
 
 mod event;
 mod hierarchy;
+mod pipeline;
 mod reduce;
 #[cfg(test)]
 mod reference;
@@ -64,6 +68,7 @@ mod salvage;
 pub use durable::{DurableSink, SealScan, SealScanner};
 pub use event::{Event, EventPayload, RankOrder, Trace, TraceBuilder};
 pub use hierarchy::{region_parents, ParentsSink};
+pub use pipeline::pipelined;
 pub use reduce::{reduce, reduce_windows, Attribution, ReducedTrace};
 pub use salvage::{reduce_checked, AttributionTap, RankCoverage, SalvageWalker, SalvagedTrace};
 pub use stream::{

@@ -14,7 +14,7 @@
 use std::sync::mpsc::{self, Receiver, SyncSender, TryRecvError};
 use std::time::{Duration, Instant};
 
-use limba_trace::{Event, TraceError, TraceSink};
+use crate::{Event, TraceError, TraceSink};
 
 /// Frames that may wait in the channel for the worker.
 const FRAMES_QUEUED: usize = 2;
